@@ -12,6 +12,7 @@ individual ingredients:
 
 from bench_utils import run_once
 
+from repro.api import PerforationEngine
 from repro.apps import GaussianApp, Sobel5App
 from repro.clsim import TimingModel, firepro_w5100, generic_hbm_gpu
 from repro.core import (
@@ -23,7 +24,6 @@ from repro.core import (
     STENCIL1_NN,
     ApproximationConfig,
     compute_error,
-    evaluate_configuration,
 )
 from repro.data import generate_image
 from repro.experiments.common import format_table
@@ -47,7 +47,7 @@ def test_ablation_local_memory_staging(benchmark, archive):
         staged_profile, nd = app.profile(ACCURATE_CONFIG, global_size)
         staged = model.estimate(staged_profile, nd).total_time_s
         app.baseline_uses_local_memory = False
-        perforated = evaluate_configuration(app, image, STENCIL1_NN, device=device)
+        perforated = PerforationEngine(device=device).evaluate(app, image, STENCIL1_NN)
         return naive, staged, perforated.approx_time_s
 
     naive, staged, perforated = run_once(benchmark, run)
@@ -109,8 +109,9 @@ def test_ablation_aggressiveness_and_device(benchmark, archive):
         hbm = generic_hbm_gpu()
         out = {}
         for device_name, device in (("firepro-w5100", firepro), ("generic-hbm", hbm)):
-            rows1 = evaluate_configuration(app, image, ROWS1_NN, device=device)
-            rows2 = evaluate_configuration(app, image, ROWS2_NN, device=device)
+            engine = PerforationEngine(device=device)
+            rows1 = engine.evaluate(app, image, ROWS1_NN)
+            rows2 = engine.evaluate(app, image, ROWS2_NN)
             out[device_name] = {"rows1": rows1, "rows2": rows2}
         return out
 

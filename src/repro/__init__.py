@@ -10,7 +10,7 @@ Juurlink; CGO 2018).  The library contains:
   passes;
 * :mod:`repro.core` — the paper's contribution: perforation schemes,
   local-memory reconstruction, the kernel perforator, quality metrics,
-  tuning, Pareto analysis and a quality-aware runtime;
+  the evaluation and sweep result types and Pareto analysis;
 * :mod:`repro.baselines` — Paraprox-style output approximation and classic
   loop perforation;
 * :mod:`repro.apps` — the six benchmark applications (Gaussian, Inversion,
@@ -20,9 +20,10 @@ Juurlink; CGO 2018).  The library contains:
 * :mod:`repro.experiments` — one harness per table/figure of the paper;
 * :mod:`repro.api` — the unified session API: the
   :class:`~repro.api.engine.PerforationEngine` facade with registries,
-  result caching and parallel sweeps;
+  result caching, parallel sweeps and quality-aware sessions
+  (calibrate, select, run under an error budget);
 * :mod:`repro.serve` — quality-aware batch serving: micro-batched
-  vectorized launches, an online perforation controller, a bounded result
+  codegen launches, an online perforation controller, a bounded result
   cache and serving metrics (``docs/serving.md``);
 * :mod:`repro.autotune` — adaptive multi-fidelity autotuning: a
   declarative search space, seeded strategies (grid, random, hill-climb,

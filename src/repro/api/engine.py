@@ -17,15 +17,12 @@ resolved by name through the package registries, so
     tuned = engine.session(app="sobel3").autotune(error_budget=0.01)
     record = tuned.run(image)
 
-works without importing a single application class.  The legacy free
-functions (:func:`repro.core.pipeline.evaluate_configuration` and friends)
-are deprecation shims over a per-call engine.
+works without importing a single application class.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -85,12 +82,11 @@ class PerforationEngine:
     backend:
         Execution backend used by the *compiled* kernel path
         (:meth:`run_compiled` / :meth:`compiled_sweep`): a registered name
-        (``"interpreter"``, ``"vectorized"``, ``"codegen"``), an
+        (``"interpreter"``, ``"codegen"``), an
         :class:`~repro.clsim.backends.ExecutionBackend` instance, or
         ``None`` for the default interpreter backend.  Sessions can
-        override it per session.  The compiled backends share one lowering
-        pipeline (see ``docs/backends.md`` and ``docs/ir.md``), so outputs
-        and stats are bit-identical across all three.
+        override it per session.  Outputs and stats are bit-identical
+        across both (see ``docs/backends.md`` and ``docs/ir.md``).
     """
 
     def __init__(
@@ -361,7 +357,7 @@ class PerforationEngine:
 
         All inputs must have the same global size; the kernel is perforated
         and compiled once, and on a backend that supports batching (the
-        vectorized and codegen backends) every work group executes the
+        codegen backend) every work group executes the
         stacked lanes of all requests together via the batching transform
         (:mod:`repro.kernellang.passes.batching`) — the serving
         subsystem's fast path.  Outputs
@@ -587,29 +583,3 @@ class PerforationEngine:
             f"cache={'on' if self.cache is not None else 'off'} "
             f"backend={self.backend.name!r}>"
         )
-
-
-# ---------------------------------------------------------------------------
-# Shared engines for the legacy free-function shims
-# ---------------------------------------------------------------------------
-_shared_engines: dict[Device, PerforationEngine] = {}
-_shared_lock = threading.Lock()
-
-
-def shared_engine(device: Device | str | None = None) -> PerforationEngine:
-    """A process-wide serial engine per device value.
-
-    The deprecated free functions (:func:`repro.core.pipeline.evaluate_configuration`
-    and friends) route through this helper so that repeated calls against
-    the same device still benefit from the reference/timing cache.
-    :class:`Device` is a frozen value type, so equal devices share an engine.
-    """
-    if device is None:
-        device = get_device()
-    elif isinstance(device, str):
-        device = get_device(device)
-    with _shared_lock:
-        engine = _shared_engines.get(device)
-        if engine is None:
-            engine = _shared_engines[device] = PerforationEngine(device=device)
-        return engine

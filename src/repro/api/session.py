@@ -14,12 +14,11 @@ as a fluent API:
     tuned = engine.session(app="sobel3").autotune(error_budget=0.01)
     record = tuned.run(image, monitor=True)                  # quality-aware exec
 
-The auto-tuning half subsumes the legacy
-:class:`repro.core.runtime.QualityAwareRuntime` (now a deprecation shim
-over this class): *calibrate* on representative inputs, *select* the
-fastest configuration expected to meet the error budget, *run* new inputs
-with it, optionally monitoring the achieved quality and demoting the
-configuration when the budget is violated.
+The auto-tuning half is the quality-aware loop: *calibrate* on
+representative inputs, *select* the fastest configuration expected to
+meet the error budget, *run* new inputs with it, optionally monitoring the
+achieved quality and demoting the configuration when the budget is
+violated.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .backends import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
     InterpreterBackend,
-    VectorizedBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -76,7 +75,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "VectorizedBackend",
     "InterpreterBackend",
     "ExecutionBackend",
     "EXECUTION_BACKENDS",

@@ -1,30 +1,23 @@
 """Pluggable execution backends for the functional executor.
 
 The :class:`~repro.clsim.executor.Executor` delegates the execution of each
-work group to an :class:`ExecutionBackend`:
+work group to an :class:`ExecutionBackend`.  Two are built in:
 
 * the ``"interpreter"`` backend is the reference implementation — every
   work-item runs as a Python generator, all work-items of a group advance
-  in lock-step between barriers (this is the seed behaviour, unchanged);
-* the ``"vectorized"`` backend executes a whole work group as batched NumPy
-  operations lowered from the kernellang AST
-  (:mod:`repro.kernellang.vectorize`) — orders of magnitude faster, with
-  bit-identical outputs and identical
-  :class:`~repro.clsim.executor.ExecutionStats` counters, which the
-  cross-backend conformance suite (``tests/clsim/test_backend_parity.py``)
-  pins down;
-* the ``"codegen"`` backend (:mod:`repro.kernellang.codegen`) lowers each
-  (kernel source, work-group shape, batched?) triple once to flat
-  specialized Python/NumPy source, compiled via ``compile()``/``exec()``
-  and cached process-wide and on disk (:mod:`repro.api.artifacts`) — the
-  same conformance contract, ~2-3x faster again on repeated launches.
-
-Both compiled backends are consumers of the shared pass pipeline in
-:mod:`repro.kernellang.passes` (uniformity analysis, mask insertion,
-memory views, batching transform — see ``docs/ir.md``): the vectorized
-backend runs the passes dynamically per work group, the codegen backend
-prints them into the specialized source, which is why their outputs can
-only agree bit for bit.
+  in lock-step between barriers; its semantics *define* what a kernel
+  computes;
+* the ``"codegen"`` backend (:mod:`repro.kernellang.codegen`) is the
+  compiled one: it lowers each (kernel source, work-group shape,
+  batched?) triple once to flat specialized Python/NumPy source through
+  the pass pipeline (:mod:`repro.kernellang.passes` — see
+  ``docs/ir.md``), compiled via ``compile()``/``exec()`` and cached
+  process-wide and on disk (:mod:`repro.api.artifacts`).  Its outputs and
+  :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
+  to the interpreter's, which the cross-backend conformance suite
+  (``tests/clsim/test_backend_parity.py``) pins down.  Kernels the
+  lowering rejects run on the interpreter instead, decided once per
+  launch (:meth:`ExecutionBackend.for_launch`).
 
 Backends are resolvable by name through a string-keyed registry, mirroring
 the application/device/scheme registries of the session API:
@@ -34,8 +27,8 @@ the application/device/scheme registries of the session API:
     from repro.clsim import Executor
     from repro.api import PerforationEngine
 
-    Executor(backend="vectorized")
-    PerforationEngine(backend="vectorized")
+    Executor(backend="codegen")
+    PerforationEngine(backend="codegen")
 """
 
 from __future__ import annotations
@@ -67,6 +60,17 @@ class ExecutionBackend(abc.ABC):
     #: batching support still serve batched requests — the executor falls
     #: back to running the launches one by one.
     supports_batching: bool = False
+
+    def for_launch(
+        self, kernel: Kernel, local_size: tuple[int, ...], batched: bool
+    ) -> "ExecutionBackend":
+        """The backend that runs every work group of one launch.
+
+        The executor calls this once per launch, before the group loop, so
+        a backend can resolve per-kernel work (and decline a kernel it
+        cannot run) once instead of once per work group.
+        """
+        return self
 
     @abc.abstractmethod
     def run_group(
@@ -164,56 +168,6 @@ class InterpreterBackend(ExecutionBackend):
         return barriers
 
 
-class VectorizedBackend(ExecutionBackend):
-    """Batched-NumPy backend for kernels compiled from kernellang source.
-
-    Kernels built directly from Python bodies carry no AST to lower, so they
-    raise :class:`KernelExecutionError`; run those on the interpreter
-    backend instead.
-    """
-
-    name = "vectorized"
-    supports_batching = True
-
-    def _compiled(self, kernel):
-        # Imported lazily: kernellang itself imports repro.clsim.
-        from ..kernellang.vectorize import vectorized_kernel
-
-        if getattr(kernel, "ast_program", None) is None:
-            raise KernelExecutionError(
-                f"kernel {kernel.name!r} carries no kernellang AST; the "
-                f"vectorized backend only runs kernels compiled from "
-                f"kernellang source (use the 'interpreter' backend)"
-            )
-        return vectorized_kernel(kernel)
-
-    def run_group(self, kernel, ctx, ndrange, group_id) -> int:
-        from ..kernellang.errors import KernelLangError
-
-        compiled = self._compiled(kernel)
-        try:
-            return compiled.run_group(ctx, ndrange, group_id)
-        except KernelExecutionError:  # includes BarrierDivergenceError
-            raise
-        except KernelLangError as exc:
-            raise KernelExecutionError(
-                f"kernel {kernel.name!r} failed for group {group_id}: {exc}"
-            ) from exc
-
-    def run_group_batch(self, kernel, ctx, ndrange, group_id, batch) -> int:
-        from ..kernellang.errors import KernelLangError
-
-        compiled = self._compiled(kernel)
-        try:
-            return compiled.run_group_batch(ctx, ndrange, group_id, batch)
-        except KernelExecutionError:
-            raise
-        except KernelLangError as exc:
-            raise KernelExecutionError(
-                f"kernel {kernel.name!r} failed for batched group {group_id}: {exc}"
-            ) from exc
-
-
 class CodegenBackend(ExecutionBackend):
     """Compiled backend: kernellang ASTs lowered to specialized NumPy source.
 
@@ -223,14 +177,14 @@ class CodegenBackend(ExecutionBackend):
     the on-disk artifact cache (:mod:`repro.api.artifacts`) — repeated
     sweeps and serve sessions skip lowering entirely.  Outputs and
     :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
-    to the interpreter backend (same conformance contract as the vectorized
-    backend, pinned by ``tests/clsim/test_backend_parity.py``).
+    to the interpreter backend (pinned by
+    ``tests/clsim/test_backend_parity.py``).
 
-    Programs the lowering cannot specialize fall back to the vectorized
-    backend transparently (the lowering fails *before* any lane has run),
-    so ``codegen`` is a strict drop-in for ``vectorized``.  Kernels built
-    from hand-written Python bodies carry no AST and are rejected, exactly
-    like the vectorized backend.
+    A launch whose kernel the lowering rejects
+    (:class:`~repro.kernellang.codegen.LoweringError`) runs on the
+    interpreter backend, the reference semantics; :meth:`for_launch`
+    decides that before any lane has run.  Kernels built from hand-written
+    Python bodies carry no AST and are rejected.
     """
 
     name = "codegen"
@@ -248,22 +202,21 @@ class CodegenBackend(ExecutionBackend):
             )
         return codegen_kernel(kernel)
 
-    def _fallback(self):
-        # Built lazily and kept: the vectorized backend object is stateless.
-        backend = getattr(self, "_vectorized", None)
-        if backend is None:
-            backend = self._vectorized = VectorizedBackend()
-        return backend
+    def for_launch(self, kernel, local_size, batched) -> ExecutionBackend:
+        from ..kernellang.codegen import LoweringError
+
+        try:
+            self._compiled(kernel).function(local_size, batched)
+        except LoweringError:
+            return InterpreterBackend()
+        return self
 
     def run_group(self, kernel, ctx, ndrange, group_id) -> int:
-        from ..kernellang.codegen import LoweringError
         from ..kernellang.errors import KernelLangError
 
         compiled = self._compiled(kernel)
         try:
             return compiled.run_group(ctx, ndrange, group_id)
-        except LoweringError:
-            return self._fallback().run_group(kernel, ctx, ndrange, group_id)
         except KernelExecutionError:  # includes BarrierDivergenceError
             raise
         except KernelLangError as exc:
@@ -278,16 +231,11 @@ class CodegenBackend(ExecutionBackend):
             ) from exc
 
     def run_group_batch(self, kernel, ctx, ndrange, group_id, batch) -> int:
-        from ..kernellang.codegen import LoweringError
         from ..kernellang.errors import KernelLangError
 
         compiled = self._compiled(kernel)
         try:
             return compiled.run_group_batch(ctx, ndrange, group_id, batch)
-        except LoweringError:
-            return self._fallback().run_group_batch(
-                kernel, ctx, ndrange, group_id, batch
-            )
         except KernelExecutionError:
             raise
         except KernelLangError as exc:
@@ -306,7 +254,6 @@ class CodegenBackend(ExecutionBackend):
 EXECUTION_BACKENDS: Registry = Registry("execution backend", error=InvalidBackendError)
 
 EXECUTION_BACKENDS.register("interpreter", InterpreterBackend)
-EXECUTION_BACKENDS.register("vectorized", VectorizedBackend)
 EXECUTION_BACKENDS.register("codegen", CodegenBackend)
 
 

@@ -7,12 +7,9 @@ per-group execution to a pluggable :class:`~repro.clsim.backends.ExecutionBacken
   Python generator in lock-step between barriers (kernel bodies yield
   :data:`~repro.clsim.kernel.BARRIER` at synchronisation points) — the
   reference execution model;
-* the ``"vectorized"`` backend executes a whole work group as batched
-  NumPy operations lowered from the kernellang AST — bit-identical outputs
-  and access counters, orders of magnitude faster;
 * the ``"codegen"`` backend lowers each (kernel, work-group shape) pair
   once to specialized Python/NumPy source, compiled and cached on disk —
-  the fastest path for repeated launches, same conformance contract.
+  bit-identical outputs and access counters, orders of magnitude faster.
 
 Either way the executor owns the launch bookkeeping: device validation,
 local-memory lifecycle, and the aggregation of the
@@ -77,7 +74,7 @@ class Executor:
         FirePro W5100).
     backend:
         Execution backend: a registered name (``"interpreter"``,
-        ``"vectorized"``, ``"codegen"``), an :class:`ExecutionBackend`
+        ``"codegen"``), an :class:`ExecutionBackend`
         instance, or ``None`` for the default interpreter backend.
     """
 
@@ -107,6 +104,7 @@ class Executor:
         start_ns = time.monotonic_ns() if tracer.enabled else 0
         ndrange.validate_for_device(self.device)
         bound = kernel.bind_args(args)
+        backend = self.backend.for_launch(kernel, ndrange.local_size, batched=False)
         stats = ExecutionStats()
 
         # Snapshot buffer counters so the stats reflect only this launch.
@@ -119,7 +117,7 @@ class Executor:
             ctx = KernelContext(
                 args=dict(bound), local=local, ndrange=ndrange, group_id=group_id
             )
-            stats.barriers += self.backend.run_group(kernel, ctx, ndrange, group_id)
+            stats.barriers += backend.run_group(kernel, ctx, ndrange, group_id)
             stats.work_groups += 1
             stats.local_counters.merge(local.counters)
             for private in ctx.private.values():
@@ -136,7 +134,7 @@ class Executor:
                 start_ns=start_ns,
                 duration_ns=time.monotonic_ns() - start_ns,
                 kernel=kernel.name,
-                backend=self.backend.name,
+                backend=backend.name,
                 work_items=stats.work_items,
                 work_groups=stats.work_groups,
                 barriers=stats.barriers,
@@ -165,20 +163,26 @@ class Executor:
         buffers and are bit-identical to running the launches one by one;
         the returned :class:`ExecutionStats` equal the *sum* of the
         individual launches' stats.  Backends without batching support fall
-        back to exactly that serial loop.
+        back to exactly that serial loop, as does a batch that
+        :meth:`~repro.clsim.backends.ExecutionBackend.for_launch` hands to
+        such a backend (the codegen backend's interpreter fallback).
         """
         args_batch = list(args_batch)
         if not args_batch:
             raise KernelExecutionError("run_batch requires at least one launch")
-        if len(args_batch) == 1 or not self.backend.supports_batching:
-            stats = ExecutionStats()
-            for args in args_batch:
-                stats.merge(self.run(kernel, ndrange, args))
-            return stats
-
         tracer = get_tracer()
         start_ns = time.monotonic_ns() if tracer.enabled else 0
-        ndrange.validate_for_device(self.device)
+        backend = self.backend
+        if len(args_batch) > 1 and backend.supports_batching:
+            ndrange.validate_for_device(self.device)
+            backend = backend.for_launch(kernel, ndrange.local_size, batched=True)
+        if len(args_batch) == 1 or not backend.supports_batching:
+            runner = self if backend is self.backend else Executor(self.device, backend)
+            stats = ExecutionStats()
+            for args in args_batch:
+                stats.merge(runner.run(kernel, ndrange, args))
+            return stats
+
         batch = len(args_batch)
         bound_batch = [kernel.bind_args(args) for args in args_batch]
         first = bound_batch[0]
@@ -231,9 +235,7 @@ class Executor:
             ctx = KernelContext(
                 args=dict(stacked), local=local, ndrange=ndrange, group_id=group_id
             )
-            stats.barriers += self.backend.run_group_batch(
-                kernel, ctx, ndrange, group_id, batch
-            )
+            stats.barriers += backend.run_group_batch(kernel, ctx, ndrange, group_id, batch)
             stats.work_groups += batch
             stats.local_counters.merge(local.counters)
             for private in ctx.private.values():
@@ -258,7 +260,7 @@ class Executor:
                 start_ns=start_ns,
                 duration_ns=time.monotonic_ns() - start_ns,
                 kernel=kernel.name,
-                backend=self.backend.name,
+                backend=backend.name,
                 batch=batch,
                 work_items=stats.work_items,
                 work_groups=stats.work_groups,

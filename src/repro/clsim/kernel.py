@@ -79,8 +79,8 @@ class Kernel:
 
     ``ast_program``/``ast_kernel_name`` optionally carry the kernellang AST
     the kernel was compiled from; execution backends that re-lower the
-    kernel (e.g. the vectorized backend) read them, the executor itself
-    never does.
+    kernel (the codegen backend) read them, the executor itself never
+    does.
     """
 
     def __init__(

@@ -9,10 +9,13 @@ The package implements the paper's contribution:
   operators and as approximate *input samplers*;
 * the compiler-level perforator (:mod:`repro.core.perforator`) that turns
   OpenCL C kernels into perforated + reconstructing kernels;
-* the evaluation pipeline (:mod:`repro.core.pipeline`), error metrics
-  (:mod:`repro.core.quality`), parameter exploration
-  (:mod:`repro.core.tuning`), Pareto analysis (:mod:`repro.core.pareto`)
-  and the quality-aware runtime (:mod:`repro.core.runtime`).
+* the result types of the evaluation pipeline (:mod:`repro.core.pipeline`)
+  and of the parameter sweeps (:mod:`repro.core.tuning`), error metrics
+  (:mod:`repro.core.quality`) and Pareto analysis
+  (:mod:`repro.core.pareto`).
+
+:class:`repro.api.PerforationEngine` and its sessions run the pipeline,
+the sweeps and the quality-aware calibrate/select/run loop.
 """
 
 from .config import (
@@ -37,14 +40,7 @@ from .errors import (
 )
 from .pareto import dominates, hypervolume_2d, is_pareto_optimal, pareto_front
 from .perforator import KernelPerforator, PerforatedKernel
-from .pipeline import (
-    ConfigurationResult,
-    DatasetResult,
-    evaluate_configuration,
-    evaluate_dataset,
-    evaluate_many,
-    timing_for,
-)
+from .pipeline import ConfigurationResult, DatasetResult
 from .quality import (
     ErrorMetric,
     ErrorSummary,
@@ -74,7 +70,6 @@ from .reconstruction import (
     reconstruct_mask,
     reconstruct_rows,
 )
-from .runtime import CalibrationEntry, ExecutionRecord, QualityAwareRuntime
 from .schemes import (
     ACCURATE,
     COLS1,
@@ -89,15 +84,7 @@ from .schemes import (
     available_schemes,
     get_scheme,
 )
-from .tuning import (
-    SweepPoint,
-    SweepResult,
-    WorkGroupTiming,
-    best_work_group,
-    full_sweep,
-    sweep_configurations,
-    sweep_work_groups,
-)
+from .tuning import SweepPoint, SweepResult, WorkGroupTiming
 
 __all__ = [
     "ACCURATE",
@@ -105,7 +92,6 @@ __all__ = [
     "AccurateSampler",
     "ApproximateInput",
     "ApproximationConfig",
-    "CalibrationEntry",
     "COLS1",
     "ColumnPerforation",
     "ConfigurationError",
@@ -114,7 +100,6 @@ __all__ = [
     "DEFAULT_WORK_GROUP",
     "ErrorMetric",
     "ErrorSummary",
-    "ExecutionRecord",
     "FIGURE8_CONFIGS",
     "InputSampler",
     "KernelPerforator",
@@ -123,7 +108,6 @@ __all__ = [
     "PerforatedKernel",
     "PerforationError",
     "PerforationScheme",
-    "QualityAwareRuntime",
     "QualityError",
     "ColumnTileSampler",
     "ReconstructedImageSampler",
@@ -148,14 +132,9 @@ __all__ = [
     "WorkGroupTiming",
     "approximate_input",
     "available_schemes",
-    "best_work_group",
     "compute_error",
     "default_configurations",
     "dominates",
-    "evaluate_configuration",
-    "evaluate_dataset",
-    "evaluate_many",
-    "full_sweep",
     "get_scheme",
     "hypervolume_2d",
     "is_pareto_optimal",
@@ -172,7 +151,4 @@ __all__ = [
     "reconstruct_mask",
     "reconstruct_rows",
     "rmse",
-    "sweep_configurations",
-    "sweep_work_groups",
-    "timing_for",
 ]

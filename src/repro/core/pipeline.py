@@ -1,32 +1,17 @@
-"""The perforation pipeline: evaluate an application under a configuration.
+"""Result types of the perforation pipeline (Figure 1b of the paper).
 
-This module implements Figure 1b of the paper as a reusable harness: the
-input is perforated and reconstructed (through the application's
-approximate execution path), the kernel output is compared against the
-accurate reference to obtain the error, and the analytical timing model
-supplies the runtime of both versions to obtain the speedup.
-
-Applications are duck-typed; :class:`repro.apps.base.Application` provides
-the expected interface (``reference``, ``approximate``, ``profile``,
-``global_size``, ``error_metric``, ``baseline_work_group``).
-
-.. deprecated::
-    The free functions (:func:`evaluate_configuration`,
-    :func:`evaluate_dataset`, :func:`evaluate_many`) are deprecation shims
-    over :class:`repro.api.PerforationEngine`, which adds result caching
-    and parallel sweeps.  The result dataclasses defined here remain the
-    canonical return types.
+:meth:`repro.api.PerforationEngine.evaluate` runs the pipeline: the input
+is perforated and reconstructed (through the application's approximate
+execution path), the kernel output is compared against the accurate
+reference to obtain the error, and the analytical timing model supplies
+the runtime of both versions to obtain the speedup.  The dataclasses
+defined here are its return types.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-import numpy as np
-
-from ..clsim.device import Device
 from ..clsim.timing import TimingBreakdown
 from .config import ACCURATE_CONFIG, ApproximationConfig
 from .quality import ErrorSummary
@@ -84,79 +69,6 @@ class DatasetResult:
         )
 
 
-def timing_for(
-    app, config: ApproximationConfig, inputs, device: Device | None = None
-) -> TimingBreakdown:
-    """Modelled runtime of ``app`` under ``config`` for the given inputs."""
-    from ..api.engine import shared_engine
-
-    engine = shared_engine(device)
-    return engine.timing(app, config, app.global_size(inputs))
-
-
 def baseline_config_for(app) -> ApproximationConfig:
     """The accurate configuration the speedups are measured against."""
     return ACCURATE_CONFIG.with_work_group(app.baseline_work_group)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def evaluate_configuration(
-    app,
-    inputs,
-    config: ApproximationConfig,
-    device: Device | None = None,
-    reference: np.ndarray | None = None,
-) -> ConfigurationResult:
-    """Run the full pipeline of Figure 1b for one input and configuration.
-
-    ``reference`` may be supplied to avoid recomputing the accurate output
-    when sweeping many configurations over the same input.
-
-    .. deprecated:: Use :meth:`repro.api.PerforationEngine.evaluate`.
-    """
-    from ..api.engine import shared_engine
-
-    _deprecated("evaluate_configuration()", "PerforationEngine.evaluate()")
-    return shared_engine(device).evaluate(app, inputs, config, reference=reference)
-
-
-def evaluate_dataset(
-    app,
-    dataset: Sequence,
-    config: ApproximationConfig,
-    device: Device | None = None,
-) -> DatasetResult:
-    """Evaluate one configuration over a whole dataset.
-
-    The error is computed per input; the speedup is computed once (it
-    depends only on the configuration, as the paper notes in Section 6.2).
-
-    .. deprecated:: Use :meth:`repro.api.PerforationEngine.evaluate_dataset`.
-    """
-    from ..api.engine import shared_engine
-
-    _deprecated("evaluate_dataset()", "PerforationEngine.evaluate_dataset()")
-    return shared_engine(device).evaluate_dataset(app, dataset, config)
-
-
-def evaluate_many(
-    app,
-    inputs,
-    configs: Iterable[ApproximationConfig],
-    device: Device | None = None,
-) -> list[ConfigurationResult]:
-    """Evaluate several configurations on the same input (shared reference).
-
-    .. deprecated:: Use :meth:`repro.api.PerforationEngine.evaluate_many`.
-    """
-    from ..api.engine import shared_engine
-
-    _deprecated("evaluate_many()", "PerforationEngine.evaluate_many()")
-    return shared_engine(device).evaluate_many(app, inputs, configs)

@@ -1,21 +1,20 @@
-"""Parameter exploration: schemes, reconstruction techniques, work-group sizes.
+"""Result types of the parameter exploration.
 
 Section 6.3 of the paper explores two parameter axes — the perforation
 scheme / reconstruction technique (Figure 8) and the local work-group size
 (Figure 9) — and Section 6.4 collects the Pareto-optimal configurations
-(Figure 10).  This module provides the sweep machinery behind those
-experiments and is also the backend of the quality-aware runtime
-(:mod:`repro.core.runtime`).
+(Figure 10).  :class:`repro.api.PerforationEngine` runs those sweeps
+(:meth:`~repro.api.PerforationEngine.sweep`,
+:meth:`~repro.api.PerforationEngine.sweep_work_groups`,
+:meth:`~repro.api.PerforationEngine.full_sweep`); the dataclasses defined
+here are their return types.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
-from ..clsim.device import Device
-from .config import ApproximationConfig, WORK_GROUP_CANDIDATES
+from .config import ApproximationConfig
 from .errors import TuningError
 from .pareto import pareto_front
 
@@ -74,28 +73,6 @@ class SweepResult:
         return max(self.points, key=lambda p: p.speedup)
 
 
-def sweep_configurations(
-    app,
-    inputs,
-    configs: Iterable[ApproximationConfig] | None = None,
-    device: Device | None = None,
-) -> SweepResult:
-    """Evaluate a set of configurations (default: the paper's four) on one input.
-
-    .. deprecated:: Use :meth:`repro.api.PerforationEngine.sweep` (or
-        ``engine.session(app).sweep()``), which shares cached references
-        and can evaluate configurations on parallel workers.
-    """
-    from ..api.engine import shared_engine
-
-    warnings.warn(
-        "sweep_configurations() is deprecated; use PerforationEngine.sweep() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return shared_engine(device).sweep(app, inputs, configs)
-
-
 @dataclass(frozen=True)
 class WorkGroupTiming:
     """Modelled runtime of one kernel variant for one work-group shape."""
@@ -103,58 +80,3 @@ class WorkGroupTiming:
     work_group: tuple[int, int]
     variant: str
     runtime_s: float
-
-
-def sweep_work_groups(
-    app,
-    inputs,
-    configs: Sequence[ApproximationConfig],
-    work_groups: Sequence[tuple[int, int]] = WORK_GROUP_CANDIDATES,
-    device: Device | None = None,
-    include_baseline: bool = True,
-) -> list[WorkGroupTiming]:
-    """Runtime of each configuration for each work-group shape (Figure 9).
-
-    Only the timing model is involved — the error does not depend on the
-    work-group shape for row schemes, and only marginally for the stencil
-    scheme, so the functional path is not re-run.
-    """
-    from ..api.engine import shared_engine
-
-    return shared_engine(device).sweep_work_groups(
-        app, inputs, list(configs), work_groups, include_baseline
-    )
-
-
-def best_work_group(
-    app,
-    inputs,
-    config: ApproximationConfig,
-    work_groups: Sequence[tuple[int, int]] = WORK_GROUP_CANDIDATES,
-    device: Device | None = None,
-) -> tuple[int, int]:
-    """Work-group shape minimising the modelled runtime of ``config``.
-
-    The paper's observation (Section 6.3) is that this optimum differs
-    between the accurate baseline and the approximate kernels.
-    """
-    from ..api.engine import shared_engine
-
-    return shared_engine(device).best_work_group(app, inputs, config, work_groups)
-
-
-def full_sweep(
-    app,
-    inputs,
-    configs: Iterable[ApproximationConfig] | None = None,
-    work_groups: Sequence[tuple[int, int]] = WORK_GROUP_CANDIDATES,
-    device: Device | None = None,
-) -> SweepResult:
-    """Sweep configurations *and* work-group shapes jointly.
-
-    This is the search space the paper's envisioned auto-tuning library
-    would explore; the quality-aware runtime uses it for calibration.
-    """
-    from ..api.engine import shared_engine
-
-    return shared_engine(device).full_sweep(app, inputs, configs, work_groups)

@@ -146,7 +146,7 @@ def _run_serve_bench(args, parser: argparse.ArgumentParser) -> int:
 
     if args.backend is not None:
         parser.error(
-            "serve-bench compares the vectorized and interpreter backends "
+            "serve-bench compares the codegen and interpreter backends "
             "by design; --backend does not apply"
         )
     if isinstance(args.workers, int) and args.workers >= 2:

@@ -3,8 +3,8 @@
 Generates a deterministic mixed multi-application trace
 (:mod:`repro.serve.loadgen`) and serves it twice:
 
-* **batched-vectorized** — the serving fast path: micro-batched stacked
-  launches on the vectorized backend, online controller, result cache;
+* **batched-codegen** — the serving fast path: micro-batched stacked
+  launches on the codegen backend, online controller, result cache;
 * **serial-interpreter** — the baseline: the same trace, one request at a
   time (``max_batch=1``) on the reference interpreter backend, no result
   cache (every request executes).
@@ -41,7 +41,7 @@ from pathlib import Path
 from ..api.engine import PerforationEngine
 from ..serve import PerforationServer, ServeMetrics, TraceSpec, generate_trace
 
-#: Required throughput ratio of batched-vectorized over serial-interpreter.
+#: Required throughput ratio of batched-codegen over serial-interpreter.
 REQUIRED_SPEEDUP = 5.0
 
 #: Default location of the written report.
@@ -171,7 +171,7 @@ def run(
     """Serve the trace on both configurations and collect the metrics.
 
     ``device``/``workers`` configure the engines of both servers; the
-    backends are fixed by the benchmark's design (vectorized-batched vs.
+    backends are fixed by the benchmark's design (codegen-batched vs.
     serial-interpreter).
     """
     spec = default_spec(quick=quick, requests=requests, size=size, seed=seed)
@@ -179,7 +179,7 @@ def run(
     batched, batched_ok = _serve(
         trace,
         spec,
-        backend="vectorized",
+        backend="codegen",
         max_batch=max_batch,
         cache_capacity=256,
         device=device,
@@ -209,14 +209,14 @@ def run(
 def render(result: ServeBenchResult) -> str:
     spec = result.spec
     lines = [
-        "serve-bench: micro-batched vectorized serving vs one-at-a-time "
+        "serve-bench: micro-batched codegen serving vs one-at-a-time "
         "interpreter serving",
         f"trace: {spec.requests} requests over {len(spec.apps)} apps "
         f"({', '.join(spec.apps)}), {spec.size}x{spec.size} inputs, "
         f"{spec.arrival_rate_hz:g} req/s arrivals, seed {spec.seed}; "
         f"max batch {result.max_batch}",
         "",
-        "[batched-vectorized]",
+        "[batched-codegen]",
         result.batched.describe(),
         "",
         "[serial-interpreter]",
@@ -357,10 +357,10 @@ def run_fleet(
         # Single-process reference over the same warm database; ladders are
         # restored before run_trace so its wall, like the fleet's, measures
         # serving only.
-        engine = PerforationEngine(device=device, backend="vectorized")
+        engine = PerforationEngine(device=device, backend="codegen")
         single = PerforationServer(
             engine=engine,
-            backend="vectorized",
+            backend="codegen",
             max_batch=max_batch,
             calibration_inputs=calibration,
             tuner=Tuner(engine, db=TuningDB(fleet.tuning_db_path, readonly=True)),
@@ -462,8 +462,8 @@ def fleet_record(result: FleetBenchResult) -> dict:
     return {
         "benchmark": "fleet_scaling",
         "app": "mixed",
-        "backend": "fleet-vectorized",
-        "baseline_backend": "vectorized",
+        "backend": "fleet-codegen",
+        "baseline_backend": "codegen",
         "speedup": round(result.speedup, 4),
         "required_speedup": result.required_speedup,
         "workers": result.workers,

@@ -226,7 +226,7 @@ class PerforationFleet:
         self,
         workers: int = 2,
         *,
-        backend: str = "vectorized",
+        backend: str = "codegen",
         device: str | None = None,
         max_batch: int = 8,
         max_delay_ms: float = 50.0,

@@ -97,7 +97,7 @@ class WorkerSpec:
     #: Unix-socket path (``transport="unix"``) or ``(host, port)`` tuple.
     address: Any
     transport: str = "unix"
-    backend: str = "vectorized"
+    backend: str = "codegen"
     device: str | None = None
     max_batch: int = 8
     max_delay_ms: float = 50.0

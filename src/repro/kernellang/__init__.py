@@ -7,13 +7,12 @@ static analyses (stencil access patterns, data reuse, traffic/operation
 counting) and the compiler passes that implement the paper's
 transformation: local-memory prefetch, perforation and reconstruction.
 
-Execution backends share one typed lowering core: the kernel IR
-(:mod:`~repro.kernellang.ir`) and the pass pipeline
+The compiled execution backend (:mod:`~repro.kernellang.codegen`) prints
+kernels into specialized NumPy source through one typed lowering core: the
+kernel IR (:mod:`~repro.kernellang.ir`) and the pass pipeline
 (:mod:`~repro.kernellang.passes` — uniformity analysis, mask insertion,
-memory views, batching transform), consumed dynamically by the vectorized
-backend (:mod:`~repro.kernellang.vectorize`) and as a source printer by
-the codegen backend (:mod:`~repro.kernellang.codegen`).  See
-``docs/ir.md`` for the pass contracts.
+memory views, batching transform).  See ``docs/ir.md`` for the pass
+contracts.
 """
 
 from . import ast, ir, passes
@@ -31,7 +30,6 @@ from .errors import (
     TypeError_,
 )
 from .interpreter import KernelInterpreter, compile_kernel
-from .vectorize import VectorizedKernel, vectorized_kernel
 from .lexer import Lexer, tokenize
 from .parser import Parser, parse_kernel, parse_program
 from .typecheck import CheckResult, TypeChecker, check_program
@@ -47,8 +45,6 @@ from .types import (
 )
 
 __all__ = [
-    "VectorizedKernel",
-    "vectorized_kernel",
     "AddressSpace",
     "AnalysisError",
     "ArrayType",

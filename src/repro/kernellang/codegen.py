@@ -1,15 +1,14 @@
 """Codegen execution backend: kernellang AST -> specialized NumPy Python source.
 
-The vectorized backend (:mod:`repro.kernellang.vectorize`) removed the
-per-work-item interpretation cost, but it still *walks the AST* for every
-work group: each statement pays isinstance dispatch, environment-dict
-lookups and recursive ``eval`` calls.  This module removes that remaining
-interpretive overhead the way array-DSL compilers do: it lowers each
-(kernel source, work-group shape, batched?) triple **once** into flat
-Python source built from batched NumPy operations, compiles it with
-``compile()``/``exec()`` and runs the resulting function per work group.
+The reference interpreter (:mod:`repro.kernellang.interpreter`) runs every
+work-item as a Python generator — precise, but slow.  This module executes
+a whole work group at once, SIMT-style, the way array-DSL compilers do: it
+lowers each (kernel source, work-group shape, batched?) triple **once**
+into flat Python source built from batched NumPy operations, compiles it
+with ``compile()``/``exec()`` and runs the resulting function per work
+group.
 
-The lowering is a pretty-printer over the shared pass pipeline
+The lowering is a pretty-printer over the pass pipeline
 (:mod:`repro.kernellang.passes` — see ``docs/ir.md``):
 
 * the **uniformity analysis**
@@ -21,15 +20,18 @@ The lowering is a pretty-printer over the shared pass pipeline
   their arithmetic follows the scalar interpreter exactly — and
   uniform-trip-count loops become plain Python loops with no mask
   machinery at all;
-* varying values are ``(lanes,)`` ``int64``/``float64`` arrays exactly as
-  in the vectorized backend; divergent ``if``/``for``/``while``/``do-while``
-  (including ``break``/``continue``/``return``) are emitted as the
-  **mask-insertion pass** (:mod:`repro.kernellang.passes.masking`) — the
-  same algebra :class:`~repro.kernellang.vectorize.VectorizedKernel` runs
-  dynamically, and the generated source calls back into the very same
-  merge/arithmetic kernels by name, so outputs, error behaviour and
-  :class:`~repro.clsim.executor.ExecutionStats` counters stay bit-identical;
-* global buffers / local tiles / private arrays become the shared memory
+* varying values are ``(lanes,)`` ``int64``/``float64`` arrays (matching
+  the interpreter's Python ``int``/``float`` semantics, including C
+  truncation for integer division and assignments to integer variables);
+  divergent ``if``/``for``/``while``/``do-while`` (including
+  ``break``/``continue``/``return``) are emitted as the **mask-insertion
+  pass** (:mod:`repro.kernellang.passes.masking`) — per-lane masks until
+  every lane retires, which reproduces data-dependent loops such as
+  Median's insertion sort — and the generated source calls back into the
+  pass's merge/arithmetic kernels by name, so outputs, error behaviour and
+  :class:`~repro.clsim.executor.ExecutionStats` counters stay
+  bit-identical to the interpreter;
+* global buffers / local tiles / private arrays become the memory
   views (:mod:`repro.kernellang.passes.memory`), with fast unmasked entry
   points selected statically for full-mask code, recording exactly one
   access per active lane;
@@ -41,6 +43,22 @@ The lowering is a pretty-printer over the shared pass pipeline
   (:mod:`repro.kernellang.passes.batching`), routing every lane into its
   own request segment.
 
+``barrier()`` must be reached by *all* lanes of the group at the *same
+statement* — a barrier is then a plain sequence point, since statements
+already execute group-wide.  This is deliberately stricter than the
+lock-step interpreter, which only requires equal barrier *counts* per
+work-item and therefore accepts balanced divergent barriers
+(``if (c) { barrier(); } else { barrier(); }``); rather than silently
+drifting on that pattern, the generated code raises
+:class:`~repro.clsim.errors.BarrierDivergenceError`.  None of the bundled
+or generated kernels use it (their barriers are all at the top level).
+
+Lane arithmetic is IEEE double, exactly like the interpreter's Python
+floats.  ``sqrt``/``rsqrt``/``native_divide`` use NumPy's
+correctly-rounded kernels; the remaining transcendentals are applied
+through :mod:`math` per active lane, because NumPy's vector routines are
+not guaranteed to round identically to libm.
+
 Lowered sources are cached three deep: per :class:`~repro.clsim.kernel.Kernel`
 object, process-wide by content key (``_FN_MEMO``), and on disk through
 :mod:`repro.api.artifacts` so repeated sweeps and serve sessions skip
@@ -48,8 +66,9 @@ lowering entirely.
 
 Kernels the lowering cannot specialize (for example a non-literal dimension
 argument to ``get_global_id``) raise :class:`LoweringError`; the ``codegen``
-execution backend catches it and falls back to the vectorized backend, so
-the backend never changes observable behaviour.
+execution backend then runs that launch on the reference interpreter
+(decided once per launch, before any lane has run), so the backend never
+changes observable behaviour.
 """
 
 from __future__ import annotations
@@ -923,7 +942,7 @@ class _Emitter(UniformityAnalysis):
                 self._line(f"{out} = 1 if ({right.code}) else 0")
                 self._pop()
             return Value(out, "u", "i")
-        # Varying result: the vectorized backend's masked short-circuit.
+        # Varying result: masked short-circuit of the right operand.
         out = self._tmp()
         self._line(f"{out} = _np.zeros(L, _I)")
         right_mask = self._tmp("_m")

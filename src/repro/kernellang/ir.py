@@ -1,12 +1,11 @@
 """Typed value model of the kernellang lowering — the shared kernel IR.
 
-Every backend beyond the reference interpreter executes kernels *lane-wise*:
-all work-items of a work group advance together, and each kernel value is
-either **uniform** (one Python scalar shared by every lane) or **varying**
-(a ``(lanes,)`` NumPy array).  This module defines that typed value model —
-the vocabulary the pass pipeline (:mod:`repro.kernellang.passes`) and the
-compiled backends (:mod:`repro.kernellang.vectorize`,
-:mod:`repro.kernellang.codegen`) talk to each other in:
+The compiled backend executes kernels *lane-wise*: all work-items of a
+work group advance together, and each kernel value is either **uniform**
+(one Python scalar shared by every lane) or **varying** (a ``(lanes,)``
+NumPy array).  This module defines that typed value model — the
+vocabulary the pass pipeline (:mod:`repro.kernellang.passes`) and the
+codegen printer (:mod:`repro.kernellang.codegen`) talk to each other in:
 
 * the **kind** lattice ``"u"`` (uniform) < ``"v"`` (varying), plus ``"c"``
   for container-valued names (buffers, tiles, arrays) which are never
@@ -14,15 +13,14 @@ compiled backends (:mod:`repro.kernellang.vectorize`,
 * the **dtype** lattice ``"i"`` (int64 / Python int) and ``"f"`` (float64 /
   Python float), with ``"x"`` for statically unknown (resolved dynamically,
   with the scalar interpreter's truncation rules);
-* :class:`Value` — one lowered value: a backend-defined payload (a Python
-  code fragment for the codegen printer; arrays/scalars for an evaluator)
-  tagged with its static kind and dtype;
+* :class:`Value` — one lowered value: a payload (the Python code fragment
+  the codegen printer emits) tagged with its static kind and dtype;
 * :class:`Scope` — the per-function-body symbol table the uniformity pass
   fills in and every consumer reads;
 * the dtype transfer functions (:func:`join_kind`, :func:`promote_dt`,
   :func:`binop_dtype`) and the built-in result-dtype table
   (:data:`BUILTIN_RESULT_DT`), which encode the scalar interpreter's
-  arithmetic semantics once for all backends.
+  arithmetic semantics once.
 
 Invariant: kinds and dtypes only ever go *up* the lattice (uniform may
 become varying, ``i``/``f`` may become ``x`` — never the reverse), which is
@@ -57,17 +55,16 @@ SPACE_CONSTANT = "constant"
 class LoweringError(KernelLangError):
     """The pass pipeline cannot specialize this program.
 
-    Raised at lowering time, never mid-execution: the caller can always
-    fall back to a dynamic backend before any lane has run.
+    Raised at lowering time, never mid-execution: the codegen backend runs
+    such a launch on the reference interpreter before any lane has run.
     """
 
 
 class Value:
-    """One lowered value: backend-defined payload + static kind + dtype.
+    """One lowered value: payload + static kind + dtype.
 
-    ``code`` is whatever the consuming backend computes with — the codegen
-    printer stores a Python expression string; an evaluating backend would
-    store the scalar/array itself.  ``kind`` is ``"u"``/``"v"``/``"c"``;
+    ``code`` is the Python expression string the codegen printer emits for
+    the value.  ``kind`` is ``"u"``/``"v"``/``"c"``;
     for containers, ``dt`` carries the address space instead of a dtype.
     """
 
@@ -86,9 +83,8 @@ class Scope:
     """Per-function-body symbol table filled in by the uniformity pass.
 
     ``kind``/``dt`` classify every scalar variable; ``space`` maps
-    container names to their address space; ``py`` maps names to their
-    backend-side binding (the emitted Python identifier for the codegen
-    printer); ``divdecl`` collects variables first declared under a
+    container names to their address space; ``py`` maps names to the
+    emitted Python identifier; ``divdecl`` collects variables first declared under a
     divergent mask, which consumers must pre-bind before entering the
     divergent region.
     """

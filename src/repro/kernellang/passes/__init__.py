@@ -1,7 +1,7 @@
-"""The kernellang pass pipeline — shared lowering semantics for all backends.
+"""The kernellang pass pipeline — the lowering semantics of the compiled backend.
 
-The compiled backends specialize one kernel source into many approximate
-variants; this package holds the lowering semantics they share, so a new
+The codegen backend specializes one kernel source into many approximate
+variants; this package holds the lowering semantics it prints, so a new
 backend consumes the passes instead of re-implementing mask algebra and
 batching from scratch (see ``docs/ir.md`` for the backend-author path):
 
@@ -10,8 +10,8 @@ batching from scratch (see ``docs/ir.md`` for the backend-author path):
   specialization analysis of the codegen backend);
 * :mod:`~repro.kernellang.passes.masking` — the mask-insertion semantics
   for divergent control flow: the per-lane mask algebra, merge rules,
-  C-semantics arithmetic kernels, mask-aware built-ins, and the dynamic
-  masked statement executor the vectorized backend runs;
+  C-semantics arithmetic kernels and mask-aware built-ins the lowered
+  source calls at run time;
 * :mod:`~repro.kernellang.passes.memory` — lane-indexed views of global
   buffers, local tiles, private and constant arrays, with the exact
   bounds-check and ``ExecutionStats`` counting contract;

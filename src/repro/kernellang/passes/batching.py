@@ -18,7 +18,7 @@ data, because
   tile of one shared allocation (request ``r`` owns
   ``[r * length, (r + 1) * length)``), so staging never mixes requests;
 * :func:`segmented_global_view` is the single validation point for the
-  SegmentedBuffer contract, shared by every backend.
+  SegmentedBuffer contract.
 
 The uniform-index entry points of the unsegmented views do not exist
 here: the same logical index reads a *different* segment per request, so
@@ -140,8 +140,8 @@ class SegLocalView:
 def segmented_global_view(buffer, batch: int, lane_request: np.ndarray) -> SegGlobalView:
     """Validate the SegmentedBuffer contract and build the segmented view.
 
-    Single shared validation point: every backend raises the same error
-    for a pointer argument that is not a ``batch``-segment
+    Single shared validation point: every batched lowering raises the same
+    error for a pointer argument that is not a ``batch``-segment
     :class:`~repro.clsim.memory.SegmentedBuffer`.
     """
     if not isinstance(buffer, SegmentedBuffer) or buffer.batch != batch:

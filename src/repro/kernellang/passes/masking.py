@@ -10,30 +10,24 @@ bit on the active lanes — inactive lanes are never observable:
   :func:`int_truncate`) implement C's dynamic int-truncation — a slot that
   currently holds an integer stays integer when assigned a float — and
   merge divergent arms into one lane array;
-* the arithmetic kernels (:func:`apply_binary`, :func:`varying_div`,
-  :func:`varying_mod`, :func:`uniform_div`, :func:`uniform_mod`) implement
-  C semantics (truncation toward zero for integer ``/`` and ``%``) and
-  raise :class:`~repro.kernellang.errors.InterpreterError` exactly when an
+* the arithmetic kernels (:func:`varying_div`, :func:`varying_mod`,
+  :func:`uniform_div`, :func:`uniform_mod`) implement C semantics
+  (truncation toward zero for integer ``/`` and ``%``) and raise
+  :class:`~repro.kernellang.errors.InterpreterError` exactly when an
   *active* lane divides by zero;
 * the built-in table (:data:`VECTOR_BUILTINS`, :func:`scalar_map`,
   :class:`VectorFallback`, :func:`uniform_call`) provides mask-aware
   vector kernels where NumPy rounds identically to libm and a per-active-
   lane scalar fallback everywhere else, with the interpreter's exact
   error wrapping;
-* :class:`Flow` / :class:`FnFlow` carry the returned-lane bookkeeping of
-  kernel bodies and masked-inlined helpers;
-* :class:`MaskedControlFlow` is the dynamic form of the pass — a
-  statement executor that threads the mask through ``if``/``for``/
-  ``while``/``do-while`` (including ``break``/``continue``/``return``)
-  until every lane retires.  The vectorized backend runs it directly; the
-  codegen backend prints the same algebra as specialized source and calls
-  back into these functions by name at run time, which is what keeps the
-  two backends bit-identical.
+* :class:`FnFlow` carries the returned-lane bookkeeping of masked-inlined
+  helpers.
 
-Invariant: a ``barrier()`` must be reached by *all* lanes of the group at
-the same statement; divergent barriers raise
-:class:`~repro.clsim.errors.BarrierDivergenceError` rather than silently
-drifting from the lock-step reference.
+The codegen backend (:mod:`repro.kernellang.codegen`) threads the mask
+through ``if``/``for``/``while``/``do-while`` (including
+``break``/``continue``/``return``) in the source it prints, and the
+printed source calls back into these functions by name at run time —
+which is what keeps its outputs bit-identical to the interpreter.
 """
 
 from __future__ import annotations
@@ -42,9 +36,7 @@ import math
 
 import numpy as np
 
-from ...clsim.errors import BarrierDivergenceError
-from .. import ast
-from ..builtins import SYNC_BUILTINS, get_builtin
+from ..builtins import get_builtin
 from ..errors import InterpreterError
 
 _INT = np.int64
@@ -227,45 +219,6 @@ def varying_mod(left, right, mask):
     return np.fmod(left, safe)
 
 
-def apply_binary(op: str, left, right, mask: np.ndarray) -> np.ndarray:
-    """Lane-wise binary operator on varying operands (interpreter semantics)."""
-    left = np.asarray(left)
-    right = np.asarray(right)
-    if op == "/":
-        return varying_div(left, right, mask)
-    if op == "%":
-        return varying_mod(left, right, mask)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op in ("<", ">", "<=", ">=", "==", "!="):
-        table = {
-            "<": np.less,
-            ">": np.greater,
-            "<=": np.less_equal,
-            ">=": np.greater_equal,
-            "==": np.equal,
-            "!=": np.not_equal,
-        }
-        return table[op](left, right).astype(_INT)
-    if op in ("&", "|", "^", "<<", ">>"):
-        l_int = left.astype(_INT)
-        r_int = right.astype(_INT)
-        if op == "&":
-            return l_int & r_int
-        if op == "|":
-            return l_int | r_int
-        if op == "^":
-            return l_int ^ r_int
-        if op == "<<":
-            return l_int << r_int
-        return l_int >> r_int
-    raise InterpreterError(f"unsupported binary operator {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Assignment merge rules
 # ---------------------------------------------------------------------------
@@ -331,33 +284,6 @@ def merge_parts(lanes: int, parts):
 # ---------------------------------------------------------------------------
 # Control-flow bookkeeping
 # ---------------------------------------------------------------------------
-class Flow:
-    """Per-invocation control-flow state (returned lanes, loop stacks)."""
-
-    def __init__(self, lanes: int, in_function: bool = False) -> None:
-        self.lanes = lanes
-        self.in_function = in_function
-        self.returned = np.zeros(lanes, dtype=bool)
-        self.return_value: np.ndarray | None = None
-        self.break_stack: list[np.ndarray] = []
-        self.continue_stack: list[np.ndarray] = []
-
-    def record_return(self, mask: np.ndarray, value: np.ndarray | None) -> None:
-        self.returned = self.returned | mask
-        if value is None:
-            return
-        value = np.asarray(value)
-        if self.return_value is None:
-            # Lanes that fall off the end of a function return 0 (an int),
-            # exactly like the scalar interpreter.
-            self.return_value = np.zeros(self.lanes, dtype=_INT)
-        merged = self.return_value.astype(
-            np.result_type(self.return_value.dtype, value.dtype)
-        )
-        merged[mask] = value.astype(merged.dtype)[mask]
-        self.return_value = merged
-
-
 class FnFlow:
     """Return-lane bookkeeping of one masked-inlined helper call."""
 
@@ -383,129 +309,3 @@ class FnFlow:
         if self.value is None:
             return np.zeros(self.lanes, dtype=_INT)
         return self.value
-
-
-# ---------------------------------------------------------------------------
-# The dynamic masked statement executor
-# ---------------------------------------------------------------------------
-class MaskedControlFlow:
-    """Executes kernellang statements with a per-lane mask threaded through.
-
-    Mixin: the concrete group state provides ``lanes`` (int), ``barriers``
-    (int counter), ``eval(expr, env, flow, mask)`` and
-    ``_exec_decl(decl, env, flow, mask)``.  Every statement method takes
-    the current active mask and returns the mask live *after* the
-    statement; ``return``/``break``/``continue`` kill their lanes by
-    recording them in ``flow`` and returning an empty mask.
-    """
-
-    def exec_block(self, block: ast.Block, env, flow: Flow, mask: np.ndarray):
-        for stmt in block.statements:
-            if not mask.any():
-                break
-            mask = self.exec_stmt(stmt, env, flow, mask)
-        return mask
-
-    def exec_stmt(self, stmt: ast.Stmt, env, flow: Flow, mask: np.ndarray):
-        if isinstance(stmt, ast.DeclStmt):
-            for decl in stmt.declarations:
-                self._exec_decl(decl, env, flow, mask)
-            return mask
-        if isinstance(stmt, ast.ExprStmt):
-            if isinstance(stmt.expr, ast.Call) and stmt.expr.name in SYNC_BUILTINS:
-                if stmt.expr.name == "barrier":
-                    self._exec_barrier(flow, mask)
-                return mask
-            self.eval(stmt.expr, env, flow, mask)
-            return mask
-        if isinstance(stmt, ast.Block):
-            return self.exec_block(stmt, env, flow, mask)
-        if isinstance(stmt, ast.IfStmt):
-            cond = truthy(self.eval(stmt.condition, env, flow, mask))
-            then_mask = mask & cond
-            else_mask = mask & ~cond
-            out = else_mask
-            if then_mask.any():
-                out = self.exec_block(stmt.then_body, env, flow, then_mask) | else_mask
-            if stmt.else_body is not None and else_mask.any():
-                out = (out & ~else_mask) | self.exec_block(
-                    stmt.else_body, env, flow, else_mask
-                )
-            return out
-        if isinstance(stmt, ast.ForStmt):
-            return self._exec_for(stmt, env, flow, mask)
-        if isinstance(stmt, ast.WhileStmt):
-            return self._exec_loop(
-                env, flow, mask, condition=stmt.condition, body=stmt.body
-            )
-        if isinstance(stmt, ast.DoWhileStmt):
-            return self._exec_loop(
-                env,
-                flow,
-                mask,
-                condition=stmt.condition,
-                body=stmt.body,
-                check_first=False,
-            )
-        if isinstance(stmt, ast.ReturnStmt):
-            value = None
-            if stmt.value is not None:
-                value = self.eval(stmt.value, env, flow, mask)
-            flow.record_return(mask, value)
-            return mask & False
-        if isinstance(stmt, ast.BreakStmt):
-            if not flow.break_stack:
-                raise InterpreterError("break outside of a loop")
-            flow.break_stack[-1] |= mask
-            return mask & False
-        if isinstance(stmt, ast.ContinueStmt):
-            if not flow.continue_stack:
-                raise InterpreterError("continue outside of a loop")
-            flow.continue_stack[-1] |= mask
-            return mask & False
-        raise InterpreterError(f"unsupported statement {type(stmt).__name__}")
-
-    def _exec_barrier(self, flow: Flow, mask: np.ndarray) -> None:
-        if flow.in_function:
-            raise InterpreterError("helper functions may not contain barriers")
-        if flow.returned.any() or not mask.all():
-            raise BarrierDivergenceError(
-                "work-items of the group reached different numbers of barriers"
-            )
-        self.barriers += 1
-
-    def _exec_for(self, stmt: ast.ForStmt, env, flow: Flow, mask: np.ndarray):
-        if stmt.init is not None:
-            mask = self.exec_stmt(stmt.init, env, flow, mask)
-        return self._exec_loop(
-            env, flow, mask, condition=stmt.condition, body=stmt.body, step=stmt.step
-        )
-
-    def _exec_loop(
-        self,
-        env,
-        flow: Flow,
-        mask: np.ndarray,
-        condition: ast.Expr | None,
-        body: ast.Block,
-        step: ast.Expr | None = None,
-        check_first: bool = True,
-    ):
-        entered = mask
-        active = mask.copy()
-        flow.break_stack.append(np.zeros(self.lanes, dtype=bool))
-        first = True
-        while active.any():
-            if condition is not None and (check_first or not first):
-                cond = truthy(self.eval(condition, env, flow, active))
-                active = active & cond
-                if not active.any():
-                    break
-            first = False
-            flow.continue_stack.append(np.zeros(self.lanes, dtype=bool))
-            after = self.exec_block(body, env, flow, active)
-            active = after | flow.continue_stack.pop()
-            if step is not None and active.any():
-                self.eval(step, env, flow, active)
-        flow.break_stack.pop()
-        return entered & ~flow.returned

@@ -19,8 +19,7 @@ downstream** the reference interpreter's exact observable contract:
 Method surface per view: ``loadf``/``storef`` (full mask, statically
 known), ``loadm``/``storem`` (masked), and on the unsegmented views
 ``loadu``/``storeu`` (uniform index, full mask) and ``loadum``/
-``storeum`` (uniform index, masked).  The vectorized backend uses the
-masked entry points dynamically; the codegen printer selects the
+``storeum`` (uniform index, masked).  The codegen printer selects the
 cheapest entry point statically.  The batched variants live in
 :mod:`repro.kernellang.passes.batching`.
 """

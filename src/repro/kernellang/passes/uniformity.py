@@ -26,9 +26,10 @@ the rest of its block divergent, so declarations after it are classified
 the way they will execute.  Helper calls are summarized per (callee,
 argument kinds, divergence) signature and memoized; recursion and
 inlining deeper than :data:`UniformityAnalysis.MAX_INLINE_DEPTH` raise
-:class:`~repro.kernellang.ir.LoweringError`, as does any construct no
-backend can specialize — always at analysis time, never after a lane has
-run, so callers can fall back to a dynamic backend.
+:class:`~repro.kernellang.ir.LoweringError`, as does any construct the
+lowering cannot specialize — always at analysis time, never after a lane
+has run, so the codegen backend can run that launch on the interpreter
+instead.
 """
 
 from __future__ import annotations

@@ -1,496 +1,3 @@
-"""Vectorized (NumPy) lowering of kernellang kernels.
-
-The AST interpreter (:mod:`repro.kernellang.interpreter`) executes one
-work-item at a time as a Python generator — precise, but slow, which is why
-the compiler-path tests and sweeps were marked ``slow``.  This module lowers
-the same ASTs onto *batched* NumPy operations: all work-items of a work
-group execute together, SIMT-style, with an active-lane mask threaded
-through the control flow.
-
-The SIMT semantics live in the shared pass pipeline
-(:mod:`repro.kernellang.passes` — see ``docs/ir.md``); this module is the
-*dynamic* consumer, walking the AST per work group and calling straight
-into the passes (the codegen backend prints the same calls as specialized
-source, which is what keeps the two backends bit-identical):
-
-* gids/lids become ``(lanes,)`` index arrays built from the NDRange;
-* scalar variables become per-lane arrays (``int64``/``float64``, matching
-  the interpreter's Python ``int``/``float`` semantics, including C
-  truncation for integer division and assignments to integer variables) —
-  the merge rules and arithmetic kernels are
-  :mod:`repro.kernellang.passes.masking`;
-* global buffers, local-memory tiles and private arrays become the shared
-  masked views (:mod:`repro.kernellang.passes.memory`, with the batched
-  segmented variants from :mod:`repro.kernellang.passes.batching`) whose
-  access *counts* equal the number of active lanes — so
-  :class:`~repro.clsim.executor.ExecutionStats` counters are reproduced
-  exactly;
-* divergent ``if``/``for``/``while``/``do-while`` (including
-  ``break``/``continue``/``return``) run through
-  :class:`~repro.kernellang.passes.masking.MaskedControlFlow` with
-  per-lane masks until every lane retires, which reproduces data-dependent
-  loops such as Median's insertion sort;
-* ``barrier()`` must be reached by *all* lanes of the group at the *same
-  statement* — a barrier is then a plain sequence point, since statements
-  already execute group-wide.  This is deliberately stricter than the
-  lock-step interpreter, which only requires equal barrier *counts* per
-  work-item and therefore accepts balanced divergent barriers
-  (``if (c) { barrier(); } else { barrier(); }``).  Rather than silently
-  drifting on that pattern, this backend raises
-  :class:`~repro.clsim.errors.BarrierDivergenceError`; none of the bundled
-  or generated kernels use it (their barriers are all at the top level).
-
-Bit-exactness notes: lane arithmetic is IEEE double, exactly like the
-interpreter's Python floats.  ``sqrt``/``rsqrt``/``native_divide`` use
-NumPy's correctly-rounded kernels; the remaining transcendentals
-(``exp``/``log``/``pow``/...) are applied through :mod:`math` per active
-lane, because NumPy's vector routines are not guaranteed to round
-identically to libm.  One representational limit: a lane array has a
-single dtype, so *mixed* int/float arguments to ``min``/``max``/``select``
-(and mixed-type ternary branches) promote to float64 lane-wide, whereas
-the scalar interpreter's Python ``min`` hands back the chosen operand with
-its own type per work-item.  Well-typed kernels — and everything the
-perforation passes generate — never mix types there; the conformance
-suite pins parity for all bundled kernels.
-"""
-
-from __future__ import annotations
-
-import numpy as np
-
-from ..clsim.kernel import Kernel, KernelContext
-from ..clsim.memory import Buffer
-from . import ast
-from .builtins import (
-    BUILTIN_CONSTANTS,
-    CONTEXT_BUILTINS,
-    SYNC_BUILTINS,
-    is_builtin,
-)
-from .errors import InterpreterError
-from .interpreter import KernelInterpreter, _ConstantArray
-from .passes.batching import (
-    SegGlobalView,
-    SegLocalView,
-    lane_requests,
-    segmented_global_view,
-)
-from .passes.masking import (
-    VECTOR_BUILTINS,
-    Flow,
-    MaskedControlFlow,
-    VectorFallback,
-    apply_binary,
-    decl_scalar,
-    masked_assign,
-    merge_parts,
-    truthy,
-)
-from .passes.memory import ConstantView, GlobalView, LocalView, PrivateView
-from .types import PointerType, ScalarType
-
-_INT = np.int64
-_FLOAT = np.float64
-
-#: Everything the expression walker may index into (shared pass views).
-_CONTAINERS = (
-    GlobalView,
-    LocalView,
-    PrivateView,
-    ConstantView,
-    SegGlobalView,
-    SegLocalView,
-)
-
-
-class VectorizedKernel:
-    """Executes one kernellang kernel a whole work group at a time."""
-
-    def __init__(self, program: ast.Program, kernel_name: str | None = None) -> None:
-        self.program = program
-        self.kernel_def = program.kernel(kernel_name)
-        self.functions = {f.name: f for f in program.functions}
-        # Reuse the interpreter's constant evaluation so file-scope constants
-        # are guaranteed to agree between the two backends.
-        self.constants = KernelInterpreter(program, self.kernel_def.name).constants
-
-    # ------------------------------------------------------------------
-    def run_group(
-        self, ctx: KernelContext, ndrange, group_id: tuple[int, ...]
-    ) -> int:
-        """Run all work-items of one group; returns the number of barriers."""
-        work_items = list(ndrange.work_items_in_group(group_id))
-        lanes = len(work_items)
-        state = _GroupState(self, ctx, ndrange, work_items)
-        mask = np.ones(lanes, dtype=bool)
-        flow = Flow(lanes)
-        env = state.build_environment()
-        with np.errstate(all="ignore"):
-            state.exec_block(self.kernel_def.body, env, flow, mask)
-        return state.barriers
-
-    def run_group_batch(
-        self, ctx: KernelContext, ndrange, group_id: tuple[int, ...], batch: int
-    ) -> int:
-        """Run one work group of ``batch`` stacked compatible launches.
-
-        Request ``r`` occupies lanes ``[r * group_size, (r + 1) * group_size)``
-        of one SIMT group; every pointer argument of ``ctx`` must be a
-        :class:`~repro.clsim.memory.SegmentedBuffer` with ``batch`` segments.
-        Per-lane results are bit-identical to ``batch`` individual
-        :meth:`run_group` calls because lanes never interact: index arrays,
-        scalars and control-flow masks are per lane, and memory views route
-        each lane into its own request's buffer/tile segment.  Returns the
-        summed barrier count (``batch`` times the per-launch barriers).
-        """
-        work_items = list(ndrange.work_items_in_group(group_id))
-        state = _BatchedGroupState(self, ctx, ndrange, work_items, batch)
-        mask = np.ones(state.lanes, dtype=bool)
-        flow = Flow(state.lanes)
-        env = state.build_environment()
-        with np.errstate(all="ignore"):
-            state.exec_block(self.kernel_def.body, env, flow, mask)
-        return state.barriers * batch
-
-
-class _GroupState(MaskedControlFlow):
-    """Mutable execution state of one work group.
-
-    Statement dispatch (blocks, masked ``if``/loops, ``barrier``) is the
-    shared :class:`~repro.kernellang.passes.masking.MaskedControlFlow`
-    mixin; this class supplies the expression walker and the environment.
-    """
-
-    def __init__(self, kernel: VectorizedKernel, ctx, ndrange, work_items) -> None:
-        self.kernel = kernel
-        self.ctx = ctx
-        self.ndrange = ndrange
-        self.lanes = len(work_items)
-        self.barriers = 0
-        rank = ndrange.rank
-        self.gid = [
-            np.array([wi.global_id[d] for wi in work_items], dtype=_INT)
-            for d in range(rank)
-        ]
-        self.lid = [
-            np.array([wi.local_id[d] for wi in work_items], dtype=_INT)
-            for d in range(rank)
-        ]
-        self.grp = [
-            np.full(self.lanes, group, dtype=_INT) for group in work_items[0].group_id
-        ]
-
-    # ------------------------------------------------------------------
-    def _full(self, value) -> np.ndarray:
-        dtype = _INT if isinstance(value, (int, np.integer)) else _FLOAT
-        return np.full(self.lanes, value, dtype=dtype)
-
-    # Container-construction hooks (overridden by _BatchedGroupState to
-    # route every lane into its own request's buffer/tile segment).
-    def _global_view(self, buffer: Buffer):
-        return GlobalView(buffer)
-
-    def _local_view(self, name: str, length: int):
-        return LocalView(self.ctx.local, name, length)
-
-    def build_environment(self) -> dict[str, object]:
-        env: dict[str, object] = {}
-        for name, value in self.kernel.constants.items():
-            if isinstance(value, _ConstantArray):
-                env[name] = ConstantView(name, value.values)
-            else:
-                env[name] = self._full(value)
-        for param in self.kernel.kernel_def.params:
-            value = self.ctx.arg(param.name)
-            if isinstance(param.param_type, PointerType):
-                if isinstance(value, Buffer):
-                    env[param.name] = self._global_view(value)
-                else:
-                    raise InterpreterError(
-                        f"pointer argument {param.name!r} must be bound to a Buffer"
-                    )
-            else:
-                env[param.name] = self._full(value)
-        return env
-
-    # ------------------------------------------------------------------
-    # Declarations (statement dispatch itself lives in MaskedControlFlow)
-    # ------------------------------------------------------------------
-    def _exec_decl(self, decl: ast.VarDecl, env, flow: Flow, mask: np.ndarray) -> None:
-        if decl.array_size is not None:
-            length_arr = self.eval(decl.array_size, env, flow, mask)
-            length = int(length_arr[np.argmax(mask)])
-            if not np.all(length_arr[mask] == length):
-                raise InterpreterError(
-                    f"array {decl.name!r} must have a uniform size across the work group"
-                )
-            if length <= 0:
-                raise InterpreterError(
-                    f"array {decl.name!r} must have a positive size, got {length}"
-                )
-            if decl.address_space == "local":
-                env[decl.name] = self._local_view(decl.name, length)
-            else:
-                array = PrivateView(decl.name, length, self.lanes)
-                if isinstance(decl.init, ast.InitList):
-                    for i, value_expr in enumerate(decl.init.values):
-                        value = self.eval(value_expr, env, flow, mask)
-                        array.storem(np.full(self.lanes, i, dtype=_INT), value, mask)
-                env[decl.name] = array
-            return
-        if decl.init is not None:
-            value = self.eval(decl.init, env, flow, mask)
-        else:
-            value = np.zeros(self.lanes, dtype=_INT)
-        if isinstance(decl.var_type, ScalarType) and decl.var_type.is_integer:
-            value = np.asarray(value).astype(_INT)
-        # Re-declaration inside a divergent loop body: only the active lanes
-        # get the fresh value (inactive lanes cannot observe it).
-        env[decl.name] = decl_scalar(env.get(decl.name), value, mask)
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-    def eval(self, expr: ast.Expr, env, flow: Flow, mask: np.ndarray) -> np.ndarray:
-        if isinstance(expr, ast.IntLiteral):
-            return np.full(self.lanes, expr.value, dtype=_INT)
-        if isinstance(expr, ast.FloatLiteral):
-            return np.full(self.lanes, expr.value, dtype=_FLOAT)
-        if isinstance(expr, ast.BoolLiteral):
-            return np.full(self.lanes, 1 if expr.value else 0, dtype=_INT)
-        if isinstance(expr, ast.Identifier):
-            if expr.name in env:
-                return env[expr.name]
-            if expr.name in BUILTIN_CONSTANTS:
-                return self._full(BUILTIN_CONSTANTS[expr.name])
-            raise InterpreterError(f"undefined identifier {expr.name!r}")
-        if isinstance(expr, ast.UnaryOp):
-            return self._eval_unary(expr, env, flow, mask)
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op == "&&":
-                left = truthy(self.eval(expr.left, env, flow, mask))
-                result = np.zeros(self.lanes, dtype=_INT)
-                right_mask = mask & left
-                if right_mask.any():
-                    right = truthy(self.eval(expr.right, env, flow, right_mask))
-                    result[right_mask & right] = 1
-                return result
-            if expr.op == "||":
-                left = truthy(self.eval(expr.left, env, flow, mask))
-                result = np.zeros(self.lanes, dtype=_INT)
-                result[mask & left] = 1
-                right_mask = mask & ~left
-                if right_mask.any():
-                    right = truthy(self.eval(expr.right, env, flow, right_mask))
-                    result[right_mask & right] = 1
-                return result
-            left = self.eval(expr.left, env, flow, mask)
-            right = self.eval(expr.right, env, flow, mask)
-            return apply_binary(expr.op, left, right, mask)
-        if isinstance(expr, ast.Assignment):
-            return self._eval_assignment(expr, env, flow, mask)
-        if isinstance(expr, ast.Ternary):
-            cond = truthy(self.eval(expr.condition, env, flow, mask))
-            true_mask = mask & cond
-            false_mask = mask & ~cond
-            parts = []
-            if true_mask.any():
-                parts.append((true_mask, self.eval(expr.if_true, env, flow, true_mask)))
-            if false_mask.any():
-                parts.append(
-                    (false_mask, self.eval(expr.if_false, env, flow, false_mask))
-                )
-            return merge_parts(self.lanes, parts)
-        if isinstance(expr, ast.Call):
-            return self._eval_call(expr, env, flow, mask)
-        if isinstance(expr, ast.Index):
-            container = self.eval_container(expr.base, env, flow, mask)
-            index = np.asarray(
-                self.eval(expr.index, env, flow, mask)
-            ).astype(_INT)
-            return container.loadm(index, mask)
-        if isinstance(expr, ast.Cast):
-            value = self.eval(expr.expr, env, flow, mask)
-            if isinstance(expr.target_type, ScalarType) and expr.target_type.is_integer:
-                return np.asarray(value).astype(_INT)
-            if isinstance(expr.target_type, ScalarType) and expr.target_type.is_float:
-                return np.asarray(value).astype(_FLOAT)
-            return value
-        raise InterpreterError(f"unsupported expression {type(expr).__name__}")
-
-    def eval_container(self, expr: ast.Expr, env, flow: Flow, mask: np.ndarray):
-        value = self.eval(expr, env, flow, mask)
-        if isinstance(value, _CONTAINERS):
-            return value
-        raise InterpreterError(f"cannot index value of type {type(value).__name__}")
-
-    def _eval_unary(self, expr: ast.UnaryOp, env, flow: Flow, mask: np.ndarray):
-        if expr.op in ("++", "--"):
-            delta = 1 if expr.op == "++" else -1
-            old = self.eval(expr.operand, env, flow, mask)
-            self._store_to(expr.operand, old + delta, env, flow, mask)
-            return old if expr.postfix else old + delta
-        operand = self.eval(expr.operand, env, flow, mask)
-        if expr.op == "-":
-            return -operand
-        if expr.op == "+":
-            return operand
-        if expr.op == "!":
-            return (~truthy(operand)).astype(_INT)
-        if expr.op == "~":
-            return ~np.asarray(operand).astype(_INT)
-        raise InterpreterError(f"unsupported unary operator {expr.op!r}")
-
-    def _eval_assignment(self, expr: ast.Assignment, env, flow: Flow, mask):
-        value = self.eval(expr.value, env, flow, mask)
-        if expr.op != "=":
-            current = self.eval(expr.target, env, flow, mask)
-            value = apply_binary(expr.op[:-1], current, value, mask)
-        self._store_to(expr.target, value, env, flow, mask)
-        return value
-
-    def _store_to(self, target: ast.Expr, value, env, flow: Flow, mask) -> None:
-        if isinstance(target, ast.Identifier):
-            if target.name not in env:
-                raise InterpreterError(
-                    f"assignment to undefined variable {target.name!r}"
-                )
-            self._store_scalar(env, target.name, value, mask)
-            return
-        if isinstance(target, ast.Index):
-            container = self.eval_container(target.base, env, flow, mask)
-            index = np.asarray(self.eval(target.index, env, flow, mask)).astype(_INT)
-            container.storem(index, np.asarray(value), mask)
-            return
-        raise InterpreterError("assignment target must be a variable or array element")
-
-    def _store_scalar(self, env, name: str, value, mask: np.ndarray) -> None:
-        existing = env[name]
-        value = np.asarray(value)
-        if not isinstance(existing, np.ndarray):
-            raise InterpreterError(f"cannot assign to {name!r}")
-        if existing.dtype.kind in "iu" and value.dtype.kind not in "iu":
-            # Follow C (and the scalar interpreter): assigning a float to an
-            # integer variable truncates toward zero.
-            value = value.astype(_INT)
-        if mask.all():
-            env[name] = value.copy() if value.base is not None else value
-            return
-        env[name] = masked_assign(existing, value, mask)
-
-    # ------------------------------------------------------------------
-    def _eval_call(self, call: ast.Call, env, flow: Flow, mask: np.ndarray):
-        name = call.name
-        if name in CONTEXT_BUILTINS:
-            dim = 0
-            if call.args:
-                dim_arr = np.asarray(self.eval(call.args[0], env, flow, mask))
-                dim = int(dim_arr[np.argmax(mask)])
-            return self._context_query(name, dim)
-        if name in SYNC_BUILTINS:
-            raise InterpreterError(
-                "barrier()/mem_fence() may only appear as standalone statements"
-            )
-        if is_builtin(name):
-            args = [self.eval(arg, env, flow, mask) for arg in call.args]
-            vector = VECTOR_BUILTINS.get(name)
-            if vector is not None:
-                return vector(mask, *args)
-            return VectorFallback(name)(mask, *args)
-        if name in self.kernel.functions:
-            return self._call_user_function(
-                self.kernel.functions[name], call, env, flow, mask
-            )
-        raise InterpreterError(f"call to unknown function {name!r}")
-
-    def _context_query(self, name: str, dim: int) -> np.ndarray:
-        if name == "get_global_id":
-            return self.gid[dim]
-        if name == "get_local_id":
-            return self.lid[dim]
-        if name == "get_group_id":
-            return self.grp[dim]
-        if name == "get_global_size":
-            return np.full(self.lanes, self.ndrange.global_size[dim], dtype=_INT)
-        if name == "get_local_size":
-            return np.full(self.lanes, self.ndrange.local_size[dim], dtype=_INT)
-        if name == "get_num_groups":
-            return np.full(self.lanes, self.ndrange.num_groups[dim], dtype=_INT)
-        raise InterpreterError(f"unknown context built-in {name!r}")  # pragma: no cover
-
-    def _call_user_function(
-        self, func: ast.FunctionDef, call: ast.Call, env, flow: Flow, mask
-    ):
-        if len(call.args) != len(func.params):
-            raise InterpreterError(
-                f"function {func.name!r} expects {len(func.params)} arguments, "
-                f"got {len(call.args)}"
-            )
-        callee_env: dict[str, object] = {}
-        for name, value in self.kernel.constants.items():
-            if isinstance(value, _ConstantArray):
-                callee_env[name] = ConstantView(name, value.values)
-            else:
-                callee_env[name] = self._full(value)
-        for param, arg in zip(func.params, call.args):
-            value = self.eval(arg, env, flow, mask)
-            # Pointer/array arguments pass their container through untouched
-            # (np.asarray would wrap it into a useless 0-d object array).
-            if not isinstance(value, _CONTAINERS):
-                value = np.asarray(value)
-            callee_env[param.name] = value
-        callee_flow = Flow(self.lanes, in_function=True)
-        self.exec_block(func.body, callee_env, callee_flow, mask)
-        if callee_flow.return_value is None:
-            return np.zeros(self.lanes, dtype=_INT)
-        return callee_flow.return_value
-
-
-class _BatchedGroupState(_GroupState):
-    """Execution state of one work group of ``batch`` stacked launches.
-
-    The lane dimension is the concatenation of the group's work-items for
-    every request: request ``r`` occupies lanes
-    ``[r * group_size, (r + 1) * group_size)``, with identical gid/lid
-    index arrays per request (the launches share one NDRange).  Global
-    buffers must be :class:`~repro.clsim.memory.SegmentedBuffer` stacks and
-    local tiles are allocated per request, so lanes of different requests
-    can never observe each other's data (the segmented views are the
-    batching transform, :mod:`repro.kernellang.passes.batching`).
-    """
-
-    def __init__(self, kernel, ctx, ndrange, work_items, batch: int) -> None:
-        if batch <= 0:
-            raise InterpreterError(f"batch must be positive, got {batch}")
-        super().__init__(kernel, ctx, ndrange, list(work_items) * batch)
-        self.batch = batch
-        group_size = self.lanes // batch
-        self.lane_request = lane_requests(batch, group_size)
-
-    def _global_view(self, buffer: Buffer):
-        return segmented_global_view(buffer, self.batch, self.lane_request)
-
-    def _local_view(self, name: str, length: int):
-        return SegLocalView(
-            self.ctx.local, name, length, self.lane_request * length, self.batch
-        )
-
-
-# ---------------------------------------------------------------------------
-# Kernel-level entry points
-# ---------------------------------------------------------------------------
-def vectorized_kernel(kernel: Kernel) -> VectorizedKernel:
-    """Return (building and caching on first use) the vectorized form of a
-    :class:`~repro.clsim.kernel.Kernel` that carries its kernellang AST."""
-    cached = getattr(kernel, "_vectorized", None)
-    if cached is not None:
-        return cached
-    program = getattr(kernel, "ast_program", None)
-    if program is None:
-        raise InterpreterError(
-            f"kernel {kernel.name!r} carries no kernellang AST; only kernels "
-            "compiled from kernellang source can run on the vectorized backend"
-        )
-    compiled = VectorizedKernel(program, getattr(kernel, "ast_kernel_name", None))
-    kernel._vectorized = compiled
-    return compiled
+# perfbench/layers.py patches ``repro.kernellang.vectorize.vectorized_kernel``
+# when it traces a run, so the name stays as an alias of the codegen entry point.
+from .codegen import codegen_kernel as vectorized_kernel  # noqa: F401

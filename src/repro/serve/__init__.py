@@ -4,7 +4,7 @@ The serving subsystem turns the per-call session API into a service: a
 stream of :class:`~repro.serve.requests.ServeRequest` objects (application,
 input, error budget, priority, latency budget) is micro-batched by a
 deterministic :class:`~repro.serve.scheduler.MicroBatchScheduler`, executed
-as single batched vectorized launches
+as single batched codegen launches
 (:meth:`~repro.api.engine.PerforationEngine.run_compiled_batch`), and
 steered by an :class:`~repro.serve.controller.OnlineController` that starts
 from :meth:`Session.calibrate <repro.api.session.Session.calibrate>`
@@ -19,7 +19,7 @@ percentiles, cache hit rate and per-scheme selection counts.
 
     from repro.serve import PerforationServer, ServeRequest
 
-    server = PerforationServer(backend="vectorized", max_batch=8)
+    server = PerforationServer(backend="codegen", max_batch=8)
     responses = server.run_trace([
         ServeRequest(0, "gaussian", image_a, error_budget=0.025),
         ServeRequest(1, "gaussian", image_b, error_budget=0.025, arrival_ms=3.0),

@@ -7,7 +7,7 @@ submitted in virtual (trace) time; the server
    stream's current configuration and enqueues the request under its batch
    key (:class:`~repro.serve.scheduler.MicroBatchScheduler`);
 2. flushes due micro-batches and executes each as **one** batched
-   vectorized launch
+   codegen launch
    (:meth:`~repro.api.engine.PerforationEngine.run_compiled_batch`),
    short-circuiting requests whose result is in the LRU cache;
 3. measures the quality of every served output against the memoized
@@ -51,8 +51,8 @@ class PerforationServer:
     engine:
         Engine to serve with (``None`` builds one for ``backend``).
     backend:
-        Execution backend for the compiled launches; the vectorized backend
-        additionally executes micro-batches as single stacked launches.
+        Execution backend for the compiled launches; the default codegen
+        backend executes each micro-batch as one stacked launch.
     max_batch / max_delay_ms:
         Micro-batching knobs (see :class:`MicroBatchScheduler`).
     policy / calibration_inputs / tuner:
@@ -73,7 +73,7 @@ class PerforationServer:
     def __init__(
         self,
         engine: PerforationEngine | None = None,
-        backend: ExecutionBackend | str | None = "vectorized",
+        backend: ExecutionBackend | str | None = "codegen",
         *,
         max_batch: int = 8,
         max_delay_ms: float = 50.0,

@@ -10,8 +10,8 @@ from repro.clsim import Executor
 from repro.clsim.backends import (
     DEFAULT_BACKEND,
     EXECUTION_BACKENDS,
+    CodegenBackend,
     InterpreterBackend,
-    VectorizedBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -37,13 +37,18 @@ class RecordingBackend(InterpreterBackend):
 
 class TestBackendRegistry:
     def test_builtin_backends_are_registered(self):
-        assert "interpreter" in available_backends()
-        assert "vectorized" in available_backends()
+        assert available_backends() == ["codegen", "interpreter"]
         assert DEFAULT_BACKEND == "interpreter"
 
     def test_get_backend_instantiates(self):
         assert isinstance(get_backend("interpreter"), InterpreterBackend)
-        assert isinstance(get_backend("vectorized"), VectorizedBackend)
+        assert isinstance(get_backend("codegen"), CodegenBackend)
+
+    def test_vectorized_backend_is_gone(self):
+        """The former second compiled backend no longer resolves; the error
+        names the backends that remain."""
+        with pytest.raises(InvalidBackendError, match="'codegen', 'interpreter'"):
+            resolve_backend("vectorized")
 
     def test_unknown_name_raises_with_available_names(self):
         with pytest.raises(InvalidBackendError, match="unknown execution backend"):
@@ -65,7 +70,7 @@ class TestBackendRegistry:
 
     def test_resolve_backend(self):
         assert isinstance(resolve_backend(None), InterpreterBackend)
-        assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
+        assert isinstance(resolve_backend("codegen"), CodegenBackend)
         instance = RecordingBackend()
         assert resolve_backend(instance) is instance
         with pytest.raises(InvalidBackendError):
@@ -77,7 +82,7 @@ class TestExecutorBackendSelection:
         assert isinstance(Executor(device).backend, InterpreterBackend)
 
     def test_executor_accepts_name_and_instance(self, device):
-        assert isinstance(Executor(device, backend="vectorized").backend, VectorizedBackend)
+        assert isinstance(Executor(device, backend="codegen").backend, CodegenBackend)
         instance = RecordingBackend()
         assert Executor(device, backend=instance).backend is instance
 
@@ -93,15 +98,15 @@ class TestEngineBackendPlumbing:
         assert isinstance(engine.executor().backend, InterpreterBackend)
 
     def test_engine_resolves_backend_name_eagerly(self):
-        engine = PerforationEngine(backend="vectorized")
-        assert isinstance(engine.backend, VectorizedBackend)
+        engine = PerforationEngine(backend="codegen")
+        assert isinstance(engine.backend, CodegenBackend)
         with pytest.raises(InvalidBackendError):
             PerforationEngine(backend="warp-drive")
 
     def test_engine_executor_override(self):
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         assert isinstance(engine.executor("interpreter").backend, InterpreterBackend)
-        assert isinstance(engine.executor().backend, VectorizedBackend)
+        assert isinstance(engine.executor().backend, CodegenBackend)
 
     def test_run_compiled_uses_engine_backend(self):
         recording = RecordingBackend()
@@ -112,7 +117,7 @@ class TestEngineBackendPlumbing:
 
     def test_run_compiled_per_call_override(self):
         recording = RecordingBackend()
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         image = generate_image("natural", size=16, seed=3)
         engine.run_compiled(
             "inversion", image, ROWS1_NN.with_work_group((8, 8)), backend=recording
@@ -120,7 +125,7 @@ class TestEngineBackendPlumbing:
         assert recording.groups == 4
 
     def test_compiled_sweep_runs_every_configuration(self):
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         image = generate_image("natural", size=16, seed=3)
         outputs = engine.compiled_sweep("gaussian", image)
         assert len(outputs) == 4
@@ -140,7 +145,7 @@ class TestSessionBackendPlumbing:
 
     def test_per_session_override_beats_engine_backend(self):
         recording = RecordingBackend()
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         session = engine.session("inversion", backend=recording)
         image = generate_image("natural", size=16, seed=3)
         session.run_compiled(image, ROWS1_NN.with_work_group((8, 8)))
@@ -148,8 +153,8 @@ class TestSessionBackendPlumbing:
 
     def test_with_backend_fluent_setter(self):
         engine = PerforationEngine()
-        session = engine.session("inversion").with_backend("vectorized")
-        assert isinstance(session.backend, VectorizedBackend)
+        session = engine.session("inversion").with_backend("codegen")
+        assert isinstance(session.backend, CodegenBackend)
         image = generate_image("natural", size=16, seed=3)
         out = session.run_compiled(image, ROWS1_NN.with_work_group((8, 8)))
         np.testing.assert_array_equal(
@@ -169,7 +174,7 @@ class TestSessionBackendPlumbing:
     def test_compiled_sweep_rejects_colliding_labels(self):
         from repro.core.errors import ConfigurationError
 
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         image = generate_image("natural", size=16, seed=3)
         config = ROWS1_NN.with_work_group((8, 8))
         with pytest.raises(ConfigurationError, match="distinct labels"):

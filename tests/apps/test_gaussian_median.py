@@ -70,12 +70,9 @@ class TestMedian:
     def test_median_baseline_speedup_smaller_than_gaussian(self, natural_image_128, device):
         """The paper: Median's baseline is already optimised, so its speedup
         is the smallest of the stencil apps."""
-        from repro.core import evaluate_configuration
+        from repro.api import PerforationEngine
 
-        gaussian = evaluate_configuration(
-            GaussianApp(), natural_image_128, STENCIL1_NN, device=device
-        )
-        median = evaluate_configuration(
-            MedianApp(), natural_image_128, STENCIL1_NN, device=device
-        )
+        engine = PerforationEngine(device=device)
+        gaussian = engine.evaluate(GaussianApp(), natural_image_128, STENCIL1_NN)
+        median = engine.evaluate(MedianApp(), natural_image_128, STENCIL1_NN)
         assert median.speedup < gaussian.speedup

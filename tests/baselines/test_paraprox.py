@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import PerforationEngine
 from repro.apps import GaussianApp, InversionApp, MedianApp
 from repro.baselines import (
     PARAPROX_SCHEMES,
@@ -13,7 +14,7 @@ from repro.baselines import (
     paraprox_output,
     paraprox_profile,
 )
-from repro.core import ConfigurationError, ROWS1_NN, evaluate_configuration
+from repro.core import ConfigurationError, ROWS1_NN
 
 
 class TestScheme:
@@ -118,7 +119,7 @@ class TestProfilesAndEvaluation:
     ):
         """The paper's central comparison (Figure 10a, Gaussian)."""
         app = GaussianApp()
-        ours = evaluate_configuration(app, natural_image_128, ROWS1_NN, device=device)
+        ours = PerforationEngine(device=device).evaluate(app, natural_image_128, ROWS1_NN)
         paraprox = evaluate_paraprox(
             app, natural_image_128, ParaproxScheme("rows", 1), device=device
         )

@@ -1,7 +1,6 @@
 """Cross-backend conformance suite.
 
-Every compiled execution backend (the ``vectorized`` AST-walking backend
-and the ``codegen`` source-specializing backend) must be observationally
+The compiled execution backend (``codegen``) must be observationally
 identical to the reference interpreter backend: bit-for-bit equal outputs
 *and* exactly equal :class:`~repro.clsim.executor.ExecutionStats` access
 counters, across the full matrix of applications x perforation schemes x
@@ -9,7 +8,7 @@ reconstruction modes the compiler path supports.  Any drift between the
 backends fails this suite (CI runs it on every push).
 
 The matrix runs on small inputs so the interpreter side stays cheap; the
-compiled backends are exercised on paper-scale inputs by the benchmarks.
+compiled backend is exercised on paper-scale inputs by the benchmarks.
 """
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 
 from repro.api import PerforationEngine
 from repro.apps import get_application
-from repro.clsim import Buffer, Executor, Kernel, KernelExecutionError, NDRange
+from repro.clsim import Buffer, Executor, NDRange
 from repro.core import (
     ApproximationConfig,
     LINEAR_INTERPOLATION,
@@ -30,7 +29,7 @@ from repro.data import generate_image, hotspot_single
 WORK_GROUP = (8, 8)
 
 #: The compiled backends checked against the reference interpreter.
-COMPILED_BACKENDS = ("vectorized", "codegen")
+COMPILED_BACKENDS = ("codegen",)
 
 APP_NAMES = ("gaussian", "inversion", "sobel3", "sobel5", "median", "hotspot")
 
@@ -86,8 +85,8 @@ def engine():
     return PerforationEngine()
 
 
-#: Interpreter reference runs memoized per (app, config): each compiled
-#: backend re-checks against the same reference without re-interpreting.
+#: Interpreter reference runs memoized per (app, config), so the matrix
+#: interprets each configuration once.
 _REFERENCE_MEMO: dict = {}
 
 
@@ -189,95 +188,3 @@ class TestBackendParity:
         )
         np.testing.assert_array_equal(a, b)
         assert _stats_tuple(sa) == _stats_tuple(sb)
-
-    def test_compiled_backends_agree_with_each_other(self, engine):
-        """Belt and braces: vectorized and codegen agree directly too."""
-        app = get_application("median")
-        image = generate_image("natural", size=16, seed=13)
-        config = ApproximationConfig(
-            scheme=RowPerforation(step=2),
-            reconstruction=NEAREST_NEIGHBOR,
-            work_group=WORK_GROUP,
-        )
-        a, sa = engine.run_compiled(
-            app, image, config, backend="vectorized", with_stats=True
-        )
-        b, sb = engine.run_compiled(
-            app, image, config, backend="codegen", with_stats=True
-        )
-        np.testing.assert_array_equal(a, b)
-        assert _stats_tuple(sa) == _stats_tuple(sb)
-
-
-class TestVectorizedBackendLimits:
-    def test_python_body_kernels_are_rejected(self):
-        """Kernels without a kernellang AST cannot be re-lowered."""
-
-        def body(ctx, wi):
-            x, y = wi.gid(0), wi.gid(1)
-            dst = ctx.buffer("output")
-            dst.write((y, x), 1.0)
-
-        kernel = Kernel("handwritten", body, ["output"])
-        executor = Executor(backend="vectorized")
-        out = Buffer(np.zeros((8, 8), dtype=np.float64), "output")
-        with pytest.raises(KernelExecutionError, match="no kernellang AST"):
-            executor.run(kernel, NDRange((8, 8), (8, 8)), {"output": out})
-
-    def test_balanced_divergent_barriers_are_rejected(self):
-        """Known, documented divergence from the interpreter: the lock-step
-        interpreter only counts barriers per work-item and accepts balanced
-        divergent barriers; the vectorized backend requires all lanes at the
-        same barrier statement and fails loudly instead of drifting."""
-        from repro.clsim import BarrierDivergenceError
-        from repro.kernellang.interpreter import compile_kernel
-
-        source = """
-        __kernel void balanced(__global float* output, int width, int height) {
-            int x = get_global_id(0);
-            int y = get_global_id(1);
-            if (x < 2) {
-                barrier(CLK_LOCAL_MEM_FENCE);
-            } else {
-                barrier(CLK_LOCAL_MEM_FENCE);
-            }
-            output[y * width + x] = 1.0f;
-        }
-        """
-        args = {
-            "output": Buffer(np.zeros((4, 4), dtype=np.float64), "output"),
-            "width": 4,
-            "height": 4,
-        }
-        ndrange = NDRange((4, 4), (4, 4))
-        # The interpreter accepts the pattern (equal barrier counts)...
-        stats = Executor(backend="interpreter").run(compile_kernel(source), ndrange, args)
-        assert stats.barriers == 1
-        # ...the vectorized backend rejects it rather than diverging silently.
-        with pytest.raises(BarrierDivergenceError):
-            Executor(backend="vectorized").run(compile_kernel(source), ndrange, args)
-
-    def test_divergent_return_before_barrier_raises(self):
-        from repro.clsim import BarrierDivergenceError
-        from repro.kernellang.interpreter import compile_kernel
-
-        source = """
-        __kernel void diverge(__global float* output, int width, int height) {
-            int x = get_global_id(0);
-            int y = get_global_id(1);
-            if (x == 0) {
-                return;
-            }
-            barrier(CLK_LOCAL_MEM_FENCE);
-            output[y * width + x] = 1.0f;
-        }
-        """
-        kernel = compile_kernel(source)
-        out = Buffer(np.zeros((4, 4), dtype=np.float64), "output")
-        executor = Executor(backend="vectorized")
-        with pytest.raises(BarrierDivergenceError):
-            executor.run(
-                kernel,
-                NDRange((4, 4), (4, 4)),
-                {"output": out, "width": 4, "height": 4},
-            )

@@ -4,9 +4,9 @@ A batched launch (:meth:`Executor.run_batch` /
 :meth:`PerforationEngine.run_compiled_batch`) must be observationally a
 pure throughput optimisation: bit-identical outputs and *summed*
 :class:`ExecutionStats` compared with running the same requests one by
-one — on the vectorized and codegen backends (which stack the requests
-into single work-group launches) and on the interpreter backend (which
-serves batches through the serial fallback).
+one — on the codegen backend (which stacks the requests into single
+work-group launches) and on the interpreter backend (which serves batches
+through the serial fallback).
 """
 
 import numpy as np
@@ -59,7 +59,7 @@ def _summed(stats_list):
 
 
 class TestBatchedLaunchParity:
-    @pytest.mark.parametrize("backend", ["vectorized", "codegen", "interpreter"])
+    @pytest.mark.parametrize("backend", ["codegen", "interpreter"])
     @pytest.mark.parametrize(
         "app_name,config",
         [
@@ -88,7 +88,7 @@ class TestBatchedLaunchParity:
             np.testing.assert_array_equal(expected, actual)
         assert _stats_tuple(stats) == _summed(s for _, s in individual)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "codegen"])
+    @pytest.mark.parametrize("backend", ["codegen"])
     def test_batch_of_one_matches_single_run(self, backend):
         engine = PerforationEngine(backend=backend)
         image = generate_image("natural", size=SIZE, seed=5)
@@ -97,7 +97,7 @@ class TestBatchedLaunchParity:
         np.testing.assert_array_equal(single, batched)
 
     def test_session_run_compiled_batch(self):
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         inputs = _inputs("gaussian", 2)
         session = engine.session(app="gaussian")
         outputs = session.run_compiled_batch(inputs, config=ROWS1)
@@ -108,12 +108,12 @@ class TestBatchedLaunchParity:
 
 class TestBatchedLaunchValidation:
     def test_empty_batch_rejected(self):
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         with pytest.raises(Exception, match="at least one input"):
             engine.run_compiled_batch("gaussian", [], ROWS1)
 
     def test_mismatched_sizes_rejected(self):
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         a = generate_image("natural", size=16, seed=1)
         b = generate_image("natural", size=32, seed=2)
         with pytest.raises(Exception, match="identically sized"):
@@ -122,7 +122,7 @@ class TestBatchedLaunchValidation:
     def test_mismatched_scalars_rejected(self):
         """Same global size but different scalar kernel arguments."""
 
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         app = engine.resolve_app("gaussian")
         kernel = app.perforator().accurate().executable()
         image = generate_image("natural", size=SIZE, seed=3)
@@ -138,7 +138,7 @@ class TestBatchedLaunchValidation:
             engine.executor().run_batch(kernel, ndrange, [args(SIZE), args(SIZE + 16)])
 
     def test_mismatched_buffer_shapes_rejected(self):
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         app = engine.resolve_app("gaussian")
         kernel = app.perforator().accurate().executable()
         small = generate_image("natural", size=SIZE, seed=3)

@@ -2,56 +2,54 @@
 
 import pytest
 
+from repro.api import PerforationEngine
 from repro.apps import GaussianApp, InversionApp, MedianApp
-from repro.core import (
-    ROWS1_NN,
-    STENCIL1_NN,
-    TuningError,
-    best_work_group,
-    full_sweep,
-    sweep_configurations,
-    sweep_work_groups,
-)
+from repro.core import ROWS1_NN, STENCIL1_NN, TuningError
 from repro.core.config import WORK_GROUP_CANDIDATES
 
 
+@pytest.fixture()
+def engine(device):
+    return PerforationEngine(device=device)
+
+
 class TestSweepConfigurations:
-    def test_default_configs_for_stencil_app(self, natural_image_64, device):
-        sweep = sweep_configurations(GaussianApp(), natural_image_64, device=device)
+    def test_default_configs_for_stencil_app(self, natural_image_64, engine):
+        sweep = engine.sweep(GaussianApp(), natural_image_64)
         labels = {p.label for p in sweep.points}
         assert labels == {"Rows1:NN", "Rows2:NN", "Rows1:LI", "Stencil1:NN"}
         assert all(p.error >= 0 for p in sweep.points)
         assert all(p.speedup > 0 for p in sweep.points)
 
-    def test_default_configs_for_1x1_app(self, natural_image_64, device):
-        sweep = sweep_configurations(InversionApp(), natural_image_64, device=device)
+    def test_default_configs_for_1x1_app(self, natural_image_64, engine):
+        sweep = engine.sweep(InversionApp(), natural_image_64)
         labels = {p.label for p in sweep.points}
         assert "Stencil1:NN" not in labels
 
-    def test_pareto_and_selection_helpers(self, natural_image_64, device):
-        sweep = sweep_configurations(GaussianApp(), natural_image_64, device=device)
+    def test_pareto_and_selection_helpers(self, natural_image_64, engine):
+        sweep = engine.sweep(GaussianApp(), natural_image_64)
         front = sweep.pareto_optimal()
         assert front
         assert all(p in sweep.points for p in front)
         assert sweep.best_error().error == min(p.error for p in sweep.points)
         assert sweep.fastest().speedup == max(p.speedup for p in sweep.points)
 
-    def test_best_for_error_budget(self, natural_image_64, device):
-        sweep = sweep_configurations(GaussianApp(), natural_image_64, device=device)
+    def test_best_for_error_budget(self, natural_image_64, engine):
+        sweep = engine.sweep(GaussianApp(), natural_image_64)
         point = sweep.best_for_error_budget(0.10)
         assert point.error <= 0.10
         with pytest.raises(TuningError):
             sweep.best_for_error_budget(1e-12)
 
-    def test_point_describe(self, natural_image_64, device):
-        sweep = sweep_configurations(GaussianApp(), natural_image_64, device=device)
+    def test_point_describe(self, natural_image_64, engine):
+        sweep = engine.sweep(GaussianApp(), natural_image_64)
         assert "speedup" in sweep.points[0].describe()
 
 
 class TestWorkGroupSweep:
-    def test_sweep_covers_admissible_shapes(self, natural_image_128, device):
-        timings = sweep_work_groups(
-            GaussianApp(), natural_image_128, [STENCIL1_NN, ROWS1_NN], device=device
+    def test_sweep_covers_admissible_shapes(self, natural_image_128, engine):
+        timings = engine.sweep_work_groups(
+            GaussianApp(), natural_image_128, [STENCIL1_NN, ROWS1_NN]
         )
         variants = {t.variant for t in timings}
         assert variants == {"Baseline", "Stencil1:NN", "Rows1:NN"}
@@ -59,41 +57,40 @@ class TestWorkGroupSweep:
         # 128x128 image: all ten candidate shapes divide it.
         assert shapes == set(WORK_GROUP_CANDIDATES)
 
-    def test_wide_shapes_beat_narrow_shapes(self, natural_image_128, device):
+    def test_wide_shapes_beat_narrow_shapes(self, natural_image_128, engine):
         """The paper's Figure 9 observation: x >= y shapes are faster."""
-        timings = sweep_work_groups(GaussianApp(), natural_image_128, [ROWS1_NN], device=device)
+        timings = engine.sweep_work_groups(GaussianApp(), natural_image_128, [ROWS1_NN])
         by_shape = {
             t.work_group: t.runtime_s for t in timings if t.variant == "Rows1:NN"
         }
         assert by_shape[(128, 2)] < by_shape[(2, 128)]
         assert by_shape[(16, 16)] < by_shape[(2, 128)]
 
-    def test_non_dividing_shapes_skipped(self, device):
+    def test_non_dividing_shapes_skipped(self, engine):
         from repro.data import generate_image
         image = generate_image("natural", size=96, seed=1)
-        timings = sweep_work_groups(GaussianApp(), image, [ROWS1_NN], device=device)
+        timings = engine.sweep_work_groups(GaussianApp(), image, [ROWS1_NN])
         shapes = {t.work_group for t in timings}
         assert (128, 2) not in shapes  # 128 does not divide 96
 
-    def test_best_work_group(self, natural_image_128, device):
-        shape = best_work_group(GaussianApp(), natural_image_128, ROWS1_NN, device=device)
+    def test_best_work_group(self, natural_image_128, engine):
+        shape = engine.best_work_group(GaussianApp(), natural_image_128, ROWS1_NN)
         assert shape in WORK_GROUP_CANDIDATES
         assert shape[0] >= shape[1]  # the x-major observation
 
-    def test_best_work_group_no_candidates(self, device):
+    def test_best_work_group_no_candidates(self, engine):
         from repro.data import generate_image
         image = generate_image("natural", size=50, seed=1)  # nothing divides 50
         with pytest.raises(TuningError):
-            best_work_group(GaussianApp(), image, ROWS1_NN, device=device)
+            engine.best_work_group(GaussianApp(), image, ROWS1_NN)
 
 
 class TestFullSweep:
-    def test_joint_sweep_contains_shaped_configs(self, natural_image_64, device):
-        sweep = full_sweep(
+    def test_joint_sweep_contains_shaped_configs(self, natural_image_64, engine):
+        sweep = engine.full_sweep(
             MedianApp(),
             natural_image_64,
             work_groups=((16, 16), (32, 8)),
-            device=device,
         )
         assert len(sweep.points) == 8  # 4 configs x 2 shapes
         work_groups = {p.config.work_group for p in sweep.points}

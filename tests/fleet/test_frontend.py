@@ -75,7 +75,7 @@ class TestWarmStartInProcess:
 
         # Front-end-style warm-up: calibrate once, persist to the DB.  The
         # backend is part of the tuning key, so it must match the worker's.
-        seed_engine = PerforationEngine(backend="vectorized")
+        seed_engine = PerforationEngine(backend="codegen")
         OnlineController(
             seed_engine,
             calibration_inputs=calibration,

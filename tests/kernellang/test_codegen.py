@@ -3,7 +3,7 @@
 The cross-backend conformance suite (``tests/clsim/test_backend_parity.py``)
 pins outputs/stats over the bundled applications; this module tests the
 *lowering* itself: uniformity specialization, the masked control-flow
-emission on adversarial kernels, the vectorized fallback for programs the
+emission on adversarial kernels, the interpreter fallback for programs the
 lowering cannot specialize, and the determinism/memoization contract.
 """
 
@@ -94,7 +94,7 @@ class TestUniformSpecialization:
         assert a.function((4, 4), False) is b.function((4, 4), False)
 
 
-class TestMaskedControlFlow:
+class TestDivergentControlFlow:
     """Adversarial divergent kernels: codegen == interpreter, bit for bit."""
 
     def test_divergent_data_dependent_while(self):
@@ -330,10 +330,25 @@ class TestMaskedControlFlow:
         """)
 
 
+def _stats_tuple(stats):
+    return (
+        stats.work_items,
+        stats.work_groups,
+        stats.barriers,
+        stats.global_counters.reads,
+        stats.global_counters.writes,
+        stats.local_counters.reads,
+        stats.local_counters.writes,
+        stats.private_counters.reads,
+        stats.private_counters.writes,
+    )
+
+
 class TestFallbackAndLimits:
-    def test_unspecializable_kernel_falls_back_to_vectorized(self):
+    def test_unlowerable_kernel_runs_on_the_interpreter(self, monkeypatch):
         """A non-literal get_global_id dimension defeats the lowering; the
-        backend transparently falls back to the vectorized path."""
+        backend then runs the launch on the interpreter, deciding so once
+        per launch rather than once per work group."""
         source = """
         __kernel void k(__global const float* input, __global float* output,
                         int width, int height) {
@@ -343,10 +358,52 @@ class TestFallbackAndLimits:
             output[y * width + x] = input[y * width + x];
         }
         """
-        program = parse_program(source)
         with pytest.raises(LoweringError):
-            lower_kernel(program, "k", (4, 4), False)
-        _assert_backend_parity(source)
+            lower_kernel(parse_program(source), "k", (8, 8), False)
+
+        lowered = []
+        real_lower = codegen.lower_kernel
+
+        def counting_lower(program, kernel_name=None, local_size=(1,), batched=False):
+            lowered.append((tuple(local_size), batched))
+            return real_lower(program, kernel_name, local_size, batched)
+
+        monkeypatch.setattr(codegen, "lower_kernel", counting_lower)
+
+        size = 64
+        ndrange = NDRange((size, size), (8, 8))
+        images = [generate_image("natural", size=size, seed=seed) for seed in (1, 2, 3)]
+
+        def args(image):
+            return {
+                "input": Buffer(image, "input"),
+                "output": Buffer(np.zeros_like(image), "output"),
+                "width": size,
+                "height": size,
+            }
+
+        kernel = compile_kernel(source)
+        expected = []
+        for image in images:
+            bound = args(image)
+            stats = Executor(backend="interpreter").run(kernel, ndrange, bound)
+            expected.append((bound["output"].array, _stats_tuple(stats)))
+        assert lowered == []
+
+        bound = args(images[0])
+        stats = Executor(backend="codegen").run(kernel, ndrange, bound)
+        np.testing.assert_array_equal(bound["output"].array, expected[0][0])
+        assert _stats_tuple(stats) == expected[0][1]
+        assert lowered == [((8, 8), False)]  # 64 work groups, one lowering
+
+        lowered.clear()
+        batch = [args(image) for image in images]
+        stats = Executor(backend="codegen").run_batch(kernel, ndrange, batch)
+        for bound, (output, _) in zip(batch, expected):
+            np.testing.assert_array_equal(bound["output"].array, output)
+        summed = tuple(sum(values) for values in zip(*(s for _, s in expected)))
+        assert _stats_tuple(stats) == summed
+        assert lowered == [((8, 8), True)]
 
     def test_python_body_kernels_are_rejected(self):
         def body(ctx, wi):
@@ -360,7 +417,10 @@ class TestFallbackAndLimits:
             )
 
     def test_balanced_divergent_barriers_are_rejected(self):
-        """Same documented strictness as the vectorized backend."""
+        """Known, documented divergence from the interpreter: the lock-step
+        interpreter only counts barriers per work-item and accepts balanced
+        divergent barriers; the codegen backend requires all lanes at the
+        same barrier statement and fails loudly instead of drifting."""
         from repro.clsim import BarrierDivergenceError
 
         source = """
@@ -379,9 +439,32 @@ class TestFallbackAndLimits:
             "width": 4,
             "height": 4,
         }
+        ndrange = NDRange((4, 4), (4, 4))
+        stats = Executor(backend="interpreter").run(compile_kernel(source), ndrange, args)
+        assert stats.barriers == 1
+        with pytest.raises(BarrierDivergenceError):
+            Executor(backend="codegen").run(compile_kernel(source), ndrange, args)
+
+    def test_divergent_return_before_barrier_raises(self):
+        from repro.clsim import BarrierDivergenceError
+
+        source = """
+        __kernel void diverge(__global float* output, int width, int height) {
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            if (x == 0) {
+                return;
+            }
+            barrier(CLK_LOCAL_MEM_FENCE);
+            output[y * width + x] = 1.0f;
+        }
+        """
+        out = Buffer(np.zeros((4, 4), dtype=np.float64), "output")
         with pytest.raises(BarrierDivergenceError):
             Executor(backend="codegen").run(
-                compile_kernel(source), NDRange((4, 4), (4, 4)), args
+                compile_kernel(source),
+                NDRange((4, 4), (4, 4)),
+                {"output": out, "width": 4, "height": 4},
             )
 
     def test_out_of_bounds_error_parity(self):
@@ -395,7 +478,7 @@ class TestFallbackAndLimits:
             "width": 4,
             "height": 4,
         }
-        for backend in ("codegen", "vectorized"):
+        for backend in ("codegen", "interpreter"):
             with pytest.raises(KernelExecutionError):
                 Executor(backend=backend).run(
                     compile_kernel(source), NDRange((4, 4), (4, 4)), args

@@ -18,9 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.clsim import Executor, NDRange
 from repro.clsim.memory import Buffer, SegmentedBuffer
 from repro.kernellang.codegen import lower_kernel
 from repro.kernellang.errors import InterpreterError
+from repro.kernellang.interpreter import compile_kernel
 from repro.kernellang.ir import (
     LoweringError,
     Scope,
@@ -37,8 +39,6 @@ from repro.kernellang.passes.batching import (
 )
 from repro.kernellang.passes.masking import (
     FnFlow,
-    Flow,
-    apply_binary,
     decl_scalar,
     full_assign,
     masked_assign,
@@ -193,7 +193,7 @@ class TestMaskingArithmetic:
     def test_int_division_truncates_toward_zero(self):
         left = np.array([7, -7, 7, -7], dtype=np.int64)
         right = np.array([2, 2, -2, -2], dtype=np.int64)
-        out = apply_binary("/", left, right, np.ones(4, dtype=bool))
+        out = varying_div(left, right, np.ones(4, dtype=bool))
         np.testing.assert_array_equal(out, [3, -3, -3, 3])
 
     def test_division_by_zero_only_raises_on_active_lanes(self):
@@ -218,19 +218,37 @@ class TestMaskingArithmetic:
             uniform_mod(1, 0)
 
     def test_comparisons_yield_int_lanes(self):
-        out = apply_binary("<", np.array([1.0, 3.0]), np.array([2.0, 2.0]),
-                           np.ones(2, dtype=bool))
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, [1, 0])
+        """A varying float comparison is an int lane: ``/ 2`` truncates it
+        to 0, so only the ``+`` term survives (a float lane would give 1.5)."""
+        source = """
+        __kernel void k(__global const float* input, __global float* output,
+                        int width, int height) {
+            int i = get_global_id(1) * width + get_global_id(0);
+            float v = input[i];
+            output[i] = (v < 0.5f) / 2 + (v < 0.5f);
+        }
+        """
+        image = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        outputs = {}
+        for backend in ("interpreter", "codegen"):
+            out = Buffer(np.zeros_like(image), "output")
+            Executor(backend=backend).run(
+                compile_kernel(source),
+                NDRange((4, 4), (4, 4)),
+                {"input": Buffer(image, "input"), "output": out, "width": 4, "height": 4},
+            )
+            outputs[backend] = out.array
+        np.testing.assert_array_equal(outputs["codegen"], (image < 0.5).astype(np.float64))
+        np.testing.assert_array_equal(outputs["codegen"], outputs["interpreter"])
 
 
 class TestFlowBookkeeping:
     def test_flow_merges_return_values_per_lane(self):
-        flow = Flow(4)
-        flow.record_return(np.array([True, False, False, False]), np.full(4, 1.5))
-        flow.record_return(np.array([False, True, False, False]), np.full(4, 2.5))
+        flow = FnFlow(4)
+        flow.record(np.array([True, False, False, False]), np.full(4, 1.5))
+        flow.record(np.array([False, True, False, False]), np.full(4, 2.5))
         np.testing.assert_array_equal(flow.returned, [True, True, False, False])
-        np.testing.assert_array_equal(flow.return_value, [1.5, 2.5, 0.0, 0.0])
+        np.testing.assert_array_equal(flow.result(), [1.5, 2.5, 0.0, 0.0])
 
     def test_fnflow_lanes_falling_off_return_int_zero(self):
         fn = FnFlow(2)

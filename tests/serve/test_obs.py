@@ -23,8 +23,8 @@ def _calibration_inputs(size=32):
 
 def _server():
     return PerforationServer(
-        engine=PerforationEngine(backend="vectorized"),
-        backend="vectorized",
+        engine=PerforationEngine(backend="codegen"),
+        backend="codegen",
         max_batch=4,
         calibration_inputs=_calibration_inputs(),
     )

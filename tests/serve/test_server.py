@@ -30,8 +30,8 @@ def _calibration_inputs(size=32):
 
 def _server(**kw):
     defaults = dict(
-        engine=PerforationEngine(backend="vectorized"),
-        backend="vectorized",
+        engine=PerforationEngine(backend="codegen"),
+        backend="codegen",
         max_batch=4,
         calibration_inputs=_calibration_inputs(),
     )
@@ -67,7 +67,7 @@ class TestServing:
         """A non-fallback response equals run_compiled with the batch's config."""
         server, responses = served
         trace = {r.request_id: r for r in generate_trace(SPEC)}
-        engine = PerforationEngine(backend="vectorized")
+        engine = PerforationEngine(backend="codegen")
         checked = 0
         for response in responses:
             if response.fallback:

@@ -9,6 +9,7 @@ claims of the paper.
 import numpy as np
 import pytest
 
+from repro.api import PerforationEngine
 from repro.apps import GaussianApp, InversionApp, get_application
 from repro.baselines import ParaproxScheme, evaluate_paraprox
 from repro.clsim import Buffer, CommandQueue, Executor, NDRange
@@ -19,7 +20,6 @@ from repro.core import (
     ROWS1_NN,
     STENCIL1_NN,
     compute_error,
-    evaluate_configuration,
     pareto_front,
 )
 from repro.data import generate_image
@@ -27,10 +27,10 @@ from repro.kernellang.analysis import build_profile
 
 
 def run_compiled(perforated, image, local):
-    # The vectorized backend makes the compiler-path tests cheap enough for
+    # The codegen backend makes the compiler-path tests cheap enough for
     # the fast tier; its equivalence to the reference interpreter backend is
     # pinned down by tests/clsim/test_backend_parity.py.
-    executor = Executor(backend="vectorized")
+    executor = Executor(backend="codegen")
     kernel = perforated.executable()
     height, width = image.shape
     inb, outb = Buffer(image, "input"), Buffer(np.zeros_like(image), "output")
@@ -98,12 +98,13 @@ class TestPaperLevelClaims:
         """All six applications speed up; the band straddles the paper's 1.6-3x."""
         from repro.data import hotspot_single
 
+        engine = PerforationEngine(device=device)
         speedups = {}
         for name in ("gaussian", "inversion", "median", "hotspot", "sobel3", "sobel5"):
             app = get_application(name)
             inputs = hotspot_single(size=256) if name == "hotspot" else image
             config = ROWS1_NN if app.halo == 0 or name == "hotspot" else STENCIL1_NN
-            result = evaluate_configuration(app, inputs, config, device=device)
+            result = engine.evaluate(app, inputs, config)
             speedups[name] = result.speedup
         assert all(s > 1.0 for s in speedups.values())
         assert speedups["sobel5"] == max(speedups.values())
@@ -111,10 +112,8 @@ class TestPaperLevelClaims:
 
     def test_pareto_front_contains_our_configurations(self, image, device):
         app = GaussianApp()
-        ours = [
-            evaluate_configuration(app, image, config, device=device)
-            for config in (ROWS1_NN, STENCIL1_NN)
-        ]
+        engine = PerforationEngine(device=device)
+        ours = [engine.evaluate(app, image, config) for config in (ROWS1_NN, STENCIL1_NN)]
         paraprox = [
             evaluate_paraprox(app, image, ParaproxScheme(kind, level), device=device)
             for kind in ("rows", "center")
