@@ -40,6 +40,7 @@ from ..core.config import (
     default_configurations,
 )
 from ..core.errors import ConfigurationError, TuningError
+from ..core.perforator import build_kernel
 from ..core.pipeline import (
     ConfigurationResult,
     DatasetResult,
@@ -321,7 +322,8 @@ class PerforationEngine:
         functional execution — as opposed to the NumPy fast path used by
         :meth:`evaluate`.  The selected execution backend decides how fast
         the simulation itself runs; outputs and access counters are
-        backend-independent (see the cross-backend conformance suite).
+        backend-independent (see the cross-backend conformance suite).  The
+        kernel is built once per process (:func:`~repro.core.perforator.build_kernel`).
 
         Returns the output array, or ``(output, stats)`` with
         ``with_stats=True``.
@@ -330,11 +332,7 @@ class PerforationEngine:
         if config is None:
             config = ACCURATE_CONFIG
         config.validate_for_halo(app.halo)
-        perforator = app.perforator()
-        perforated = (
-            perforator.accurate() if config.is_accurate else perforator.perforate(config)
-        )
-        kernel = perforated.executable()
+        kernel = build_kernel(app.kernel_source(), config)
         width, height = app.global_size(inputs)
         output = app.output_buffer(inputs)
         args = app.kernel_args(inputs, output)
@@ -355,12 +353,12 @@ class PerforationEngine:
     ):
         """Run the compiled kernel for several inputs as one micro-batched launch.
 
-        All inputs must have the same global size; the kernel is perforated
-        and compiled once, and on a backend that supports batching (the
-        codegen backend) every work group executes the
-        stacked lanes of all requests together via the batching transform
-        (:mod:`repro.kernellang.passes.batching`) — the serving
-        subsystem's fast path.  Outputs
+        All inputs must have the same global size; the kernel is built once
+        per process (:func:`~repro.core.perforator.build_kernel`), and on a
+        backend that supports batching (the codegen backend) every work
+        group executes the stacked lanes of all requests together via the
+        batching transform (:mod:`repro.kernellang.passes.batching`) — the
+        serving subsystem's fast path.  Outputs
         are bit-identical to per-input :meth:`run_compiled` calls, and the
         stats (with ``with_stats=True``) equal the sum of the individual
         launches' stats.
@@ -382,11 +380,7 @@ class PerforationEngine:
                     f"batched launch requires identically sized inputs "
                     f"(got {app.global_size(inputs)} vs {global_size})"
                 )
-        perforator = app.perforator()
-        perforated = (
-            perforator.accurate() if config.is_accurate else perforator.perforate(config)
-        )
-        kernel = perforated.executable()
+        kernel = build_kernel(app.kernel_source(), config)
         width, height = global_size
         outputs = [app.output_buffer(inputs) for inputs in inputs_batch]
         args_batch = [

@@ -19,7 +19,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,8 +124,8 @@ class Application(abc.ABC):
     # Compiler path
     # ------------------------------------------------------------------
     def perforator(self) -> KernelPerforator:
-        """Kernel perforator for this application's kernel source (cached)."""
-        return _cached_perforator(type(self), self.kernel_source())
+        """Kernel perforator for this application's kernel source."""
+        return KernelPerforator(self.kernel_source())
 
     def output_buffer(self, inputs):
         """Zero-initialised output buffer for a compiled-kernel launch."""
@@ -324,9 +323,3 @@ class Application(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Application {self.name}>"
-
-
-@lru_cache(maxsize=32)
-def _cached_perforator(app_type: type, source: str) -> KernelPerforator:
-    """Cache perforators per application class (parsing is not free)."""
-    return KernelPerforator(source)

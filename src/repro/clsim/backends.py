@@ -11,8 +11,8 @@ work group to an :class:`ExecutionBackend`.  Two are built in:
   compiled one: it lowers each (kernel source, work-group shape,
   batched?) triple once to flat specialized Python/NumPy source through
   the pass pipeline (:mod:`repro.kernellang.passes` — see
-  ``docs/ir.md``), compiled via ``compile()``/``exec()`` and cached
-  process-wide and on disk (:mod:`repro.api.artifacts`).  Its outputs and
+  ``docs/ir.md``), compiled via ``compile()``/``exec()`` and cached on
+  the kernel and on disk (:mod:`repro.api.artifacts`).  Its outputs and
   :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
   to the interpreter's, which the cross-backend conformance suite
   (``tests/clsim/test_backend_parity.py``) pins down.  Kernels the
@@ -173,9 +173,10 @@ class CodegenBackend(ExecutionBackend):
 
     Each (kernel source, work-group shape, batched?) triple is lowered
     *once* to flat Python source (:mod:`repro.kernellang.codegen`), compiled
-    with ``compile()``/``exec()``, memoized process-wide and persisted in
-    the on-disk artifact cache (:mod:`repro.api.artifacts`) — repeated
-    sweeps and serve sessions skip lowering entirely.  Outputs and
+    with ``compile()``/``exec()``, kept on the kernel — which
+    :func:`repro.core.perforator.build_kernel` shares process-wide — and
+    persisted in the on-disk artifact cache (:mod:`repro.api.artifacts`),
+    so repeated sweeps and serve sessions skip lowering entirely.  Outputs and
     :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
     to the interpreter backend (pinned by
     ``tests/clsim/test_backend_parity.py``).

@@ -5,12 +5,14 @@ authors did by hand (and announce as future work in Section 7): it takes
 OpenCL C kernel source, analyses its access pattern, and applies the local
 prefetch + perforation + reconstruction passes to produce an approximate
 kernel — both as executable form (for the :mod:`repro.clsim` simulator) and
-as OpenCL C text (for a real GPU).
+as OpenCL C text (for a real GPU).  :func:`build_kernel` does that once per
+(kernel source, configuration) pair and process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..clsim.kernel import Kernel
 from ..kernellang import ast
@@ -74,7 +76,6 @@ class KernelPerforator:
         self.kernel_name = kernel_name
         program = parse_program(source)
         check_program(program)
-        self._template = program
         self._kernel_def = program.kernel(kernel_name)
         self.pattern_info: AccessPatternInfo = analyze_kernel(self._kernel_def)
 
@@ -184,3 +185,20 @@ class KernelPerforator:
             kernel_def=kernel_def,
             notes=list(context.notes),
         )
+
+
+#: Entry bound of :func:`build_kernel` (distinct kernel/configuration pairs).
+BUILD_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def build_kernel(source: str, config: ApproximationConfig) -> Kernel:
+    """Executable kernel of ``source`` under ``config``, built once per process.
+
+    Equal arguments share one kernel, and with it the compiled group
+    functions the codegen backend attaches to it; only the on-disk artifact
+    store (:mod:`repro.api.artifacts`) outlives the process.
+    """
+    perforator = KernelPerforator(source)
+    perforated = perforator.accurate() if config.is_accurate else perforator.perforate(config)
+    return perforated.executable()

@@ -59,10 +59,11 @@ correctly-rounded kernels; the remaining transcendentals are applied
 through :mod:`math` per active lane, because NumPy's vector routines are
 not guaranteed to round identically to libm.
 
-Lowered sources are cached three deep: per :class:`~repro.clsim.kernel.Kernel`
-object, process-wide by content key (``_FN_MEMO``), and on disk through
-:mod:`repro.api.artifacts` so repeated sweeps and serve sessions skip
-lowering entirely.
+Compiled group functions live on the :class:`CodegenKernel` of each
+:class:`~repro.clsim.kernel.Kernel`, which
+:func:`repro.core.perforator.build_kernel` builds once per (kernel source,
+configuration) and shares process-wide; lowered sources persist on disk
+through :mod:`repro.api.artifacts`, so a new process skips lowering too.
 
 Kernels the lowering cannot specialize (for example a non-literal dimension
 argument to ``get_global_id``) raise :class:`LoweringError`; the ``codegen``
@@ -1236,12 +1237,6 @@ class _Emitter(UniformityAnalysis):
 # ---------------------------------------------------------------------------
 # Kernel-level entry points
 # ---------------------------------------------------------------------------
-#: Process-wide memo of compiled group functions, keyed by artifact key, so
-#: re-perforating the same (kernel, config) — as sweeps and serve sessions
-#: do — skips lowering, disk access and compilation entirely.
-_FN_MEMO: dict[str, object] = {}
-
-
 def lower_kernel(
     program: ast.Program,
     kernel_name: str | None = None,
@@ -1295,7 +1290,7 @@ class CodegenKernel:
 
     One instance exists per :class:`~repro.clsim.kernel.Kernel`; the actual
     compiled group functions are specialized per (work-group shape,
-    batched?) on first use and shared process-wide by content key.
+    batched?) on first use and kept on the instance.
     """
 
     def __init__(self, program: ast.Program, kernel_name: str | None = None) -> None:
@@ -1317,46 +1312,35 @@ class CodegenKernel:
         fn = self._fns.get(shape_key)
         if fn is not None:
             return fn
-        key = artifact_key(
-            self.cl_source, self.kernel_def.name, shape_key[0], batched
-        )
-        fn = _FN_MEMO.get(key)
-        if fn is None:
-            from ..api.artifacts import default_cache
-            from ..obs.trace import get_tracer
+        from ..api.artifacts import default_cache
+        from ..obs.trace import get_tracer
 
-            with get_tracer().span(
-                "codegen.artifact",
-                category="lowering",
-                kernel=self.kernel_def.name,
-                local_size=list(shape_key[0]),
-                batched=batched,
-            ) as span:
-                cache = default_cache()
-                source = cache.get(key) if cache is not None else None
-                from_cache = source is not None
-                if source is None:
-                    source = lower_kernel(
-                        self.program, self.kernel_def.name, shape_key[0], batched
-                    )
+        key = artifact_key(self.cl_source, self.kernel_def.name, shape_key[0], batched)
+        with get_tracer().span(
+            "codegen.artifact",
+            category="lowering",
+            kernel=self.kernel_def.name,
+            local_size=list(shape_key[0]),
+            batched=batched,
+        ) as span:
+            cache = default_cache()
+            source = cache.get(key) if cache is not None else None
+            fn = None if source is None else _compile_artifact(source, key)
+            from_cache = fn is not None
+            if source is not None and fn is None:
+                # Corrupt/stale on-disk artifact: drop it and lower fresh.
+                cache.invalidate(key)
+            if fn is None:
+                source = lower_kernel(self.program, self.kernel_def.name, shape_key[0], batched)
                 fn = _compile_artifact(source, key)
-                if fn is None and from_cache:
-                    # Corrupt/stale on-disk artifact: drop it and lower fresh.
-                    cache.invalidate(key)
-                    source = lower_kernel(
-                        self.program, self.kernel_def.name, shape_key[0], batched
-                    )
-                    from_cache = False
-                    fn = _compile_artifact(source, key)
                 if fn is None:
                     raise LoweringError(
                         f"generated source for kernel {self.kernel_def.name!r} "
                         f"failed to compile"
                     )
-                if cache is not None and not from_cache:
+                if cache is not None:
                     cache.put(key, source)
-                span.set(source="disk-cache" if from_cache else "lowered")
-                _FN_MEMO[key] = fn
+            span.set(source="disk-cache" if from_cache else "lowered")
         self._fns[shape_key] = fn
         return fn
 

@@ -234,9 +234,9 @@ def cache_snapshot(stats: Any) -> dict[str, Any]:
     """Normalise any cache-stat struct to one canonical shape.
 
     Works for ``StoreStats`` (hits/misses/puts/evictions/errors),
-    ``ServeCacheStats`` (hits/misses/evictions) and ``CacheStats``
-    (derived hits/misses/evictions properties).  ``hit_rate`` is always
-    guarded against zero lookups.
+    ``ServeCacheStats`` (hits/misses/evictions), ``CacheStats`` (derived
+    hits/misses/evictions properties) and ``lru_cache``'s ``CacheInfo``.
+    ``hit_rate`` is always guarded against zero lookups.
     """
     hits = int(getattr(stats, "hits", 0))
     misses = int(getattr(stats, "misses", 0))

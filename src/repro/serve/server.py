@@ -33,6 +33,7 @@ import numpy as np
 
 from ..api.engine import PerforationEngine
 from ..clsim.backends import ExecutionBackend, resolve_backend
+from ..core.perforator import build_kernel
 from ..core.quality import compute_error
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
@@ -302,9 +303,10 @@ class PerforationServer:
         """One mergeable registry over every layer this server touches.
 
         Absorbs the serve counters, the result caches (serve LRU and engine
-        memoization), the process-wide codegen artifact cache, the tuning
-        database (when the controller is tuner-backed), and the controller's
-        tighten/loosen decisions — the scattered stat structs in one shape.
+        memoization), the process-wide kernel-build and codegen artifact
+        caches, the tuning database (when the controller is tuner-backed),
+        and the controller's tighten/loosen decisions — the scattered stat
+        structs in one shape.
         """
         registry = obs_metrics.MetricsRegistry()
         m = self.metrics
@@ -331,6 +333,7 @@ class PerforationServer:
         if self.cache is not None:
             registry.absorb_cache("serve.result_cache", self.cache.stats)
         registry.absorb_cache("engine.result_cache", self.engine.cache_stats)
+        registry.absorb_cache("kernel.build_cache", build_kernel.cache_info())
         from ..api.artifacts import default_cache
 
         artifact_cache = default_cache()

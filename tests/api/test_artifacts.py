@@ -20,6 +20,7 @@ from repro.api.artifacts import (
     ENV_CACHE_MAX,
     default_cache,
 )
+from repro.core.perforator import build_kernel
 from repro.data import generate_image
 from repro.kernellang import codegen
 
@@ -42,13 +43,14 @@ def cache(tmp_path):
 
 @pytest.fixture()
 def cache_env(tmp_path, monkeypatch):
-    """Point the process default cache at a fresh directory."""
+    """Point the process default cache at a fresh directory, starting (and
+    ending) with an empty in-memory build cache, as a fresh process would."""
     root = tmp_path / "cgcache"
     monkeypatch.setenv(ENV_CACHE_DIR, str(root))
     monkeypatch.delenv(ENV_CACHE_MAX, raising=False)
-    codegen._FN_MEMO.clear()
+    build_kernel.cache_clear()
     yield root
-    codegen._FN_MEMO.clear()
+    build_kernel.cache_clear()
 
 
 class TestCacheBasics:
@@ -147,13 +149,19 @@ class TestBackendIntegration:
         image = generate_image("natural", size=16, seed=3)
         return engine.run_compiled("gaussian", image)
 
+    @staticmethod
+    def _entry_texts(cache):
+        texts = {path.read_text(encoding="utf-8") for path in cache._entries()}
+        assert texts, "the run should have stored its artifact"
+        return texts
+
     def test_populates_then_hits_across_processes(self, cache_env):
         reference = self._run()
         cache = default_cache()
         assert cache.stats.puts >= 1
         assert len(cache) >= 1
-        # Simulate a fresh process: drop the in-memory memo, rerun.
-        codegen._FN_MEMO.clear()
+        # Simulate a fresh process: drop the in-memory build cache, rerun.
+        build_kernel.cache_clear()
         hits_before = cache.stats.hits
         np.testing.assert_array_equal(self._run(), reference)
         assert cache.stats.hits > hits_before
@@ -161,10 +169,12 @@ class TestBackendIntegration:
     def test_corrupt_artifact_recovers_bit_identically(self, cache_env):
         reference = self._run()
         cache = default_cache()
+        corrupt = "def kernel_group(:\n"
         for path in cache._entries():
-            path.write_text("def kernel_group(:\n", encoding="utf-8")
-        codegen._FN_MEMO.clear()
+            path.write_text(corrupt, encoding="utf-8")
+        build_kernel.cache_clear()
         np.testing.assert_array_equal(self._run(), reference)
+        assert corrupt not in self._entry_texts(cache)  # re-lowered and re-stored
 
     def test_parseable_but_broken_artifact_recovers(self, cache_env):
         """Corruption that survives the header check AND compiles, but
@@ -173,12 +183,12 @@ class TestBackendIntegration:
 
         reference = self._run()
         cache = default_cache()
+        corrupt = ARTIFACT_HEADER + "\nboom = undefined_name\n"
         for path in cache._entries():
-            path.write_text(
-                ARTIFACT_HEADER + "\nboom = undefined_name\n", encoding="utf-8"
-            )
-        codegen._FN_MEMO.clear()
+            path.write_text(corrupt, encoding="utf-8")
+        build_kernel.cache_clear()
         np.testing.assert_array_equal(self._run(), reference)
+        assert corrupt not in self._entry_texts(cache)  # re-lowered and re-stored
 
     def test_key_changes_with_kernel_source_and_config(self):
         from repro.apps import get_application

@@ -1,5 +1,9 @@
 """Tests for the PerforationEngine: caching, parallelism, evaluation parity."""
 
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,11 @@ from repro.api import PerforationEngine
 from repro.api.cache import ResultCache, input_token
 from repro.apps import GaussianApp
 from repro.core import ConfigurationError, ROWS1_NN, STENCIL1_NN
+from repro.core import perforator
 from repro.core.config import default_configurations
+from repro.core.perforator import KernelPerforator, build_kernel
 from repro.data import generate_image, hotspot_single
+from repro.serve import PerforationServer, TraceSpec, generate_trace
 
 
 class CountingGaussian(GaussianApp):
@@ -215,3 +222,100 @@ class TestEvaluation:
     def test_best_work_group_matches_legacy_observation(self, image):
         shape = PerforationEngine().best_work_group("gaussian", image, ROWS1_NN)
         assert shape[0] >= shape[1]  # the paper's x-major observation
+
+
+class TestKernelBuildCache:
+    """The compiled path parses and perforates each (kernel source, config)
+    once per process; every later launch reuses the built kernel."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """Counts of perforator calls (``perforate``/``accurate``) and parses,
+        starting from an empty build cache."""
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("perforate", "accurate"):
+            method = getattr(KernelPerforator, name)
+            monkeypatch.setattr(KernelPerforator, name, counting("perforations", method))
+        monkeypatch.setattr(
+            perforator, "parse_program", counting("parses", perforator.parse_program)
+        )
+        build_kernel.cache_clear()
+        yield counts
+        build_kernel.cache_clear()
+
+    def test_repeated_batches_build_once(self, builds):
+        engine = PerforationEngine(backend="codegen")
+        inputs = [generate_image("natural", size=16, seed=s) for s in range(3)]
+        expected = [engine.run_compiled("gaussian", i, backend="interpreter") for i in inputs]
+        for _ in range(6):
+            outputs = engine.run_compiled_batch("gaussian", inputs)
+            for output, reference in zip(outputs, expected):
+                np.testing.assert_array_equal(output, reference)
+        # One perforator construction parse plus the one in accurate().
+        assert builds == {"perforations": 1, "parses": 2}
+
+    def test_server_builds_each_app_config_once(self, builds):
+        spec = TraceSpec(
+            apps=("gaussian", "inversion"), requests=24, size=16, inputs_per_app=8, seed=5
+        )
+        calibration = {app: [generate_image("natural", size=16, seed=77)] for app in spec.apps}
+
+        def serve():
+            server = PerforationServer(
+                engine=PerforationEngine(backend="codegen"),
+                max_batch=3,
+                calibration_inputs=calibration,
+            )
+            launches = []
+            real = server.engine.run_compiled_batch
+
+            def spy(app, inputs_batch, config=None, **kwargs):
+                launches.append((app.name, config))
+                return real(app, inputs_batch, config, **kwargs)
+
+            server.engine.run_compiled_batch = spy
+            return server.run_trace(generate_trace(spec)), launches
+
+        cold, launches = serve()
+        pairs = set(launches)
+        assert len(launches) > len(pairs), "some (app, config) must launch twice"
+        assert builds == {"perforations": len(pairs), "parses": 2 * len(pairs)}
+        # A second server in the same process launches the same pairs on the
+        # kernels already built, with bit-identical outputs.
+        warm, relaunches = serve()
+        assert set(relaunches) == pairs
+        assert builds == {"perforations": len(pairs), "parses": 2 * len(pairs)}
+        for a, b in zip(cold, warm):
+            assert (a.request_id, a.config_label) == (b.request_id, b.config_label)
+            np.testing.assert_array_equal(a.output, b.output)
+
+    def test_threads_racing_on_a_cold_cache_agree(self):
+        """Threads share built kernels (and their lazily compiled functions):
+        concurrent first launches must give the serial outputs bit for bit."""
+        engine = PerforationEngine(backend="codegen")
+        inputs = [generate_image("natural", size=16, seed=s) for s in range(4)]
+        expected = engine.run_compiled_batch("sobel3", inputs, ROWS1_NN)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                build_kernel.cache_clear()
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [
+                        pool.submit(engine.run_compiled_batch, "sobel3", inputs, ROWS1_NN)
+                        for _ in range(12)
+                    ]
+                    results = [future.result(timeout=60) for future in futures]
+                for outputs in results:
+                    for output, reference in zip(outputs, expected):
+                        np.testing.assert_array_equal(output, reference)
+        finally:
+            sys.setswitchinterval(interval)

@@ -12,6 +12,8 @@ import pytest
 
 from repro.clsim import Buffer, Executor, Kernel, KernelExecutionError, NDRange
 from repro.clsim.backends import CodegenBackend
+from repro.core import ROWS2_NN
+from repro.core.perforator import build_kernel
 from repro.data import generate_image
 from repro.kernellang import codegen
 from repro.kernellang.codegen import LoweringError, lower_kernel
@@ -80,7 +82,7 @@ class TestUniformSpecialization:
         assert first == second
 
     def test_function_memo_shared_by_content(self):
-        """Two kernels from identical source share one compiled function."""
+        """Equal (source, config) builds one kernel and one compiled function."""
         source = """
         __kernel void k(__global const float* input, __global float* output,
                         int width, int height) {
@@ -89,9 +91,13 @@ class TestUniformSpecialization:
             output[y * width + x] = input[y * width + x];
         }
         """
-        a = codegen.CodegenKernel(parse_program(source))
-        b = codegen.CodegenKernel(parse_program(source))
-        assert a.function((4, 4), False) is b.function((4, 4), False)
+        config = ROWS2_NN.with_work_group((4, 4))
+        a = build_kernel(source, config)
+        # An equal but distinct source string and config object.
+        b = build_kernel(source.encode().decode(), ROWS2_NN.with_work_group((4, 4)))
+        assert a is b
+        first = codegen.codegen_kernel(a).function((4, 4), False)
+        assert codegen.codegen_kernel(b).function((4, 4), False) is first
 
 
 class TestDivergentControlFlow:

@@ -32,11 +32,7 @@ from repro.kernellang.ir import (
     promote_dt,
 )
 from repro.kernellang.parser import parse_program
-from repro.kernellang.passes.batching import (
-    SegGlobalView,
-    lane_requests,
-    segmented_global_view,
-)
+from repro.kernellang.passes.batching import lane_requests, segmented_global_view
 from repro.kernellang.passes.masking import (
     FnFlow,
     decl_scalar,
@@ -339,7 +335,7 @@ class TestGoldenLoweredSource:
     def test_lowered_source_matches_golden(self, name, source, batched):
         program = parse_program(source)
         lowered = lower_kernel(program, "k", (4, 4), batched)
-        golden_path = GOLDEN_DIR / f"{name}_4x4.lowered.py"
+        golden_path = GOLDEN_DIR / f"{name}_4x4.lowered.txt"
         if os.environ.get("REPRO_REGEN_GOLDEN"):
             GOLDEN_DIR.mkdir(exist_ok=True)
             golden_path.write_text(lowered)

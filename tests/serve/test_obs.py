@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import PerforationEngine
+from repro.core.perforator import build_kernel
 from repro.obs import trace as obs_trace
 from repro.serve import PerforationServer, TraceSpec, generate_trace
 
@@ -33,6 +34,7 @@ def _server():
 @pytest.fixture()
 def traced():
     tracer = obs_trace.install(process="test-serve")
+    build_kernel.cache_clear()  # count this server's kernel builds only
     server = _server()
     responses = server.run_trace(generate_trace(SPEC))
     yield tracer, server, responses
@@ -82,7 +84,7 @@ class TestServeSpans:
 
 class TestObservabilityRegistry:
     def test_registry_mirrors_serve_metrics(self, traced):
-        _, server, responses = traced
+        tracer, server, responses = traced
         registry = server.observability()
         snap = registry.snapshot()
         assert snap["serve.completed"] == len(responses)
@@ -91,6 +93,21 @@ class TestObservabilityRegistry:
         assert snap["serve.cache_hits"] == server.metrics.cache_hits
         assert "serve.result_cache.hit_rate" in snap
         assert "engine.result_cache.hits" in snap
+        # One kernel build per distinct (app, config) launched; every later
+        # launch of the pair, by any server of the process, is a hit.
+        launches = [
+            (s.attrs["app"], s.attrs["config"])
+            for s in tracer.spans()
+            if s.name == "serve.batch" and s.attrs["launched"]
+        ]
+        pairs = len(set(launches))
+        assert snap["kernel.build_cache.misses"] == pairs
+        assert snap["kernel.build_cache.hits"] == len(launches) - pairs
+        again = _server()
+        again.run_trace(generate_trace(SPEC))
+        warm = again.observability().snapshot()
+        assert warm["kernel.build_cache.misses"] == pairs
+        assert warm["kernel.build_cache.hits"] == 2 * len(launches) - pairs
         # Wire round-trip (what fleet metrics frames ship).
         from repro.obs.metrics import MetricsRegistry
 
