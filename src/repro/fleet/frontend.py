@@ -4,8 +4,8 @@
 :class:`~repro.serve.server.PerforationServer` horizontally: N worker
 processes, each a full warm-started server, behind one asyncio front-end
 that routes requests by the scheduler's batch-compat key
-(:mod:`repro.fleet.sharding`) and aggregates per-worker
-:class:`~repro.serve.metrics.ServeMetrics` into one fleet-level view.
+(:mod:`repro.fleet.sharding`) and merges the workers' metrics registries
+into one fleet-level :class:`~repro.serve.metrics.ServeMetrics` view.
 
 The design preserves the serve subsystem's determinism guarantees:
 
@@ -313,9 +313,9 @@ class PerforationFleet:
         #: Per worker, the ordered log of every frame-worth of work sent —
         #: the worker's exact observation subsequence, replayed on respawn.
         self._sent_log: list[list[tuple]] = []
-        #: Per worker, (output-stripped response, error budget) of every
-        #: first-delivered response — reconstructs a dead shard's metrics.
-        self._delivered: list[list[tuple[ServeResponse, float]]] = []
+        #: Per worker, the metrics of every response it first delivered —
+        #: what a dead shard, which can no longer report, contributes.
+        self._shard_metrics: list[ServeMetrics] = []
         self._dead: list[bool] = []
         self._failures: list[int] = []
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -325,12 +325,9 @@ class PerforationFleet:
         self._prior_codegen_cache: str | None = None
         self._wire_seq = 0
         self._drain_seq = 0
-        self._wire_to_request: dict[int, ServeRequest] = {}
-        self._shed_total = 0
-        self._failed_total = 0
-        self._replayed_total = 0
-        self._worker_failures_total = 0
-        self._fleet_wall: float | None = None
+        #: The front-end's shed/failed/recovery counters and the fleet wall
+        #: clock, accumulated across traces.
+        self._front_metrics = ServeMetrics()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -361,7 +358,7 @@ class PerforationFleet:
             raise
         self._send_locks = [asyncio.Lock() for _ in range(self.workers)]
         self._sent_log = [[] for _ in range(self.workers)]
-        self._delivered = [[] for _ in range(self.workers)]
+        self._shard_metrics = [ServeMetrics() for _ in range(self.workers)]
         self._dead = [False] * self.workers
         self._failures = [0] * self.workers
         self._started = True
@@ -583,11 +580,11 @@ class PerforationFleet:
             if request.request_id in responses:
                 return
             responses[request.request_id] = failed_response(request, reason)
-            self._failed_total += 1
+            self._front_metrics.record_failed()
 
         def fail_pending(index: int, reason: str) -> None:
             for wire_id in sorted(pending[index]):
-                fail_request(self._wire_to_request[wire_id], reason)
+                fail_request(current_wire[wire_id], reason)
             pending[index].clear()
 
         def degrade(index: int) -> None:
@@ -596,8 +593,16 @@ class PerforationFleet:
             fail_pending(index, "worker-failure")
 
         def record(index: int, wires: list) -> None:
+            delivered = self._shard_metrics[index]
+            # A frame carries whole micro-batches, each as a run of
+            # batch_size responses: count a batch where its run starts.
+            left_in_batch = 0
             for wire in wires:
                 response = response_from_wire(wire)
+                batch_start = left_in_batch == 0
+                if batch_start:
+                    left_in_batch = response.batch_size
+                left_in_batch -= 1
                 wire_id = response.request_id
                 pending[index].discard(wire_id)
                 original = current_wire.get(wire_id)
@@ -622,9 +627,9 @@ class PerforationFleet:
                 existing = responses.get(original.request_id)
                 if existing is None:
                     responses[original.request_id] = response
-                    self._delivered[index].append(
-                        (replace(response, output=None), original.error_budget)
-                    )
+                    if batch_start:
+                        delivered.record_batch(response.batch_size)
+                    delivered.record_response(response, original.error_budget)
                 elif not existing.rejected:
                     # Replay re-delivery of a response this trace already
                     # saw; identical by construction, so overwriting is a
@@ -678,7 +683,7 @@ class PerforationFleet:
                 self._retire_worker(index)
                 while True:
                     self._failures[index] += 1
-                    self._worker_failures_total += 1
+                    self._front_metrics.worker_failures += 1
                     attempt = self._failures[index]
                     if not self.replay or attempt > self.max_respawns:
                         degrade(index)
@@ -698,7 +703,7 @@ class PerforationFleet:
                         # replay; that is the slot's next failure.
                         self._retire_worker(index)
                         continue
-                    self._replayed_total += recovered
+                    self._front_metrics.replayed += recovered
                     return True
 
         async def sender(index: int) -> None:
@@ -793,10 +798,10 @@ class PerforationFleet:
                 continue
             if len(pending[target]) >= self.max_pending:
                 shed.append(request)
+                self._front_metrics.record_shed()
                 continue
             wire_id = self._wire_seq
             self._wire_seq += 1
-            self._wire_to_request[wire_id] = request
             current_wire[wire_id] = request
             pending[target].add(wire_id)
             wire_request = replace(request, request_id=wire_id)
@@ -834,8 +839,8 @@ class PerforationFleet:
         if failures:
             raise FleetError("; ".join(failures))
 
-        self._fleet_wall = (self._fleet_wall or 0.0) + (time.perf_counter() - wall_start)
-        self._shed_total += len(shed)
+        front = self._front_metrics
+        front.finish((front.wall_time_s or 0.0) + (time.perf_counter() - wall_start))
         results = [rejected_response(request) for request in shed]
         results.extend(responses.values())
         results.sort(key=lambda response: response.request_id)
@@ -844,26 +849,14 @@ class PerforationFleet:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _reconstructed_metrics(self, index: int) -> ServeMetrics:
-        """A degraded shard cannot report; rebuild its metrics from the
-        responses it delivered before dying, so fleet-level accounting
-        stays exact even after a permanent worker loss."""
-        metrics = ServeMetrics()
-        batches: dict[tuple, int] = {}
-        for response, budget in self._delivered[index]:
-            metrics.record_response(response, budget)
-            key = (response.app, response.config_label, response.completed_ms)
-            batches.setdefault(key, response.batch_size)
-        for size in batches.values():
-            metrics.record_batch(size)
-        return metrics
-
     def worker_metrics(self) -> list[dict]:
-        """Per-worker ``{"metrics": ..., "controller": ...}`` snapshots.
+        """Per-worker ``{"metrics": ServeMetrics, "controller": ...}`` snapshots.
 
-        Degraded (permanently failed) shards report metrics reconstructed
-        from their delivered responses, with ``"controller": None`` and
-        ``"dead": True``.
+        Each ``metrics`` is a view over the registry the worker shipped on
+        its ``metrics`` frame (serving metrics plus cache statistics).  A
+        degraded (permanently failed) shard cannot report; its entry holds
+        the metrics of the responses it delivered before dying, with
+        ``"controller": None`` and ``"dead": True``.
         """
         self.start()
         return self._run(self._collect_metrics())
@@ -872,13 +865,8 @@ class PerforationFleet:
         snapshots = []
         for index in range(self.workers):
             if self._dead[index]:
-                snapshots.append(
-                    {
-                        "metrics": self._reconstructed_metrics(index).to_dict(),
-                        "controller": None,
-                        "dead": True,
-                    }
-                )
+                delivered = ServeMetrics().merge(self._shard_metrics[index])  # a copy
+                snapshots.append({"metrics": delivered, "controller": None, "dead": True})
                 continue
             await write_frame_async(self._writers[index], {"type": "metrics"})
             frame = await asyncio.wait_for(
@@ -891,46 +879,35 @@ class PerforationFleet:
                 get_tracer().ingest(spans)
             snapshots.append(
                 {
-                    "metrics": frame["metrics"],
+                    "metrics": ServeMetrics.view(
+                        obs_metrics.MetricsRegistry.from_dict(frame["metrics"])
+                    ),
                     "controller": frame["controller"],
-                    "obs": frame.get("obs"),
                 }
             )
         return snapshots
 
     def metrics(self) -> ServeMetrics:
-        """Fleet-level metrics: workers merged in index order (deterministic),
-        plus the front-end's shed/failed/recovery counters and the fleet
-        wall clock (accumulated across traces)."""
-        merged = ServeMetrics()
-        for snapshot in self.worker_metrics():
-            merged.merge(ServeMetrics.from_dict(snapshot["metrics"]))
-        merged.shed += self._shed_total
-        merged.failed += self._failed_total
-        merged.replayed += self._replayed_total
-        merged.worker_failures += self._worker_failures_total
-        if self._fleet_wall is not None:
-            merged.finish(self._fleet_wall)
-        return merged
+        """Fleet-level serving metrics: a view of :meth:`observability`."""
+        return ServeMetrics.view(self.observability())
 
     def observability(self) -> obs_metrics.MetricsRegistry:
         """Fleet-wide :class:`~repro.obs.metrics.MetricsRegistry`.
 
-        Merges every live worker's registry (shipped on its ``metrics``
-        frame — serve counters, all cache stats, controller decisions in
-        one shape) with the front-end's own shed/failed/recovery counters.
-        Collecting also pulls any worker-buffered spans into the
-        front-end's tracer as a side effect.
+        Merges every worker's registry in index order (serving metrics,
+        all cache stats and controller decisions in one shape) with the
+        front-end's shed/failed/recovery counters.  The fleet wall clock,
+        accumulated across traces, overrides the workers' own.  Collecting
+        also pulls any worker-buffered spans into the front-end's tracer as
+        a side effect.
         """
         registry = obs_metrics.MetricsRegistry()
         for snapshot in self.worker_metrics():
-            obs = snapshot.get("obs")
-            if obs:
-                registry.merge(obs_metrics.MetricsRegistry.from_dict(obs))
-        registry.counter("fleet.shed").inc(self._shed_total)
-        registry.counter("fleet.failed").inc(self._failed_total)
-        registry.counter("fleet.replayed").inc(self._replayed_total)
-        registry.counter("fleet.worker_failures").inc(self._worker_failures_total)
+            registry.merge(snapshot["metrics"].registry)
+        registry.merge(self._front_metrics.registry)
+        wall = self._front_metrics.wall_time_s
+        if wall is not None:
+            ServeMetrics.view(registry).finish(wall)
         registry.gauge("fleet.workers").set(self.workers)
         return registry
 

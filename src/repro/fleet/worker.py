@@ -21,8 +21,10 @@ speaks the length-prefixed JSON protocol (:mod:`repro.fleet.protocol`):
     the worker echoes it, so a front-end replaying history after a respawn
     can tell a historical drain's echo from the current trace's.
 ``metrics`` → ``metrics``
-    The worker's :meth:`ServeMetrics.to_dict` snapshot plus the online
-    controller's per-stream state.
+    The worker's metrics registry
+    (:meth:`PerforationServer.observability`: the serving metrics plus
+    every cache's statistics) plus the online controller's per-stream
+    state.
 ``shutdown`` → ``bye``
     Clean exit.
 ``error``
@@ -273,9 +275,8 @@ def serve_connection(
             elif kind == "metrics":
                 answer: dict = {
                     "type": "metrics",
-                    "metrics": server.metrics.to_dict(),
+                    "metrics": server.observability().to_dict(),
                     "controller": server.controller.snapshot(),
-                    "obs": server.observability().to_dict(),
                 }
                 tracer = obs_trace.get_tracer()
                 if tracer.enabled:

@@ -105,7 +105,10 @@ def _prom_value(value: float) -> str:
 
 
 def render_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus-style text exposition (counters, gauges, histogram summaries)."""
+    """Prometheus-style text exposition (counters, gauges, histogram summaries).
+
+    A summary carries the sketch's p50 and p95 as ``{quantile="q"}`` samples.
+    """
     lines: list[str] = []
     for metric in registry:
         name = _prom_name(metric.name)
@@ -113,6 +116,9 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f"# HELP {name} {metric.help}")
         if isinstance(metric, Histogram):
             lines.append(f"# TYPE {name} summary")
+            if metric.count:
+                for q in (0.5, 0.95):
+                    lines.append(f'{name}{{quantile="{q}"}} {_prom_value(metric.quantile(q))}')
             lines.append(f"{name}_count {metric.count}")
             lines.append(f"{name}_sum {_prom_value(metric.sum)}")
             if metric.count:

@@ -1,14 +1,19 @@
-"""Typed metrics registry: counters, gauges, histograms.
+"""Typed metrics registry: counters, gauges, quantile histograms.
 
-Mirrors the merge/``to_dict``/``from_dict`` semantics of
-``repro.serve.metrics.ServeMetrics`` so registries from fleet workers can be
-shipped over the wire and folded into the front-end's view:
+The registry is the one place serving metrics are stored, serialised and
+merged (``repro.serve.metrics.ServeMetrics`` is a typed view over one).
+Registries from fleet workers ship over the wire as :meth:`to_dict` and
+fold into the front-end's view with :meth:`MetricsRegistry.merge`:
 
-* counters and histogram counts/sums **add** on merge,
+* counters **add**,
 * gauges take the **maximum** (concurrent processes have no shared ordering,
-  and every gauge we export — buffer sizes, worst fractions — is a
-  high-water mark),
-* histograms also fold ``min``/``max``.
+  and every gauge we export — buffer sizes, worst fractions, wall clocks —
+  is a high-water mark),
+* histograms add their bucket counts and fold ``min``/``max``.
+
+:class:`Histogram` is a log-bucket quantile sketch in the style of DDSketch
+(Masson, Rim & Lee, VLDB 2019): its size grows with the logarithm of the
+range of values observed, not with their number.
 
 :func:`cache_snapshot` is the one canonical shape for cache statistics; the
 three historic stat structs (``StoreStats``, ``ServeCacheStats``,
@@ -18,6 +23,7 @@ three historic stat structs (``StoreStats``, ``ServeCacheStats``,
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import weakref
@@ -29,6 +35,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "RELATIVE_ACCURACY",
     "cache_snapshot",
     "default_registry",
     "register_collector",
@@ -90,42 +97,103 @@ class Gauge:
         self.value = data.get("value", 0.0)
 
 
-class Histogram:
-    """Aggregate distribution: count / sum / min / max.
+#: Relative accuracy of every histogram quantile: the reported value is
+#: within this fraction of the exact nearest-rank value.
+RELATIVE_ACCURACY = 0.01
 
-    Deliberately reservoir-free — exact percentiles live in ``ServeMetrics``
-    where the full latency lists are needed for reports; the registry keeps
-    bounded state so it can be shipped on every ``metrics`` frame.
+_GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+_LOG_GAMMA = math.log(_GAMMA)
+
+#: Sums are held as integers in units of the smallest positive double,
+#: 2**-1074, so adding observations and merging histograms is exact.
+_SUM_BITS = 1074
+
+
+def _fixed(value: float) -> int:
+    """``value`` as an exact integer multiple of 2**-_SUM_BITS."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (_SUM_BITS + 1 - denominator.bit_length())
+
+
+class Histogram:
+    """Mergeable quantile sketch of non-negative observations.
+
+    A positive value ``v`` lands in bucket ``ceil(log(v) / log(gamma))``
+    with ``gamma = (1 + a) / (1 - a)`` and ``a = RELATIVE_ACCURACY``; every
+    value in bucket ``i`` is within ``a`` of ``2 * gamma**i / (gamma + 1)``,
+    which :meth:`quantile` reports.  Zeros have a bucket of their own.
+    Count, sum, min and max are exact.  Merging adds bucket counts, so the
+    result depends only on the observations, not on how they were split
+    or in which order the parts were merged.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "help", "count", "sum", "min", "max")
+    __slots__ = ("name", "help", "count", "zeros", "buckets", "min", "max", "_sum")
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
         self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
+        self.zeros = 0
+        self.buckets: dict[int, int] = {}
+        self.min = math.inf
+        self.max = -math.inf
+        self._sum = 0
 
     def observe(self, value: float) -> None:
+        value = float(value)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"histogram {self.name} observes finite values >= 0, got {value}")
         self.count += 1
-        self.sum += value
+        self._sum += _fixed(value)
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
+        if value == 0.0:
+            self.zeros += 1
+            return
+        index = math.ceil(math.log(value) / _LOG_GAMMA)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
+
+    @property
+    def sum(self) -> float:
+        return self._sum / (1 << _SUM_BITS)  # int division rounds correctly
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
+    def quantile(self, q: float) -> float:
+        """Nearest-rank ``q``-quantile (``q`` in [0, 1]); NaN when empty.
+
+        Within ``RELATIVE_ACCURACY`` of the exact nearest-rank value, and
+        exact for zeros and for the maximum.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile q must be in [0, 1], got {q}")
+        if not self.count:
+            return math.nan
+        rank = max(1, math.ceil(q * self.count))
+        seen = self.zeros
+        if rank <= seen:
+            return 0.0
+        if rank < self.count:
+            for index in sorted(self.buckets):
+                seen += self.buckets[index]
+                if seen >= rank:
+                    estimate = 2.0 * _GAMMA**index / (_GAMMA + 1.0)
+                    return min(max(estimate, self.min), self.max)
+        return self.max
+
     def merge(self, other: "Histogram") -> None:
         self.count += other.count
-        self.sum += other.sum
+        self.zeros += other.zeros
+        self._sum += other._sum
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
+        for index, n in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + n
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -137,13 +205,18 @@ class Histogram:
         if self.count:
             out["min"] = self.min
             out["max"] = self.max
+            out["zeros"] = self.zeros
+            # JSON object keys are strings; load() converts them back.
+            out["buckets"] = {str(index): self.buckets[index] for index in sorted(self.buckets)}
         return out
 
     def load(self, data: dict[str, Any]) -> None:
         self.count = data.get("count", 0)
-        self.sum = data.get("sum", 0.0)
-        self.min = data.get("min", float("inf"))
-        self.max = data.get("max", float("-inf"))
+        self._sum = _fixed(float(data.get("sum", 0.0)))
+        self.min = data.get("min", math.inf)
+        self.max = data.get("max", -math.inf)
+        self.zeros = data.get("zeros", 0)
+        self.buckets = {int(index): n for index, n in data.get("buckets", {}).items()}
 
 
 _KINDS: dict[str, type] = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

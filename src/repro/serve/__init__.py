@@ -12,8 +12,9 @@ calibration and adapts the perforation configuration per application from
 monitored quality feedback — tightening when the measured error drifts
 above budget, loosening when there is headroom.  A bounded LRU result
 cache (:mod:`repro.serve.cache`) short-circuits repeated inputs, and
-:class:`~repro.serve.metrics.ServeMetrics` tracks throughput, latency
-percentiles, cache hit rate and per-scheme selection counts.
+:class:`~repro.serve.metrics.ServeMetrics` tracks throughput, queue-delay
+and service-time percentiles, cache hit rate and per-scheme selection
+counts.
 
 .. code-block:: python
 

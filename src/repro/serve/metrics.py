@@ -1,22 +1,19 @@
-"""Serving metrics: throughput, latency percentiles, selections, quality.
+"""Serving metrics: throughput, timing percentiles, selections, quality.
 
-:class:`ServeMetrics` accumulates per-response observations and summarises
-them for reports and tests.  Two kinds of quantities live here:
+:class:`ServeMetrics` is a typed view over one
+:class:`~repro.obs.metrics.MetricsRegistry`, which alone stores, serialises
+and merges the observations — a fleet worker ships its server's registry
+on every ``metrics`` frame, and the front-end merges them.  Distributions
+are quantile sketches, so the state stays bounded however many requests
+are served.  Two kinds of quantities live here:
 
-* **deterministic** counters — completed/violation/fallback/cache counts,
-  per-application and per-configuration selection counts, batch-size
-  histogram, measured errors.  These are pure functions of the trace and
-  are what the determinism suite compares (:meth:`deterministic_snapshot`);
-* **wall-clock** quantities — service times, latency percentiles,
-  throughput — which vary run to run and are reported but never asserted
-  bit-exactly.
-
-Snapshots are *serializable* and *mergeable*: :meth:`ServeMetrics.to_dict`
-round-trips through JSON (:meth:`ServeMetrics.from_dict`), and
-:meth:`ServeMetrics.merge` folds another snapshot in — counters add,
-distributions concatenate, ``worst_budget_fraction`` takes the maximum.
-The fleet front-end (:mod:`repro.fleet`) uses this to aggregate per-worker
-metrics into one fleet-level view; ``serve-bench`` uses it for JSON output.
+* **deterministic** — completed/violation/fallback/cache counts, per-app
+  and per-configuration selections, batch sizes and the distribution of
+  measured errors: pure functions of the trace, compared by the
+  determinism suite (:meth:`ServeMetrics.deterministic_snapshot`);
+* **timing** — queue delay in *virtual* trace-ms, service time in *wall*
+  ms, and throughput.  The two clocks are never added: a request's wall
+  latency is its ``serve.request`` (and ``fleet.request``) span.
 """
 
 from __future__ import annotations
@@ -25,23 +22,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from ..obs.metrics import Histogram, MetricsRegistry
 from .requests import ServeResponse
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 1]) of ``values``."""
-    if not values:
-        return math.nan
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"percentile q must be in [0, 1], got {q}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
 
 
 @dataclass(frozen=True)
 class LatencySummary:
-    """Distribution summary of one latency component (milliseconds)."""
+    """Distribution summary of one timing component (milliseconds on its clock)."""
 
     count: int
     mean_ms: float
@@ -50,81 +37,99 @@ class LatencySummary:
     max_ms: float
 
     @classmethod
-    def from_values(cls, values: list[float]) -> "LatencySummary":
-        if not values:
+    def from_histogram(cls, histogram: Histogram) -> "LatencySummary":
+        if not histogram.count:
             return cls(count=0, mean_ms=math.nan, p50_ms=math.nan, p95_ms=math.nan, max_ms=math.nan)
         return cls(
-            count=len(values),
-            mean_ms=sum(values) / len(values),
-            p50_ms=percentile(values, 0.50),
-            p95_ms=percentile(values, 0.95),
-            max_ms=max(values),
+            count=histogram.count,
+            mean_ms=histogram.mean,
+            p50_ms=histogram.quantile(0.50),
+            p95_ms=histogram.quantile(0.95),
+            max_ms=histogram.max,
         )
 
     def describe(self) -> str:
         if self.count == 0:
             return "n/a"
         return (
-            f"mean {self.mean_ms:8.2f} ms  p50 {self.p50_ms:8.2f} ms  "
-            f"p95 {self.p95_ms:8.2f} ms  max {self.max_ms:8.2f} ms"
+            f"mean {self.mean_ms:8.2f}  p50 {self.p50_ms:8.2f}  "
+            f"p95 {self.p95_ms:8.2f}  max {self.max_ms:8.2f}"
         )
 
 
+def _count(name: str, doc: str) -> property:
+    """A ``ServeMetrics`` attribute backed by the registry counter ``serve.<name>``."""
+    metric = f"serve.{name}"
+
+    def read(self: "ServeMetrics") -> int:
+        counter = self.registry.get(metric)
+        return 0 if counter is None else counter.value
+
+    def write(self: "ServeMetrics", value: int) -> None:
+        self.registry.counter(metric).value = value
+
+    return property(read, write, doc=doc)
+
+
 class ServeMetrics:
-    """Accumulates the server's observable behaviour."""
+    """Accumulates the server's observable behaviour in :attr:`registry`."""
+
+    completed = _count("completed", "Requests served.")
+    violations = _count("violations", "Budget violations, measured before any fallback.")
+    fallbacks = _count("fallbacks", "Outputs replaced by the accurate reference.")
+    cache_hits = _count("cache_hits", "Requests answered from the result cache.")
+    shed = _count("shed", "Requests rejected by admission control (never served).")
+    failed = _count("failed", "Requests failed by the fleet (worker loss, worker error).")
+    worker_failures = _count("worker_failures", "Fleet worker deaths, respawn attempts included.")
+    replayed = _count("replayed", "Outstanding requests recovered by respawn-and-replay.")
+    batches = _count("batches", "Micro-batches executed.")
 
     def __init__(self) -> None:
-        self.completed = 0
-        self.violations = 0  # budget violations measured pre-fallback
-        self.fallbacks = 0
-        self.cache_hits = 0
-        self.shed = 0  # requests rejected by admission control (never served)
-        self.failed = 0  # requests failed by the fleet (worker loss, worker error)
-        self.worker_failures = 0  # fleet worker deaths (each respawn attempt counts)
-        self.replayed = 0  # outstanding requests recovered by respawn-and-replay
-        self.batches = 0
-        self.per_app: Counter[str] = Counter()
-        self.per_config: Counter[str] = Counter()
-        self.batch_sizes: Counter[int] = Counter()
-        self.queue_delays_ms: list[float] = []
-        self.service_times_ms: list[float] = []
-        self.latencies_ms: list[float] = []
-        self.errors: list[float] = []
-        #: max over completed requests of measured error / budget (served output).
-        self.worst_budget_fraction = 0.0
-        self.wall_time_s: float | None = None
+        self.registry = MetricsRegistry()
+
+    @classmethod
+    def view(cls, registry: MetricsRegistry) -> "ServeMetrics":
+        """The serving metrics held in ``registry`` (shared, not copied)."""
+        metrics = cls()
+        metrics.registry = registry
+        return metrics
 
     # ------------------------------------------------------------------
+    def _inc(self, name: str) -> None:
+        self.registry.counter(f"serve.{name}").inc()
+
     def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batch_sizes[size] += 1
+        self._inc("batches")
+        self._inc(f"batch_size.{size}")
 
     def record_response(self, response: ServeResponse, budget: float) -> None:
-        self.completed += 1
-        self.per_app[response.app] += 1
-        self.per_config[response.config_label] += 1
+        self._inc("completed")
+        self._inc(f"app.{response.app}")
+        self._inc(f"config.{response.config_label}")
         if response.fallback:
-            self.fallbacks += 1
+            self._inc("fallbacks")
         if response.cache_hit:
-            self.cache_hits += 1
-        self.queue_delays_ms.append(response.queue_delay_ms)
-        self.service_times_ms.append(response.service_time_ms)
-        self.latencies_ms.append(response.latency_ms)
+            self._inc("cache_hits")
+        registry = self.registry
+        queue = registry.histogram("serve.queue_delay_ms", "virtual trace-ms, arrival to flush")
+        queue.observe(response.queue_delay_ms)
+        service = registry.histogram("serve.service_time_ms", "wall ms running the micro-batch")
+        service.observe(response.service_time_ms)
         if response.error is not None:
-            self.errors.append(response.error)
-            self.worst_budget_fraction = max(
-                self.worst_budget_fraction, response.error / budget
-            )
+            errors = registry.histogram("serve.error", "measured error of the served output")
+            errors.observe(response.error)
+            worst = registry.gauge("serve.worst_budget_fraction")
+            worst.set(max(worst.value, response.error / budget))
             if not response.within_budget:
-                self.violations += 1
+                self._inc("violations")
 
     def record_violation(self) -> None:
         """A pre-fallback budget violation (the served output was replaced)."""
-        self.violations += 1
+        self._inc("violations")
 
     def record_shed(self) -> None:
         """A request rejected by admission control (not counted as completed)."""
-        self.shed += 1
+        self._inc("shed")
 
     def record_failed(self) -> None:
         """A request failed by the fleet (worker loss or a request-scoped error).
@@ -133,12 +138,44 @@ class ServeMetrics:
         the fleet's exact accounting invariant is
         ``completed + shed + failed == len(trace)``.
         """
-        self.failed += 1
+        self._inc("failed")
 
     def finish(self, wall_time_s: float) -> None:
-        self.wall_time_s = wall_time_s
+        self.registry.gauge("serve.wall_time_s", "wall seconds spent serving").set(wall_time_s)
 
     # ------------------------------------------------------------------
+    def _counts(self, name: str) -> Counter:
+        prefix = f"serve.{name}."
+        return Counter(
+            {m.name[len(prefix) :]: m.value for m in self.registry if m.name.startswith(prefix)}
+        )
+
+    def _histogram(self, name: str) -> Histogram:
+        return self.registry.get(name) or Histogram(name)
+
+    @property
+    def per_app(self) -> Counter[str]:
+        return self._counts("app")
+
+    @property
+    def per_config(self) -> Counter[str]:
+        return self._counts("config")
+
+    @property
+    def batch_sizes(self) -> Counter[int]:
+        return Counter({int(size): n for size, n in self._counts("batch_size").items()})
+
+    @property
+    def worst_budget_fraction(self) -> float:
+        """Max over completed requests of measured error / budget (served output)."""
+        gauge = self.registry.get("serve.worst_budget_fraction")
+        return 0.0 if gauge is None else gauge.value
+
+    @property
+    def wall_time_s(self) -> float | None:
+        gauge = self.registry.get("serve.wall_time_s")
+        return None if gauge is None else gauge.value
+
     @property
     def throughput_rps(self) -> float:
         if not self.wall_time_s:
@@ -155,115 +192,31 @@ class ServeMetrics:
     def cache_hit_rate(self) -> float:
         return self.cache_hits / self.completed if self.completed else 0.0
 
-    def latency_summary(self) -> LatencySummary:
-        return LatencySummary.from_values(self.latencies_ms)
-
     def queue_delay_summary(self) -> LatencySummary:
-        return LatencySummary.from_values(self.queue_delays_ms)
+        """Queue delay in virtual trace-ms."""
+        return LatencySummary.from_histogram(self._histogram("serve.queue_delay_ms"))
 
     def service_time_summary(self) -> LatencySummary:
-        return LatencySummary.from_values(self.service_times_ms)
+        """Service time in wall ms."""
+        return LatencySummary.from_histogram(self._histogram("serve.service_time_ms"))
 
     # ------------------------------------------------------------------
-    # Serialization and aggregation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot of everything the metrics hold.
-
-        Batch-size keys become strings (JSON objects key by string);
-        :meth:`from_dict` converts them back, so the round trip is exact —
-        floats survive bit-identically through ``json`` (``repr`` round-trip).
-        """
-        return {
-            "completed": self.completed,
-            "violations": self.violations,
-            "fallbacks": self.fallbacks,
-            "cache_hits": self.cache_hits,
-            "shed": self.shed,
-            "failed": self.failed,
-            "worker_failures": self.worker_failures,
-            "replayed": self.replayed,
-            "batches": self.batches,
-            "per_app": dict(sorted(self.per_app.items())),
-            "per_config": dict(sorted(self.per_config.items())),
-            "batch_sizes": {str(size): n for size, n in sorted(self.batch_sizes.items())},
-            "queue_delays_ms": list(self.queue_delays_ms),
-            "service_times_ms": list(self.service_times_ms),
-            "latencies_ms": list(self.latencies_ms),
-            "errors": list(self.errors),
-            "worst_budget_fraction": self.worst_budget_fraction,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServeMetrics":
-        """Rebuild a snapshot produced by :meth:`to_dict` (JSON round-trip safe)."""
-        metrics = cls()
-        metrics.completed = int(data.get("completed", 0))
-        metrics.violations = int(data.get("violations", 0))
-        metrics.fallbacks = int(data.get("fallbacks", 0))
-        metrics.cache_hits = int(data.get("cache_hits", 0))
-        metrics.shed = int(data.get("shed", 0))
-        metrics.failed = int(data.get("failed", 0))
-        metrics.worker_failures = int(data.get("worker_failures", 0))
-        metrics.replayed = int(data.get("replayed", 0))
-        metrics.batches = int(data.get("batches", 0))
-        metrics.per_app = Counter({str(k): int(v) for k, v in data.get("per_app", {}).items()})
-        metrics.per_config = Counter(
-            {str(k): int(v) for k, v in data.get("per_config", {}).items()}
-        )
-        metrics.batch_sizes = Counter(
-            {int(k): int(v) for k, v in data.get("batch_sizes", {}).items()}
-        )
-        metrics.queue_delays_ms = [float(v) for v in data.get("queue_delays_ms", [])]
-        metrics.service_times_ms = [float(v) for v in data.get("service_times_ms", [])]
-        metrics.latencies_ms = [float(v) for v in data.get("latencies_ms", [])]
-        metrics.errors = [float(v) for v in data.get("errors", [])]
-        metrics.worst_budget_fraction = float(data.get("worst_budget_fraction", 0.0))
-        wall = data.get("wall_time_s")
-        metrics.wall_time_s = None if wall is None else float(wall)
-        return metrics
-
     def merge(self, other: "ServeMetrics") -> "ServeMetrics":
-        """Fold ``other`` into this snapshot (in place; returns ``self``).
+        """Fold ``other`` into this view (in place; returns ``self``).
 
-        Counters add, per-key counts add, distribution samples concatenate
-        (in merge order, so a fixed worker order gives a deterministic
-        result), ``worst_budget_fraction`` takes the maximum.  Wall times
-        take the maximum too — merged processes ran concurrently, so the
-        slowest one bounds the aggregate; an aggregator measuring its own
-        wall clock should call :meth:`finish` afterwards to override.
+        Counters and histogram buckets add; worst budget fraction and wall
+        time take the maximum (an aggregator with its own wall clock calls
+        :meth:`finish` afterwards).
         """
-        self.completed += other.completed
-        self.violations += other.violations
-        self.fallbacks += other.fallbacks
-        self.cache_hits += other.cache_hits
-        self.shed += other.shed
-        self.failed += other.failed
-        self.worker_failures += other.worker_failures
-        self.replayed += other.replayed
-        self.batches += other.batches
-        self.per_app.update(other.per_app)
-        self.per_config.update(other.per_config)
-        self.batch_sizes.update(other.batch_sizes)
-        self.queue_delays_ms.extend(other.queue_delays_ms)
-        self.service_times_ms.extend(other.service_times_ms)
-        self.latencies_ms.extend(other.latencies_ms)
-        self.errors.extend(other.errors)
-        self.worst_budget_fraction = max(
-            self.worst_budget_fraction, other.worst_budget_fraction
-        )
-        if other.wall_time_s is not None:
-            self.wall_time_s = (
-                other.wall_time_s
-                if self.wall_time_s is None
-                else max(self.wall_time_s, other.wall_time_s)
-            )
+        self.registry.merge(other.registry)
         return self
 
-    # ------------------------------------------------------------------
     def deterministic_snapshot(self) -> dict:
         """The trace-determined portion of the metrics (no wall-clock)."""
+        errors = self._histogram("serve.error").to_dict()
+        # The float sum is rounded once per process, so a fleet's can differ
+        # from a single server's in the last bit; everything else is exact.
+        del errors["sum"]
         return {
             "completed": self.completed,
             "violations": self.violations,
@@ -275,7 +228,7 @@ class ServeMetrics:
             "per_app": dict(sorted(self.per_app.items())),
             "per_config": dict(sorted(self.per_config.items())),
             "batch_sizes": dict(sorted(self.batch_sizes.items())),
-            "errors": list(self.errors),
+            "errors": errors,
             "worst_budget_fraction": self.worst_budget_fraction,
         }
 
@@ -289,9 +242,8 @@ class ServeMetrics:
                 f"throughput: {self.throughput_rps:.2f} req/s "
                 f"({self.wall_time_s:.2f} s wall)"
             )
-        lines.append(f"latency:     {self.latency_summary().describe()}")
-        lines.append(f"queue delay: {self.queue_delay_summary().describe()}")
-        lines.append(f"service:     {self.service_time_summary().describe()}")
+        lines.append(f"queue delay (virtual trace-ms): {self.queue_delay_summary().describe()}")
+        lines.append(f"service (wall ms):              {self.service_time_summary().describe()}")
         lines.append(
             f"quality: {self.violations} violations, {self.fallbacks} accurate "
             f"fallbacks, worst error/budget {self.worst_budget_fraction:.2f}"

@@ -114,8 +114,3 @@ class ServeResponse:
     #: Virtual time at which the batch was flushed.
     completed_ms: float = 0.0
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def latency_ms(self) -> float:
-        """Queueing delay (virtual) plus batch service time (wall-clock)."""
-        return self.queue_delay_ms + self.service_time_ms

@@ -302,34 +302,15 @@ class PerforationServer:
     def observability(self) -> obs_metrics.MetricsRegistry:
         """One mergeable registry over every layer this server touches.
 
-        Absorbs the serve counters, the result caches (serve LRU and engine
-        memoization), the process-wide kernel-build and codegen artifact
-        caches, the tuning database (when the controller is tuner-backed),
-        and the controller's tighten/loosen decisions — the scattered stat
-        structs in one shape.
+        Starts from the serving metrics' own registry and absorbs the
+        result caches (serve LRU and engine memoization), the process-wide
+        kernel-build and codegen artifact caches, the tuning database (when
+        the controller is tuner-backed), and the controller's
+        tighten/loosen decisions — the scattered stat structs in one shape.
         """
-        registry = obs_metrics.MetricsRegistry()
-        m = self.metrics
-        for name, value in (
-            ("serve.completed", m.completed),
-            ("serve.violations", m.violations),
-            ("serve.fallbacks", m.fallbacks),
-            ("serve.cache_hits", m.cache_hits),
-            ("serve.shed", m.shed),
-            ("serve.failed", m.failed),
-            ("serve.worker_failures", m.worker_failures),
-            ("serve.replayed", m.replayed),
-            ("serve.batches", m.batches),
-        ):
-            registry.counter(name).inc(value)
-        registry.gauge("serve.worst_budget_fraction").set(m.worst_budget_fraction)
-        latency = registry.histogram("serve.latency_ms")
-        for value in m.latencies_ms:
-            latency.observe(value)
-        queue = registry.histogram("serve.queue_delay_ms")
-        for value in m.queue_delays_ms:
-            queue.observe(value)
-
+        # A copy, so absorbing the cache statistics below never accumulates
+        # into the server's own metrics from one call to the next.
+        registry = obs_metrics.MetricsRegistry().merge(self.metrics.registry)
         if self.cache is not None:
             registry.absorb_cache("serve.result_cache", self.cache.stats)
         registry.absorb_cache("engine.result_cache", self.engine.cache_stats)

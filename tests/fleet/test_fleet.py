@@ -6,6 +6,8 @@ the fast per-module pieces (protocol, sharding, validation) have their own
 files.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -78,19 +80,81 @@ def test_fleet_metrics_match_single_process_accounting(single_process_responses)
 
     expected = server.metrics.deterministic_snapshot()
     actual = merged.deterministic_snapshot()
-    # Counters and per-key counts are exactly the single-process values;
-    # the errors list is a per-worker concatenation, so compare it as a
-    # multiset rather than a sequence.
+    # Counters and per-key counts are exactly the single-process values.
+    # The error histograms merge by adding buckets, so their count, min,
+    # max and bucket counts match exactly too (per-request errors are
+    # pinned by test_fleet_outputs_bit_identical_to_single_process).
     for field in ("completed", "violations", "fallbacks", "cache_hits", "batches"):
         assert actual[field] == expected[field]
     assert actual["per_app"] == expected["per_app"]
     assert actual["per_config"] == expected["per_config"]
     assert actual["batch_sizes"] == expected["batch_sizes"]
-    assert sorted(actual["errors"]) == sorted(expected["errors"])
+    assert actual["errors"] == expected["errors"]
     assert actual["worst_budget_fraction"] == expected["worst_budget_fraction"]
     # Worker contributions are disjoint and complete.
-    assert sum(w["metrics"]["completed"] for w in per_worker) == expected["completed"]
-    assert all(w["metrics"]["completed"] > 0 for w in per_worker)
+    assert sum(w["metrics"].completed for w in per_worker) == expected["completed"]
+    assert all(w["metrics"].completed > 0 for w in per_worker)
+
+
+def test_dead_shard_metrics_come_from_the_batches_it_delivered():
+    """A degraded shard cannot report its metrics; the front-end's account
+    of the responses it delivered — batches counted per frame — matches
+    what the worker itself would have reported."""
+    calibration = {"gaussian": [generate_image("natural", size=32, seed=77)]}
+    requests = [
+        ServeRequest(
+            request_id=index,
+            app="gaussian",
+            inputs=generate_image("natural", size=32, seed=index),
+            error_budget=0.05,
+            arrival_ms=float(index),
+        )
+        for index in range(8)
+    ]
+    single = PerforationServer(max_batch=4, calibration_inputs=calibration)
+    single.run_trace(requests)
+    with PerforationFleet(
+        workers=1,
+        max_batch=4,
+        calibration_inputs=calibration,
+        # Two full batches are delivered, then the worker dies for good.
+        fail_after={0: len(requests)},
+        max_respawns=0,
+    ) as fleet:
+        responses = fleet.serve_trace(requests)
+        metrics = fleet.metrics()
+        (worker,) = fleet.worker_metrics()
+
+    assert worker["dead"] and worker["controller"] is None
+    assert not any(r.rejected for r in responses)
+    assert metrics.worker_failures == 1 and metrics.failed == 0
+    expected = single.metrics.deterministic_snapshot()
+    actual = metrics.deterministic_snapshot()
+    assert actual["batch_sizes"] == expected["batch_sizes"] == {4: 2}
+    for field in ("completed", "batches", "per_app", "per_config", "errors"):
+        assert actual[field] == expected[field]
+
+
+def test_fleet_wall_clock_overrides_the_workers():
+    """A worker's wall clock runs from its first request, idle gaps between
+    traces included; fleet throughput divides by the fleet's own wall,
+    accumulated over the traces only."""
+    calibration = {"gaussian": [generate_image("natural", size=32, seed=77)]}
+    trace = generate_trace(
+        TraceSpec(apps=("gaussian",), requests=4, size=32, inputs_per_app=2, seed=5)
+    )
+    with PerforationFleet(workers=1, max_batch=4, calibration_inputs=calibration) as fleet:
+        fleet.start()
+        serving = 0.0
+        for _ in range(2):
+            start = time.perf_counter()
+            fleet.serve_trace(trace)
+            serving += time.perf_counter() - start
+            time.sleep(0.5)  # idle: counts on the worker's clock only
+        metrics = fleet.metrics()
+
+    assert 0.0 < metrics.wall_time_s <= serving
+    assert metrics.completed == 2 * len(trace)
 
 
 def test_cold_workers_start_with_zero_calibration_sweeps():

@@ -1,12 +1,18 @@
 """Front-end pieces that need no worker processes: validation, rejected
-responses, and the in-process zero-evaluation warm-start property."""
+responses, the in-process zero-evaluation warm-start property, and the
+worker's metrics frame."""
+
+import io
+import random
 
 import pytest
 
 from repro.data import generate_image
 from repro.fleet import FleetError, PerforationFleet, rejected_response
-from repro.fleet.worker import WorkerSpec, build_server
-from repro.serve import ServeRequest
+from repro.fleet.protocol import encode_frame, read_frame
+from repro.fleet.worker import WorkerSpec, build_server, serve_connection
+from repro.obs.metrics import MetricsRegistry
+from repro.serve import PerforationServer, ServeMetrics, ServeRequest, ServeResponse
 
 
 class TestValidation:
@@ -116,3 +122,70 @@ class TestWarmStartInProcess:
         )
         server, _ = build_server(spec)
         assert server.controller.tuner.db.readonly is True
+
+
+class _Connection:
+    """An in-memory front-end connection: scripted frames in, frames out."""
+
+    def __init__(self, *frames: dict) -> None:
+        self._incoming = io.BytesIO(b"".join(encode_frame(f) for f in frames))
+        self._outgoing = io.BytesIO()
+
+    def read(self, n: int) -> bytes:
+        return self._incoming.read(n)
+
+    def write(self, data: bytes) -> None:
+        self._outgoing.write(data)
+
+    def flush(self) -> None:
+        pass
+
+    def sent(self) -> list[dict]:
+        stream = io.BytesIO(self._outgoing.getvalue())
+        frames = []
+        while (frame := read_frame(stream)) is not None:
+            frames.append(frame)
+        return frames
+
+
+class TestMetricsFrame:
+    def test_frame_stays_small_after_many_responses(self):
+        """10**5 responses in serve-bench ranges fit a metrics frame of
+        under 64 KiB: the frame carries one registry of counters and
+        quantile sketches, not per-request samples."""
+        server = PerforationServer()
+        rng = random.Random(15)
+        apps = ("gaussian", "sobel3", "sobel5", "median", "inversion", "hotspot")
+        labels = ("Accurate", "Rows1:NN", "Rows1:LI", "Rows2:NN", "Cols1:NN", "Stencil1:NN")
+        responses = 10**5
+        served = 0
+        while served < responses:
+            size = min(rng.randint(1, 8), responses - served)
+            server.metrics.record_batch(size)
+            service_ms = rng.uniform(0.5, 500.0)
+            for _ in range(size):
+                budget = rng.choice((0.01, 0.025, 0.05))
+                error = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, budget)
+                response = ServeResponse(
+                    request_id=served,
+                    app=rng.choice(apps),
+                    config_label=rng.choice(labels),
+                    output=None,
+                    error=error,
+                    within_budget=True,
+                    cache_hit=rng.random() < 0.3,
+                    batch_size=size,
+                    queue_delay_ms=0.0 if rng.random() < 0.1 else rng.uniform(0.0, 50.0),
+                    service_time_ms=service_ms,
+                )
+                server.metrics.record_response(response, budget)
+                served += 1
+
+        connection = _Connection({"type": "metrics"})
+        serve_connection(connection, server, {"worker": 0})
+        hello, frame = connection.sent()
+        assert hello["type"] == "hello" and frame["type"] == "metrics"
+        assert len(encode_frame(frame)) < 64 * 1024
+        shipped = ServeMetrics.view(MetricsRegistry.from_dict(frame["metrics"]))
+        assert shipped.completed == responses
+        assert shipped.deterministic_snapshot() == server.metrics.deterministic_snapshot()

@@ -14,7 +14,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_prometheus,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import RELATIVE_ACCURACY, MetricsRegistry
 from repro.obs.trace import Span
 
 
@@ -79,7 +79,7 @@ class TestPrometheus:
         reg = MetricsRegistry()
         reg.counter("serve.completed", help="requests finished").inc(12)
         reg.gauge("fleet.workers").set(2)
-        h = reg.histogram("serve.latency_ms")
+        h = reg.histogram("serve.service_time_ms")
         h.observe(1.5)
         h.observe(2.5)
         text = render_prometheus(reg)
@@ -87,11 +87,16 @@ class TestPrometheus:
         assert "# TYPE serve_completed counter" in text
         assert "serve_completed 12" in text
         assert "fleet_workers 2" in text
-        assert "# TYPE serve_latency_ms summary" in text
-        assert "serve_latency_ms_count 2" in text
-        assert "serve_latency_ms_sum 4.0" in text
-        assert "serve_latency_ms_min 1.5" in text
-        assert "serve_latency_ms_max 2.5" in text
+        assert "# TYPE serve_service_time_ms summary" in text
+        assert "serve_service_time_ms_count 2" in text
+        assert "serve_service_time_ms_sum 4.0" in text
+        assert "serve_service_time_ms_min 1.5" in text
+        assert "serve_service_time_ms_max 2.5" in text
+        # Summary quantiles come from the sketch: p50 within its relative
+        # accuracy of the lower sample, p95 the exact maximum.
+        assert f'serve_service_time_ms{{quantile="0.5"}} {h.quantile(0.5)!r}' in text
+        assert h.quantile(0.5) == pytest.approx(1.5, rel=RELATIVE_ACCURACY)
+        assert 'serve_service_time_ms{quantile="0.95"} 2.5' in text
 
     def test_empty_histogram_renders_without_inf(self):
         reg = MetricsRegistry()
@@ -99,6 +104,7 @@ class TestPrometheus:
         text = render_prometheus(reg)
         assert "h_count 0" in text
         assert "Inf" not in text
+        assert "quantile" not in text  # no NaN samples either
 
     def test_write(self, tmp_path):
         reg = MetricsRegistry()

@@ -2,16 +2,41 @@
 
 from __future__ import annotations
 
+import json
+import math
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
+    RELATIVE_ACCURACY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     cache_snapshot,
 )
+
+#: Serving-sized observations: zeros (cache hits, accurate outputs) and
+#: positive values from errors of 1e-6 to latencies of 1e6 ms.
+SERVING_VALUES = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6))
+
+#: Any non-negative finite double.
+ANY_VALUES = st.floats(min_value=0.0, max_value=1e300)
+
+
+def _histogram(values) -> Histogram:
+    histogram = Histogram("x")
+    for value in values:
+        histogram.observe(value)
+    return histogram
+
+
+def _nearest_rank(values, q: float) -> float:
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 class TestCounter:
@@ -68,6 +93,74 @@ class TestHistogram:
         b.observe(1.0)
         a.merge(b)
         assert (a.count, a.sum, a.min, a.max) == (3, 8.0, 1.0, 5.0)
+
+    def test_rejects_negative_and_non_finite_values(self):
+        for value in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Histogram("x").observe(value)
+        with pytest.raises(ValueError):
+            Histogram("x").quantile(1.5)
+
+    def test_zeros_have_their_own_bucket(self):
+        h = _histogram([0.0, 0.0, 0.0, 7.0])
+        assert h.zeros == 3
+        assert h.quantile(0.5) == 0.0
+        assert h.quantile(1.0) == 7.0
+
+    def test_sum_is_exact(self):
+        # Float addition would lose the 1.0 next to 1e16.
+        h = _histogram([1e16, 1.0, -0.0, 1.0])
+        assert h.sum == 1e16 + 2.0
+
+    def test_size_grows_with_the_range_not_the_count(self):
+        rng = random.Random(3)
+        h = _histogram(rng.uniform(1.0, 1000.0) for _ in range(20_000))
+        gamma = (1 + RELATIVE_ACCURACY) / (1 - RELATIVE_ACCURACY)
+        assert h.count == 20_000
+        assert len(h.buckets) <= math.ceil(math.log(1000.0, gamma)) + 1
+
+
+class TestHistogramProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SERVING_VALUES, min_size=1, max_size=300))
+    def test_quantiles_within_relative_accuracy_of_nearest_rank(self, values):
+        h = _histogram(values)
+        for q in (0.5, 0.95):
+            exact = _nearest_rank(values, q)
+            # The 1e-12 absorbs rounding in log() at a bucket's edge.
+            assert math.isclose(h.quantile(q), exact, rel_tol=RELATIVE_ACCURACY + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ANY_VALUES, max_size=100), st.data())
+    def test_merging_any_partition_in_any_order_is_identical(self, values, data):
+        parts = data.draw(st.integers(min_value=1, max_value=5))
+        owners = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=parts - 1),
+                min_size=len(values),
+                max_size=len(values),
+            )
+        )
+        order = data.draw(st.permutations(range(parts)))
+        histograms = [
+            _histogram([v for v, owner in zip(values, owners) if owner == part])
+            for part in range(parts)
+        ]
+        merged = Histogram("x")
+        for part in order:
+            merged.merge(histograms[part])
+        assert merged.to_dict() == _histogram(values).to_dict()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ANY_VALUES, max_size=100))
+    def test_json_round_trip_is_exact(self, values):
+        registry = MetricsRegistry()
+        for value in values:
+            registry.histogram("x").observe(value)
+        data = registry.to_dict()
+        back = MetricsRegistry.from_dict(json.loads(json.dumps(data)))
+        assert back.to_dict() == data
+        assert back.snapshot() == registry.snapshot()
 
 
 class TestRegistry:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.obs.metrics import RELATIVE_ACCURACY, Histogram, MetricsRegistry
 from repro.serve import ServeMetrics, ServeResponse, ServeResultCache
-from repro.serve.metrics import LatencySummary, percentile
+from repro.serve.metrics import LatencySummary
 
 
 class TestServeResultCache:
@@ -80,13 +81,21 @@ def _response(request_id=0, app="gaussian", label="Rows1:NN", error=0.01, **kw):
 
 class TestServeMetrics:
     def test_percentiles_nearest_rank(self):
-        values = [float(v) for v in range(1, 101)]
-        assert percentile(values, 0.50) == 50.0
-        assert percentile(values, 0.95) == 95.0
-        assert percentile(values, 1.0) == 100.0
-        assert math.isnan(percentile([], 0.5))
-        summary = LatencySummary.from_values([1.0, 2.0, 3.0, 4.0])
-        assert summary.p50_ms == 2.0 and summary.max_ms == 4.0
+        # The sketch reports nearest-rank percentiles within its relative
+        # accuracy; the maximum is exact.
+        histogram = Histogram("x")
+        for value in range(1, 101):
+            histogram.observe(float(value))
+        assert histogram.quantile(0.50) == pytest.approx(50.0, rel=RELATIVE_ACCURACY)
+        assert histogram.quantile(0.95) == pytest.approx(95.0, rel=RELATIVE_ACCURACY)
+        assert histogram.quantile(1.0) == 100.0
+        assert math.isnan(Histogram("empty").quantile(0.5))
+        small = Histogram("y")
+        for value in (1.0, 2.0, 3.0, 4.0):
+            small.observe(value)
+        summary = LatencySummary.from_histogram(small)
+        assert summary.p50_ms == pytest.approx(2.0, rel=RELATIVE_ACCURACY)
+        assert summary.max_ms == 4.0 and summary.mean_ms == 2.5
 
     def test_counters_and_snapshot(self):
         metrics = ServeMetrics()
@@ -119,7 +128,7 @@ class TestServeMetrics:
         metrics = ServeMetrics()
         metrics.record_batch(1)
         metrics.record_response(_response(0, error=None), budget=0.05)
-        assert metrics.errors == []
+        assert metrics.deterministic_snapshot()["errors"]["count"] == 0
         assert metrics.violations == 0
         assert metrics.worst_budget_fraction == 0.0
 
@@ -148,7 +157,8 @@ class TestServeMetrics:
             in metrics.describe()
         )
 
-        rebuilt = ServeMetrics.from_dict(json.loads(json.dumps(metrics.to_dict())))
+        data = json.loads(json.dumps(metrics.registry.to_dict()))
+        rebuilt = ServeMetrics.view(MetricsRegistry.from_dict(data))
         assert rebuilt.failed == 2
         assert rebuilt.worker_failures == 1
         assert rebuilt.replayed == 3
@@ -163,12 +173,15 @@ class TestServeMetrics:
         assert metrics.replayed == 4
 
     def test_resilience_counters_absent_in_clean_runs(self):
-        # Pre-fleet snapshots lack the keys entirely; clean runs omit the
-        # describe() line.
-        legacy = ServeMetrics.from_dict({"completed": 1})
-        assert legacy.failed == 0
-        assert legacy.worker_failures == 0
-        assert legacy.replayed == 0
+        # Registries without the counters (single servers never shed, fail
+        # or replay) read them as zero; clean runs omit the describe() line.
+        clean = ServeMetrics.view(
+            MetricsRegistry.from_dict({"serve.completed": {"type": "counter", "value": 1}})
+        )
+        assert clean.completed == 1
+        assert clean.failed == 0
+        assert clean.worker_failures == 0
+        assert clean.replayed == 0
         assert "resilience" not in ServeMetrics().describe()
 
 
@@ -192,25 +205,27 @@ class TestServeMetricsSerialization:
         import json
 
         metrics = _populated_metrics()
-        data = json.loads(json.dumps(metrics.to_dict()))
-        rebuilt = ServeMetrics.from_dict(data)
+        data = json.loads(json.dumps(metrics.registry.to_dict()))
+        rebuilt = ServeMetrics.view(MetricsRegistry.from_dict(data))
         # The round trip is exact: same snapshot, same distributions, same wall.
-        assert rebuilt.to_dict() == metrics.to_dict()
+        assert rebuilt.registry.to_dict() == metrics.registry.to_dict()
         assert rebuilt.deterministic_snapshot() == metrics.deterministic_snapshot()
+        assert rebuilt.queue_delay_summary() == metrics.queue_delay_summary()
+        assert rebuilt.service_time_summary() == metrics.service_time_summary()
         assert rebuilt.batch_sizes == metrics.batch_sizes  # int keys restored
         assert rebuilt.wall_time_s == metrics.wall_time_s
         assert rebuilt.shed == metrics.shed
 
     def test_from_dict_defaults_missing_fields(self):
-        rebuilt = ServeMetrics.from_dict({})
+        rebuilt = ServeMetrics.view(MetricsRegistry.from_dict({}))
         assert rebuilt.completed == 0
         assert rebuilt.wall_time_s is None
-        assert rebuilt.to_dict() == ServeMetrics().to_dict()
+        assert rebuilt.registry.to_dict() == ServeMetrics().registry.to_dict()
 
     def test_merge_adds_counters_and_concatenates_distributions(self):
         left = _populated_metrics(offset=0, wall=0.5)
         right = _populated_metrics(offset=10, wall=0.8)
-        right.worst_budget_fraction = 0.9
+        right.registry.gauge("serve.worst_budget_fraction").set(0.9)
         merged = left.merge(right)
         assert merged is left  # in place, returns self
         assert merged.completed == 4
@@ -220,7 +235,10 @@ class TestServeMetricsSerialization:
         assert merged.cache_hits == 2
         assert merged.per_app == {"gaussian": 2, "sobel3": 2}
         assert merged.batch_sizes == {2: 2, 1: 2}
-        assert len(merged.latencies_ms) == 4
+        # Both sides' samples, as if one server had recorded all four.
+        assert merged.queue_delay_summary().count == 4
+        assert merged.service_time_summary().count == 4
+        assert merged.deterministic_snapshot()["errors"]["count"] == 4
         assert merged.worst_budget_fraction == 0.9  # max, not sum
         assert merged.wall_time_s == 0.8  # concurrent processes: slowest bounds
 
@@ -232,7 +250,7 @@ class TestServeMetricsSerialization:
         again = ServeMetrics()
         for part in [_populated_metrics(offset=10 * i, wall=0.1 * (i + 1)) for i in range(3)]:
             again.merge(part)
-        assert merged.to_dict() == again.to_dict()
+        assert merged.registry.to_dict() == again.registry.to_dict()
 
     def test_merge_empty_keeps_wall_none(self):
         merged = ServeMetrics().merge(ServeMetrics())

@@ -89,8 +89,12 @@ class TestObservabilityRegistry:
         snap = registry.snapshot()
         assert snap["serve.completed"] == len(responses)
         assert snap["serve.batches"] >= 1
-        assert snap["serve.latency_ms.count"] == len(responses)
+        assert snap["serve.queue_delay_ms.count"] == len(responses)
+        assert snap["serve.service_time_ms.count"] == len(responses)
         assert snap["serve.cache_hits"] == server.metrics.cache_hits
+        # Each call starts from a copy of the server's registry, so the
+        # absorbed cache statistics never accumulate across calls.
+        assert server.observability().snapshot() == snap
         assert "serve.result_cache.hit_rate" in snap
         assert "engine.result_cache.hits" in snap
         # One kernel build per distinct (app, config) launched; every later

@@ -37,3 +37,12 @@ def test_target_resolves(module_name, owner_name, attr, layer):
     owner = module if owner_name is None else inspect.getattr_static(module, owner_name)
     inspect.getattr_static(owner, attr)  # AttributeError once renamed
     assert layer in layers.LAYERS
+
+
+@pytest.mark.parametrize("counter", ["completed", "shed", "failed", "replayed"])
+def test_fleet_metrics_expose_the_counters_the_traced_run_reads(counter):
+    # perfbench/workloads.py reads these off PerforationFleet.metrics(),
+    # a ServeMetrics view.
+    from repro.serve import ServeMetrics
+
+    assert getattr(ServeMetrics(), counter) == 0
