@@ -27,7 +27,7 @@ from repro.data import generate_image
 from repro.obs import trace as obs_trace
 from repro.serve import PerforationServer, TraceSpec, generate_trace
 
-SPEC = TraceSpec(requests=24, size=64, inputs_per_app=3, seed=7)
+SPEC = TraceSpec(requests=96, size=64, inputs_per_app=3, seed=7)
 
 #: Traced throughput must be >= 97% of untraced throughput.
 REQUIRED_RATIO = 0.97

@@ -1,7 +1,7 @@
 """On-disk artifact cache for codegen-lowered kernels.
 
 The codegen execution backend (:mod:`repro.kernellang.codegen`) lowers each
-(kernel source, work-group shape, batched?) triple to Python source once.
+(kernel source, work-group shape) pair to Python source once.
 This module persists those sources across processes, keyed by the lowering's
 content hash, so repeated sweeps, serve sessions and benchmark runs skip the
 lowering step entirely:

@@ -1,18 +1,23 @@
 """Pluggable execution backends for the functional executor.
 
-The :class:`~repro.clsim.executor.Executor` delegates the execution of each
-work group to an :class:`ExecutionBackend`.  Two are built in:
+The :class:`~repro.clsim.executor.Executor` hands every launch to an
+:class:`ExecutionBackend` through one hook, :meth:`ExecutionBackend.run_launch`.
+Its default runs the work groups one by one through
+:meth:`~ExecutionBackend.run_group`, which per-group backends implement.
+Two backends are built in:
 
 * the ``"interpreter"`` backend is the reference implementation — every
   work-item runs as a Python generator, all work-items of a group advance
   in lock-step between barriers; its semantics *define* what a kernel
   computes;
 * the ``"codegen"`` backend (:mod:`repro.kernellang.codegen`) is the
-  compiled one: it lowers each (kernel source, work-group shape,
-  batched?) triple once to flat specialized Python/NumPy source through
-  the pass pipeline (:mod:`repro.kernellang.passes` — see
-  ``docs/ir.md``), compiled via ``compile()``/``exec()`` and cached on
-  the kernel and on disk (:mod:`repro.api.artifacts`).  Its outputs and
+  compiled one: it lowers each (kernel source, work-group shape) pair
+  once to flat specialized Python/NumPy source through the pass pipeline
+  (:mod:`repro.kernellang.passes` — see ``docs/ir.md``), compiled via
+  ``compile()``/``exec()`` and cached on the kernel and on disk
+  (:mod:`repro.api.artifacts`), and overrides the launch hook to run
+  every work group of a launch — of every request of a batch — in a few
+  stacked vector passes.  Its outputs and
   :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
   to the interpreter's, which the cross-backend conformance suite
   (``tests/clsim/test_backend_parity.py``) pins down.  Kernels the
@@ -33,7 +38,6 @@ the application/device/scheme registries of the session API:
 
 from __future__ import annotations
 
-import abc
 import inspect
 
 from ..api.registry import Registry
@@ -41,38 +45,70 @@ from .errors import (
     BarrierDivergenceError,
     InvalidBackendError,
     KernelExecutionError,
+    LocalMemoryExceededError,
 )
 from .kernel import BARRIER, Kernel, KernelContext
+from .memory import LocalMemory
 from .ndrange import NDRange
 
 #: Name of the backend used when none is selected explicitly.
 DEFAULT_BACKEND = "interpreter"
 
 
-class ExecutionBackend(abc.ABC):
-    """Strategy that executes one work group of a kernel launch."""
+class ExecutionBackend:
+    """Strategy that executes the work groups of a kernel launch."""
 
     #: Registry name of the backend (informational).
     name: str = "backend"
 
-    #: Whether :meth:`run_group_batch` executes the same work group of
-    #: several compatible launches as one stacked group.  Backends without
-    #: batching support still serve batched requests — the executor falls
-    #: back to running the launches one by one.
+    #: Whether :meth:`run_launch` executes several compatible launches as
+    #: one stacked launch.  Backends without batching support still serve
+    #: batched requests — the executor runs the launches one by one.
     supports_batching: bool = False
 
-    def for_launch(
-        self, kernel: Kernel, local_size: tuple[int, ...], batched: bool
-    ) -> "ExecutionBackend":
+    def for_launch(self, kernel: Kernel, local_size: tuple[int, ...]) -> "ExecutionBackend":
         """The backend that runs every work group of one launch.
 
-        The executor calls this once per launch, before the group loop, so
-        a backend can resolve per-kernel work (and decline a kernel it
-        cannot run) once instead of once per work group.
+        The executor calls this once per launch, before any work group
+        runs, so a backend can resolve per-kernel work (and decline a
+        kernel it cannot run) once instead of once per work group.
         """
         return self
 
-    @abc.abstractmethod
+    def run_launch(
+        self,
+        kernel: Kernel,
+        ndrange: NDRange,
+        args: dict[str, object],
+        batch: int,
+        stats,
+        local_mem_per_cu: int,
+    ) -> None:
+        """Run every work group of ``batch`` stacked compatible launches.
+
+        ``args`` binds every argument; with ``batch > 1`` each pointer
+        argument is a :class:`~repro.clsim.memory.SegmentedBuffer` with
+        ``batch`` segments (only on a backend that
+        :attr:`supports_batching`).  Accumulates the barriers and the
+        local/private access counters into ``stats``
+        (:class:`~repro.clsim.executor.ExecutionStats`); the executor owns
+        the rest of the bookkeeping.  The default runs one work group at a
+        time through :meth:`run_group`, each with fresh local memory of
+        ``local_mem_per_cu`` bytes.
+        """
+        if batch != 1:
+            raise KernelExecutionError(
+                f"execution backend {self.name!r} does not support batched launches"
+            )
+        local = LocalMemory(local_mem_per_cu)
+        for group_id in ndrange.group_ids():
+            local.reset()
+            ctx = KernelContext(args=dict(args), local=local, ndrange=ndrange, group_id=group_id)
+            stats.barriers += self.run_group(kernel, ctx, ndrange, group_id)
+            stats.local_counters.merge(local.counters)
+            for private in ctx.private.values():
+                stats.private_counters.merge(private.counters)
+
     def run_group(
         self,
         kernel: Kernel,
@@ -80,28 +116,12 @@ class ExecutionBackend(abc.ABC):
         ndrange: NDRange,
         group_id: tuple[int, ...],
     ) -> int:
-        """Run all work-items of one group; returns the number of barriers."""
+        """Run all work-items of one group; returns the number of barriers.
 
-    def run_group_batch(
-        self,
-        kernel: Kernel,
-        ctx: KernelContext,
-        ndrange: NDRange,
-        group_id: tuple[int, ...],
-        batch: int,
-    ) -> int:
-        """Run one work group of ``batch`` stacked compatible launches.
-
-        ``ctx`` binds every pointer argument to a
-        :class:`~repro.clsim.memory.SegmentedBuffer` with ``batch``
-        segments.  Returns the *summed* barrier count (``batch`` times the
-        per-launch barriers), so aggregated
-        :class:`~repro.clsim.executor.ExecutionStats` match the sum of the
-        individual launches.  Only called when :attr:`supports_batching`.
+        Per-group backends implement this; a backend that overrides
+        :meth:`run_launch` need not.
         """
-        raise KernelExecutionError(
-            f"execution backend {self.name!r} does not support batched launches"
-        )
+        raise NotImplementedError(f"execution backend {self.name!r} runs no single groups")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -118,7 +138,7 @@ class InterpreterBackend(ExecutionBackend):
             for wi in work_items:
                 try:
                     kernel.body(ctx, wi)
-                except KernelExecutionError:
+                except (KernelExecutionError, LocalMemoryExceededError):
                     raise
                 except Exception as exc:  # pragma: no cover - defensive
                     raise KernelExecutionError(
@@ -147,6 +167,8 @@ class InterpreterBackend(ExecutionBackend):
                 except StopIteration:
                     finished.append((wi, gen))
                     continue
+                except LocalMemoryExceededError:
+                    raise
                 except Exception as exc:
                     raise KernelExecutionError(
                         f"kernel {kernel.name!r} failed for work-item {wi.global_id}: {exc}"
@@ -171,14 +193,16 @@ class InterpreterBackend(ExecutionBackend):
 class CodegenBackend(ExecutionBackend):
     """Compiled backend: kernellang ASTs lowered to specialized NumPy source.
 
-    Each (kernel source, work-group shape, batched?) triple is lowered
-    *once* to flat Python source (:mod:`repro.kernellang.codegen`), compiled
-    with ``compile()``/``exec()``, kept on the kernel — which
+    Each (kernel source, work-group shape) pair is lowered *once* to flat
+    Python source (:mod:`repro.kernellang.codegen`), compiled with
+    ``compile()``/``exec()``, kept on the kernel — which
     :func:`repro.core.perforator.build_kernel` shares process-wide — and
     persisted in the on-disk artifact cache (:mod:`repro.api.artifacts`),
-    so repeated sweeps and serve sessions skip lowering entirely.  Outputs and
-    :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
-    to the interpreter backend (pinned by
+    so repeated sweeps and serve sessions skip lowering entirely.  A launch
+    runs every work group of every request at once, in stacked passes of
+    at most :data:`~repro.kernellang.codegen.MAX_PASS_LANES` lanes.
+    Outputs and :class:`~repro.clsim.executor.ExecutionStats` counters are
+    bit-identical to the interpreter backend (pinned by
     ``tests/clsim/test_backend_parity.py``).
 
     A launch whose kernel the lowering rejects
@@ -203,50 +227,26 @@ class CodegenBackend(ExecutionBackend):
             )
         return codegen_kernel(kernel)
 
-    def for_launch(self, kernel, local_size, batched) -> ExecutionBackend:
+    def for_launch(self, kernel, local_size) -> ExecutionBackend:
         from ..kernellang.codegen import LoweringError
 
         try:
-            self._compiled(kernel).function(local_size, batched)
+            self._compiled(kernel).function(local_size)
         except LoweringError:
             return InterpreterBackend()
         return self
 
-    def run_group(self, kernel, ctx, ndrange, group_id) -> int:
-        from ..kernellang.errors import KernelLangError
-
+    def run_launch(self, kernel, ndrange, args, batch, stats, local_mem_per_cu) -> None:
         compiled = self._compiled(kernel)
         try:
-            return compiled.run_group(ctx, ndrange, group_id)
-        except KernelExecutionError:  # includes BarrierDivergenceError
+            compiled.run(args, ndrange, batch, stats, local_mem_per_cu)
+        except (KernelExecutionError, LocalMemoryExceededError):
             raise
-        except KernelLangError as exc:
-            raise KernelExecutionError(
-                f"kernel {kernel.name!r} failed for group {group_id}: {exc}"
-            ) from exc
-        except Exception as exc:  # pragma: no cover - defensive
-            # Keep the executor's error contract even if generated code
-            # faults in an unforeseen way (mirrors InterpreterBackend).
-            raise KernelExecutionError(
-                f"kernel {kernel.name!r} failed for group {group_id}: {exc}"
-            ) from exc
-
-    def run_group_batch(self, kernel, ctx, ndrange, group_id, batch) -> int:
-        from ..kernellang.errors import KernelLangError
-
-        compiled = self._compiled(kernel)
-        try:
-            return compiled.run_group_batch(ctx, ndrange, group_id, batch)
-        except KernelExecutionError:
-            raise
-        except KernelLangError as exc:
-            raise KernelExecutionError(
-                f"kernel {kernel.name!r} failed for batched group {group_id}: {exc}"
-            ) from exc
-        except Exception as exc:  # pragma: no cover - defensive
-            raise KernelExecutionError(
-                f"kernel {kernel.name!r} failed for batched group {group_id}: {exc}"
-            ) from exc
+        except Exception as exc:
+            # Kernel-language errors (out-of-bounds, division by zero), and
+            # any unforeseen fault of generated code, keep the executor's
+            # error contract (mirrors InterpreterBackend).
+            raise KernelExecutionError(f"kernel {kernel.name!r} failed: {exc}") from exc
 
 
 #: Registry of execution-backend factories; new backends can be added with

@@ -1,20 +1,25 @@
 """Functional execution of kernels over an NDRange.
 
-The executor runs a kernel work group by work group, delegating the
-per-group execution to a pluggable :class:`~repro.clsim.backends.ExecutionBackend`:
+The executor hands each launch to a pluggable
+:class:`~repro.clsim.backends.ExecutionBackend` through one hook,
+:meth:`~repro.clsim.backends.ExecutionBackend.run_launch`:
 
-* the default ``"interpreter"`` backend advances every work-item as a
-  Python generator in lock-step between barriers (kernel bodies yield
-  :data:`~repro.clsim.kernel.BARRIER` at synchronisation points) — the
-  reference execution model;
+* the default ``"interpreter"`` backend runs the work groups one by one,
+  advancing every work-item as a Python generator in lock-step between
+  barriers (kernel bodies yield :data:`~repro.clsim.kernel.BARRIER` at
+  synchronisation points) — the reference execution model;
 * the ``"codegen"`` backend lowers each (kernel, work-group shape) pair
-  once to specialized Python/NumPy source, compiled and cached on disk —
-  bit-identical outputs and access counters, orders of magnitude faster.
+  once to specialized Python/NumPy source, compiled and cached on disk,
+  and runs every work group of the launch in a few stacked vector passes
+  — bit-identical outputs and access counters, orders of magnitude
+  faster.
 
 Either way the executor owns the launch bookkeeping: device validation,
-local-memory lifecycle, and the aggregation of the
-:class:`ExecutionStats` access counters (the analytical timing model
-handles performance separately).
+argument binding, stacking a batch of compatible launches into segmented
+arenas, and the aggregation of the :class:`ExecutionStats` access
+counters (the analytical timing model handles performance separately).
+A single launch takes the same path as a batch of one, with no arena
+copy.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from .backends import ExecutionBackend, resolve_backend
 from .device import Device, firepro_w5100
 from .errors import KernelExecutionError
 from .kernel import Kernel
-from .kernel import KernelContext
-from .memory import AccessCounters, Buffer, LocalMemory, SegmentedBuffer
+from .memory import AccessCounters, Buffer, SegmentedBuffer
 from .ndrange import NDRange
 
 
@@ -100,48 +104,9 @@ class Executor:
         launch (useful for validating traffic profiles against the
         functional execution).
         """
-        tracer = get_tracer()
-        start_ns = time.monotonic_ns() if tracer.enabled else 0
         ndrange.validate_for_device(self.device)
-        bound = kernel.bind_args(args)
-        backend = self.backend.for_launch(kernel, ndrange.local_size, batched=False)
-        stats = ExecutionStats()
-
-        # Snapshot buffer counters so the stats reflect only this launch.
-        buffers = [v for v in bound.values() if hasattr(v, "counters")]
-        before = [(b, b.counters.reads, b.counters.writes) for b in buffers]
-
-        local = LocalMemory(self.device.local_mem_per_cu)
-        for group_id in ndrange.group_ids():
-            local.reset()
-            ctx = KernelContext(
-                args=dict(bound), local=local, ndrange=ndrange, group_id=group_id
-            )
-            stats.barriers += backend.run_group(kernel, ctx, ndrange, group_id)
-            stats.work_groups += 1
-            stats.local_counters.merge(local.counters)
-            for private in ctx.private.values():
-                stats.private_counters.merge(private.counters)
-
-        stats.work_items = ndrange.total_work_items
-        for buf, reads0, writes0 in before:
-            stats.global_counters.reads += buf.counters.reads - reads0
-            stats.global_counters.writes += buf.counters.writes - writes0
-        if tracer.enabled:
-            tracer.record(
-                "clsim.launch",
-                category="launch",
-                start_ns=start_ns,
-                duration_ns=time.monotonic_ns() - start_ns,
-                kernel=kernel.name,
-                backend=backend.name,
-                work_items=stats.work_items,
-                work_groups=stats.work_groups,
-                barriers=stats.barriers,
-                global_accesses=stats.global_accesses,
-                local_accesses=stats.local_accesses,
-            )
-        return stats
+        backend = self.backend.for_launch(kernel, ndrange.local_size)
+        return self._launch(kernel, ndrange, [args], backend)
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -157,111 +122,76 @@ class Executor:
         identical values across the batch.  On a backend that supports
         batching, the per-request buffers are stacked into
         :class:`~repro.clsim.memory.SegmentedBuffer` arenas and the whole
-        batch executes as *one* launch — each work group runs the stacked
-        lanes of every request together, which amortises the per-group
-        interpretation overhead.  Outputs are written back to the caller's
-        buffers and are bit-identical to running the launches one by one;
-        the returned :class:`ExecutionStats` equal the *sum* of the
-        individual launches' stats.  Backends without batching support fall
-        back to exactly that serial loop, as does a batch that
+        batch executes as *one* launch — the lanes of every request run
+        together, which amortises the per-operation interpretation
+        overhead.  Outputs are written back to the caller's buffers and are
+        bit-identical to running the launches one by one; the returned
+        :class:`ExecutionStats` equal the *sum* of the individual launches'
+        stats.  Backends without batching support fall back to exactly that
+        serial loop, as does a batch that
         :meth:`~repro.clsim.backends.ExecutionBackend.for_launch` hands to
         such a backend (the codegen backend's interpreter fallback).
         """
         args_batch = list(args_batch)
         if not args_batch:
             raise KernelExecutionError("run_batch requires at least one launch")
-        tracer = get_tracer()
-        start_ns = time.monotonic_ns() if tracer.enabled else 0
         backend = self.backend
         if len(args_batch) > 1 and backend.supports_batching:
             ndrange.validate_for_device(self.device)
-            backend = backend.for_launch(kernel, ndrange.local_size, batched=True)
+            backend = backend.for_launch(kernel, ndrange.local_size)
         if len(args_batch) == 1 or not backend.supports_batching:
             runner = self if backend is self.backend else Executor(self.device, backend)
             stats = ExecutionStats()
             for args in args_batch:
                 stats.merge(runner.run(kernel, ndrange, args))
             return stats
+        return self._launch(kernel, ndrange, args_batch, backend)
 
+    # ------------------------------------------------------------------
+    def _launch(
+        self,
+        kernel: Kernel,
+        ndrange: NDRange,
+        args_batch: list,
+        backend: ExecutionBackend,
+    ) -> ExecutionStats:
+        """One launch of ``len(args_batch)`` requests on ``backend``."""
+        tracer = get_tracer()
+        start_ns = time.monotonic_ns() if tracer.enabled else 0
         batch = len(args_batch)
         bound_batch = [kernel.bind_args(args) for args in args_batch]
-        first = bound_batch[0]
+        args = bound_batch[0] if batch == 1 else _stack(bound_batch)
 
-        # Stack the per-request buffers into segmented arenas; scalars must
-        # agree across the batch (they are broadcast lane-wide).
-        stacked: dict[str, object] = {}
-        buffer_names: list[str] = []
-        for name, value in first.items():
-            if isinstance(value, Buffer):
-                for bound in bound_batch[1:]:
-                    other = bound[name]
-                    if (
-                        not isinstance(other, Buffer)
-                        or other.shape != value.shape
-                        or other.dtype != value.dtype
-                    ):
-                        raise KernelExecutionError(
-                            f"batched launch requires identically shaped/typed "
-                            f"buffers for argument {name!r}"
-                        )
-                arena = np.concatenate(
-                    [bound[name].array.reshape(-1) for bound in bound_batch]
-                )
-                stacked[name] = SegmentedBuffer(
-                    arena, name=name, segment_elements=value.size, batch=batch
-                )
-                buffer_names.append(name)
-            else:
-                for bound in bound_batch[1:]:
-                    if bound[name] != value:
-                        raise KernelExecutionError(
-                            f"batched launch requires identical scalar values "
-                            f"for argument {name!r} "
-                            f"({value!r} vs {bound[name]!r})"
-                        )
-                stacked[name] = value
+        # Snapshot buffer counters so the stats reflect only this launch.
+        buffers = [v for v in args.values() if hasattr(v, "counters")]
+        before = [(b, b.counters.reads, b.counters.writes) for b in buffers]
+        stats = ExecutionStats(
+            work_items=batch * ndrange.total_work_items,
+            work_groups=batch * ndrange.total_groups,
+        )
+        backend.run_launch(kernel, ndrange, args, batch, stats, self.device.local_mem_per_cu)
+        for buf, reads0, writes0 in before:
+            stats.global_counters.reads += buf.counters.reads - reads0
+            stats.global_counters.writes += buf.counters.writes - writes0
 
-        stats = ExecutionStats()
-        arenas = [stacked[name] for name in buffer_names]
-        before = [(b, b.counters.reads, b.counters.writes) for b in arenas]
-
-        # Each request's group still fits the per-CU budget on its own (its
-        # tiles are exactly those of an individual launch); the stacked
-        # group co-locates ``batch`` such groups, so it gets their combined
-        # budget.
-        local = LocalMemory(self.device.local_mem_per_cu * batch)
-        for group_id in ndrange.group_ids():
-            local.reset()
-            ctx = KernelContext(
-                args=dict(stacked), local=local, ndrange=ndrange, group_id=group_id
-            )
-            stats.barriers += backend.run_group_batch(kernel, ctx, ndrange, group_id, batch)
-            stats.work_groups += batch
-            stats.local_counters.merge(local.counters)
-            for private in ctx.private.values():
-                stats.private_counters.merge(private.counters)
-
-        stats.work_items = batch * ndrange.total_work_items
-        for arena, reads0, writes0 in before:
-            stats.global_counters.reads += arena.counters.reads - reads0
-            stats.global_counters.writes += arena.counters.writes - writes0
-
-        # Scatter every arena segment back into the caller's buffers (only
-        # outputs change, but copying all of them is cheap and assumes
-        # nothing about which buffers a kernel writes).
-        for name in buffer_names:
-            arena = stacked[name]
-            for index, bound in enumerate(bound_batch):
-                np.copyto(bound[name].array.reshape(-1), arena.segment(index))
+        if batch > 1:
+            # Scatter every arena segment back into the caller's buffers
+            # (only outputs change, but copying all of them is cheap and
+            # assumes nothing about which buffers a kernel writes).
+            for name, arena in args.items():
+                if isinstance(arena, SegmentedBuffer):
+                    for index, bound in enumerate(bound_batch):
+                        np.copyto(bound[name].array.reshape(-1), arena.segment(index))
         if tracer.enabled:
+            attrs = {"batch": batch} if batch > 1 else {}
             tracer.record(
-                "clsim.launch_batch",
+                "clsim.launch" if batch == 1 else "clsim.launch_batch",
                 category="launch",
                 start_ns=start_ns,
                 duration_ns=time.monotonic_ns() - start_ns,
                 kernel=kernel.name,
                 backend=backend.name,
-                batch=batch,
+                **attrs,
                 work_items=stats.work_items,
                 work_groups=stats.work_groups,
                 barriers=stats.barriers,
@@ -269,3 +199,37 @@ class Executor:
                 local_accesses=stats.local_accesses,
             )
         return stats
+
+
+def _stack(bound_batch: list[dict[str, object]]) -> dict[str, object]:
+    """Stack a batch's buffers into segmented arenas; scalars must agree."""
+    batch = len(bound_batch)
+    first = bound_batch[0]
+    stacked: dict[str, object] = {}
+    for name, value in first.items():
+        if isinstance(value, Buffer):
+            for bound in bound_batch[1:]:
+                other = bound[name]
+                if (
+                    not isinstance(other, Buffer)
+                    or other.shape != value.shape
+                    or other.dtype != value.dtype
+                ):
+                    raise KernelExecutionError(
+                        f"batched launch requires identically shaped/typed "
+                        f"buffers for argument {name!r}"
+                    )
+            arena = np.concatenate([bound[name].array.reshape(-1) for bound in bound_batch])
+            stacked[name] = SegmentedBuffer(
+                arena, name=name, segment_elements=value.size, batch=batch
+            )
+        else:
+            for bound in bound_batch[1:]:
+                if bound[name] != value:
+                    raise KernelExecutionError(
+                        f"batched launch requires identical scalar values "
+                        f"for argument {name!r} "
+                        f"({value!r} vs {bound[name]!r})"
+                    )
+            stacked[name] = value
+    return stacked

@@ -26,8 +26,11 @@ bit-identical, zero requests shed, and zero cold-worker calibration
 sweeps.  The scaling bar is machine-aware (:func:`fleet_required_speedup`):
 2.5x when at least four CPUs back four workers, proportionally less on
 smaller machines (a 1-CPU container cannot scale by adding processes, so
-it only has to stay close to parity).  The full-size run records
-``benchmarks/results/fleet_scaling.json``, which
+it only has to stay close to parity).  One trace takes well under a
+second of wall, so the full-size run times :data:`FLEET_REPETITIONS`
+independent repetitions, each with a fresh fleet and a fresh single
+server, and gates the *median* ratio.  It records
+``benchmarks/results/fleet_scaling.json`` with every per-run ratio, which
 ``benchmarks/check_regression.py`` gates — the record carries its own
 machine-appropriate ``required_speedup`` floor.
 """
@@ -35,6 +38,7 @@ machine-appropriate ``required_speedup`` floor.
 from __future__ import annotations
 
 import os
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,6 +54,10 @@ DEFAULT_RESULTS_PATH = Path("benchmarks") / "results" / "serve_bench.txt"
 #: Fleet-mode report / machine-readable record locations.
 FLEET_RESULTS_PATH = Path("benchmarks") / "results" / "fleet_scaling.txt"
 FLEET_RECORD_PATH = Path("benchmarks") / "results" / "fleet_scaling.json"
+
+#: Independent fleet-vs-single repetitions of a full-size (recorded) fleet
+#: run; quick and chaos runs serve the trace once.
+FLEET_REPETITIONS = 5
 
 #: Fleet mode serves all six registered applications so the planned
 #: placement has enough distinct shard keys to balance four workers.
@@ -251,12 +259,15 @@ class FleetBenchResult:
     workers: int
     cpu_count: int
     max_batch: int
+    #: Metrics of the repetition whose ratio is the median.
     fleet: ServeMetrics
     single: ServeMetrics
     bit_identical: bool
     fleet_within_budget: bool
     single_within_budget: bool
     required_speedup: float
+    #: Fleet-over-single throughput ratio of every repetition, in run order.
+    ratios: list
     warm_reports: list = field(default_factory=list)
     respawn_reports: list = field(default_factory=list)
     parent_db_stats: dict | None = None
@@ -264,7 +275,8 @@ class FleetBenchResult:
 
     @property
     def speedup(self) -> float:
-        return self.fleet.throughput_rps / self.single.throughput_rps
+        """Median ratio over the repetitions."""
+        return statistics.median(self.ratios)
 
     @property
     def cold_evaluations(self) -> int:
@@ -315,7 +327,10 @@ def run_fleet(
     front-end writes it; the single server reopens it read-only), so the
     measured walls compare *serving*, not calibration.  The fleet must
     reproduce the single server's outputs bit-identically, shed nothing,
-    and start every worker with zero calibration evaluations.
+    and start every worker with zero calibration evaluations — in every
+    repetition (:data:`FLEET_REPETITIONS` of them in a full-size run, each
+    with a fresh fleet and a fresh single server; the gated speedup is
+    their median ratio).
 
     ``chaos=True`` kills worker 0 (hard exit) after its first served
     request: the run then exercises detection, respawn-and-replay, and the
@@ -325,14 +340,48 @@ def run_fleet(
     work, so the wall is not a scaling measurement) and never write the
     regression-gated record.
     """
-    from ..autotune import Tuner, TuningDB
-    from ..fleet import PerforationFleet
-
     spec = default_spec(
         quick=quick, requests=requests, size=size, seed=seed, apps=FLEET_SERVE_APPS
     )
     trace = generate_trace(spec)
     calibration = _calibration_inputs(spec)
+    repetitions = 1 if quick or chaos else FLEET_REPETITIONS
+    runs = [
+        _fleet_once(trace, spec, calibration, max_batch, device, workers, chaos)
+        for _ in range(repetitions)
+    ]
+    ratios = [run["fleet"].throughput_rps / run["single"].throughput_rps for run in runs]
+    median_run = runs[sorted(range(repetitions), key=ratios.__getitem__)[repetitions // 2]]
+    return FleetBenchResult(
+        spec=spec,
+        workers=int(workers),
+        cpu_count=os.cpu_count() or 1,
+        max_batch=max_batch,
+        fleet=median_run["fleet"],
+        single=median_run["single"],
+        bit_identical=all(run["bit_identical"] for run in runs),
+        fleet_within_budget=all(run["fleet_within_budget"] for run in runs),
+        single_within_budget=all(run["single_within_budget"] for run in runs),
+        required_speedup=0.0 if chaos else fleet_required_speedup(workers),
+        ratios=ratios,
+        warm_reports=[r for run in runs for r in run["warm_reports"]],
+        respawn_reports=[r for run in runs for r in run["respawn_reports"]],
+        parent_db_stats=median_run["parent_db_stats"],
+        chaos=chaos,
+    )
+
+
+def _fleet_once(trace, spec, calibration, max_batch, device, workers, chaos) -> dict:
+    """One repetition: a fresh fleet, then a fresh single server.
+
+    The process-wide kernel-build cache is emptied first, so the single
+    server builds its kernels as cold as the fresh fleet's workers do.
+    """
+    from ..autotune import Tuner, TuningDB
+    from ..core.perforator import build_kernel
+    from ..fleet import PerforationFleet
+
+    build_kernel.cache_clear()
 
     chaos_kwargs = (
         dict(fail_after={0: 1}, request_timeout_s=120.0, max_respawns=3)
@@ -371,7 +420,6 @@ def run_fleet(
         for app in spec.apps:
             single.controller.ladder(app)
         single_responses = single.run_trace(trace)
-        single_metrics = single.metrics
     finally:
         fleet.close()
 
@@ -386,28 +434,26 @@ def run_fleet(
         and r.output.tobytes() == reference[r.request_id].output.tobytes()
         for r in fleet_responses
     )
-    return FleetBenchResult(
-        spec=spec,
-        workers=int(workers),
-        cpu_count=os.cpu_count() or 1,
-        max_batch=max_batch,
-        fleet=fleet_metrics,
-        single=single_metrics,
-        bit_identical=bit_identical,
-        fleet_within_budget=all(r.within_budget for r in fleet_responses),
-        single_within_budget=all(r.within_budget for r in single_responses),
-        required_speedup=0.0 if chaos else fleet_required_speedup(workers),
-        warm_reports=warm_reports,
-        respawn_reports=respawn_reports,
-        parent_db_stats=parent_db_stats,
-        chaos=chaos,
-    )
+    return {
+        "fleet": fleet_metrics,
+        "single": single.metrics,
+        "bit_identical": bit_identical,
+        "fleet_within_budget": all(r.within_budget for r in fleet_responses),
+        "single_within_budget": all(r.within_budget for r in single_responses),
+        "warm_reports": warm_reports,
+        "respawn_reports": respawn_reports,
+        "parent_db_stats": parent_db_stats,
+    }
 
 
 def render_fleet(result: FleetBenchResult) -> str:
     spec = result.spec
     effective = min(result.workers, result.cpu_count)
     mode = " --chaos (worker 0 killed after its first request)" if result.chaos else ""
+    runs = ""
+    if len(result.ratios) > 1:
+        ratios = ", ".join(f"{ratio:.2f}x" for ratio in result.ratios)
+        runs = f"(median of {len(result.ratios)} runs: {ratios}; metrics above: the median run) "
     lines = [
         f"serve-bench --workers {result.workers}{mode}: fleet serving vs one "
         "in-process batched server",
@@ -424,7 +470,7 @@ def render_fleet(result: FleetBenchResult) -> str:
         "[single-process]",
         result.single.describe(),
         "",
-        f"throughput speedup: {result.speedup:.2f}x "
+        f"throughput speedup: {result.speedup:.2f}x {runs}"
         f"(required >= {result.required_speedup:g}x"
         + (", waived under chaos)" if result.chaos else ")"),
         f"outputs bit-identical to single process: {result.bit_identical}",
@@ -484,6 +530,8 @@ def fleet_record(result: FleetBenchResult) -> dict:
         ),
         "fleet_throughput_rps": round(result.fleet.throughput_rps, 4),
         "single_throughput_rps": round(result.single.throughput_rps, 4),
+        "repetitions": len(result.ratios),
+        "ratios": [round(ratio, 4) for ratio in result.ratios],
     }
 
 

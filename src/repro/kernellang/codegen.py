@@ -2,11 +2,13 @@
 
 The reference interpreter (:mod:`repro.kernellang.interpreter`) runs every
 work-item as a Python generator — precise, but slow.  This module executes
-a whole work group at once, SIMT-style, the way array-DSL compilers do: it
-lowers each (kernel source, work-group shape, batched?) triple **once**
-into flat Python source built from batched NumPy operations, compiles it
-with ``compile()``/``exec()`` and runs the resulting function per work
-group.
+every work group of a launch at once, SIMT-style, the way whole-function
+vectorisation stacks work-items: it lowers each (kernel source, work-group
+shape) pair **once** into flat Python source built from NumPy operations
+over *lanes*, compiles it with ``compile()``/``exec()`` and runs a launch
+as a few stacked *passes*.  A lane is one (request, work group, local id)
+triple; a pass covers whole work groups of every request of a batch, at
+most :data:`MAX_PASS_LANES` lanes.
 
 The lowering is a pretty-printer over the pass pipeline
 (:mod:`repro.kernellang.passes` — see ``docs/ir.md``):
@@ -14,9 +16,10 @@ The lowering is a pretty-printer over the pass pipeline
 * the **uniformity analysis**
   (:class:`~repro.kernellang.passes.uniformity.UniformityAnalysis`, which
   this module's emitter subclasses) classifies every variable as *uniform*
-  (same value in every lane: literals, scalar kernel arguments,
-  ``get_group_id`` / size queries, and anything computed only from those)
-  or *varying* (per-lane).  Uniform values become plain Python scalars —
+  (same value in every lane of every group: literals, scalar kernel
+  arguments, size queries, and anything computed only from those) or
+  *varying* (per-lane: work-item and group ids, memory loads, and
+  anything they reach).  Uniform values become plain Python scalars —
   their arithmetic follows the scalar interpreter exactly — and
   uniform-trip-count loops become plain Python loops with no mask
   machinery at all;
@@ -31,27 +34,27 @@ The lowering is a pretty-printer over the pass pipeline
   pass's merge/arithmetic kernels by name, so outputs, error behaviour and
   :class:`~repro.clsim.executor.ExecutionStats` counters stay
   bit-identical to the interpreter;
-* global buffers / local tiles / private arrays become the memory
-  views (:mod:`repro.kernellang.passes.memory`), with fast unmasked entry
-  points selected statically for full-mask code, recording exactly one
+* global buffers and local tiles become the lane-offset views of the
+  **batching transform** (:mod:`repro.kernellang.passes.batching`), which
+  routes every lane to its request's buffer segment and its group's
+  tile; private and constant arrays become the memory views of
+  :mod:`repro.kernellang.passes.memory`.  Every view records exactly one
   access per active lane;
 * helper functions are inlined at the call site (straight-line helpers
   keep uniformity; anything with control flow is inlined in masked form);
 * the work-group shape is baked in (``get_local_size`` folds to a
-  constant), and a separate variant is lowered for batched launches whose
-  containers are the **batching transform**'s segmented views
-  (:mod:`repro.kernellang.passes.batching`), routing every lane into its
-  own request segment.
+  constant).
 
-``barrier()`` must be reached by *all* lanes of the group at the *same
-statement* — a barrier is then a plain sequence point, since statements
-already execute group-wide.  This is deliberately stricter than the
-lock-step interpreter, which only requires equal barrier *counts* per
-work-item and therefore accepts balanced divergent barriers
-(``if (c) { barrier(); } else { barrier(); }``); rather than silently
-drifting on that pattern, the generated code raises
-:class:`~repro.clsim.errors.BarrierDivergenceError`.  None of the bundled
-or generated kernels use it (their barriers are all at the top level).
+**Barrier rule.** ``barrier()`` is a plain sequence point, since
+statements already execute pass-wide; that is only sound when every lane
+of the pass reaches the same barriers.  The lowering therefore rejects
+(:class:`LoweringError`) a barrier reached under divergent control — a
+varying branch or masked loop, including one that varies only between
+groups — and a barrier in a kernel with a divergent kernel-level
+``return``.  The codegen backend runs such a launch on the interpreter,
+which executes each group on its own and so also accepts balanced
+divergent barriers (``if (c) { barrier(); } else { barrier(); }``).  The
+bundled kernels keep their barriers at the top level and always lower.
 
 Lane arithmetic is IEEE double, exactly like the interpreter's Python
 floats.  ``sqrt``/``rsqrt``/``native_divide`` use NumPy's
@@ -59,7 +62,7 @@ correctly-rounded kernels; the remaining transcendentals are applied
 through :mod:`math` per active lane, because NumPy's vector routines are
 not guaranteed to round identically to libm.
 
-Compiled group functions live on the :class:`CodegenKernel` of each
+Compiled pass functions live on the :class:`CodegenKernel` of each
 :class:`~repro.clsim.kernel.Kernel`, which
 :func:`repro.core.perforator.build_kernel` builds once per (kernel source,
 configuration) and shares process-wide; lowered sources persist on disk
@@ -78,9 +81,8 @@ import hashlib
 
 import numpy as np
 
-from ..clsim.errors import BarrierDivergenceError
-from ..clsim.kernel import Kernel, KernelContext
-from ..clsim.memory import Buffer
+from ..clsim.kernel import Kernel
+from ..clsim.memory import Buffer, LocalMemory
 from . import ast
 from .builtins import (
     BUILTIN_CONSTANTS,
@@ -101,7 +103,7 @@ from .ir import (
     join_kind,
     promote_dt,
 )
-from .passes.batching import SegLocalView, lane_requests, segmented_global_view
+from .passes.batching import global_view, local_view, route_lanes
 from .passes.masking import (
     VECTOR_BUILTINS,
     FnFlow,
@@ -119,7 +121,7 @@ from .passes.masking import (
     varying_div,
     varying_mod,
 )
-from .passes.memory import ConstantView, GlobalView, LocalView, PrivateView
+from .passes.memory import ConstantView, PrivateView
 from .passes.uniformity import UniformityAnalysis
 from .types import PointerType, ScalarType
 
@@ -128,10 +130,18 @@ _FLOAT = np.float64
 
 #: Bump when the lowering or the runtime contract changes: invalidates every
 #: on-disk artifact (stale entries simply miss).
-CODEGEN_FORMAT_VERSION = 2
+CODEGEN_FORMAT_VERSION = 3
+
+#: Lanes per stacked pass: a launch runs in passes of whole work groups, at
+#: most this many lanes each (always at least one group).  Bounds the
+#: memory of one pass: on the serving benchmark 2**13 kept peak RSS within
+#: 4% of one-group-at-a-time launches, while larger caps added up to 8%
+#: for no clear throughput gain.
+MAX_PASS_LANES = 2**13
 
 __all__ = [
     "CODEGEN_FORMAT_VERSION",
+    "MAX_PASS_LANES",
     "CodegenKernel",
     "LoweringError",
     "artifact_key",
@@ -176,7 +186,6 @@ def _exec_namespace() -> dict:
         "_merge_parts": merge_parts,
         "_FnFlow": FnFlow,
         "_IErr": InterpreterError,
-        "_BDE": BarrierDivergenceError,
         "int": int,
         "float": float,
         "isinstance": isinstance,
@@ -188,97 +197,48 @@ def _exec_namespace() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Per-group runtime state handed to the generated function
+# Per-pass runtime state handed to the generated function
 # ---------------------------------------------------------------------------
-_LID_CACHE: dict = {}
-_MASK_CACHE: dict = {}
-
-
-def _lid_arrays(local_size: tuple[int, ...], batch: int):
-    """Per-dimension local-id index arrays (cached, read-only by contract)."""
-    key = (local_size, batch)
-    cached = _LID_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rank = len(local_size)
-    group = 1
-    for extent in local_size:
-        group *= extent
-    lids = []
-    for dim in range(rank):
-        inner = 1
-        for lower in range(dim):
-            inner *= local_size[lower]
-        lid = np.tile(np.repeat(np.arange(local_size[dim], dtype=_INT), inner), group // (inner * local_size[dim]))
-        lids.append(np.tile(lid, batch) if batch > 1 else lid)
-    lane_request = lane_requests(batch, group)
-    result = (group, tuple(lids), lane_request)
-    _LID_CACHE[key] = result
-    return result
-
-
-def _masks(lanes: int):
-    cached = _MASK_CACHE.get(lanes)
-    if cached is None:
-        cached = _MASK_CACHE[lanes] = (
-            np.ones(lanes, dtype=bool),
-            np.zeros(lanes, dtype=bool),
-        )
-    return cached
-
-
 class _Runtime:
-    """Everything a generated group function reads: ids, sizes, containers."""
+    """Everything a generated pass function reads: ids, sizes, containers."""
 
-    __slots__ = (
-        "L", "M0", "Z", "gid", "lid", "grp", "gsz", "lsz", "ngrp",
-        "c", "s", "local",
-    )
+    __slots__ = ("L", "M0", "Z", "gid", "lid", "grp", "gsz", "ngrp", "c", "s", "local")
 
 
-def _build_runtime(
-    constants_containers: dict,
-    params,
-    ctx: KernelContext,
+def _pass_runtime(
+    compiled: "CodegenKernel",
+    args: dict,
     ndrange,
-    group_id: tuple[int, ...],
-    batch: int | None,
+    batch: int,
+    first: int,
+    count: int,
+    local: LocalMemory,
 ) -> _Runtime:
+    """Runtime of the pass over launch slots ``[first, first + count)``."""
+    group = ndrange.work_group_size
+    request, lid, grp = route_lanes(first, count, ndrange.num_groups, ndrange.local_size)
     rt = _Runtime()
-    effective_batch = batch or 1
-    group, lids, lane_request = _lid_arrays(ndrange.local_size, effective_batch)
-    rt.L = group * effective_batch
-    rt.M0, rt.Z = _masks(rt.L)
-    rt.lid = lids
-    rt.gid = tuple(
-        lids[dim] + group_id[dim] * ndrange.local_size[dim]
-        for dim in range(ndrange.rank)
-    )
-    rt.grp = tuple(int(g) for g in group_id)
+    rt.L = count * group
+    rt.M0 = np.ones(rt.L, dtype=bool)
+    rt.Z = np.zeros(rt.L, dtype=bool)
+    rt.lid = lid
+    rt.grp = grp
+    rt.gid = tuple(g * extent + i for g, extent, i in zip(grp, ndrange.local_size, lid))
     rt.gsz = ndrange.global_size
-    rt.lsz = ndrange.local_size
     rt.ngrp = ndrange.num_groups
-    rt.c = dict(constants_containers)
+    rt.c = dict(compiled.const_containers)
     rt.s = {}
-    for param in params:
-        value = ctx.arg(param.name)
+    for param in compiled.kernel_def.params:
+        value = args[param.name]
         if isinstance(param.param_type, PointerType):
             if not isinstance(value, Buffer):
                 raise InterpreterError(
                     f"pointer argument {param.name!r} must be bound to a Buffer"
                 )
-            if batch is None:
-                rt.c[param.name] = GlobalView(value)
-            else:
-                rt.c[param.name] = segmented_global_view(value, batch, lane_request)
+            rt.c[param.name] = global_view(value, batch, request)
         else:
             rt.s[param.name] = value
-    if batch is None:
-        rt.local = lambda name, length: LocalView(ctx.local, name, length)
-    else:
-        rt.local = lambda name, length: SegLocalView(
-            ctx.local, name, length, lane_request * length, batch
-        )
+    rt.local = lambda name, length: local_view(local, name, length, count, group)
     return rt
 
 
@@ -293,9 +253,8 @@ class _Emitter(UniformityAnalysis):
         program: ast.Program,
         kernel_name: str | None,
         local_size: tuple[int, ...],
-        batched: bool,
     ) -> None:
-        super().__init__(program, kernel_name, local_size, batched)
+        super().__init__(program, kernel_name, local_size)
         self.lines: list[str] = []
         self.depth = 0
         self.counter = 0
@@ -375,13 +334,12 @@ class _Emitter(UniformityAnalysis):
 
         out: list[str] = [
             f"# repro-codegen artifact (format v{CODEGEN_FORMAT_VERSION})",
-            f"# kernel: {self.kernel_def.name}  local_size={self.local_size}"
-            f"  batched={self.batched}",
+            f"# kernel: {self.kernel_def.name}  local_size={self.local_size}",
         ]
         for name in sorted(self.binds):
             out.append(f"{name} = {self.binds[name]}")
         out.append("")
-        out.append("def kernel_group(rt):")
+        out.append("def kernel_pass(rt):")
         prologue = ["L = rt.L", "M0 = rt.M0", "_Z = rt.Z", "_b = 0"]
         dims = {"gid": "g", "lid": "l", "grp": "G", "gsz": "S", "ngrp": "N"}
         for field, short in dims.items():
@@ -486,17 +444,10 @@ class _Emitter(UniformityAnalysis):
         if self.in_function:
             self._line('raise _IErr("helper functions may not contain barriers")')
             return
-        if self.div or self.has_masked_return:
-            check = f"not {self.mask}.all()"
-            if self.has_masked_return:
-                check = f"_ret.any() or {check}"
-            self._line(f"if {check}:")
-            self._push()
-            self._line(
-                'raise _BDE("work-items of the group reached different '
-                'numbers of barriers")'
-            )
-            self._pop()
+        if self.div:
+            raise self._unsupported("a barrier() under divergent control")
+        if self.has_masked_return:
+            raise self._unsupported("a barrier() in a kernel with a divergent return")
         self._line("_b += 1")
 
     def _emit_decl(self, decl: ast.VarDecl, scope: Scope) -> None:
@@ -1042,42 +993,26 @@ class _Emitter(UniformityAnalysis):
 
     def _store_index(self, target: ast.Index, value: Value, scope: Scope) -> None:
         container = self._container(target.base, scope)
-        index = self._emit_expr(target.index, scope)
-        space = container.dt  # the container Value carries the space in .dt
-        py = container.code
-        seg = self.batched and space in ("global", "local")
-        if index.kind == "u" and not seg and space != "private":
-            idx = self._idx_code(index)
-            if self.div:
-                self._line(f"{py}.storeum({idx}, {value.code}, {self.mask})")
-            else:
-                self._line(f"{py}.storeu({idx}, {value.code}, L)")
-            return
-        idx = self._idx_code(index)
+        idx = self._idx_code(self._emit_expr(target.index, scope))
         if self.div:
-            self._line(f"{py}.storem({idx}, {value.code}, {self.mask})")
+            self._line(f"{container.code}.storem({idx}, {value.code}, {self.mask})")
         else:
-            self._line(f"{py}.storef({idx}, {value.code})")
+            self._line(f"{container.code}.storef({idx}, {value.code})")
 
     def _emit_load_index(self, expr: ast.Index, scope: Scope) -> Value:
         container = self._container(expr.base, scope)
         index = self._emit_expr(expr.index, scope)
-        space = container.dt
         py = container.code
-        seg = self.batched and space in ("global", "local")
-        varying_result = space == "private" or seg or index.kind == "v"
         idx = self._idx_code(index)
-        if index.kind == "u" and not seg and space != "private":
+        # The container Value carries the address space in .dt; only a
+        # constant array read at a uniform index yields a uniform value.
+        if container.dt == "constant" and index.kind == "u":
             if self.div:
-                code = f"{py}.loadum({idx}, {self.mask})"
-            else:
-                code = f"{py}.loadu({idx}, L)"
-            return Value(code, "u", "f")
+                return Value(f"{py}.loadum({idx}, {self.mask})", "u", "f")
+            return Value(f"{py}.loadu({idx}, L)", "u", "f")
         if self.div:
-            code = f"{py}.loadm({idx}, {self.mask})"
-        else:
-            code = f"{py}.loadf({idx})"
-        return Value(code, "v" if varying_result else "u", "f")
+            return Value(f"{py}.loadm({idx}, {self.mask})", "v", "f")
+        return Value(f"{py}.loadf({idx})", "v", "f")
 
     def _emit_ternary(self, expr: ast.Ternary, scope: Scope) -> Value:
         cond = self._emit_expr(expr.condition, scope)
@@ -1139,7 +1074,7 @@ class _Emitter(UniformityAnalysis):
             short = {"gid": "g", "lid": "l", "grp": "G", "gsz": "S", "ngrp": "N"}[field]
             ident = f"{short}{dim}"
             self.used_ids.add(ident)
-            if field in ("gid", "lid"):
+            if field in ("gid", "lid", "grp"):
                 return Value(ident, "v", "i")
             return Value(ident, "u", "i")
         if name in SYNC_BUILTINS:
@@ -1241,29 +1176,22 @@ def lower_kernel(
     program: ast.Program,
     kernel_name: str | None = None,
     local_size: tuple[int, ...] = (1,),
-    batched: bool = False,
 ) -> str:
     """Lower one kernel of ``program`` to specialized Python source."""
-    lowering = _Emitter(program, kernel_name, tuple(int(v) for v in local_size), batched)
-    return lowering.lower()
+    return _Emitter(program, kernel_name, tuple(int(v) for v in local_size)).lower()
 
 
-def artifact_key(
-    cl_source: str,
-    kernel_name: str,
-    local_size: tuple[int, ...],
-    batched: bool,
-) -> str:
+def artifact_key(cl_source: str, kernel_name: str, local_size: tuple[int, ...]) -> str:
     """Content hash identifying one lowered artifact.
 
     Keyed on the canonical (OpenCL C) form of the program — which embeds
     the perforation configuration, since the transforms rewrote the AST —
-    plus the kernel name, the baked work-group shape, the batched flag and
-    the lowering format version.
+    plus the kernel name, the baked work-group shape and the lowering
+    format version.
     """
     blob = (
         f"repro-codegen|v{CODEGEN_FORMAT_VERSION}|{kernel_name}|"
-        f"{tuple(local_size)}|{int(batched)}|{cl_source}"
+        f"{tuple(local_size)}|{cl_source}"
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -1279,7 +1207,7 @@ def _compile_artifact(source: str, key: str):
         code = compile(source, f"<repro-codegen:{key[:12]}>", "exec")
         namespace = _exec_namespace()
         exec(code, namespace)
-        fn = namespace.get("kernel_group")
+        fn = namespace.get("kernel_pass")
         return fn if callable(fn) else None
     except Exception:
         return None
@@ -1288,9 +1216,9 @@ def _compile_artifact(source: str, key: str):
 class CodegenKernel:
     """Executes one kernellang kernel through generated specialized source.
 
-    One instance exists per :class:`~repro.clsim.kernel.Kernel`; the actual
-    compiled group functions are specialized per (work-group shape,
-    batched?) on first use and kept on the instance.
+    One instance exists per :class:`~repro.clsim.kernel.Kernel`; the
+    compiled pass functions are specialized per work-group shape on first
+    use and kept on the instance (as is a shape's :class:`LoweringError`).
     """
 
     def __init__(self, program: ast.Program, kernel_name: str | None = None) -> None:
@@ -1306,22 +1234,30 @@ class CodegenKernel:
         self._fns: dict = {}
 
     # ------------------------------------------------------------------
-    def function(self, local_size: tuple[int, ...], batched: bool):
-        """The compiled group function for one work-group shape."""
-        shape_key = (tuple(local_size), batched)
-        fn = self._fns.get(shape_key)
-        if fn is not None:
-            return fn
+    def function(self, local_size: tuple[int, ...]):
+        """The compiled pass function for one work-group shape."""
+        local_size = tuple(local_size)
+        fn = self._fns.get(local_size)
+        if fn is None:
+            try:
+                fn = self._build(local_size)
+            except LoweringError as exc:
+                fn = exc
+            self._fns[local_size] = fn
+        if isinstance(fn, LoweringError):
+            raise fn.with_traceback(None)  # keep the remembered error's traceback bounded
+        return fn
+
+    def _build(self, local_size: tuple[int, ...]):
         from ..api.artifacts import default_cache
         from ..obs.trace import get_tracer
 
-        key = artifact_key(self.cl_source, self.kernel_def.name, shape_key[0], batched)
+        key = artifact_key(self.cl_source, self.kernel_def.name, local_size)
         with get_tracer().span(
             "codegen.artifact",
             category="lowering",
             kernel=self.kernel_def.name,
-            local_size=list(shape_key[0]),
-            batched=batched,
+            local_size=list(local_size),
         ) as span:
             cache = default_cache()
             source = cache.get(key) if cache is not None else None
@@ -1331,7 +1267,7 @@ class CodegenKernel:
                 # Corrupt/stale on-disk artifact: drop it and lower fresh.
                 cache.invalidate(key)
             if fn is None:
-                source = lower_kernel(self.program, self.kernel_def.name, shape_key[0], batched)
+                source = lower_kernel(self.program, self.kernel_def.name, local_size)
                 fn = _compile_artifact(source, key)
                 if fn is None:
                     raise LoweringError(
@@ -1341,31 +1277,31 @@ class CodegenKernel:
                 if cache is not None:
                     cache.put(key, source)
             span.set(source="disk-cache" if from_cache else "lowered")
-        self._fns[shape_key] = fn
         return fn
 
     # ------------------------------------------------------------------
-    def run_group(self, ctx: KernelContext, ndrange, group_id) -> int:
-        """Run all work-items of one group; returns the number of barriers."""
-        fn = self.function(ndrange.local_size, batched=False)
-        rt = _build_runtime(
-            self.const_containers, self.kernel_def.params, ctx, ndrange,
-            tuple(group_id), None,
-        )
-        with np.errstate(all="ignore"):
-            return fn(rt)
+    def run(self, args: dict, ndrange, batch: int, stats, local_mem_per_cu: int) -> None:
+        """Run every work group of ``batch`` stacked launches in passes.
 
-    def run_group_batch(self, ctx: KernelContext, ndrange, group_id, batch: int) -> int:
-        """Run one work group of ``batch`` stacked compatible launches."""
-        if batch <= 0:
-            raise InterpreterError(f"batch must be positive, got {batch}")
-        fn = self.function(ndrange.local_size, batched=True)
-        rt = _build_runtime(
-            self.const_containers, self.kernel_def.params, ctx, ndrange,
-            tuple(group_id), batch,
-        )
-        with np.errstate(all="ignore"):
-            return fn(rt) * batch
+        ``args`` binds every argument (pointers to ``batch``-segment
+        :class:`~repro.clsim.memory.SegmentedBuffer` arenas when
+        ``batch > 1``).  Barriers and local-memory counters accumulate into
+        ``stats``; a pass of ``n`` groups allocates its tiles against ``n``
+        times the per-CU budget, so a tile that overflows one group's
+        budget still raises.
+        """
+        fn = self.function(ndrange.local_size)
+        group = ndrange.work_group_size
+        slots = batch * ndrange.total_groups
+        per_pass = max(1, MAX_PASS_LANES // group)
+        for first in range(0, slots, per_pass):
+            count = min(per_pass, slots - first)
+            local = LocalMemory(local_mem_per_cu * count)
+            rt = _pass_runtime(self, args, ndrange, batch, first, count, local)
+            with np.errstate(all="ignore"):
+                # The barrier rule: every group of the pass hit each barrier.
+                stats.barriers += fn(rt) * count
+            stats.local_counters.merge(local.counters)
 
 
 def codegen_kernel(kernel: Kernel) -> CodegenKernel:

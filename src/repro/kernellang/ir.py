@@ -1,7 +1,8 @@
 """Typed value model of the kernellang lowering — the shared kernel IR.
 
-The compiled backend executes kernels *lane-wise*: all work-items of a
-work group advance together, and each kernel value is either **uniform**
+The compiled backend executes kernels *lane-wise*: all work-items of
+every work group of a launch advance together in stacked passes, and
+each kernel value is either **uniform**
 (one Python scalar shared by every lane) or **varying** (a ``(lanes,)``
 NumPy array).  This module defines that typed value model — the
 vocabulary the pass pipeline (:mod:`repro.kernellang.passes`) and the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from .errors import KernelLangError
 
-#: Value kinds: uniform (one scalar per group), varying (one value per
+#: Value kinds: uniform (one scalar per pass), varying (one value per
 #: lane), container (a buffer/tile/array name — not a first-class value).
 UNIFORM = "u"
 VARYING = "v"

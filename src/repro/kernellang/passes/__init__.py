@@ -15,9 +15,10 @@ batching from scratch (see ``docs/ir.md`` for the backend-author path):
 * :mod:`~repro.kernellang.passes.memory` — lane-indexed views of global
   buffers, local tiles, private and constant arrays, with the exact
   bounds-check and ``ExecutionStats`` counting contract;
-* :mod:`~repro.kernellang.passes.batching` — the batching transform for
-  segmented buffers: lane-to-request routing and the segmented memory
-  views that make one stacked launch bit-identical to N individual ones.
+* :mod:`~repro.kernellang.passes.batching` — the batching transform:
+  routes every lane of a stacked pass to its (request, work group) and
+  builds the lane-offset views that make one pass over many groups and
+  requests bit-identical to running each group on its own.
 
 The typed value model the passes operate on (kinds, dtypes,
 :class:`~repro.kernellang.ir.Scope`) lives in :mod:`repro.kernellang.ir`.

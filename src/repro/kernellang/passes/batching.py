@@ -1,152 +1,97 @@
-"""Batching transform: route every lane into its own request's segment.
+"""Batching transform: route every lane of a stacked pass to its request and group.
 
-**Consumes** a batched launch — ``batch`` compatible launches stacked
-into one SIMT group, with request ``r`` occupying lanes
-``[r * group_size, (r + 1) * group_size)`` — plus
-:class:`~repro.clsim.memory.SegmentedBuffer` pointer arguments.
-**Guarantees downstream** bit-identity with ``batch`` individual
-launches: lanes of different requests can never observe each other's
-data, because
+**Consumes** one *pass* of a launch over ``batch`` compatible requests.
+The launch has ``batch * groups`` slots: slot ``s`` is work group
+``s % groups`` (in :meth:`~repro.clsim.ndrange.NDRange.group_ids` order)
+of request ``s // groups``, and a pass runs a contiguous range of slots
+with slot ``first + k`` occupying lanes
+``[k * group_size, (k + 1) * group_size)``.  With ``batch > 1`` every
+pointer argument is a :class:`~repro.clsim.memory.SegmentedBuffer`.
+**Guarantees downstream** bit-identity with running every work group of
+every request on its own: lanes of different requests or groups never
+observe each other's private or local data, because
 
-* :func:`lane_requests` fixes the lane→request routing
-  (``np.repeat(arange(batch), group_size)``), from which each view's
-  per-lane segment base offset is derived;
-* :class:`SegGlobalView` adds the base offset *after* bounds-checking the
-  per-segment index against ``segment_elements``, so per-request indexing
-  and error behaviour are exactly those of an individual launch;
-* :class:`SegLocalView` gives each request its own ``length``-element
-  tile of one shared allocation (request ``r`` owns
-  ``[r * length, (r + 1) * length)``), so staging never mixes requests;
-* :func:`segmented_global_view` is the single validation point for the
-  SegmentedBuffer contract.
+* :func:`route_lanes` fixes the lane→(request, group, local id) routing,
+  from which the work-item ids and each view's per-lane base offset are
+  derived;
+* :func:`global_view` gives request ``r``'s lanes the base offset
+  ``r * segment_elements`` and checks bounds against the segment, so
+  per-request indexing and error behaviour are those of an individual
+  launch; it is the single validation point of the SegmentedBuffer
+  contract;
+* :func:`local_view` gives each slot its own ``length``-element tile of
+  one shared allocation (pass slot ``k`` owns ``[k * length,
+  (k + 1) * length)``), so staging never mixes groups or requests.
 
-The uniform-index entry points of the unsegmented views do not exist
-here: the same logical index reads a *different* segment per request, so
-the uniformity pass classifies every global/local access of a batched
-lowering as varying and only the ``loadf``/``loadm``/``storef``/
-``storem`` surface is needed.  Access counters still record one access
-per active lane, which is what makes batched
-:class:`~repro.clsim.executor.ExecutionStats` equal ``batch`` times the
-per-launch stats.
+Work groups of one launch are unordered, as in OpenCL: a pass runs its
+groups statement by statement side by side, so groups must not
+communicate through global memory within a launch (none of the bundled
+kernels reads the buffer it writes).  Access counters still record one
+access per active lane, which makes a stacked launch's
+:class:`~repro.clsim.executor.ExecutionStats` equal the sum over its
+groups and requests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ...clsim.memory import SegmentedBuffer
 from ..errors import InterpreterError
-from .memory import _bval, _check_full, _check_masked
+from .memory import LaneView
 
 _INT = np.int64
 _FLOAT = np.float64
 
 
-def lane_requests(batch: int, group_size: int) -> np.ndarray:
-    """Request index of every lane of a batched group."""
-    return np.repeat(np.arange(batch, dtype=_INT), group_size)
+def route_lanes(first: int, count: int, num_groups, local_size):
+    """Per-lane ids of the pass over slots ``[first, first + count)``.
 
-
-class SegGlobalView:
-    """Batched variant of ``GlobalView``: each lane addresses its segment."""
-
-    __slots__ = ("buffer", "flat", "n", "base", "what")
-
-    def __init__(self, buffer: SegmentedBuffer, base: np.ndarray) -> None:
-        self.buffer = buffer
-        self.flat = buffer.array.reshape(-1)
-        self.n = buffer.segment_elements
-        self.base = base
-        self.what = f"global buffer {buffer.name!r}"
-
-    def loadf(self, idx) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.base.shape[0], int(idx), dtype=_INT)
-        _check_full(self.what, idx, self.n)
-        self.buffer.record_reads(idx.shape[0])
-        return self.flat[idx + self.base].astype(_FLOAT)
-
-    def loadm(self, idx, mask: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.base.shape[0], int(idx), dtype=_INT)
-        _check_masked(self.what, idx, mask, self.n)
-        self.buffer.record_reads(int(mask.sum()))
-        return self.flat[np.where(mask, idx + self.base, 0)].astype(_FLOAT)
-
-    def storef(self, idx, value) -> None:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.base.shape[0], int(idx), dtype=_INT)
-        _check_full(self.what, idx, self.n)
-        self.buffer.record_writes(idx.shape[0])
-        self.flat[idx + self.base] = np.asarray(value, dtype=_FLOAT)
-
-    def storem(self, idx, value, mask: np.ndarray) -> None:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.base.shape[0], int(idx), dtype=_INT)
-        _check_masked(self.what, idx, mask, self.n)
-        self.buffer.record_writes(int(mask.sum()))
-        self.flat[(idx + self.base)[mask]] = _bval(value, mask)
-
-
-class SegLocalView:
-    """Batched variant of ``LocalView``: one tile per request, stacked."""
-
-    __slots__ = ("mem", "tile", "n", "base", "what")
-
-    def __init__(self, mem, name: str, length: int, base: np.ndarray, batch: int) -> None:
-        self.mem = mem
-        self.tile = mem.allocate(name, (batch * length,), dtype=_FLOAT)
-        self.n = length
-        self.base = base
-        self.what = f"local array {name!r}"
-
-    def loadf(self, idx) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.base.shape[0], int(idx), dtype=_INT)
-        _check_full(self.what, idx, self.n)
-        self.mem.record_reads(idx.shape[0])
-        return self.tile[idx + self.base].astype(_FLOAT)
-
-    def loadm(self, idx, mask: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.base.shape[0], int(idx), dtype=_INT)
-        _check_masked(self.what, idx, mask, self.n)
-        self.mem.record_reads(int(mask.sum()))
-        return self.tile[np.where(mask, idx + self.base, 0)].astype(_FLOAT)
-
-    def storef(self, idx, value) -> None:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.base.shape[0], int(idx), dtype=_INT)
-        _check_full(self.what, idx, self.n)
-        self.mem.record_writes(idx.shape[0])
-        self.tile[idx + self.base] = np.asarray(value, dtype=_FLOAT)
-
-    def storem(self, idx, value, mask: np.ndarray) -> None:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.base.shape[0], int(idx), dtype=_INT)
-        _check_masked(self.what, idx, mask, self.n)
-        self.mem.record_writes(int(mask.sum()))
-        self.tile[(idx + self.base)[mask]] = _bval(value, mask)
-
-
-def segmented_global_view(buffer, batch: int, lane_request: np.ndarray) -> SegGlobalView:
-    """Validate the SegmentedBuffer contract and build the segmented view.
-
-    Single shared validation point: every batched lowering raises the same
-    error for a pointer argument that is not a ``batch``-segment
-    :class:`~repro.clsim.memory.SegmentedBuffer`.
+    Returns ``(request, lid, grp)``: the request index of every lane, and
+    per dimension its local id and work-group id.
     """
+    group_size = math.prod(local_size)
+    slots = np.arange(first, first + count, dtype=_INT)
+    request = np.repeat(slots // math.prod(num_groups), group_size)
+    linear = slots % math.prod(num_groups)
+    lid, grp = [], []
+    inner = 1
+    for extent, groups in zip(local_size, num_groups):
+        period = np.repeat(np.arange(extent, dtype=_INT), inner)
+        lid.append(np.tile(period, count * group_size // period.size))
+        grp.append(np.repeat(linear % groups, group_size))
+        linear = linear // groups
+        inner *= extent
+    return request, tuple(lid), tuple(grp)
+
+
+def global_view(buffer, batch: int, request: np.ndarray) -> LaneView:
+    """The pass's view of one pointer argument.
+
+    A single launch addresses its buffer directly; a batch of ``batch``
+    requests must bind a ``batch``-segment
+    :class:`~repro.clsim.memory.SegmentedBuffer`, and each lane is offset
+    into its request's segment.
+    """
+    what = f"global buffer {buffer.name!r}"
+    flat = buffer.array.reshape(-1)
+    if batch == 1:
+        return LaneView(flat, buffer, flat.size, None, request.size, what)
     if not isinstance(buffer, SegmentedBuffer) or buffer.batch != batch:
         raise InterpreterError(
             f"batched launch requires every pointer argument to be a "
             f"SegmentedBuffer with {batch} segments, got {buffer!r}"
         )
-    return SegGlobalView(buffer, lane_request * buffer.segment_elements)
+    n = buffer.segment_elements
+    return LaneView(flat, buffer, n, request * n, request.size, what)
+
+
+def local_view(mem, name: str, length: int, count: int, group_size: int) -> LaneView:
+    """One ``length``-element tile per pass slot, in one allocation."""
+    tile = mem.allocate(name, (count * length,), dtype=_FLOAT)
+    base = None
+    if count > 1:
+        base = np.repeat(np.arange(0, count * length, length, dtype=_INT), group_size)
+    return LaneView(tile, mem, length, base, count * group_size, f"local array {name!r}")

@@ -1,8 +1,9 @@
 """Lane-indexed memory views: global buffers, local tiles, private arrays.
 
-**Consumes** per-lane ``int64`` index arrays (or plain Python ints on the
-uniform entry points) plus the active-lane mask.  **Guarantees
-downstream** the reference interpreter's exact observable contract:
+**Consumes** per-lane ``int64`` index arrays (a uniform index, a plain
+Python int, is broadcast to every lane) plus the active-lane mask.
+**Guarantees downstream** the reference interpreter's exact observable
+contract:
 
 * bounds are checked on *active* lanes only, raising
   :class:`~repro.kernellang.errors.InterpreterError` with the
@@ -10,25 +11,25 @@ downstream** the reference interpreter's exact observable contract:
 * every load/store records exactly one access *per active lane* on the
   owning buffer/local memory, so
   :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
-  across backends (the uniform entry points count all ``lanes`` — each
-  work-item performed the access — and a full-mask store to one shared
-  address keeps last-lane-wins semantics);
+  across backends;
 * all values cross the boundary as ``float64``, matching the simulator's
   buffer element type.
 
-Method surface per view: ``loadf``/``storef`` (full mask, statically
-known), ``loadm``/``storem`` (masked), and on the unsegmented views
-``loadu``/``storeu`` (uniform index, full mask) and ``loadum``/
-``storeum`` (uniform index, masked).  The codegen printer selects the
-cheapest entry point statically.  The batched variants live in
-:mod:`repro.kernellang.passes.batching`.
+Global buffers and local tiles are :class:`LaneView` objects: each lane
+may carry its own base offset, added *after* the bounds check, so one
+stacked pass addresses every request's buffer segment and every work
+group's tile through the same view (the batching transform,
+:mod:`repro.kernellang.passes.batching`, builds them).  Method surface:
+``loadf``/``storef`` (full mask, statically known) and ``loadm``/``storem``
+(masked); the codegen printer selects the entry point statically.
+Constant arrays are shared by every lane, so :class:`ConstantView` adds
+``loadu``/``loadum`` for a uniform index.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...clsim.memory import Buffer
 from ..errors import InterpreterError
 
 _INT = np.int64
@@ -51,138 +52,62 @@ def _check_masked(what: str, idx: np.ndarray, mask: np.ndarray, length: int) -> 
         _oob(what, int(idx[bad][0]), length)
 
 
-def _last(value):
-    """Scalar written by a full-mask store to one shared address (last lane wins)."""
-    return float(value[-1]) if np.ndim(value) else value
-
-
 def _bval(value, mask):
     """Masked-store RHS: gather the active lanes (scalars broadcast as-is)."""
     return np.asarray(value, dtype=_FLOAT)[mask] if np.ndim(value) else value
 
 
-class GlobalView:
-    """Flat view of a global :class:`Buffer` with full/masked/uniform paths."""
+class LaneView:
+    """A global buffer or local tile addressed per lane.
 
-    __slots__ = ("buffer", "flat", "n", "what")
+    Every lane sees ``n`` elements.  ``base`` is ``None`` (the view is the
+    whole array) or a per-lane offset into ``data``, applied after the
+    bounds check, so a lane never leaves its own ``n``-element segment.
+    ``owner`` (a :class:`~repro.clsim.memory.Buffer` or
+    :class:`~repro.clsim.memory.LocalMemory`) records the accesses.
+    """
 
-    def __init__(self, buffer: Buffer) -> None:
-        self.buffer = buffer
-        self.flat = buffer.array.reshape(-1)
-        self.n = self.flat.size
-        self.what = f"global buffer {buffer.name!r}"
+    __slots__ = ("data", "owner", "n", "base", "lanes", "what")
 
-    def loadf(self, idx: np.ndarray) -> np.ndarray:
+    def __init__(self, data: np.ndarray, owner, n: int, base, lanes: int, what: str) -> None:
+        self.data = data
+        self.owner = owner
+        self.n = n
+        self.base = base
+        self.lanes = lanes
+        self.what = what
+
+    def _index(self, idx) -> np.ndarray:
+        if np.ndim(idx) == 0:
+            return np.full(self.lanes, int(idx), dtype=_INT)
+        return idx
+
+    def _at(self, idx: np.ndarray) -> np.ndarray:
+        return idx if self.base is None else idx + self.base
+
+    def loadf(self, idx) -> np.ndarray:
+        idx = self._index(idx)
         _check_full(self.what, idx, self.n)
-        self.buffer.record_reads(idx.shape[0])
-        return self.flat[idx].astype(_FLOAT)
+        self.owner.record_reads(self.lanes)
+        return self.data[self._at(idx)].astype(_FLOAT, copy=False)
 
-    def loadm(self, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def loadm(self, idx, mask: np.ndarray) -> np.ndarray:
+        idx = self._index(idx)
         _check_masked(self.what, idx, mask, self.n)
-        self.buffer.record_reads(int(mask.sum()))
-        return self.flat[np.where(mask, idx, 0)].astype(_FLOAT)
+        self.owner.record_reads(int(mask.sum()))
+        return self.data[np.where(mask, self._at(idx), 0)].astype(_FLOAT, copy=False)
 
-    def loadu(self, idx: int, lanes: int) -> float:
-        if not 0 <= idx < self.n:
-            _oob(self.what, idx, self.n)
-        self.buffer.record_reads(lanes)
-        return float(self.flat[idx])
-
-    def loadum(self, idx: int, mask: np.ndarray) -> float:
-        count = int(mask.sum())
-        if count:
-            if not 0 <= idx < self.n:
-                _oob(self.what, idx, self.n)
-            self.buffer.record_reads(count)
-            return float(self.flat[idx])
-        return 0.0
-
-    def storef(self, idx: np.ndarray, value) -> None:
+    def storef(self, idx, value) -> None:
+        idx = self._index(idx)
         _check_full(self.what, idx, self.n)
-        self.buffer.record_writes(idx.shape[0])
-        self.flat[idx] = np.asarray(value, dtype=_FLOAT)
+        self.owner.record_writes(self.lanes)
+        self.data[self._at(idx)] = np.asarray(value, dtype=_FLOAT)
 
-    def storem(self, idx: np.ndarray, value, mask: np.ndarray) -> None:
+    def storem(self, idx, value, mask: np.ndarray) -> None:
+        idx = self._index(idx)
         _check_masked(self.what, idx, mask, self.n)
-        self.buffer.record_writes(int(mask.sum()))
-        self.flat[idx[mask]] = _bval(value, mask)
-
-    def storeu(self, idx: int, value, lanes: int) -> None:
-        if not 0 <= idx < self.n:
-            _oob(self.what, idx, self.n)
-        self.buffer.record_writes(lanes)
-        self.flat[idx] = _last(value)
-
-    def storeum(self, idx: int, value, mask: np.ndarray) -> None:
-        count = int(mask.sum())
-        if count:
-            if not 0 <= idx < self.n:
-                _oob(self.what, idx, self.n)
-            self.buffer.record_writes(count)
-            value = float(np.asarray(value, dtype=_FLOAT)[mask][-1]) if np.ndim(value) else value
-            self.flat[idx] = value
-
-
-class LocalView:
-    """A named tile in the work group's local memory."""
-
-    __slots__ = ("mem", "tile", "n", "what")
-
-    def __init__(self, mem, name: str, length: int) -> None:
-        self.mem = mem
-        self.tile = mem.allocate(name, (length,), dtype=_FLOAT)
-        self.n = length
-        self.what = f"local array {name!r}"
-
-    def loadf(self, idx: np.ndarray) -> np.ndarray:
-        _check_full(self.what, idx, self.n)
-        self.mem.record_reads(idx.shape[0])
-        return self.tile[idx].astype(_FLOAT)
-
-    def loadm(self, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        _check_masked(self.what, idx, mask, self.n)
-        self.mem.record_reads(int(mask.sum()))
-        return self.tile[np.where(mask, idx, 0)].astype(_FLOAT)
-
-    def loadu(self, idx: int, lanes: int) -> float:
-        if not 0 <= idx < self.n:
-            _oob(self.what, idx, self.n)
-        self.mem.record_reads(lanes)
-        return float(self.tile[idx])
-
-    def loadum(self, idx: int, mask: np.ndarray) -> float:
-        count = int(mask.sum())
-        if count:
-            if not 0 <= idx < self.n:
-                _oob(self.what, idx, self.n)
-            self.mem.record_reads(count)
-            return float(self.tile[idx])
-        return 0.0
-
-    def storef(self, idx: np.ndarray, value) -> None:
-        _check_full(self.what, idx, self.n)
-        self.mem.record_writes(idx.shape[0])
-        self.tile[idx] = np.asarray(value, dtype=_FLOAT)
-
-    def storem(self, idx: np.ndarray, value, mask: np.ndarray) -> None:
-        _check_masked(self.what, idx, mask, self.n)
-        self.mem.record_writes(int(mask.sum()))
-        self.tile[idx[mask]] = _bval(value, mask)
-
-    def storeu(self, idx: int, value, lanes: int) -> None:
-        if not 0 <= idx < self.n:
-            _oob(self.what, idx, self.n)
-        self.mem.record_writes(lanes)
-        self.tile[idx] = _last(value)
-
-    def storeum(self, idx: int, value, mask: np.ndarray) -> None:
-        count = int(mask.sum())
-        if count:
-            if not 0 <= idx < self.n:
-                _oob(self.what, idx, self.n)
-            self.mem.record_writes(count)
-            value = float(np.asarray(value, dtype=_FLOAT)[mask][-1]) if np.ndim(value) else value
-            self.tile[idx] = value
+        self.owner.record_writes(int(mask.sum()))
+        self.data[self._at(idx)[mask]] = _bval(value, mask)
 
 
 class PrivateView:
@@ -263,4 +188,4 @@ class ConstantView:
     def _readonly(self, *args) -> None:
         raise InterpreterError(f"{self.what} is read-only")
 
-    storef = storem = storeu = storeum = _readonly
+    storef = storem = _readonly

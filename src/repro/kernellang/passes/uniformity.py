@@ -1,12 +1,18 @@
 """Uniformity analysis: classify every kernel variable as uniform or varying.
 
 **Consumes** a parsed :class:`~repro.kernellang.ast.Program`, one kernel
-name, the baked work-group shape and the batched flag.  **Guarantees
-downstream** a fully populated :class:`~repro.kernellang.ir.Scope` per
-function body — every scalar variable carries a kind (``"u"`` uniform /
-``"v"`` varying) and a static dtype (``"i"``/``"f"``/``"x"``), every
-container name carries its address space — plus the two shape decisions
-the mask-insertion pass needs:
+name and the baked work-group shape.  A lowered kernel runs every work
+group of a launch side by side in one stacked pass, so *uniform* means
+"the same in every lane of every group": literals, scalar kernel
+arguments, size queries and anything computed only from those.
+``get_global_id``, ``get_local_id`` and ``get_group_id`` are varying, as
+is every global or local memory load (each lane may address its own
+request's segment or its own group's tile).  **Guarantees downstream** a
+fully populated :class:`~repro.kernellang.ir.Scope` per function body —
+every scalar variable carries a kind (``"u"`` uniform / ``"v"`` varying)
+and a static dtype (``"i"``/``"f"``/``"x"``), every container name
+carries its address space — plus the two shape decisions the
+mask-insertion pass needs:
 
 * :meth:`UniformityAnalysis._loop_masked` — whether a loop needs per-lane
   mask machinery (varying trip count, varying init of the induction
@@ -70,7 +76,6 @@ class UniformityAnalysis:
         program: ast.Program,
         kernel_name: str | None,
         local_size: tuple[int, ...],
-        batched: bool,
     ) -> None:
         self.program = program
         self.kernel_def = program.kernel(kernel_name)
@@ -79,7 +84,6 @@ class UniformityAnalysis:
         # are guaranteed to agree with the reference backend.
         self.constants = KernelInterpreter(program, self.kernel_def.name).constants
         self.local_size = tuple(int(v) for v in local_size)
-        self.batched = batched
         self.has_masked_return = False
         self._inline_stack: list[str] = []
         self._fn_memo: dict = {}
@@ -198,11 +202,9 @@ class UniformityAnalysis:
             if bk[0] != "c":
                 raise self._unsupported("indexing a non-array value")
             space = bk[1]
-            if space == "private":
-                return ("v", "f")
-            if space in ("global", "local") and self.batched:
-                return ("v", "f")
-            return (ik, "f")
+            if space == "constant":
+                return (ik, "f")
+            return ("v", "f")
         if isinstance(expr, ast.Cast):
             k, _ = self._c_expr(expr.expr, scope, div)
             if isinstance(expr.target_type, ScalarType):
@@ -219,7 +221,7 @@ class UniformityAnalysis:
         name = call.name
         if name in CONTEXT_BUILTINS:
             self._context_dim(call)  # validates the dim argument
-            if name in ("get_global_id", "get_local_id"):
+            if name in ("get_global_id", "get_local_id", "get_group_id"):
                 return ("v", "i")
             return ("u", "i")
         if name in SYNC_BUILTINS:
@@ -309,7 +311,7 @@ class UniformityAnalysis:
 
     def _fn_summary(self, func: ast.FunctionDef, arg_sigs, div: bool):
         """(kind, dt, simple) of a helper call with the given argument kinds."""
-        key = (func.name, arg_sigs, div, self.batched)
+        key = (func.name, arg_sigs, div)
         cached = self._fn_memo.get(key)
         if cached is not None:
             return cached
@@ -531,14 +533,13 @@ def classify_kernel(
     program: ast.Program,
     kernel_name: str | None = None,
     local_size: tuple[int, ...] = (1,),
-    batched: bool = False,
 ) -> tuple[UniformityAnalysis, Scope]:
     """Run the uniformity analysis on one kernel.
 
     Returns the analysis object (carrying ``has_masked_return`` and the
     helper summaries) and the kernel body's classified :class:`Scope`.
     """
-    analysis = UniformityAnalysis(program, kernel_name, local_size, batched)
+    analysis = UniformityAnalysis(program, kernel_name, local_size)
     scope = analysis.kernel_scope()
     analysis._classify(analysis.kernel_def.body, scope, False, False)
     return analysis, scope

@@ -200,16 +200,14 @@ class TestBackendIntegration:
         perforated = app.perforator().perforate(
             ApproximationConfig(scheme=RowPerforation(step=2), work_group=(8, 8))
         )
-        key = codegen.artifact_key(accurate.source, "gaussian", (8, 8), False)
+        key = codegen.artifact_key(accurate.source, "gaussian", (8, 8))
         assert key != codegen.artifact_key(
-            perforated.source, "gaussian", (8, 8), False
+            perforated.source, "gaussian", (8, 8)
         ), "perforation config must change the key (it rewrites the source)"
-        assert key != codegen.artifact_key(accurate.source, "gaussian", (4, 4), False)
-        assert key != codegen.artifact_key(accurate.source, "gaussian", (8, 8), True)
-        assert key != codegen.artifact_key(
-            accurate.source + " ", "gaussian", (8, 8), False
-        )
-        assert key == codegen.artifact_key(accurate.source, "gaussian", (8, 8), False)
+        assert key != codegen.artifact_key(accurate.source, "gaussian", (4, 4))
+        assert key != codegen.artifact_key(accurate.source, "blur", (8, 8))
+        assert key != codegen.artifact_key(accurate.source + " ", "gaussian", (8, 8))
+        assert key == codegen.artifact_key(accurate.source, "gaussian", (8, 8))
 
 
 class TestGenericStore:

@@ -23,12 +23,17 @@ from repro.data import generate_image
 
 
 class RecordingBackend(InterpreterBackend):
-    """Interpreter backend that counts the groups it executed."""
+    """Interpreter backend that counts the launches and groups it executed."""
 
     name = "recording"
 
     def __init__(self) -> None:
+        self.launches = 0
         self.groups = 0
+
+    def run_launch(self, kernel, ndrange, args, batch, stats, local_mem_per_cu):
+        self.launches += 1
+        super().run_launch(kernel, ndrange, args, batch, stats, local_mem_per_cu)
 
     def run_group(self, kernel, ctx, ndrange, group_id):
         self.groups += 1
@@ -113,7 +118,8 @@ class TestEngineBackendPlumbing:
         engine = PerforationEngine(backend=recording)
         image = generate_image("natural", size=16, seed=3)
         engine.run_compiled("inversion", image, ROWS1_NN.with_work_group((8, 8)))
-        assert recording.groups == 4  # 16x16 image, 8x8 groups
+        assert recording.launches == 1  # one launch hook call ...
+        assert recording.groups == 4  # ... runs the 16x16 image's 8x8 groups
 
     def test_run_compiled_per_call_override(self):
         recording = RecordingBackend()

@@ -4,9 +4,9 @@ A batched launch (:meth:`Executor.run_batch` /
 :meth:`PerforationEngine.run_compiled_batch`) must be observationally a
 pure throughput optimisation: bit-identical outputs and *summed*
 :class:`ExecutionStats` compared with running the same requests one by
-one — on the codegen backend (which stacks the requests into single
-work-group launches) and on the interpreter backend (which serves batches
-through the serial fallback).
+one — on the codegen backend (which stacks every work group of every
+request into the lanes of one launch) and on the interpreter backend
+(which serves batches through the serial fallback).
 """
 
 import numpy as np
@@ -162,11 +162,14 @@ class TestBatchedLaunchValidation:
             np.testing.assert_array_equal(engine.run_compiled("gaussian", inp, ROWS1), out)
 
     def test_base_backend_batch_hook_raises(self):
+        """The default launch hook runs one group at a time through
+        ``run_group`` and refuses a stacked batch."""
         from repro.clsim.backends import InterpreterBackend
+        from repro.clsim.executor import ExecutionStats
 
         backend = InterpreterBackend()
         with pytest.raises(KernelExecutionError, match="does not support batched"):
-            backend.run_group_batch(None, None, None, (0, 0), 2)
+            backend.run_launch(None, NDRange((8, 8), (8, 8)), {}, 2, ExecutionStats(), 1024)
 
 
 class TestSegmentedBuffer:

@@ -47,6 +47,7 @@ class TestFleetRecord:
             fleet_within_budget=True,
             single_within_budget=True,
             required_speedup=fleet_required_speedup(4, cpus=2),
+            ratios=[fleet.throughput_rps / single.throughput_rps],
         )
 
     def test_record_declares_its_own_floor(self):
@@ -58,6 +59,14 @@ class TestFleetRecord:
         assert record["workers"] == 4 and record["cpu_count"] == 2
         assert record["violation_rate"] == 0.0
         assert record["shed"] == 0 and record["cold_calibration_evals"] == 0
+
+    def test_record_gates_the_median_of_every_repetition(self):
+        result = self._result()
+        result.ratios = [0.73, 1.62, 1.39, 1.73, 1.5]
+        record = fleet_record(result)
+        assert record["speedup"] == 1.5
+        assert record["ratios"] == [0.73, 1.62, 1.39, 1.73, 1.5]
+        assert record["repetitions"] == 5
 
     def test_passed_requires_every_guarantee(self):
         result = self._result()

@@ -53,7 +53,7 @@ class TestUniformSpecialization:
         from repro.apps import get_application
 
         pk = get_application("gaussian").perforator().accurate()
-        source = lower_kernel(pk.program, pk.kernel_def.name, (8, 8), False)
+        source = lower_kernel(pk.program, pk.kernel_def.name, (8, 8))
         assert "while True:" in source  # the dy/dx loops, Python-style
         assert "_amask" not in source
         assert "_decl_scalar" not in source
@@ -69,7 +69,7 @@ class TestUniformSpecialization:
         }
         """
         program = parse_program(source)
-        lowered = lower_kernel(program, "k", (4, 4), False)
+        lowered = lower_kernel(program, "k", (4, 4))
         assert "lsz" not in lowered  # folded to the literal 4
         _assert_backend_parity(source)
 
@@ -77,8 +77,8 @@ class TestUniformSpecialization:
         from repro.apps import get_application
 
         pk = get_application("sobel3").perforator().accurate()
-        first = lower_kernel(pk.program, pk.kernel_def.name, (8, 8), False)
-        second = lower_kernel(pk.program, pk.kernel_def.name, (8, 8), False)
+        first = lower_kernel(pk.program, pk.kernel_def.name, (8, 8))
+        second = lower_kernel(pk.program, pk.kernel_def.name, (8, 8))
         assert first == second
 
     def test_function_memo_shared_by_content(self):
@@ -96,8 +96,8 @@ class TestUniformSpecialization:
         # An equal but distinct source string and config object.
         b = build_kernel(source.encode().decode(), ROWS2_NN.with_work_group((4, 4)))
         assert a is b
-        first = codegen.codegen_kernel(a).function((4, 4), False)
-        assert codegen.codegen_kernel(b).function((4, 4), False) is first
+        first = codegen.codegen_kernel(a).function((4, 4))
+        assert codegen.codegen_kernel(b).function((4, 4)) is first
 
 
 class TestDivergentControlFlow:
@@ -354,7 +354,8 @@ class TestFallbackAndLimits:
     def test_unlowerable_kernel_runs_on_the_interpreter(self, monkeypatch):
         """A non-literal get_global_id dimension defeats the lowering; the
         backend then runs the launch on the interpreter, deciding so once
-        per launch rather than once per work group."""
+        per launch rather than once per work group, and lowering each
+        (kernel, work group) once across ``run`` and ``run_batch``."""
         source = """
         __kernel void k(__global const float* input, __global float* output,
                         int width, int height) {
@@ -365,14 +366,14 @@ class TestFallbackAndLimits:
         }
         """
         with pytest.raises(LoweringError):
-            lower_kernel(parse_program(source), "k", (8, 8), False)
+            lower_kernel(parse_program(source), "k", (8, 8))
 
         lowered = []
         real_lower = codegen.lower_kernel
 
-        def counting_lower(program, kernel_name=None, local_size=(1,), batched=False):
-            lowered.append((tuple(local_size), batched))
-            return real_lower(program, kernel_name, local_size, batched)
+        def counting_lower(program, kernel_name=None, local_size=(1,)):
+            lowered.append(tuple(local_size))
+            return real_lower(program, kernel_name, local_size)
 
         monkeypatch.setattr(codegen, "lower_kernel", counting_lower)
 
@@ -400,16 +401,15 @@ class TestFallbackAndLimits:
         stats = Executor(backend="codegen").run(kernel, ndrange, bound)
         np.testing.assert_array_equal(bound["output"].array, expected[0][0])
         assert _stats_tuple(stats) == expected[0][1]
-        assert lowered == [((8, 8), False)]  # 64 work groups, one lowering
+        assert lowered == [(8, 8)]  # 64 work groups, one lowering
 
-        lowered.clear()
         batch = [args(image) for image in images]
         stats = Executor(backend="codegen").run_batch(kernel, ndrange, batch)
         for bound, (output, _) in zip(batch, expected):
             np.testing.assert_array_equal(bound["output"].array, output)
         summed = tuple(sum(values) for values in zip(*(s for _, s in expected)))
         assert _stats_tuple(stats) == summed
-        assert lowered == [((8, 8), True)]
+        assert lowered == [(8, 8)]  # the rejection is remembered
 
     def test_python_body_kernels_are_rejected(self):
         def body(ctx, wi):
@@ -422,13 +422,11 @@ class TestFallbackAndLimits:
                 kernel, NDRange((4, 4), (4, 4)), {"output": out}
             )
 
-    def test_balanced_divergent_barriers_are_rejected(self):
-        """Known, documented divergence from the interpreter: the lock-step
-        interpreter only counts barriers per work-item and accepts balanced
-        divergent barriers; the codegen backend requires all lanes at the
-        same barrier statement and fails loudly instead of drifting."""
-        from repro.clsim import BarrierDivergenceError
-
+    def test_balanced_divergent_barriers_fall_back(self):
+        """The lock-step interpreter only counts barriers per work-item and
+        accepts balanced divergent barriers; the lowering requires every
+        lane of a pass at the same barrier statement, so it rejects the
+        kernel and the codegen backend returns the interpreter's result."""
         source = """
         __kernel void balanced(__global float* output, int width, int height) {
             int x = get_global_id(0);
@@ -440,16 +438,19 @@ class TestFallbackAndLimits:
             output[get_global_id(1) * width + x] = 1.0f;
         }
         """
-        args = {
-            "output": Buffer(np.zeros((4, 4), dtype=np.float64), "output"),
-            "width": 4,
-            "height": 4,
-        }
+        with pytest.raises(LoweringError, match="barrier"):
+            lower_kernel(parse_program(source), "balanced", (4, 4))
         ndrange = NDRange((4, 4), (4, 4))
-        stats = Executor(backend="interpreter").run(compile_kernel(source), ndrange, args)
-        assert stats.barriers == 1
-        with pytest.raises(BarrierDivergenceError):
-            Executor(backend="codegen").run(compile_kernel(source), ndrange, args)
+        results = {}
+        for backend in ("interpreter", "codegen"):
+            out = Buffer(np.zeros((4, 4), dtype=np.float64), "output")
+            stats = Executor(backend=backend).run(
+                compile_kernel(source), ndrange, {"output": out, "width": 4, "height": 4}
+            )
+            results[backend] = (out.array, _stats_tuple(stats))
+        assert results["codegen"][1] == results["interpreter"][1]
+        assert results["codegen"][1][2] == 1  # barriers
+        np.testing.assert_array_equal(results["codegen"][0], results["interpreter"][0])
 
     def test_divergent_return_before_barrier_raises(self):
         from repro.clsim import BarrierDivergenceError

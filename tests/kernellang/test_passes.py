@@ -7,9 +7,9 @@ bundled applications; this module pins each pass's contract in isolation:
 * the uniformity analysis' classification of a kernel body;
 * the mask-insertion merge rules and C-semantics arithmetic kernels;
 * the memory views' bounds checking and access accounting;
-* the batching transform's segment routing and validation;
+* the batching transform's lane routing, segment offsets and validation;
 * golden snapshots of the lowered source for a uniform, a divergent and
-  a batched kernel (regenerate with ``REPRO_REGEN_GOLDEN=1``).
+  a tiled kernel (regenerate with ``REPRO_REGEN_GOLDEN=1``).
 """
 
 import os
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.clsim import Executor, NDRange
-from repro.clsim.memory import Buffer, SegmentedBuffer
+from repro.clsim.memory import Buffer, LocalMemory, SegmentedBuffer
 from repro.kernellang.codegen import lower_kernel
 from repro.kernellang.errors import InterpreterError
 from repro.kernellang.interpreter import compile_kernel
@@ -32,7 +32,7 @@ from repro.kernellang.ir import (
     promote_dt,
 )
 from repro.kernellang.parser import parse_program
-from repro.kernellang.passes.batching import lane_requests, segmented_global_view
+from repro.kernellang.passes.batching import global_view, local_view, route_lanes
 from repro.kernellang.passes.masking import (
     FnFlow,
     decl_scalar,
@@ -43,7 +43,7 @@ from repro.kernellang.passes.masking import (
     uniform_mod,
     varying_div,
 )
-from repro.kernellang.passes.memory import ConstantView, GlobalView, PrivateView
+from repro.kernellang.passes.memory import ConstantView, PrivateView
 from repro.kernellang.passes.uniformity import classify_kernel
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -75,6 +75,22 @@ __kernel void k(__global const float* input, __global float* output,
         n++;
     }
     output[y * width + x] = (n > 0) ? v : -v;
+}
+"""
+
+#: The shape of the paper's prefetch code: stage a tile per work group in
+#: local memory, synchronise, then read neighbours from the tile.
+TILED_KERNEL = """
+__kernel void k(__global const float* input, __global float* output,
+                int width, int height) {
+    __local float tile[16];
+    int lx = get_local_id(0);
+    int ly = get_local_id(1);
+    int x = get_group_id(0) * 4 + lx;
+    int y = get_group_id(1) * 4 + ly;
+    tile[ly * 4 + lx] = input[y * width + x];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    output[y * width + x] = 0.5f * (tile[ly * 4 + lx] + tile[ly * 4 + (lx + 1) % 4]);
 }
 """
 
@@ -120,6 +136,14 @@ class TestUniformityAnalysis:
         assert scope.dt["acc"] == "f"
         assert scope.dt["cx"] == "i"
         assert not analysis.has_masked_return
+
+    def test_group_ids_and_memory_loads_are_varying(self):
+        """A stacked pass runs many groups: group ids differ per lane, and a
+        global load may read a different request's segment per lane."""
+        program = parse_program(TILED_KERNEL)
+        _, scope = classify_kernel(program, "k", (4, 4))
+        assert scope.kind["x"] == "v"
+        assert scope.kind["lx"] == "v"
 
     def test_pointer_params_are_containers(self):
         program = parse_program(UNIFORM_KERNEL)
@@ -253,10 +277,15 @@ class TestFlowBookkeeping:
         np.testing.assert_array_equal(fn.result(), [7.0, 0.0])
 
 
+def _single_view(buffer: Buffer, lanes: int):
+    """The view of a single launch: no per-lane offset."""
+    return global_view(buffer, 1, np.zeros(lanes, dtype=np.int64))
+
+
 class TestMemoryViews:
     def test_global_view_counts_active_lanes(self):
         buf = Buffer(np.arange(8, dtype=np.float64), "b")
-        view = GlobalView(buf)
+        view = _single_view(buf, 3)
         mask = np.array([True, True, False])
         out = view.loadm(np.array([0, 1, 2]), mask)
         assert buf.counters.reads == 2  # only active lanes counted
@@ -264,9 +293,12 @@ class TestMemoryViews:
         view.storem(np.array([4, 5, 6]), np.full(3, -1.0), mask)
         assert buf.counters.writes == 2
         assert buf.array[6] == 6.0  # inactive lane untouched
+        # A uniform index is broadcast and still counts every lane.
+        np.testing.assert_array_equal(view.loadf(3), [3.0, 3.0, 3.0])
+        assert buf.counters.reads == 5
 
     def test_global_view_bounds_error_matches_interpreter(self):
-        view = GlobalView(Buffer(np.zeros(4), "b"))
+        view = _single_view(Buffer(np.zeros(4), "b"), 2)
         with pytest.raises(
             InterpreterError, match=r"global buffer 'b': index 9 out of bounds"
         ):
@@ -289,12 +321,25 @@ class TestMemoryViews:
 
 class TestBatchingTransform:
     def test_lane_requests_routing(self):
-        np.testing.assert_array_equal(lane_requests(3, 2), [0, 0, 1, 1, 2, 2])
+        # 2 requests x 3 groups of (2,) lanes; a pass over slots 2..4 holds
+        # request 0's last group and request 1's first two groups.
+        request, lid, grp = route_lanes(2, 3, (3,), (2,))
+        np.testing.assert_array_equal(request, [0, 0, 1, 1, 1, 1])
+        np.testing.assert_array_equal(grp[0], [2, 2, 0, 0, 1, 1])
+        np.testing.assert_array_equal(lid[0], [0, 1, 0, 1, 0, 1])
+
+    def test_lane_routing_follows_group_order_in_two_dimensions(self):
+        request, lid, grp = route_lanes(0, 4, (2, 2), (2, 1))
+        np.testing.assert_array_equal(request, np.zeros(8))
+        np.testing.assert_array_equal(grp[0], [0, 0, 1, 1, 0, 0, 1, 1])
+        np.testing.assert_array_equal(grp[1], [0, 0, 0, 0, 1, 1, 1, 1])
+        np.testing.assert_array_equal(lid[0], [0, 1] * 4)
+        np.testing.assert_array_equal(lid[1], np.zeros(8))
 
     def test_segmented_view_isolates_requests(self):
         data = np.arange(8, dtype=np.float64)  # 2 segments of 4
         buf = SegmentedBuffer(data, "b", segment_elements=4, batch=2)
-        view = segmented_global_view(buf, 2, lane_requests(2, 2))
+        view = global_view(buf, 2, np.array([0, 0, 1, 1]))
         mask = np.ones(4, dtype=bool)
         # All four lanes read logical index 1 -> each request's own element.
         out = view.loadm(np.full(4, 1, dtype=np.int64), mask)
@@ -302,7 +347,7 @@ class TestBatchingTransform:
 
     def test_segmented_bounds_are_per_segment(self):
         buf = SegmentedBuffer(np.zeros(8), "b", segment_elements=4, batch=2)
-        view = segmented_global_view(buf, 2, lane_requests(2, 2))
+        view = global_view(buf, 2, np.array([0, 0, 1, 1]))
         with pytest.raises(InterpreterError, match="index 4 out of bounds \\[0, 4\\)"):
             # Index 4 is in range of the *stacked* array but not the segment.
             view.loadm(np.full(4, 4, dtype=np.int64), np.ones(4, dtype=bool))
@@ -313,7 +358,16 @@ class TestBatchingTransform:
             match="batched launch requires every pointer argument to be a "
             "SegmentedBuffer with 2 segments",
         ):
-            segmented_global_view(Buffer(np.zeros(4), "b"), 2, lane_requests(2, 2))
+            global_view(Buffer(np.zeros(4), "b"), 2, np.array([0, 0, 1, 1]))
+
+    def test_local_view_gives_every_group_its_own_tile(self):
+        mem = LocalMemory(1024)
+        view = local_view(mem, "t", 2, count=3, group_size=2)
+        view.storef(np.array([0, 1] * 3), np.arange(6.0))
+        np.testing.assert_array_equal(mem.tile("t"), np.arange(6.0))
+        # Every lane reads index 1 of its own group's tile.
+        np.testing.assert_array_equal(view.loadf(1), [1.0, 1.0, 3.0, 3.0, 5.0, 5.0])
+        assert (mem.counters.reads, mem.counters.writes) == (6, 6)
 
 
 class TestGoldenLoweredSource:
@@ -326,15 +380,15 @@ class TestGoldenLoweredSource:
     """
 
     CASES = [
-        ("uniform", UNIFORM_KERNEL, False),
-        ("divergent", DIVERGENT_KERNEL, False),
-        ("batched", DIVERGENT_KERNEL, True),
+        ("uniform", UNIFORM_KERNEL),
+        ("divergent", DIVERGENT_KERNEL),
+        ("tiled", TILED_KERNEL),
     ]
 
-    @pytest.mark.parametrize("name,source,batched", CASES)
-    def test_lowered_source_matches_golden(self, name, source, batched):
+    @pytest.mark.parametrize("name,source", CASES)
+    def test_lowered_source_matches_golden(self, name, source):
         program = parse_program(source)
-        lowered = lower_kernel(program, "k", (4, 4), batched)
+        lowered = lower_kernel(program, "k", (4, 4))
         golden_path = GOLDEN_DIR / f"{name}_4x4.lowered.txt"
         if os.environ.get("REPRO_REGEN_GOLDEN"):
             GOLDEN_DIR.mkdir(exist_ok=True)

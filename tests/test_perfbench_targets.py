@@ -46,3 +46,16 @@ def test_fleet_metrics_expose_the_counters_the_traced_run_reads(counter):
     from repro.serve import ServeMetrics
 
     assert getattr(ServeMetrics(), counter) == 0
+
+
+def test_run_batch_probe_reads_the_batch_and_the_batching_flag():
+    # perfbench's Executor.run_batch probe takes the batch size from the
+    # call's third positional argument after ``self`` and reads
+    # ``executor.backend.supports_batching`` for the batched share.
+    from repro.clsim import Executor
+    from repro.clsim.backends import CodegenBackend, InterpreterBackend
+
+    params = list(inspect.signature(Executor.run_batch).parameters)
+    assert params[:4] == ["self", "kernel", "ndrange", "args_batch"]
+    assert CodegenBackend.supports_batching is True
+    assert InterpreterBackend.supports_batching is False
