@@ -59,8 +59,9 @@ others.  A per-worker lock serialises the sender against recovery: a
 request is appended to the replay log *before* its frame is written, so
 every request is delivered exactly once per worker generation — by the
 original write or by the replay, never both.  Transports: unix-domain
-sockets (default) or localhost TCP — same length-prefixed JSON frames
-(:mod:`repro.fleet.protocol`) either way.
+sockets (default) or localhost TCP — the same length-prefixed frames (a
+JSON header plus raw array buffers, :mod:`repro.fleet.protocol`) either
+way.
 """
 
 from __future__ import annotations

@@ -1,24 +1,36 @@
-"""Length-prefixed JSON wire protocol of the serving fleet.
+"""Length-prefixed binary wire protocol of the serving fleet.
 
-Every message is one *frame*: a 4-byte big-endian length header followed
-by a UTF-8 JSON object.  Frames are self-delimiting, so the same codec
-serves both transports (unix-domain sockets and localhost TCP) and both
-endpoint styles (the synchronous worker loop reads from a buffered socket
-file; the asyncio front-end reads from a :class:`asyncio.StreamReader`).
+Every message is one *frame*: a 4-byte big-endian body length followed by
+the body.  A body is a 4-byte big-endian header length, a compact,
+key-sorted UTF-8 JSON header, and then the raw bytes of every NumPy array
+in the message, back to back in the order their tags appear in the
+header (the out-of-band buffers of pickle protocol 5, PEP 574).  Frames
+are self-delimiting, so the same codec serves both transports
+(unix-domain sockets and localhost TCP) and both endpoint styles (the
+synchronous worker loop reads from a buffered socket file; the asyncio
+front-end reads from a :class:`asyncio.StreamReader`).
 
 Values that JSON cannot carry natively are *tagged*:
 
-* :class:`numpy.ndarray` — dtype, shape and the raw bytes (base64).  The
-  byte round trip is exact, which is what makes fleet outputs
-  **bit-identical** to single-process serving;
+* :class:`numpy.ndarray` — ``{"__kind__": "ndarray", "dtype", "shape",
+  "buf": [offset, nbytes]}`` in the header, where ``offset`` counts from
+  the first buffer byte.  The array's bytes ride raw, so the round trip
+  is exact, which is what makes fleet outputs **bit-identical** to
+  single-process serving.  :func:`to_wire` leaves arrays in place and
+  :func:`encode_frame` ships them; :func:`decode_body` copies each one out
+  of the body, so decoded arrays are writable and own their memory;
 * :class:`~repro.data.hotspot.HotspotInput` — its two grids plus size/name;
 * tuples — distinguished from lists so request inputs survive untouched.
 
 Floats ride as JSON numbers: Python's ``json`` emits ``repr`` shortest
 round-trip literals, so measured errors and virtual timestamps are exact
 too.  The protocol is for co-operating local processes spawned by the
-front-end — it is not hardened against adversarial peers beyond frame
-length and JSON well-formedness checks.
+front-end — it is not hardened against adversarial peers, but decoding
+is strict: a frame over :data:`MAX_FRAME_BYTES`, a header that runs past
+the body or is not a JSON object, an array tag with an unusable dtype
+(object or structured) or a size that disagrees with its shape, and
+buffers that do not tile the bytes after the header exactly raise
+:class:`ProtocolError`.
 
 Frame vocabulary (the ``type`` key): ``hello`` (worker warm-start report,
 including the worker's respawn ``generation``), ``serve``/``completed``,
@@ -34,8 +46,8 @@ failure recovery (respawn and replay).
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
+import math
 import struct
 from typing import Any, BinaryIO
 
@@ -48,8 +60,12 @@ from ..serve.requests import ServeRequest, ServeResponse
 #: 4-byte big-endian unsigned frame length.
 FRAME_HEADER = struct.Struct(">I")
 
-#: Upper bound on one frame (64 MiB): a torn or foreign stream fails fast
-#: instead of allocating an absurd buffer.
+#: 4-byte big-endian unsigned length of the JSON header that opens a body.
+HEADER_LENGTH = struct.Struct(">I")
+
+#: Upper bound on one frame body (64 MiB), enforced when encoding and when
+#: reading: a torn or foreign stream fails fast instead of allocating an
+#: absurd buffer.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -60,20 +76,35 @@ class ProtocolError(ConfigurationError):
 # ---------------------------------------------------------------------------
 # Value codec
 # ---------------------------------------------------------------------------
+def _raw_dtype(dtype: np.dtype) -> bool:
+    """Whether an array of ``dtype`` is fully described by its raw bytes.
+
+    Object arrays hold pointers and structured (void) dtypes a record
+    layout that the dtype string does not carry, so neither can travel.
+    """
+    return not dtype.hasobject and dtype.kind != "V" and dtype.itemsize > 0
+
+
+def _shippable(array: np.ndarray) -> np.ndarray:
+    if not _raw_dtype(array.dtype):
+        raise ProtocolError(f"cannot encode {array.dtype} array for the wire")
+    return array
+
+
 def to_wire(value: Any) -> Any:
-    """Encode ``value`` into JSON-representable form (tagged where needed)."""
+    """Encode ``value`` into the frame's tagged form.
+
+    The result is JSON-representable except for NumPy arrays, which stay
+    in place: :func:`encode_frame` ships them as out-of-band buffers.
+    """
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return value
     if isinstance(value, np.ndarray):
-        array = np.ascontiguousarray(value)
-        return {
-            "__kind__": "ndarray",
-            "dtype": str(array.dtype),
-            "shape": list(array.shape),
-            "data": base64.b64encode(array.tobytes()).decode("ascii"),
-        }
+        return _shippable(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -103,17 +134,16 @@ def to_wire(value: Any) -> Any:
 
 
 def from_wire(value: Any) -> Any:
-    """Decode a :func:`to_wire` value (inverse; arrays come back writable)."""
+    """Decode a :func:`to_wire` value (inverse; arrays pass through).
+
+    Arrays arrive already decoded: :func:`decode_body` resolves their tags.
+    """
     if isinstance(value, list):
         return [from_wire(item) for item in value]
     if isinstance(value, dict):
         kind = value.get("__kind__")
         if kind is None:
             return {key: from_wire(item) for key, item in value.items()}
-        if kind == "ndarray":
-            data = base64.b64decode(value["data"])
-            array = np.frombuffer(data, dtype=np.dtype(value["dtype"]))
-            return array.reshape([int(n) for n in value["shape"]]).copy()
         if kind == "hotspot":
             return HotspotInput(
                 size=int(value["size"]),
@@ -219,20 +249,95 @@ def error_frame(message: str, request_id: int | None = None) -> dict:
 # Frame codec
 # ---------------------------------------------------------------------------
 def encode_frame(message: dict) -> bytes:
-    """One wire frame: length header plus compact JSON body."""
-    body = json.dumps(message, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return FRAME_HEADER.pack(len(body)) + body
+    """One wire frame: body length, JSON header length, JSON header, buffers."""
+    buffers: list[np.ndarray] = []
+    payload = 0
+
+    def out_of_band(value: Any) -> dict:
+        # json calls this for every value it cannot encode, in emission
+        # order, which is the order the decoder resolves the tags in.
+        nonlocal payload
+        if not isinstance(value, np.ndarray):
+            raise ProtocolError(f"cannot encode {type(value).__name__} value for the wire")
+        array = _shippable(value)
+        tag = {
+            "__kind__": "ndarray",
+            "dtype": str(array.dtype),
+            "shape": list(array.shape),
+            "buf": [payload, array.nbytes],
+        }
+        buffers.append(np.ascontiguousarray(array))
+        payload += array.nbytes
+        return tag
+
+    header = json.dumps(
+        message, sort_keys=True, separators=(",", ":"), default=out_of_band
+    ).encode("utf-8")
+    length = HEADER_LENGTH.size + len(header) + payload
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return b"".join([FRAME_HEADER.pack(length), HEADER_LENGTH.pack(len(header)), header, *buffers])
+
+
+def _tag_dtype(text: Any) -> np.dtype:
+    try:
+        dtype = np.dtype(text) if isinstance(text, str) else None
+    except (TypeError, ValueError, SyntaxError):  # NumPy parses some strings as Python
+        dtype = None
+    if dtype is None or not _raw_dtype(dtype):
+        raise ProtocolError(f"array tag has unusable dtype {text!r}")
+    return dtype
 
 
 def decode_body(body: bytes) -> dict:
+    """Decode one frame body; every malformation raises :class:`ProtocolError`."""
+    if len(body) < HEADER_LENGTH.size:
+        raise ProtocolError(f"frame body of {len(body)} bytes has no header length")
+    (header_length,) = HEADER_LENGTH.unpack_from(body)
+    start = HEADER_LENGTH.size + header_length
+    if start > len(body):
+        raise ProtocolError(f"header of {header_length} bytes runs past a {len(body)}-byte body")
+    cursor = start
+
+    def resolve(tag: dict) -> Any:
+        # json calls this for each object as it closes.  Array tags hold no
+        # objects, so they arrive in emission order, and their buffers must
+        # tile the payload: each starts where the previous one ended.
+        nonlocal cursor
+        if tag.get("__kind__") != "ndarray":
+            return tag
+        dtype = _tag_dtype(tag.get("dtype"))
+        shape, buf = tag.get("shape"), tag.get("buf")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ProtocolError(f"array tag has malformed shape {shape!r}")
+        if not (isinstance(buf, list) and len(buf) == 2 and all(type(n) is int for n in buf)):
+            raise ProtocolError(f"array tag has malformed buffer {buf!r}")
+        offset, nbytes = buf
+        if start + offset != cursor:
+            raise ProtocolError(f"array buffer at {offset} does not start at {cursor - start}")
+        count = math.prod(shape)
+        if nbytes != count * dtype.itemsize:
+            raise ProtocolError(f"array buffer of {nbytes} bytes does not hold {shape} {dtype}")
+        if cursor + nbytes > len(body):
+            raise ProtocolError(f"array buffer at {offset} runs past the body")
+        try:
+            # Copy out: the array owns its memory, is writable and does not
+            # keep the whole frame alive.
+            array = np.frombuffer(body, dtype, count, cursor).reshape(shape).copy()
+        except ValueError as exc:
+            raise ProtocolError(f"undecodable array: {exc}") from None
+        cursor += nbytes
+        return array
+
     try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame body: {exc}") from None
+        header = body[HEADER_LENGTH.size : start].decode("utf-8")
+        message = json.loads(header, object_hook=resolve)
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"undecodable frame header: {exc}") from None
+    if cursor != len(body):
+        raise ProtocolError(f"array buffers cover {cursor - start} of {len(body) - start} bytes")
     if not isinstance(message, dict):
-        raise ProtocolError(f"frame body must be a JSON object, got {type(message).__name__}")
+        raise ProtocolError(f"frame header must be a JSON object, got {type(message).__name__}")
     return message
 
 

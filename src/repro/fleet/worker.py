@@ -2,7 +2,8 @@
 
 A worker is spawned by the front-end with a :class:`WorkerSpec`, binds its
 listening socket, accepts exactly one connection (the front-end), and then
-speaks the length-prefixed JSON protocol (:mod:`repro.fleet.protocol`):
+speaks the length-prefixed frame protocol (a JSON header plus raw array
+buffers, :mod:`repro.fleet.protocol`):
 
 ``hello``
     Sent once after accept: worker index, pid, **generation** (0 for the

@@ -214,3 +214,29 @@ def test_admission_control_sheds_exactly_beyond_max_pending():
         assert response.config_label == ""
     served = [r for r in responses if not r.rejected]
     assert len(served) == 1 and served[0].request_id == 0
+
+
+def test_frontend_decodes_each_response_through_its_module_global(monkeypatch):
+    """perfbench's fleet-hot workload stamps response arrival by replacing
+    ``repro.fleet.frontend.response_from_wire``, and its traced run books
+    that call as wire decode: the front-end must look the name up at call
+    time, once per delivered response."""
+    import repro.fleet.frontend as frontend
+
+    decode = frontend.response_from_wire
+    calls = []
+
+    def counting(wire):
+        calls.append(wire["request_id"])
+        return decode(wire)
+
+    monkeypatch.setattr(frontend, "response_from_wire", counting)
+    trace = generate_trace(
+        TraceSpec(apps=("gaussian", "sobel3"), requests=12, size=32, inputs_per_app=2, seed=5)
+    )
+    with PerforationFleet(
+        workers=2, max_batch=4, calibration_inputs=_calibration_inputs()
+    ) as fleet:
+        responses = fleet.serve_trace(trace)
+    assert len(responses) == 12 and not any(r.rejected for r in responses)
+    assert len(calls) == 12

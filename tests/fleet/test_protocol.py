@@ -1,11 +1,16 @@
-"""Wire protocol: tagged value codec and length-prefixed frame IO."""
+"""Wire protocol: tagged value codec, binary frame bodies and frame IO."""
 
 import asyncio
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.data import hotspot_single
 from repro.data.hotspot import HotspotInput
 from repro.fleet import (
     MAX_FRAME_BYTES,
@@ -21,11 +26,17 @@ from repro.fleet import (
     to_wire,
     write_frame,
 )
+from repro.fleet.protocol import FRAME_HEADER, HEADER_LENGTH, decode_body
 from repro.serve import ServeRequest, ServeResponse
 
 
+def body_of(frame):
+    return frame[FRAME_HEADER.size :]
+
+
 def round_trip(value):
-    return from_wire(to_wire(value))
+    """to_wire, one frame, from_wire: the path every fleet message takes."""
+    return from_wire(decode_body(body_of(encode_frame({"value": to_wire(value)})))["value"])
 
 
 class TestValueCodec:
@@ -47,14 +58,13 @@ class TestValueCodec:
     def test_decoded_arrays_are_writable(self):
         back = round_trip(np.zeros((2, 2)))
         back[0, 0] = 1.0  # np.frombuffer alone would be read-only
+        assert back.flags.owndata
 
     def test_non_contiguous_array(self):
         array = np.arange(16.0).reshape(4, 4)[::2, ::2]
         assert np.array_equal(round_trip(array), array)
 
     def test_hotspot_input_round_trip(self):
-        from repro.data import hotspot_single
-
         original = hotspot_single(size=32, seed=7)
         back = round_trip(original)
         assert isinstance(back, HotspotInput)
@@ -73,6 +83,27 @@ class TestValueCodec:
     def test_numpy_scalars_become_python_numbers(self):
         assert to_wire(np.int64(3)) == 3
         assert to_wire(np.float64(0.5)) == 0.5
+
+    def test_zero_dimensional_array_keeps_its_shape(self):
+        # np.ascontiguousarray promotes 0-d arrays to shape (1,).
+        back = round_trip(np.array(3.0))
+        assert back.shape == () and back.dtype == np.float64 and back == 3.0
+        assert from_wire(to_wire(np.array(3.0))).shape == ()
+
+    def test_numpy_bool_becomes_python_bool(self):
+        assert to_wire(np.bool_(True)) is True
+        assert round_trip({"flag": np.bool_(False)}) == {"flag": False}
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.array([object(), 1], dtype=object), np.zeros(2, dtype=[("a", "<f8"), ("b", "<i4")])],
+        ids=["object", "structured"],
+    )
+    def test_object_and_structured_arrays_rejected_at_encode_time(self, array):
+        with pytest.raises(ProtocolError):
+            to_wire(array)
+        with pytest.raises(ProtocolError):
+            encode_frame({"value": array})  # arrays placed without to_wire too
 
     def test_reserved_and_invalid_keys_rejected(self):
         with pytest.raises(ProtocolError):
@@ -160,20 +191,22 @@ class TestFrames:
         with pytest.raises(ProtocolError):
             read_frame(header_only)
 
-    def test_oversized_frame_rejected_both_ways(self):
-        import struct
-
+    def test_oversized_frame_rejected_both_ways(self, monkeypatch):
         with pytest.raises(ProtocolError):
             encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 1)})
         bogus = io.BytesIO(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x")
         with pytest.raises(ProtocolError):
             read_frame(bogus)
+        # The bound covers the array buffers, not just the JSON header.
+        monkeypatch.setattr("repro.fleet.protocol.MAX_FRAME_BYTES", 1024)
+        encode_frame({"value": np.zeros(100)})
+        with pytest.raises(ProtocolError):
+            encode_frame({"value": np.zeros(128)})
 
     def test_non_object_body_rejected(self):
-        import struct
-
-        body = b"[1, 2]"
-        stream = io.BytesIO(struct.pack(">I", len(body)) + body)
+        header = b"[1, 2]"
+        body = HEADER_LENGTH.pack(len(header)) + header
+        stream = io.BytesIO(FRAME_HEADER.pack(len(body)) + body)
         with pytest.raises(ProtocolError):
             read_frame(stream)
 
@@ -202,3 +235,163 @@ class TestFrames:
 
         with pytest.raises(ProtocolError):
             asyncio.run(scenario())
+
+
+ONE_BYTE = ["bool", "int8", "uint8"]
+MULTI_BYTE = ["i2", "i4", "i8", "f2", "f4", "f8", "c16"]
+#: Both byte orders of every multi-byte dtype (one-byte dtypes have none).
+WIRE_DTYPES = ONE_BYTE + [order + code for code in MULTI_BYTE for order in "<>"]
+
+
+@st.composite
+def wire_arrays(draw):
+    """Arrays of every wire dtype: 0-d, zero-length axes, strided and Fortran views."""
+    dtype = np.dtype(draw(st.sampled_from(WIRE_DTYPES)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    array = draw(hnp.arrays(dtype, shape))
+    view = draw(st.sampled_from(["as-is", "strided", "fortran", "transposed"]))
+    if view == "strided" and array.ndim:
+        return array[::2]
+    if view == "fortran":
+        return np.asfortranarray(array)
+    if view == "transposed":
+        return array.T
+    return array
+
+
+def _read_both_ways(frame):
+    async def read_async():
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        reader.feed_eof()
+        return await read_frame_async(reader)
+
+    return read_frame(io.BytesIO(frame)), asyncio.run(read_async())
+
+
+def _raw_body(header, payload=b"", header_length=None):
+    """A frame body with a hand-written JSON header (for malformed cases)."""
+    text = json.dumps(header).encode("utf-8")
+    length = len(text) if header_length is None else header_length
+    return HEADER_LENGTH.pack(length) + text + payload
+
+
+def _tag(dtype="float64", shape=(2,), buf=(0, 16)):
+    return {"__kind__": "ndarray", "dtype": dtype, "shape": list(shape), "buf": list(buf)}
+
+
+class TestBinaryBody:
+    @given(arrays=st.lists(wire_arrays(), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_arrays_round_trip_through_both_readers(self, arrays):
+        hotspot = hotspot_single(size=8, seed=3)
+        message = {"type": "serve", "arrays": to_wire(arrays), "hotspot": to_wire(hotspot)}
+        frame = encode_frame(message)
+        body = np.frombuffer(body_of(frame), dtype=np.uint8)
+        for decoded in (decode_body(body_of(frame)), *_read_both_ways(frame)):
+            back = from_wire(decoded["arrays"])
+            for original, array in zip(arrays, back, strict=True):
+                assert array.dtype == original.dtype
+                assert array.shape == original.shape
+                assert array.tobytes() == original.tobytes()
+                assert array.flags.writeable and array.flags.owndata
+                assert not np.shares_memory(array, body)
+            spot = from_wire(decoded["hotspot"])
+            assert spot.temperature.tobytes() == hotspot.temperature.tobytes()
+            assert spot.power.tobytes() == hotspot.power.tobytes()
+
+    def test_header_length_running_past_the_body_rejected(self):
+        body = _raw_body({"type": "x"})
+        with pytest.raises(ProtocolError, match="runs past"):
+            decode_body(HEADER_LENGTH.pack(len(body)) + body[HEADER_LENGTH.size :])
+        with pytest.raises(ProtocolError):
+            decode_body(b"\x00\x00")  # too short for the header length itself
+
+    def test_gap_between_buffers_rejected(self):
+        body = _raw_body({"a": _tag(buf=(8, 16))}, bytes(24))
+        with pytest.raises(ProtocolError, match="does not start"):
+            decode_body(body)
+
+    def test_overlapping_buffers_rejected(self):
+        header = {"a": _tag(buf=(0, 16)), "b": _tag(buf=(8, 16))}
+        with pytest.raises(ProtocolError, match="does not start"):
+            decode_body(_raw_body(header, bytes(24)))
+
+    def test_buffers_out_of_order_rejected(self):
+        header = {"a": _tag(buf=(16, 16)), "b": _tag(buf=(0, 16))}
+        with pytest.raises(ProtocolError, match="does not start"):
+            decode_body(_raw_body(header, bytes(32)))
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ProtocolError, match="cover"):
+            decode_body(_raw_body({"a": _tag()}, bytes(17)))
+        with pytest.raises(ProtocolError, match="cover"):
+            decode_body(_raw_body({"type": "x"}, b"\x00"))
+
+    def test_buffer_running_past_the_body_rejected(self):
+        with pytest.raises(ProtocolError, match="runs past"):
+            decode_body(_raw_body({"a": _tag()}, bytes(15)))
+
+    def test_size_disagreeing_with_shape_rejected(self):
+        with pytest.raises(ProtocolError, match="does not hold"):
+            decode_body(_raw_body({"a": _tag(shape=(3,), buf=(0, 16))}, bytes(16)))
+        with pytest.raises(ProtocolError, match="malformed shape"):
+            decode_body(_raw_body({"a": _tag(shape=(-2, -1), buf=(0, 16))}, bytes(16)))
+
+    @pytest.mark.parametrize("dtype", ["float6t", "(2,3", "", 8, None])
+    def test_unparseable_dtype_rejected(self, dtype):
+        with pytest.raises(ProtocolError, match="unusable dtype"):
+            decode_body(_raw_body({"a": _tag(dtype=dtype)}, bytes(16)))
+
+    @pytest.mark.parametrize("dtype", ["O", "f8,f8", "V16", "(2,)f8"])
+    def test_object_and_structured_dtypes_rejected(self, dtype):
+        with pytest.raises(ProtocolError, match="unusable dtype"):
+            decode_body(_raw_body({"a": _tag(dtype=dtype, shape=(1,))}, bytes(16)))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_corrupted_bodies_decode_or_raise_protocol_error(self, data):
+        body = bytearray(FUZZ_BODY)
+        if data.draw(st.booleans()):
+            del body[data.draw(st.integers(0, len(body) - 1)) :]
+        # Most flips land in the JSON header, where the structure lives.
+        header_end = HEADER_LENGTH.size + FUZZ_HEADER_BYTES
+        for _ in range(data.draw(st.integers(1, 3))):
+            if body:
+                limit = min(len(body), header_end) if data.draw(st.booleans()) else len(body)
+                body[data.draw(st.integers(0, limit - 1))] ^= data.draw(st.integers(1, 255))
+        try:
+            decode_body(bytes(body))
+        except ProtocolError:
+            pass
+
+    def test_serve_frame_of_a_64x64_image_carries_raw_bytes(self):
+        request = ServeRequest(
+            request_id=123456,
+            app="gaussian",
+            inputs=np.random.default_rng(0).random((64, 64)),
+            error_budget=0.025,
+            arrival_ms=12345.678,
+            latency_budget_ms=40.0,
+            trace_id="r123456",
+        )
+        frame = encode_frame({"type": "serve", "request": request_to_wire(request)})
+        assert len(frame) <= 64 * 64 * 8 + 1024  # base64-in-JSON took 43,907 bytes
+
+
+def _fuzz_body():
+    request = ServeRequest(
+        request_id=3,
+        app="hotspot",
+        inputs=(
+            HotspotInput(size=2, temperature=np.full((2, 2), 323.15), power=np.eye(2), name="t"),
+            np.arange(3, dtype=">i2"),
+        ),
+        error_budget=0.05,
+        arrival_ms=1.5,
+    )
+    return body_of(encode_frame({"type": "serve", "request": request_to_wire(request)}))
+
+
+FUZZ_BODY = _fuzz_body()
+(FUZZ_HEADER_BYTES,) = HEADER_LENGTH.unpack_from(FUZZ_BODY)

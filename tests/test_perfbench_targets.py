@@ -59,3 +59,25 @@ def test_run_batch_probe_reads_the_batch_and_the_batching_flag():
     assert params[:4] == ["self", "kernel", "ndrange", "args_batch"]
     assert CodegenBackend.supports_batching is True
     assert InterpreterBackend.supports_batching is False
+
+
+def test_encode_frame_returns_the_whole_frame_as_one_bytes_object():
+    # perfbench's encode_frame probe counts ``len(result)`` as wire bytes.
+    import numpy as np
+
+    from repro.fleet.protocol import FRAME_HEADER, encode_frame
+
+    frame = encode_frame({"type": "serve", "inputs": np.zeros((4, 4))})
+    assert type(frame) is bytes
+    (body_length,) = FRAME_HEADER.unpack_from(frame)
+    assert len(frame) == FRAME_HEADER.size + body_length
+
+
+def test_decode_body_takes_the_body_as_its_first_argument():
+    # perfbench's decode_body probe counts ``len(args[0])`` as wire bytes.
+    from repro.fleet.protocol import FRAME_HEADER, decode_body, encode_frame
+
+    params = list(inspect.signature(decode_body).parameters)
+    assert params[0] == "body"
+    body = encode_frame({"type": "hello"})[FRAME_HEADER.size :]
+    assert decode_body(body) == {"type": "hello"}
