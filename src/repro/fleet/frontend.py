@@ -42,7 +42,9 @@ identical predecessors.  After ``max_respawns`` failures of the same
 shard the front-end degrades gracefully instead of hanging: the shard's
 outstanding and future requests are answered with explicit *failed*
 responses.  Accounting stays exact throughout:
-``completed + shed + failed == len(trace)``.
+``completed + shed + failed == len(trace)``.  The log is kept only while
+``max_respawns > 0`` and is dropped when its shard degrades: nothing can
+replay it then.
 
 Internals that make replay sound: the front-end assigns every request a
 globally unique *wire id* (a monotone sequence number, mapped back before
@@ -52,16 +54,20 @@ tag the worker echoes, so a historical drain's echo is distinguishable
 from the current trace's.  The wire-id rewrite is order-preserving, which
 is why it cannot perturb the scheduler's deterministic tie-breaking.
 
-Per worker the front-end runs one sender task (feeding a per-shard
-:class:`asyncio.Queue`) and one reader task (draining responses as the
-worker produces them), so a slow shard never head-of-line blocks the
-others.  A per-worker lock serialises the sender against recovery: a
+Each worker slot is one :class:`_WorkerLink`: it owns the process, the
+connection, the replay log, the outstanding set, the account of delivered
+metrics and recovery.  Per trace a link runs one sender task (fed by the
+shard's :class:`asyncio.Queue`) and one reader task (draining responses as
+the worker produces them), so a slow shard never head-of-line blocks the
+others.  The link's send lock serialises the sender against recovery: a
 request is appended to the replay log *before* its frame is written, so
 every request is delivered exactly once per worker generation — by the
-original write or by the replay, never both.  Transports: unix-domain
-sockets (default) or localhost TCP — the same length-prefixed frames (a
-JSON header plus raw array buffers, :mod:`repro.fleet.protocol`) either
-way.
+original write or by the replay, never both.  Recovery aborts the failed
+worker's connection *before* it takes that lock: a sender blocked writing
+to a wedged worker (whose socket buffer is full) holds the lock, and only
+the abort wakes it.  Transports: unix-domain sockets (default) or
+localhost TCP — the same length-prefixed frames (a JSON header plus raw
+array buffers, :mod:`repro.fleet.protocol`) either way.
 """
 
 from __future__ import annotations
@@ -105,7 +111,7 @@ SHUTDOWN_TIMEOUT_S = 10.0
 RESPAWN_BACKOFF_S = 0.05
 RESPAWN_BACKOFF_MAX_S = 2.0
 
-#: Wire ids of one trace occupy a stride so multi-trace ids never collide.
+#: Kinds of replay-log entries: one request, or the end-of-trace drain.
 _SERVE = "serve"
 _DRAIN = "drain"
 
@@ -147,6 +153,306 @@ def failed_response(request: ServeRequest, reason: str = "worker-failure") -> Se
     distinguishes overload from failure.
     """
     return _unserved_response(request, reason)
+
+
+def _frame(entry: tuple) -> dict:
+    """The wire frame of one replay-log entry."""
+    kind, payload = entry
+    if kind == _SERVE:
+        return {"type": "serve", "request": request_to_wire(payload)}
+    now_ms, seq = payload
+    return {"type": "drain", "now_ms": now_ms, "seq": seq}
+
+
+class _Trace:
+    """What one :meth:`PerforationFleet.serve_trace` call shares with its links."""
+
+    def __init__(self, front: ServeMetrics) -> None:
+        self.front = front
+        self.tracer = get_tracer()
+        #: Wire id → original request, for this trace only.
+        self.requests: dict[int, ServeRequest] = {}
+        self.responses: dict[int, ServeResponse] = {}
+        #: Wire id → enqueue time, for front-end ``fleet.request`` spans.
+        self.enqueued_ns: dict[int, int] = {}
+
+    def fail(self, request: ServeRequest, reason: str) -> None:
+        if request.request_id in self.responses:
+            return
+        self.responses[request.request_id] = failed_response(request, reason)
+        self.front.record_failed()
+
+
+class _WorkerLink:
+    """One worker slot: its process, connection, replay log and recovery.
+
+    Recovery replaces the process and the connection and keeps the rest.
+    :meth:`spawn` is the only place a process starts; a test may replace
+    it to run the worker without one.
+    """
+
+    def __init__(self, fleet: PerforationFleet, index: int) -> None:
+        self.fleet = fleet
+        self.index = index
+        self.proc = None
+        self.reader: asyncio.StreamReader | None = None
+        self.writer: asyncio.StreamWriter | None = None
+        #: Held by the sender across a log append and its write, and by
+        #: recovery across respawn and replay.
+        self.lock = asyncio.Lock()
+        #: Every entry sent, in order; replayed on respawn.  Kept only while
+        #: the fleet may respawn, and dropped when the shard degrades.
+        self.log: list[tuple] = []
+        #: Wire ids sent to this worker and not yet answered.
+        self.pending: set[int] = set()
+        #: Metrics of every response this slot delivered first.
+        self.delivered = ServeMetrics()
+        self.dead = False
+        self.failures = 0
+        self.queue: asyncio.Queue | None = None
+        #: The current trace's drain tag, once its drain is queued.
+        self.drain_seq: int | None = None
+
+    # -- lifecycle -------------------------------------------------------
+    async def spawn(self, spec: WorkerSpec):
+        """Start ``spec``'s worker process and connect to it: ``(reader, writer)``."""
+        ctx = multiprocessing.get_context("spawn")
+        receiver, sender = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(
+            target=worker_main,
+            args=(spec, sender),
+            name=f"repro-fleet-worker-{spec.index}",
+            daemon=True,
+        )
+        self.proc.start()
+        sender.close()
+        who = f"worker {spec.index} (generation {spec.generation})"
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
+        try:
+            while not receiver.poll(0):
+                if time.monotonic() > deadline:
+                    raise FleetError(
+                        f"{who} did not report its address within {SPAWN_TIMEOUT_S:.0f}s"
+                    )
+                await asyncio.sleep(0.02)
+            address = receiver.recv()
+        except (EOFError, OSError):
+            raise FleetError(f"{who} died before reporting its address") from None
+        finally:
+            receiver.close()
+        while True:
+            try:
+                if spec.transport == "unix":
+                    return await asyncio.open_unix_connection(str(address))
+                host, port = address
+                return await asyncio.open_connection(str(host), int(port))
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise FleetError(f"cannot connect to {who} at {address!r}") from None
+                await asyncio.sleep(0.05)
+
+    async def connect(self, generation: int = 0) -> dict:
+        """Spawn this slot's worker of ``generation`` and return its hello."""
+        spec = self.fleet._worker_spec(self.index, generation)
+        self.reader, self.writer = await self.spawn(spec)
+        hello = await asyncio.wait_for(read_frame_async(self.reader), timeout=SPAWN_TIMEOUT_S)
+        if hello is not None and hello.get("type") == "error":
+            # The worker bound its socket but could not build its server;
+            # it reported why instead of saying hello.  Fail fast with the
+            # real cause rather than spinning out the spawn timeout.
+            raise FleetError(f"worker {self.index}: {hello.get('error', 'startup failed')}")
+        if hello is None or hello.get("type") != "hello":
+            raise FleetError(f"worker {self.index} did not say hello (got {hello!r})")
+        return hello
+
+    async def ask(self, frame: dict, timeout: float) -> dict | None:
+        """Send one frame and return the worker's reply (``None`` at EOF)."""
+        await write_frame_async(self.writer, frame)
+        return await asyncio.wait_for(read_frame_async(self.reader), timeout=timeout)
+
+    def retire(self) -> None:
+        """Abort the connection and reap the process, escalating to kill."""
+        if self.writer is not None and not self.writer.transport.is_closing():
+            # abort(), not close(): close() would wait to flush a buffer a
+            # wedged worker never reads.
+            self.writer.transport.abort()
+        proc = self.proc
+        if proc is None:
+            return
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=2.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=2.0)
+
+    # -- serving ---------------------------------------------------------
+    def serve(self, trace: _Trace) -> list[asyncio.Task]:
+        """Open a trace: a fresh queue, and sender and reader tasks if alive."""
+        self.queue = asyncio.Queue()
+        self.drain_seq = None
+        if self.dead:
+            return []
+        name = f"worker {self.index}"
+        return [
+            asyncio.create_task(self._send(), name=f"{name} sender"),
+            asyncio.create_task(self._read(trace), name=f"{name} reader"),
+        ]
+
+    async def _send(self) -> None:
+        keep_log = self.fleet.max_respawns > 0
+        while True:
+            entry = await self.queue.get()
+            if entry is None:
+                return
+            async with self.lock:
+                if self.dead:
+                    continue  # recovery already failed this shard's work
+                if keep_log:
+                    self.log.append(entry)
+                try:
+                    await write_frame_async(self.writer, _frame(entry))
+                except Exception:
+                    # The connection died mid-write.  The entry is in the
+                    # log, so the reader's recovery replays it — retrying
+                    # here would deliver it twice.
+                    pass
+
+    async def _read(self, trace: _Trace) -> None:
+        timeout = self.fleet.request_timeout_s
+        while True:
+            expecting = bool(self.pending) or self.drain_seq is not None
+            try:
+                if timeout is not None:
+                    frame = await asyncio.wait_for(read_frame_async(self.reader), timeout=timeout)
+                else:
+                    frame = await read_frame_async(self.reader)
+            except asyncio.TimeoutError:
+                if not expecting:
+                    continue  # idle silence is fine; re-arm
+                failure = f"no frame within {timeout:g}s with {len(self.pending)} outstanding"
+            except Exception as exc:
+                failure = f"{type(exc).__name__}: {exc}"
+            else:
+                kind = None if frame is None else frame.get("type")
+                if kind == "completed" or kind == "drained":
+                    self.record(trace, frame.get("responses", []))
+                    if kind == "drained":
+                        spans = frame.get("spans")
+                        if spans:
+                            # Worker-side spans ship on the drained frame and
+                            # merge into the front-end's single trace (the
+                            # worker labelled them with its process name).
+                            trace.tracer.ingest(spans)
+                        if frame.get("seq") == self.drain_seq:
+                            return
+                        # Otherwise a replayed historical drain's echo: absorb it.
+                    continue
+                if kind == "error" and frame.get("request_id") is not None:
+                    wire_id = int(frame["request_id"])
+                    self.pending.discard(wire_id)
+                    original = trace.requests.get(wire_id)
+                    if original is not None:
+                        trace.fail(original, "worker-error")
+                    continue  # request-scoped: the trace goes on
+                if frame is None:
+                    failure = "connection closed mid-trace"
+                elif kind == "error":
+                    failure = str(frame.get("error"))
+                else:
+                    failure = f"unexpected {kind!r} frame"
+            if not await self.recover(trace, failure):
+                return
+
+    def record(self, trace: _Trace, wires: list) -> None:
+        """Deliver one frame's responses, mapping wire ids back to request ids."""
+        tracer = trace.tracer
+        requests = trace.requests
+        responses = trace.responses
+        pending = self.pending
+        delivered = self.delivered
+        # A frame carries whole micro-batches, each as a run of
+        # batch_size responses: count a batch where its run starts.
+        left_in_batch = 0
+        for wire in wires:
+            response = response_from_wire(wire)
+            batch_start = left_in_batch == 0
+            if batch_start:
+                left_in_batch = response.batch_size
+            left_in_batch -= 1
+            wire_id = response.request_id
+            pending.discard(wire_id)
+            original = requests.get(wire_id)
+            if tracer.enabled and original is not None:
+                start_ns = trace.enqueued_ns.pop(wire_id, None)
+                if start_ns is not None:
+                    tracer.record(
+                        "fleet.request",
+                        category="fleet",
+                        start_ns=start_ns,
+                        duration_ns=time.monotonic_ns() - start_ns,
+                        trace_id=original.trace_label,
+                        worker=self.index,
+                        app=original.app,
+                        wire_id=wire_id,
+                    )
+            if original is None:
+                # A replayed worker re-delivering an earlier trace's
+                # response (bit-identical to what was already returned).
+                continue
+            response = replace(response, request_id=original.request_id)
+            existing = responses.get(original.request_id)
+            if existing is None:
+                responses[original.request_id] = response
+                if batch_start:
+                    delivered.record_batch(response.batch_size)
+                delivered.record_response(response, original.error_budget)
+            elif not existing.rejected:
+                # Replay re-delivery of a response this trace already
+                # saw; identical by construction, so overwriting is a
+                # no-op in value terms.
+                responses[original.request_id] = response
+
+    # -- failure ---------------------------------------------------------
+    async def recover(self, trace: _Trace, reason: str) -> bool:
+        """Respawn this slot and replay its log; ``False`` once the shard degrades.
+
+        The failed worker is retired *before* the send lock is taken: a
+        sender blocked writing to a wedged worker holds the lock, and
+        aborting the connection is what wakes it.
+        """
+        fleet = self.fleet
+        trace.tracer.point("fleet.recover", category="fleet", worker=self.index, reason=reason)
+        self.retire()
+        async with self.lock:
+            while True:
+                self.failures += 1
+                fleet._front_metrics.worker_failures += 1
+                if self.failures > fleet.max_respawns:
+                    self.dead = True
+                    self.log.clear()  # nothing can replay it now
+                    self.fail_pending(trace, "worker-failure")
+                    return False
+                await asyncio.sleep(
+                    min(RESPAWN_BACKOFF_S * 2 ** (self.failures - 1), RESPAWN_BACKOFF_MAX_S)
+                )
+                try:
+                    fleet.respawn_reports.append(await self.connect(self.failures))
+                    recovered = len(self.pending)
+                    for entry in self.log:
+                        await write_frame_async(self.writer, _frame(entry))
+                except Exception:
+                    # The replacement failed to start or died during
+                    # replay; that is the slot's next failure.
+                    self.retire()
+                    continue
+                fleet._front_metrics.replayed += recovered
+                return True
+
+    def fail_pending(self, trace: _Trace, reason: str) -> None:
+        for wire_id in sorted(self.pending):
+            trace.fail(trace.requests[wire_id], reason)
+        self.pending.clear()
 
 
 class PerforationFleet:
@@ -202,14 +508,10 @@ class PerforationFleet:
         triggers respawn-and-replay while ``k <= max_respawns``; beyond
         that the shard degrades gracefully — outstanding and future
         requests are answered with explicit failed responses instead of
-        hanging the trace.
-    replay:
-        ``False`` disables recovery entirely: the first failure of a
-        shard degrades it (as if its budget were exhausted).  Recovery
-        replays the worker's full observation subsequence, so its cost —
-        and the front-end's memory for the log — grows with everything
-        the fleet has served; long-lived fleets that cannot afford that
-        can opt out.
+        hanging the trace.  Replay re-sends the slot's whole observation
+        subsequence, so the front-end keeps a log of everything sent to
+        each worker; ``0`` keeps no log (the first failure degrades the
+        shard).
     fail_after / error_on / hang_on / chaos_persistent:
         Deterministic fault injection for the chaos suite and
         ``serve-bench --chaos``: ``fail_after`` maps worker index → crash
@@ -245,7 +547,6 @@ class PerforationFleet:
         runtime_dir: str | os.PathLike | None = None,
         request_timeout_s: float | None = None,
         max_respawns: int = 2,
-        replay: bool = True,
         fail_after: Mapping[int, int] | None = None,
         error_on: Sequence[int] | None = None,
         hang_on: Sequence[int] | None = None,
@@ -284,7 +585,6 @@ class PerforationFleet:
         self.strict = strict
         self.request_timeout_s = request_timeout_s
         self.max_respawns = int(max_respawns)
-        self.replay = bool(replay)
         self.fail_after = dict(fail_after or {})
         self.error_on = tuple(error_on or ())
         self.hang_on = tuple(hang_on or ())
@@ -306,19 +606,7 @@ class PerforationFleet:
         self.respawn_reports: list[dict] = []
         #: DB counters of the front-end's own calibration pass.
         self.parent_db_stats: dict | None = None
-        self._specs: list[WorkerSpec] = []
-        self._procs: list = []
-        self._readers: list[asyncio.StreamReader] = []
-        self._writers: list[asyncio.StreamWriter] = []
-        self._send_locks: list[asyncio.Lock] = []
-        #: Per worker, the ordered log of every frame-worth of work sent —
-        #: the worker's exact observation subsequence, replayed on respawn.
-        self._sent_log: list[list[tuple]] = []
-        #: Per worker, the metrics of every response it first delivered —
-        #: what a dead shard, which can no longer report, contributes.
-        self._shard_metrics: list[ServeMetrics] = []
-        self._dead: list[bool] = []
-        self._failures: list[int] = []
+        self._links: list[_WorkerLink] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started = False
         self._closed = False
@@ -350,20 +638,22 @@ class PerforationFleet:
         try:
             if self.warm and self.warm_apps:
                 self._warm_database()
-            self._specs = [self._worker_spec(index) for index in range(self.workers)]
-            addresses = self._spawn_workers()
             self._loop = asyncio.new_event_loop()
-            self._loop.run_until_complete(self._connect_all(addresses))
+            self._links = [_WorkerLink(self, index) for index in range(self.workers)]
+            self.warm_reports = self._loop.run_until_complete(self._connect_links())
         except BaseException:
             self.close()
             raise
-        self._send_locks = [asyncio.Lock() for _ in range(self.workers)]
-        self._sent_log = [[] for _ in range(self.workers)]
-        self._shard_metrics = [ServeMetrics() for _ in range(self.workers)]
-        self._dead = [False] * self.workers
-        self._failures = [0] * self.workers
         self._started = True
         return self
+
+    async def _connect_links(self) -> list[dict]:
+        tasks = [asyncio.ensure_future(link.connect()) for link in self._links]
+        try:
+            return list(await asyncio.gather(*tasks))  # gather keeps worker order
+        finally:
+            for task in tasks:
+                task.cancel()  # after a failure, stop the spawns still running
 
     def _apply_env(self) -> None:
         """Export the codegen-cache override, remembering the prior value."""
@@ -435,7 +725,6 @@ class PerforationFleet:
             calibration_inputs=self.calibration_inputs,
             warm_apps=self.warm_apps,
             tuning_db=str(self.tuning_db_path),
-            tuning_db_readonly=True,
             codegen_cache=(
                 None if self.codegen_cache_path is None else str(self.codegen_cache_path)
             ),
@@ -452,92 +741,6 @@ class PerforationFleet:
             hang_on=chaos_hang,
         )
 
-    def _spawn_one(self, spec: WorkerSpec):
-        ctx = multiprocessing.get_context("spawn")
-        receiver, sender = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=worker_main,
-            args=(spec, sender),
-            name=f"repro-fleet-worker-{spec.index}",
-            daemon=True,
-        )
-        proc.start()
-        sender.close()
-        return proc, receiver
-
-    def _spawn_workers(self) -> list:
-        readies = []
-        for index in range(self.workers):
-            proc, receiver = self._spawn_one(self._specs[index])
-            self._procs.append(proc)
-            readies.append(receiver)
-        addresses = []
-        for index, receiver in enumerate(readies):
-            try:
-                if not receiver.poll(SPAWN_TIMEOUT_S):
-                    raise FleetError(
-                        f"worker {index} did not report its address "
-                        f"within {SPAWN_TIMEOUT_S:.0f}s"
-                    )
-                addresses.append(receiver.recv())
-            except (EOFError, OSError):
-                raise FleetError(f"worker {index} died before reporting its address") from None
-            finally:
-                receiver.close()
-        return addresses
-
-    async def _connect_all(self, addresses: list) -> None:
-        connected = await asyncio.gather(
-            *(self._connect_one(index, address) for index, address in enumerate(addresses))
-        )
-        for reader, writer, hello in connected:  # gather preserves worker order
-            self._readers.append(reader)
-            self._writers.append(writer)
-            self.warm_reports.append(hello)
-
-    async def _connect_one(self, index: int, address):
-        deadline = time.monotonic() + SPAWN_TIMEOUT_S
-        while True:
-            try:
-                if self.transport == "unix":
-                    reader, writer = await asyncio.open_unix_connection(str(address))
-                else:
-                    host, port = address
-                    reader, writer = await asyncio.open_connection(str(host), int(port))
-                break
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise FleetError(
-                        f"cannot connect to worker {index} at {address!r}"
-                    ) from None
-                await asyncio.sleep(0.05)
-        hello = await asyncio.wait_for(read_frame_async(reader), timeout=SPAWN_TIMEOUT_S)
-        if hello is not None and hello.get("type") == "error":
-            # The worker bound its socket but could not build its server;
-            # it reported why instead of saying hello.  Fail fast with the
-            # real cause rather than spinning out the spawn timeout.
-            writer.close()
-            raise FleetError(f"worker {index}: {hello.get('error', 'startup failed')}")
-        if hello is None or hello.get("type") != "hello":
-            raise FleetError(f"worker {index} did not say hello (got {hello!r})")
-        return reader, writer, hello
-
-    def _retire_worker(self, index: int) -> None:
-        """Close a failed worker's transport and reap its process."""
-        if index < len(self._writers) and self._writers[index] is not None:
-            try:
-                self._writers[index].close()
-            except Exception:
-                pass
-        proc = self._procs[index] if index < len(self._procs) else None
-        if proc is None:
-            return
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=2.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=2.0)
 
     # ------------------------------------------------------------------
     # Serving
@@ -564,288 +767,68 @@ class PerforationFleet:
     async def _serve_async(self, ordered: list[ServeRequest]) -> list[ServeResponse]:
         shards = ShardMap.for_trace(ordered, self.workers, self.backend_name)
         wall_start = time.perf_counter()
-        tracer = get_tracer()
-        #: wire id → enqueue time, for front-end fleet.request spans.
-        enqueued_ns: dict[int, int] = {}
-        responses: dict[int, ServeResponse] = {}
+        trace = _Trace(self._front_metrics)
+        tracer = trace.tracer
+        links = self._links
+        tasks = [task for link in links for task in link.serve(trace)]
         shed: list[ServeRequest] = []
-        #: wire id → original request, for the current trace only.
-        current_wire: dict[int, ServeRequest] = {}
-        pending: list[set[int]] = [set() for _ in range(self.workers)]
-        queues: list[asyncio.Queue] = [asyncio.Queue() for _ in range(self.workers)]
-        drained = [asyncio.Event() for _ in range(self.workers)]
-        drain_seq_expected: list[int | None] = [None] * self.workers
-        failures: list[str] = []
-
-        def fail_request(request: ServeRequest, reason: str) -> None:
-            if request.request_id in responses:
-                return
-            responses[request.request_id] = failed_response(request, reason)
-            self._front_metrics.record_failed()
-
-        def fail_pending(index: int, reason: str) -> None:
-            for wire_id in sorted(pending[index]):
-                fail_request(current_wire[wire_id], reason)
-            pending[index].clear()
-
-        def degrade(index: int) -> None:
-            """Out of respawn budget: fail the shard's work instead of hanging."""
-            self._dead[index] = True
-            fail_pending(index, "worker-failure")
-
-        def record(index: int, wires: list) -> None:
-            delivered = self._shard_metrics[index]
-            # A frame carries whole micro-batches, each as a run of
-            # batch_size responses: count a batch where its run starts.
-            left_in_batch = 0
-            for wire in wires:
-                response = response_from_wire(wire)
-                batch_start = left_in_batch == 0
-                if batch_start:
-                    left_in_batch = response.batch_size
-                left_in_batch -= 1
-                wire_id = response.request_id
-                pending[index].discard(wire_id)
-                original = current_wire.get(wire_id)
-                if tracer.enabled and original is not None:
-                    start_ns = enqueued_ns.pop(wire_id, None)
-                    if start_ns is not None:
-                        tracer.record(
-                            "fleet.request",
-                            category="fleet",
-                            start_ns=start_ns,
-                            duration_ns=time.monotonic_ns() - start_ns,
-                            trace_id=original.trace_label,
-                            worker=index,
-                            app=original.app,
-                            wire_id=wire_id,
-                        )
-                if original is None:
-                    # A replayed worker re-delivering an earlier trace's
-                    # response (bit-identical to what was already returned).
-                    continue
-                response = replace(response, request_id=original.request_id)
-                existing = responses.get(original.request_id)
-                if existing is None:
-                    responses[original.request_id] = response
-                    if batch_start:
-                        delivered.record_batch(response.batch_size)
-                    delivered.record_response(response, original.error_budget)
-                elif not existing.rejected:
-                    # Replay re-delivery of a response this trace already
-                    # saw; identical by construction, so overwriting is a
-                    # no-op in value terms.
-                    responses[original.request_id] = response
-
-        def frame_for(entry: tuple) -> dict:
-            kind, payload = entry
-            if kind == _SERVE:
-                return {"type": "serve", "request": request_to_wire(payload)}
-            now_ms, seq = payload
-            return {"type": "drain", "now_ms": now_ms, "seq": seq}
-
-        async def respawn(index: int) -> None:
-            """One respawn attempt; raises if the new worker fails too."""
-            generation = self._failures[index]
-            spec = self._worker_spec(index, generation=generation)
-            self._specs[index] = spec
-            proc, receiver = self._spawn_one(spec)
-            self._procs[index] = proc
-            try:
-                deadline = time.monotonic() + SPAWN_TIMEOUT_S
-                while not receiver.poll(0):
-                    if time.monotonic() > deadline:
-                        raise FleetError(
-                            f"respawned worker {index} (generation {generation}) "
-                            "did not report its address"
-                        )
-                    await asyncio.sleep(0.02)
-                address = receiver.recv()
-            except (EOFError, OSError):
-                raise FleetError(
-                    f"respawned worker {index} (generation {generation}) died "
-                    "before reporting its address"
-                ) from None
-            finally:
-                receiver.close()
-            reader, writer, hello = await self._connect_one(index, address)
-            self._readers[index] = reader
-            self._writers[index] = writer
-            self.respawn_reports.append(hello)
-
-        async def recover(index: int, reason: str) -> bool:
-            """Respawn-and-replay worker ``index``; False = shard degraded."""
-            tracer.point(
-                "fleet.recover", category="fleet", worker=index, reason=reason
-            )
-            async with self._send_locks[index]:
-                if self._dead[index]:
-                    return False
-                self._retire_worker(index)
-                while True:
-                    self._failures[index] += 1
-                    self._front_metrics.worker_failures += 1
-                    attempt = self._failures[index]
-                    if not self.replay or attempt > self.max_respawns:
-                        degrade(index)
-                        return False
-                    await asyncio.sleep(
-                        min(RESPAWN_BACKOFF_S * 2 ** (attempt - 1), RESPAWN_BACKOFF_MAX_S)
-                    )
-                    try:
-                        await respawn(index)
-                        recovered = len(pending[index])
-                        for entry in self._sent_log[index]:
-                            await write_frame_async(
-                                self._writers[index], frame_for(entry)
-                            )
-                    except Exception:
-                        # The replacement failed to start or died during
-                        # replay; that is the slot's next failure.
-                        self._retire_worker(index)
-                        continue
-                    self._front_metrics.replayed += recovered
-                    return True
-
-        async def sender(index: int) -> None:
-            while True:
-                item = await queues[index].get()
-                if item is None:
-                    return
-                async with self._send_locks[index]:
-                    if self._dead[index]:
-                        continue  # recovery already failed this shard's work
-                    self._sent_log[index].append(item)
-                    try:
-                        await write_frame_async(self._writers[index], frame_for(item))
-                    except Exception:
-                        # The connection died mid-write.  The entry is in
-                        # the log, so reader-driven recovery replays it —
-                        # retrying here would deliver it twice.
-                        pass
-
-        async def reader(index: int) -> None:
-            try:
-                while True:
-                    expecting = bool(pending[index]) or drain_seq_expected[index] is not None
-                    try:
-                        if self.request_timeout_s is not None:
-                            frame = await asyncio.wait_for(
-                                read_frame_async(self._readers[index]),
-                                timeout=self.request_timeout_s,
-                            )
-                        else:
-                            frame = await read_frame_async(self._readers[index])
-                    except asyncio.TimeoutError:
-                        if not expecting:
-                            continue  # idle silence is fine; re-arm
-                        if await recover(
-                            index,
-                            f"no frame within {self.request_timeout_s:g}s "
-                            f"with {len(pending[index])} outstanding",
-                        ):
-                            continue
-                        return
-                    except Exception as exc:
-                        if await recover(index, f"{type(exc).__name__}: {exc}"):
-                            continue
-                        return
-                    if frame is None:
-                        if await recover(index, "connection closed mid-trace"):
-                            continue
-                        return
-                    kind = frame.get("type")
-                    if kind == "error":
-                        wire_id = frame.get("request_id")
-                        if wire_id is not None:
-                            pending[index].discard(int(wire_id))
-                            original = current_wire.get(int(wire_id))
-                            if original is not None:
-                                fail_request(original, "worker-error")
-                            continue  # request-scoped: the trace goes on
-                        if await recover(index, str(frame.get("error"))):
-                            continue
-                        return
-                    if kind not in ("completed", "drained"):
-                        if await recover(index, f"unexpected {kind!r} frame"):
-                            continue
-                        return
-                    record(index, frame.get("responses", []))
-                    if kind == "drained":
-                        spans = frame.get("spans")
-                        if spans:
-                            # Worker-side spans ship on the drained frame and
-                            # merge into the front-end's single trace (the
-                            # worker labelled them with its process name).
-                            tracer.ingest(spans)
-                        if frame.get("seq") == drain_seq_expected[index]:
-                            return
-                        # A replayed historical drain's echo — absorb it.
-            except Exception as exc:
-                failures.append(f"worker {index} reader: {type(exc).__name__}: {exc}")
-            finally:
-                drained[index].set()
-
-        sender_tasks = [asyncio.ensure_future(sender(i)) for i in range(self.workers)]
-        reader_tasks = [asyncio.ensure_future(reader(i)) for i in range(self.workers)]
 
         for request in ordered:
-            target = shards.assign(shard_key(request, self.backend_name))
+            link = links[shards.assign(shard_key(request, self.backend_name))]
             # One event-loop pass so the readers can retire responses the
             # workers already produced — pending reflects delivered state.
             await asyncio.sleep(0)
-            if self._dead[target]:
-                fail_request(request, "shard-degraded")
+            if link.dead:
+                trace.fail(request, "shard-degraded")
                 continue
-            if len(pending[target]) >= self.max_pending:
+            if len(link.pending) >= self.max_pending:
                 shed.append(request)
                 self._front_metrics.record_shed()
                 continue
             wire_id = self._wire_seq
             self._wire_seq += 1
-            current_wire[wire_id] = request
-            pending[target].add(wire_id)
+            trace.requests[wire_id] = request
+            link.pending.add(wire_id)
             wire_request = replace(request, request_id=wire_id)
             if tracer.enabled:
                 # Stamp the correlation id *before* the wire-id rewrite so
                 # front-end and worker spans agree on it; untraced frames
                 # stay byte-identical to the pre-tracing protocol.
                 wire_request = replace(wire_request, trace_id=request.trace_label)
-                enqueued_ns[wire_id] = time.monotonic_ns()
-            await queues[target].put((_SERVE, wire_request))
+                trace.enqueued_ns[wire_id] = time.monotonic_ns()
+            await link.queue.put((_SERVE, wire_request))
 
         # Drain at the last *global* arrival — exactly the virtual time
         # PerforationServer.run_trace drains at, which is what keeps batch
         # deadline stamps (and therefore outputs) bit-identical.
         last_arrival = ordered[-1].arrival_ms
-        for index in range(self.workers):
-            if not self._dead[index]:
+        for link in links:
+            if not link.dead:
                 self._drain_seq += 1
-                drain_seq_expected[index] = self._drain_seq
-                await queues[index].put((_DRAIN, (last_arrival, self._drain_seq)))
-            await queues[index].put(None)
+                link.drain_seq = self._drain_seq
+                await link.queue.put((_DRAIN, (last_arrival, self._drain_seq)))
+            await link.queue.put(None)
 
-        await asyncio.gather(*(event.wait() for event in drained))
-        for index, result in enumerate(
-            await asyncio.gather(*sender_tasks, *reader_tasks, return_exceptions=True)
-        ):
-            if isinstance(result, BaseException):
-                failures.append(f"fleet io task {index}: {result}")
+        results = await asyncio.gather(*tasks, return_exceptions=True)
+        errors = [
+            f"{task.get_name()}: {type(result).__name__}: {result}"
+            for task, result in zip(tasks, results)
+            if isinstance(result, BaseException)
+        ]
         # Defensive: a reader that returned with work still outstanding
         # (it cannot, short of a worker-side protocol bug) must not cost
         # the caller a response — fail the stragglers explicitly.
-        for index in range(self.workers):
-            if pending[index]:
-                fail_pending(index, "worker-failure")
-        if failures:
-            raise FleetError("; ".join(failures))
+        for link in links:
+            link.fail_pending(trace, "worker-failure")
+        if errors:
+            raise FleetError("; ".join(errors))
 
         front = self._front_metrics
         front.finish((front.wall_time_s or 0.0) + (time.perf_counter() - wall_start))
-        results = [rejected_response(request) for request in shed]
-        results.extend(responses.values())
-        results.sort(key=lambda response: response.request_id)
-        return results
+        responses = [rejected_response(request) for request in shed]
+        responses.extend(trace.responses.values())
+        responses.sort(key=lambda response: response.request_id)
+        return responses
 
     # ------------------------------------------------------------------
     # Metrics
@@ -864,17 +847,14 @@ class PerforationFleet:
 
     async def _collect_metrics(self) -> list[dict]:
         snapshots = []
-        for index in range(self.workers):
-            if self._dead[index]:
-                delivered = ServeMetrics().merge(self._shard_metrics[index])  # a copy
+        for link in self._links:
+            if link.dead:
+                delivered = ServeMetrics().merge(link.delivered)  # a copy
                 snapshots.append({"metrics": delivered, "controller": None, "dead": True})
                 continue
-            await write_frame_async(self._writers[index], {"type": "metrics"})
-            frame = await asyncio.wait_for(
-                read_frame_async(self._readers[index]), timeout=SPAWN_TIMEOUT_S
-            )
+            frame = await link.ask({"type": "metrics"}, SPAWN_TIMEOUT_S)
             if frame is None or frame.get("type") != "metrics":
-                raise FleetError(f"worker {index} returned no metrics (got {frame!r})")
+                raise FleetError(f"worker {link.index} returned no metrics (got {frame!r})")
             spans = frame.get("spans")
             if spans:
                 get_tracer().ingest(spans)
@@ -928,34 +908,30 @@ class PerforationFleet:
                 pass
             finally:
                 self._loop.close()
-        for proc in self._procs:
-            if self._started:
+        for link in self._links:
+            if self._started and link.proc is not None:
                 # A started fleet said shutdown above — give workers a
                 # moment to say bye; a partially-started one did not, so
                 # waiting would just time out.
-                proc.join(timeout=SHUTDOWN_TIMEOUT_S)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=SHUTDOWN_TIMEOUT_S)
-        self._procs.clear()
+                link.proc.join(timeout=SHUTDOWN_TIMEOUT_S)
+            link.retire()
+        self._links = []
         if self._owns_runtime_dir:
             shutil.rmtree(self.runtime_dir, ignore_errors=True)
         self._restore_env()
 
     async def _shutdown(self) -> None:
-        for index, writer in enumerate(self._writers):
-            if index < len(self._dead) and self._dead[index]:
-                continue  # already retired by recovery
+        for link in self._links:
+            if link.writer is None or link.dead:
+                continue  # never connected, or already retired by recovery
+            if self._started:
+                try:
+                    await link.ask({"type": "shutdown"}, SHUTDOWN_TIMEOUT_S)
+                except Exception:
+                    pass
             try:
-                await write_frame_async(writer, {"type": "shutdown"})
-                await asyncio.wait_for(
-                    read_frame_async(self._readers[index]), timeout=SHUTDOWN_TIMEOUT_S
-                )
-            except Exception:
-                pass
-            try:
-                writer.close()
-                await writer.wait_closed()
+                link.writer.close()
+                await link.writer.wait_closed()
             except Exception:
                 pass
 

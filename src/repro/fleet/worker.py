@@ -70,7 +70,7 @@ import math
 import os
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..obs import trace as obs_trace
@@ -112,7 +112,6 @@ class WorkerSpec:
     warm_apps: tuple[str, ...] = ()
     #: Replicated tuning-database directory (``None`` disables warm start).
     tuning_db: str | None = None
-    tuning_db_readonly: bool = True
     #: Replicated codegen artifact-cache directory (``REPRO_CODEGEN_CACHE``).
     codegen_cache: str | None = None
     cache_capacity: int = 256
@@ -133,7 +132,6 @@ class WorkerSpec:
     #: simulated stuck worker, detected only by the front-end's
     #: per-request response timeout.
     hang_on: tuple[int, ...] = ()
-    extra_env: Mapping[str, str] = field(default_factory=dict)
 
 
 def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
@@ -144,8 +142,6 @@ def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
     """
     if spec.codegen_cache is not None:
         os.environ["REPRO_CODEGEN_CACHE"] = spec.codegen_cache
-    for key, value in dict(spec.extra_env).items():
-        os.environ[key] = value
 
     # Workers record spans in memory only and ship them back on
     # ``drained``/``metrics`` frames; the front-end writes the one merged
@@ -163,9 +159,7 @@ def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
     if spec.tuning_db is not None:
         from ..autotune import Tuner, TuningDB
 
-        tuner = Tuner(
-            engine, db=TuningDB(spec.tuning_db, readonly=spec.tuning_db_readonly)
-        )
+        tuner = Tuner(engine, db=TuningDB(spec.tuning_db, readonly=True))
     server = PerforationServer(
         engine=engine,
         backend=spec.backend,

@@ -42,7 +42,7 @@ class TestValidation:
         fleet = PerforationFleet(workers=1)
         try:
             assert fleet.serve_trace([]) == []
-            assert fleet._procs == []  # still cold — no processes, no sockets
+            assert fleet._links == []  # still cold — no processes, no sockets
         finally:
             fleet.close()
 

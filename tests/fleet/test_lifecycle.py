@@ -1,29 +1,32 @@
 """Fleet lifecycle regressions: environment hygiene, partial-startup
 teardown, and metrics consistency across repeated traces.
 
-The environment tests monkeypatch the spawn/connect path away so they run
+The environment tests monkeypatch the spawn path away so they run
 without any worker processes (fast tier); the teardown and multi-trace
 tests spawn real workers (slow tier).
 """
 
+import asyncio
 import os
 
 import pytest
 
 from repro.data import generate_image
 from repro.fleet import FleetError, PerforationFleet
-from repro.fleet.frontend import PerforationFleet as FrontendFleet
+from repro.fleet.frontend import _WorkerLink
+from repro.fleet.protocol import encode_frame
 from repro.serve import TraceSpec, generate_trace
 
 
 def _start_without_workers(monkeypatch, fleet):
-    """Run start() with the process machinery stubbed out."""
+    """Run start() with every worker replaced by a stream holding its hello."""
 
-    async def no_connect(self, addresses):
-        return None
+    async def no_worker(self, spec):
+        reader = asyncio.StreamReader()
+        reader.feed_data(encode_frame({"type": "hello", "worker": spec.index}))
+        return reader, None
 
-    monkeypatch.setattr(FrontendFleet, "_spawn_workers", lambda self: [])
-    monkeypatch.setattr(FrontendFleet, "_connect_all", no_connect)
+    monkeypatch.setattr(_WorkerLink, "spawn", no_worker)
     fleet.start()
 
 
@@ -65,33 +68,33 @@ class TestPartialStartupTeardown:
         runtime.mkdir()
         (runtime / "worker-1.sock").write_text("squatter")
 
-        captured = {}
-        original = FrontendFleet._spawn_workers
+        procs = []
+        original = _WorkerLink.spawn
 
-        def spy(self):
+        async def spy(self, spec):
             try:
-                return original(self)
+                return await original(self, spec)
             finally:
-                captured["procs"] = list(self._procs)
+                procs.append(self.proc)
 
-        monkeypatch.setattr(FrontendFleet, "_spawn_workers", spy)
+        monkeypatch.setattr(_WorkerLink, "spawn", spy)
         fleet = PerforationFleet(workers=2, runtime_dir=runtime)
         with pytest.raises(FleetError):
             fleet.start()
 
-        assert captured["procs"]  # worker 0 really was spawned
-        for proc in captured["procs"]:
+        assert len(procs) == 2  # worker 0 really was spawned
+        for proc in procs:
             assert not proc.is_alive()
-        assert fleet._procs == []
+        assert fleet._links == []
 
     def test_owned_runtime_dir_removed_on_startup_failure(self, monkeypatch):
         """The private repro-fleet-* temp dir must not leak when start()
         fails before any worker exists."""
 
-        def boom(self):
+        async def boom(self, spec):
             raise FleetError("injected spawn failure")
 
-        monkeypatch.setattr(FrontendFleet, "_spawn_workers", boom)
+        monkeypatch.setattr(_WorkerLink, "spawn", boom)
         fleet = PerforationFleet(workers=1)
         runtime_dir = fleet.runtime_dir
         assert runtime_dir.exists()

@@ -39,13 +39,13 @@ def _calibration_inputs(apps=SPEC.apps, size=32):
     return {app: [generate_image("natural", size=size, seed=77)] for app in apps}
 
 
-def _gaussian_requests(count):
+def _gaussian_requests(count, size=32):
     """A deterministic single-app trace: request id == wire id == arrival order."""
     return [
         ServeRequest(
             request_id=index,
             app="gaussian",
-            inputs=generate_image("natural", size=32, seed=index),
+            inputs=generate_image("natural", size=size, seed=index),
             error_budget=0.05,
             arrival_ms=float(index),
         )
@@ -124,6 +124,36 @@ def test_hung_worker_detected_by_response_timeout(reference_responses):
     assert metrics.completed == len(trace)
     for response in responses:
         _assert_bit_identical(response, reference_responses[response.request_id])
+
+
+def test_hung_worker_with_a_full_socket_recovers_promptly():
+    """The only worker hangs on the first of 60 requests at 64x64, so the
+    front-end's writes fill the socket buffers and its sender blocks in a
+    write while holding the send lock.  Recovery must not wait behind that
+    write: the hung worker would sleep for 1200 s."""
+    requests = _gaussian_requests(60, size=64)
+    calibration = _calibration_inputs(apps=("gaussian",))
+    single = PerforationServer(max_batch=4, calibration_inputs=calibration)
+    reference = {r.request_id: r for r in single.run_trace(requests)}
+    with PerforationFleet(
+        workers=1,
+        max_batch=4,
+        calibration_inputs=calibration,
+        hang_on=(0,),
+        request_timeout_s=2.0,
+    ) as fleet:
+        started = time.monotonic()
+        responses = fleet.serve_trace(requests)
+        elapsed = time.monotonic() - started
+        metrics = fleet.metrics()
+
+    assert elapsed < 30.0
+    assert metrics.worker_failures == 1
+    assert metrics.replayed == len(requests)
+    assert metrics.completed == len(requests)
+    assert metrics.completed + metrics.shed + metrics.failed == len(requests)
+    for response in responses:
+        _assert_bit_identical(response, reference[response.request_id])
 
 
 def test_respawn_budget_exhausted_degrades_shard_not_trace():
@@ -230,5 +260,5 @@ def test_worker_startup_failure_fails_fast_with_cause():
     assert elapsed < 30.0  # far below the 120 s spawn timeout
     assert "startup failed" in str(excinfo.value)
     # Partial startup was torn down: no leaked processes, no leaked dir.
-    assert fleet._procs == []
+    assert fleet._links == []
     assert not runtime_dir.exists()
