@@ -16,7 +16,9 @@ of a kernel's input buffer.  ``sampler.read_offset(dx, dy)`` returns, for
 every output pixel, the value the (possibly perforated + reconstructed)
 input provides at stencil offset ``(dx, dy)``.  The accurate sampler simply
 shifts the original image; perforated samplers serve the values a work
-group's reconstructed local tile would contain.
+group's reconstructed local tile would contain.  Each sampler builds its
+planes once, from a snapshot of the image taken at construction, and serves
+them read-only: copy a served array before writing to it.
 """
 
 from __future__ import annotations
@@ -165,6 +167,11 @@ def perforate(image: np.ndarray, mask: np.ndarray, fill_value: float = 0.0) -> n
 # ---------------------------------------------------------------------------
 # Input samplers
 # ---------------------------------------------------------------------------
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class InputSampler:
     """An (exact or approximate) view of a kernel's 2D input buffer.
 
@@ -172,17 +179,30 @@ class InputSampler:
     at output pixel (y, x) is the value that pixel reads at stencil offset
     (dx, dy).  Reads outside the image are clamped to the border, matching
     the ``clamp``-based border handling of the benchmark kernels.
+
+    A sampler snapshots its image at construction (an edge-padded copy) and
+    builds each plane once, on first use: a reconstructed plane per offset
+    along its perforated axis, or the padded copy itself.  ``read_offset``
+    and :meth:`view` serve read-only slices of them; copy one before writing.
+    Planes live and die with the sampler, which one thread builds and reads.
     """
 
     def __init__(self, image: np.ndarray) -> None:
-        self.image = _check_image(image)
-        self.height, self.width = self.image.shape
+        self._snapshot(image, 0)
 
-    # ------------------------------------------------------------------
-    def _clamped_coords(self, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
-        ys = np.clip(np.arange(self.height) + dy, 0, self.height - 1)
-        xs = np.clip(np.arange(self.width) + dx, 0, self.width - 1)
-        return ys, xs
+    def _snapshot(self, image: np.ndarray, pad: int) -> None:
+        """Keep a read-only copy of ``image`` edge-padded by ``pad``; drop old planes."""
+        array = _check_image(image)
+        self.height, self.width = array.shape
+        self._pad = pad
+        self._padded = _frozen(np.pad(array, pad, mode="edge"))
+        self._planes: dict[int, np.ndarray] = {}
+
+    @property
+    def image(self) -> np.ndarray:
+        """The (read-only) snapshot of the input image."""
+        pad = self._pad
+        return self._padded[pad : pad + self.height, pad : pad + self.width]
 
     def read_offset(self, dx: int, dy: int) -> np.ndarray:
         """Values read at offset (dx, dy) by every output pixel."""
@@ -206,8 +226,10 @@ class AccurateSampler(InputSampler):
     """The exact input view (no perforation)."""
 
     def read_offset(self, dx: int, dy: int) -> np.ndarray:
-        ys, xs = self._clamped_coords(dx, dy)
-        return self.image[np.ix_(ys, xs)]
+        if (reach := max(abs(dx), abs(dy))) > self._pad:
+            self._snapshot(self.image, reach)
+        y0, x0 = self._pad + dy, self._pad + dx
+        return self._padded[y0 : y0 + self.height, x0 : x0 + self.width]
 
     def reads_per_pixel_are_exact(self) -> bool:
         return True
@@ -225,15 +247,19 @@ class ReconstructedImageSampler(InputSampler):
 
     def __init__(self, image: np.ndarray, reconstructed: np.ndarray) -> None:
         super().__init__(image)
-        self.reconstructed = _check_image(reconstructed)
+        self._exact = AccurateSampler(reconstructed)
         if self.reconstructed.shape != self.image.shape:
             raise ReconstructionError(
                 "reconstructed image shape does not match the input shape"
             )
 
+    @property
+    def reconstructed(self) -> np.ndarray:
+        """The (read-only) snapshot of the reconstructed image."""
+        return self._exact.image
+
     def read_offset(self, dx: int, dy: int) -> np.ndarray:
-        ys, xs = self._clamped_coords(dx, dy)
-        return self.reconstructed[np.ix_(ys, xs)]
+        return self._exact.read_offset(dx, dy)
 
     def view(self) -> np.ndarray:
         return self.reconstructed
@@ -266,7 +292,8 @@ class RowTileSampler(InputSampler):
         halo: int = 0,
         technique: str = NEAREST_NEIGHBOR,
     ) -> None:
-        super().__init__(image)
+        # Padding by the halo covers every |dx| the kernel reads.
+        self._snapshot(image, halo)
         _check_technique(technique)
         if step < 2:
             raise ReconstructionError("row perforation requires step >= 2")
@@ -285,7 +312,8 @@ class RowTileSampler(InputSampler):
         return np.clip(group_row0 + ty - self.halo, 0, self.height - 1)
 
     def _row_view(self, dy: int) -> np.ndarray:
-        """Rows served for vertical stencil offset ``dy``, one per output row."""
+        """Rows (column-padded) served for vertical stencil offset ``dy``, one per output row."""
+        image = self._padded[self._pad : self._pad + self.height]
         rows = np.arange(self.height)
         group_row0 = (rows // self.tile_y) * self.tile_y
         # Tile row each read lands on; always within the staged tile because
@@ -296,11 +324,11 @@ class RowTileSampler(InputSampler):
         if self.technique == NEAREST_NEIGHBOR:
             src = np.minimum(((ty + step // 2) // step) * step, self.last_loaded)
             src_rows = np.where(loaded, ty, src)
-            return self.image[self._fetched_global_rows(src_rows, group_row0), :]
+            return image[self._fetched_global_rows(src_rows, group_row0), :]
         lo = (ty // step) * step
         hi = lo + step
-        lo_rows = self.image[self._fetched_global_rows(lo, group_row0), :]
-        hi_rows = self.image[
+        lo_rows = image[self._fetched_global_rows(lo, group_row0), :]
+        hi_rows = image[
             self._fetched_global_rows(np.minimum(hi, self.last_loaded), group_row0), :
         ]
         # mix(lo, hi, t) exactly as the generated kernel computes it; past the
@@ -310,13 +338,18 @@ class RowTileSampler(InputSampler):
         result = np.where((hi <= self.last_loaded)[:, None], blended, lo_rows)
         return np.where(
             loaded[:, None],
-            self.image[self._fetched_global_rows(ty, group_row0), :],
+            image[self._fetched_global_rows(ty, group_row0), :],
             result,
         )
 
     def read_offset(self, dx: int, dy: int) -> np.ndarray:
-        xs = np.clip(np.arange(self.width) + dx, 0, self.width - 1)
-        return self._row_view(dy)[:, xs]
+        if abs(dx) > self._pad:
+            self._snapshot(self.image, abs(dx))
+        plane = self._planes.get(dy)
+        if plane is None:
+            plane = self._planes[dy] = _frozen(self._row_view(dy))
+        x0 = self._pad + dx
+        return plane[:, x0 : x0 + self.width]
 
     def view(self) -> np.ndarray:
         return self.read_offset(0, 0)
@@ -333,16 +366,27 @@ class ColumnTileSampler(InputSampler):
         halo: int = 0,
         technique: str = NEAREST_NEIGHBOR,
     ) -> None:
-        super().__init__(image)
         self._rows = RowTileSampler(
             np.asarray(image).T, step, tile_x, halo=halo, technique=technique
         )
+        self.height, self.width = self._rows.width, self._rows.height
+
+    @property
+    def image(self) -> np.ndarray:
+        return self._rows.image.T
 
     def read_offset(self, dx: int, dy: int) -> np.ndarray:
         return self._rows.read_offset(dy, dx).T
 
     def view(self) -> np.ndarray:
         return self.read_offset(0, 0)
+
+
+def _tile_clamped(size: int, tile: int, offset: int) -> np.ndarray:
+    """Index each of ``size`` pixels reads at ``offset``, clamped into its tile."""
+    index = np.arange(size)
+    start = (index // tile) * tile
+    return np.clip(index + offset, start, np.minimum(start + tile - 1, size - 1))
 
 
 class StencilTileSampler(InputSampler):
@@ -362,14 +406,10 @@ class StencilTileSampler(InputSampler):
         self.tile_y = tile_y
 
     def read_offset(self, dx: int, dy: int) -> np.ndarray:
-        ys_idx = np.arange(self.height)
-        xs_idx = np.arange(self.width)
-        # Core region of the reading pixel's work group.
-        y0 = (ys_idx // self.tile_y) * self.tile_y
-        x0 = (xs_idx // self.tile_x) * self.tile_x
-        yy = np.clip(ys_idx + dy, y0, np.minimum(y0 + self.tile_y - 1, self.height - 1))
-        xx = np.clip(xs_idx + dx, x0, np.minimum(x0 + self.tile_x - 1, self.width - 1))
-        return self.image[np.ix_(yy, xx)]
+        columns = self._planes.get(dx)
+        if columns is None:
+            columns = self._planes[dx] = self.image[:, _tile_clamped(self.width, self.tile_x, dx)]
+        return _frozen(columns[_tile_clamped(self.height, self.tile_y, dy)])
 
 
 def make_sampler(
