@@ -57,6 +57,41 @@ class CalibrationEntry:
         return self.mean_error * (1.0 + safety_margin) <= budget
 
 
+def calibrate_configs(
+    engine, app, calibration_inputs: Sequence, configs: Sequence[ApproximationConfig]
+) -> list[CalibrationEntry]:
+    """Calibrated entries of ``configs``, sorted fastest-first.
+
+    Each configuration's error is measured on every calibration input and
+    reduced to its mean and maximum; its speedup comes from the timing
+    model at the first input's size.  Configurations are bucketed by their
+    full identity (:attr:`ApproximationConfig.key`), not the figure label,
+    so ones that differ only in work group calibrate independently.
+    :meth:`Session.calibrate` and the tuning-database path
+    (:meth:`repro.autotune.Tuner.calibration_entries`) both call this,
+    which keeps their entries bit-identical.
+    """
+    per_config_errors: dict[str, list[float]] = {c.key: [] for c in configs}
+    by_key = {c.key: c for c in configs}
+    for inputs in calibration_inputs:
+        for point in engine.sweep(app, inputs, configs).points:
+            per_config_errors[point.config.key].append(point.error)
+
+    global_size = app.global_size(calibration_inputs[0])
+    baseline_time = engine.baseline_timing(app, global_size).total_time_s
+    entries = [
+        CalibrationEntry(
+            config=by_key[key],
+            mean_error=float(np.mean(errors)),
+            max_error=float(np.max(errors)),
+            speedup=baseline_time / engine.timing(app, by_key[key], global_size).total_time_s,
+        )
+        for key, errors in per_config_errors.items()
+    ]
+    entries.sort(key=lambda e: e.speedup, reverse=True)
+    return entries
+
+
 @dataclass
 class ExecutionRecord:
     """Outcome of one monitored execution."""
@@ -267,8 +302,8 @@ class Session:
 
         ``tuner`` (a :class:`repro.autotune.Tuner`, or ``True`` for a
         default one on this engine) switches calibration to the
-        database-backed fast path: the entries are computed through the
-        same engine primitives — bit-identical floats — but persisted in
+        database-backed fast path: the entries are computed by the same
+        function — bit-identical floats — but persisted in
         the tuner's :class:`~repro.autotune.db.TuningDB`, so a *second*
         autotune of the same question performs zero kernel evaluations.
         Without ``tuner`` the behaviour is unchanged.
@@ -299,59 +334,31 @@ class Session:
             raise TuningError("error budget must be positive")
         tracer = get_tracer()
         start_ns = time.monotonic_ns() if tracer.enabled else 0
-        if tuner is not None:
-            entries = self._calibrate_with_tuner(calibration_inputs, tuner)
-            if tracer.enabled:
-                tracer.record(
-                    "session.calibrate",
-                    category="calibrate",
-                    start_ns=start_ns,
-                    duration_ns=time.monotonic_ns() - start_ns,
-                    app=self.app.name,
-                    source="tuning-db",
-                    configs=len(entries),
-                )
-            return entries
+        if tuner is True:
+            from ..autotune import Tuner
+
+            tuner = Tuner(engine=self.engine)
+        if tuner is not None and tuner.engine is not self.engine:
+            raise TuningError(
+                "the tuner must share this session's engine (device, caches "
+                "and timing model define the calibration results)"
+            )
         if calibration_inputs is None:
             calibration_inputs = [self._inputs_or_default(None)]
-        if len(calibration_inputs) == 0:
+        calibration_inputs = list(calibration_inputs)
+        if not calibration_inputs:
             raise TuningError("calibration requires at least one input")
-
-        configs = self.configs
-        if configs is None:
+        if self.configs is None:
             from ..core.config import default_configurations
 
-            configs = default_configurations(self.app.halo)
-            self.configs = list(configs)  # expose what calibration explored
+            self.configs = default_configurations(self.app.halo)  # expose what calibration explored
 
-        # Bucket by the full configuration identity, not the figure label:
-        # configurations differing only in work group (or scheme
-        # parameters) share a label but calibrate independently.  The
-        # tuner fast path (repro.autotune) buckets identically, which is
-        # what keeps the two paths bit-identical.
-        per_config_errors: dict[str, list[float]] = {c.key: [] for c in configs}
-        by_key = {c.key: c for c in configs}
-        for inputs in calibration_inputs:
-            sweep = self.engine.sweep(self.app, inputs, configs)
-            for point in sweep.points:
-                per_config_errors[point.config.key].append(point.error)
-
-        global_size = self.app.global_size(calibration_inputs[0])
-        baseline_time = self.engine.baseline_timing(self.app, global_size).total_time_s
-
-        self.calibration = []
-        for key, errors in per_config_errors.items():
-            config = by_key[key]
-            approx_time = self.engine.timing(self.app, config, global_size).total_time_s
-            self.calibration.append(
-                CalibrationEntry(
-                    config=config,
-                    mean_error=float(np.mean(errors)),
-                    max_error=float(np.max(errors)),
-                    speedup=baseline_time / approx_time,
-                )
+        if tuner is None:
+            self.calibration = calibrate_configs(
+                self.engine, self.app, calibration_inputs, self.configs
             )
-        self.calibration.sort(key=lambda e: e.speedup, reverse=True)
+        else:
+            self.calibration = tuner.calibration_entries(self.app, calibration_inputs, self.configs)
         self.selected = self.select()
         if tracer.enabled:
             tracer.record(
@@ -360,38 +367,10 @@ class Session:
                 start_ns=start_ns,
                 duration_ns=time.monotonic_ns() - start_ns,
                 app=self.app.name,
-                source="sweep",
+                source="sweep" if tuner is None else "tuning-db",
                 configs=len(self.calibration),
                 inputs=len(calibration_inputs),
             )
-        return self.calibration
-
-    def _calibrate_with_tuner(
-        self, calibration_inputs: Sequence | None, tuner
-    ) -> list[CalibrationEntry]:
-        """Database-backed calibration via :meth:`repro.autotune.Tuner
-        .calibration_entries` (bit-identical to the in-process path)."""
-        if tuner is True:
-            from ..autotune import Tuner
-
-            tuner = Tuner(engine=self.engine)
-        if tuner.engine is not self.engine:
-            raise TuningError(
-                "the tuner must share this session's engine (device, caches "
-                "and timing model define the calibration results)"
-            )
-        if calibration_inputs is None:
-            calibration_inputs = [self._inputs_or_default(None)]
-        if len(calibration_inputs) == 0:
-            raise TuningError("calibration requires at least one input")
-        if self.configs is None:
-            from ..core.config import default_configurations
-
-            self.configs = default_configurations(self.app.halo)
-        self.calibration = tuner.calibration_entries(
-            self.app, list(calibration_inputs), self.configs
-        )
-        self.selected = self.select()
         return self.calibration
 
     def select(self) -> ApproximationConfig:

@@ -174,9 +174,9 @@ class Application(abc.ABC):
         traffic: list[GlobalTraffic] = []
         local_reads = 0.0
         local_writes = 0.0
-        barriers = 0.0
         local_bytes = 0.0
         extra_flops = 0.0
+        perforated = 0
 
         for spec in self.input_specs():
             tile_w = tile_x + 2 * spec.halo
@@ -217,7 +217,6 @@ class Application(abc.ABC):
                 local_writes += tile_elements / items_per_group
                 local_reads += spec.reads_per_item
                 local_bytes += tile_elements * self.element_bytes
-                barriers = max(barriers, 1.0)
                 continue
 
             traffic.append(
@@ -225,12 +224,28 @@ class Application(abc.ABC):
             )
             loaded_fraction = scheme.loaded_fraction(tile_h, tile_w, spec.halo)
             reconstructed = tile_elements * (1.0 - loaded_fraction)
-            local_writes += tile_elements / items_per_group
-            local_reads += spec.reads_per_item + reconstructed / items_per_group
-            local_bytes += tile_elements * self.element_bytes
-            barriers = max(barriers, 3.0)
+            tile_reads = reconstructed
             if config.reconstruction == "linear-interpolation":
                 extra_flops += 3.0 * reconstructed / items_per_group
+                if scheme.kind == KIND_ROWS:
+                    # The row kernel blends the fetched rows above and below
+                    # a reconstructed element; rows past the last fetched
+                    # row have none below and copy the one above.
+                    mask = scheme.loaded_mask(tile_h, tile_w, spec.halo)
+                    last_loaded = int(np.flatnonzero(mask.any(axis=1))[-1])
+                    tile_reads = 2.0 * reconstructed - (tile_h - 1 - last_loaded) * tile_w
+            local_writes += tile_elements / items_per_group
+            local_reads += spec.reads_per_item + tile_reads / items_per_group
+            local_bytes += tile_elements * self.element_bytes
+            perforated += 1
+
+        # Staging ends in one barrier; each perforated buffer adds two, after
+        # its prefetch and after its reconstruction.  Column and random
+        # schemes have no compiled kernel; their profile assumes one that
+        # prefetches and reconstructs every buffer together.
+        if config.scheme.kind in (KIND_COLUMNS, KIND_RANDOM):
+            perforated = min(perforated, 1)
+        barriers = float(2 * perforated + 1) if local_bytes else 0.0
 
         traffic.append(
             tile_traffic(

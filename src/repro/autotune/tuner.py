@@ -12,10 +12,10 @@ Two entry points:
   :class:`TuningResult`.
 * :meth:`Tuner.calibration_entries` — the
   :meth:`Session.calibrate <repro.api.session.Session.calibrate>` fast
-  path: the same per-configuration error/speedup statistics, computed
-  through the same engine primitives (so the floats are bit-identical to
-  an in-process calibration) but persisted in the database — a warm
-  database answers with **zero** evaluations.
+  path: the same per-configuration error/speedup statistics, computed by
+  the same function (so the floats are bit-identical to an in-process
+  calibration) but persisted in the database — a warm database answers
+  with **zero** evaluations.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from ..core.config import ApproximationConfig
 from ..core.errors import TuningError
@@ -301,12 +299,12 @@ class Tuner:
         """Database-backed equivalent of :meth:`Session.calibrate
         <repro.api.session.Session.calibrate>`.
 
-        Returns the calibrated entries sorted fastest-first, computed with
-        exactly the same engine primitives and aggregation as an in-process
-        calibration — a cold database produces bit-identical floats, a warm
-        one returns them without any evaluation at all.
+        Returns the calibrated entries sorted fastest-first, computed by
+        the same :func:`~repro.api.session.calibrate_configs` as an
+        in-process calibration — a cold database produces bit-identical
+        floats, a warm one returns them without any evaluation at all.
         """
-        from ..api.session import CalibrationEntry
+        from ..api.session import CalibrationEntry, calibrate_configs
 
         app = self.engine.resolve_app(app)
         if calibration_inputs is None:
@@ -341,33 +339,7 @@ class Tuner:
                     for entry in record["entries"]
                 ]
 
-        # Mirror Session.calibrate exactly: per-config error statistics
-        # aggregated over the calibration inputs, speedup from the timing
-        # model at the first input's size, sorted fastest-first.
-        per_config_errors: dict[str, list[float]] = {config_key(c): [] for c in configs}
-        by_key = {config_key(c): c for c in configs}
-        for inputs in calibration_inputs:
-            sweep = self.engine.sweep(app, inputs, configs)
-            for point in sweep.points:
-                per_config_errors[config_key(point.config)].append(point.error)
-
-        global_size = app.global_size(calibration_inputs[0])
-        baseline_time = self.engine.baseline_timing(app, global_size).total_time_s
-
-        entries = []
-        for key_str, errors in per_config_errors.items():
-            config = by_key[key_str]
-            approx_time = self.engine.timing(app, config, global_size).total_time_s
-            entries.append(
-                CalibrationEntry(
-                    config=config,
-                    mean_error=float(np.mean(errors)),
-                    max_error=float(np.max(errors)),
-                    speedup=baseline_time / approx_time,
-                )
-            )
-        entries.sort(key=lambda e: e.speedup, reverse=True)
-
+        entries = calibrate_configs(self.engine, app, calibration_inputs, configs)
         if self.db is not None:
             self.db.put(
                 key,

@@ -2,10 +2,11 @@
 
 The simulator has two independent halves:
 
-* a **functional executor** (:class:`Executor`, :class:`CommandQueue`) that
-  runs per-work-item kernel bodies with work groups, barriers, global
-  buffers, local and private memory — used to validate that perforated
-  kernels compute what we claim they compute; and
+* a **functional executor** (:class:`Executor`) that runs per-work-item
+  kernel bodies with work groups, barriers, global buffers, local and
+  private memory, with access counters (:class:`ExecutionStats`) — used
+  to validate that perforated kernels compute what we claim they compute;
+  and
 * an **analytical timing model** (:class:`TimingModel`) that estimates
   kernel runtimes from traffic profiles (DRAM transactions with coalescing,
   cache and LDS traffic, ALU work, occupancy) — used to reproduce the
@@ -45,7 +46,6 @@ from .errors import (
     KernelArgumentError,
     KernelExecutionError,
     LocalMemoryExceededError,
-    ProfilingError,
 )
 from .executor import ExecutionStats, Executor
 from .kernel import BARRIER, Kernel, KernelContext
@@ -58,7 +58,6 @@ from .memory import (
     transactions_for_row_segment,
 )
 from .ndrange import NDRange, WorkItemId, ndrange_2d
-from .queue import CommandQueue, Event
 from .timing import (
     AccessPattern,
     GlobalTraffic,
@@ -88,9 +87,7 @@ __all__ = [
     "BufferOutOfBoundsError",
     "BufferSizeError",
     "ClSimError",
-    "CommandQueue",
     "Device",
-    "Event",
     "ExecutionStats",
     "Executor",
     "GlobalTraffic",
@@ -106,7 +103,6 @@ __all__ = [
     "LocalMemoryExceededError",
     "NDRange",
     "PrivateMemory",
-    "ProfilingError",
     "TimingBreakdown",
     "TimingModel",
     "WorkItemId",

@@ -59,6 +59,3 @@ class BarrierDivergenceError(KernelExecutionError):
     """Raised when work-items of the same work group reach different numbers
     of barriers (undefined behaviour on real hardware)."""
 
-
-class ProfilingError(ClSimError):
-    """Raised when profiling information is requested but unavailable."""

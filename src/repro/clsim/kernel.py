@@ -7,10 +7,6 @@ a :class:`~repro.clsim.ndrange.WorkItemId`.  Work-group barriers are
 expressed by writing the body as a *generator* that ``yield``s
 :data:`BARRIER`; the executor advances all work-items of a group in
 lock-step between barriers, which reproduces OpenCL barrier semantics.
-
-Kernels can optionally carry a :class:`~repro.clsim.timing.KernelProfile`
-factory so that launching them through a :class:`~repro.clsim.queue.CommandQueue`
-also produces a timing estimate.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from typing import Callable, Mapping, Sequence
 from .errors import KernelArgumentError
 from .memory import Buffer, LocalMemory, PrivateMemory
 from .ndrange import NDRange, WorkItemId
-from .timing import KernelProfile
 
 #: Sentinel yielded by kernel bodies to indicate a work-group barrier.
 BARRIER = "barrier"
@@ -88,14 +83,12 @@ class Kernel:
         name: str,
         body: KernelBody,
         arg_names: Sequence[str],
-        profile_factory: Callable[[NDRange, Mapping[str, object]], KernelProfile] | None = None,
         ast_program: object | None = None,
         ast_kernel_name: str | None = None,
     ) -> None:
         self.name = name
         self.body = body
         self.arg_names = tuple(arg_names)
-        self.profile_factory = profile_factory
         self.ast_program = ast_program
         self.ast_kernel_name = ast_kernel_name
 
@@ -124,12 +117,6 @@ class Kernel:
                 f"got {len(values)}"
             )
         return dict(zip(self.arg_names, values))
-
-    def profile(self, ndrange: NDRange, args: Mapping[str, object]) -> KernelProfile | None:
-        """Build the timing profile for a launch, if a factory was supplied."""
-        if self.profile_factory is None:
-            return None
-        return self.profile_factory(ndrange, args)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Kernel({self.name!r}, args={self.arg_names})"

@@ -74,11 +74,6 @@ class Buffer:
 
     # ------------------------------------------------------------------
     @classmethod
-    def empty_like(cls, other: "Buffer", name: str = "output") -> "Buffer":
-        """Create a zero-initialised buffer with the same shape/dtype."""
-        return cls(np.zeros_like(other.array), name=name)
-
-    @classmethod
     def zeros(cls, shape: Iterable[int], dtype=np.float32, name: str = "buffer") -> "Buffer":
         """Create a zero-initialised buffer."""
         return cls(np.zeros(tuple(shape), dtype=dtype), name=name)

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 from .device import Device
 from .errors import LocalMemoryExceededError
@@ -146,9 +145,11 @@ class KernelProfile:
     """Per-launch cost profile of a kernel.
 
     All ``*_per_item`` quantities are averages over work-items; all
-    ``*_per_group`` quantities are per work group.  Profiles are built
-    either by hand (the NumPy-vectorised applications) or by the static
-    traffic analysis in :mod:`repro.kernellang.analysis`.
+    ``*_per_group`` quantities are per work group.  Profiles come from
+    :meth:`repro.apps.base.Application.profile` (and
+    :func:`repro.baselines.paraprox.paraprox_profile` for the Paraprox
+    baseline, which has no kernel here); ``tests/apps/test_profile_conformance.py``
+    pins the application profiles to the counters of the simulated kernels.
     """
 
     name: str
@@ -167,10 +168,6 @@ class KernelProfile:
         object.__setattr__(self, "traffic", tuple(self.traffic))
         if self.divergence_factor < 1.0:
             raise ValueError("divergence_factor must be >= 1.0")
-
-    def with_traffic(self, traffic: Iterable[GlobalTraffic]) -> "KernelProfile":
-        """Return a copy of the profile with a different traffic list."""
-        return replace(self, traffic=tuple(traffic))
 
     def total_ops_per_item(self) -> float:
         """Aggregate ALU work per item (flops + int ops + private accesses)."""

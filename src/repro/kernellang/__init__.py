@@ -3,8 +3,8 @@
 The package provides the front end (lexer, parser, type checker), an AST
 interpreter that executes kernels on the :mod:`repro.clsim` simulator, a
 code generator that emits OpenCL C (:mod:`~repro.kernellang.clgen`),
-static analyses (stencil access patterns, data reuse, traffic/operation
-counting) and the compiler passes that implement the paper's
+static analyses (stencil access patterns, data reuse) and the compiler
+passes that implement the paper's
 transformation: local-memory prefetch, perforation and reconstruction.
 
 The compiled execution backend (:mod:`~repro.kernellang.codegen`) prints

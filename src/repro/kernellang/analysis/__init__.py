@@ -1,4 +1,9 @@
-"""Static analyses over kernel ASTs: access patterns, reuse and traffic."""
+"""Static analyses over kernel ASTs: stencil access patterns and data reuse.
+
+The perforation passes read the access patterns; Table 1 reads the reuse
+factors.  Traffic is modelled per application (``Application.profile``),
+not derived from the AST.
+"""
 
 from .access_patterns import (
     AccessPatternInfo,
@@ -8,23 +13,13 @@ from .access_patterns import (
     analyze_kernel,
 )
 from .reuse import ReuseInfo, reuse_info
-from .traffic import (
-    OperationCounts,
-    build_profile,
-    count_operations,
-    local_tile_bytes,
-)
 
 __all__ = [
     "AccessPatternInfo",
     "BufferAccessSummary",
     "LinearForm",
-    "OperationCounts",
     "ReuseInfo",
     "StencilAccess",
     "analyze_kernel",
-    "build_profile",
-    "count_operations",
-    "local_tile_bytes",
     "reuse_info",
 ]

@@ -1,9 +1,7 @@
 """OpenCL built-in functions available to kernels in the subset.
 
-The table serves three purposes: the type checker uses it to validate
-calls, the interpreter uses the Python implementations to evaluate them,
-and the traffic analysis uses the op-cost column to estimate arithmetic
-work per work-item.
+The type checker uses the table to validate calls, and the interpreter
+uses the Python implementations to evaluate them.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ class BuiltinFunction:
     max_args: int
     result_type: Type
     impl: Callable
-    op_cost: float = 1.0
-    is_sfu: bool = False
 
 
 def _clamp(value, low, high):
@@ -61,8 +57,6 @@ def _register(
     min_args: int,
     max_args: int | None = None,
     result_type: Type = FLOAT,
-    op_cost: float = 1.0,
-    is_sfu: bool = False,
 ) -> None:
     _BUILTINS[name] = BuiltinFunction(
         name=name,
@@ -70,8 +64,6 @@ def _register(
         max_args=max_args if max_args is not None else min_args,
         result_type=result_type,
         impl=impl,
-        op_cost=op_cost,
-        is_sfu=is_sfu,
     )
 
 
@@ -86,10 +78,10 @@ for _name in (
     "get_local_size",
     "get_num_groups",
 ):
-    _register(_name, impl=lambda dim=0: 0, min_args=1, result_type=INT, op_cost=0.0)
+    _register(_name, impl=lambda dim=0: 0, min_args=1, result_type=INT)
 
-_register("barrier", impl=lambda flags=0: None, min_args=1, result_type=INT, op_cost=0.0)
-_register("mem_fence", impl=lambda flags=0: None, min_args=1, result_type=INT, op_cost=0.0)
+_register("barrier", impl=lambda flags=0: None, min_args=1, result_type=INT)
+_register("mem_fence", impl=lambda flags=0: None, min_args=1, result_type=INT)
 
 # Arithmetic / common built-ins.
 _register("min", min, 2, result_type=FLOAT)
@@ -108,17 +100,17 @@ _register("fma", _mad, 3, result_type=FLOAT)
 _register("mix", _mix, 3, result_type=FLOAT)
 _register("select", _select, 3, result_type=FLOAT)
 
-# Transcendentals map to the GPU's special-function unit.
-_register("sqrt", math.sqrt, 1, result_type=FLOAT, op_cost=4.0, is_sfu=True)
-_register("rsqrt", lambda x: 1.0 / math.sqrt(x), 1, result_type=FLOAT, op_cost=4.0, is_sfu=True)
-_register("exp", math.exp, 1, result_type=FLOAT, op_cost=4.0, is_sfu=True)
-_register("log", math.log, 1, result_type=FLOAT, op_cost=4.0, is_sfu=True)
-_register("pow", math.pow, 2, result_type=FLOAT, op_cost=8.0, is_sfu=True)
-_register("sin", math.sin, 1, result_type=FLOAT, op_cost=4.0, is_sfu=True)
-_register("cos", math.cos, 1, result_type=FLOAT, op_cost=4.0, is_sfu=True)
-_register("tan", math.tan, 1, result_type=FLOAT, op_cost=4.0, is_sfu=True)
-_register("native_divide", lambda a, b: a / b, 2, result_type=FLOAT, op_cost=2.0, is_sfu=True)
-_register("hypot", math.hypot, 2, result_type=FLOAT, op_cost=8.0, is_sfu=True)
+# Transcendentals.
+_register("sqrt", math.sqrt, 1, result_type=FLOAT)
+_register("rsqrt", lambda x: 1.0 / math.sqrt(x), 1, result_type=FLOAT)
+_register("exp", math.exp, 1, result_type=FLOAT)
+_register("log", math.log, 1, result_type=FLOAT)
+_register("pow", math.pow, 2, result_type=FLOAT)
+_register("sin", math.sin, 1, result_type=FLOAT)
+_register("cos", math.cos, 1, result_type=FLOAT)
+_register("tan", math.tan, 1, result_type=FLOAT)
+_register("native_divide", lambda a, b: a / b, 2, result_type=FLOAT)
+_register("hypot", math.hypot, 2, result_type=FLOAT)
 
 #: Names that are resolved from the work-item / work-group context.
 CONTEXT_BUILTINS = frozenset(

@@ -219,7 +219,7 @@ class KernelInterpreter:
         raise InterpreterError("file-scope initializers must be constant expressions")
 
     # ------------------------------------------------------------------
-    def as_clsim_kernel(self, profile_factory=None) -> Kernel:
+    def as_clsim_kernel(self) -> Kernel:
         """Wrap the kernel as a :class:`repro.clsim.Kernel` (generator body)."""
         arg_names = [p.name for p in self.kernel_def.params]
         interpreter = self
@@ -231,7 +231,6 @@ class KernelInterpreter:
             self.kernel_def.name,
             body,
             arg_names,
-            profile_factory,
             ast_program=self.program,
             ast_kernel_name=self.kernel_def.name,
         )
@@ -566,9 +565,9 @@ class KernelInterpreter:
         return bool(value)
 
 
-def compile_kernel(source: str, kernel_name: str | None = None, profile_factory=None) -> Kernel:
+def compile_kernel(source: str, kernel_name: str | None = None) -> Kernel:
     """Parse ``source`` and return an executable :class:`repro.clsim.Kernel`."""
     from .parser import parse_program
 
     program = parse_program(source)
-    return KernelInterpreter(program, kernel_name).as_clsim_kernel(profile_factory)
+    return KernelInterpreter(program, kernel_name).as_clsim_kernel()

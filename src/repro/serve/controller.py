@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..api.session import CalibrationEntry
 from ..core.config import ACCURATE_CONFIG, ApproximationConfig
 from ..core.errors import TuningError
 
@@ -57,18 +58,6 @@ class ControllerPolicy:
             )
         if self.min_dwell < 1:
             raise TuningError(f"min_dwell must be >= 1, got {self.min_dwell}")
-
-
-@dataclass(frozen=True)
-class LadderEntry:
-    """One rung of an application's configuration ladder."""
-
-    config: ApproximationConfig
-    mean_error: float
-    speedup: float
-
-    def admissible(self, budget: float, safety_margin: float) -> bool:
-        return self.mean_error * (1.0 + safety_margin) <= budget
 
 
 @dataclass
@@ -119,13 +108,13 @@ class OnlineController:
         self.policy = policy or ControllerPolicy()
         self.calibration_inputs = dict(calibration_inputs or {})
         self.tuner = tuner
-        self._ladders: dict[str, list[LadderEntry]] = {}
+        self._ladders: dict[str, list[CalibrationEntry]] = {}
         self._streams: dict[tuple[str, float], _StreamState] = {}
 
     # ------------------------------------------------------------------
     # Calibration
     # ------------------------------------------------------------------
-    def ladder(self, app_name: str) -> list[LadderEntry]:
+    def ladder(self, app_name: str) -> list[CalibrationEntry]:
         """The application's calibrated ladder (computed once, fastest first).
 
         The final rung is always the accurate configuration, so tightening
@@ -145,14 +134,9 @@ class OnlineController:
             self.calibration_inputs.get(app_name), tuner=self.tuner
         )
         ladder = [
-            LadderEntry(
-                config=entry.config,
-                mean_error=entry.mean_error,
-                speedup=entry.speedup,
-            )
-            for entry in entries  # already sorted fastest-first
+            *entries,  # already sorted fastest-first
+            CalibrationEntry(config=ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
         ]
-        ladder.append(LadderEntry(config=ACCURATE_CONFIG, mean_error=0.0, speedup=1.0))
         self._ladders[app_name] = ladder
         return ladder
 
@@ -209,7 +193,7 @@ class OnlineController:
         action: str,
         app_name: str,
         budget: float,
-        ladder: list[LadderEntry],
+        ladder: list[CalibrationEntry],
         state: _StreamState,
     ) -> None:
         """Record a config-switch decision as an instant span (out-of-band)."""
@@ -231,7 +215,7 @@ class OnlineController:
         state.since_switch = 0
         state.switches += 1
 
-    def _tighten(self, state: _StreamState, ladder: list[LadderEntry]) -> None:
+    def _tighten(self, state: _StreamState, ladder: list[CalibrationEntry]) -> None:
         """Step to the next more accurate rung (exists: the last rung is 0)."""
         current = ladder[state.index]
         for index in range(state.index + 1, len(ladder)):
@@ -241,7 +225,7 @@ class OnlineController:
                 return
 
     def _loosen(
-        self, state: _StreamState, ladder: list[LadderEntry], budget: float
+        self, state: _StreamState, ladder: list[CalibrationEntry], budget: float
     ) -> None:
         """Step back to the nearest faster admissible rung, if any."""
         for index in range(state.index - 1, -1, -1):

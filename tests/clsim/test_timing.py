@@ -82,12 +82,6 @@ class TestKernelProfile:
         )
         assert profile.total_ops_per_item() == pytest.approx(10.0 + 2.0 + 2.0)
 
-    def test_with_traffic_replaces_traffic(self):
-        profile = simple_profile()
-        replaced = profile.with_traffic([tile_traffic("x", 8, 8)])
-        assert len(replaced.traffic) == 1
-        assert len(profile.traffic) == 2
-
 
 class TestTimingModel:
     def test_estimate_produces_positive_breakdown(self, model):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clsim import CommandQueue, Executor, firepro_w5100
+from repro.clsim import Executor, firepro_w5100
 from repro.data import generate_image, hotspot_single
 from repro.data.images import ImageClass
 
@@ -19,11 +19,6 @@ def device():
 @pytest.fixture()
 def executor(device):
     return Executor(device)
-
-
-@pytest.fixture()
-def queue(device):
-    return CommandQueue(device)
 
 
 @pytest.fixture(scope="session")

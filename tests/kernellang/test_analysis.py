@@ -1,17 +1,9 @@
-"""Tests for the access-pattern, reuse and traffic analyses."""
+"""Tests for the access-pattern and reuse analyses."""
 
 import pytest
 
-from repro.clsim import NDRange
 from repro.kernellang import AnalysisError, parse_kernel
-from repro.kernellang.analysis import (
-    LinearForm,
-    analyze_kernel,
-    build_profile,
-    count_operations,
-    local_tile_bytes,
-    reuse_info,
-)
+from repro.kernellang.analysis import LinearForm, analyze_kernel, reuse_info
 from repro.kernellang.analysis.access_patterns import SYM_W, SYM_X, SYM_Y
 
 
@@ -165,71 +157,3 @@ class TestReuse:
         kernel = parse_kernel(GAUSSIAN)
         reuse = reuse_info(kernel)["input"]
         assert reuse.unique_elements(16, 16) == 18 * 18
-
-
-class TestOperationCounts:
-    def test_gaussian_counts(self):
-        counts = count_operations(parse_kernel(GAUSSIAN))
-        assert counts.global_reads == pytest.approx(9.0)
-        assert counts.global_writes == pytest.approx(1.0)
-        assert counts.flops > 9.0
-        assert counts.barriers == 0
-
-    def test_barrier_and_local_counts(self):
-        source = """
-        __kernel void uses_local(__global const float* input, __global float* output, int width, int height) {
-            __local float tile[64];
-            int x = get_global_id(0);
-            tile[get_local_id(0)] = input[x];
-            barrier(CLK_LOCAL_MEM_FENCE);
-            output[x] = tile[get_local_id(0)];
-        }
-        """
-        kernel = parse_kernel(source)
-        counts = count_operations(kernel)
-        assert counts.barriers == 1
-        assert counts.local_writes == pytest.approx(1.0)
-        assert counts.local_reads == pytest.approx(1.0)
-        assert local_tile_bytes(kernel) == 64 * 4
-
-    def test_sfu_ops_counted(self):
-        source = """
-        __kernel void s(__global const float* input, __global float* output, int width, int height) {
-            int x = get_global_id(0);
-            output[x] = sqrt(input[x]);
-        }
-        """
-        counts = count_operations(parse_kernel(source))
-        assert counts.sfu_ops == pytest.approx(1.0)
-
-
-class TestBuildProfile:
-    def test_gaussian_profile_has_traffic_and_ops(self):
-        kernel = parse_kernel(GAUSSIAN)
-        ndrange = NDRange((256, 256), (16, 16))
-        profile = build_profile(kernel, ndrange)
-        assert profile.flops_per_item > 0
-        assert len(profile.traffic) == 2  # input + output
-        names = {t.buffer for t in profile.traffic}
-        assert names == {"input", "output"}
-
-    def test_profile_feeds_timing_model(self, device):
-        from repro.clsim import TimingModel
-
-        kernel = parse_kernel(GAUSSIAN)
-        ndrange = NDRange((256, 256), (16, 16))
-        profile = build_profile(kernel, ndrange)
-        breakdown = TimingModel(device).estimate(profile, ndrange)
-        assert breakdown.total_time_s > 0
-
-    def test_rows_fraction_reduces_traffic(self):
-        kernel = parse_kernel(GAUSSIAN)
-        ndrange = NDRange((256, 256), (16, 16))
-        # Force the local-memory path by passing include_halo/rows fraction.
-        full = build_profile(kernel, ndrange, rows_loaded_fraction=1.0)
-        # The naive kernel path reports per-item traffic, so the comparison is
-        # done on elements per group of the input buffer only.
-        half = build_profile(kernel, ndrange, rows_loaded_fraction=0.5)
-        full_in = next(t for t in full.traffic if t.buffer == "input")
-        half_in = next(t for t in half.traffic if t.buffer == "input")
-        assert half_in.elements_per_group() <= full_in.elements_per_group()

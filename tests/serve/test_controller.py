@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.api import PerforationEngine
+from repro.api import CalibrationEntry, PerforationEngine
 from repro.core.config import ACCURATE_CONFIG, ROWS1_NN, ROWS2_NN
 from repro.core.errors import TuningError
 from repro.data import generate_image
 from repro.serve import ControllerPolicy, OnlineController
-from repro.serve.controller import LadderEntry
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +18,9 @@ def _fake_controller(engine, policy=None):
     """Controller with an injected ladder (no calibration sweep)."""
     controller = OnlineController(engine, policy=policy)
     controller._ladders["fake"] = [
-        LadderEntry(config=ROWS2_NN, mean_error=0.04, speedup=3.0),
-        LadderEntry(config=ROWS1_NN, mean_error=0.02, speedup=2.0),
-        LadderEntry(config=ACCURATE_CONFIG, mean_error=0.0, speedup=1.0),
+        CalibrationEntry(config=ROWS2_NN, mean_error=0.04, max_error=0.04, speedup=3.0),
+        CalibrationEntry(config=ROWS1_NN, mean_error=0.02, max_error=0.02, speedup=2.0),
+        CalibrationEntry(config=ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
     ]
     return controller
 

@@ -126,11 +126,11 @@ class TestCachingAndFallback:
         # Make the controller believe a violating config is fine, so the
         # *measured* error exceeds the tiny budget at serving time.
         from repro.core.config import ROWS2_NN
-        from repro.serve.controller import LadderEntry
+        from repro.api import CalibrationEntry
 
         budget = 1e-9
         server.controller._ladders["gaussian"] = [
-            LadderEntry(config=ROWS2_NN, mean_error=0.0, speedup=3.0),
+            CalibrationEntry(config=ROWS2_NN, mean_error=0.0, max_error=0.0, speedup=3.0),
         ]
         image = generate_image("natural", size=32, seed=5)
         [response] = server.submit(

@@ -12,10 +12,9 @@ import pytest
 from repro.api import PerforationEngine
 from repro.apps import GaussianApp, InversionApp, get_application
 from repro.baselines import ParaproxScheme, evaluate_paraprox
-from repro.clsim import Buffer, CommandQueue, Executor, NDRange
+from repro.clsim import Buffer, Executor, NDRange
 from repro.core import (
     ApproximationConfig,
-    KernelPerforator,
     NEAREST_NEIGHBOR,
     ROWS1_NN,
     STENCIL1_NN,
@@ -23,7 +22,6 @@ from repro.core import (
     pareto_front,
 )
 from repro.data import generate_image
-from repro.kernellang.analysis import build_profile
 
 
 def run_compiled(perforated, image, local):
@@ -75,17 +73,6 @@ class TestCompilerPathAgainstNumpyPath:
         image = generate_image("flat", size=32, seed=7)
         compiled = run_compiled(app.perforator().accurate(), image, (8, 8))
         np.testing.assert_allclose(compiled, app.reference(image), atol=1e-9)
-
-
-class TestAnalysisDrivenTiming:
-    def test_profile_built_from_source_feeds_queue(self, device):
-        app = GaussianApp()
-        perforator = KernelPerforator(app.kernel_source())
-        ndrange = NDRange((256, 256), (16, 16))
-        profile = build_profile(perforator.accurate().kernel_def, ndrange)
-        queue = CommandQueue(device)
-        breakdown = queue.estimate(profile, ndrange)
-        assert breakdown.total_time_s > 0
 
 
 @pytest.mark.slow
