@@ -91,7 +91,12 @@ def main() -> None:
     print(f"  end-to-end modelled speedup : {accurate_time / approx_time:.2f}x")
     print(f"  end-to-end error            : {end_to_end_error * 100:.2f}% (budget {100 * error_budget:.0f}%)")
     print(f"  within budget               : {'yes' if end_to_end_error <= error_budget else 'no'}")
-    print(f"  engine cache                : {engine.cache_stats.describe()}")
+    for name, store in (("references", engine.references), ("timings", engine.timings)):
+        stats = store.stats
+        print(
+            f"  engine {name:<10s} cache     : {stats.hits} hits / {stats.misses} misses "
+            f"/ {stats.evictions} evictions"
+        )
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """``repro.api`` — the unified session API.
 
 The package centres on :class:`~repro.api.engine.PerforationEngine`, the
-facade that owns the simulated device, the timing model, the memoization
-cache and the worker pool, and hands out fluent per-application
+facade that owns the simulated device, the timing model, the reference
+and timing caches and the worker pool, and hands out fluent per-application
 :class:`~repro.api.session.Session` objects:
 
 .. code-block:: python
@@ -20,8 +20,12 @@ Supporting pieces:
   :func:`repro.apps.register_application`,
   :func:`repro.clsim.device.register_device`,
   :func:`repro.core.schemes.register_scheme`);
-* :mod:`repro.api.cache` — memoization of reference outputs and timing
-  estimates shared by every session of an engine.
+* :mod:`repro.api.cache` — :class:`~repro.api.cache.LRUCache`, the one
+  in-memory LRU: the engine's reference and timing stores and the
+  server's result cache;
+* :mod:`repro.api.store` — :class:`~repro.api.store.DiskStore`, the
+  on-disk store under the codegen artifact cache and the tuning database,
+  and :class:`~repro.api.store.StoreStats`, the counters of every cache.
 
 Heavy submodules are imported lazily so that the registry module — which
 the application/device/scheme packages import at definition time — does not
@@ -34,14 +38,12 @@ from .registry import Registry, RegistryError
 
 __all__ = [
     "ArtifactCache",
-    "ArtifactStats",
-    "CacheStats",
     "CalibrationEntry",
     "ExecutionRecord",
+    "LRUCache",
     "PerforationEngine",
     "Registry",
     "RegistryError",
-    "ResultCache",
     "Session",
     "DiskStore",
     "StoreStats",
@@ -53,10 +55,8 @@ _LAZY = {
     "Session": ("repro.api.session", "Session"),
     "CalibrationEntry": ("repro.api.session", "CalibrationEntry"),
     "ExecutionRecord": ("repro.api.session", "ExecutionRecord"),
-    "ResultCache": ("repro.api.cache", "ResultCache"),
-    "CacheStats": ("repro.api.cache", "CacheStats"),
+    "LRUCache": ("repro.api.cache", "LRUCache"),
     "ArtifactCache": ("repro.api.artifacts", "ArtifactCache"),
-    "ArtifactStats": ("repro.api.artifacts", "ArtifactStats"),
     "DiskStore": ("repro.api.store", "DiskStore"),
     "StoreStats": ("repro.api.store", "StoreStats"),
     "default_artifact_cache": ("repro.api.artifacts", "default_cache"),

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import os
 
-from .store import DISABLED_VALUES, DiskStore, StoreStats, env_store_config
+from .store import DISABLED_VALUES, DiskStore, env_store_config
 
 __all__ = [
     "ARTIFACT_HEADER",
     "ArtifactCache",
-    "ArtifactStats",
     "DISABLED_VALUES",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_MAX_ENTRIES",
@@ -59,9 +58,6 @@ DEFAULT_MAX_ENTRIES = 512
 
 #: Every artifact starts with this line; anything else is treated as corrupt.
 ARTIFACT_HEADER = "# repro-codegen artifact"
-
-#: Backwards-compatible alias: the stats dataclass now lives with the store.
-ArtifactStats = StoreStats
 
 
 class ArtifactCache(DiskStore):

@@ -1,22 +1,23 @@
-"""Memoization cache behind :class:`repro.api.engine.PerforationEngine`.
+"""The one in-memory LRU: a bounded, thread-safe store with single-flight fills.
 
-Two kinds of results are worth remembering across a sweep:
+Every in-memory result store of the library is an :class:`LRUCache`:
 
-* **reference outputs** — the accurate kernel output for one input.  Every
-  configuration of a sweep (and every calibration pass of the quality-aware
-  session) compares against the same reference, so it must be computed once
-  per (application, input) pair, even when configurations are evaluated on
-  parallel workers;
-* **timing estimates** — the analytical model's breakdown for one
-  (application, configuration, global size) triple on the engine's device.
-  The baseline timing in particular is requested once per evaluated
-  configuration and is identical every time.
+* the engine's reference store — the accurate output per (application,
+  input), computed once however many configurations and workers compare
+  against it (:attr:`repro.api.engine.PerforationEngine.references`);
+* the engine's timing store — the timing model's breakdown per
+  (application, configuration, global size)
+  (:attr:`repro.api.engine.PerforationEngine.timings`);
+* the server's result cache (:class:`repro.serve.cache.ServeResultCache`).
 
-Inputs are identified by content: NumPy arrays hash to a digest of their
-bytes, dataclass instances (e.g. :class:`repro.data.hotspot.HotspotInput`)
-hash field by field.  Objects that cannot be fingerprinted fall back to
-identity, in which case the cache keeps the object alive so the identity
-cannot be recycled.
+Each counts its hits, misses, puts and evictions in one
+:class:`~repro.api.store.StoreStats`, the stats type of the on-disk stores
+too.  The in-memory counterpart of the kernel-build cache is
+:func:`repro.core.perforator.build_kernel`'s ``functools.lru_cache``.
+
+Inputs are identified by content (:func:`input_token`): NumPy arrays hash
+to a digest of their bytes, dataclass instances (e.g.
+:class:`repro.data.hotspot.HotspotInput`) hash field by field.
 """
 
 from __future__ import annotations
@@ -25,65 +26,12 @@ import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from concurrent.futures import Future
 from typing import Any, Callable, Hashable
 
 import numpy as np
 
-#: Default bound on cached reference outputs.  References can be large
-#: (a 1024x1024 float64 image is 8 MiB), so the store is a small LRU: a
-#: sweep or calibration pass only ever needs the references of the inputs
-#: currently in flight.
-DEFAULT_MAX_REFERENCES = 32
-
-#: Default bound on cached timing estimates.  Individual estimates are tiny,
-#: but a long-running serving process sweeps an open-ended stream of
-#: (app, config, size) keys, so the store is LRU-bounded too.
-DEFAULT_MAX_TIMINGS = 4096
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters of one :class:`ResultCache`."""
-
-    reference_hits: int = 0
-    reference_misses: int = 0
-    reference_evictions: int = 0
-    timing_hits: int = 0
-    timing_misses: int = 0
-    timing_evictions: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.reference_hits + self.timing_hits
-
-    @property
-    def misses(self) -> int:
-        return self.reference_misses + self.timing_misses
-
-    @property
-    def evictions(self) -> int:
-        return self.reference_evictions + self.timing_evictions
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when untouched)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def describe(self) -> str:
-        return (
-            f"references: {self.reference_hits} hits / {self.reference_misses} misses "
-            f"/ {self.reference_evictions} evictions, "
-            f"timings: {self.timing_hits} hits / {self.timing_misses} misses "
-            f"/ {self.timing_evictions} evictions"
-        )
-
-    def snapshot(self) -> dict:
-        """Canonical cache-stat shape shared by every cache (see repro.obs)."""
-        from ..obs.metrics import cache_snapshot
-
-        return cache_snapshot(self)
+from .store import StoreStats
 
 
 def input_token(inputs: Any) -> Hashable:
@@ -91,8 +39,7 @@ def input_token(inputs: Any) -> Hashable:
 
     Arrays are digested by content (shape, dtype, bytes); containers and
     dataclasses recurse; plain hashables pass through.  Returns ``None``
-    when the object cannot be fingerprinted (the cache then falls back to
-    identity keying).
+    when the object cannot be fingerprinted.
     """
     if isinstance(inputs, np.ndarray):
         digest = hashlib.sha1()
@@ -118,111 +65,93 @@ def input_token(inputs: Any) -> Hashable:
     return None
 
 
-class ResultCache:
-    """Thread-safe LRU store for reference outputs and timing estimates.
+class LRUCache:
+    """Thread-safe LRU of at most ``capacity`` entries, counted in :attr:`stats`.
 
-    Both stores are bounded (``None`` lifts a bound): ``max_references``
-    caps the potentially large accurate outputs, ``max_timings`` the timing
-    breakdowns.  Evictions, hits and misses are counted in :attr:`stats`.
+    ``None`` is never stored, so :meth:`get` returns ``None`` exactly on a
+    miss.  :meth:`get_or_compute` fills a missing key once however many
+    threads miss on it together; misses on different keys never wait for
+    each other, and a failed fill leaves nothing behind.
     """
 
-    def __init__(
-        self,
-        max_references: int | None = DEFAULT_MAX_REFERENCES,
-        max_timings: int | None = DEFAULT_MAX_TIMINGS,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.stats = StoreStats()
         self._lock = threading.Lock()
-        self.max_references = max_references
-        self.max_timings = max_timings
-        self._references: OrderedDict[Hashable, np.ndarray] = OrderedDict()
-        self._timings: OrderedDict[Hashable, Any] = OrderedDict()
-        self._reference_locks: dict[Hashable, threading.Lock] = {}
-        #: Inputs kept alive for identity keys, keyed by id() so repeat
-        #: lookups do not re-pin and eviction can release them.
-        self._pinned: dict[int, Any] = {}
-        self.stats = CacheStats()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        #: Keys being computed, each with the future its waiters block on.
+        self._inflight: dict[Hashable, Future] = {}
 
-    # ------------------------------------------------------------------
-    def _reference_key(self, app_name: str, inputs: Any) -> Hashable:
-        token = input_token(inputs)
-        if token is None:
-            with self._lock:
-                self._pinned.setdefault(id(inputs), inputs)
-            token = ("identity", id(inputs))
-        return (app_name, token)
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key`` (refreshed as most recent), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return value
 
-    def reference(
-        self, app_name: str, inputs: Any, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        """The accurate output for ``inputs``, computed at most once.
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store ``value`` as the most recent entry, evicting the oldest."""
+        with self._lock:
+            self._store(key, value)
 
-        Concurrent requests for the same key block until the first one has
-        computed the value; requests for different keys do not serialise.
+    def _store(self, key: Hashable, value: Any) -> None:
+        # Caller holds the lock.
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        self.stats.puts += 1
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The value under ``key``, calling ``compute()`` once on a miss.
+
+        ``compute`` runs outside the cache lock.  Threads that miss on a
+        key already being computed wait for that computation and count as
+        hits; if it raises, they raise the same exception and nothing is
+        stored.
         """
-        key = self._reference_key(app_name, inputs)
         with self._lock:
-            if key in self._references:
-                self.stats.reference_hits += 1
-                self._references.move_to_end(key)
-                return self._references[key]
-            key_lock = self._reference_locks.setdefault(key, threading.Lock())
-        with key_lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return value
+            flight = self._inflight.get(key)
+            if flight is None:
+                flight = self._inflight[key] = Future()
+                self.stats.misses += 1
+                leader = True
+            else:
+                self.stats.hits += 1
+                leader = False
+        if not leader:
+            return flight.result()
+        try:
+            value = compute()
+        except BaseException as exc:
             with self._lock:
-                if key in self._references:
-                    self.stats.reference_hits += 1
-                    self._references.move_to_end(key)
-                    return self._references[key]
-            value = np.asarray(compute())
-            # Cached references are shared between callers; freeze them so
-            # in-place mutation fails loudly instead of silently poisoning
-            # every later error computation against this input.
-            value.setflags(write=False)
-            with self._lock:
-                self._references[key] = value
-                self.stats.reference_misses += 1
-                while (
-                    self.max_references is not None
-                    and len(self._references) > self.max_references
-                ):
-                    evicted, _ = self._references.popitem(last=False)
-                    self.stats.reference_evictions += 1
-                    self._reference_locks.pop(evicted, None)
-                    _, evicted_token = evicted
-                    if (
-                        isinstance(evicted_token, tuple)
-                        and evicted_token
-                        and evicted_token[0] == "identity"
-                    ):
-                        self._pinned.pop(evicted_token[1], None)
+                del self._inflight[key]
+            flight.set_exception(exc)
+            raise
+        with self._lock:
+            del self._inflight[key]
+            self._store(key, value)
+        flight.set_result(value)
         return value
 
-    # ------------------------------------------------------------------
-    def timing(self, key: Hashable, compute: Callable[[], Any]):
-        """The timing estimate for ``key`` (cheap enough to compute under lock)."""
-        with self._lock:
-            if key in self._timings:
-                self.stats.timing_hits += 1
-                self._timings.move_to_end(key)
-                return self._timings[key]
-        value = compute()
-        with self._lock:
-            self._timings.setdefault(key, value)
-            self.stats.timing_misses += 1
-            while self.max_timings is not None and len(self._timings) > self.max_timings:
-                self._timings.popitem(last=False)
-                self.stats.timing_evictions += 1
-        return value
-
-    # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop all cached results (counters are reset too)."""
+        """Drop every entry and reset the counters."""
         with self._lock:
-            self._references.clear()
-            self._timings.clear()
-            self._reference_locks.clear()
-            self._pinned.clear()
-            self.stats = CacheStats()
+            self._entries.clear()
+            self.stats = StoreStats()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._references) + len(self._timings)
+            return len(self._entries)

@@ -2,8 +2,8 @@
 
 The engine is the single entry point to the reproduction library: it owns
 the simulated :class:`~repro.clsim.device.Device`, the analytical
-:class:`~repro.clsim.timing.TimingModel`, a memoization cache for reference
-outputs and timing estimates (:mod:`repro.api.cache`) and an optional
+:class:`~repro.clsim.timing.TimingModel`, two in-memory LRU stores for
+reference outputs and timing estimates (:mod:`repro.api.cache`) and an optional
 ``concurrent.futures`` worker pool for parallel sweeps and dataset
 evaluation.  Applications, device profiles and perforation schemes are
 resolved by name through the package registries, so
@@ -49,13 +49,22 @@ from ..core.pipeline import (
 from ..core.quality import ErrorSummary, compute_error
 from ..core.tuning import SweepPoint, SweepResult, WorkGroupTiming
 from ..obs.trace import get_tracer
-from .cache import CacheStats, ResultCache
+from .cache import LRUCache, input_token
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Cap applied to ``workers="auto"`` so small machines are not oversubscribed.
 AUTO_WORKER_CAP = 8
+
+#: Bound on cached reference outputs.  References can be large (a
+#: 1024x1024 float64 image is 8 MiB), and a sweep or calibration pass only
+#: ever needs the references of the inputs currently in flight.
+MAX_REFERENCES = 32
+
+#: Bound on cached timing estimates.  Each is tiny, but a long-running
+#: server sweeps an open-ended stream of (app, config, size) keys.
+MAX_TIMINGS = 4096
 
 
 def _auto_workers() -> int:
@@ -76,10 +85,6 @@ class PerforationEngine:
         ``1`` (the default) evaluates serially, ``"auto"`` sizes the pool
         from the CPU count.  Parallel results are bit-for-bit identical to
         serial ones — every evaluation is a pure function of its inputs.
-    cache:
-        ``True`` (default) for a fresh :class:`ResultCache`, ``False`` to
-        disable memoization entirely, or a ready-made :class:`ResultCache`
-        to share between engines.
     backend:
         Execution backend used by the *compiled* kernel path
         (:meth:`run_compiled` / :meth:`compiled_sweep`): a registered name
@@ -94,7 +99,6 @@ class PerforationEngine:
         self,
         device: Device | str | None = None,
         workers: int | str = 1,
-        cache: bool | ResultCache = True,
         backend: "ExecutionBackend | str | None" = None,
     ) -> None:
         if device is None:
@@ -105,10 +109,10 @@ class PerforationEngine:
         # Resolve eagerly so unknown backend names fail at construction.
         self.backend = resolve_backend(backend)
         self.timing_model = TimingModel(device)
-        if isinstance(cache, ResultCache):
-            self.cache: ResultCache | None = cache
-        else:
-            self.cache = ResultCache() if cache else None
+        #: Accurate outputs per (application, input), see :meth:`reference`.
+        self.references = LRUCache(MAX_REFERENCES)
+        #: Timing breakdowns per (application, config, size), see :meth:`timing`.
+        self.timings = LRUCache(MAX_TIMINGS)
         if workers == "auto":
             workers = _auto_workers()
         if not isinstance(workers, int) or workers < 1:
@@ -132,14 +136,10 @@ class PerforationEngine:
             return cached
         return app
 
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the memoization cache."""
-        return self.cache.stats if self.cache is not None else CacheStats()
-
     def clear_cache(self) -> None:
-        if self.cache is not None:
-            self.cache.clear()
+        """Drop every cached reference and timing (and their counters)."""
+        self.references.clear()
+        self.timings.clear()
 
     # ------------------------------------------------------------------
     # Worker pool
@@ -186,14 +186,23 @@ class PerforationEngine:
         """Accurate output of ``app`` for ``inputs`` (memoized by content).
 
         The returned array is shared with the cache and marked read-only;
-        ``.copy()`` it before mutating.
+        ``.copy()`` it before mutating.  An input that cannot be
+        fingerprinted is keyed by identity, and its entry holds the input,
+        so the identity cannot be recycled while the entry is cached.
         """
         app = self.resolve_app(app)
-        if self.cache is None:
-            return app.reference(inputs)
-        return self.cache.reference(
-            self._app_cache_key(app), inputs, lambda: app.reference(inputs)
-        )
+        token = input_token(inputs)
+        pin = inputs if token is None else None
+        key = (self._app_cache_key(app), token or ("identity", id(inputs)))
+
+        def compute() -> tuple[np.ndarray, object]:
+            value = np.asarray(app.reference(inputs))
+            # Shared between callers: in-place mutation must fail loudly
+            # instead of poisoning every later error against this input.
+            value.setflags(write=False)
+            return value, pin
+
+        return self.references.get_or_compute(key, compute)[0]
 
     def timing(
         self, app, config: ApproximationConfig, global_size: tuple[int, int]
@@ -205,11 +214,7 @@ class PerforationEngine:
             profile, ndrange = app.profile(config, global_size)
             return self.timing_model.estimate(profile, ndrange)
 
-        if self.cache is None:
-            return compute()
-        return self.cache.timing(
-            (self._app_cache_key(app), config, global_size), compute
-        )
+        return self.timings.get_or_compute((self._app_cache_key(app), config, global_size), compute)
 
     def baseline_timing(self, app, global_size: tuple[int, int]) -> TimingBreakdown:
         """Timing of the accurate baseline the speedups are measured against."""
@@ -574,6 +579,5 @@ class PerforationEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<PerforationEngine device={self.device.name!r} workers={self.workers} "
-            f"cache={'on' if self.cache is not None else 'off'} "
             f"backend={self.backend.name!r}>"
         )

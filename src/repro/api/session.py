@@ -57,6 +57,18 @@ class CalibrationEntry:
         return self.mean_error * (1.0 + safety_margin) <= budget
 
 
+def tighter_rung(ladder: Sequence[CalibrationEntry], index: int) -> int | None:
+    """Index of the first rung after ``index`` with a strictly lower mean error.
+
+    ``ladder`` is sorted fastest-first, so that is the fastest configuration
+    calibration deems more accurate than ``ladder[index]``; ``None`` when
+    there is none.  :meth:`Session.run` demotes and
+    :class:`repro.serve.controller.OnlineController` tightens by this rule.
+    """
+    current = ladder[index].mean_error
+    return next((i for i in range(index + 1, len(ladder)) if ladder[i].mean_error < current), None)
+
+
 def calibrate_configs(
     engine, app, calibration_inputs: Sequence, configs: Sequence[ApproximationConfig]
 ) -> list[CalibrationEntry]:
@@ -424,22 +436,11 @@ class Session:
 
     def _demote(self, config: ApproximationConfig) -> None:
         """Switch to the next more accurate calibrated configuration."""
-        more_accurate = [
-            entry
-            for entry in sorted(self.calibration, key=lambda e: e.mean_error)
-            if entry.config != config
-        ]
-        for entry in more_accurate:
-            if entry.mean_error < self._calibrated_error(config):
-                self.selected = entry.config
-                return
-        self.selected = ACCURATE_CONFIG
-
-    def _calibrated_error(self, config: ApproximationConfig) -> float:
-        for entry in self.calibration:
-            if entry.config == config:
-                return entry.mean_error
-        return float("inf")
+        index = next(
+            (i for i, entry in enumerate(self.calibration) if entry.config == config), None
+        )
+        tighter = None if index is None else tighter_rung(self.calibration, index)
+        self.selected = ACCURATE_CONFIG if tighter is None else self.calibration[tighter].config
 
     # ------------------------------------------------------------------
     def report(self) -> str:

@@ -15,8 +15,11 @@ once:
 * the store is bounded: beyond ``max_entries`` the least-recently-used
   entries are evicted (``get`` refreshes an entry's mtime);
 * every operation is best-effort — filesystem failures degrade to "no
-  store" and are tallied in the :meth:`stats` counters, they never
-  propagate to the caller.
+  store" and are tallied in the :attr:`DiskStore.stats` counters, they
+  never propagate to the caller.
+
+:class:`StoreStats` is the one cache-stats type of the library: the
+in-memory :class:`repro.api.cache.LRUCache` stores count in it too.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def env_store_config(
 
 @dataclass
 class StoreStats:
-    """Hit/miss/eviction counters of one :class:`DiskStore`."""
+    """Hit/miss/put/eviction/error counters of one cache, on disk or in memory."""
 
     hits: int = 0
     misses: int = 0
@@ -76,17 +79,6 @@ class StoreStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def __call__(self) -> "StoreStats":
-        # Both access styles work on every store: ``store.stats`` (the
-        # artifact cache's historical attribute form) and ``store.stats()``.
-        return self
-
-    def snapshot(self) -> dict:
-        """Canonical cache-stat shape shared by every cache (see repro.obs)."""
-        from ..obs.metrics import cache_snapshot
-
-        return cache_snapshot(self)
 
 
 class DiskStore:
@@ -126,18 +118,9 @@ class DiskStore:
         self.header = header
         self.suffix = suffix
         self.readonly = bool(readonly)
-        self._stats = StoreStats()
+        self.stats = StoreStats()
 
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> StoreStats:
-        """The store's hit/miss/put/eviction/error counters.
-
-        :class:`StoreStats` is callable (returning itself), so both
-        ``store.stats`` and ``store.stats()`` read the counters.
-        """
-        return self._stats
-
     @staticmethod
     def _valid_key(key: str) -> bool:
         return (
@@ -153,30 +136,30 @@ class DiskStore:
     def get(self, key: str) -> str | None:
         """The stored text for ``key``, or ``None`` on miss/corruption."""
         if not self._valid_key(key):
-            self._stats.misses += 1
+            self.stats.misses += 1
             return None
         path = self._path(key)
         try:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
-            self._stats.misses += 1
+            self.stats.misses += 1
             return None
         except OSError:
-            self._stats.errors += 1
-            self._stats.misses += 1
+            self.stats.errors += 1
+            self.stats.misses += 1
             return None
         if not text.startswith(self.header):
             # Corrupt (or foreign) entry: drop it and let the caller recompute
             # (left in place when read-only — some writer owns the directory).
             self.invalidate(key)
-            self._stats.misses += 1
+            self.stats.misses += 1
             return None
         if not self.readonly:
             try:
                 os.utime(path)  # refresh LRU position
             except OSError:
                 pass
-        self._stats.hits += 1
+        self.stats.hits += 1
         return text
 
     def put(self, key: str, text: str) -> bool:
@@ -189,7 +172,7 @@ class DiskStore:
         if self.readonly:
             return False
         if not self._valid_key(key) or not text.startswith(self.header):
-            self._stats.errors += 1
+            self.stats.errors += 1
             return False
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -207,9 +190,9 @@ class DiskStore:
                     pass
                 raise
         except OSError:
-            self._stats.errors += 1
+            self.stats.errors += 1
             return False
-        self._stats.puts += 1
+        self.stats.puts += 1
         self._evict()
         return True
 
@@ -232,7 +215,7 @@ class DiskStore:
                 path.unlink()
                 removed += 1
             except OSError:
-                self._stats.errors += 1
+                self.stats.errors += 1
         return removed
 
     # ------------------------------------------------------------------
@@ -262,9 +245,9 @@ class DiskStore:
         for path in entries[: len(entries) - self.max_entries]:
             try:
                 path.unlink()
-                self._stats.evictions += 1
+                self.stats.evictions += 1
             except OSError:
-                self._stats.errors += 1
+                self.stats.errors += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

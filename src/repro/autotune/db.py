@@ -107,6 +107,8 @@ class TuningDB:
             suffix=".json",
             readonly=readonly,
         )
+        #: Hit/miss/put/eviction/error counters of the underlying store.
+        self.stats: StoreStats = self.store.stats
 
     @property
     def readonly(self) -> bool:
@@ -116,10 +118,6 @@ class TuningDB:
     @property
     def root(self):
         return self.store.root
-
-    def stats(self) -> StoreStats:
-        """Hit/miss/eviction counters of the underlying store."""
-        return self.store.stats()
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> dict | None:
@@ -137,10 +135,9 @@ class TuningDB:
             # reclassify the store's lookup as a miss — the caller has to
             # tune fresh, so reporting it as a hit would skew hit_rate.
             self.store.invalidate(key)
-            stats = self.store.stats()
-            stats.hits -= 1
-            stats.misses += 1
-            stats.errors += 1
+            self.stats.hits -= 1
+            self.stats.misses += 1
+            self.stats.errors += 1
             return None
         return record
 

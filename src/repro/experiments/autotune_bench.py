@@ -114,7 +114,7 @@ def run(
     exhaustive = tuner.tune(app, image, strategy="grid")
     tuned = tuner.tune(app, image, strategy=strategy, max_evals=evals)
 
-    stats = tuner.db.stats() if tuner.db is not None else None
+    stats = tuner.db.stats if tuner.db is not None else None
     return AutotuneBenchResult(
         app_name=app,
         size=size,

@@ -11,7 +11,7 @@ Generates a deterministic mixed multi-application trace
 
 The figure of merit is the throughput ratio; the acceptance bar is >= 5x
 while every completed request's *measured* error stays within its budget
-(strict mode substitutes the accurate output on violation, so this holds
+(the server substitutes the accurate output on violation, so this holds
 by construction — the report shows how often that was needed).
 
 Run it via ``python -m repro.experiments serve-bench`` (``--quick`` for the
@@ -159,8 +159,6 @@ def _serve(
         max_batch=max_batch,
         calibration_inputs=_calibration_inputs(spec),
         cache_capacity=cache_capacity,
-        monitor=True,
-        strict=True,
     )
     responses = server.run_trace(trace)
     within = all(r.within_budget for r in responses)
@@ -414,8 +412,6 @@ def _fleet_once(trace, spec, calibration, max_batch, device, workers, chaos) -> 
             calibration_inputs=calibration,
             tuner=Tuner(engine, db=TuningDB(fleet.tuning_db_path, readonly=True)),
             cache_capacity=256,
-            monitor=True,
-            strict=True,
         )
         for app in spec.apps:
             single.controller.ladder(app)

@@ -9,12 +9,16 @@ into one fleet-level :class:`~repro.serve.metrics.ServeMetrics` view.
 
 The design preserves the serve subsystem's determinism guarantees:
 
-**Routing is a pure function of the request.**  Every request of an
-(application, backend, size) stream lands on the same worker, so that
-worker's scheduler and online controller see exactly the observation
-subsequence the single-process server would see and reproduce its
-decisions — and therefore its outputs — bit-identically (pinned by
-``tests/fleet/test_fleet.py``).
+**Routing is planned per trace.**  Each :meth:`PerforationFleet.serve_trace`
+call places the trace's (application, backend, size) streams on workers
+with a fresh :meth:`ShardMap.for_trace <repro.fleet.sharding.ShardMap.for_trace>`
+plan, so within one trace every request of a stream lands on the same
+worker.  That worker's scheduler and online controller see exactly the
+observation subsequence the single-process server would see and
+reproduce its decisions — and therefore its outputs — bit-identically
+(pinned by ``tests/fleet/test_fleet.py``).  Across traces this holds only
+for streams the plan does not move: a moved stream's controller state
+stays on its old worker.
 
 **Workers start warm.**  The front-end calibrates every application once
 into a tuning database under its runtime directory, then ships the path
@@ -463,8 +467,7 @@ class PerforationFleet:
     workers:
         Number of worker processes (each a full
         :class:`~repro.serve.server.PerforationServer`).
-    backend / device / max_batch / max_delay_ms / policy / cache_capacity /
-    monitor / strict:
+    backend / device / max_batch / max_delay_ms / policy / cache_capacity:
         Forwarded to every worker's server (same meaning as the
         single-process constructor).
     calibration_inputs:
@@ -542,8 +545,6 @@ class PerforationFleet:
         tuning_db: str | os.PathLike | None = None,
         codegen_cache: str | os.PathLike | None = None,
         cache_capacity: int = 256,
-        monitor: bool = True,
-        strict: bool = True,
         runtime_dir: str | os.PathLike | None = None,
         request_timeout_s: float | None = None,
         max_respawns: int = 2,
@@ -581,8 +582,6 @@ class PerforationFleet:
         self.max_pending = int(max_pending)
         self.transport = transport
         self.cache_capacity = cache_capacity
-        self.monitor = monitor
-        self.strict = strict
         self.request_timeout_s = request_timeout_s
         self.max_respawns = int(max_respawns)
         self.fail_after = dict(fail_after or {})
@@ -688,7 +687,7 @@ class PerforationFleet:
         )
         for app in self.warm_apps:
             controller.ladder(app)
-        stats = db.stats()
+        stats = db.stats
         self.parent_db_stats = {
             "hits": stats.hits,
             "misses": stats.misses,
@@ -729,8 +728,6 @@ class PerforationFleet:
                 None if self.codegen_cache_path is None else str(self.codegen_cache_path)
             ),
             cache_capacity=self.cache_capacity,
-            monitor=self.monitor,
-            strict=self.strict,
             generation=generation,
             # Workers trace when the front-end traces (at spawn time), so
             # their spans come back on drained/metrics frames and merge

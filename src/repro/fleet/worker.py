@@ -115,8 +115,6 @@ class WorkerSpec:
     #: Replicated codegen artifact-cache directory (``REPRO_CODEGEN_CACHE``).
     codegen_cache: str | None = None
     cache_capacity: int = 256
-    monitor: bool = True
-    strict: bool = True
     #: Record observability spans in-process and ship them back on
     #: ``drained``/``metrics`` frames (set when the front-end traces).
     trace: bool = False
@@ -169,14 +167,12 @@ def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
         calibration_inputs=spec.calibration_inputs,
         tuner=tuner,
         cache_capacity=spec.cache_capacity,
-        monitor=spec.monitor,
-        strict=spec.strict,
     )
     for app in spec.warm_apps:
         server.controller.ladder(app)
     db_stats = None
     if tuner is not None and tuner.db is not None:
-        stats = tuner.db.stats()
+        stats = tuner.db.stats
         db_stats = {"hits": stats.hits, "misses": stats.misses, "puts": stats.puts}
     report = {
         "worker": spec.index,

@@ -15,10 +15,10 @@ fold into the front-end's view with :meth:`MetricsRegistry.merge`:
 (Masson, Rim & Lee, VLDB 2019): its size grows with the logarithm of the
 range of values observed, not with their number.
 
-:func:`cache_snapshot` is the one canonical shape for cache statistics; the
-three historic stat structs (``StoreStats``, ``ServeCacheStats``,
-``CacheStats``) all expose ``snapshot()`` by delegating here, and the
-``hit_rate`` ratio is guarded against empty caches.
+:func:`cache_snapshot` is the one canonical shape for cache statistics: it
+reads :class:`repro.api.store.StoreStats`, the counters of every cache in
+memory or on disk, and ``functools.lru_cache``'s ``CacheInfo``, and guards
+the ``hit_rate`` ratio against empty caches.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ class MetricsRegistry:
             yield self._metrics[name]
 
     def absorb_cache(self, prefix: str, stats: Any) -> None:
-        """Fold any cache-stat struct into ``{prefix}.hits`` etc. counters."""
+        """Fold cache statistics into ``{prefix}.hits`` etc. counters."""
         snap = cache_snapshot(stats)
         for key in ("hits", "misses", "evictions", "puts", "errors"):
             self.counter(f"{prefix}.{key}").inc(snap[key])
@@ -304,11 +304,10 @@ class MetricsRegistry:
 
 
 def cache_snapshot(stats: Any) -> dict[str, Any]:
-    """Normalise any cache-stat struct to one canonical shape.
+    """Normalise cache statistics to one canonical shape.
 
-    Works for ``StoreStats`` (hits/misses/puts/evictions/errors),
-    ``ServeCacheStats`` (hits/misses/evictions), ``CacheStats`` (derived
-    hits/misses/evictions properties) and ``lru_cache``'s ``CacheInfo``.
+    Works for ``StoreStats`` (hits/misses/puts/evictions/errors) and
+    ``lru_cache``'s ``CacheInfo`` (hits/misses; the rest read as 0).
     ``hit_rate`` is always guarded against zero lookups.
     """
     hits = int(getattr(stats, "hits", 0))

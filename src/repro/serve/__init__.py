@@ -11,7 +11,8 @@ from :meth:`Session.calibrate <repro.api.session.Session.calibrate>`
 calibration and adapts the perforation configuration per application from
 monitored quality feedback — tightening when the measured error drifts
 above budget, loosening when there is headroom.  A bounded LRU result
-cache (:mod:`repro.serve.cache`) short-circuits repeated inputs, and
+cache (:mod:`repro.serve.cache`, on the library's one in-memory
+:class:`~repro.api.cache.LRUCache`) short-circuits repeated inputs, and
 :class:`~repro.serve.metrics.ServeMetrics` tracks throughput, queue-delay
 and service-time percentiles, cache hit rate and per-scheme selection
 counts.
@@ -33,7 +34,7 @@ The synthetic load generator (:mod:`repro.serve.loadgen`) and the
 under mixed multi-application traffic; see ``docs/serving.md``.
 """
 
-from .cache import ServeCacheStats, ServeResultCache
+from .cache import ServeResultCache
 from .controller import ControllerPolicy, OnlineController
 from .loadgen import ARRIVAL_PROCESSES, DEFAULT_SERVE_APPS, TraceSpec, generate_trace
 from .metrics import LatencySummary, ServeMetrics
@@ -50,7 +51,6 @@ __all__ = [
     "MicroBatchScheduler",
     "OnlineController",
     "PerforationServer",
-    "ServeCacheStats",
     "ServeMetrics",
     "ServeRequest",
     "ServeResponse",

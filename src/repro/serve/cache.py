@@ -2,9 +2,11 @@
 
 Serving workloads repeat inputs (the same frame, tile or grid gets
 requested again), so the server memoizes *served kernel outputs* keyed by
-(application, configuration label, input fingerprint).  The store is a
-strict LRU with a configurable capacity — a serving process must not grow
-without bound — and counts hits, misses and evictions.
+(application, configuration label, input fingerprint).  The store is the
+library's one in-memory LRU (:class:`repro.api.cache.LRUCache`) with a
+configurable capacity — a serving process must not grow without bound —
+and counts hits, misses, puts and evictions in a
+:class:`~repro.api.store.StoreStats`.
 
 Inputs are fingerprinted by content via
 :func:`repro.api.cache.input_token`; inputs that cannot be fingerprinted
@@ -13,60 +15,29 @@ simply bypass the cache (counted as misses).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Hashable
 
 import numpy as np
 
-from ..api.cache import input_token
+from ..api.cache import LRUCache, input_token
 from ..core.errors import ConfigurationError
 
 #: Default number of cached results.
 DEFAULT_CAPACITY = 256
 
 
-@dataclass
-class ServeCacheStats:
-    """Hit/miss/eviction counters of one :class:`ServeResultCache`."""
+class ServeResultCache(LRUCache):
+    """Thread-safe bounded LRU of (output, measured error) pairs.
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def describe(self) -> str:
-        return (
-            f"{self.hits} hits / {self.misses} misses / {self.evictions} evictions "
-            f"(hit rate {self.hit_rate:.1%})"
-        )
-
-    def snapshot(self) -> dict:
-        """Canonical cache-stat shape shared by every cache (see repro.obs)."""
-        from ..obs.metrics import cache_snapshot
-
-        return cache_snapshot(self)
-
-
-class ServeResultCache:
-    """Thread-safe bounded LRU of (output, measured error) pairs."""
+    :meth:`get` returns the cached pair, or ``None`` on a miss (a ``None``
+    key, from an input :meth:`key` cannot fingerprint, always misses).
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, tuple[np.ndarray, float | None]] = (
-            OrderedDict()
-        )
-        self.stats = ServeCacheStats()
+        super().__init__(capacity)
 
-    # ------------------------------------------------------------------
     @staticmethod
     def key(app_name: str, config_label: str, inputs: Any) -> Hashable | None:
         """Cache key of one request, or ``None`` when not fingerprintable."""
@@ -75,38 +46,10 @@ class ServeResultCache:
             return None
         return (app_name, config_label, token)
 
-    def get(self, key: Hashable | None) -> tuple[np.ndarray, float | None] | None:
-        """Cached (output, error) for ``key``; counts the hit or miss."""
-        with self._lock:
-            if key is not None and key in self._entries:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                return self._entries[key]
-            self.stats.misses += 1
-            return None
-
     def put(self, key: Hashable | None, output: np.ndarray, error: float | None) -> None:
         """Store a served output (shared read-only; ``.copy()`` to mutate)."""
         if key is None:
             return
         stored = np.array(output, copy=True)
         stored.setflags(write=False)
-        with self._lock:
-            self._entries[key] = (stored, error)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    # ------------------------------------------------------------------
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats = ServeCacheStats()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ServeResultCache {len(self)}/{self.capacity} {self.stats.describe()}>"
+        super().put(key, (stored, error))

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..api.session import CalibrationEntry
+from ..api.session import CalibrationEntry, tighter_rung
 from ..core.config import ACCURATE_CONFIG, ApproximationConfig
 from ..core.errors import TuningError
 
@@ -217,12 +217,10 @@ class OnlineController:
 
     def _tighten(self, state: _StreamState, ladder: list[CalibrationEntry]) -> None:
         """Step to the next more accurate rung (exists: the last rung is 0)."""
-        current = ladder[state.index]
-        for index in range(state.index + 1, len(ladder)):
-            if ladder[index].mean_error < current.mean_error:
-                self._switch(state, index)
-                state.tightened += 1
-                return
+        index = tighter_rung(ladder, state.index)
+        if index is not None:
+            self._switch(state, index)
+            state.tightened += 1
 
     def _loosen(
         self, state: _StreamState, ladder: list[CalibrationEntry], budget: float

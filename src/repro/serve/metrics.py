@@ -120,8 +120,6 @@ class ServeMetrics:
             errors.observe(response.error)
             worst = registry.gauge("serve.worst_budget_fraction")
             worst.set(max(worst.value, response.error / budget))
-            if not response.within_budget:
-                self._inc("violations")
 
     def record_violation(self) -> None:
         """A pre-fallback budget violation (the served output was replaced)."""

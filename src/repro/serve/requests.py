@@ -91,17 +91,17 @@ class ServeResponse:
     config_label: str
     #: Served output; ``None`` for rejected requests.
     output: np.ndarray | None
-    #: Measured error of the *served* output (``None`` when monitoring is off).
+    #: Measured error of the *served* output (``None`` for rejected requests).
     error: float | None
-    #: Whether the served output honours the request's error budget
-    #: (vacuously true when monitoring is off; false for rejected requests).
+    #: Whether the served output honours the request's error budget (true
+    #: for every served request; false for rejected requests).
     within_budget: bool
     #: True when the request never executed and carries no output: either
     #: load-shed by admission control or failed by the fleet (worker loss,
     #: request-scoped worker error) — ``metadata["reason"]`` says which.
     rejected: bool = False
     #: True when the approximate output violated the budget and the server
-    #: substituted the accurate output (strict mode).
+    #: substituted the accurate output.
     fallback: bool = False
     #: True when the output came from the serve result cache.
     cache_hit: bool = False

@@ -11,10 +11,10 @@ submitted in virtual (trace) time; the server
    (:meth:`~repro.api.engine.PerforationEngine.run_compiled_batch`),
    short-circuiting requests whose result is in the LRU cache;
 3. measures the quality of every served output against the memoized
-   accurate reference (``monitor=True``), feeds the errors back into the
-   controller, and — in ``strict`` mode — replaces any output that violates
-   its request's budget with the accurate reference, so every *completed*
-   request honours its error budget;
+   accurate reference, feeds the errors back into the controller, and
+   replaces any output that violates its request's budget with the
+   accurate reference, so every *completed* request honours its error
+   budget;
 4. records everything in :class:`~repro.serve.metrics.ServeMetrics`.
 
 The server is synchronous and single-threaded by design: batching, not
@@ -62,13 +62,6 @@ class PerforationServer:
         server restart skips per-process calibration entirely.
     cache_capacity:
         LRU capacity of the result cache; ``0`` disables caching.
-    monitor:
-        Measure every served output against the accurate reference and
-        feed the controller.  Without monitoring the controller never
-        adapts and budgets are not enforced.
-    strict:
-        With monitoring, replace budget-violating outputs with the
-        accurate reference before completing the request.
     """
 
     def __init__(
@@ -82,8 +75,6 @@ class PerforationServer:
         calibration_inputs: Mapping[str, Sequence] | None = None,
         tuner=None,
         cache_capacity: int = 256,
-        monitor: bool = True,
-        strict: bool = True,
     ) -> None:
         self.backend = resolve_backend(backend)
         self.engine = engine if engine is not None else PerforationEngine(backend=self.backend)
@@ -93,8 +84,6 @@ class PerforationServer:
         )
         self.cache = ServeResultCache(cache_capacity) if cache_capacity else None
         self.metrics = ServeMetrics()
-        self.monitor = monitor
-        self.strict = strict
         self._batch_seq = 0
         self._arrived_wall_ns: dict[int, int] = {}
         obs_metrics.register_collector(self.observability)
@@ -237,28 +226,21 @@ class PerforationServer:
             output = outputs[request.request_id]
             error = None
 
-        within = True
-        fallback = False
-        if self.monitor:
-            if error is None:
-                reference = self.engine.reference(app, request.inputs)
-                error = compute_error(reference, output, app.error_metric)
-            # The controller sees the *measured* quality of the approximate
-            # output, so a violation tightens the stream even when strict
-            # mode masks it from the caller.
-            self.controller.observe(app.name, request.error_budget, error)
-            if not cache_hit and self.cache is not None:
-                self.cache.put(keys[request.request_id], output, error)
-            within = error <= request.error_budget
-            if not within and self.strict:
-                self.metrics.record_violation()
-                reference = self.engine.reference(app, request.inputs)
-                output = np.array(reference)  # caller owns the response output
-                error = 0.0
-                within = True
-                fallback = True
-        elif not cache_hit and self.cache is not None:
+        if error is None:
+            reference = self.engine.reference(app, request.inputs)
+            error = compute_error(reference, output, app.error_metric)
+        # The controller sees the *measured* quality of the approximate
+        # output, so a violation tightens the stream even though the
+        # fallback below masks it from the caller.
+        self.controller.observe(app.name, request.error_budget, error)
+        if not cache_hit and self.cache is not None:
             self.cache.put(keys[request.request_id], output, error)
+        fallback = error > request.error_budget
+        if fallback:
+            self.metrics.record_violation()
+            reference = self.engine.reference(app, request.inputs)
+            output = np.array(reference)  # caller owns the response output
+            error = 0.0
 
         response = ServeResponse(
             request_id=request.request_id,
@@ -266,7 +248,7 @@ class PerforationServer:
             config_label=config.label,
             output=output,
             error=error,
-            within_budget=within,
+            within_budget=True,
             fallback=fallback,
             cache_hit=cache_hit,
             batch_size=len(batch),
@@ -302,18 +284,20 @@ class PerforationServer:
     def observability(self) -> obs_metrics.MetricsRegistry:
         """One mergeable registry over every layer this server touches.
 
-        Starts from the serving metrics' own registry and absorbs the
-        result caches (serve LRU and engine memoization), the process-wide
-        kernel-build and codegen artifact caches, the tuning database (when
-        the controller is tuner-backed), and the controller's
-        tighten/loosen decisions — the scattered stat structs in one shape.
+        Starts from the serving metrics' own registry and absorbs every
+        cache's :class:`~repro.api.store.StoreStats` (the serve result
+        cache, the engine's reference and timing stores, the codegen
+        artifact cache and, when the controller is tuner-backed, the tuning
+        database), the kernel-build cache's ``cache_info()``, and the
+        controller's tighten/loosen decisions.
         """
         # A copy, so absorbing the cache statistics below never accumulates
         # into the server's own metrics from one call to the next.
         registry = obs_metrics.MetricsRegistry().merge(self.metrics.registry)
         if self.cache is not None:
             registry.absorb_cache("serve.result_cache", self.cache.stats)
-        registry.absorb_cache("engine.result_cache", self.engine.cache_stats)
+        registry.absorb_cache("engine.reference_cache", self.engine.references.stats)
+        registry.absorb_cache("engine.timing_cache", self.engine.timings.stats)
         registry.absorb_cache("kernel.build_cache", build_kernel.cache_info())
         from ..api.artifacts import default_cache
 
@@ -322,7 +306,7 @@ class PerforationServer:
             registry.absorb_cache("codegen.artifact_cache", artifact_cache.stats)
         tuner = self.controller.tuner
         if tuner is not None and getattr(tuner, "db", None) is not None:
-            registry.absorb_cache("autotune.tuning_db", tuner.db.stats())
+            registry.absorb_cache("autotune.tuning_db", tuner.db.stats)
         for stream in self.controller.snapshot().values():
             registry.counter("controller.switches").inc(stream["switches"])
             registry.counter("controller.tightened").inc(stream["tightened"])

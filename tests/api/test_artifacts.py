@@ -218,10 +218,8 @@ class TestGenericStore:
         from repro.api.store import DiskStore, StoreStats
 
         assert isinstance(cache, DiskStore)
-        # stats() counters are part of the generic store surface...
-        assert isinstance(cache.stats(), StoreStats)
-        # ...and the legacy attribute view stays bit-compatible.
-        assert cache.stats() is cache.stats
+        # The counters are part of the generic store surface.
+        assert isinstance(cache.stats, StoreStats)
 
     def test_stats_counters_cover_hit_miss_put_eviction(self, cache):
         import os
@@ -232,7 +230,7 @@ class TestGenericStore:
         for n in range(2, 8):
             cache.put(_key(n), _source(n))
             os.utime(cache._path(_key(n)), (n, n))
-        stats = cache.stats()
+        stats = cache.stats
         assert stats.misses >= 1 and stats.hits >= 1
         assert stats.puts == 7
         assert stats.evictions >= 3  # bound is 4
@@ -287,7 +285,7 @@ class TestReadOnlyStore:
         before = path.stat().st_mtime
         assert reader.get(_key(0)) == "# h\nentry 0\n"
         assert path.stat().st_mtime == before  # no LRU refresh
-        assert reader.stats().hits == 1
+        assert reader.stats.hits == 1
 
     def test_writes_refused_silently(self, shared):
         reader = self._reader(shared)
@@ -297,7 +295,7 @@ class TestReadOnlyStore:
         assert reader.get(_key(0)) is not None  # invalidate was a no-op
         assert reader.clear() == 0
         assert len(shared) == 4
-        assert reader.stats().puts == 0 and reader.stats().errors == 0
+        assert reader.stats.puts == 0 and reader.stats.errors == 0
 
     def test_corrupt_entry_reported_as_miss_but_left_in_place(self, shared):
         reader = self._reader(shared)
@@ -323,6 +321,6 @@ class TestReadOnlyStore:
         expected = [f"# h\nentry {n}\n" for n in range(4)] * 16
         assert all(result == expected for result in results)
         for reader in readers:
-            assert reader.stats().errors == 0
-            assert reader.stats().hits == 64
+            assert reader.stats.errors == 0
+            assert reader.stats.hits == 64
         assert len(shared) == 4  # nothing evicted, nothing written

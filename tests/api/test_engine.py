@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.api import PerforationEngine
-from repro.api.cache import ResultCache, input_token
+from repro.api import engine as engine_module
+from repro.api.cache import input_token
 from repro.apps import GaussianApp
 from repro.core import ConfigurationError, ROWS1_NN, STENCIL1_NN
 from repro.core import perforator
@@ -85,7 +86,7 @@ class TestReferenceCache:
         engine.sweep(app, image, default_configurations(app.halo))
         engine.sweep(app, image, default_configurations(app.halo))
         assert app.reference_calls == 1
-        assert engine.cache_stats.reference_hits >= 1
+        assert engine.references.stats.hits >= 1
 
     def test_equal_content_different_objects_share_reference(self, image):
         app = CountingGaussian()
@@ -93,14 +94,6 @@ class TestReferenceCache:
         engine.evaluate(app, image, ROWS1_NN)
         engine.evaluate(app, image.copy(), ROWS1_NN)
         assert app.reference_calls == 1
-
-    def test_cache_disabled(self, image):
-        app = CountingGaussian()
-        engine = PerforationEngine(cache=False)
-        engine.evaluate(app, image, ROWS1_NN)
-        engine.evaluate(app, image, ROWS1_NN)
-        assert app.reference_calls == 2
-        assert engine.cache_stats.hits == 0
 
     def test_clear_cache(self, image):
         app = CountingGaussian()
@@ -114,7 +107,7 @@ class TestReferenceCache:
         engine = PerforationEngine()
         engine.sweep("gaussian", image)
         # The baseline timing is shared by all four configurations.
-        assert engine.cache_stats.timing_hits >= 3
+        assert engine.timings.stats.hits >= 3
 
     def test_cached_reference_is_readonly(self, image):
         """Shared cache entries must not be silently mutable by callers."""
@@ -131,9 +124,9 @@ class TestReferenceCache:
         engine.reference(counting, image)
         assert counting.reference_calls == 1  # computed, not aliased
 
-    def test_lru_bound_evicts_old_references(self):
-        cache = ResultCache(max_references=2)
-        engine = PerforationEngine(cache=cache)
+    def test_lru_bound_evicts_old_references(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_REFERENCES", 2)
+        engine = PerforationEngine()
         app = CountingGaussian()
         images = [generate_image("natural", size=32, seed=s) for s in range(3)]
         for img in images:
@@ -217,7 +210,7 @@ class TestEvaluation:
         r1 = engine.evaluate("hotspot", instance, ROWS1_NN)
         r2 = engine.evaluate("hotspot", instance, ROWS1_NN)
         assert r1.error == r2.error
-        assert engine.cache_stats.reference_hits >= 1
+        assert engine.references.stats.hits >= 1
 
     def test_best_work_group_matches_legacy_observation(self, image):
         shape = PerforationEngine().best_work_group("gaussian", image, ROWS1_NN)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.api import PerforationEngine
-from repro.core import ROWS1_NN, TuningError
+from repro.api import session as session_module
+from repro.api.session import CalibrationEntry
+from repro.core import ACCURATE_CONFIG, ROWS1_LI, ROWS1_NN, ROWS2_NN, TuningError
 from repro.core.config import default_configurations
 from repro.data import generate_image
 
@@ -133,6 +135,24 @@ class TestRun:
         if not record.within_budget:
             assert session.selected.label != first.label or session.selected.is_accurate
 
+    def test_violations_demote_one_rung_at_a_time(self, engine, images, monkeypatch):
+        """Each violation steps to the fastest config with a strictly lower
+        calibrated error (the controller's tighten rule), never further."""
+        session = engine.session(app="gaussian", error_budget=0.06)
+        session.calibration = [  # fastest-first
+            CalibrationEntry(ROWS1_NN, mean_error=0.045, max_error=0.05, speedup=2.0),
+            CalibrationEntry(ROWS2_NN, mean_error=0.03, max_error=0.04, speedup=1.6),
+            CalibrationEntry(ROWS1_LI, mean_error=0.01, max_error=0.02, speedup=1.4),
+        ]
+        session.selected = session.select()
+        # Every measured error blows the budget.
+        monkeypatch.setattr(session_module, "compute_error", lambda *args: 1.0)
+        walked = [session.selected]
+        for _ in range(3):
+            session.run(images[1], monitor=True)
+            walked.append(session.selected)
+        assert walked == [ROWS1_NN, ROWS2_NN, ROWS1_LI, ACCURATE_CONFIG]
+
     def test_report_mentions_selection(self, engine, images):
         session = engine.session(app="gaussian").autotune(
             error_budget=0.10, calibration_inputs=images
@@ -146,6 +166,6 @@ class TestSessionsShareEngineCache:
     def test_two_sessions_share_reference_cache(self, engine, images):
         app_configs = default_configurations(1)
         engine.session(app="gaussian").sweep(images[1], app_configs)
-        before = engine.cache_stats.reference_misses
+        before = engine.references.stats.misses
         engine.session(app="gaussian").sweep(images[1], app_configs)
-        assert engine.cache_stats.reference_misses == before
+        assert engine.references.stats.misses == before

@@ -30,8 +30,8 @@ class TestRecords:
         assert db.get(_key(1)) is None
         assert db.put(_key(1), record)
         assert db.get(_key(1)) == record
-        assert db.stats().hits == 1
-        assert db.stats().misses == 1
+        assert db.stats.hits == 1
+        assert db.stats.misses == 1
 
     def test_floats_round_trip_bit_exactly(self, db):
         values = [0.1 + 0.2, 1.0 / 3.0, 2.0**-1074, 1e308, 36.973808237]
@@ -62,7 +62,7 @@ class TestRecords:
             os.utime(db.store._path(_key(n)), (n, n))
         db.store._evict()
         assert len(db) == 4
-        assert db.stats().evictions >= 2
+        assert db.stats.evictions >= 2
 
 
 class TestReadOnly:

@@ -220,37 +220,43 @@ class TestCacheSnapshot:
         assert snap["hit_rate"] == 0.0
         assert snap["lookups"] == 0
 
-    def test_all_three_stat_structs_share_one_shape(self):
-        from repro.api.cache import CacheStats
+    def test_every_cache_a_server_absorbs_reports_the_canonical_keys(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from repro.api import PerforationEngine
+        from repro.api.artifacts import default_cache
         from repro.api.store import StoreStats
-        from repro.serve.cache import ServeCacheStats
+        from repro.autotune import Tuner, TuningDB
+        from repro.serve import PerforationServer
 
-        store = StoreStats(hits=3, misses=1, puts=4, evictions=2, errors=1)
-        serve = ServeCacheStats(hits=2, misses=2, evictions=1)
-        result = CacheStats(reference_hits=2, reference_misses=1, timing_hits=1)
-
-        keys = {
-            "hits",
-            "misses",
-            "evictions",
-            "puts",
-            "errors",
-            "lookups",
-            "hit_rate",
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "codegen"))
+        engine = PerforationEngine()
+        tuner = Tuner(engine, db=TuningDB(tmp_path / "db"))
+        server = PerforationServer(engine=engine, tuner=tuner)
+        stores = {
+            "serve.result_cache": server.cache,
+            "engine.reference_cache": engine.references,
+            "engine.timing_cache": engine.timings,
+            "codegen.artifact_cache": default_cache(),
+            "autotune.tuning_db": tuner.db,
         }
-        for stats in (store, serve, result):
-            snap = stats.snapshot()
-            assert set(snap) == keys
-            assert 0.0 <= snap["hit_rate"] <= 1.0
-        assert store.snapshot()["hit_rate"] == 0.75
-        assert serve.snapshot()["hit_rate"] == 0.5
-        assert result.snapshot()["hit_rate"] == 0.75
+        for store in stores.values():
+            assert type(store.stats) is StoreStats
+        server.cache.put(server.cache.key("a", "c", np.zeros(2)), np.zeros(2), 0.0)
+        engine.references.get("missing")
+
+        snap = server.observability().snapshot()
+        fields = ("hits", "misses", "evictions", "puts", "errors", "hit_rate")
+        for prefix in [*stores, "kernel.build_cache"]:
+            assert {f"{prefix}.{field}" for field in fields} <= set(snap), prefix
+        assert snap["serve.result_cache.puts"] == 1
+        assert snap["engine.reference_cache.misses"] == 1
 
     def test_absorb_cache_prefixes_metrics(self):
-        from repro.serve.cache import ServeCacheStats
+        from repro.api.store import StoreStats
 
         reg = MetricsRegistry()
-        reg.absorb_cache("serve.result_cache", ServeCacheStats(hits=4, misses=1))
+        reg.absorb_cache("serve.result_cache", StoreStats(hits=4, misses=1))
         assert reg.get("serve.result_cache.hits").value == 4
         assert reg.get("serve.result_cache.misses").value == 1
         assert reg.get("serve.result_cache.hit_rate").value == pytest.approx(0.8)

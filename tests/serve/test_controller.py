@@ -154,7 +154,7 @@ class TestTunerSeededLadders:
         # Warm database, third engine: the ladder is restored without any
         # calibration sweep (Session.calibrate would need an error budget
         # and an engine sweep; the DB answers first).
-        warm_engine = PerforationEngine(cache=False)
+        warm_engine = PerforationEngine()
         warm = OnlineController(
             warm_engine,
             calibration_inputs={"gaussian": [image]},

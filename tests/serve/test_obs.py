@@ -96,7 +96,8 @@ class TestObservabilityRegistry:
         # absorbed cache statistics never accumulate across calls.
         assert server.observability().snapshot() == snap
         assert "serve.result_cache.hit_rate" in snap
-        assert "engine.result_cache.hits" in snap
+        assert "engine.reference_cache.hits" in snap
+        assert "engine.timing_cache.hits" in snap
         # One kernel build per distinct (app, config) launched; every later
         # launch of the pair, by any server of the process, is a hit.
         launches = [

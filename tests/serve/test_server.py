@@ -144,16 +144,6 @@ class TestCachingAndFallback:
         assert server.metrics.violations == 1
         assert server.metrics.fallbacks == 1
 
-    def test_monitoring_off_serves_unchecked(self):
-        server = _server(max_batch=1, monitor=False)
-        image = generate_image("natural", size=32, seed=5)
-        [response] = server.submit(
-            ServeRequest(0, "gaussian", image, error_budget=1e-9)
-        ) + server.drain(0.0)
-        assert response.error is None
-        assert response.within_budget  # vacuously: nothing was measured
-        assert not response.fallback
-
     def test_intra_batch_duplicates_execute_once(self):
         """Identical inputs in one micro-batch run as a single stacked lane set."""
         server = _server(max_batch=4)

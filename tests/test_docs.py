@@ -1,7 +1,7 @@
 """Fast-tier guard over the documentation set.
 
-Runs the link/anchor/path checks from ``tools/check_docs.py`` so a PR
-cannot land a stale cross-reference.  The README quickstart *execution*
+Runs the link/anchor/path/dotted-name checks from ``tools/check_docs.py``
+so a change cannot land a stale cross-reference.  The README quickstart *execution*
 is left to the dedicated CI docs job (``python tools/check_docs.py``) —
 here we only assert the block exists and parses.
 """
@@ -24,6 +24,7 @@ def collect_errors():
     for doc in check_docs.doc_files():
         check_docs.check_links(doc, errors)
         check_docs.check_code_span_paths(doc, errors)
+        check_docs.check_dotted_names(doc, errors)
     return errors
 
 
@@ -48,6 +49,24 @@ class TestDocs:
             check_docs.REPO_ROOT = orig_root
         assert any("broken link" in e for e in doc_errors)
         assert any("broken anchor" in e for e in doc_errors)
+
+    def test_checker_flags_a_stale_dotted_name(self, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "`repro.api.cache.LRUCache`, `repro.autotune.Tuner`, `repro.obs`,\n"
+            "`repro.api.cache.DeletedCache` and `repro.no_such_module.thing`\n"
+        )
+        doc_errors = []
+        orig_root = check_docs.REPO_ROOT
+        try:
+            check_docs.REPO_ROOT = tmp_path
+            check_docs.check_dotted_names(doc, doc_errors)
+        finally:
+            check_docs.REPO_ROOT = orig_root
+        assert doc_errors == [
+            "doc.md: dotted name `repro.api.cache.DeletedCache` does not resolve",
+            "doc.md: dotted name `repro.no_such_module.thing` does not resolve",
+        ]
 
     def test_readme_quickstart_block_exists_and_parses(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

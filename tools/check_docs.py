@@ -12,7 +12,10 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    top-level directory (``tests/``, ``src/``, ``docs/``, ``benchmarks/``,
    ``examples/``, ``tools/``, ``.github/``) exists, so prose references
    cannot go stale silently;
-4. unless ``--no-smoke``: the first ``python`` code block in
+4. every backtick code span that is a dotted ``repro.…`` name resolves:
+   the longest importable module prefix is imported and the rest looked
+   up with ``getattr``, so a doc naming a deleted or renamed symbol fails;
+5. unless ``--no-smoke``: the first ``python`` code block in
    ``README.md`` (the quickstart) actually runs.
 
 Exit status 0 when everything passes, 1 otherwise.  Run from anywhere:
@@ -23,6 +26,7 @@ Exit status 0 when everything passes, 1 otherwise.  Run from anywhere:
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import subprocess
@@ -39,6 +43,7 @@ PATH_PREFIXES = ("tests/", "src/", "docs/", "benchmarks/", "examples/", "tools/"
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$", re.MULTILINE)
 _CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+_DOTTED_NAME_RE = re.compile(r"repro(?:\.\w+)+")
 _FENCE_RE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 _PY_BLOCK_RE = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
@@ -106,6 +111,31 @@ def check_code_span_paths(doc: Path, errors: list[str]) -> None:
             errors.append(f"{rel}: referenced path `{span}` does not exist")
 
 
+def resolves(name: str) -> bool:
+    """Whether a dotted name is importable: a module prefix plus attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def check_dotted_names(doc: Path, errors: list[str]) -> None:
+    rel = doc.relative_to(REPO_ROOT)
+    text = _FENCE_RE.sub("", doc.read_text(encoding="utf-8"))
+    for match in _CODE_SPAN_RE.finditer(text):
+        name = match.group(1).strip()
+        if _DOTTED_NAME_RE.fullmatch(name) and not resolves(name):
+            errors.append(f"{rel}: dotted name `{name}` does not resolve")
+
+
 def run_readme_smoke(errors: list[str]) -> None:
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     match = _PY_BLOCK_RE.search(readme)
@@ -137,11 +167,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     opts = parser.parse_args(argv)
 
+    sys.path.insert(0, str(REPO_ROOT / "src"))  # resolve names without an install
     errors: list[str] = []
     docs = doc_files()
     for doc in docs:
         check_links(doc, errors)
         check_code_span_paths(doc, errors)
+        check_dotted_names(doc, errors)
     if not opts.no_smoke:
         run_readme_smoke(errors)
 
