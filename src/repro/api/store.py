@@ -9,7 +9,8 @@ once:
 * one file per entry under a single directory, keyed by a hex content
   hash (hostile keys — path separators, non-hex — never touch the disk);
 * writes are atomic (temp file + :func:`os.replace`), so a crashed or
-  concurrent process can never leave a torn entry;
+  concurrent process can never leave a torn entry — the fleet's workers
+  (:mod:`repro.fleet`) read and write one shared artifact cache this way;
 * corrupt entries are *recovered from*, never trusted: a missing header
   counts as a miss and the entry is dropped, so the consumer recomputes;
 * the store is bounded: beyond ``max_entries`` the least-recently-used
@@ -89,13 +90,6 @@ class DiskStore:
     corruption, dropped, and reported as a miss.  ``suffix`` picks the
     file extension (``.py`` for artifact sources, ``.json`` for tuning
     records), which also namespaces stores sharing a directory.
-
-    With ``readonly=True`` the store never touches the disk beyond reads:
-    no LRU mtime refresh on ``get``, no writes, no eviction, and corrupt
-    entries are reported as misses but left in place.  Any number of
-    processes can share one directory this way without write contention —
-    the fleet workers (:mod:`repro.fleet`) open their replicated tuning
-    database and artifact cache like this.
     """
 
     def __init__(
@@ -105,7 +99,6 @@ class DiskStore:
         *,
         header: str,
         suffix: str = ".txt",
-        readonly: bool = False,
     ) -> None:
         self.root = Path(root).expanduser()
         if max_entries < 1:
@@ -117,7 +110,6 @@ class DiskStore:
         self.max_entries = int(max_entries)
         self.header = header
         self.suffix = suffix
-        self.readonly = bool(readonly)
         self.stats = StoreStats()
 
     # ------------------------------------------------------------------
@@ -149,28 +141,19 @@ class DiskStore:
             self.stats.misses += 1
             return None
         if not text.startswith(self.header):
-            # Corrupt (or foreign) entry: drop it and let the caller recompute
-            # (left in place when read-only — some writer owns the directory).
+            # Corrupt (or foreign) entry: drop it and let the caller recompute.
             self.invalidate(key)
             self.stats.misses += 1
             return None
-        if not self.readonly:
-            try:
-                os.utime(path)  # refresh LRU position
-            except OSError:
-                pass
+        try:
+            os.utime(path)  # refresh LRU position
+        except OSError:
+            pass
         self.stats.hits += 1
         return text
 
     def put(self, key: str, text: str) -> bool:
-        """Store ``text`` under ``key`` atomically; evicts beyond the bound.
-
-        A read-only store refuses silently (returns ``False``): persistence
-        is best-effort everywhere, so callers already treat a failed put as
-        "not persisted" and carry on.
-        """
-        if self.readonly:
-            return False
+        """Store ``text`` under ``key`` atomically; evicts beyond the bound."""
         if not self._valid_key(key) or not text.startswith(self.header):
             self.stats.errors += 1
             return False
@@ -197,8 +180,8 @@ class DiskStore:
         return True
 
     def invalidate(self, key: str) -> None:
-        """Drop one entry (missing entries are fine; no-op when read-only)."""
-        if self.readonly or not self._valid_key(key):
+        """Drop one entry (missing entries are fine)."""
+        if not self._valid_key(key):
             return
         try:
             self._path(key).unlink()
@@ -207,8 +190,6 @@ class DiskStore:
 
     def clear(self) -> int:
         """Remove every entry; returns how many were removed."""
-        if self.readonly:
-            return 0
         removed = 0
         for path in self._entries():
             try:

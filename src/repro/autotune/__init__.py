@@ -12,7 +12,7 @@ schemes x reconstruction x work-group sizes and keeping the Pareto front
   screening on downscaled inputs), all driving evaluations through the
   :class:`~repro.api.engine.PerforationEngine` worker pool and caches;
 * :mod:`repro.autotune.db` — a persistent cross-session tuning database
-  keyed by (app, device, backend, input signature, space version);
+  keyed by (app, device, backend, input fingerprint, space version);
 * :mod:`repro.autotune.tuner` — the :class:`Tuner` facade producing
   incremental Pareto fronts and budget-indexed ladders.
 
@@ -35,7 +35,7 @@ See ``docs/autotuning.md`` for the full guide.
 
 from __future__ import annotations
 
-from .db import TuningDB, default_db, input_signature, resolve_db
+from .db import TuningDB, default_db, resolve_db
 from .space import SearchSpace, default_space
 from .strategies import (
     GridStrategy,
@@ -65,7 +65,6 @@ __all__ = [
     "available_strategies",
     "default_db",
     "default_space",
-    "input_signature",
     "resolve_db",
     "resolve_strategy",
 ]

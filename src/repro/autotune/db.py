@@ -6,10 +6,12 @@ the same tuning question gets the recorded answer back bit-identically,
 with **zero** kernel evaluations.
 
 Records are keyed by a content hash over the full tuning question —
-application, device, execution backend, input signature, space signature
-(which embeds :data:`~repro.autotune.space.SPACE_VERSION`), strategy
-identity and seed — so any change to any ingredient simply misses; stale
-records can never alias.
+application, device, execution backend, the inputs' content fingerprint
+(:func:`repro.api.cache.input_token`), space signature (which embeds
+:data:`~repro.autotune.space.SPACE_VERSION`), strategy identity and seed —
+so any change to any ingredient simply misses; stale records can never
+alias.  A question about inputs that have no fingerprint has no key and
+bypasses the database.
 
 The on-disk machinery is the shared generic store
 (:class:`repro.api.store.DiskStore`): atomic writes, LRU bound,
@@ -33,9 +35,7 @@ import hashlib
 import json
 import os
 
-import numpy as np
-
-from ..api.store import DiskStore, StoreStats, env_store_config
+from ..api.store import DISABLED_VALUES, DiskStore, StoreStats, env_store_config
 
 #: Environment variable overriding the database directory (or disabling it).
 ENV_DB_DIR = "REPRO_TUNING_DB"
@@ -51,28 +51,6 @@ DB_HEADER = "# repro-tuning-db record"
 
 #: Record format version; part of every key, so format changes miss cleanly.
 DB_FORMAT_VERSION = 1
-
-
-def input_signature(inputs) -> str:
-    """Content hash of one tuning input (arrays by bytes, not identity)."""
-    digest = hashlib.sha256()
-
-    def feed(value) -> None:
-        if isinstance(value, np.ndarray):
-            array = np.ascontiguousarray(value)
-            digest.update(b"array")
-            digest.update(str(array.dtype).encode())
-            digest.update(str(array.shape).encode())
-            digest.update(array.tobytes())
-        elif isinstance(value, (tuple, list)):
-            digest.update(f"seq{len(value)}".encode())
-            for part in value:
-                feed(part)
-        else:
-            digest.update(repr(value).encode())
-
-    feed(inputs)
-    return digest.hexdigest()
 
 
 def tuning_key(**parts) -> str:
@@ -97,23 +75,15 @@ class TuningDB:
         self,
         root: str | os.PathLike | None = None,
         max_entries: int | None = None,
-        *,
-        readonly: bool = False,
     ) -> None:
         self.store = DiskStore(
             root if root is not None else DEFAULT_DB_DIR,
             max_entries if max_entries is not None else DEFAULT_DB_MAX,
             header=DB_HEADER,
             suffix=".json",
-            readonly=readonly,
         )
         #: Hit/miss/put/eviction/error counters of the underlying store.
         self.stats: StoreStats = self.store.stats
-
-    @property
-    def readonly(self) -> bool:
-        """Whether this handle may write (fleet workers share one DB read-only)."""
-        return self.store.readonly
 
     @property
     def root(self):
@@ -190,8 +160,7 @@ def resolve_db(db) -> TuningDB | None:
     """
     if db is None:
         return default_db()
-    disabled = {"0", "off", "none", "disabled"}
-    if db is False or (isinstance(db, str) and db.strip().lower() in disabled):
+    if db is False or (isinstance(db, str) and db.strip().lower() in DISABLED_VALUES):
         return None
     if isinstance(db, TuningDB):
         return db

@@ -24,10 +24,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from ..api.cache import input_token
 from ..core.config import ApproximationConfig
 from ..core.errors import TuningError
 from ..core.pareto import pareto_front
-from .db import TuningDB, input_signature, resolve_db, tuning_key
+from .db import TuningDB, resolve_db, tuning_key
 from .space import (
     SearchSpace,
     config_from_dict,
@@ -237,6 +238,26 @@ class Tuner:
     def _default_inputs(self, app):
         return self.engine.session(app=app).default_inputs()
 
+    def _record_key(self, app, inputs, **question) -> str | None:
+        """The database key of a question about ``app`` on ``inputs``.
+
+        ``None`` when persistence is off, or when ``inputs`` has no content
+        fingerprint (:func:`~repro.api.cache.input_token`): such a question
+        bypasses the database rather than share a key with other inputs.
+        """
+        if self.db is None:
+            return None
+        token = input_token(inputs)
+        if token is None:
+            return None
+        return tuning_key(
+            app=app.name,
+            device=self._device_signature(),
+            backend=self.engine.backend.name,
+            inputs=repr(token),
+            **question,
+        )
+
     # ------------------------------------------------------------------
     def tune(
         self,
@@ -260,18 +281,16 @@ class Tuner:
         max_evals = self.max_evals if max_evals is None else max_evals
         space = space if space is not None else self.space
 
-        key = tuning_key(
+        key = self._record_key(
+            app,
+            inputs,
             kind="tune",
-            app=app.name,
-            device=self._device_signature(),
-            backend=self.engine.backend.name,
-            input=input_signature(inputs),
             space=space.signature(),
             strategy=strategy.describe(),
             seed=seed,
             max_evals=max_evals,
         )
-        if self.db is not None:
+        if key is not None:
             record = self.db.get(key)
             if record is not None:
                 return TuningResult.from_record(record)
@@ -285,7 +304,7 @@ class Tuner:
             space_signature=space.signature(),
             observations=task.observations,
         )
-        if self.db is not None:
+        if key is not None:
             self.db.put(key, result.to_record())
         return result
 
@@ -318,15 +337,13 @@ class Tuner:
             configs = default_configurations(app.halo)
         configs = list(configs)
 
-        key = tuning_key(
+        key = self._record_key(
+            app,
+            calibration_inputs,
             kind="calibration",
-            app=app.name,
-            device=self._device_signature(),
-            backend=self.engine.backend.name,
-            inputs=[input_signature(i) for i in calibration_inputs],
             configs=[config_to_dict(c) for c in configs],
         )
-        if self.db is not None:
+        if key is not None:
             record = self.db.get(key)
             if record is not None:
                 return [
@@ -340,7 +357,7 @@ class Tuner:
                 ]
 
         entries = calibrate_configs(self.engine, app, calibration_inputs, configs)
-        if self.db is not None:
+        if key is not None:
             self.db.put(
                 key,
                 {

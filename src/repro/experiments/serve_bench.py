@@ -10,9 +10,9 @@ Generates a deterministic mixed multi-application trace
   cache (every request executes).
 
 The figure of merit is the throughput ratio; the acceptance bar is >= 5x
-while every completed request's *measured* error stays within its budget
-(the server substitutes the accurate output on violation, so this holds
-by construction — the report shows how often that was needed).
+while every request is served with an output whose error, measured afresh
+against the application's NumPy reference (:func:`within_budget`), stays
+within its budget.
 
 Run it via ``python -m repro.experiments serve-bench`` (``--quick`` for the
 CI smoke configuration); the report is also written to
@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..api.engine import PerforationEngine
+from ..apps import get_application
+from ..core.quality import compute_error
 from ..serve import PerforationServer, ServeMetrics, TraceSpec, generate_trace
 
 #: Required throughput ratio of batched-codegen over serial-interpreter.
@@ -144,6 +146,31 @@ def _calibration_inputs(spec: TraceSpec) -> dict:
     return inputs
 
 
+def within_budget(trace, responses) -> bool:
+    """Whether every response serves an output within its request's budget.
+
+    Each output's error is measured afresh against the application's NumPy
+    reference (:meth:`Application.reference
+    <repro.apps.base.Application.reference>`), not read off the server, so
+    a server that served an over-budget output fails the gate.  A response
+    without an output (shed or failed) fails it too.
+    """
+    requests = {request.request_id: request for request in trace}
+    references: dict[int, object] = {}  # by input object: trace inputs repeat
+    for response in responses:
+        if response.rejected or response.output is None:
+            return False
+        request = requests[response.request_id]
+        app = get_application(request.app)
+        reference = references.get(id(request.inputs))
+        if reference is None:
+            reference = references[id(request.inputs)] = app.reference(request.inputs)
+        error = compute_error(reference, response.output, app.error_metric)
+        if not error <= request.error_budget:
+            return False
+    return True
+
+
 def _serve(
     trace,
     spec: TraceSpec,
@@ -161,8 +188,7 @@ def _serve(
         cache_capacity=cache_capacity,
     )
     responses = server.run_trace(trace)
-    within = all(r.within_budget for r in responses)
-    return server.metrics, within
+    return server.metrics, within_budget(trace, responses)
 
 
 def run(
@@ -266,24 +292,19 @@ class FleetBenchResult:
     required_speedup: float
     #: Fleet-over-single throughput ratio of every repetition, in run order.
     ratios: list
-    warm_reports: list = field(default_factory=list)
-    respawn_reports: list = field(default_factory=list)
-    parent_db_stats: dict | None = None
+    #: Ladders the workers calibrated themselves, counted by each worker
+    #: after the trace and summed over every repetition, initial and
+    #: respawned workers alike: 0 means every worker served from the
+    #: ladders the front-end shipped.
+    cold_evaluations: int = 0
+    #: Workers respawned by recovery, over every repetition.
+    respawns: int = 0
     chaos: bool = False
 
     @property
     def speedup(self) -> float:
         """Median ratio over the repetitions."""
         return statistics.median(self.ratios)
-
-    @property
-    def cold_evaluations(self) -> int:
-        """Tuning-DB misses+puts across all workers (respawns included):
-        0 means no worker — initial or recovered — ran a calibration sweep."""
-        return sum(
-            r["db"]["misses"] + r["db"]["puts"]
-            for r in list(self.warm_reports) + list(self.respawn_reports)
-        )
 
     @property
     def exact_accounting(self) -> bool:
@@ -321,14 +342,14 @@ def run_fleet(
 ) -> FleetBenchResult:
     """Serve the trace on an N-worker fleet and on one in-process server.
 
-    Both sides start from the same warm tuning database (the fleet's
-    front-end writes it; the single server reopens it read-only), so the
-    measured walls compare *serving*, not calibration.  The fleet must
-    reproduce the single server's outputs bit-identically, shed nothing,
-    and start every worker with zero calibration evaluations — in every
-    repetition (:data:`FLEET_REPETITIONS` of them in a full-size run, each
-    with a fresh fleet and a fresh single server; the gated speedup is
-    their median ratio).
+    Both sides calibrate the same ladders from the same inputs before they
+    serve (the fleet's front-end once, for every worker; the single server
+    in process), so the measured walls compare *serving*, not calibration.
+    The fleet must reproduce the single server's outputs bit-identically,
+    shed nothing, and leave every worker with zero self-calibrated ladders
+    — in every repetition (:data:`FLEET_REPETITIONS` of them in a full-size
+    run, each with a fresh fleet and a fresh single server; the gated
+    speedup is their median ratio).
 
     ``chaos=True`` kills worker 0 (hard exit) after its first served
     request: the run then exercises detection, respawn-and-replay, and the
@@ -362,9 +383,8 @@ def run_fleet(
         single_within_budget=all(run["single_within_budget"] for run in runs),
         required_speedup=0.0 if chaos else fleet_required_speedup(workers),
         ratios=ratios,
-        warm_reports=[r for run in runs for r in run["warm_reports"]],
-        respawn_reports=[r for run in runs for r in run["respawn_reports"]],
-        parent_db_stats=median_run["parent_db_stats"],
+        cold_evaluations=sum(run["calibrated"] for run in runs),
+        respawns=sum(run["respawns"] for run in runs),
         chaos=chaos,
     )
 
@@ -375,7 +395,6 @@ def _fleet_once(trace, spec, calibration, max_batch, device, workers, chaos) -> 
     The process-wide kernel-build cache is emptied first, so the single
     server builds its kernels as cold as the fresh fleet's workers do.
     """
-    from ..autotune import Tuner, TuningDB
     from ..core.perforator import build_kernel
     from ..fleet import PerforationFleet
 
@@ -397,27 +416,29 @@ def _fleet_once(trace, spec, calibration, max_batch, device, workers, chaos) -> 
         fleet.start()
         fleet_responses = fleet.serve_trace(trace)
         fleet_metrics = fleet.metrics()
-        warm_reports = list(fleet.warm_reports)
-        respawn_reports = list(fleet.respawn_reports)
-        parent_db_stats = fleet.parent_db_stats
-
-        # Single-process reference over the same warm database; ladders are
-        # restored before run_trace so its wall, like the fleet's, measures
-        # serving only.
-        engine = PerforationEngine(device=device, backend="codegen")
-        single = PerforationServer(
-            engine=engine,
-            backend="codegen",
-            max_batch=max_batch,
-            calibration_inputs=calibration,
-            tuner=Tuner(engine, db=TuningDB(fleet.tuning_db_path, readonly=True)),
-            cache_capacity=256,
+        # A degraded shard cannot report; it also fails the bit-identity gate.
+        calibrated = sum(
+            worker["controller"]["calibrated"]
+            for worker in fleet.worker_metrics()
+            if worker["controller"] is not None
         )
-        for app in spec.apps:
-            single.controller.ladder(app)
-        single_responses = single.run_trace(trace)
+        respawns = len(fleet.respawn_reports)
     finally:
         fleet.close()
+
+    # Single-process reference: it calibrates its ladders from the same
+    # inputs before run_trace, so its wall, like the fleet's, measures
+    # serving only.
+    single = PerforationServer(
+        engine=PerforationEngine(device=device, backend="codegen"),
+        backend="codegen",
+        max_batch=max_batch,
+        calibration_inputs=calibration,
+        cache_capacity=256,
+    )
+    for app in spec.apps:
+        single.controller.ladder(app)
+    single_responses = single.run_trace(trace)
 
     reference = {r.request_id: r for r in single_responses}
     bit_identical = len(fleet_responses) == len(reference) and all(
@@ -434,11 +455,10 @@ def _fleet_once(trace, spec, calibration, max_batch, device, workers, chaos) -> 
         "fleet": fleet_metrics,
         "single": single.metrics,
         "bit_identical": bit_identical,
-        "fleet_within_budget": all(r.within_budget for r in fleet_responses),
-        "single_within_budget": all(r.within_budget for r in single_responses),
-        "warm_reports": warm_reports,
-        "respawn_reports": respawn_reports,
-        "parent_db_stats": parent_db_stats,
+        "fleet_within_budget": within_budget(trace, fleet_responses),
+        "single_within_budget": within_budget(trace, single_responses),
+        "calibrated": calibrated,
+        "respawns": respawns,
     }
 
 
@@ -474,14 +494,14 @@ def render_fleet(result: FleetBenchResult) -> str:
         f"accounting exact (completed + shed + failed == trace): "
         f"{result.exact_accounting}",
         f"cold-worker calibration evaluations: {result.cold_evaluations} "
-        f"(workers warm-started from the front-end's tuning database)",
+        f"(ladders the workers calibrated instead of using the front-end's)",
     ]
     if result.chaos or result.fleet.worker_failures:
         lines.append(
             f"resilience: {result.fleet.worker_failures} worker failures, "
             f"{result.fleet.replayed} requests replayed, "
             f"{result.fleet.failed} failed, "
-            f"{len(result.respawn_reports)} respawns"
+            f"{result.respawns} respawns"
         )
     lines.extend(
         [

@@ -3,8 +3,9 @@
 Scales the single-process :class:`~repro.serve.server.PerforationServer`
 horizontally: an asyncio front-end (:class:`PerforationFleet`) routes
 requests by the scheduler's batch-compat key to N worker processes, each
-a full server warm-started from a replicated tuning database — see
-``docs/fleet.md`` for the design and its determinism guarantees.
+a full server warm-started from the controller ladders the front-end
+calibrated — see ``docs/fleet.md`` for the design and its determinism
+guarantees.
 """
 
 from .frontend import FleetError, PerforationFleet, failed_response, rejected_response

@@ -20,11 +20,13 @@ reproduce its decisions — and therefore its outputs — bit-identically
 for streams the plan does not move: a moved stream's controller state
 stays on its old worker.
 
-**Workers start warm.**  The front-end calibrates every application once
-into a tuning database under its runtime directory, then ships the path
-to the workers, which open it **read-only**: a cold worker restores its
-controller ladders with zero kernel evaluations (the ``hello`` report
-proves it — zero DB misses, zero puts).
+**Workers start warm.**  The front-end calibrates every application it
+has calibration inputs for once, in process, through the same
+:meth:`OnlineController.ladder <repro.serve.controller.OnlineController.ladder>`
+path a single server uses, and ships the resulting ladders in each
+worker's :class:`WorkerSpec`.  A cold worker seeds its controller with
+them and calibrates nothing itself (the ``hello`` report and every
+``metrics`` frame count the ladders a worker calibrated on its own: zero).
 
 **Admission control is explicit.**  Each shard tolerates at most
 ``max_pending`` outstanding (sent but unserved) requests; beyond that the
@@ -38,8 +40,8 @@ sends a fatal ``error`` frame, or no frame arrives within
 ``request_timeout_s`` while work is outstanding — the front-end respawns
 it from the same :class:`WorkerSpec` (bumping the spec's ``generation``)
 with bounded backoff and replays the log.  Because the respawned worker
-warm-starts read-only from the same tuning database and then observes the
-same subsequence in the same order, it reproduces the dead worker's
+warm-starts from the same shipped ladders and then observes the same
+subsequence in the same order, it reproduces the dead worker's
 scheduler and controller decisions — and therefore the trace's outputs —
 **bit-identically**; re-delivered responses simply overwrite their
 identical predecessors.  After ``max_respawns`` failures of the same
@@ -86,6 +88,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from ..api.engine import PerforationEngine
 from ..clsim.backends import resolve_backend
 from ..core.errors import PerforationError
 from ..obs import metrics as obs_metrics
@@ -131,7 +134,6 @@ def _unserved_response(request: ServeRequest, reason: str) -> ServeResponse:
         config_label="",
         output=None,
         error=None,
-        within_budget=False,
         rejected=True,
         batch_size=0,
         completed_ms=request.arrival_ms,
@@ -471,29 +473,18 @@ class PerforationFleet:
         Forwarded to every worker's server (same meaning as the
         single-process constructor).
     calibration_inputs:
-        Application name → representative calibration inputs.  The
-        front-end calibrates these applications once into the shared
-        tuning database before spawning workers, so every worker
-        warm-starts with zero kernel evaluations.
-    warm_apps:
-        Applications to warm eagerly (default: the calibration-input keys,
-        sorted).
-    warm:
-        Set ``False`` to skip the front-end calibration pass (workers then
-        calibrate lazily in-process — useful for cold-start experiments).
+        Application name → representative calibration inputs.
+        :meth:`start` calibrates these applications once, in process, and
+        ships their ladders to every worker, so no worker calibrates them
+        itself.  A worker calibrates any other application lazily, on its
+        default input, as a single server does.
     max_pending:
         Admission-control bound: maximum outstanding (sent but unserved)
         requests per shard before the front-end sheds.
     transport:
         ``"unix"`` (default) or ``"tcp"`` (localhost).
-    tuning_db / codegen_cache:
-        Override the replicated store locations (defaults live under the
-        fleet's runtime directory / the process environment).  A
-        ``codegen_cache`` override is exported as ``REPRO_CODEGEN_CACHE``
-        for the spawned workers; the prior value is restored on
-        :meth:`close`.
     runtime_dir:
-        Scratch directory for sockets and the tuning database; a private
+        Scratch directory for the workers' sockets; a private
         ``repro-fleet-*`` temp dir (removed on close) when not given.
         Unix-socket paths must stay short (the kernel limit is ~108
         bytes), which is why the default is :func:`tempfile.mkdtemp`
@@ -538,12 +529,8 @@ class PerforationFleet:
         max_delay_ms: float = 50.0,
         policy: ControllerPolicy | None = None,
         calibration_inputs: Mapping[str, Sequence] | None = None,
-        warm_apps: Sequence[str] | None = None,
-        warm: bool = True,
         max_pending: int = 256,
         transport: str = "unix",
-        tuning_db: str | os.PathLike | None = None,
-        codegen_cache: str | os.PathLike | None = None,
         cache_capacity: int = 256,
         runtime_dir: str | os.PathLike | None = None,
         request_timeout_s: float | None = None,
@@ -573,12 +560,8 @@ class PerforationFleet:
         self.max_delay_ms = float(max_delay_ms)
         self.policy = policy
         self.calibration_inputs = dict(calibration_inputs or {})
-        self.warm = bool(warm)
-        self.warm_apps = (
-            tuple(warm_apps)
-            if warm_apps is not None
-            else tuple(sorted(self.calibration_inputs))
-        )
+        #: Application name → the ladder :meth:`start` calibrated for it.
+        self.ladders: dict[str, tuple] = {}
         self.max_pending = int(max_pending)
         self.transport = transport
         self.cache_capacity = cache_capacity
@@ -595,22 +578,15 @@ class PerforationFleet:
             else Path(runtime_dir)
         )
         self.runtime_dir.mkdir(parents=True, exist_ok=True)
-        self.tuning_db_path = (
-            Path(tuning_db) if tuning_db is not None else self.runtime_dir / "tuning-db"
-        )
-        self.codegen_cache_path = None if codegen_cache is None else Path(codegen_cache)
-        #: Per-worker hello frames (pid, generation, calibrated apps, DB counters).
+        #: Per-worker hello frames (pid, generation, shipped ladders, and
+        #: how many ladders the worker calibrated itself).
         self.warm_reports: list[dict] = []
         #: Hello frames of respawned workers (recovery warm starts).
         self.respawn_reports: list[dict] = []
-        #: DB counters of the front-end's own calibration pass.
-        self.parent_db_stats: dict | None = None
         self._links: list[_WorkerLink] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started = False
         self._closed = False
-        self._env_applied = False
-        self._prior_codegen_cache: str | None = None
         self._wire_seq = 0
         self._drain_seq = 0
         #: The front-end's shed/failed/recovery counters and the fleet wall
@@ -621,22 +597,27 @@ class PerforationFleet:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "PerforationFleet":
-        """Warm the tuning database, spawn the workers, connect to them.
+        """Calibrate the ladders, spawn the workers, connect to them.
 
         Partial startup failures (a worker dying before reporting its
         address, a worker whose server fails to build) tear the fleet
-        down completely: already-spawned workers are terminated, the
-        runtime directory is removed, and the process environment is
-        restored before the error propagates.
+        down completely: already-spawned workers are terminated and the
+        runtime directory is removed before the error propagates.
         """
         if self._closed:
             raise FleetError("fleet is closed")
         if self._started:
             return self
-        self._apply_env()
         try:
-            if self.warm and self.warm_apps:
-                self._warm_database()
+            if self.calibration_inputs:
+                controller = OnlineController(
+                    PerforationEngine(device=self.device, backend=self.backend_arg),
+                    policy=self.policy,
+                    calibration_inputs=self.calibration_inputs,
+                )
+                self.ladders = {
+                    app: tuple(controller.ladder(app)) for app in sorted(self.calibration_inputs)
+                }
             self._loop = asyncio.new_event_loop()
             self._links = [_WorkerLink(self, index) for index in range(self.workers)]
             self.warm_reports = self._loop.run_until_complete(self._connect_links())
@@ -653,46 +634,6 @@ class PerforationFleet:
         finally:
             for task in tasks:
                 task.cancel()  # after a failure, stop the spawns still running
-
-    def _apply_env(self) -> None:
-        """Export the codegen-cache override, remembering the prior value."""
-        if self.codegen_cache_path is None or self._env_applied:
-            return
-        self._prior_codegen_cache = os.environ.get("REPRO_CODEGEN_CACHE")
-        os.environ["REPRO_CODEGEN_CACHE"] = str(self.codegen_cache_path)
-        self._env_applied = True
-
-    def _restore_env(self) -> None:
-        if not self._env_applied:
-            return
-        if self._prior_codegen_cache is None:
-            os.environ.pop("REPRO_CODEGEN_CACHE", None)
-        else:
-            os.environ["REPRO_CODEGEN_CACHE"] = self._prior_codegen_cache
-        self._env_applied = False
-
-    def _warm_database(self) -> None:
-        """Calibrate every warm application once into the shared tuning DB."""
-        from ..api.engine import PerforationEngine
-        from ..autotune import Tuner, TuningDB
-
-        engine = PerforationEngine(device=self.device, backend=self.backend_arg)
-        db = TuningDB(self.tuning_db_path)
-        tuner = Tuner(engine, db=db)
-        controller = OnlineController(
-            engine,
-            policy=self.policy,
-            calibration_inputs=self.calibration_inputs,
-            tuner=tuner,
-        )
-        for app in self.warm_apps:
-            controller.ladder(app)
-        stats = db.stats
-        self.parent_db_stats = {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "puts": stats.puts,
-        }
 
     def _worker_spec(self, index: int, generation: int = 0) -> WorkerSpec:
         if self.transport == "unix":
@@ -721,12 +662,7 @@ class PerforationFleet:
             max_batch=self.max_batch,
             max_delay_ms=self.max_delay_ms,
             policy=self.policy,
-            calibration_inputs=self.calibration_inputs,
-            warm_apps=self.warm_apps,
-            tuning_db=str(self.tuning_db_path),
-            codegen_cache=(
-                None if self.codegen_cache_path is None else str(self.codegen_cache_path)
-            ),
+            ladders=self.ladders,
             cache_capacity=self.cache_capacity,
             generation=generation,
             # Workers trace when the front-end traces (at spawn time), so
@@ -834,10 +770,12 @@ class PerforationFleet:
         """Per-worker ``{"metrics": ServeMetrics, "controller": ...}`` snapshots.
 
         Each ``metrics`` is a view over the registry the worker shipped on
-        its ``metrics`` frame (serving metrics plus cache statistics).  A
-        degraded (permanently failed) shard cannot report; its entry holds
-        the metrics of the responses it delivered before dying, with
-        ``"controller": None`` and ``"dead": True``.
+        its ``metrics`` frame (serving metrics plus cache statistics); each
+        ``controller`` holds the online controller's per-stream state
+        (``"streams"``) and how many ladders it calibrated itself
+        (``"calibrated"``).  A degraded (permanently failed) shard cannot
+        report; its entry holds the metrics of the responses it delivered
+        before dying, with ``"controller": None`` and ``"dead": True``.
         """
         self.start()
         return self._run(self._collect_metrics())
@@ -893,8 +831,7 @@ class PerforationFleet:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the workers down, close the loop, remove the runtime dir,
-        and restore the process environment."""
+        """Shut the workers down, close the loop, remove the runtime dir."""
         if self._closed:
             return
         self._closed = True
@@ -915,7 +852,6 @@ class PerforationFleet:
         self._links = []
         if self._owns_runtime_dir:
             shutil.rmtree(self.runtime_dir, ignore_errors=True)
-        self._restore_env()
 
     async def _shutdown(self) -> None:
         for link in self._links:

@@ -199,7 +199,6 @@ def response_to_wire(response: ServeResponse) -> dict:
         "config_label": response.config_label,
         "output": None if response.output is None else to_wire(response.output),
         "error": response.error,
-        "within_budget": response.within_budget,
         "rejected": response.rejected,
         "fallback": response.fallback,
         "cache_hit": response.cache_hit,
@@ -219,7 +218,6 @@ def response_from_wire(data: dict) -> ServeResponse:
         config_label=str(data["config_label"]),
         output=None if output is None else from_wire(output),
         error=None if data.get("error") is None else float(data["error"]),
-        within_budget=bool(data["within_budget"]),
         rejected=bool(data.get("rejected", False)),
         fallback=bool(data.get("fallback", False)),
         cache_hit=bool(data.get("cache_hit", False)),

@@ -8,11 +8,9 @@ buffers, :mod:`repro.fleet.protocol`):
 ``hello``
     Sent once after accept: worker index, pid, **generation** (0 for the
     initial spawn, incremented by every front-end respawn), and the
-    warm-start report — which applications were calibrated eagerly and the
-    tuning-database hit/miss/put counters.  A correctly warm-started worker
-    reports zero misses and zero puts: every ladder came straight out of
-    the replicated :class:`~repro.autotune.db.TuningDB`, no calibration
-    sweep ran.
+    warm-start report — which applications' ladders the spec shipped, and
+    how many ladders the worker's controller calibrated itself (zero for a
+    warm start).
 ``serve`` → ``completed``
     One request in (virtual arrival time drives the scheduler), the
     responses of every micro-batch that became due back out.
@@ -25,7 +23,7 @@ buffers, :mod:`repro.fleet.protocol`):
     The worker's metrics registry
     (:meth:`PerforationServer.observability`: the serving metrics plus
     every cache's statistics) plus the online controller's per-stream
-    state.
+    state and its count of self-calibrated ladders.
 ``shutdown`` → ``bye``
     Clean exit.
 ``error``
@@ -36,21 +34,22 @@ buffers, :mod:`repro.fleet.protocol`):
     without a request id — the front-end treats those as fatal for this
     worker and starts recovery.
 
-If :func:`build_server` itself raises (bad tuning-database path, an
-application the registry does not know), the worker still accepts the
-front-end's connection and reports the failure as an ``error`` frame in
-place of ``hello`` — the front-end fails fast with the real cause instead
-of spinning its connect loop until the spawn timeout.
+If :func:`build_server` itself raises (say, for an unknown device), the
+worker still accepts the front-end's connection and reports the
+failure as an ``error`` frame in place of ``hello`` — the front-end fails
+fast with the real cause instead of spinning its connect loop until the
+spawn timeout.
 
 Warm start is what makes fleet scaling honest: the front-end calibrates
-each application once into a content-addressed tuning database, and every
-worker opens that database **read-only** (no LRU writes, no lock
-contention — :class:`repro.api.store.DiskStore` ``readonly`` mode) so a
-cold process restores its controller ladders with zero kernel
-evaluations.  The codegen artifact cache path is replicated the same way
-via ``REPRO_CODEGEN_CACHE``.  Respawned workers warm-start the same way,
-which is half of why recovery preserves bit-identity (the other half is
-the front-end replaying the worker's exact observation subsequence).
+each application once, and the spec ships the resulting *ladders* — the
+calibrated configurations, fastest first, ending in the accurate one.
+:func:`build_server` seeds the controller with them, so a cold process
+serves with zero kernel evaluations spent on calibration, and its ladders
+hold the very floats the front-end computed.  Respawned workers
+warm-start from the same spec, which is half of why recovery preserves
+bit-identity (the other half is the front-end replaying the worker's
+exact observation subsequence).  Workers share the codegen artifact cache
+by inheriting ``REPRO_CODEGEN_CACHE`` from the front-end's environment.
 
 Deterministic fault injection lives in the spec: ``fail_after=N`` makes
 the worker hard-exit (``os._exit``, no cleanup — a simulated crash) right
@@ -70,9 +69,11 @@ import math
 import os
 import socket
 import time
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
+from ..api.engine import PerforationEngine
+from ..api.session import CalibrationEntry
 from ..obs import trace as obs_trace
 from ..serve.controller import ControllerPolicy
 from ..serve.server import PerforationServer
@@ -105,15 +106,9 @@ class WorkerSpec:
     max_batch: int = 8
     max_delay_ms: float = 50.0
     policy: ControllerPolicy | None = None
-    #: Application name → representative calibration inputs (replicated to
-    #: every worker so tuning-database keys match the front-end's warm-up).
-    calibration_inputs: Mapping[str, Any] | None = None
-    #: Applications whose controller ladders are built eagerly at startup.
-    warm_apps: tuple[str, ...] = ()
-    #: Replicated tuning-database directory (``None`` disables warm start).
-    tuning_db: str | None = None
-    #: Replicated codegen artifact-cache directory (``REPRO_CODEGEN_CACHE``).
-    codegen_cache: str | None = None
+    #: Application name → the ladder the front-end calibrated for it.  An
+    #: application without one is calibrated lazily, on its default input.
+    ladders: Mapping[str, Sequence[CalibrationEntry]] = field(default_factory=dict)
     cache_capacity: int = 256
     #: Record observability spans in-process and ship them back on
     #: ``drained``/``metrics`` frames (set when the front-end traces).
@@ -138,9 +133,6 @@ def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
     Importable and callable in process — the cross-process path and the
     tests exercise the same construction.
     """
-    if spec.codegen_cache is not None:
-        os.environ["REPRO_CODEGEN_CACHE"] = spec.codegen_cache
-
     # Workers record spans in memory only and ship them back on
     # ``drained``/``metrics`` frames; the front-end writes the one merged
     # trace file, so a worker never honours ``REPRO_TRACE``'s export path.
@@ -150,37 +142,26 @@ def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
             + (f".g{spec.generation}" if spec.generation else "")
         )
 
-    from ..api.engine import PerforationEngine
-
-    engine = PerforationEngine(device=spec.device, backend=spec.backend)
-    tuner = None
-    if spec.tuning_db is not None:
-        from ..autotune import Tuner, TuningDB
-
-        tuner = Tuner(engine, db=TuningDB(spec.tuning_db, readonly=True))
     server = PerforationServer(
-        engine=engine,
+        engine=PerforationEngine(device=spec.device, backend=spec.backend),
         backend=spec.backend,
         max_batch=spec.max_batch,
         max_delay_ms=spec.max_delay_ms,
         policy=spec.policy,
-        calibration_inputs=spec.calibration_inputs,
-        tuner=tuner,
         cache_capacity=spec.cache_capacity,
     )
-    for app in spec.warm_apps:
-        server.controller.ladder(app)
-    db_stats = None
-    if tuner is not None and tuner.db is not None:
-        stats = tuner.db.stats
-        db_stats = {"hits": stats.hits, "misses": stats.misses, "puts": stats.puts}
+    for app, ladder in spec.ladders.items():
+        # Resolved now, as a calibrating controller would: the application
+        # is imported and built before hello, not on the first request.
+        server.engine.resolve_app(app)
+        server.controller.ladders[app] = list(ladder)
     report = {
         "worker": spec.index,
         "pid": os.getpid(),
         "generation": spec.generation,
         "backend": server.backend.name,
-        "calibrated_apps": list(spec.warm_apps),
-        "db": db_stats,
+        "ladders": sorted(spec.ladders),
+        "calibrated": server.controller.calibrated,
     }
     return server, report
 
@@ -267,7 +248,10 @@ def serve_connection(
                 answer: dict = {
                     "type": "metrics",
                     "metrics": server.observability().to_dict(),
-                    "controller": server.controller.snapshot(),
+                    "controller": {
+                        "streams": server.controller.snapshot(),
+                        "calibrated": server.controller.calibrated,
+                    },
                 }
                 tracer = obs_trace.get_tracer()
                 if tracer.enabled:

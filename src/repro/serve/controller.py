@@ -108,7 +108,14 @@ class OnlineController:
         self.policy = policy or ControllerPolicy()
         self.calibration_inputs = dict(calibration_inputs or {})
         self.tuner = tuner
-        self._ladders: dict[str, list[CalibrationEntry]] = {}
+        #: Application name → calibrated ladder.  :meth:`ladder` fills it on
+        #: first use; a caller that already holds an application's ladder
+        #: may seed it here, as a fleet worker does with the ladders its
+        #: front-end ships.
+        self.ladders: dict[str, list[CalibrationEntry]] = {}
+        #: How many ladders :meth:`ladder` has built itself, by calibration
+        #: or from the tuner's database (seeded ones do not count).
+        self.calibrated = 0
         self._streams: dict[tuple[str, float], _StreamState] = {}
 
     # ------------------------------------------------------------------
@@ -122,7 +129,7 @@ class OnlineController:
         With a :attr:`tuner`, the entries come from the tuning database
         (seeded on first use, replayed bit-identically afterwards).
         """
-        cached = self._ladders.get(app_name)
+        cached = self.ladders.get(app_name)
         if cached is not None:
             return cached
         session = self.engine.session(
@@ -137,7 +144,8 @@ class OnlineController:
             *entries,  # already sorted fastest-first
             CalibrationEntry(config=ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
         ]
-        self._ladders[app_name] = ladder
+        self.ladders[app_name] = ladder
+        self.calibrated += 1
         return ladder
 
     def _stream(self, app_name: str, budget: float) -> _StreamState:
@@ -247,6 +255,6 @@ class OnlineController:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<OnlineController apps={sorted(self._ladders)} "
+            f"<OnlineController apps={sorted(self.ladders)} "
             f"streams={len(self._streams)}>"
         )

@@ -93,9 +93,6 @@ class ServeResponse:
     output: np.ndarray | None
     #: Measured error of the *served* output (``None`` for rejected requests).
     error: float | None
-    #: Whether the served output honours the request's error budget (true
-    #: for every served request; false for rejected requests).
-    within_budget: bool
     #: True when the request never executed and carries no output: either
     #: load-shed by admission control or failed by the fleet (worker loss,
     #: request-scoped worker error) — ``metadata["reason"]`` says which.

@@ -248,7 +248,6 @@ class PerforationServer:
             config_label=config.label,
             output=output,
             error=error,
-            within_budget=True,
             fallback=fallback,
             cache_hit=cache_hit,
             batch_size=len(batch),

@@ -258,9 +258,9 @@ class TestGenericStore:
             DiskStore(tmp_path, header="# h", suffix="json")
 
 
-class TestReadOnlyStore:
-    """The read-only open mode the fleet workers use: reads hit, nothing
-    on disk ever changes — no LRU mtime refresh, no writes, no eviction."""
+class TestSharedDirectory:
+    """Fleet workers inherit the front-end's artifact directory, so many
+    handles read and write one directory at once."""
 
     @pytest.fixture()
     def shared(self, tmp_path):
@@ -271,44 +271,15 @@ class TestReadOnlyStore:
             assert writer.put(_key(n), f"# h\nentry {n}\n")
         return writer
 
-    def _reader(self, shared):
+    def _handle(self, shared):
         from repro.api.store import DiskStore
 
-        return DiskStore(
-            shared.root, max_entries=8, header="# h", suffix=".txt", readonly=True
-        )
-
-    def test_reads_hit_without_touching_mtimes(self, shared):
-        reader = self._reader(shared)
-        path = shared._path(_key(0))
-        os.utime(path, (1_000_000, 1_000_000))
-        before = path.stat().st_mtime
-        assert reader.get(_key(0)) == "# h\nentry 0\n"
-        assert path.stat().st_mtime == before  # no LRU refresh
-        assert reader.stats.hits == 1
-
-    def test_writes_refused_silently(self, shared):
-        reader = self._reader(shared)
-        assert reader.put(_key(9), "# h\nnew\n") is False
-        assert reader.get(_key(9)) is None
-        reader.invalidate(_key(0))
-        assert reader.get(_key(0)) is not None  # invalidate was a no-op
-        assert reader.clear() == 0
-        assert len(shared) == 4
-        assert reader.stats.puts == 0 and reader.stats.errors == 0
-
-    def test_corrupt_entry_reported_as_miss_but_left_in_place(self, shared):
-        reader = self._reader(shared)
-        shared._path(_key(1)).write_text("torn garbage")
-        assert reader.get(_key(1)) is None
-        # The writer owns the directory; a read-only handle must not
-        # delete entries out from under it.
-        assert shared._path(_key(1)).exists()
+        return DiskStore(shared.root, max_entries=8, header="# h", suffix=".txt")
 
     def test_many_concurrent_readers_share_one_directory(self, shared):
         from concurrent.futures import ThreadPoolExecutor
 
-        readers = [self._reader(shared) for _ in range(8)]
+        readers = [self._handle(shared) for _ in range(8)]
 
         def sweep(reader):
             entries = []
@@ -323,4 +294,14 @@ class TestReadOnlyStore:
         for reader in readers:
             assert reader.stats.errors == 0
             assert reader.stats.hits == 64
-        assert len(shared) == 4  # nothing evicted, nothing written
+        assert len(shared) == 4  # nothing evicted
+
+    def test_a_torn_entry_is_dropped_by_whichever_handle_reads_it(self, shared):
+        reader = self._handle(shared)
+        shared._path(_key(1)).write_text("torn garbage")
+        assert reader.get(_key(1)) is None
+        assert not shared._path(_key(1)).exists()
+        assert shared.get(_key(1)) is None  # a plain miss for the writer too
+        assert shared.put(_key(1), "# h\nentry 1\n")
+        assert reader.get(_key(1)) == "# h\nentry 1\n"
+        assert reader.stats.errors == 0 and shared.stats.errors == 0

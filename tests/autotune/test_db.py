@@ -1,10 +1,11 @@
 """TuningDB semantics: keys, round-trips, corruption recovery, env default."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.autotune import TuningDB, default_db, input_signature, resolve_db
+from repro.autotune import Tuner, TuningDB, default_db, resolve_db
 from repro.autotune.db import (
     DB_HEADER,
     DEFAULT_DB_MAX,
@@ -12,7 +13,7 @@ from repro.autotune.db import (
     ENV_DB_MAX,
     tuning_key,
 )
-from repro.data import generate_image
+from repro.data import generate_image, hotspot_single
 
 
 @pytest.fixture()
@@ -65,46 +66,6 @@ class TestRecords:
         assert db.stats.evictions >= 2
 
 
-class TestReadOnly:
-    """Fleet workers open one shared database read-only: every handle can
-    read the warm records, none can write or disturb the LRU state."""
-
-    def test_readonly_passthrough(self, db):
-        db.put(_key(1), {"app": "gaussian"})
-        reader = TuningDB(db.root, readonly=True)
-        assert reader.readonly is True
-        assert db.readonly is False
-        assert reader.get(_key(1)) == {"app": "gaussian"}
-        assert reader.put(_key(2), {"x": 1}) is False
-        assert reader.get(_key(2)) is None
-        assert reader.clear() == 0
-        reader.invalidate(_key(1))
-        assert db.get(_key(1)) == {"app": "gaussian"}  # still there
-
-    def test_corrupt_record_left_for_the_writer(self, db):
-        db.put(_key(3), {"ok": True})
-        db.store._path(_key(3)).write_text(DB_HEADER + "\n{torn", encoding="utf-8")
-        reader = TuningDB(db.root, readonly=True)
-        assert reader.get(_key(3)) is None  # reported as a miss...
-        assert db.store._path(_key(3)).exists()  # ...but not deleted
-
-    def test_concurrent_readers_see_identical_records(self, db):
-        from concurrent.futures import ThreadPoolExecutor
-
-        records = {_key(n): {"n": n, "v": [0.1 * n]} for n in range(4)}
-        for key, record in records.items():
-            db.put(key, record)
-        readers = [TuningDB(db.root, readonly=True) for _ in range(6)]
-
-        def sweep(reader):
-            return {key: reader.get(key) for key in records}
-
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            results = list(pool.map(sweep, readers))
-        assert all(result == records for result in results)
-        assert len(db) == 4
-
-
 class TestKeys:
     def test_tuning_key_is_canonical(self):
         a = tuning_key(app="gaussian", seed=0, space="abc")
@@ -113,14 +74,92 @@ class TestKeys:
         assert a != tuning_key(app="gaussian", seed=1, space="abc")
         assert json.loads('"x"') == "x"  # sanity: canonical via json
 
-    def test_input_signature_is_content_based(self):
+    def test_input_signature_is_content_based(self, db):
+        """Records are keyed by the inputs' content, not by their identity."""
+        tuner = Tuner(db=db)
+        app = tuner.engine.resolve_app("gaussian")
+
+        def key(inputs):
+            return tuner._record_key(app, inputs, kind="calibration")
+
         a = generate_image("natural", size=16, seed=3)
         b = generate_image("natural", size=16, seed=3)
         c = generate_image("natural", size=16, seed=4)
-        assert input_signature(a) == input_signature(b)  # equal content, new array
-        assert input_signature(a) != input_signature(c)
-        assert input_signature([a, b]) != input_signature([a])
-        assert input_signature(a) != input_signature(a.astype("float32"))
+        assert key(a) == key(b)  # equal content, new array
+        assert key(a) != key(c)
+        assert key([a, b]) != key([a])
+        assert key(a) != key(a.astype("float32"))
+
+    @staticmethod
+    def _counting_calibration(monkeypatch):
+        """Replace the calibration sweep with a stub that records its inputs."""
+        import repro.api.session as session_module
+
+        calibrated = []
+
+        def stub(engine, app, calibration_inputs, configs):
+            calibrated.append(calibration_inputs[0])
+            return []
+
+        monkeypatch.setattr(session_module, "calibrate_configs", stub)
+        return calibrated
+
+    def test_hotspot_inputs_differing_inside_the_grid_get_their_own_records(
+        self, db, monkeypatch
+    ):
+        """A ``HotspotInput``'s repr shows NumPy's truncated grids; keys
+        fingerprint the content, so no input is answered with another's record."""
+        base = hotspot_single(size=64, seed=1)
+        power = base.power.copy()
+        power[32, 32] += 1.0
+        temperature = base.temperature.copy()
+        temperature[0, 0] += 1e-12
+        inputs = [
+            base,
+            dataclasses.replace(base, power=power),
+            dataclasses.replace(base, temperature=temperature),
+        ]
+        calibrated = self._counting_calibration(monkeypatch)
+        tuner = Tuner(db=db)
+        for inputs_ in inputs + inputs:  # the second round replays records
+            tuner.calibration_entries("hotspot", [inputs_])
+        assert len(calibrated) == 3
+        assert all(seen is given for seen, given in zip(calibrated, inputs))
+        assert db.stats.hits == 3 and db.stats.puts == 3
+
+    def test_an_input_without_a_fingerprint_bypasses_the_database(self, db, monkeypatch):
+        class Opaque:
+            pass
+
+        opaque = Opaque()
+        calibrated = self._counting_calibration(monkeypatch)
+        tuner = Tuner(db=db)
+        tuner.calibration_entries("gaussian", [opaque])
+        tuner.calibration_entries("gaussian", [opaque])
+        assert calibrated == [opaque, opaque]
+        assert db.stats.lookups == 0 and len(db) == 0
+
+
+class TestSharedDirectory:
+    """Every handle on one directory reads the same records, as processes
+    sharing the default database do."""
+
+    def test_concurrent_readers_see_identical_records(self, db):
+        from concurrent.futures import ThreadPoolExecutor
+
+        records = {_key(n): {"n": n, "v": [0.1 * n]} for n in range(4)}
+        for key, record in records.items():
+            db.put(key, record)
+        readers = [TuningDB(db.root, max_entries=4) for _ in range(6)]
+
+        def sweep(reader):
+            return {key: reader.get(key) for key in records}
+
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = list(pool.map(sweep, readers))
+        assert all(result == records for result in results)
+        assert all(reader.stats.hits == 4 for reader in readers)
+        assert len(db) == 4
 
 
 class TestDefaults:

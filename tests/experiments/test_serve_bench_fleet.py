@@ -1,15 +1,76 @@
-"""Fleet mode of ``serve-bench``: the machine-aware scaling floor and the
-record the regression gate consumes (the end-to-end fleet run itself is
-covered by ``tests/fleet/test_fleet.py``)."""
+"""``serve-bench``'s gates: the error-budget check every mode shares, and,
+in fleet mode, the machine-aware scaling floor and the record the
+regression gate consumes (the end-to-end fleet run itself is covered by
+``tests/fleet/test_fleet.py``)."""
 
+import numpy as np
+
+from repro.apps import get_application
+from repro.data import generate_image
 from repro.experiments.serve_bench import (
     FLEET_SERVE_APPS,
     FleetBenchResult,
+    ServeBenchResult,
     default_spec,
     fleet_record,
     fleet_required_speedup,
+    render,
+    within_budget,
 )
-from repro.serve import ServeMetrics
+from repro.serve import ServeMetrics, ServeRequest, ServeResponse
+
+
+class TestBudgetGate:
+    """The gate measures each served output against the application's NumPy
+    reference itself, so an over-budget output fails however it was served."""
+
+    def _served(self, scale=1.0):
+        image = generate_image("natural", size=16, seed=3)
+        trace = [
+            ServeRequest(request_id=i, app="gaussian", inputs=image, error_budget=0.05)
+            for i in range(3)
+        ]
+        reference = get_application("gaussian").reference(image)
+        responses = [
+            ServeResponse(
+                request_id=request.request_id,
+                app="gaussian",
+                config_label="Accurate",
+                output=np.array(reference),
+                error=0.0,
+            )
+            for request in trace
+        ]
+        responses[1].output *= scale
+        return trace, responses
+
+    def test_outputs_within_budget_pass(self):
+        assert within_budget(*self._served())
+
+    def test_one_over_budget_output_fails_the_run(self):
+        trace, responses = self._served(scale=1.5)  # 50% error on one output
+        assert not within_budget(trace, responses)
+        metrics = ServeMetrics()
+        metrics.completed = len(trace)
+        metrics.finish(1.0)
+        slow = ServeMetrics()
+        slow.completed = len(trace)
+        slow.finish(100.0)
+        result = ServeBenchResult(
+            spec=default_spec(quick=True),
+            max_batch=8,
+            batched=metrics,
+            serial=slow,
+            batched_within_budget=within_budget(trace, responses),
+            serial_within_budget=True,
+        )
+        assert result.speedup >= 5.0
+        assert "result: FAIL" in render(result)
+
+    def test_a_response_without_output_fails(self):
+        trace, responses = self._served()
+        responses[2].output = None
+        assert not within_budget(trace, responses)
 
 
 class TestRequiredSpeedup:
@@ -77,5 +138,5 @@ class TestFleetRecord:
         result.fleet.shed = 1
         assert not result.passed
         result.fleet.shed = 0
-        result.warm_reports = [{"db": {"misses": 3, "puts": 3, "hits": 0}}]
+        result.cold_evaluations = 1
         assert not result.passed

@@ -63,7 +63,6 @@ def test_fleet_outputs_bit_identical_to_single_process(
         assert np.array_equal(response.output, expected.output)
         assert response.output.tobytes() == expected.output.tobytes()
         assert response.error == expected.error
-        assert response.within_budget == expected.within_budget
         assert response.batch_size == expected.batch_size
         assert response.completed_ms == expected.completed_ms
         assert response.queue_delay_ms == expected.queue_delay_ms
@@ -163,17 +162,16 @@ def test_cold_workers_start_with_zero_calibration_sweeps():
     ) as fleet:
         fleet.start()
         reports = list(fleet.warm_reports)
-        parent = fleet.parent_db_stats
+        fleet.serve_trace(generate_trace(SPEC))
+        workers = fleet.worker_metrics()
 
-    # The front-end's own calibration pass filled the database...
-    assert parent is not None and parent["puts"] > 0
-    # ...and every worker restored its ladders purely from it: reads only.
+    # The front-end calibrated every application once and shipped the
+    # ladders; no worker calibrated one itself, at start or while serving.
     assert len(reports) == 2
     for report in reports:
-        assert report["calibrated_apps"] == sorted(SPEC.apps)
-        assert report["db"]["misses"] == 0
-        assert report["db"]["puts"] == 0
-        assert report["db"]["hits"] >= len(SPEC.apps)
+        assert report["ladders"] == sorted(SPEC.apps)
+        assert report["calibrated"] == 0
+    assert [worker["controller"]["calibrated"] for worker in workers] == [0, 0]
 
 
 def test_admission_control_sheds_exactly_beyond_max_pending():
@@ -210,7 +208,6 @@ def test_admission_control_sheds_exactly_beyond_max_pending():
     assert {r.request_id for r in rejected} == set(range(1, 6))
     for response in rejected:
         assert response.output is None
-        assert not response.within_budget
         assert response.config_label == ""
     served = [r for r in responses if not r.rejected]
     assert len(served) == 1 and served[0].request_id == 0

@@ -60,38 +60,46 @@ class TestRejectedResponse:
         assert response.request_id == 3 and response.app == "gaussian"
         assert response.rejected is True
         assert response.output is None and response.error is None
-        assert not response.within_budget
         assert response.batch_size == 0
         assert response.completed_ms == 12.0
         assert response.metadata["reason"] == "admission-control"
 
 
+def _six_app_calibration(size=64):
+    """One calibration input per application, as perfbench's fleet-hot has."""
+    from repro.apps import available_applications
+    from repro.data import hotspot_single, single_image
+    from repro.data.images import ImageClass
+
+    return {
+        app: [
+            hotspot_single(size=size, seed=index)
+            if app == "hotspot"
+            else single_image(ImageClass.NATURAL, size=size, seed=index)
+        ]
+        for index, app in enumerate(available_applications())
+    }
+
+
 class TestWarmStartInProcess:
-    """The exact worker-side construction, run in process: a warm tuning
-    database restores the ladders with zero kernel evaluations."""
+    """The exact worker-side construction, run in process: shipped ladders
+    warm-start the controller with zero kernel evaluations."""
 
     def test_build_server_warm_start_runs_no_kernels(self, tmp_path, monkeypatch):
         from repro.api.engine import PerforationEngine
-        from repro.autotune import Tuner, TuningDB
         from repro.serve.controller import OnlineController
 
-        image = generate_image("natural", size=32, seed=77)
-        calibration = {"gaussian": [image]}
-        db_path = tmp_path / "tuning-db"
+        # Front-end-style calibration, shipped as the spec's ladders.
+        calibration = {"gaussian": [generate_image("natural", size=32, seed=77)]}
+        shipped = tuple(
+            OnlineController(
+                PerforationEngine(backend="codegen"), calibration_inputs=calibration
+            ).ladder("gaussian")
+        )
 
-        # Front-end-style warm-up: calibrate once, persist to the DB.  The
-        # backend is part of the tuning key, so it must match the worker's.
-        seed_engine = PerforationEngine(backend="codegen")
-        OnlineController(
-            seed_engine,
-            calibration_inputs=calibration,
-            tuner=Tuner(seed_engine, db=TuningDB(db_path)),
-        ).ladder("gaussian")
-
-        # Worker-style construction with kernels booby-trapped: warm start
-        # must not evaluate a single one.
-        probe_engine = PerforationEngine()
-        app_type = type(probe_engine.resolve_app("gaussian"))
+        # Worker-side construction with kernels booby-trapped: the warm
+        # start must not evaluate a single one.
+        app_type = type(PerforationEngine().resolve_app("gaussian"))
 
         def boom(*args, **kwargs):
             raise AssertionError("warm start must not evaluate kernels")
@@ -100,28 +108,50 @@ class TestWarmStartInProcess:
         monkeypatch.setattr(app_type, "reference", boom)
 
         spec = WorkerSpec(
-            index=0,
-            address=str(tmp_path / "unused.sock"),
-            calibration_inputs=calibration,
-            warm_apps=("gaussian",),
-            tuning_db=str(db_path),
+            index=0, address=str(tmp_path / "unused.sock"), ladders={"gaussian": shipped}
         )
         server, report = build_server(spec)
-        assert report["db"]["misses"] == 0
-        assert report["db"]["puts"] == 0
-        assert report["db"]["hits"] >= 1
-        ladder = server.controller.ladder("gaussian")
-        assert ladder[-1].config.label == "Accurate"
-        assert len(ladder) > 1
+        assert report["ladders"] == ["gaussian"]
+        assert report["calibrated"] == 0
+        assert server.controller.ladder("gaussian") == list(shipped)
+        assert server.controller.choose("gaussian", 0.05) is not None
+        assert server.controller.calibrated == 0
 
-    def test_worker_database_handle_is_readonly(self, tmp_path):
-        spec = WorkerSpec(
-            index=0,
-            address=str(tmp_path / "unused.sock"),
-            tuning_db=str(tmp_path / "tuning-db"),
-        )
-        server, _ = build_server(spec)
-        assert server.controller.tuner.db.readonly is True
+    def test_an_application_without_a_ladder_is_calibrated_and_counted(self, tmp_path):
+        server, report = build_server(WorkerSpec(index=0, address=str(tmp_path / "unused.sock")))
+        assert report["ladders"] == [] and report["calibrated"] == 0
+        ladder = server.controller.ladder("inversion")  # on its default input
+        assert ladder[-1].config.label == "Accurate"
+        assert server.controller.calibrated == 1
+
+    def test_spec_ships_ladders_not_calibration_inputs(self, monkeypatch):
+        """A six-app spec stays far below the 64 KiB pipe buffer, so
+        ``Process.start()`` never blocks on the child's imports."""
+        import asyncio
+        import pickle
+
+        from repro.fleet.frontend import _WorkerLink
+
+        specs = []
+
+        async def no_worker(self, spec):
+            specs.append(spec)
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame({"type": "hello", "worker": spec.index}))
+            return reader, None
+
+        monkeypatch.setattr(_WorkerLink, "spawn", no_worker)
+        calibration = _six_app_calibration()
+        fleet = PerforationFleet(workers=1, calibration_inputs=calibration)
+        try:
+            fleet.start()
+        finally:
+            fleet.close()
+        (spec,) = specs
+        assert sorted(spec.ladders) == sorted(calibration)
+        assert all(ladder[-1].config.label == "Accurate" for ladder in spec.ladders.values())
+        assert len(pickle.dumps(spec)) < 16 * 1024
+        assert len(pickle.dumps(calibration)) > 64 * 1024  # what it no longer carries
 
 
 class _Connection:
@@ -172,7 +202,6 @@ class TestMetricsFrame:
                     config_label=rng.choice(labels),
                     output=None,
                     error=error,
-                    within_budget=True,
                     cache_hit=rng.random() < 0.3,
                     batch_size=size,
                     queue_delay_ms=0.0 if rng.random() < 0.1 else rng.uniform(0.0, 50.0),

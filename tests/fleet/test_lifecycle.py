@@ -31,23 +31,9 @@ def _start_without_workers(monkeypatch, fleet):
 
 
 class TestEnvironmentRestored:
-    def test_codegen_cache_override_is_restored_on_close(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE", "/prior/cache")
-        fleet = PerforationFleet(workers=1, codegen_cache=tmp_path / "cache")
-        _start_without_workers(monkeypatch, fleet)
-        assert os.environ["REPRO_CODEGEN_CACHE"] == str(tmp_path / "cache")
-        fleet.close()
-        assert os.environ["REPRO_CODEGEN_CACHE"] == "/prior/cache"
-
-    def test_codegen_cache_removed_when_previously_unset(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_CODEGEN_CACHE", raising=False)
-        fleet = PerforationFleet(workers=1, codegen_cache=tmp_path / "cache")
-        _start_without_workers(monkeypatch, fleet)
-        assert os.environ["REPRO_CODEGEN_CACHE"] == str(tmp_path / "cache")
-        fleet.close()
-        assert "REPRO_CODEGEN_CACHE" not in os.environ
-
     def test_no_override_means_no_env_mutation(self, monkeypatch):
+        """Workers inherit ``REPRO_CODEGEN_CACHE`` from the front-end's
+        environment; the fleet itself never sets it."""
         monkeypatch.delenv("REPRO_CODEGEN_CACHE", raising=False)
         fleet = PerforationFleet(workers=1)
         _start_without_workers(monkeypatch, fleet)

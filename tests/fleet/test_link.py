@@ -100,17 +100,9 @@ def _spawn_in_threads(monkeypatch, faults=None):
     return started
 
 
-@pytest.fixture(scope="module")
-def tuning_db(tmp_path_factory):
-    """One warm tuning database for every fleet of this module."""
-    return tmp_path_factory.mktemp("link") / "tuning-db"
-
-
-def _fleet(tuning_db, **options):
+def _fleet(**options):
     options.setdefault("max_batch", 4)
-    return PerforationFleet(
-        workers=1, calibration_inputs=CALIBRATION, tuning_db=tuning_db, **options
-    )
+    return PerforationFleet(workers=1, calibration_inputs=CALIBRATION, **options)
 
 
 def _requests(count, first=0, size=32):
@@ -144,11 +136,11 @@ def _assert_bit_identical(responses, reference):
         assert response.completed_ms == expected.completed_ms
 
 
-def test_crash_mid_trace_is_replayed_bit_identically(monkeypatch, tuning_db):
+def test_crash_mid_trace_is_replayed_bit_identically(monkeypatch):
     spawned = _spawn_in_threads(monkeypatch, {(0, 0): ("crash", 3)})
     requests = _requests(10)
     (reference,) = _reference(requests)
-    with _fleet(tuning_db) as fleet:
+    with _fleet() as fleet:
         responses = fleet.serve_trace(requests)
         metrics = fleet.metrics()
 
@@ -159,7 +151,7 @@ def test_crash_mid_trace_is_replayed_bit_identically(monkeypatch, tuning_db):
     _assert_bit_identical(responses, reference)
 
 
-def test_wedged_worker_with_a_full_socket_is_recovered(monkeypatch, tuning_db):
+def test_wedged_worker_with_a_full_socket_is_recovered(monkeypatch):
     """The sender holds the send lock while its write waits for a wedged
     worker to read; recovery must abort that connection before it takes
     the lock, or it waits for as long as the worker stays wedged."""
@@ -167,7 +159,7 @@ def test_wedged_worker_with_a_full_socket_is_recovered(monkeypatch, tuning_db):
     # 60 frames of 32 KiB pixels: far more than the socket buffers hold.
     requests = _requests(60, size=64)
     (reference,) = _reference(requests)
-    with _fleet(tuning_db, request_timeout_s=0.5) as fleet:
+    with _fleet(request_timeout_s=0.5) as fleet:
         fleet.start()
         wedged = spawned[0]
         # Unless recovery aborts the connection first, the wedge lasts until
@@ -189,11 +181,11 @@ def test_wedged_worker_with_a_full_socket_is_recovered(monkeypatch, tuning_db):
     _assert_bit_identical(responses, reference)
 
 
-def test_request_scoped_error_fails_only_that_request(monkeypatch, tuning_db):
+def test_request_scoped_error_fails_only_that_request(monkeypatch):
     _spawn_in_threads(monkeypatch)
     requests = _requests(6)
     (reference,) = _reference([r for r in requests if r.request_id not in (2, 4)])
-    with _fleet(tuning_db, error_on=(2, 4)) as fleet:
+    with _fleet(error_on=(2, 4)) as fleet:
         responses = fleet.serve_trace(requests)
         metrics = fleet.metrics()
 
@@ -205,7 +197,7 @@ def test_request_scoped_error_fails_only_that_request(monkeypatch, tuning_db):
     _assert_bit_identical([r for r in responses if not r.rejected], reference)
 
 
-def test_replayed_drain_echo_of_an_earlier_trace_is_absorbed(monkeypatch, tuning_db):
+def test_replayed_drain_echo_of_an_earlier_trace_is_absorbed(monkeypatch):
     """Generation 0 answers the first trace (five serves and a drain), then
     two serves of the second before it crashes.  Its replacement replays
     both traces, and its echo of the first trace's drain must not end the
@@ -213,7 +205,7 @@ def test_replayed_drain_echo_of_an_earlier_trace_is_absorbed(monkeypatch, tuning
     spawned = _spawn_in_threads(monkeypatch, {(0, 0): ("crash", 8)})
     first, second = _requests(5), _requests(5, first=5)
     _, reference = _reference(first, second)
-    with _fleet(tuning_db) as fleet:
+    with _fleet() as fleet:
         fleet.serve_trace(first)
         responses = fleet.serve_trace(second)
         metrics = fleet.metrics()
@@ -224,10 +216,10 @@ def test_replayed_drain_echo_of_an_earlier_trace_is_absorbed(monkeypatch, tuning
     _assert_bit_identical(responses, reference)
 
 
-def test_exhausted_budget_degrades_the_shard_and_drops_its_log(monkeypatch, tuning_db):
+def test_exhausted_budget_degrades_the_shard_and_drops_its_log(monkeypatch):
     spawned = _spawn_in_threads(monkeypatch, {(0, g): ("crash", 1) for g in range(3)})
     requests = _requests(6)
-    with _fleet(tuning_db, max_batch=1, max_respawns=2) as fleet:
+    with _fleet(max_batch=1, max_respawns=2) as fleet:
         responses = fleet.serve_trace(requests)
         link = fleet._links[0]
         assert link.dead and link.log == [] and not link.pending
@@ -245,10 +237,10 @@ def test_exhausted_budget_degrades_the_shard_and_drops_its_log(monkeypatch, tuni
 
 @pytest.mark.parametrize("max_respawns, entries", [(0, 0), (2, 21)])
 def test_log_is_kept_only_while_a_respawn_may_replay_it(
-    monkeypatch, tuning_db, max_respawns, entries
+    monkeypatch, max_respawns, entries
 ):
     """20 serves and one drain: logged with a respawn budget, not without."""
     _spawn_in_threads(monkeypatch)
-    with _fleet(tuning_db, max_respawns=max_respawns) as fleet:
+    with _fleet(max_respawns=max_respawns) as fleet:
         fleet.serve_trace(_requests(20))
         assert len(fleet._links[0].log) == entries

@@ -144,7 +144,6 @@ class TestRequestResponseCodec:
             config_label="Rows1:NN",
             output=np.full((2, 2), 0.5),
             error=0.0125,
-            within_budget=True,
             fallback=True,
             cache_hit=True,
             batch_size=3,
@@ -165,7 +164,6 @@ class TestRequestResponseCodec:
             config_label="",
             output=None,
             error=None,
-            within_budget=False,
             rejected=True,
         )
         back = response_from_wire(response_to_wire(rejected))

@@ -8,9 +8,9 @@ random kill timing, no signal races.
 
 The headline property: killing a worker mid-trace yields a *completed*
 trace whose outputs are bit-identical to an undisturbed single-process
-run, because the respawned worker warm-starts read-only from the same
-tuning database and replays the exact observation subsequence its
-predecessor saw.  Accounting stays exact throughout:
+run, because the respawned worker warm-starts from the same shipped
+ladders and replays the exact observation subsequence its predecessor
+saw.  Accounting stays exact throughout:
 ``completed + shed + failed == len(trace)``.
 
 These tests spawn (and kill) real worker processes — slow tier.
@@ -58,7 +58,6 @@ def _assert_bit_identical(response, expected):
     assert response.config_label == expected.config_label
     assert response.output.tobytes() == expected.output.tobytes()
     assert response.error == expected.error
-    assert response.within_budget == expected.within_budget
     assert response.batch_size == expected.batch_size
     assert response.completed_ms == expected.completed_ms
 
@@ -86,6 +85,7 @@ def test_worker_crash_mid_trace_recovers_bit_identical(transport, reference_resp
         responses = fleet.serve_trace(trace)
         metrics = fleet.metrics()
         respawns = list(fleet.respawn_reports)
+        workers = fleet.worker_metrics()
 
     assert len(responses) == len(trace)
     assert metrics.worker_failures >= 1
@@ -93,13 +93,15 @@ def test_worker_crash_mid_trace_recovers_bit_identical(transport, reference_resp
     assert metrics.failed == 0 and metrics.shed == 0
     assert metrics.completed == len(trace)
     assert metrics.completed + metrics.shed + metrics.failed == len(trace)
-    # The replacement announced a bumped generation and warm-started
-    # read-only — zero calibration evaluations, like any other worker.
+    # The replacement announced a bumped generation and warm-started from
+    # the shipped ladders: like every other worker, it calibrated nothing,
+    # at start or while replaying and serving.
     assert respawns
     for report in respawns:
         assert report["generation"] >= 1
-        assert report["db"]["misses"] == 0
-        assert report["db"]["puts"] == 0
+        assert report["ladders"] == sorted(SPEC.apps)
+        assert report["calibrated"] == 0
+    assert [worker["controller"]["calibrated"] for worker in workers] == [0, 0]
     for response in responses:
         _assert_bit_identical(response, reference_responses[response.request_id])
 
@@ -186,7 +188,6 @@ def test_respawn_budget_exhausted_degrades_shard_not_trace():
     assert len(failed) == metrics.failed
     for response in failed:
         assert response.output is None
-        assert not response.within_budget
         assert response.metadata["reason"] in ("worker-failure", "shard-degraded")
     for response in responses:
         if not response.rejected:
@@ -250,7 +251,7 @@ def test_worker_startup_failure_fails_fast_with_cause():
     """A worker whose server cannot be built reports the failure through
     an error hello frame — the front-end raises immediately with the real
     cause instead of spinning its connect loop to the spawn timeout."""
-    fleet = PerforationFleet(workers=1, warm=False, warm_apps=("no-such-app",))
+    fleet = PerforationFleet(workers=1, device="no-such-device")
     runtime_dir = fleet.runtime_dir
     started = time.monotonic()
     with pytest.raises(FleetError) as excinfo:

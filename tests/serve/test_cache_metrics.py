@@ -68,7 +68,6 @@ class TestServeResultCache:
 def _response(request_id=0, app="gaussian", label="Rows1:NN", error=0.01, **kw):
     defaults = dict(
         output=np.zeros(1),
-        within_budget=True,
         batch_size=2,
         queue_delay_ms=10.0,
         service_time_ms=5.0,

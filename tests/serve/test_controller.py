@@ -17,7 +17,7 @@ def engine():
 def _fake_controller(engine, policy=None):
     """Controller with an injected ladder (no calibration sweep)."""
     controller = OnlineController(engine, policy=policy)
-    controller._ladders["fake"] = [
+    controller.ladders["fake"] = [
         CalibrationEntry(config=ROWS2_NN, mean_error=0.04, max_error=0.04, speedup=3.0),
         CalibrationEntry(config=ROWS1_NN, mean_error=0.02, max_error=0.02, speedup=2.0),
         CalibrationEntry(config=ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
@@ -39,6 +39,12 @@ class TestLadder:
         assert speeds == sorted(speeds, reverse=True)
         # computed once
         assert controller.ladder("gaussian") is ladder
+        assert controller.calibrated == 1
+
+    def test_seeded_ladders_are_not_counted_as_calibrated(self, engine):
+        controller = _fake_controller(engine)
+        assert controller.ladder("fake")[-1].config == ACCURATE_CONFIG
+        assert controller.calibrated == 0
 
     def test_initial_choice_is_first_admissible(self, engine):
         controller = _fake_controller(engine)
