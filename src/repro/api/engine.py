@@ -239,11 +239,14 @@ class PerforationEngine:
             reference = self.reference(app, inputs)
         approximate = app.approximate(inputs, config)
         error = compute_error(reference, approximate, app.error_metric)
+        return self._result(app, config, error, app.global_size(inputs))
 
-        global_size = app.global_size(inputs)
+    def _result(
+        self, app, config: ApproximationConfig, error: float, global_size: tuple[int, int]
+    ) -> ConfigurationResult:
+        """``config``'s measured ``error`` with its modelled timings."""
         baseline_timing = self.baseline_timing(app, global_size)
         approx_timing = self.timing(app, config, global_size)
-
         return ConfigurationResult(
             app_name=app.name,
             config=config,
@@ -254,17 +257,51 @@ class PerforationEngine:
             approx_timing=approx_timing,
         )
 
+    def errors(self, app, inputs, configs: Iterable[ApproximationConfig]) -> list[float]:
+        """The error of each configuration on one input, one float per config.
+
+        Every configuration is validated as :meth:`evaluate` validates it,
+        and the reference is taken once.  Configurations with equal
+        :meth:`~repro.apps.base.Application.approximation_key` give the same
+        approximate output, so ``approximate`` and the error measurement
+        run once per distinct key, in first-occurrence order, on the worker
+        pool; each config gets its key's float.  Nothing outlives the call.
+        """
+        app = self.resolve_app(app)
+        configs = list(configs)
+        for config in configs:
+            config.validate_for_halo(app.halo)
+        reference = self.reference(app, inputs)
+        keys = [app.approximation_key(config) for config in configs]
+        firsts: dict[object, ApproximationConfig] = {}
+        for key, config in zip(keys, configs):
+            firsts.setdefault(key, config)
+
+        def one(config: ApproximationConfig) -> float:
+            approximate = app.approximate(inputs, config)
+            return compute_error(reference, approximate, app.error_metric)
+
+        values = dict(zip(firsts, self._map(one, list(firsts.values()))))
+        return [values[key] for key in keys]
+
     def evaluate_many(
         self, app, inputs, configs: Iterable[ApproximationConfig]
     ) -> list[ConfigurationResult]:
-        """Evaluate several configurations on one input (shared reference)."""
+        """Evaluate several configurations on one input.
+
+        Errors come from :meth:`errors` (one reference, one approximation
+        per distinct approximation key); each configuration then looks up
+        its own baseline and approximate timing.  Results follow
+        configuration order.
+        """
         app = self.resolve_app(app)
         configs = list(configs)
-        reference = self.reference(app, inputs)
-        return self._map(
-            lambda config: self.evaluate(app, inputs, config, reference=reference),
-            configs,
-        )
+        errors = self.errors(app, inputs, configs)
+        global_size = app.global_size(inputs)
+        return [
+            self._result(app, config, error, global_size)
+            for config, error in zip(configs, errors)
+        ]
 
     def evaluate_dataset(
         self, app, dataset: Sequence, config: ApproximationConfig

@@ -13,6 +13,13 @@ its own entries without editing the package:
     class MyFilterApp(Application):
         ...
 
+An application's ``approximate`` may depend on its configuration only
+through the samplers :func:`~repro.core.reconstruction.make_sampler` builds
+from the configuration's scheme, reconstruction and work group; the engine
+computes one approximation per
+:meth:`~repro.apps.base.Application.approximation_key`.  An application
+that breaks that contract overrides ``approximation_key``.
+
 The registry is deliberately dumb: it knows nothing about what it stores.
 The owning modules (:mod:`repro.apps`, :mod:`repro.clsim.device`,
 :mod:`repro.core.schemes`) decide whether entries are factories that are

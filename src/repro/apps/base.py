@@ -34,7 +34,7 @@ from ..core.config import ApproximationConfig
 from ..core.errors import ConfigurationError
 from ..core.perforator import KernelPerforator
 from ..core.quality import ErrorMetric
-from ..core.reconstruction import make_sampler
+from ..core.reconstruction import make_sampler, sampler_key
 from ..core.schemes import (
     KIND_COLUMNS,
     KIND_RANDOM,
@@ -92,7 +92,16 @@ class Application(abc.ABC):
 
     @abc.abstractmethod
     def approximate(self, inputs, config: ApproximationConfig) -> np.ndarray:
-        """Output of the perforated + reconstructed kernel for ``inputs``."""
+        """Output of the perforated + reconstructed kernel for ``inputs``.
+
+        Contract: the output may depend on ``config`` only through samplers
+        that :func:`~repro.core.reconstruction.make_sampler` builds from
+        ``(config.scheme, config.reconstruction, config.work_group)``, with
+        halos fixed per application.  Configurations with equal
+        :meth:`approximation_key` then give identical outputs, and the
+        engine computes one of them per key (:meth:`PerforationEngine.errors
+        <repro.api.engine.PerforationEngine.errors>`).
+        """
 
     # ------------------------------------------------------------------
     # Defaults shared by the image-processing applications
@@ -107,6 +116,17 @@ class Application(abc.ABC):
         image = np.asarray(inputs)
         height, width = image.shape[:2]
         return (width, height)
+
+    def approximation_key(self, config: ApproximationConfig) -> tuple:
+        """Key under which :meth:`approximate` gives one output per input.
+
+        The default is the :func:`~repro.core.reconstruction.sampler_key` of
+        ``config``, which holds for every application that keeps the
+        contract of :meth:`approximate`.  An application whose output
+        depends on ``config`` in any other way overrides this method (for
+        example, to return ``config`` itself).
+        """
+        return sampler_key(config.scheme, config.reconstruction, *config.work_group)
 
     def sampler_for(self, image: np.ndarray, config: ApproximationConfig):
         """Approximate input sampler for ``image`` under ``config``."""

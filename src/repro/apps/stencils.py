@@ -51,10 +51,61 @@ def gather_neighborhood(sampler: InputSampler, radius: int) -> np.ndarray:
     return np.stack(planes, axis=0)
 
 
+# fmt: off
+#: Paeth's 3x3 median network ("Median finding on a 3x3 grid", Graphics
+#: Gems, 1990): 19 compare-exchanges ``(lo, hi, half)`` that leave the
+#: median of nine slots in slot 4.  ``half`` names the outputs a later
+#: exchange reads: ``"both"``, or only the ``"min"`` (kept in ``lo``) or the
+#: ``"max"`` (kept in ``hi``).
+MEDIAN9_NETWORK = (
+    # Sort each column triple (0, 1, 2), (3, 4, 5), (6, 7, 8).
+    (1, 2, "both"), (4, 5, "both"), (7, 8, "both"),
+    (0, 1, "both"), (3, 4, "both"), (6, 7, "both"),
+    (1, 2, "both"), (4, 5, "both"), (7, 8, "both"),
+    # Max of the minima into 6, min of the maxima into 2, median of the
+    # medians into 4; then the median of slots 2, 4 and 6 into 4.
+    (0, 3, "max"), (5, 8, "min"), (4, 7, "both"),
+    (3, 6, "max"), (1, 4, "max"), (2, 5, "min"),
+    (4, 7, "min"), (4, 2, "both"), (6, 4, "max"),
+    (4, 2, "min"),
+)
+# fmt: on
+
+
+def median9(planes: np.ndarray) -> np.ndarray:
+    """Median over the first axis of a writable (9, H, W) array.
+
+    Runs :data:`MEDIAN9_NETWORK` in place with one scratch plane, so it
+    overwrites ``planes``; the result is a new array that shares no memory
+    with them.  It equals ``np.median(planes, axis=0)`` in value, NaN
+    included (``np.minimum``/``np.maximum`` propagate it).  Only the sign of
+    a zero median can differ: the network returns one of the window's own
+    values, which may be -0.0, where ``np.median`` returns +0.0.
+    """
+    slots = list(planes)
+    scratch = np.empty_like(slots[0])
+    *network, (last_lo, last_hi, _) = MEDIAN9_NETWORK
+    for lo, hi, half in network:
+        if half == "max":
+            np.maximum(slots[lo], slots[hi], out=slots[hi])
+        elif half == "min":
+            np.minimum(slots[lo], slots[hi], out=slots[lo])
+        else:
+            np.minimum(slots[lo], slots[hi], out=scratch)
+            np.maximum(slots[lo], slots[hi], out=slots[hi])
+            slots[lo], scratch = scratch, slots[lo]
+    return np.minimum(slots[last_lo], slots[last_hi])
+
+
 def rank_filter(sampler: InputSampler, radius: int, rank: str = "median") -> np.ndarray:
-    """Rank filter over the neighbourhood (``median``, ``min`` or ``max``)."""
+    """Rank filter over the neighbourhood (``median``, ``min`` or ``max``).
+
+    The 3x3 median runs :func:`median9`; other radii use ``np.median``.
+    """
     neighborhood = gather_neighborhood(sampler, radius)
     if rank == "median":
+        if radius == 1:
+            return median9(neighborhood)
         return np.median(neighborhood, axis=0)
     if rank == "min":
         return neighborhood.min(axis=0)

@@ -13,7 +13,10 @@ input.  The task owns
   scores are comparable across fidelities;
 * memoization (a configuration/fidelity pair is evaluated once) and the
   evaluation budget;
-* batched submission to the engine's worker pool.
+* batched submission to the engine's worker pool, where
+  :meth:`PerforationEngine.errors <repro.api.engine.PerforationEngine.errors>`
+  approximates each distinct approximation key of a batch once; every
+  configuration still counts as one evaluation.
 
 Determinism contract: a strategy proposes *batches*; the task evaluates a
 batch through :meth:`PerforationEngine._map`, which preserves order, and
@@ -44,6 +47,7 @@ Strategies
 from __future__ import annotations
 
 import abc
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -54,7 +58,6 @@ import numpy as np
 from ..core.config import ApproximationConfig
 from ..core.errors import TuningError
 from ..core.pareto import pareto_front
-from ..core.quality import compute_error
 from .space import SearchSpace, config_key
 
 #: Screening fidelities tried by the multi-fidelity strategies, coarsest
@@ -103,7 +106,16 @@ def _downscale(inputs, step: int):
 
 
 class TuningTask:
-    """Evaluation context of one (engine, application, input) tuning run."""
+    """Evaluation context of one (engine, application, input) tuning run.
+
+    Every fidelity takes one path (:meth:`evaluate_batch`): the errors of a
+    batch come from one ``engine.errors`` call on :meth:`scaled_inputs`, so
+    configurations that share an
+    :meth:`~repro.apps.base.Application.approximation_key` share one
+    approximation, and each speedup comes from the full-size timing model.
+    Budget and observations stay per configuration: sharing changes no
+    observation, count or front.
+    """
 
     def __init__(
         self,
@@ -198,75 +210,56 @@ class TuningTask:
     ) -> list[Observation]:
         """Evaluate ``configs`` at ``fidelity`` as one ordered parallel batch.
 
-        Already-evaluated pairs are served from the memo without consuming
-        budget; the rest run on the engine's worker pool in submission
-        order.  Returns one observation per *requested* config (memo hits
-        included), truncated when the budget runs out.
+        Returns one observation per *requested* config, in request order,
+        truncated when the budget runs out.  Already-evaluated pairs, and a
+        config repeated within the batch, are served from the memo without
+        consuming budget; every other config spends one evaluation.
         """
-        results: list[Observation] = []
-        fresh: list[ApproximationConfig] = []
-        fresh_keys: set[str] = set()
+        requested: list[str] = []
+        fresh: dict[str, ApproximationConfig] = {}
         remaining = self._remaining()
         for config in configs:
-            memo_key = (config_key(config), fidelity)
-            hit = self._memo.get(memo_key)
-            if hit is not None:
-                results.append(hit)
-                continue
-            if memo_key[0] in fresh_keys:
-                continue  # duplicate within the batch
-            if remaining is not None and len(fresh) >= remaining:
-                break  # budget exhausted: drop the tail deterministically
-            fresh_keys.add(memo_key[0])
-            fresh.append(config)
+            key = config_key(config)
+            if (key, fidelity) not in self._memo and key not in fresh:
+                if remaining is not None and len(fresh) >= remaining:
+                    break  # budget exhausted: drop the tail deterministically
+                fresh[key] = config
+            requested.append(key)
 
         if fresh:
-            if fidelity >= 1.0:
-                evaluated = self._evaluate_full(fresh)
-            else:
-                evaluated = self._evaluate_screening(fresh, fidelity)
-            for observation in evaluated:
+            for observation in self._evaluate(list(fresh.values()), fidelity):
                 self._memo[(observation.key, fidelity)] = observation
                 self.observations.append(observation)
-            results.extend(evaluated)
-        return results
+        return [self._memo[(key, fidelity)] for key in requested]
 
-    def _evaluate_full(self, configs: Sequence[ApproximationConfig]) -> list[Observation]:
-        evaluations = self.engine.evaluate_many(self.app, self.inputs, configs)
-        return [
-            Observation(
-                config=result.config,
-                fidelity=1.0,
-                error=result.error,
-                speedup=result.speedup,
-                runtime_s=result.approx_time_s,
-            )
-            for result in evaluations
-        ]
-
-    def _evaluate_screening(
+    def _evaluate(
         self, configs: Sequence[ApproximationConfig], fidelity: float
     ) -> list[Observation]:
-        """Error on the downscaled input; speedup from the full-size model."""
+        """Errors on the input at ``fidelity``; speedups from the full-size model.
+
+        The errors come from one :meth:`PerforationEngine.errors
+        <repro.api.engine.PerforationEngine.errors>` call on
+        :meth:`scaled_inputs` (the input itself at full fidelity), which
+        approximates each distinct approximation key once.
+        """
         scaled = self.scaled_inputs(fidelity)
         if scaled is None:
             raise TuningError(f"no screening input available at fidelity {fidelity}")
-        reference = self.engine.reference(self.app, scaled)
+        errors = self.engine.errors(self.app, scaled, configs)
         baseline_s = self.engine.baseline_timing(self.app, self.full_size).total_time_s
-
-        def one(config: ApproximationConfig) -> Observation:
-            approximate = self.app.approximate(scaled, config)
-            error = compute_error(reference, approximate, self.app.error_metric)
+        observations = []
+        for config, error in zip(configs, errors):
             approx_s = self.engine.timing(self.app, config, self.full_size).total_time_s
-            return Observation(
-                config=config,
-                fidelity=fidelity,
-                error=error,
-                speedup=baseline_s / approx_s,
-                runtime_s=approx_s,
+            observations.append(
+                Observation(
+                    config=config,
+                    fidelity=fidelity,
+                    error=error,
+                    speedup=baseline_s / approx_s,
+                    runtime_s=approx_s,
+                )
             )
-
-        return self.engine._map(one, list(configs))
+        return observations
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +273,27 @@ def _sort_key(observation: Observation) -> tuple:
 def nondominated_layers(observations: Sequence[Observation]) -> list[list[Observation]]:
     """Non-dominated sorting: layer 0 is the Pareto front, layer 1 the front
     of the rest, and so on.  Order within a layer follows the input order
-    (which strategies keep deterministic)."""
-    remaining = list(observations)
-    layers: list[list[Observation]] = []
-    while remaining:
-        front = pareto_front(remaining)
-        members = {id(o) for o in front}
-        # pareto_front collapses duplicate (speedup, error) pairs to one
-        # witness; the duplicates belong to the same layer, not the next.
-        keys = {(o.speedup, o.error) for o in front}
-        layer = [o for o in remaining if id(o) in members or (o.speedup, o.error) in keys]
-        layers.append(layer)
-        remaining = [o for o in remaining if o not in layer]
+    (which strategies keep deterministic).
+
+    One sort of the distinct (speedup, error) pairs by (-speedup, error)
+    ranks them all (Jensen, IEEE TEC 2003): every pair that dominates a
+    pair sorts before it, so a pair joins the first layer whose lowest
+    error so far exceeds its own, found by bisection.  Observations with
+    equal pairs share a layer; a pair whose speedup equals that of a
+    lower-error pair goes at least one layer below it.
+    """
+    rank = {(o.speedup, o.error): 0 for o in observations}
+    lowest: list[float] = []  # lowest error per layer so far; non-decreasing
+    for pair in sorted(rank, key=lambda p: (-p[0], p[1])):
+        layer = bisect.bisect_right(lowest, pair[1])
+        if layer == len(lowest):
+            lowest.append(pair[1])
+        else:
+            lowest[layer] = pair[1]
+        rank[pair] = layer
+    layers: list[list[Observation]] = [[] for _ in lowest]
+    for o in observations:
+        layers[rank[(o.speedup, o.error)]].append(o)
     return layers
 
 

@@ -69,6 +69,7 @@ from .reconstruction import (
     reconstruct_columns,
     reconstruct_mask,
     reconstruct_rows,
+    sampler_key,
 )
 from .schemes import (
     ACCURATE,
@@ -151,4 +152,5 @@ __all__ = [
     "reconstruct_mask",
     "reconstruct_rows",
     "rmse",
+    "sampler_key",
 ]

@@ -412,6 +412,36 @@ class StencilTileSampler(InputSampler):
         return _frozen(columns[_tile_clamped(self.height, self.tile_y, dy)])
 
 
+def sampler_key(
+    scheme: PerforationScheme,
+    technique: str = NEAREST_NEIGHBOR,
+    tile_x: int = 16,
+    tile_y: int = 16,
+) -> tuple:
+    """The parameters :func:`make_sampler` reads, apart from the image and halo.
+
+    Two calls with equal keys (and equal image and halo) build samplers that
+    serve identical planes: a row scheme depends on the work group only
+    through the tile height, a column scheme only through the tile width,
+    and the stencil scheme, which reconstructs by nearest neighbour alone,
+    not on the technique.  The key is hashable (schemes are frozen
+    dataclasses).
+    """
+    _check_technique(technique)
+    kind = scheme.kind
+    if kind == KIND_NONE:
+        return (kind,)
+    if kind == KIND_ROWS:
+        return (kind, scheme.step, tile_y, technique)  # type: ignore[attr-defined]
+    if kind == KIND_COLUMNS:
+        return (kind, scheme.step, tile_x, technique)  # type: ignore[attr-defined]
+    if kind == KIND_STENCIL:
+        return (kind, tile_x, tile_y)
+    if kind == KIND_RANDOM:
+        return (kind, scheme, tile_x, tile_y, technique)
+    raise SchemeError(f"unknown scheme kind {kind!r}")
+
+
 def make_sampler(
     image: np.ndarray,
     scheme: PerforationScheme,
@@ -423,31 +453,35 @@ def make_sampler(
     """Build the approximate input view for ``scheme`` + ``technique``.
 
     ``tile_x``/``tile_y`` are the work-group dimensions, ``halo`` the
-    stencil halo of the kernel (0 for 1x1 kernels such as Inversion).
+    stencil halo of the kernel (0 for 1x1 kernels such as Inversion).  The
+    sampler is built from the fields of :func:`sampler_key` and ``halo``
+    only, so that key cannot omit a parameter the sampler reads.
     """
-    _check_technique(technique)
-    kind = scheme.kind
+    key = sampler_key(scheme, technique, tile_x, tile_y)
+    kind = key[0]
     if kind == KIND_NONE:
         return AccurateSampler(image)
     if kind == KIND_ROWS:
-        return RowTileSampler(image, scheme.step, tile_y, halo, technique)  # type: ignore[attr-defined]
+        _, step, tile, technique = key
+        return RowTileSampler(image, step, tile, halo, technique)
     if kind == KIND_COLUMNS:
-        return ColumnTileSampler(image, scheme.step, tile_x, halo, technique)  # type: ignore[attr-defined]
+        _, step, tile, technique = key
+        return ColumnTileSampler(image, step, tile, halo, technique)
     if kind == KIND_STENCIL:
         if halo == 0:
             raise SchemeError(
                 "the stencil scheme requires a kernel with a halo (filter size > 1x1)"
             )
+        _, tile_x, tile_y = key
         return StencilTileSampler(image, tile_x, tile_y)
-    if kind == KIND_RANDOM:
-        array = _check_image(image)
-        tile_mask = scheme.loaded_mask(tile_y + 2 * halo, tile_x + 2 * halo, halo)
-        reps_y = int(np.ceil(array.shape[0] / tile_mask.shape[0]))
-        reps_x = int(np.ceil(array.shape[1] / tile_mask.shape[1]))
-        full_mask = np.tile(tile_mask, (reps_y, reps_x))[: array.shape[0], : array.shape[1]]
-        reconstructed = reconstruct_mask(array, full_mask, technique)
-        return ReconstructedImageSampler(array, reconstructed)
-    raise SchemeError(f"unknown scheme kind {kind!r}")
+    _, scheme, tile_x, tile_y, technique = key
+    array = _check_image(image)
+    tile_mask = scheme.loaded_mask(tile_y + 2 * halo, tile_x + 2 * halo, halo)
+    reps_y = int(np.ceil(array.shape[0] / tile_mask.shape[0]))
+    reps_x = int(np.ceil(array.shape[1] / tile_mask.shape[1]))
+    full_mask = np.tile(tile_mask, (reps_y, reps_x))[: array.shape[0], : array.shape[1]]
+    reconstructed = reconstruct_mask(array, full_mask, technique)
+    return ReconstructedImageSampler(array, reconstructed)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ sequence and an identical final front across repeated runs and across
 guarantee).
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import PerforationEngine
 from repro.autotune import (
@@ -18,7 +21,7 @@ from repro.autotune import (
     default_space,
     resolve_strategy,
 )
-from repro.autotune.strategies import nondominated_layers
+from repro.autotune.strategies import Observation, nondominated_layers
 from repro.core.errors import TuningError
 from repro.core.pareto import pareto_front
 from repro.data import generate_image
@@ -92,6 +95,15 @@ class TestTask:
         assert task.evaluations == evaluations  # all memo hits
         assert first == second
 
+    def test_repeated_config_gets_its_first_observation(self, image):
+        engine = PerforationEngine()
+        task = TuningTask(engine, "gaussian", image, default_space())
+        c0, c1, c2 = task.candidates()[:3]
+        observed = task.evaluate_batch([c0, c1, c0, c2], 1.0)
+        assert [o.config for o in observed] == [c0, c1, c0, c2]
+        assert observed[2] is observed[0]
+        assert task.evaluations == 3  # the repeat spends no budget
+
     def test_budget_truncates_deterministically(self, image):
         engine = PerforationEngine()
         task = TuningTask(engine, "gaussian", image, default_space(), max_evals=3)
@@ -139,7 +151,39 @@ class TestSuccessiveHalving:
         assert fidelities >= {0.25, 0.5, 1.0}
 
 
+def _layers_by_repeated_fronts(observations):
+    """The former layering, kept as the oracle: one ``pareto_front`` per layer."""
+    remaining = list(observations)
+    layers = []
+    while remaining:
+        front = pareto_front(remaining)
+        members = {id(o) for o in front}
+        keys = {(o.speedup, o.error) for o in front}
+        layer = [o for o in remaining if id(o) in members or (o.speedup, o.error) in keys]
+        layers.append(layer)
+        remaining = [o for o in remaining if o not in layer]
+    return layers
+
+
+#: Few distinct values, so speedups, errors and whole pairs tie often.
+_OBJECTIVES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, math.inf])
+
+
 class TestNondominatedLayers:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_OBJECTIVES, _OBJECTIVES), max_size=40))
+    def test_sort_based_layers_match_repeated_fronts(self, pairs):
+        config = default_space().configurations(halo=1)[0]
+        observations = [
+            Observation(config=config, fidelity=1.0, error=e, speedup=s, runtime_s=float(i))
+            for i, (s, e) in enumerate(pairs)
+        ]
+        layers = nondominated_layers(observations)
+        expected = _layers_by_repeated_fronts(observations)
+        assert [[id(o) for o in layer] for layer in layers] == [
+            [id(o) for o in layer] for layer in expected
+        ]
+
     def test_layers_partition_and_order(self, image):
         engine = PerforationEngine()
         task = TuningTask(engine, "gaussian", image, default_space())
