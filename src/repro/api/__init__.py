@@ -13,6 +13,10 @@ and timing caches and the worker pool, and hands out fluent per-application
     sweep = engine.session(app="gaussian").sweep()
     tuned = engine.session(app="sobel3").autotune(error_budget=0.01)
 
+A session calibrates and selects (:func:`repro.api.session.calibrate_configs`
+builds every calibration entry); quality-monitored serving is
+:class:`repro.serve.PerforationServer`.
+
 Supporting pieces:
 
 * :mod:`repro.api.registry` — the string-keyed registries behind
@@ -39,7 +43,6 @@ from .registry import Registry, RegistryError
 __all__ = [
     "ArtifactCache",
     "CalibrationEntry",
-    "ExecutionRecord",
     "LRUCache",
     "PerforationEngine",
     "Registry",
@@ -54,7 +57,6 @@ _LAZY = {
     "PerforationEngine": ("repro.api.engine", "PerforationEngine"),
     "Session": ("repro.api.session", "Session"),
     "CalibrationEntry": ("repro.api.session", "CalibrationEntry"),
-    "ExecutionRecord": ("repro.api.session", "ExecutionRecord"),
     "LRUCache": ("repro.api.cache", "LRUCache"),
     "ArtifactCache": ("repro.api.artifacts", "ArtifactCache"),
     "DiskStore": ("repro.api.store", "DiskStore"),

@@ -15,7 +15,7 @@ resolved by name through the package registries, so
     engine = PerforationEngine(device="firepro-w5100", workers=4)
     sweep = engine.session(app="gaussian").sweep()
     tuned = engine.session(app="sobel3").autotune(error_budget=0.01)
-    record = tuned.run(image)
+    output = tuned.run_compiled(image)
 
 works without importing a single application class.
 """
@@ -90,9 +90,9 @@ class PerforationEngine:
         (:meth:`run_compiled` / :meth:`compiled_sweep`): a registered name
         (``"interpreter"``, ``"codegen"``), an
         :class:`~repro.clsim.backends.ExecutionBackend` instance, or
-        ``None`` for the default interpreter backend.  Sessions can
-        override it per session.  Outputs and stats are bit-identical
-        across both (see ``docs/backends.md`` and ``docs/ir.md``).
+        ``None`` for the default interpreter backend; sessions run on it
+        too.  Outputs and stats are bit-identical across both (see
+        ``docs/backends.md`` and ``docs/ir.md``).
     """
 
     def __init__(
@@ -591,15 +591,11 @@ class PerforationEngine:
         configs: Iterable[ApproximationConfig] | None = None,
         inputs=None,
         error_budget: float | None = None,
-        safety_margin: float = 0.25,
-        backend: ExecutionBackend | str | None = None,
     ):
         """Open a fluent :class:`~repro.api.session.Session` for one application.
 
         ``app`` is an :class:`~repro.apps.base.Application` instance or a
-        registered name (``"gaussian"``, ``"sobel3"``, ...).  ``backend``
-        overrides the engine's execution backend for this session's
-        compiled-kernel runs.
+        registered name (``"gaussian"``, ``"sobel3"``, ...).
         """
         from .session import Session
 
@@ -609,8 +605,6 @@ class PerforationEngine:
             configs=configs,
             inputs=inputs,
             error_budget=error_budget,
-            safety_margin=safety_margin,
-            backend=backend,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -12,13 +12,14 @@ as a fluent API:
     front = sweep.pareto_optimal()
 
     tuned = engine.session(app="sobel3").autotune(error_budget=0.01)
-    record = tuned.run(image, monitor=True)                  # quality-aware exec
+    output = tuned.run_compiled(image)                       # selected config
 
-The auto-tuning half is the quality-aware loop: *calibrate* on
-representative inputs, *select* the fastest configuration expected to
-meet the error budget, *run* new inputs with it, optionally monitoring the
-achieved quality and demoting the configuration when the budget is
-violated.
+The auto-tuning half is the offline step of the quality-aware loop:
+*calibrate* on representative inputs, then *select* the fastest
+configuration expected to meet the error budget.  :func:`calibrate_configs`
+is the one function that builds calibration entries; the online half —
+monitoring served quality and tightening or loosening the configuration —
+is :class:`repro.serve.controller.OnlineController`.
 """
 
 from __future__ import annotations
@@ -29,18 +30,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..clsim.backends import resolve_backend
 from ..obs.trace import get_tracer
-from ..core.config import ACCURATE_CONFIG, ApproximationConfig, WORK_GROUP_CANDIDATES
+from ..core.config import (
+    ACCURATE_CONFIG,
+    ApproximationConfig,
+    WORK_GROUP_CANDIDATES,
+    default_configurations,
+)
 from ..core.errors import TuningError
 from ..core.pipeline import ConfigurationResult, DatasetResult, baseline_config_for
-from ..core.quality import compute_error
 from ..core.tuning import SweepResult, WorkGroupTiming
 
-
-def _resolve_session_backend(backend):
-    """Normalise a session backend selection (``None`` defers to the engine)."""
-    return None if backend is None else resolve_backend(backend)
+#: Calibration safety margin: a configuration is admissible under an error
+#: budget when ``mean_error * (1 + SAFETY_MARGIN) <= budget``.
+SAFETY_MARGIN = 0.25
 
 
 @dataclass(frozen=True)
@@ -52,21 +55,25 @@ class CalibrationEntry:
     max_error: float
     speedup: float
 
-    def admissible(self, budget: float, safety_margin: float) -> bool:
+    def admissible(self, budget: float) -> bool:
         """Whether this configuration is expected to meet ``budget``."""
-        return self.mean_error * (1.0 + safety_margin) <= budget
+        return self.mean_error * (1.0 + SAFETY_MARGIN) <= budget
 
 
-def tighter_rung(ladder: Sequence[CalibrationEntry], index: int) -> int | None:
-    """Index of the first rung after ``index`` with a strictly lower mean error.
+def default_inputs(app):
+    """A representative input of ``app``, for callers that supplied none."""
+    from ..data import hotspot_single, single_image
+    from ..data.images import ImageClass
 
-    ``ladder`` is sorted fastest-first, so that is the fastest configuration
-    calibration deems more accurate than ``ladder[index]``; ``None`` when
-    there is none.  :meth:`Session.run` demotes and
-    :class:`repro.serve.controller.OnlineController` tightens by this rule.
-    """
-    current = ladder[index].mean_error
-    return next((i for i in range(index + 1, len(ladder)) if ladder[i].mean_error < current), None)
+    if app.name == "hotspot":
+        return hotspot_single(size=256, seed=42)
+    try:
+        return single_image(ImageClass.NATURAL, size=256, seed=42)
+    except Exception as exc:  # pragma: no cover - defensive
+        raise TuningError(
+            f"no default inputs available for {app.name!r}; "
+            f"pass inputs explicitly (session.with_inputs(...) or sweep(inputs))"
+        ) from exc
 
 
 def calibrate_configs(
@@ -79,10 +86,16 @@ def calibrate_configs(
     model at the first input's size.  Configurations are bucketed by their
     full identity (:attr:`ApproximationConfig.key`), not the figure label,
     so ones that differ only in work group calibrate independently.
-    :meth:`Session.calibrate` and the tuning-database path
-    (:meth:`repro.autotune.Tuner.calibration_entries`) both call this,
-    which keeps their entries bit-identical.
+    :meth:`Session.calibrate` and
+    :meth:`repro.serve.controller.OnlineController.ladder` both call this,
+    which keeps their entries bit-identical; each call records one
+    ``session.calibrate`` span.
     """
+    calibration_inputs = list(calibration_inputs)
+    if not calibration_inputs:
+        raise TuningError("calibration requires at least one input")
+    tracer = get_tracer()
+    start_ns = time.monotonic_ns() if tracer.enabled else 0
     per_config_errors: dict[str, list[float]] = {c.key: [] for c in configs}
     by_key = {c.key: c for c in configs}
     for inputs in calibration_inputs:
@@ -101,17 +114,17 @@ def calibrate_configs(
         for key, errors in per_config_errors.items()
     ]
     entries.sort(key=lambda e: e.speedup, reverse=True)
+    if tracer.enabled:
+        tracer.record(
+            "session.calibrate",
+            category="calibrate",
+            start_ns=start_ns,
+            duration_ns=time.monotonic_ns() - start_ns,
+            app=app.name,
+            configs=len(entries),
+            inputs=len(calibration_inputs),
+        )
     return entries
-
-
-@dataclass
-class ExecutionRecord:
-    """Outcome of one monitored execution."""
-
-    config: ApproximationConfig
-    error: float | None
-    within_budget: bool
-    output: np.ndarray
 
 
 class Session:
@@ -129,22 +142,14 @@ class Session:
         configs: Iterable[ApproximationConfig] | None = None,
         inputs=None,
         error_budget: float | None = None,
-        safety_margin: float = 0.25,
-        backend=None,
     ) -> None:
         self.engine = engine
         self.app = app
         self.configs = list(configs) if configs is not None else None
         self.inputs = inputs
         self.error_budget = error_budget
-        self.safety_margin = safety_margin
-        #: Execution backend for compiled-kernel runs; ``None`` defers to
-        #: the engine's backend.  Resolved eagerly so unknown backend names
-        #: fail here rather than deep inside the first run_compiled().
-        self.backend = _resolve_session_backend(backend)
         self.calibration: list[CalibrationEntry] = []
         self.selected: ApproximationConfig = ACCURATE_CONFIG
-        self.history: list[ExecutionRecord] = []
 
     # ------------------------------------------------------------------
     # Fluent configuration
@@ -163,43 +168,14 @@ class Session:
         self.error_budget = budget
         return self
 
-    def with_backend(self, backend) -> "Session":
-        """Select the execution backend for this session's compiled runs."""
-        self.backend = _resolve_session_backend(backend)
-        return self
-
     # ------------------------------------------------------------------
-    def default_inputs(self):
-        """The inputs this session evaluates on when none are passed.
-
-        Resolves (and caches) the representative sample input when the
-        caller never supplied any; the autotuner uses this to tune on the
-        exact input calibration would have used.
-        """
-        return self._inputs_or_default(None)
-
     def _inputs_or_default(self, inputs):
+        """``inputs``, else the session's inputs, else (cached) :func:`default_inputs`."""
         if inputs is not None:
             return inputs
-        if self.inputs is not None:
-            return self.inputs
-        self.inputs = self._sample_inputs()
+        if self.inputs is None:
+            self.inputs = default_inputs(self.app)
         return self.inputs
-
-    def _sample_inputs(self):
-        """A representative input when the caller supplied none."""
-        from ..data import hotspot_single, single_image
-        from ..data.images import ImageClass
-
-        if self.app.name == "hotspot":
-            return hotspot_single(size=256, seed=42)
-        try:
-            return single_image(ImageClass.NATURAL, size=256, seed=42)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise TuningError(
-                f"no default inputs available for {self.app.name!r}; "
-                f"pass inputs explicitly (session.with_inputs(...) or sweep(inputs))"
-            ) from exc
 
     # ------------------------------------------------------------------
     # Evaluation and sweeps (delegating to the engine)
@@ -216,15 +192,13 @@ class Session:
         """Run the compiled (perforated) kernel on the simulated device.
 
         Uses the session's selected configuration when ``config`` is not
-        given (the accurate kernel before :meth:`autotune` was called), and
-        the session's execution backend (falling back to the engine's).
+        given (the accurate kernel before :meth:`autotune` was called), on
+        the engine's execution backend.
         """
         inputs = self._inputs_or_default(inputs)
         if config is None:
             config = self.selected
-        return self.engine.run_compiled(
-            self.app, inputs, config, backend=self.backend, with_stats=with_stats
-        )
+        return self.engine.run_compiled(self.app, inputs, config, with_stats=with_stats)
 
     def run_compiled_batch(
         self,
@@ -235,14 +209,12 @@ class Session:
         """Micro-batched compiled run of several same-sized inputs.
 
         Uses the session's selected configuration when ``config`` is not
-        given, and the session's execution backend (falling back to the
-        engine's).  See :meth:`PerforationEngine.run_compiled_batch`.
+        given, on the engine's execution backend.  See
+        :meth:`PerforationEngine.run_compiled_batch`.
         """
         if config is None:
             config = self.selected
-        return self.engine.run_compiled_batch(
-            self.app, inputs_batch, config, backend=self.backend, with_stats=with_stats
-        )
+        return self.engine.run_compiled_batch(self.app, inputs_batch, config, with_stats=with_stats)
 
     def evaluate_many(
         self, inputs, configs: Iterable[ApproximationConfig]
@@ -298,91 +270,46 @@ class Session:
         return self.engine.best_work_group(self.app, inputs, config, work_groups)
 
     # ------------------------------------------------------------------
-    # Auto-tuning (quality-aware runtime)
+    # Auto-tuning (calibrate and select)
     # ------------------------------------------------------------------
     def autotune(
         self,
         error_budget: float | None = None,
         calibration_inputs: Sequence | None = None,
         configs: Iterable[ApproximationConfig] | None = None,
-        tuner=None,
     ) -> "Session":
         """Calibrate on representative inputs and select a configuration.
 
         Returns the session itself so the tuned configuration can be used
-        fluently: ``engine.session(app="sobel3").autotune(0.01).run(image)``.
-
-        ``tuner`` (a :class:`repro.autotune.Tuner`, or ``True`` for a
-        default one on this engine) switches calibration to the
-        database-backed fast path: the entries are computed by the same
-        function — bit-identical floats — but persisted in
-        the tuner's :class:`~repro.autotune.db.TuningDB`, so a *second*
-        autotune of the same question performs zero kernel evaluations.
-        Without ``tuner`` the behaviour is unchanged.
+        fluently:
+        ``engine.session(app="sobel3").autotune(0.01).run_compiled(image)``.
         """
         if error_budget is not None:
             self.error_budget = error_budget
         if configs is not None:
             self.configs = list(configs)
-        self.calibrate(calibration_inputs, tuner=tuner)
+        self.calibrate(calibration_inputs)
         return self
 
-    def calibrate(
-        self, calibration_inputs: Sequence | None = None, tuner=None
-    ) -> list[CalibrationEntry]:
+    def calibrate(self, calibration_inputs: Sequence | None = None) -> list[CalibrationEntry]:
         """Measure error/speedup of every candidate on the calibration inputs.
 
         The error statistics are aggregated over the calibration inputs;
         the speedup is computed once per configuration from the timing
         model (it depends only on the configuration and the input size), so
-        calibration entries are deterministic regardless of sweep ordering.
-
-        With ``tuner`` the entries come from the tuning-database-backed
-        fast path (see :meth:`autotune`); a warm database answers without
-        evaluating anything, and a cold one produces bit-identical entries
-        to this method's in-process path.
+        calibration entries are deterministic regardless of sweep ordering
+        (see :func:`calibrate_configs`).
         """
         if self.error_budget is None or self.error_budget <= 0:
             raise TuningError("error budget must be positive")
-        tracer = get_tracer()
-        start_ns = time.monotonic_ns() if tracer.enabled else 0
-        if tuner is True:
-            from ..autotune import Tuner
-
-            tuner = Tuner(engine=self.engine)
-        if tuner is not None and tuner.engine is not self.engine:
-            raise TuningError(
-                "the tuner must share this session's engine (device, caches "
-                "and timing model define the calibration results)"
-            )
         if calibration_inputs is None:
             calibration_inputs = [self._inputs_or_default(None)]
-        calibration_inputs = list(calibration_inputs)
-        if not calibration_inputs:
-            raise TuningError("calibration requires at least one input")
         if self.configs is None:
-            from ..core.config import default_configurations
-
             self.configs = default_configurations(self.app.halo)  # expose what calibration explored
-
-        if tuner is None:
-            self.calibration = calibrate_configs(
-                self.engine, self.app, calibration_inputs, self.configs
-            )
-        else:
-            self.calibration = tuner.calibration_entries(self.app, calibration_inputs, self.configs)
+        self.calibration = calibrate_configs(
+            self.engine, self.app, calibration_inputs, self.configs
+        )
         self.selected = self.select()
-        if tracer.enabled:
-            tracer.record(
-                "session.calibrate",
-                category="calibrate",
-                start_ns=start_ns,
-                duration_ns=time.monotonic_ns() - start_ns,
-                app=self.app.name,
-                source="sweep" if tuner is None else "tuning-db",
-                configs=len(self.calibration),
-                inputs=len(calibration_inputs),
-            )
         return self.calibration
 
     def select(self) -> ApproximationConfig:
@@ -394,53 +321,9 @@ class Session:
             raise TuningError("calibrate() must be called before select()")
         assert self.error_budget is not None
         for entry in self.calibration:  # sorted fastest-first
-            if entry.admissible(self.error_budget, self.safety_margin):
+            if entry.admissible(self.error_budget):
                 return entry.config
         return ACCURATE_CONFIG
-
-    # ------------------------------------------------------------------
-    # Quality-aware execution
-    # ------------------------------------------------------------------
-    def run(self, inputs, monitor: bool = False) -> ExecutionRecord:
-        """Run the application on ``inputs`` with the selected configuration.
-
-        With ``monitor=True`` the accurate output is also computed, the
-        achieved error recorded, and the configuration demoted to a more
-        accurate one when the budget was violated (mirroring the
-        recalibration loop of quality-aware runtimes such as SAGE).
-        """
-        config = self.selected
-        if config.is_accurate:
-            # Copy: the cached reference is shared (and read-only); the
-            # record's output belongs to the caller, who may mutate it.
-            output = np.array(self.engine.reference(self.app, inputs))
-            record = ExecutionRecord(
-                config=config, error=0.0, within_budget=True, output=output
-            )
-            self.history.append(record)
-            return record
-
-        output = self.app.approximate(inputs, config)
-        error = None
-        within = True
-        if monitor:
-            reference = self.engine.reference(self.app, inputs)
-            error = compute_error(reference, output, self.app.error_metric)
-            budget = self.error_budget if self.error_budget is not None else float("inf")
-            within = error <= budget
-            if not within:
-                self._demote(config)
-        record = ExecutionRecord(config=config, error=error, within_budget=within, output=output)
-        self.history.append(record)
-        return record
-
-    def _demote(self, config: ApproximationConfig) -> None:
-        """Switch to the next more accurate calibrated configuration."""
-        index = next(
-            (i for i, entry in enumerate(self.calibration) if entry.config == config), None
-        )
-        tighter = None if index is None else tighter_rung(self.calibration, index)
-        self.selected = ACCURATE_CONFIG if tighter is None else self.calibration[tighter].config
 
     # ------------------------------------------------------------------
     def report(self) -> str:
@@ -448,10 +331,10 @@ class Session:
         budget = self.error_budget if self.error_budget is not None else float("nan")
         lines = [
             f"Quality-aware session for {self.app.name!r} "
-            f"(budget {budget:.2%}, margin {self.safety_margin:.0%})"
+            f"(budget {budget:.2%}, margin {SAFETY_MARGIN:.0%})"
         ]
         for entry in self.calibration:
-            marker = "*" if entry.config.label == self.selected.label else " "
+            marker = "*" if entry.config == self.selected else " "
             lines.append(
                 f" {marker} {entry.config.label:<14s} mean err {entry.mean_error * 100:6.2f}%  "
                 f"max err {entry.max_error * 100:6.2f}%  speedup {entry.speedup:5.2f}x"

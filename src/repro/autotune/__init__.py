@@ -27,9 +27,6 @@ schemes x reconstruction x work-group sizes and keeping the Pareto front
     front = result.front()                       # Pareto-optimal configs
     config = result.best_for_budget(0.01)        # fastest within 1% error
 
-    # DB-backed session calibration (zero evaluations when warm):
-    session = engine.session("gaussian").autotune(0.01, tuner=tuner)
-
 See ``docs/autotuning.md`` for the full guide.
 """
 

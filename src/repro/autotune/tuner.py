@@ -6,16 +6,11 @@ the outcome in the :class:`~repro.autotune.db.TuningDB`, and answer the
 questions callers actually ask — the Pareto front, how it grew while the
 search ran, and budget-indexed configuration ladders.
 
-Two entry points:
-
-* :meth:`Tuner.tune` — full search over the space; returns a
-  :class:`TuningResult`.
-* :meth:`Tuner.calibration_entries` — the
-  :meth:`Session.calibrate <repro.api.session.Session.calibrate>` fast
-  path: the same per-configuration error/speedup statistics, computed by
-  the same function (so the floats are bit-identical to an in-process
-  calibration) but persisted in the database — a warm database answers
-  with **zero** evaluations.
+The entry point is :meth:`Tuner.tune`: a full search over the space,
+returning a :class:`TuningResult`; a warm database replays it with
+**zero** evaluations.  Calibrating a fixed list of configurations is
+:func:`repro.api.session.calibrate_configs`, which the session and the
+serve controller share.
 """
 
 from __future__ import annotations
@@ -25,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from ..api.cache import input_token
+from ..api.session import CalibrationEntry, default_inputs
 from ..core.config import ApproximationConfig
 from ..core.errors import TuningError
 from ..core.pareto import pareto_front
@@ -97,8 +93,6 @@ class TuningResult:
         consumable by :meth:`Session.select
         <repro.api.session.Session.select>` and the serve controller.
         """
-        from ..api.session import CalibrationEntry
-
         entries = [
             CalibrationEntry(
                 config=o.config,
@@ -111,25 +105,18 @@ class TuningResult:
         entries.sort(key=lambda e: e.speedup, reverse=True)
         return entries
 
-    def best_for_budget(
-        self, budget: float, safety_margin: float = 0.25
-    ) -> ApproximationConfig | None:
+    def best_for_budget(self, budget: float) -> ApproximationConfig | None:
         """Fastest tuned configuration expected to meet ``budget``."""
         if budget <= 0:
             raise TuningError(f"error budget must be positive, got {budget}")
         for entry in self.ladder():
-            if entry.admissible(budget, safety_margin):
+            if entry.admissible(budget):
                 return entry.config
         return None
 
-    def budget_ladder(
-        self, budgets: Iterable[float], safety_margin: float = 0.25
-    ) -> dict[float, ApproximationConfig | None]:
+    def budget_ladder(self, budgets: Iterable[float]) -> dict[float, ApproximationConfig | None]:
         """Budget-indexed ladder: the selected configuration per error budget."""
-        return {
-            budget: self.best_for_budget(budget, safety_margin)
-            for budget in budgets
-        }
+        return {budget: self.best_for_budget(budget) for budget in budgets}
 
     # ------------------------------------------------------------------
     def to_record(self) -> dict:
@@ -235,9 +222,6 @@ class Tuner:
 
         return hashlib.sha256(repr(self.engine.device).encode()).hexdigest()
 
-    def _default_inputs(self, app):
-        return self.engine.session(app=app).default_inputs()
-
     def _record_key(self, app, inputs, **question) -> str | None:
         """The database key of a question about ``app`` on ``inputs``.
 
@@ -275,7 +259,7 @@ class Tuner:
         """
         app = self.engine.resolve_app(app)
         if inputs is None:
-            inputs = self._default_inputs(app)
+            inputs = default_inputs(app)
         strategy = resolve_strategy(strategy) if strategy is not None else self.strategy
         seed = self.seed if seed is None else seed
         max_evals = self.max_evals if max_evals is None else max_evals
@@ -307,74 +291,6 @@ class Tuner:
         if key is not None:
             self.db.put(key, result.to_record())
         return result
-
-    # ------------------------------------------------------------------
-    def calibration_entries(
-        self,
-        app,
-        calibration_inputs: Sequence | None = None,
-        configs: Iterable[ApproximationConfig] | None = None,
-    ):
-        """Database-backed equivalent of :meth:`Session.calibrate
-        <repro.api.session.Session.calibrate>`.
-
-        Returns the calibrated entries sorted fastest-first, computed by
-        the same :func:`~repro.api.session.calibrate_configs` as an
-        in-process calibration — a cold database produces bit-identical
-        floats, a warm one returns them without any evaluation at all.
-        """
-        from ..api.session import CalibrationEntry, calibrate_configs
-
-        app = self.engine.resolve_app(app)
-        if calibration_inputs is None:
-            calibration_inputs = [self._default_inputs(app)]
-        calibration_inputs = list(calibration_inputs)
-        if not calibration_inputs:
-            raise TuningError("calibration requires at least one input")
-        if configs is None:
-            from ..core.config import default_configurations
-
-            configs = default_configurations(app.halo)
-        configs = list(configs)
-
-        key = self._record_key(
-            app,
-            calibration_inputs,
-            kind="calibration",
-            configs=[config_to_dict(c) for c in configs],
-        )
-        if key is not None:
-            record = self.db.get(key)
-            if record is not None:
-                return [
-                    CalibrationEntry(
-                        config=config_from_dict(entry["config"]),
-                        mean_error=entry["mean_error"],
-                        max_error=entry["max_error"],
-                        speedup=entry["speedup"],
-                    )
-                    for entry in record["entries"]
-                ]
-
-        entries = calibrate_configs(self.engine, app, calibration_inputs, configs)
-        if key is not None:
-            self.db.put(
-                key,
-                {
-                    "kind": "calibration",
-                    "app": app.name,
-                    "entries": [
-                        {
-                            "config": config_to_dict(e.config),
-                            "mean_error": e.mean_error,
-                            "max_error": e.max_error,
-                            "speedup": e.speedup,
-                        }
-                        for e in entries
-                    ],
-                },
-            )
-        return entries
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -93,7 +93,7 @@ from ..clsim.backends import resolve_backend
 from ..core.errors import PerforationError
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
-from ..serve.controller import ControllerPolicy, OnlineController
+from ..serve.controller import OnlineController
 from ..serve.metrics import ServeMetrics
 from ..serve.requests import ServeRequest, ServeResponse
 from .protocol import (
@@ -469,7 +469,7 @@ class PerforationFleet:
     workers:
         Number of worker processes (each a full
         :class:`~repro.serve.server.PerforationServer`).
-    backend / device / max_batch / max_delay_ms / policy / cache_capacity:
+    backend / device / max_batch / max_delay_ms / cache_capacity:
         Forwarded to every worker's server (same meaning as the
         single-process constructor).
     calibration_inputs:
@@ -527,7 +527,6 @@ class PerforationFleet:
         device: str | None = None,
         max_batch: int = 8,
         max_delay_ms: float = 50.0,
-        policy: ControllerPolicy | None = None,
         calibration_inputs: Mapping[str, Sequence] | None = None,
         max_pending: int = 256,
         transport: str = "unix",
@@ -558,7 +557,6 @@ class PerforationFleet:
         self.device = device
         self.max_batch = int(max_batch)
         self.max_delay_ms = float(max_delay_ms)
-        self.policy = policy
         self.calibration_inputs = dict(calibration_inputs or {})
         #: Application name → the ladder :meth:`start` calibrated for it.
         self.ladders: dict[str, tuple] = {}
@@ -612,8 +610,7 @@ class PerforationFleet:
             if self.calibration_inputs:
                 controller = OnlineController(
                     PerforationEngine(device=self.device, backend=self.backend_arg),
-                    policy=self.policy,
-                    calibration_inputs=self.calibration_inputs,
+                    self.calibration_inputs,
                 )
                 self.ladders = {
                     app: tuple(controller.ladder(app)) for app in sorted(self.calibration_inputs)
@@ -661,7 +658,6 @@ class PerforationFleet:
             device=self.device,
             max_batch=self.max_batch,
             max_delay_ms=self.max_delay_ms,
-            policy=self.policy,
             ladders=self.ladders,
             cache_capacity=self.cache_capacity,
             generation=generation,

@@ -75,7 +75,6 @@ from typing import Any, Mapping, Sequence
 from ..api.engine import PerforationEngine
 from ..api.session import CalibrationEntry
 from ..obs import trace as obs_trace
-from ..serve.controller import ControllerPolicy
 from ..serve.server import PerforationServer
 from .protocol import (
     ProtocolError,
@@ -105,7 +104,6 @@ class WorkerSpec:
     device: str | None = None
     max_batch: int = 8
     max_delay_ms: float = 50.0
-    policy: ControllerPolicy | None = None
     #: Application name → the ladder the front-end calibrated for it.  An
     #: application without one is calibrated lazily, on its default input.
     ladders: Mapping[str, Sequence[CalibrationEntry]] = field(default_factory=dict)
@@ -147,7 +145,6 @@ def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
         backend=spec.backend,
         max_batch=spec.max_batch,
         max_delay_ms=spec.max_delay_ms,
-        policy=spec.policy,
         cache_capacity=spec.cache_capacity,
     )
     for app, ladder in spec.ladders.items():

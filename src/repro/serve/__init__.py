@@ -7,8 +7,8 @@ deterministic :class:`~repro.serve.scheduler.MicroBatchScheduler`, executed
 as single batched codegen launches
 (:meth:`~repro.api.engine.PerforationEngine.run_compiled_batch`), and
 steered by an :class:`~repro.serve.controller.OnlineController` that starts
-from :meth:`Session.calibrate <repro.api.session.Session.calibrate>`
-calibration and adapts the perforation configuration per application from
+from the calibration behind :meth:`Session.calibrate
+<repro.api.session.Session.calibrate>` and adapts the perforation configuration per application from
 monitored quality feedback — tightening when the measured error drifts
 above budget, loosening when there is headroom.  A bounded LRU result
 cache (:mod:`repro.serve.cache`, on the library's one in-memory
@@ -35,7 +35,7 @@ under mixed multi-application traffic; see ``docs/serving.md``.
 """
 
 from .cache import ServeResultCache
-from .controller import ControllerPolicy, OnlineController
+from .controller import OnlineController
 from .loadgen import ARRIVAL_PROCESSES, DEFAULT_SERVE_APPS, TraceSpec, generate_trace
 from .metrics import LatencySummary, ServeMetrics
 from .requests import ServeRequest, ServeResponse
@@ -44,7 +44,6 @@ from .server import PerforationServer
 
 __all__ = [
     "ARRIVAL_PROCESSES",
-    "ControllerPolicy",
     "DEFAULT_SERVE_APPS",
     "LatencySummary",
     "MicroBatch",

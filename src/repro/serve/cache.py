@@ -2,7 +2,10 @@
 
 Serving workloads repeat inputs (the same frame, tile or grid gets
 requested again), so the server memoizes *served kernel outputs* keyed by
-(application, configuration label, input fingerprint).  The store is the
+(application, configuration key, input fingerprint).  The key is
+:attr:`ApproximationConfig.key <repro.core.config.ApproximationConfig.key>`,
+not the figure label, which drops the work group and scheme parameters:
+configurations that share a label produce different outputs.  The store is the
 library's one in-memory LRU (:class:`repro.api.cache.LRUCache`) with a
 configurable capacity — a serving process must not grow without bound —
 and counts hits, misses, puts and evictions in a
@@ -39,12 +42,12 @@ class ServeResultCache(LRUCache):
         super().__init__(capacity)
 
     @staticmethod
-    def key(app_name: str, config_label: str, inputs: Any) -> Hashable | None:
+    def key(app_name: str, config_key: str, inputs: Any) -> Hashable | None:
         """Cache key of one request, or ``None`` when not fingerprintable."""
         token = input_token(inputs)
         if token is None:
             return None
-        return (app_name, config_label, token)
+        return (app_name, config_key, token)
 
     def put(self, key: Hashable | None, output: np.ndarray, error: float | None) -> None:
         """Store a served output (shared read-only; ``.copy()`` to mutate)."""

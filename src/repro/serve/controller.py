@@ -1,14 +1,16 @@
 """Online perforation controller.
 
-The controller owns the serving-time *policy* half of the paper's
-quality-aware runtime: which :class:`~repro.core.config.ApproximationConfig`
-should a given application's requests run with, under a given error budget?
+The controller is the online half of the quality-aware runtime (the
+calibrate → select → monitor loop of SAGE, Samadi et al., MICRO 2013):
+which :class:`~repro.core.config.ApproximationConfig` should a given
+application's requests run with, under a given error budget?
 
-It starts where :meth:`Session.calibrate <repro.api.session.Session.calibrate>`
-ends: each application is calibrated once (offline-style, on representative
-inputs) into a *ladder* of configurations sorted fastest-first, terminated
-by the accurate configuration (error 0, speedup 1).  Per (application,
-budget) stream the controller then walks that ladder online from monitored
+Each application is calibrated once, offline-style on representative
+inputs, by :func:`~repro.api.session.calibrate_configs` (the function
+behind :meth:`Session.calibrate <repro.api.session.Session.calibrate>`)
+into a *ladder* of configurations sorted fastest-first, terminated by the
+accurate configuration (error 0, speedup 1).  Per (application, budget)
+stream the controller then walks that ladder online from monitored
 quality feedback:
 
 * **tighten** — when the exponentially weighted moving average of the
@@ -16,9 +18,10 @@ quality feedback:
   configuration whose calibrated error is strictly lower (ultimately the
   accurate configuration, which cannot violate);
 * **loosen** — when the EWMA sits well below the budget
-  (``ewma < loosen_headroom * budget``) for at least ``min_dwell``
+  (``ewma < LOOSEN_HEADROOM * budget``) for at least :data:`MIN_DWELL`
   observations, step back up to the nearest faster configuration that
-  calibration deems admissible under the budget.
+  calibration deems admissible under the budget
+  (:meth:`~repro.api.session.CalibrationEntry.admissible`).
 
 Every decision is a pure function of the observation sequence, so a
 replayed trace reproduces the exact same configuration choices.
@@ -29,35 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..api.session import CalibrationEntry, tighter_rung
-from ..core.config import ACCURATE_CONFIG, ApproximationConfig
+from ..api.session import CalibrationEntry, calibrate_configs, default_inputs
+from ..core.config import ACCURATE_CONFIG, ApproximationConfig, default_configurations
 from ..core.errors import TuningError
 
+#: Smoothing factor of the measured-error EWMA.
+EWMA_ALPHA = 0.25
 
-@dataclass(frozen=True)
-class ControllerPolicy:
-    """Knobs of the online controller."""
+#: Loosen only when ``ewma < LOOSEN_HEADROOM * budget``.
+LOOSEN_HEADROOM = 0.4
 
-    #: Calibration safety margin: a configuration is admissible when
-    #: ``mean_error * (1 + safety_margin) <= budget`` (same rule as
-    #: :meth:`repro.api.session.CalibrationEntry.admissible`).
-    safety_margin: float = 0.25
-    #: Smoothing factor of the measured-error EWMA.
-    ewma_alpha: float = 0.25
-    #: Loosen only when ``ewma < loosen_headroom * budget``.
-    loosen_headroom: float = 0.4
-    #: Minimum observations on the current configuration before loosening.
-    min_dwell: int = 16
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise TuningError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if not 0.0 <= self.loosen_headroom < 1.0:
-            raise TuningError(
-                f"loosen_headroom must be in [0, 1), got {self.loosen_headroom}"
-            )
-        if self.min_dwell < 1:
-            raise TuningError(f"min_dwell must be >= 1, got {self.min_dwell}")
+#: Minimum observations on the current configuration before loosening.
+MIN_DWELL = 16
 
 
 @dataclass
@@ -81,40 +67,23 @@ class OnlineController:
         The :class:`~repro.api.engine.PerforationEngine` used for
         calibration sweeps (shared with the server, so references and
         timings are cached once).
-    policy:
-        The adaptation knobs (:class:`ControllerPolicy`).
     calibration_inputs:
         Optional mapping of application name to the representative inputs
         calibration should sweep; applications without an entry calibrate
-        on the session's default sample input.
-    tuner:
-        Optional :class:`repro.autotune.Tuner` sharing this controller's
-        engine.  When given, ladders are seeded from the tuner's
-        persistent :class:`~repro.autotune.db.TuningDB` instead of
-        per-process calibration: a warm database restores the ladder with
-        zero kernel evaluations, and the entries are bit-identical to an
-        in-process calibration either way (pinned by
-        ``tests/serve/test_controller.py``).
+        on their default sample input
+        (:func:`~repro.api.session.default_inputs`).
     """
 
-    def __init__(
-        self,
-        engine,
-        policy: ControllerPolicy | None = None,
-        calibration_inputs: Mapping[str, Sequence] | None = None,
-        tuner=None,
-    ) -> None:
+    def __init__(self, engine, calibration_inputs: Mapping[str, Sequence] | None = None) -> None:
         self.engine = engine
-        self.policy = policy or ControllerPolicy()
         self.calibration_inputs = dict(calibration_inputs or {})
-        self.tuner = tuner
         #: Application name → calibrated ladder.  :meth:`ladder` fills it on
         #: first use; a caller that already holds an application's ladder
         #: may seed it here, as a fleet worker does with the ladders its
         #: front-end ships.
         self.ladders: dict[str, list[CalibrationEntry]] = {}
-        #: How many ladders :meth:`ladder` has built itself, by calibration
-        #: or from the tuner's database (seeded ones do not count).
+        #: How many ladders :meth:`ladder` has calibrated itself (seeded
+        #: ones do not count).
         self.calibrated = 0
         self._streams: dict[tuple[str, float], _StreamState] = {}
 
@@ -126,20 +95,15 @@ class OnlineController:
 
         The final rung is always the accurate configuration, so tightening
         terminates at a configuration that cannot violate any budget.
-        With a :attr:`tuner`, the entries come from the tuning database
-        (seeded on first use, replayed bit-identically afterwards).
         """
         cached = self.ladders.get(app_name)
         if cached is not None:
             return cached
-        session = self.engine.session(
-            app=app_name,
-            error_budget=1.0,  # selection is ours; calibrate() just needs a budget
-            safety_margin=self.policy.safety_margin,
-        )
-        entries = session.calibrate(
-            self.calibration_inputs.get(app_name), tuner=self.tuner
-        )
+        app = self.engine.resolve_app(app_name)
+        inputs = self.calibration_inputs.get(app_name)
+        if inputs is None:
+            inputs = [default_inputs(app)]
+        entries = calibrate_configs(self.engine, app, inputs, default_configurations(app.halo))
         ladder = [
             *entries,  # already sorted fastest-first
             CalibrationEntry(config=ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
@@ -156,11 +120,7 @@ class OnlineController:
         if state is None:
             ladder = self.ladder(app_name)
             index = next(
-                (
-                    i
-                    for i, entry in enumerate(ladder)
-                    if entry.admissible(budget, self.policy.safety_margin)
-                ),
+                (i for i, entry in enumerate(ladder) if entry.admissible(budget)),
                 len(ladder) - 1,  # the accurate rung
             )
             state = self._streams[key] = _StreamState(index=index)
@@ -178,8 +138,9 @@ class OnlineController:
         """Feed one request's measured error back into the stream's state."""
         state = self._stream(app_name, budget)
         ladder = self.ladder(app_name)
-        alpha = self.policy.ewma_alpha
-        state.ewma = error if state.ewma is None else alpha * error + (1 - alpha) * state.ewma
+        state.ewma = (
+            error if state.ewma is None else EWMA_ALPHA * error + (1 - EWMA_ALPHA) * state.ewma
+        )
         state.since_switch += 1
 
         before = state.index
@@ -189,8 +150,8 @@ class OnlineController:
                 self._trace_decision("tighten", app_name, budget, ladder, state)
         elif (
             state.index > 0
-            and state.since_switch >= self.policy.min_dwell
-            and state.ewma < self.policy.loosen_headroom * budget
+            and state.since_switch >= MIN_DWELL
+            and state.ewma < LOOSEN_HEADROOM * budget
         ):
             self._loosen(state, ladder, budget)
             if state.index != before:
@@ -224,18 +185,25 @@ class OnlineController:
         state.switches += 1
 
     def _tighten(self, state: _StreamState, ladder: list[CalibrationEntry]) -> None:
-        """Step to the next more accurate rung (exists: the last rung is 0)."""
-        index = tighter_rung(ladder, state.index)
-        if index is not None:
-            self._switch(state, index)
-            state.tightened += 1
+        """Step to the first later rung with a strictly lower calibrated error.
+
+        The ladder is sorted fastest-first, so that is the fastest
+        configuration calibration deems more accurate than the current one;
+        on the accurate rung there is none and the stream stays put.
+        """
+        current = ladder[state.index].mean_error
+        for index in range(state.index + 1, len(ladder)):
+            if ladder[index].mean_error < current:
+                self._switch(state, index)
+                state.tightened += 1
+                return
 
     def _loosen(
         self, state: _StreamState, ladder: list[CalibrationEntry], budget: float
     ) -> None:
         """Step back to the nearest faster admissible rung, if any."""
         for index in range(state.index - 1, -1, -1):
-            if ladder[index].admissible(budget, self.policy.safety_margin):
+            if ladder[index].admissible(budget):
                 self._switch(state, index)
                 state.loosened += 1
                 return

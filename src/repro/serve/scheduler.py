@@ -1,6 +1,6 @@
 """Deterministic micro-batching scheduler.
 
-Requests are grouped by *batch key* — application, configuration label,
+Requests are grouped by *batch key* — application, configuration key,
 backend and global size — because only such requests can share one batched
 kernel launch (:meth:`repro.api.engine.PerforationEngine.run_compiled_batch`
 requires one kernel, one configuration and identically sized inputs).
@@ -21,10 +21,11 @@ from ..core.config import ApproximationConfig
 from ..core.errors import ConfigurationError
 from .requests import ServeRequest
 
-#: (app name, config label, work-group shape, backend name, global size).
-#: The work group is part of the key because the label omits it and
-#: tile-aware reconstruction makes outputs work-group-dependent.
-BatchKey = tuple[str, str, tuple[int, int], str, tuple[int, ...]]
+#: (app name, :attr:`ApproximationConfig.key
+#: <repro.core.config.ApproximationConfig.key>`, backend name, global size).
+#: The config key, unlike the figure label, carries the work group and every
+#: scheme parameter, so one batch key means one configuration.
+BatchKey = tuple[str, str, str, tuple[int, ...]]
 
 
 @dataclass
@@ -100,20 +101,10 @@ class MicroBatchScheduler:
         global_size: tuple[int, ...],
     ) -> BatchKey:
         """Enqueue ``request`` under its batch key and return the key."""
-        key: BatchKey = (
-            request.app,
-            config.label,
-            config.work_group,
-            backend_name,
-            tuple(global_size),
-        )
+        key: BatchKey = (request.app, config.key, backend_name, tuple(global_size))
         queue = self._queues.get(key)
         if queue is None:
             queue = self._queues[key] = _PendingQueue(config=config)
-        elif queue.config != config:  # pragma: no cover - defensive
-            raise ConfigurationError(
-                f"batch key {key} maps to config {queue.config}, got {config}"
-            )
         queue.requests.append(request)
         self.submitted += 1
         return key

@@ -9,13 +9,18 @@ submitted in virtual (trace) time; the server
 2. flushes due micro-batches and executes each as **one** batched
    codegen launch
    (:meth:`~repro.api.engine.PerforationEngine.run_compiled_batch`),
-   short-circuiting requests whose result is in the LRU cache;
+   short-circuiting requests whose result is in the LRU cache (keyed by
+   the configuration's full identity, :attr:`ApproximationConfig.key
+   <repro.core.config.ApproximationConfig.key>`, not its figure label);
 3. measures the quality of every served output against the memoized
    accurate reference, feeds the errors back into the controller, and
    replaces any output that violates its request's budget with the
    accurate reference, so every *completed* request honours its error
    budget;
 4. records everything in :class:`~repro.serve.metrics.ServeMetrics`.
+
+This is the library's one quality-monitored runtime: a
+:class:`~repro.api.session.Session` only calibrates and selects.
 
 The server is synchronous and single-threaded by design: batching, not
 concurrency, is the throughput mechanism (worker-level parallelism lives in
@@ -38,7 +43,7 @@ from ..core.quality import compute_error
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
 from .cache import ServeResultCache
-from .controller import ControllerPolicy, OnlineController
+from .controller import OnlineController
 from .metrics import ServeMetrics
 from .requests import ServeRequest, ServeResponse
 from .scheduler import MicroBatch, MicroBatchScheduler
@@ -56,10 +61,9 @@ class PerforationServer:
         backend executes each micro-batch as one stacked launch.
     max_batch / max_delay_ms:
         Micro-batching knobs (see :class:`MicroBatchScheduler`).
-    policy / calibration_inputs / tuner:
-        Controller knobs (see :class:`OnlineController`); ``tuner`` seeds
-        the controller's ladders from a persistent tuning database, so a
-        server restart skips per-process calibration entirely.
+    calibration_inputs:
+        Application name → representative inputs the controller calibrates
+        on (see :class:`OnlineController`).
     cache_capacity:
         LRU capacity of the result cache; ``0`` disables caching.
     """
@@ -71,17 +75,13 @@ class PerforationServer:
         *,
         max_batch: int = 8,
         max_delay_ms: float = 50.0,
-        policy: ControllerPolicy | None = None,
         calibration_inputs: Mapping[str, Sequence] | None = None,
-        tuner=None,
         cache_capacity: int = 256,
     ) -> None:
         self.backend = resolve_backend(backend)
         self.engine = engine if engine is not None else PerforationEngine(backend=self.backend)
         self.scheduler = MicroBatchScheduler(max_batch=max_batch, max_delay_ms=max_delay_ms)
-        self.controller = OnlineController(
-            self.engine, policy=policy, calibration_inputs=calibration_inputs, tuner=tuner
-        )
+        self.controller = OnlineController(self.engine, calibration_inputs)
         self.cache = ServeResultCache(cache_capacity) if cache_capacity else None
         self.metrics = ServeMetrics()
         self._batch_seq = 0
@@ -166,7 +166,7 @@ class PerforationServer:
             duplicate_of: dict[int, int] = {}
             for request in batch.requests:
                 key = (
-                    self.cache.key(app.name, config.label, request.inputs)
+                    self.cache.key(app.name, config.key, request.inputs)
                     if self.cache is not None
                     else None
                 )
@@ -285,9 +285,8 @@ class PerforationServer:
 
         Starts from the serving metrics' own registry and absorbs every
         cache's :class:`~repro.api.store.StoreStats` (the serve result
-        cache, the engine's reference and timing stores, the codegen
-        artifact cache and, when the controller is tuner-backed, the tuning
-        database), the kernel-build cache's ``cache_info()``, and the
+        cache, the engine's reference and timing stores and the codegen
+        artifact cache), the kernel-build cache's ``cache_info()``, and the
         controller's tighten/loosen decisions.
         """
         # A copy, so absorbing the cache statistics below never accumulates
@@ -303,9 +302,6 @@ class PerforationServer:
         artifact_cache = default_cache()
         if artifact_cache is not None:
             registry.absorb_cache("codegen.artifact_cache", artifact_cache.stats)
-        tuner = self.controller.tuner
-        if tuner is not None and getattr(tuner, "db", None) is not None:
-            registry.absorb_cache("autotune.tuning_db", tuner.db.stats)
         for stream in self.controller.snapshot().values():
             registry.counter("controller.switches").inc(stream["switches"])
             registry.counter("controller.tightened").inc(stream["tightened"])

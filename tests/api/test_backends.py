@@ -2,7 +2,6 @@
 through executor, engine and session (mirrors ``tests/api/test_registry.py``
 for the application/device/scheme registries)."""
 
-import numpy as np
 import pytest
 
 from repro.api import PerforationEngine
@@ -144,38 +143,17 @@ class TestSessionBackendPlumbing:
         recording = RecordingBackend()
         engine = PerforationEngine(backend=recording)
         session = engine.session("inversion")
-        assert session.backend is None  # defers to the engine
         image = generate_image("natural", size=16, seed=3)
         session.run_compiled(image, ROWS1_NN.with_work_group((8, 8)))
         assert recording.groups == 4
 
-    def test_per_session_override_beats_engine_backend(self):
+    def test_session_batch_runs_on_engine_backend(self):
         recording = RecordingBackend()
-        engine = PerforationEngine(backend="codegen")
-        session = engine.session("inversion", backend=recording)
-        image = generate_image("natural", size=16, seed=3)
-        session.run_compiled(image, ROWS1_NN.with_work_group((8, 8)))
-        assert recording.groups == 4
-
-    def test_with_backend_fluent_setter(self):
-        engine = PerforationEngine()
-        session = engine.session("inversion").with_backend("codegen")
-        assert isinstance(session.backend, CodegenBackend)
-        image = generate_image("natural", size=16, seed=3)
-        out = session.run_compiled(image, ROWS1_NN.with_work_group((8, 8)))
-        np.testing.assert_array_equal(
-            out,
-            engine.run_compiled(
-                "inversion", image, ROWS1_NN.with_work_group((8, 8))
-            ),
-        )
-
-    def test_unknown_session_backend_fails_eagerly(self):
-        engine = PerforationEngine()
-        with pytest.raises(InvalidBackendError):
-            engine.session("inversion", backend="warp-drive")
-        with pytest.raises(InvalidBackendError):
-            engine.session("inversion").with_backend("warp-drive")
+        session = PerforationEngine(backend=recording).session("inversion")
+        images = [generate_image("natural", size=16, seed=seed) for seed in (3, 4)]
+        outputs = session.run_compiled_batch(images, ROWS1_NN.with_work_group((8, 8)))
+        assert len(outputs) == 2
+        assert recording.groups == 8  # four 8x8 groups per 16x16 image
 
     def test_compiled_sweep_rejects_colliding_labels(self):
         from repro.core.errors import ConfigurationError

@@ -1,13 +1,14 @@
-"""Tests for the fluent Session API (sweep / autotune / run)."""
+"""Tests for the fluent Session API (sweep / autotune / select)."""
 
+import numpy as np
 import pytest
 
 from repro.api import PerforationEngine
-from repro.api import session as session_module
-from repro.api.session import CalibrationEntry
-from repro.core import ACCURATE_CONFIG, ROWS1_LI, ROWS1_NN, ROWS2_NN, TuningError
+from repro.api.session import calibrate_configs, default_inputs
+from repro.core import ROWS1_NN, TuningError
 from repro.core.config import default_configurations
 from repro.data import generate_image
+from repro.data.hotspot import HotspotInput
 
 
 @pytest.fixture()
@@ -37,6 +38,22 @@ class TestFluentSweep:
     def test_hotspot_default_inputs(self, engine):
         sweep = engine.session(app="hotspot").sweep()
         assert all(p.speedup > 0 for p in sweep.points)
+
+    def test_default_inputs_are_one_deterministic_sample(self, engine):
+        """``default_inputs(app)`` is a fixed 256x256 sample (a Hotspot
+        instance for hotspot, a natural image otherwise), and it is what a
+        session without inputs sweeps."""
+        image = default_inputs(engine.resolve_app("gaussian"))
+        assert image.shape == (256, 256)
+        np.testing.assert_array_equal(image, default_inputs(engine.resolve_app("sobel3")))
+        grid = default_inputs(engine.resolve_app("hotspot"))
+        assert isinstance(grid, HotspotInput) and grid.size == 256
+        again = default_inputs(engine.resolve_app("hotspot"))
+        np.testing.assert_array_equal(grid.temperature, again.temperature)
+        np.testing.assert_array_equal(grid.power, again.power)
+        session = engine.session(app="gaussian").with_configs([ROWS1_NN])
+        session.sweep()
+        np.testing.assert_array_equal(session.inputs, image)
 
     def test_with_configs_restricts_sweep(self, engine, images):
         session = engine.session(app="gaussian").with_configs([ROWS1_NN])
@@ -95,63 +112,40 @@ class TestAutotune:
         with pytest.raises(TuningError):
             session.calibrate([])
 
+    def test_calibrate_configs_rejects_empty_inputs(self, engine):
+        app = engine.resolve_app("gaussian")
+        with pytest.raises(TuningError, match="at least one input"):
+            calibrate_configs(engine, app, [], default_configurations(app.halo))
+
+    def test_autotune_is_calibrate_then_select(self, engine, images):
+        tuned = engine.session(app="gaussian").autotune(
+            error_budget=0.05, calibration_inputs=images
+        )
+        session = PerforationEngine().session(app="gaussian", error_budget=0.05)
+        assert tuned.calibration == session.calibrate(images)
+        assert tuned.selected == session.selected == session.select()
+
     def test_select_before_calibrate_rejected(self, engine):
         with pytest.raises(TuningError):
             engine.session(app="gaussian", error_budget=0.05).select()
 
-
-class TestRun:
-    def test_run_with_monitoring(self, engine, images):
-        session = engine.session(app="gaussian").autotune(
-            error_budget=0.10, calibration_inputs=images
-        )
-        record = session.run(images[1], monitor=True)
-        assert record.output.shape == images[1].shape
-        assert record.error is not None
-        assert record.within_budget
-        assert len(session.history) == 1
-
-    def test_run_without_monitoring_skips_reference(self, engine, images):
-        session = engine.session(app="gaussian").autotune(
-            error_budget=0.10, calibration_inputs=images
-        )
-        assert session.run(images[1]).error is None
-
-    def test_accurate_selection_runs_reference(self, engine, images):
-        session = engine.session(app="gaussian").autotune(
-            error_budget=1e-9, calibration_inputs=images
-        )
-        record = session.run(images[1])
-        assert record.error == 0.0
-        assert record.within_budget
-
-    def test_budget_violation_demotes(self, engine, images):
-        pattern = generate_image("pattern", size=64, seed=13)
-        session = engine.session(app="gaussian").autotune(
-            error_budget=0.02, calibration_inputs=images
-        )
-        first = session.selected
-        record = session.run(pattern, monitor=True)
-        if not record.within_budget:
-            assert session.selected.label != first.label or session.selected.is_accurate
-
-    def test_violations_demote_one_rung_at_a_time(self, engine, images, monkeypatch):
-        """Each violation steps to the fastest config with a strictly lower
-        calibrated error (the controller's tighten rule), never further."""
-        session = engine.session(app="gaussian", error_budget=0.06)
-        session.calibration = [  # fastest-first
-            CalibrationEntry(ROWS1_NN, mean_error=0.045, max_error=0.05, speedup=2.0),
-            CalibrationEntry(ROWS2_NN, mean_error=0.03, max_error=0.04, speedup=1.6),
-            CalibrationEntry(ROWS1_LI, mean_error=0.01, max_error=0.02, speedup=1.4),
-        ]
-        session.selected = session.select()
-        # Every measured error blows the budget.
-        monkeypatch.setattr(session_module, "compute_error", lambda *args: 1.0)
-        walked = [session.selected]
-        for _ in range(3):
-            session.run(images[1], monitor=True)
-            walked.append(session.selected)
-        assert walked == [ROWS1_NN, ROWS2_NN, ROWS1_LI, ACCURATE_CONFIG]
+    def test_bit_identity_holds_for_label_colliding_configs(self, engine, images):
+        """Configs differing only in work group share a figure label;
+        calibration keeps them as separate entries, each bit-identical to
+        calibrating it alone."""
+        configs = [ROWS1_NN.with_work_group((8, 8)), ROWS1_NN.with_work_group((32, 8))]
+        session = engine.session("gaussian", error_budget=0.05)
+        entries = session.with_configs(configs).calibrate([images[1]])
+        assert {entry.config for entry in entries} == set(configs)
+        marked = [line for line in session.report().splitlines() if line.startswith(" * ")]
+        assert len(marked) == 1  # the selected entry, not every entry sharing its label
+        for entry in entries:
+            [alone] = (
+                PerforationEngine()
+                .session("gaussian", error_budget=0.05, configs=[entry.config])
+                .calibrate([images[1]])
+            )
+            assert alone == entry
 
     def test_report_mentions_selection(self, engine, images):
         session = engine.session(app="gaussian").autotune(
@@ -160,6 +154,7 @@ class TestRun:
         report = session.report()
         assert "selected" in report
         assert "speedup" in report
+        assert "margin 25%" in report
 
 
 class TestSessionsShareEngineCache:
@@ -169,3 +164,16 @@ class TestSessionsShareEngineCache:
         before = engine.references.stats.misses
         engine.session(app="gaussian").sweep(images[1], app_configs)
         assert engine.references.stats.misses == before
+
+    def test_second_autotune_computes_no_new_references_or_timings(self, engine, images):
+        first = engine.session(app="gaussian").autotune(
+            error_budget=0.05, calibration_inputs=images
+        )
+        references, timings = engine.references.stats.misses, engine.timings.stats.misses
+        second = engine.session(app="gaussian").autotune(
+            error_budget=0.05, calibration_inputs=images
+        )
+        assert engine.references.stats.misses == references
+        assert engine.timings.stats.misses == timings
+        assert second.calibration == first.calibration
+        assert second.selected == first.selected

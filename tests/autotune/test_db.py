@@ -3,9 +3,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from repro.autotune import Tuner, TuningDB, default_db, resolve_db
+from repro.autotune import Strategy, Tuner, TuningDB, default_db, resolve_db
 from repro.autotune.db import (
     DB_HEADER,
     DEFAULT_DB_MAX,
@@ -80,7 +81,7 @@ class TestKeys:
         app = tuner.engine.resolve_app("gaussian")
 
         def key(inputs):
-            return tuner._record_key(app, inputs, kind="calibration")
+            return tuner._record_key(app, inputs, kind="tune")
 
         a = generate_image("natural", size=16, seed=3)
         b = generate_image("natural", size=16, seed=3)
@@ -91,22 +92,22 @@ class TestKeys:
         assert key(a) != key(a.astype("float32"))
 
     @staticmethod
-    def _counting_calibration(monkeypatch):
-        """Replace the calibration sweep with a stub that records its inputs."""
-        import repro.api.session as session_module
+    def _counting_strategy():
+        """A strategy stub that evaluates nothing and records the inputs of
+        every tune the database did not answer."""
 
-        calibrated = []
+        class Counting(Strategy):
+            name = "counting"
 
-        def stub(engine, app, calibration_inputs, configs):
-            calibrated.append(calibration_inputs[0])
-            return []
+            def __init__(self):
+                self.tuned = []
 
-        monkeypatch.setattr(session_module, "calibrate_configs", stub)
-        return calibrated
+            def tune(self, task, rng):
+                self.tuned.append(task.inputs)
 
-    def test_hotspot_inputs_differing_inside_the_grid_get_their_own_records(
-        self, db, monkeypatch
-    ):
+        return Counting()
+
+    def test_hotspot_inputs_differing_inside_the_grid_get_their_own_records(self, db):
         """A ``HotspotInput``'s repr shows NumPy's truncated grids; keys
         fingerprint the content, so no input is answered with another's record."""
         base = hotspot_single(size=64, seed=1)
@@ -119,24 +120,27 @@ class TestKeys:
             dataclasses.replace(base, power=power),
             dataclasses.replace(base, temperature=temperature),
         ]
-        calibrated = self._counting_calibration(monkeypatch)
-        tuner = Tuner(db=db)
+        strategy = self._counting_strategy()
+        tuner = Tuner(db=db, strategy=strategy)
         for inputs_ in inputs + inputs:  # the second round replays records
-            tuner.calibration_entries("hotspot", [inputs_])
-        assert len(calibrated) == 3
-        assert all(seen is given for seen, given in zip(calibrated, inputs))
+            tuner.tune("hotspot", inputs_)
+        assert len(strategy.tuned) == 3
+        assert all(seen is given for seen, given in zip(strategy.tuned, inputs))
         assert db.stats.hits == 3 and db.stats.puts == 3
 
-    def test_an_input_without_a_fingerprint_bypasses_the_database(self, db, monkeypatch):
+    def test_an_input_without_a_fingerprint_bypasses_the_database(self, db):
         class Opaque:
-            pass
+            """Array-like (so it has a global size), but no content fingerprint."""
+
+            def __array__(self, dtype=None, copy=None):
+                return np.zeros((16, 16))
 
         opaque = Opaque()
-        calibrated = self._counting_calibration(monkeypatch)
-        tuner = Tuner(db=db)
-        tuner.calibration_entries("gaussian", [opaque])
-        tuner.calibration_entries("gaussian", [opaque])
-        assert calibrated == [opaque, opaque]
+        strategy = self._counting_strategy()
+        tuner = Tuner(db=db, strategy=strategy)
+        tuner.tune("gaussian", opaque)
+        tuner.tune("gaussian", opaque)
+        assert strategy.tuned == [opaque, opaque]
         assert db.stats.lookups == 0 and len(db) == 0
 
 

@@ -1,17 +1,16 @@
-"""Tuner facade: fronts, ladders, database persistence, session fast path.
+"""Tuner facade: fronts, ladders, database persistence.
 
-Pins two acceptance criteria of the subsystem:
-
-* a warm TuningDB makes a second tune / ``Session.autotune`` perform
-  **zero** kernel evaluations (the application's ``approximate`` and
-  ``reference`` are never called);
-* database-backed calibration entries are bit-identical to in-process
-  :meth:`Session.calibrate` results.
+Pins the subsystem's acceptance criterion: a warm TuningDB makes a second
+tune perform **zero** kernel evaluations (the application's
+``approximate`` and ``reference`` are never called) and replays the
+cold run's observations bit for bit.
 """
 
+import numpy as np
 import pytest
 
 from repro.api import PerforationEngine
+from repro.api.session import SAFETY_MARGIN
 from repro.autotune import Tuner, TuningDB, TuningResult, default_space
 from repro.autotune.space import config_key
 from repro.core.errors import TuningError
@@ -76,6 +75,35 @@ class TestTune:
         with pytest.raises(TuningError):
             result.best_for_budget(0.0)
 
+    def test_best_for_budget_applies_the_safety_margin(self, image):
+        """A tuned configuration qualifies when its error times
+        ``1 + SAFETY_MARGIN`` fits the budget, as in ``Session.select``."""
+        tuner = Tuner(PerforationEngine(), db=False)
+        result = tuner.tune("gaussian", image, strategy="grid", max_evals=8)
+        fastest = result.ladder()[0]
+        assert fastest.mean_error > 0
+        fits = fastest.mean_error * (1.0 + SAFETY_MARGIN)
+        assert result.best_for_budget(fits) == fastest.config
+        tighter = result.best_for_budget(np.nextafter(fits, 0.0))
+        assert tighter != fastest.config
+        assert result.budget_ladder([fits]) == {fits: fastest.config}
+
+    def test_tune_without_inputs_uses_default_inputs(self, image, monkeypatch):
+        from repro.autotune import tuner as tuner_module
+
+        asked = []
+
+        def sample(app):
+            asked.append(app.name)
+            return image
+
+        monkeypatch.setattr(tuner_module, "default_inputs", sample)
+        tuner = Tuner(PerforationEngine(), db=False)
+        implicit = tuner.tune("gaussian", strategy="grid", max_evals=5)
+        explicit = tuner.tune("gaussian", image, strategy="grid", max_evals=5)
+        assert asked == ["gaussian"]
+        assert _observation_tuples(implicit) == _observation_tuples(explicit)
+
     def test_max_evals_budget_is_respected(self, image):
         tuner = Tuner(PerforationEngine(), db=False)
         result = tuner.tune("gaussian", image, max_evals=10)
@@ -121,77 +149,3 @@ class TestDatabase:
             work_groups=smaller.work_groups,
         )
         assert not tuner.tune("gaussian", image, space=smaller).from_db
-
-
-class TestCalibrationFastPath:
-    def test_entries_bit_identical_to_session_calibrate(self, tmp_path, image):
-        reference = (
-            PerforationEngine()
-            .session("gaussian", error_budget=0.05)
-            .calibrate([image])
-        )
-        engine = PerforationEngine()
-        tuner = Tuner(engine, db=TuningDB(tmp_path / "db"))
-        assert tuner.calibration_entries("gaussian", [image]) == reference
-        # Warm replay: still bit-identical.
-        assert tuner.calibration_entries("gaussian", [image]) == reference
-
-    def test_bit_identity_holds_for_label_colliding_configs(self, tmp_path, image):
-        """Configs differing only in work group share a figure label;
-        both calibration paths must keep them as separate entries."""
-        from repro.core.config import ROWS1_NN
-
-        configs = [ROWS1_NN.with_work_group((8, 8)), ROWS1_NN.with_work_group((32, 8))]
-        plain = PerforationEngine().session("gaussian", error_budget=0.05)
-        reference = plain.with_configs(configs).calibrate([image])
-        assert len(reference) == 2
-        engine = PerforationEngine()
-        tuner = Tuner(engine, db=TuningDB(tmp_path / "db"))
-        assert tuner.calibration_entries("gaussian", [image], configs) == reference
-
-    def test_session_autotune_tuner_path_matches_plain(self, tmp_path, image):
-        plain = PerforationEngine().session("gaussian", error_budget=0.05)
-        plain.autotune(calibration_inputs=[image])
-
-        engine = PerforationEngine()
-        tuner = Tuner(engine, db=TuningDB(tmp_path / "db"))
-        tuned = engine.session("gaussian", error_budget=0.05)
-        tuned.autotune(calibration_inputs=[image], tuner=tuner)
-        assert tuned.calibration == plain.calibration
-        assert tuned.selected == plain.selected
-
-    def test_second_session_autotune_zero_kernel_launches(
-        self, tmp_path, image, monkeypatch
-    ):
-        db_path = tmp_path / "db"
-        first_engine = PerforationEngine()
-        first = first_engine.session("gaussian", error_budget=0.05)
-        first.autotune(
-            calibration_inputs=[image], tuner=Tuner(first_engine, db=TuningDB(db_path))
-        )
-
-        engine = PerforationEngine()
-        _forbid_evaluation(monkeypatch, engine)
-        session = engine.session("gaussian", error_budget=0.05)
-        session.autotune(
-            calibration_inputs=[image], tuner=Tuner(engine, db=TuningDB(db_path))
-        )
-        assert session.calibration == first.calibration
-        assert session.selected == first.selected
-
-    def test_session_tuner_true_builds_default_tuner(self, image, monkeypatch, tmp_path):
-        from repro.autotune import db as db_module
-
-        monkeypatch.setenv(db_module.ENV_DB_DIR, str(tmp_path / "envdb"))
-        engine = PerforationEngine()
-        session = engine.session("gaussian", error_budget=0.05)
-        session.autotune(calibration_inputs=[image], tuner=True)
-        assert session.calibration
-        assert (tmp_path / "envdb").exists()
-
-    def test_tuner_must_share_the_engine(self, image):
-        engine = PerforationEngine()
-        other = PerforationEngine()
-        session = engine.session("gaussian", error_budget=0.05)
-        with pytest.raises(TuningError):
-            session.autotune(calibration_inputs=[image], tuner=Tuner(other, db=False))

@@ -1,10 +1,12 @@
-"""Tests for the quality-aware loop: calibrate, select, run under a budget."""
+"""Tests for the offline half of the quality-aware loop: calibrate, select, run the selection."""
 
+import numpy as np
 import pytest
 
 from repro.api import PerforationEngine
+from repro.api.session import SAFETY_MARGIN, CalibrationEntry
 from repro.apps import GaussianApp
-from repro.core import TuningError
+from repro.core import ROWS1_LI, ROWS1_NN, TuningError
 
 
 @pytest.fixture()
@@ -58,37 +60,41 @@ class TestSelection:
         assert "selected" in report
         assert "speedup" in report
 
+    def test_selection_applies_the_safety_margin(self, engine):
+        """A configuration qualifies when ``mean_error * (1 + SAFETY_MARGIN)``
+        fits the budget; a budget just under that falls to the next rung."""
+        session = _session(engine, 1.0)
+        session.calibration = [  # fastest-first
+            CalibrationEntry(ROWS1_NN, mean_error=0.04, max_error=0.08, speedup=2.0),
+            CalibrationEntry(ROWS1_LI, mean_error=0.01, max_error=0.02, speedup=1.4),
+        ]
+        fits = 0.04 * (1.0 + SAFETY_MARGIN)
+        assert session.with_error_budget(fits).select() == ROWS1_NN
+        assert session.with_error_budget(np.nextafter(fits, 0.0)).select() == ROWS1_LI
+        assert session.with_error_budget(0.04).select() == ROWS1_LI  # the margin matters
+        assert session.with_error_budget(0.001).select().is_accurate
+
 
 class TestExecution:
-    def test_execute_with_monitoring(self, calibration_images, natural_image_64, engine):
-        session = _session(engine, 0.10).autotune(calibration_inputs=calibration_images)
-        record = session.run(natural_image_64, monitor=True)
-        assert record.output.shape == natural_image_64.shape
-        assert record.error is not None
-        assert record.within_budget
-        assert len(session.history) == 1
+    """A tuned session runs its selection with :meth:`Session.run_compiled`;
+    quality monitoring lives in :class:`repro.serve.PerforationServer`."""
 
-    def test_execute_without_monitoring_skips_reference(
+    def test_tuned_session_runs_its_selection(
         self, calibration_images, natural_image_64, engine
     ):
         session = _session(engine, 0.10).autotune(calibration_inputs=calibration_images)
-        record = session.run(natural_image_64, monitor=False)
-        assert record.error is None
+        output = session.run_compiled(natural_image_64)
+        assert output.shape == natural_image_64.shape
+        np.testing.assert_array_equal(
+            output, engine.run_compiled(session.app, natural_image_64, session.selected)
+        )
 
-    def test_budget_violation_demotes_configuration(
-        self, calibration_images, pattern_image_64, engine
-    ):
-        """A pattern image blows the budget; the session must react."""
-        session = _session(engine, 0.02).autotune(calibration_inputs=calibration_images)
-        first_config = session.selected
-        record = session.run(pattern_image_64, monitor=True)
-        if not record.within_budget:
-            assert session.selected.label != first_config.label or session.selected.is_accurate
-
-    def test_accurate_selection_executes_reference(
+    def test_accurate_selection_runs_the_reference(
         self, calibration_images, natural_image_64, engine
     ):
         session = _session(engine, 1e-9).autotune(calibration_inputs=calibration_images)
-        record = session.run(natural_image_64)
-        assert record.error == 0.0
-        assert record.within_budget
+        assert session.selected.is_accurate
+        np.testing.assert_array_equal(
+            session.run_compiled(natural_image_64),
+            engine.reference(session.app, natural_image_64),
+        )

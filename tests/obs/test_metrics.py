@@ -226,19 +226,16 @@ class TestCacheSnapshot:
         from repro.api import PerforationEngine
         from repro.api.artifacts import default_cache
         from repro.api.store import StoreStats
-        from repro.autotune import Tuner, TuningDB
         from repro.serve import PerforationServer
 
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "codegen"))
         engine = PerforationEngine()
-        tuner = Tuner(engine, db=TuningDB(tmp_path / "db"))
-        server = PerforationServer(engine=engine, tuner=tuner)
+        server = PerforationServer(engine=engine)
         stores = {
             "serve.result_cache": server.cache,
             "engine.reference_cache": engine.references,
             "engine.timing_cache": engine.timings,
             "codegen.artifact_cache": default_cache(),
-            "autotune.tuning_db": tuner.db,
         }
         for store in stores.values():
             assert type(store.stats) is StoreStats

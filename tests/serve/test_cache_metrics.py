@@ -32,6 +32,18 @@ class TestServeResultCache:
         assert cache.key("gaussian", "Rows1:NN", 2 * image) != base
         assert cache.key("gaussian", "Rows1:NN", image.copy()) == base
 
+    def test_key_separates_configs_that_share_a_label(self):
+        """Configurations differing only in work group share the figure label
+        but not the kernel, so their served results are keyed apart."""
+        from repro.core.config import ROWS1_NN
+
+        wide, narrow = ROWS1_NN.with_work_group((16, 16)), ROWS1_NN.with_work_group((8, 8))
+        assert wide.label == narrow.label
+        image = np.ones((3, 3))
+        assert ServeResultCache.key("gaussian", wide.key, image) != ServeResultCache.key(
+            "gaussian", narrow.key, image
+        )
+
     def test_lru_eviction_order(self):
         cache = ServeResultCache(capacity=2)
         keys = [cache.key("a", "c", np.full((2, 2), i, dtype=float)) for i in range(3)]

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.api import CalibrationEntry, PerforationEngine
-from repro.core.config import ACCURATE_CONFIG, ROWS1_NN, ROWS2_NN
+from repro.api import session as session_module
+from repro.core.config import ACCURATE_CONFIG, ROWS1_LI, ROWS1_NN, ROWS2_NN
 from repro.core.errors import TuningError
 from repro.data import generate_image
-from repro.serve import ControllerPolicy, OnlineController
+from repro.obs import trace as obs_trace
+from repro.serve import OnlineController
+from repro.serve import controller as controller_module
+from repro.serve.controller import EWMA_ALPHA, LOOSEN_HEADROOM, MIN_DWELL
 
 
 @pytest.fixture(scope="module")
@@ -14,9 +18,9 @@ def engine():
     return PerforationEngine()
 
 
-def _fake_controller(engine, policy=None):
+def _fake_controller(engine):
     """Controller with an injected ladder (no calibration sweep)."""
-    controller = OnlineController(engine, policy=policy)
+    controller = OnlineController(engine)
     controller.ladders["fake"] = [
         CalibrationEntry(config=ROWS2_NN, mean_error=0.04, max_error=0.04, speedup=3.0),
         CalibrationEntry(config=ROWS1_NN, mean_error=0.02, max_error=0.02, speedup=2.0),
@@ -41,10 +45,88 @@ class TestLadder:
         assert controller.ladder("gaussian") is ladder
         assert controller.calibrated == 1
 
+    def test_ladder_is_session_calibration_plus_the_accurate_rung(self):
+        """The controller and ``Session.calibrate`` share one calibration
+        path: the same entries bit for bit, one ``session.calibrate`` span
+        each."""
+        xs = [
+            generate_image("natural", size=32, seed=3),
+            generate_image("flat", size=32, seed=4),
+        ]
+        tracer = obs_trace.install(process="test-controller")
+        try:
+            ladder = OnlineController(PerforationEngine(), {"gaussian": xs}).ladder("gaussian")
+            from_controller = [s for s in tracer.spans() if s.name == "session.calibrate"]
+            session = PerforationEngine().session("gaussian", error_budget=0.05)
+            entries = session.calibrate(xs)
+            spans = [s for s in tracer.spans() if s.name == "session.calibrate"]
+        finally:
+            obs_trace.disable()
+
+        def bits(rungs):
+            return [
+                (e.config.key, e.mean_error.hex(), e.max_error.hex(), e.speedup.hex())
+                for e in rungs
+            ]
+
+        assert bits(ladder[:-1]) == bits(entries)
+        assert ladder[-1] == CalibrationEntry(ACCURATE_CONFIG, 0.0, 0.0, 1.0)
+        assert len(from_controller) == 1 and len(spans) == 2
+        for span in spans:
+            assert span.category == "calibrate"
+            assert span.attrs == {"app": "gaussian", "configs": 4, "inputs": 2}
+
     def test_seeded_ladders_are_not_counted_as_calibrated(self, engine):
         controller = _fake_controller(engine)
         assert controller.ladder("fake")[-1].config == ACCURATE_CONFIG
         assert controller.calibrated == 0
+
+    def test_seeded_ladder_makes_the_calibrated_choices(self):
+        """A ladder calibrated by one controller and seeded into another (as
+        a fleet front-end ships it to its workers) selects exactly what the
+        calibrating controller selects, at every budget."""
+        xs = [generate_image("natural", size=32, seed=3)]
+        calibrating = OnlineController(PerforationEngine(), {"gaussian": xs})
+        seeded = OnlineController(PerforationEngine())
+        seeded.ladders["gaussian"] = calibrating.ladder("gaussian")
+        for budget in (1e-6, 0.005, 0.02, 0.05, 0.2, 1.0):
+            assert seeded.choose("gaussian", budget) == calibrating.choose("gaussian", budget)
+        assert seeded.calibrated == 0 and calibrating.calibrated == 1
+
+    def test_seeded_ladder_needs_no_kernel_evaluations(self, monkeypatch):
+        xs = [generate_image("natural", size=32, seed=3)]
+        ladder = OnlineController(PerforationEngine(), {"gaussian": xs}).ladder("gaussian")
+        engine = PerforationEngine()
+        app_type = type(engine.resolve_app("gaussian"))
+
+        def boom(*args, **kwargs):  # pragma: no cover - the point is it never runs
+            raise AssertionError("a seeded ladder must not evaluate kernels")
+
+        monkeypatch.setattr(app_type, "approximate", boom)
+        monkeypatch.setattr(app_type, "reference", boom)
+        controller = OnlineController(engine, {"gaussian": xs})
+        controller.ladders["gaussian"] = ladder
+        assert controller.choose("gaussian", 1.0) == ladder[0].config  # every rung admissible
+        controller.observe("gaussian", 1.0, 2.0)
+        assert controller.choose("gaussian", 1.0) != ladder[0].config
+        assert controller.ladder("gaussian") is ladder
+
+    def test_default_calibration_inputs_are_the_sessions(self, monkeypatch):
+        """An application without calibration inputs calibrates on
+        ``default_inputs(app)``, the sample a session falls back to."""
+        small = generate_image("natural", size=32, seed=9)
+        asked = []
+
+        def sample(app):
+            asked.append(app.name)
+            return small
+
+        monkeypatch.setattr(controller_module, "default_inputs", sample)
+        monkeypatch.setattr(session_module, "default_inputs", sample)
+        ladder = OnlineController(PerforationEngine()).ladder("gaussian")
+        entries = PerforationEngine().session("gaussian", error_budget=0.05).calibrate()
+        assert ladder[:-1] == entries
+        assert asked == ["gaussian", "gaussian"]
 
     def test_initial_choice_is_first_admissible(self, engine):
         controller = _fake_controller(engine)
@@ -74,8 +156,7 @@ class TestAdaptation:
         assert controller.choose("fake", 0.06).label == "Accurate"
 
     def test_ewma_smoothing_delays_tightening(self, engine):
-        policy = ControllerPolicy(ewma_alpha=0.25)
-        controller = _fake_controller(engine, policy)
+        controller = _fake_controller(engine)
         controller.choose("fake", 0.06)
         controller.observe("fake", 0.06, 0.07)  # one bad request: ewma 0.07 > budget?
         # first observation seeds the EWMA directly, so this tightens…
@@ -86,25 +167,88 @@ class TestAdaptation:
         assert controller.choose("fake", 0.06).label == "Rows1:NN"
 
     def test_loosens_with_headroom_after_dwell(self, engine):
-        policy = ControllerPolicy(min_dwell=3, loosen_headroom=0.5)
-        controller = _fake_controller(engine, policy)
+        controller = _fake_controller(engine)
         assert controller.choose("fake", 0.06).label == "Rows2:NN"
         controller.observe("fake", 0.06, 0.09)  # tighten to Rows1:NN
         assert controller.choose("fake", 0.06).label == "Rows1:NN"
-        for _ in range(2):
-            controller.observe("fake", 0.06, 0.005)
+        small = 0.5 * LOOSEN_HEADROOM * 0.06  # well inside the headroom
+        for _ in range(MIN_DWELL - 1):
+            controller.observe("fake", 0.06, small)
         # dwell not reached yet
         assert controller.choose("fake", 0.06).label == "Rows1:NN"
-        controller.observe("fake", 0.06, 0.005)
-        # 3 observations with ewma < 0.03 → back to the faster rung
+        controller.observe("fake", 0.06, small)
+        # MIN_DWELL observations with ewma < LOOSEN_HEADROOM * budget → back
+        # to the faster rung
         assert controller.choose("fake", 0.06).label == "Rows2:NN"
+        assert controller.snapshot()["fake@0.06"]["loosened"] == 1
+
+    def test_ewma_weights_the_newest_error_by_alpha(self, engine):
+        """After a first error of 0.05 on a 0.06 budget, the second error
+        that brings the EWMA exactly to the budget is
+        ``(0.06 - (1 - EWMA_ALPHA) * 0.05) / EWMA_ALPHA``: just below it the
+        stream holds, just above it tightens."""
+        threshold = (0.06 - (1 - EWMA_ALPHA) * 0.05) / EWMA_ALPHA
+        for second, expected in ((threshold * 0.99, "Rows2:NN"), (threshold * 1.01, "Rows1:NN")):
+            controller = _fake_controller(engine)
+            controller.choose("fake", 0.06)
+            controller.observe("fake", 0.06, 0.05)  # seeds the EWMA, within budget
+            controller.observe("fake", 0.06, second)
+            assert controller.choose("fake", 0.06).label == expected
+
+    def test_tighten_skips_rungs_that_are_not_more_accurate(self, engine):
+        """Tightening steps to the fastest later rung with a strictly lower
+        calibrated error; a slower rung that is no more accurate is skipped."""
+        controller = OnlineController(engine)
+        controller.ladders["fake"] = [
+            CalibrationEntry(config=ROWS2_NN, mean_error=0.02, max_error=0.02, speedup=3.0),
+            CalibrationEntry(config=ROWS1_NN, mean_error=0.03, max_error=0.03, speedup=2.0),
+            CalibrationEntry(config=ROWS1_LI, mean_error=0.01, max_error=0.01, speedup=1.5),
+            CalibrationEntry(config=ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
+        ]
+        assert controller.choose("fake", 0.05).label == "Rows2:NN"
+        controller.observe("fake", 0.05, 0.09)
+        assert controller.choose("fake", 0.05).label == "Rows1:LI"
+        assert controller.snapshot()["fake@0.05"]["tightened"] == 1
+
+    def test_loosen_skips_inadmissible_faster_rungs(self, engine):
+        """Loosening steps back to the nearest faster rung calibration deems
+        admissible, past a faster rung that is not."""
+        controller = OnlineController(engine)
+        controller.ladders["fake"] = [
+            CalibrationEntry(config=ROWS2_NN, mean_error=0.02, max_error=0.02, speedup=3.0),
+            CalibrationEntry(config=ROWS1_NN, mean_error=0.1, max_error=0.1, speedup=2.0),
+            CalibrationEntry(config=ROWS1_LI, mean_error=0.01, max_error=0.01, speedup=1.5),
+            CalibrationEntry(config=ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
+        ]
+        controller.choose("fake", 0.05)
+        controller.observe("fake", 0.05, 0.09)  # tighten past Rows1:NN to Rows1:LI
+        assert controller.choose("fake", 0.05).label == "Rows1:LI"
+        for _ in range(MIN_DWELL):
+            controller.observe("fake", 0.05, 0.001)
+        assert controller.choose("fake", 0.05).label == "Rows2:NN"
+
+    def test_loop_constants_are_in_range(self):
+        """The EWMA must weight the newest error, loosening needs headroom
+        strictly inside the budget, and a stream dwells at least one
+        observation before it loosens."""
+        assert 0.0 < EWMA_ALPHA <= 1.0
+        assert 0.0 < LOOSEN_HEADROOM < 1.0
+        assert isinstance(MIN_DWELL, int) and MIN_DWELL >= 1
+
+    def test_no_loosening_without_headroom(self, engine):
+        controller = _fake_controller(engine)
+        controller.choose("fake", 0.06)
+        controller.observe("fake", 0.06, 0.09)  # tighten to Rows1:NN
+        above_headroom = 1.5 * LOOSEN_HEADROOM * 0.06  # within budget, no headroom
+        for _ in range(2 * MIN_DWELL):
+            controller.observe("fake", 0.06, above_headroom)
+        assert controller.choose("fake", 0.06).label == "Rows1:NN"
 
     def test_never_loosens_to_inadmissible_rung(self, engine):
-        policy = ControllerPolicy(min_dwell=1, loosen_headroom=0.9)
-        controller = _fake_controller(engine, policy)
+        controller = _fake_controller(engine)
         # budget 0.03: Rows2:NN (0.04*1.25) is inadmissible, start at Rows1:NN
         assert controller.choose("fake", 0.03).label == "Rows1:NN"
-        for _ in range(5):
+        for _ in range(MIN_DWELL + 4):
             controller.observe("fake", 0.03, 0.0001)
         assert controller.choose("fake", 0.03).label == "Rows1:NN"
 
@@ -118,81 +262,3 @@ class TestAdaptation:
         snapshot = controller.snapshot()
         assert snapshot["fake@0.06"]["tightened"] == 1
         assert snapshot["fake@0.03"]["tightened"] == 0
-
-    def test_policy_validation(self):
-        with pytest.raises(TuningError):
-            ControllerPolicy(ewma_alpha=0.0)
-        with pytest.raises(TuningError):
-            ControllerPolicy(loosen_headroom=1.0)
-        with pytest.raises(TuningError):
-            ControllerPolicy(min_dwell=0)
-
-
-class TestTunerSeededLadders:
-    """Acceptance: controller ladders seeded from the TuningDB are
-    bit-identical to ladders from in-process calibration."""
-
-    @staticmethod
-    def _image():
-        return generate_image("natural", size=32, seed=3)
-
-    def test_db_seeded_ladder_bit_identical_to_calibration(self, tmp_path):
-        from repro.autotune import Tuner, TuningDB
-
-        image = self._image()
-        plain_engine = PerforationEngine()
-        plain = OnlineController(
-            plain_engine, calibration_inputs={"gaussian": [image]}
-        )
-        reference = plain.ladder("gaussian")
-
-        # Cold database, separate engine: same floats, computed via the
-        # tuner path and persisted.
-        db_path = tmp_path / "db"
-        cold_engine = PerforationEngine()
-        cold = OnlineController(
-            cold_engine,
-            calibration_inputs={"gaussian": [image]},
-            tuner=Tuner(cold_engine, db=TuningDB(db_path)),
-        )
-        assert cold.ladder("gaussian") == reference
-
-        # Warm database, third engine: the ladder is restored without any
-        # calibration sweep (Session.calibrate would need an error budget
-        # and an engine sweep; the DB answers first).
-        warm_engine = PerforationEngine()
-        warm = OnlineController(
-            warm_engine,
-            calibration_inputs={"gaussian": [image]},
-            tuner=Tuner(warm_engine, db=TuningDB(db_path)),
-        )
-        assert warm.ladder("gaussian") == reference
-
-    def test_warm_ladder_needs_no_kernel_evaluations(self, tmp_path, monkeypatch):
-        from repro.autotune import Tuner, TuningDB
-
-        image = self._image()
-        db_path = tmp_path / "db"
-        seed_engine = PerforationEngine()
-        OnlineController(
-            seed_engine,
-            calibration_inputs={"gaussian": [image]},
-            tuner=Tuner(seed_engine, db=TuningDB(db_path)),
-        ).ladder("gaussian")
-
-        engine = PerforationEngine()
-        app_type = type(engine.resolve_app("gaussian"))
-
-        def boom(*args, **kwargs):
-            raise AssertionError("warm ladder must not evaluate kernels")
-
-        monkeypatch.setattr(app_type, "approximate", boom)
-        monkeypatch.setattr(app_type, "reference", boom)
-        controller = OnlineController(
-            engine,
-            calibration_inputs={"gaussian": [image]},
-            tuner=Tuner(engine, db=TuningDB(db_path)),
-        )
-        ladder = controller.ladder("gaussian")
-        assert ladder[-1].config.label == "Accurate"
-        assert len(ladder) > 1

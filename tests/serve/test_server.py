@@ -5,13 +5,7 @@ import pytest
 
 from repro.api import PerforationEngine
 from repro.data import generate_image
-from repro.serve import (
-    ControllerPolicy,
-    PerforationServer,
-    ServeRequest,
-    TraceSpec,
-    generate_trace,
-)
+from repro.serve import PerforationServer, ServeRequest, TraceSpec, generate_trace
 
 SPEC = TraceSpec(requests=14, size=32, inputs_per_app=2, seed=31)
 
@@ -101,6 +95,90 @@ class TestServing:
             np.testing.assert_array_equal(response.output, first.output)
 
 
+class TestMonitoring:
+    """The server is the one quality-monitored runtime: every served output's
+    measured error reaches its (application, budget) stream."""
+
+    @staticmethod
+    def _spy_observations(server):
+        seen = []
+        real = server.controller.observe
+
+        def spy(app_name, budget, error):
+            seen.append((app_name, budget, error))
+            real(app_name, budget, error)
+
+        server.controller.observe = spy
+        return seen
+
+    def test_measured_error_feeds_the_stream(self):
+        server = _server(max_batch=1)
+        seen = self._spy_observations(server)
+        image = generate_image("natural", size=32, seed=5)
+        [response] = server.submit(
+            ServeRequest(0, "gaussian", image, error_budget=0.05)
+        ) + server.drain(0.0)
+        assert not response.fallback
+        assert 0.0 < response.error <= 0.05
+        assert seen == [("gaussian", 0.05, response.error)]
+
+    def test_cache_hits_are_monitored_too(self):
+        server = _server(max_batch=1)
+        seen = self._spy_observations(server)
+        image = generate_image("natural", size=32, seed=5)
+        responses = []
+        for request_id in range(2):
+            responses += server.submit(
+                ServeRequest(request_id, "gaussian", image, error_budget=0.05)
+            ) + server.drain(0.0)
+        assert [r.cache_hit for r in responses] == [False, True]
+        assert seen == [("gaussian", 0.05, responses[0].error)] * 2
+
+    def test_unsatisfiable_budget_serves_the_accurate_rung(self):
+        """No calibrated rung is admissible under a tiny budget, so the
+        stream runs the accurate kernel: error 0, the reference output, no
+        fallback needed."""
+        server = _server(max_batch=1)
+        image = generate_image("natural", size=32, seed=5)
+        [response] = server.submit(
+            ServeRequest(0, "gaussian", image, error_budget=1e-9)
+        ) + server.drain(0.0)
+        assert response.config_label == "Accurate"
+        assert response.error == 0.0
+        assert not response.fallback
+        np.testing.assert_array_equal(response.output, server.engine.reference("gaussian", image))
+        assert server.metrics.violations == 0
+
+    def test_violations_tighten_one_rung_at_a_time(self, monkeypatch):
+        """Each violating request steps its stream to the fastest rung with a
+        strictly lower calibrated error, never further."""
+        from repro.api import CalibrationEntry
+        from repro.core.config import ACCURATE_CONFIG, ROWS1_LI, ROWS1_NN, ROWS2_NN
+        from repro.serve import server as server_module
+
+        server = _server(max_batch=1)
+        server.controller.ladders["gaussian"] = [  # fastest-first
+            CalibrationEntry(ROWS1_NN, mean_error=0.045, max_error=0.05, speedup=2.0),
+            CalibrationEntry(ROWS2_NN, mean_error=0.03, max_error=0.04, speedup=1.6),
+            CalibrationEntry(ROWS1_LI, mean_error=0.01, max_error=0.02, speedup=1.4),
+            CalibrationEntry(ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
+        ]
+        # Every measured error blows the budget.
+        monkeypatch.setattr(server_module, "compute_error", lambda *args: 1.0)
+        responses = []
+        for request_id in range(4):
+            image = generate_image("natural", size=32, seed=40 + request_id)
+            responses += server.submit(
+                ServeRequest(request_id, "gaussian", image, error_budget=0.06)
+            ) + server.drain(0.0)
+        assert [r.config_label for r in responses] == [
+            "Rows1:NN", "Rows2:NN", "Rows1:LI", "Accurate",
+        ]
+        assert all(r.fallback and r.error == 0.0 for r in responses)
+        assert server.metrics.violations == 4
+        assert server.controller.snapshot()["gaussian@0.06"]["tightened"] == 3
+
+
 class TestCachingAndFallback:
     def test_repeated_input_hits_the_cache(self):
         server = _server(max_batch=1)
@@ -118,10 +196,7 @@ class TestCachingAndFallback:
 
     def test_strict_mode_falls_back_to_accurate(self):
         """An unsatisfiable budget forces the accurate reference output."""
-        server = _server(
-            max_batch=1,
-            policy=ControllerPolicy(min_dwell=100),
-        )
+        server = _server(max_batch=1)
         # Make the controller believe a violating config is fine, so the
         # *measured* error exceeds the tiny budget at serving time.
         from repro.core.config import ROWS2_NN
@@ -141,6 +216,45 @@ class TestCachingAndFallback:
         np.testing.assert_array_equal(response.output, reference)
         assert server.metrics.violations == 1
         assert server.metrics.fallbacks == 1
+
+    def test_label_colliding_rungs_do_not_share_results(self):
+        """Two rungs that share the figure label ``Rows1:NN`` but differ in
+        work group are different kernels: a result served on one is no
+        cache hit for the other, and the second rung really launches."""
+        from repro.api import CalibrationEntry
+        from repro.core.config import ACCURATE_CONFIG, ROWS1_NN
+
+        wide, narrow = ROWS1_NN.with_work_group((16, 16)), ROWS1_NN.with_work_group((8, 8))
+        server = _server(max_batch=1)
+        # Budget 0.5 admits the wide rung (0.2 * 1.25), budget 0.1 only the
+        # narrow one; both kernels measure well inside either budget.
+        server.controller.ladders["gaussian"] = [
+            CalibrationEntry(config=wide, mean_error=0.2, max_error=0.2, speedup=3.0),
+            CalibrationEntry(config=narrow, mean_error=0.01, max_error=0.01, speedup=2.0),
+            CalibrationEntry(config=ACCURATE_CONFIG, mean_error=0.0, max_error=0.0, speedup=1.0),
+        ]
+        launched = []
+        real = server.engine.run_compiled_batch
+
+        def spy(app, inputs_batch, config, *args, **kwargs):
+            launched.append(config)
+            return real(app, inputs_batch, config, *args, **kwargs)
+
+        server.engine.run_compiled_batch = spy
+        image = generate_image("natural", size=64, seed=5)
+        [loose] = server.submit(
+            ServeRequest(0, "gaussian", image, error_budget=0.5, arrival_ms=0.0)
+        ) + server.drain(0.0)
+        [tight] = server.submit(
+            ServeRequest(1, "gaussian", image, error_budget=0.1, arrival_ms=1.0)
+        ) + server.drain(1.0)
+        assert launched == [wide, narrow]
+        assert not loose.cache_hit and not tight.cache_hit
+        assert not loose.fallback and not tight.fallback
+        direct = PerforationEngine(backend="codegen")
+        np.testing.assert_array_equal(loose.output, direct.run_compiled("gaussian", image, wide))
+        np.testing.assert_array_equal(tight.output, direct.run_compiled("gaussian", image, narrow))
+        assert not np.array_equal(loose.output, tight.output)
 
     def test_intra_batch_duplicates_execute_once(self):
         """Identical inputs in one micro-batch run as a single stacked lane set."""
