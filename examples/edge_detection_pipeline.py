@@ -3,10 +3,11 @@
 The paper's introduction motivates perforation with image pipelines whose
 stages tolerate small input errors.  This example builds the classic
 noise-reduction + edge-detection pipeline (Gaussian blur followed by a
-Sobel operator), then uses the quality-aware session API — one
-:class:`repro.api.PerforationEngine` with one auto-tuned session per stage
-— to pick perforation configurations that keep the end-to-end error within
-a budget while maximising the modelled speedup on the simulated GPU.
+Sobel operator), then calibrates each stage on one shared
+:class:`repro.api.PerforationEngine` and selects per stage
+(:mod:`repro.api.calibration`) the perforation configurations that keep
+the end-to-end error within a budget while maximising the modelled speedup
+on the simulated GPU.
 
 Run with:  python examples/edge_detection_pipeline.py
 """
@@ -16,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import PerforationEngine
+from repro.api.calibration import SAFETY_MARGIN, calibrate_configs, select
 from repro.core import compute_error
-from repro.core.config import ACCURATE_CONFIG
+from repro.core.config import ACCURATE_CONFIG, default_configurations
 from repro.data import generate_image
 from repro.data.images import ImageClass
 
@@ -38,6 +40,24 @@ def run_pipeline(engine: PerforationEngine, image: np.ndarray, blur_config, edge
     )
 
 
+def tune_stage(engine: PerforationEngine, name: str, budget: float, calibration):
+    """Calibrate one stage's default configurations, print the ladder and
+    return the fastest one admissible under ``budget`` (else accurate)."""
+    app = engine.resolve_app(name)
+    ladder = calibrate_configs(engine, app, calibration, default_configurations(app.halo))
+    rung = select(ladder, budget)
+    selected = rung.config if rung is not None else ACCURATE_CONFIG
+    print(f"Calibration of {name!r} (budget {budget:.2%}, margin {SAFETY_MARGIN:.0%})")
+    for entry in ladder:
+        marker = "*" if entry is rung else " "
+        print(
+            f" {marker} {entry.config.label:<14s} mean err {entry.mean_error * 100:6.2f}%  "
+            f"max err {entry.max_error * 100:6.2f}%  speedup {entry.speedup:5.2f}x"
+        )
+    print(f"selected: {selected.label}\n")
+    return selected
+
+
 def main() -> None:
     calibration = [
         generate_image(ImageClass.FLAT, size=512, seed=1),
@@ -52,29 +72,18 @@ def main() -> None:
     # Errors compound through the pipeline (the edge detector amplifies any
     # error the blur stage leaves behind), so each stage gets a conservative
     # slice of the budget: a quarter for the blur, half for the edges.
-    blur_session = engine.session(app="gaussian").autotune(
-        error_budget=error_budget / 4, calibration_inputs=calibration
-    )
-    print(blur_session.report())
-    print()
-    edge_session = engine.session(app="sobel3").autotune(
-        error_budget=error_budget / 2, calibration_inputs=calibration
-    )
-    print(edge_session.report())
-    print()
-
-    blur_config = blur_session.selected
-    edge_config = edge_session.selected
+    blur_config = tune_stage(engine, "gaussian", error_budget / 4, calibration)
+    edge_config = tune_stage(engine, "sobel3", error_budget / 2, calibration)
 
     accurate = run_pipeline(engine, test_image, ACCURATE_CONFIG, ACCURATE_CONFIG)
     approximate = run_pipeline(engine, test_image, blur_config, edge_config)
     end_to_end_error = compute_error(
-        accurate, approximate, edge_session.app.error_metric
+        accurate, approximate, engine.resolve_app("sobel3").error_metric
     )
 
-    blur_speedup = blur_session.evaluate(test_image, blur_config).speedup
-    edge_speedup = edge_session.evaluate(test_image, edge_config).speedup
-    image_size = blur_session.app.global_size(test_image)
+    blur_speedup = engine.evaluate("gaussian", test_image, blur_config).speedup
+    edge_speedup = engine.evaluate("sobel3", test_image, edge_config).speedup
+    image_size = engine.resolve_app("gaussian").global_size(test_image)
     accurate_time = (
         engine.timing("gaussian", ACCURATE_CONFIG, image_size).total_time_s
         + engine.timing("sobel3", ACCURATE_CONFIG, image_size).total_time_s

@@ -5,8 +5,8 @@ The example walks through the paper's core idea in three steps:
 1. the 1D loop-perforation illustration of Section 4.1 (output perforation
    vs. input perforation with reconstruction);
 2. evaluating the paper's configurations (Rows1/Rows2/Stencil1, NN/LI) on
-   the Gaussian benchmark with the simulated FirePro W5100, through the
-   :class:`repro.api.PerforationEngine` session API;
+   the Gaussian benchmark with the simulated FirePro W5100, through
+   :class:`repro.api.PerforationEngine`;
 3. using the compiler path to emit the perforated OpenCL C kernel you would
    run on a real GPU.
 
@@ -48,9 +48,9 @@ def part_two_kernel_perforation(engine: PerforationEngine) -> None:
     print("=" * 72)
     print("2. Kernel perforation of the Gaussian benchmark (simulated W5100)")
     print("=" * 72)
-    session = engine.session(app="gaussian")
+    app = engine.resolve_app("gaussian")
     image = generate_image("natural", size=512, seed=42)
-    for result in session.evaluate_many(image, default_configurations(session.app.halo)):
+    for result in engine.evaluate_many(app, image, default_configurations(app.halo)):
         print(f"  {result.describe()}")
     print()
 

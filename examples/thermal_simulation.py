@@ -20,14 +20,13 @@ from repro.data import generate_hotspot_input
 
 def main() -> None:
     engine = PerforationEngine()
-    session = engine.session(app="hotspot")
-    app = session.app
+    app = engine.resolve_app("hotspot")
     instance = generate_hotspot_input(size=512, seed=2018)
 
     print("Hotspot: 512x512 grid, Rodinia-style synthetic power map")
     print("-" * 72)
 
-    for result in session.evaluate_many(instance, (ROWS1_NN, ROWS2_NN)):
+    for result in engine.evaluate_many(app, instance, (ROWS1_NN, ROWS2_NN)):
         config = result.config
         print(
             f"  per-step {config.label:<10s} error {result.error * 100:7.4f}%   "

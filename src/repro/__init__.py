@@ -18,10 +18,10 @@ Juurlink; CGO 2018).  The library contains:
 * :mod:`repro.data` — synthetic input generators standing in for the
   USC-SIPI image database and the Rodinia Hotspot inputs;
 * :mod:`repro.experiments` — one harness per table/figure of the paper;
-* :mod:`repro.api` — the unified session API: the
+* :mod:`repro.api` — the engine API: the
   :class:`~repro.api.engine.PerforationEngine` facade with registries,
-  result caching, parallel sweeps and quality-aware sessions
-  (calibrate, select, run under an error budget);
+  result caching and parallel sweeps, and calibration (calibrate, then
+  select a configuration for an error budget);
 * :mod:`repro.serve` — quality-aware batch serving: micro-batched
   codegen launches, an online perforation controller, a bounded result
   cache and serving metrics (``docs/serving.md``);

@@ -1,20 +1,20 @@
-"""``repro.api`` — the unified session API.
+"""``repro.api`` — the engine API.
 
 The package centres on :class:`~repro.api.engine.PerforationEngine`, the
 facade that owns the simulated device, the timing model, the reference
-and timing caches and the worker pool, and hands out fluent per-application
-:class:`~repro.api.session.Session` objects:
+and timing caches and the worker pool; every evaluation, sweep and
+compiled run takes the application explicitly:
 
 .. code-block:: python
 
     from repro.api import PerforationEngine
 
     engine = PerforationEngine(device="firepro-w5100", workers="auto")
-    sweep = engine.session(app="gaussian").sweep()
-    tuned = engine.session(app="sobel3").autotune(error_budget=0.01)
+    sweep = engine.sweep("gaussian", image)
+    output = engine.run_compiled("sobel3", image, ROWS1_NN)
 
-A session calibrates and selects (:func:`repro.api.session.calibrate_configs`
-builds every calibration entry); quality-monitored serving is
+:mod:`repro.api.calibration` calibrates configurations into a ladder and
+selects one for an error budget; quality-monitored serving is
 :class:`repro.serve.PerforationServer`.
 
 Supporting pieces:
@@ -47,7 +47,6 @@ __all__ = [
     "PerforationEngine",
     "Registry",
     "RegistryError",
-    "Session",
     "DiskStore",
     "StoreStats",
     "default_artifact_cache",
@@ -55,8 +54,7 @@ __all__ = [
 
 _LAZY = {
     "PerforationEngine": ("repro.api.engine", "PerforationEngine"),
-    "Session": ("repro.api.session", "Session"),
-    "CalibrationEntry": ("repro.api.session", "CalibrationEntry"),
+    "CalibrationEntry": ("repro.api.calibration", "CalibrationEntry"),
     "LRUCache": ("repro.api.cache", "LRUCache"),
     "ArtifactCache": ("repro.api.artifacts", "ArtifactCache"),
     "DiskStore": ("repro.api.store", "DiskStore"),

@@ -13,9 +13,8 @@ resolved by name through the package registries, so
     from repro.api import PerforationEngine
 
     engine = PerforationEngine(device="firepro-w5100", workers=4)
-    sweep = engine.session(app="gaussian").sweep()
-    tuned = engine.session(app="sobel3").autotune(error_budget=0.01)
-    output = tuned.run_compiled(image)
+    sweep = engine.sweep("gaussian", image)          # the paper's four configs
+    output = engine.run_compiled("sobel3", image, ROWS1_NN)
 
 works without importing a single application class.
 """
@@ -72,7 +71,7 @@ def _auto_workers() -> int:
 
 
 class PerforationEngine:
-    """Session factory and evaluation backend for kernel perforation.
+    """Evaluation backend for kernel perforation.
 
     Parameters
     ----------
@@ -90,8 +89,8 @@ class PerforationEngine:
         (:meth:`run_compiled` / :meth:`compiled_sweep`): a registered name
         (``"interpreter"``, ``"codegen"``), an
         :class:`~repro.clsim.backends.ExecutionBackend` instance, or
-        ``None`` for the default interpreter backend; sessions run on it
-        too.  Outputs and stats are bit-identical across both (see
+        ``None`` for the default interpreter backend.  Outputs and stats
+        are bit-identical across both (see
         ``docs/backends.md`` and ``docs/ir.md``).
     """
 
@@ -580,32 +579,6 @@ class PerforationEngine:
                 f"no admissible work-group shape for {app.name!r} with {config.label}"
             )
         return min(timings, key=lambda t: t.runtime_s).work_group
-
-    # ------------------------------------------------------------------
-    # Sessions
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        app,
-        *,
-        configs: Iterable[ApproximationConfig] | None = None,
-        inputs=None,
-        error_budget: float | None = None,
-    ):
-        """Open a fluent :class:`~repro.api.session.Session` for one application.
-
-        ``app`` is an :class:`~repro.apps.base.Application` instance or a
-        registered name (``"gaussian"``, ``"sobel3"``, ...).
-        """
-        from .session import Session
-
-        return Session(
-            engine=self,
-            app=self.resolve_app(app),
-            configs=configs,
-            inputs=inputs,
-            error_budget=error_budget,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

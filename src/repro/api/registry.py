@@ -1,8 +1,8 @@
-"""String-keyed registries for the session API.
+"""String-keyed registries for the engine API.
 
 A :class:`Registry` maps names to factories (or ready-made objects) so the
 engine can resolve applications, device profiles and perforation schemes by
-name — ``engine.session(app="gaussian")`` — and so third-party code can add
+name — ``engine.sweep("gaussian", image)`` — and so third-party code can add
 its own entries without editing the package:
 
 .. code-block:: python

@@ -28,7 +28,7 @@ from .sobel import SOBEL3_GX, SOBEL3_GY, SOBEL5_GX, SOBEL5_GY, Sobel3App, Sobel5
 
 #: Registry of application factories, keyed by name.  Third-party apps can
 #: add themselves via :func:`register_application` and are then resolvable
-#: by every engine: ``PerforationEngine().session(app="my-filter")``.
+#: by every engine: ``PerforationEngine().sweep("my-filter", image)``.
 APPLICATIONS: Registry[Callable[[], Application]] = Registry("application", error=KeyError)
 
 for _factory in (GaussianApp, InversionApp, MedianApp, HotspotApp, Sobel3App, Sobel5App):

@@ -167,19 +167,6 @@ class TuningTask:
             if self.scaled_inputs(fraction) is not None
         )
 
-    def valid_at(self, config: ApproximationConfig, fidelity: float) -> bool:
-        """Whether ``config`` can be evaluated at ``fidelity``.
-
-        Full fidelity is always valid (the candidate list already applies
-        the launch rules).  Screening runs the sampler-based NumPy path,
-        which tolerates work groups that do not divide the downscaled
-        input — tiles simply clamp at the edge — so a screening fidelity
-        is valid for *every* candidate whenever a downscaled input exists.
-        """
-        if fidelity >= 1.0:
-            return True
-        return self.scaled_inputs(fidelity) is not None
-
     # ------------------------------------------------------------------
     # Budget
     # ------------------------------------------------------------------
@@ -401,13 +388,14 @@ class HillClimbStrategy(Strategy):
 class SuccessiveHalvingStrategy(Strategy):
     """Multi-fidelity screening with non-dominated promotion.
 
-    Every candidate is first evaluated at the coarsest fidelity its
-    work-group shape admits (downscaled inputs keep the space's
-    divisibility rules; candidates whose shape cannot tile a small input
-    enter at the first rung where it can).  After each screening rung the
-    pool is non-dominated sorted on (speedup, screened error) and whole
-    layers are promoted until at least ``1/eta`` of the pool survives;
-    only the final survivors are evaluated at full size.
+    Every candidate is first evaluated at the coarsest screening fidelity
+    (or at full size when the input cannot be downscaled).  Screening runs
+    the sampler-based NumPy path, whose tiles clamp at the edge of a
+    downscaled input, so every work-group shape screens at every fidelity.
+    After each screening rung the pool is non-dominated sorted on
+    (speedup, screened error) and whole layers are promoted until at least
+    ``1/eta`` of the pool survives; only the final survivors are evaluated
+    at full size.
     """
 
     name = "successive-halving"
@@ -421,22 +409,8 @@ class SuccessiveHalvingStrategy(Strategy):
         return {"name": self.name, "eta": self.eta}
 
     def tune(self, task: TuningTask, rng: random.Random) -> None:
-        fidelities = list(task.screening_fidelities()) + [1.0]
-        candidates = task.candidates()
-
-        # Assign each candidate its earliest admissible rung.
-        rung_of: dict[str, int] = {}
-        for config in candidates:
-            for rung, fidelity in enumerate(fidelities):
-                if task.valid_at(config, fidelity):
-                    rung_of[config_key(config)] = rung
-                    break
-
-        pool: list[ApproximationConfig] = []
-        for rung, fidelity in enumerate(fidelities):
-            pool = pool + [
-                c for c in candidates if rung_of[config_key(c)] == rung
-            ]
+        pool = task.candidates()
+        for fidelity in [*task.screening_fidelities(), 1.0]:
             observations = task.evaluate_batch(pool, fidelity)
             if fidelity >= 1.0 or task.exhausted:
                 break

@@ -9,8 +9,8 @@ search ran, and budget-indexed configuration ladders.
 The entry point is :meth:`Tuner.tune`: a full search over the space,
 returning a :class:`TuningResult`; a warm database replays it with
 **zero** evaluations.  Calibrating a fixed list of configurations is
-:func:`repro.api.session.calibrate_configs`, which the session and the
-serve controller share.
+:func:`repro.api.calibration.calibrate_configs`, which the serve
+controller calls too.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from ..api.cache import input_token
-from ..api.session import CalibrationEntry, default_inputs
+from ..api.calibration import CalibrationEntry, default_inputs, select
 from ..core.config import ApproximationConfig
-from ..core.errors import TuningError
 from ..core.pareto import pareto_front
 from .db import TuningDB, resolve_db, tuning_key
 from .space import (
@@ -90,8 +89,8 @@ class TuningResult:
         """Calibration-style ladder of the full-fidelity observations.
 
         Entries sorted fastest-first, one per configuration — directly
-        consumable by :meth:`Session.select
-        <repro.api.session.Session.select>` and the serve controller.
+        consumable by :func:`repro.api.calibration.select` and the serve
+        controller.
         """
         entries = [
             CalibrationEntry(
@@ -107,12 +106,8 @@ class TuningResult:
 
     def best_for_budget(self, budget: float) -> ApproximationConfig | None:
         """Fastest tuned configuration expected to meet ``budget``."""
-        if budget <= 0:
-            raise TuningError(f"error budget must be positive, got {budget}")
-        for entry in self.ladder():
-            if entry.admissible(budget):
-                return entry.config
-        return None
+        rung = select(self.ladder(), budget)
+        return rung.config if rung is not None else None
 
     def budget_ladder(self, budgets: Iterable[float]) -> dict[float, ApproximationConfig | None]:
         """Budget-indexed ladder: the selected configuration per error budget."""

@@ -25,7 +25,7 @@ Two backends are built in:
   launch (:meth:`ExecutionBackend.for_launch`).
 
 Backends are resolvable by name through a string-keyed registry, mirroring
-the application/device/scheme registries of the session API:
+the application/device/scheme registries of the engine API:
 
 .. code-block:: python
 

@@ -14,8 +14,8 @@ The package implements the paper's contribution:
   (:mod:`repro.core.quality`) and Pareto analysis
   (:mod:`repro.core.pareto`).
 
-:class:`repro.api.PerforationEngine` and its sessions run the pipeline,
-the sweeps and the quality-aware calibrate/select/run loop.
+:class:`repro.api.PerforationEngine` runs the pipeline and the sweeps;
+:mod:`repro.api.calibration` calibrates and selects under an error budget.
 """
 
 from .config import (

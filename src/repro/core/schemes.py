@@ -228,7 +228,7 @@ STENCIL1 = StencilPerforation()
 
 #: Registry of canonical scheme instances.  Custom schemes can be added
 #: with :func:`register_scheme` and are then resolvable by name wherever a
-#: scheme is accepted (e.g. when building configurations for a session).
+#: scheme is accepted (e.g. when building configurations for a sweep).
 SCHEMES: Registry[PerforationScheme] = Registry("scheme", error=SchemeError)
 
 for _scheme in (ACCURATE, ROWS1, ROWS2, COLS1, STENCIL1):

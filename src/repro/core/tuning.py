@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import ApproximationConfig
-from .errors import TuningError
 from .pareto import pareto_front
 
 
@@ -32,12 +31,6 @@ class SweepPoint:
     def label(self) -> str:
         return self.config.label
 
-    def describe(self) -> str:
-        return (
-            f"{self.label:<14s} wg={self.config.work_group!s:<9s} "
-            f"error={self.error * 100:6.2f}%  speedup={self.speedup:5.2f}x"
-        )
-
 
 @dataclass
 class SweepResult:
@@ -49,28 +42,6 @@ class SweepResult:
     def pareto_optimal(self) -> list[SweepPoint]:
         """Pareto-optimal subset (maximise speedup, minimise error)."""
         return pareto_front(self.points)
-
-    def best_for_error_budget(self, budget: float) -> SweepPoint:
-        """Fastest configuration whose error stays within ``budget``."""
-        admissible = [p for p in self.points if p.error <= budget]
-        if not admissible:
-            raise TuningError(
-                f"no configuration of {self.app_name!r} meets the error budget "
-                f"{budget:.2%} (best achievable is {min(p.error for p in self.points):.2%})"
-            )
-        return max(admissible, key=lambda p: p.speedup)
-
-    def best_error(self) -> SweepPoint:
-        """The most accurate configuration."""
-        if not self.points:
-            raise TuningError("sweep produced no points")
-        return min(self.points, key=lambda p: p.error)
-
-    def fastest(self) -> SweepPoint:
-        """The fastest configuration."""
-        if not self.points:
-            raise TuningError("sweep produced no points")
-        return max(self.points, key=lambda p: p.speedup)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..api.engine import PerforationEngine
-from ..apps import get_application
 from ..clsim.device import Device, firepro_w5100
 from ..core.config import ApproximationConfig, ROWS1_NN, STENCIL1_NN
 
@@ -96,11 +95,6 @@ def make_engine(
     return PerforationEngine(
         device=device or default_device(), workers=workers, backend=backend
     )
-
-
-def app_for(name: str):
-    """Instantiate an application by name (thin wrapper for readability)."""
-    return get_application(name)
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,12 @@ class Figure10Result:
     settings: ExperimentSettings
 
 
-def _collect_points(session, image) -> list[ParetoPoint]:
-    app = session.app
+def _collect_points(engine: PerforationEngine, app, image) -> list[ParetoPoint]:
     points: list[ParetoPoint] = [
         ParetoPoint(label="Accurate", family="accurate", speedup=1.0, error=0.0)
     ]
     our_configs = [ROWS1_NN] if app.halo == 0 else [STENCIL1_NN, ROWS1_NN]
-    for result in session.evaluate_many(image, our_configs):
+    for result in engine.evaluate_many(app, image, our_configs):
         points.append(
             ParetoPoint(
                 label=result.config.label,
@@ -64,7 +63,7 @@ def _collect_points(session, image) -> list[ParetoPoint]:
             )
         )
     for result in evaluate_all_schemes(
-        app, image, device=session.engine.device, schemes=PARAPROX_SCHEMES
+        app, image, device=engine.device, schemes=PARAPROX_SCHEMES
     ):
         points.append(
             ParetoPoint(
@@ -98,9 +97,7 @@ def run(
     settings = ExperimentSettings.for_mode(quick=quick, image_size=image_size)
     engine = engine or make_engine()
     image = single_image(ImageClass.NATURAL, size=settings.image_size, seed=42)
-    points = {
-        name: _collect_points(engine.session(app=name), image) for name in apps
-    }
+    points = {name: _collect_points(engine, engine.resolve_app(name), image) for name in apps}
     return Figure10Result(points=points, settings=settings)
 
 

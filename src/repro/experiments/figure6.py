@@ -65,7 +65,7 @@ def run(
     for name in apps:
         config = FIGURE6_CONFIGS[name]
         dataset = hotspot_inputs if name == "hotspot" else images
-        per_app[name] = engine.session(app=name).evaluate_dataset(dataset, config)
+        per_app[name] = engine.evaluate_dataset(name, dataset, config)
     return Figure6Result(per_app=per_app, settings=settings)
 
 

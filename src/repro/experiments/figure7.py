@@ -45,10 +45,9 @@ def run(
     """Run the Figure 7 experiment (Median on one image per class)."""
     settings = ExperimentSettings.for_mode(quick=quick, image_size=image_size)
     engine = engine or make_engine()
-    session = engine.session(app=app_name)
     examples = figure7_examples(size=settings.image_size)
     errors = {
-        image_class: session.evaluate(image, config).error
+        image_class: engine.evaluate(app_name, image, config).error
         for image_class, image in examples.items()
     }
     return Figure7Result(app_name=app_name, config=config, errors=errors, settings=settings)

@@ -64,11 +64,9 @@ def run(
     sweeps: dict[str, SweepResult] = {}
     reductions: dict[str, float] = {}
     for name in apps:
-        session = engine.session(app=name).with_inputs(image)
-        applicable = [
-            c for c in configs if not (c.scheme.requires_halo() and session.app.halo == 0)
-        ]
-        sweep = session.sweep(configs=applicable)
+        halo = engine.resolve_app(name).halo
+        applicable = [c for c in configs if not (c.scheme.requires_halo() and halo == 0)]
+        sweep = engine.sweep(name, image, applicable)
         sweeps[name] = sweep
         reductions[name] = _li_reduction(sweep)
     return Figure8Result(sweeps=sweeps, li_error_reduction=reductions, settings=settings)

@@ -51,9 +51,8 @@ def run(
     timings: dict[str, list[WorkGroupTiming]] = {}
     best: dict[str, dict[str, tuple[int, int]]] = {}
     for name in apps:
-        session = engine.session(app=name).with_inputs(image)
-        configs = [ROWS1_NN] if session.app.halo == 0 else [STENCIL1_NN, ROWS1_NN]
-        app_timings = session.sweep_work_groups(configs, work_groups=work_groups)
+        configs = [ROWS1_NN] if engine.resolve_app(name).halo == 0 else [STENCIL1_NN, ROWS1_NN]
+        app_timings = engine.sweep_work_groups(name, image, configs, work_groups)
         timings[name] = app_timings
         best[name] = {}
         for variant in {t.variant for t in app_timings}:

@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..api.engine import PerforationEngine
-from ..api.session import CalibrationEntry
+from ..api.calibration import CalibrationEntry
 from ..obs import trace as obs_trace
 from ..serve.server import PerforationServer
 from .protocol import (

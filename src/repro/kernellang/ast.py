@@ -311,12 +311,3 @@ class NodeTransformer:
 def find_all(node: Node, node_type: type) -> list[Node]:
     """Collect all nodes of ``node_type`` in the subtree rooted at ``node``."""
     return [n for n in node.walk() if isinstance(n, node_type)]
-
-
-def iter_statements(block: Block) -> Iterator[Stmt]:
-    """Iterate over all statements in a block, recursively."""
-    for stmt in block.statements:
-        yield stmt
-        for child in stmt.walk():
-            if isinstance(child, Stmt) and child is not stmt:
-                yield child

@@ -76,23 +76,6 @@ class ScalarType(Type):
     def is_integer(self) -> bool:
         return self.name in self._INT_NAMES
 
-    @property
-    def size_bytes(self) -> int:
-        sizes = {
-            "bool": 1,
-            "char": 1,
-            "uchar": 1,
-            "short": 2,
-            "ushort": 2,
-            "int": 4,
-            "uint": 4,
-            "float": 4,
-            "long": 8,
-            "size_t": 8,
-            "double": 8,
-        }
-        return sizes[self.name]
-
     def __str__(self) -> str:
         return self.name
 

@@ -1,16 +1,16 @@
 """``repro.serve`` — quality-aware batch serving of perforated kernels.
 
-The serving subsystem turns the per-call session API into a service: a
+The serving subsystem turns the per-call engine API into a service: a
 stream of :class:`~repro.serve.requests.ServeRequest` objects (application,
 input, error budget, priority, latency budget) is micro-batched by a
 deterministic :class:`~repro.serve.scheduler.MicroBatchScheduler`, executed
 as single batched codegen launches
 (:meth:`~repro.api.engine.PerforationEngine.run_compiled_batch`), and
 steered by an :class:`~repro.serve.controller.OnlineController` that starts
-from the calibration behind :meth:`Session.calibrate
-<repro.api.session.Session.calibrate>` and adapts the perforation configuration per application from
-monitored quality feedback — tightening when the measured error drifts
-above budget, loosening when there is headroom.  A bounded LRU result
+from :func:`~repro.api.calibration.calibrate_configs` and adapts the
+perforation configuration per application from monitored quality feedback
+— tightening when the measured error drifts above budget, loosening when
+there is headroom.  A bounded LRU result
 cache (:mod:`repro.serve.cache`, on the library's one in-memory
 :class:`~repro.api.cache.LRUCache`) short-circuits repeated inputs, and
 :class:`~repro.serve.metrics.ServeMetrics` tracks throughput, queue-delay

@@ -6,12 +6,12 @@ which :class:`~repro.core.config.ApproximationConfig` should a given
 application's requests run with, under a given error budget?
 
 Each application is calibrated once, offline-style on representative
-inputs, by :func:`~repro.api.session.calibrate_configs` (the function
-behind :meth:`Session.calibrate <repro.api.session.Session.calibrate>`)
-into a *ladder* of configurations sorted fastest-first, terminated by the
-accurate configuration (error 0, speedup 1).  Per (application, budget)
-stream the controller then walks that ladder online from monitored
-quality feedback:
+inputs, by :func:`~repro.api.calibration.calibrate_configs` into a
+*ladder* of configurations sorted fastest-first, terminated by the
+accurate configuration (error 0, speedup 1).  A new (application, budget)
+stream starts on the rung :func:`~repro.api.calibration.select` picks,
+and the controller then walks that ladder online from monitored quality
+feedback:
 
 * **tighten** — when the exponentially weighted moving average of the
   measured error drifts above the budget, step down the ladder to the next
@@ -21,7 +21,7 @@ quality feedback:
   (``ewma < LOOSEN_HEADROOM * budget``) for at least :data:`MIN_DWELL`
   observations, step back up to the nearest faster configuration that
   calibration deems admissible under the budget
-  (:meth:`~repro.api.session.CalibrationEntry.admissible`).
+  (:meth:`~repro.api.calibration.CalibrationEntry.admissible`).
 
 Every decision is a pure function of the observation sequence, so a
 replayed trace reproduces the exact same configuration choices.
@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..api.session import CalibrationEntry, calibrate_configs, default_inputs
+from ..api.calibration import CalibrationEntry, calibrate_configs, default_inputs, select
 from ..core.config import ACCURATE_CONFIG, ApproximationConfig, default_configurations
-from ..core.errors import TuningError
 
 #: Smoothing factor of the measured-error EWMA.
 EWMA_ALPHA = 0.25
@@ -71,7 +70,7 @@ class OnlineController:
         Optional mapping of application name to the representative inputs
         calibration should sweep; applications without an entry calibrate
         on their default sample input
-        (:func:`~repro.api.session.default_inputs`).
+        (:func:`~repro.api.calibration.default_inputs`).
     """
 
     def __init__(self, engine, calibration_inputs: Mapping[str, Sequence] | None = None) -> None:
@@ -113,16 +112,12 @@ class OnlineController:
         return ladder
 
     def _stream(self, app_name: str, budget: float) -> _StreamState:
-        if budget <= 0:
-            raise TuningError(f"error budget must be positive, got {budget}")
         key = (app_name, budget)
         state = self._streams.get(key)
         if state is None:
             ladder = self.ladder(app_name)
-            index = next(
-                (i for i, entry in enumerate(ladder) if entry.admissible(budget)),
-                len(ladder) - 1,  # the accurate rung
-            )
+            rung = select(ladder, budget)
+            index = ladder.index(rung) if rung is not None else len(ladder) - 1
             state = self._streams[key] = _StreamState(index=index)
         return state
 

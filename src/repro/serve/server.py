@@ -19,8 +19,8 @@ submitted in virtual (trace) time; the server
    budget;
 4. records everything in :class:`~repro.serve.metrics.ServeMetrics`.
 
-This is the library's one quality-monitored runtime: a
-:class:`~repro.api.session.Session` only calibrates and selects.
+This is the library's one quality-monitored runtime:
+:mod:`repro.api.calibration` only calibrates and selects.
 
 The server is synchronous and single-threaded by design: batching, not
 concurrency, is the throughput mechanism (worker-level parallelism lives in

@@ -129,6 +129,14 @@ class TestEngineBackendPlumbing:
         )
         assert recording.groups == 4
 
+    def test_run_compiled_batch_uses_engine_backend(self):
+        recording = RecordingBackend()
+        engine = PerforationEngine(backend=recording)
+        images = [generate_image("natural", size=16, seed=seed) for seed in (3, 4)]
+        outputs = engine.run_compiled_batch("inversion", images, ROWS1_NN.with_work_group((8, 8)))
+        assert len(outputs) == 2
+        assert recording.groups == 8  # four 8x8 groups per 16x16 image
+
     def test_compiled_sweep_runs_every_configuration(self):
         engine = PerforationEngine(backend="codegen")
         image = generate_image("natural", size=16, seed=3)
@@ -136,24 +144,6 @@ class TestEngineBackendPlumbing:
         assert len(outputs) == 4
         for label, output in outputs.items():
             assert output.shape == image.shape, label
-
-
-class TestSessionBackendPlumbing:
-    def test_session_inherits_engine_backend(self):
-        recording = RecordingBackend()
-        engine = PerforationEngine(backend=recording)
-        session = engine.session("inversion")
-        image = generate_image("natural", size=16, seed=3)
-        session.run_compiled(image, ROWS1_NN.with_work_group((8, 8)))
-        assert recording.groups == 4
-
-    def test_session_batch_runs_on_engine_backend(self):
-        recording = RecordingBackend()
-        session = PerforationEngine(backend=recording).session("inversion")
-        images = [generate_image("natural", size=16, seed=seed) for seed in (3, 4)]
-        outputs = session.run_compiled_batch(images, ROWS1_NN.with_work_group((8, 8)))
-        assert len(outputs) == 2
-        assert recording.groups == 8  # four 8x8 groups per 16x16 image
 
     def test_compiled_sweep_rejects_colliding_labels(self):
         from repro.core.errors import ConfigurationError

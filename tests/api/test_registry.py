@@ -100,8 +100,7 @@ class TestApplicationRegistry:
 
         register_application("tiny-gaussian", TinyApp)
         try:
-            session = PerforationEngine().session(app="tiny-gaussian")
-            assert isinstance(session.app, TinyApp)
+            assert isinstance(PerforationEngine().resolve_app("tiny-gaussian"), TinyApp)
         finally:
             APPLICATIONS.unregister("tiny-gaussian")
 

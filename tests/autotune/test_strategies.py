@@ -24,7 +24,7 @@ from repro.autotune import (
 from repro.autotune.strategies import Observation, nondominated_layers
 from repro.core.errors import TuningError
 from repro.core.pareto import pareto_front
-from repro.data import generate_image
+from repro.data import generate_image, hotspot_single
 
 SIZE = 64
 ALL_STRATEGIES = available_strategies()
@@ -149,6 +149,24 @@ class TestSuccessiveHalving:
         result = tuner.tune("gaussian", image, strategy="successive-halving")
         fidelities = {o.fidelity for o in result.observations}
         assert fidelities >= {0.25, 0.5, 1.0}
+
+    def test_first_rung_screens_every_candidate(self, image):
+        engine = PerforationEngine()
+        candidates = TuningTask(engine, "gaussian", image, default_space()).candidates()
+        result = Tuner(engine, db=False).tune("gaussian", image, strategy="successive-halving")
+        coarsest = [o.config for o in result.observations if o.fidelity == 0.25]
+        assert coarsest == candidates
+
+    def test_unscreenable_input_evaluates_every_candidate_at_full_size(self):
+        """A Hotspot grid cannot be downscaled, so there is no screening rung:
+        every candidate is evaluated once, at full fidelity, in candidate order."""
+        engine = PerforationEngine()
+        grid = hotspot_single(size=64, seed=1)
+        task = TuningTask(engine, "hotspot", grid, default_space())
+        assert task.screening_fidelities() == ()
+        result = Tuner(engine, db=False).tune("hotspot", grid, strategy="successive-halving")
+        assert all(o.is_full_fidelity for o in result.observations)
+        assert [o.config for o in result.observations] == task.candidates()
 
 
 def _layers_by_repeated_fronts(observations):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.api import PerforationEngine
-from repro.api.session import SAFETY_MARGIN
+from repro.api.calibration import SAFETY_MARGIN, select
 from repro.autotune import Tuner, TuningDB, TuningResult, default_space
 from repro.autotune.space import config_key
 from repro.core.errors import TuningError
@@ -77,7 +77,7 @@ class TestTune:
 
     def test_best_for_budget_applies_the_safety_margin(self, image):
         """A tuned configuration qualifies when its error times
-        ``1 + SAFETY_MARGIN`` fits the budget, as in ``Session.select``."""
+        ``1 + SAFETY_MARGIN`` fits the budget, as in ``calibration.select``."""
         tuner = Tuner(PerforationEngine(), db=False)
         result = tuner.tune("gaussian", image, strategy="grid", max_evals=8)
         fastest = result.ladder()[0]
@@ -87,6 +87,21 @@ class TestTune:
         tighter = result.best_for_budget(np.nextafter(fits, 0.0))
         assert tighter != fastest.config
         assert result.budget_ladder([fits]) == {fits: fastest.config}
+
+    def test_best_for_budget_is_select_over_the_ladder(self, image):
+        tuner = Tuner(PerforationEngine(), db=False)
+        result = tuner.tune("gaussian", image, strategy="grid")
+        ladder = result.ladder()
+        for budget in (0.01, 0.03, 0.05, 0.10, 1.0):
+            rung = select(ladder, budget)
+            assert result.best_for_budget(budget) == (rung.config if rung else None)
+
+    def test_best_for_budget_is_none_when_nothing_fits(self, image):
+        """A tuned ladder has no accurate rung to fall back to."""
+        tuner = Tuner(PerforationEngine(), db=False)
+        result = tuner.tune("gaussian", image, strategy="grid", max_evals=8)
+        assert min(e.mean_error for e in result.ladder()) > 1e-9
+        assert result.best_for_budget(1e-9) is None
 
     def test_tune_without_inputs_uses_default_inputs(self, image, monkeypatch):
         from repro.autotune import tuner as tuner_module

@@ -96,15 +96,6 @@ class TestBatchedLaunchParity:
         [batched] = engine.run_compiled_batch("gaussian", [image], ROWS1)
         np.testing.assert_array_equal(single, batched)
 
-    def test_session_run_compiled_batch(self):
-        engine = PerforationEngine(backend="codegen")
-        inputs = _inputs("gaussian", 2)
-        session = engine.session(app="gaussian")
-        outputs = session.run_compiled_batch(inputs, config=ROWS1)
-        expected = [engine.run_compiled("gaussian", i, ROWS1) for i in inputs]
-        for want, got in zip(expected, outputs):
-            np.testing.assert_array_equal(want, got)
-
 
 class TestBatchedLaunchValidation:
     def test_empty_batch_rejected(self):

@@ -26,24 +26,22 @@ class TestSweepConfigurations:
         labels = {p.label for p in sweep.points}
         assert "Stencil1:NN" not in labels
 
-    def test_pareto_and_selection_helpers(self, natural_image_64, engine):
+    def test_pareto_optimal_subset(self, natural_image_64, engine):
         sweep = engine.sweep(GaussianApp(), natural_image_64)
         front = sweep.pareto_optimal()
         assert front
         assert all(p in sweep.points for p in front)
-        assert sweep.best_error().error == min(p.error for p in sweep.points)
-        assert sweep.fastest().speedup == max(p.speedup for p in sweep.points)
 
-    def test_best_for_error_budget(self, natural_image_64, engine):
+    def test_fastest_and_most_accurate_points_are_pareto_optimal(self, natural_image_64, engine):
         sweep = engine.sweep(GaussianApp(), natural_image_64)
-        point = sweep.best_for_error_budget(0.10)
-        assert point.error <= 0.10
-        with pytest.raises(TuningError):
-            sweep.best_for_error_budget(1e-12)
+        front = sweep.pareto_optimal()
+        assert max(p.speedup for p in front) == max(p.speedup for p in sweep.points)
+        assert min(p.error for p in front) == min(p.error for p in sweep.points)
 
-    def test_point_describe(self, natural_image_64, engine):
-        sweep = engine.sweep(GaussianApp(), natural_image_64)
-        assert "speedup" in sweep.points[0].describe()
+    def test_points_follow_the_given_configurations(self, natural_image_64, engine):
+        """Explicit configurations restrict the sweep, and points keep their order."""
+        sweep = engine.sweep(GaussianApp(), natural_image_64, [STENCIL1_NN, ROWS1_NN])
+        assert [p.config for p in sweep.points] == [STENCIL1_NN, ROWS1_NN]
 
 
 class TestWorkGroupSweep:

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.api import CalibrationEntry, PerforationEngine
-from repro.api import session as session_module
-from repro.core.config import ACCURATE_CONFIG, ROWS1_LI, ROWS1_NN, ROWS2_NN
+from repro.api.calibration import calibrate_configs, select
+from repro.core.config import (
+    ACCURATE_CONFIG,
+    ROWS1_LI,
+    ROWS1_NN,
+    ROWS2_NN,
+    default_configurations,
+)
 from repro.core.errors import TuningError
 from repro.data import generate_image
 from repro.obs import trace as obs_trace
@@ -16,6 +22,13 @@ from repro.serve.controller import EWMA_ALPHA, LOOSEN_HEADROOM, MIN_DWELL
 @pytest.fixture(scope="module")
 def engine():
     return PerforationEngine()
+
+
+def _calibrate(xs):
+    """``calibrate_configs`` of gaussian's default configurations on a fresh engine."""
+    engine = PerforationEngine()
+    app = engine.resolve_app("gaussian")
+    return calibrate_configs(engine, app, xs, default_configurations(app.halo))
 
 
 def _fake_controller(engine):
@@ -45,10 +58,10 @@ class TestLadder:
         assert controller.ladder("gaussian") is ladder
         assert controller.calibrated == 1
 
-    def test_ladder_is_session_calibration_plus_the_accurate_rung(self):
-        """The controller and ``Session.calibrate`` share one calibration
-        path: the same entries bit for bit, one ``session.calibrate`` span
-        each."""
+    def test_ladder_is_the_calibration_plus_the_accurate_rung(self):
+        """The controller's ladder is ``calibrate_configs`` of the default
+        configurations, bit for bit, plus the accurate rung; each
+        calibration records one ``session.calibrate`` span."""
         xs = [
             generate_image("natural", size=32, seed=3),
             generate_image("flat", size=32, seed=4),
@@ -57,8 +70,7 @@ class TestLadder:
         try:
             ladder = OnlineController(PerforationEngine(), {"gaussian": xs}).ladder("gaussian")
             from_controller = [s for s in tracer.spans() if s.name == "session.calibrate"]
-            session = PerforationEngine().session("gaussian", error_budget=0.05)
-            entries = session.calibrate(xs)
+            entries = _calibrate(xs)
             spans = [s for s in tracer.spans() if s.name == "session.calibrate"]
         finally:
             obs_trace.disable()
@@ -111,9 +123,9 @@ class TestLadder:
         assert controller.choose("gaussian", 1.0) != ladder[0].config
         assert controller.ladder("gaussian") is ladder
 
-    def test_default_calibration_inputs_are_the_sessions(self, monkeypatch):
+    def test_default_calibration_inputs_are_default_inputs(self, monkeypatch):
         """An application without calibration inputs calibrates on
-        ``default_inputs(app)``, the sample a session falls back to."""
+        ``default_inputs(app)``."""
         small = generate_image("natural", size=32, seed=9)
         asked = []
 
@@ -122,11 +134,9 @@ class TestLadder:
             return small
 
         monkeypatch.setattr(controller_module, "default_inputs", sample)
-        monkeypatch.setattr(session_module, "default_inputs", sample)
         ladder = OnlineController(PerforationEngine()).ladder("gaussian")
-        entries = PerforationEngine().session("gaussian", error_budget=0.05).calibrate()
-        assert ladder[:-1] == entries
-        assert asked == ["gaussian", "gaussian"]
+        assert ladder[:-1] == _calibrate([small])
+        assert asked == ["gaussian"]
 
     def test_initial_choice_is_first_admissible(self, engine):
         controller = _fake_controller(engine)
@@ -141,6 +151,26 @@ class TestLadder:
         controller = _fake_controller(engine)
         with pytest.raises(TuningError):
             controller.choose("fake", 0.0)
+
+    def test_first_rung_is_select_over_the_calibrated_ladder(self, engine):
+        controller = OnlineController(
+            engine,
+            calibration_inputs={"gaussian": [generate_image("natural", size=32, seed=3)]},
+        )
+        ladder = controller.ladder("gaussian")
+        for budget in (1e-9, 0.01, 0.03, 0.05, 0.10):
+            assert controller.choose("gaussian", budget) == select(ladder, budget).config
+
+    def test_seeded_ladder_without_an_admissible_rung_starts_on_its_last(self, engine):
+        """A seeded ladder need not end in the accurate rung (a tuner's does
+        not); when nothing fits, a stream starts on its most accurate rung."""
+        controller = OnlineController(engine)
+        controller.ladders["tuned"] = [
+            CalibrationEntry(config=ROWS2_NN, mean_error=0.04, max_error=0.04, speedup=3.0),
+            CalibrationEntry(config=ROWS1_LI, mean_error=0.01, max_error=0.01, speedup=1.5),
+        ]
+        assert controller.choose("tuned", 0.001) == ROWS1_LI
+        assert controller.choose("tuned", 0.06) == ROWS2_NN
 
 
 class TestAdaptation:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Documentation checker: links, anchors, referenced paths, README smoke test.
+"""Documentation checker: links, anchors, referenced paths, runnable examples.
 
 Checks, over ``README.md`` and every ``docs/*.md``:
 
@@ -16,7 +16,8 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    the longest importable module prefix is imported and the rest looked
    up with ``getattr``, so a doc naming a deleted or renamed symbol fails;
 5. unless ``--no-smoke``: the first ``python`` code block in
-   ``README.md`` (the quickstart) actually runs.
+   ``README.md`` (the quickstart) and every ``examples/*.py`` script
+   actually run, each as its own subprocess.
 
 Exit status 0 when everything passes, 1 otherwise.  Run from anywhere:
 
@@ -136,17 +137,13 @@ def check_dotted_names(doc: Path, errors: list[str]) -> None:
             errors.append(f"{rel}: dotted name `{name}` does not resolve")
 
 
-def run_readme_smoke(errors: list[str]) -> None:
-    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    match = _PY_BLOCK_RE.search(readme)
-    if not match:
-        errors.append("README.md: no ```python quickstart block found")
-        return
+def run_python(what: str, args: list[str], errors: list[str], source: str | None = None) -> None:
+    """Run ``python *args`` (reading ``source`` on stdin) against ``src/``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-"],
-        input=match.group(1),
+        [sys.executable, *args],
+        input=source,
         capture_output=True,
         text=True,
         env=env,
@@ -155,7 +152,19 @@ def run_readme_smoke(errors: list[str]) -> None:
     )
     if proc.returncode != 0:
         tail = (proc.stderr or proc.stdout).strip().splitlines()[-15:]
-        errors.append("README.md: quickstart block failed:\n    " + "\n    ".join(tail))
+        errors.append(f"{what} failed:\n    " + "\n    ".join(tail))
+
+
+def run_smoke(errors: list[str]) -> None:
+    """Run the README quickstart and every example."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    match = _PY_BLOCK_RE.search(readme)
+    if match:
+        run_python("README.md: quickstart block", ["-"], errors, source=match.group(1))
+    else:
+        errors.append("README.md: no ```python quickstart block found")
+    for example in sorted((REPO_ROOT / "examples").glob("*.py")):
+        run_python(str(example.relative_to(REPO_ROOT)), [str(example)], errors)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-smoke",
         action="store_true",
-        help="skip executing the README quickstart block (links/paths only)",
+        help="skip executing the README quickstart block and the examples (links/paths only)",
     )
     opts = parser.parse_args(argv)
 
@@ -175,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         check_code_span_paths(doc, errors)
         check_dotted_names(doc, errors)
     if not opts.no_smoke:
-        run_readme_smoke(errors)
+        run_smoke(errors)
 
     if errors:
         print(f"check_docs: {len(errors)} problem(s) in {len(docs)} file(s):")
@@ -183,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {err}")
         return 1
     smoke = "skipped" if opts.no_smoke else "passed"
-    print(f"check_docs: {len(docs)} files clean, README smoke test {smoke}")
+    print(f"check_docs: {len(docs)} files clean, README quickstart and examples {smoke}")
     return 0
 
 
