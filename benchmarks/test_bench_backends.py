@@ -31,13 +31,13 @@ IMAGE_SIZE = 64
 REQUIRED_SPEEDUP = 10.0
 
 
-def _sweep(engine: PerforationEngine, image, backend: str):
+def _sweep(engine: PerforationEngine, image):
     start = time.perf_counter()
-    outputs = engine.compiled_sweep("gaussian", image, backend=backend)
+    outputs = engine.compiled_sweep("gaussian", image)
     return outputs, time.perf_counter() - start
 
 
-def _timed_sweep(engine, image, backend, repeats: int = 3):
+def _timed_sweep(engine, image, repeats: int = 3):
     """Best-of-N warm sweep (one untimed priming run already happened).
 
     Best-of-3 keeps the recorded ratio stable on noisy shared CI runners;
@@ -47,20 +47,22 @@ def _timed_sweep(engine, image, backend, repeats: int = 3):
     best = None
     outputs = None
     for _ in range(repeats):
-        outputs, seconds = _sweep(engine, image, backend)
+        outputs, seconds = _sweep(engine, image)
         best = seconds if best is None else min(best, seconds)
     return outputs, best
 
 
 def test_gaussian_compiled_sweep_backend_speedup(benchmark, archive, archive_json):
     image = generate_image("natural", size=IMAGE_SIZE, seed=42)
-    engine = PerforationEngine()
+    # One engine per backend: the engine is where a backend is chosen.
+    interpreter = PerforationEngine(backend="interpreter")
+    codegen = PerforationEngine(backend="codegen")
 
-    interp_outputs, interp_seconds = _sweep(engine, image, "interpreter")
-    _sweep(engine, image, "codegen")  # prime the lowering caches
+    interp_outputs, interp_seconds = _sweep(interpreter, image)
+    _sweep(codegen, image)  # prime the lowering caches
 
     def codegen_sweep():
-        return _timed_sweep(engine, image, "codegen")
+        return _timed_sweep(codegen, image)
 
     cg_outputs, cg_seconds = run_once(benchmark, codegen_sweep)
 

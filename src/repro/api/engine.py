@@ -85,10 +85,10 @@ class PerforationEngine:
         from the CPU count.  Parallel results are bit-for-bit identical to
         serial ones — every evaluation is a pure function of its inputs.
     backend:
-        Execution backend used by the *compiled* kernel path
-        (:meth:`run_compiled` / :meth:`compiled_sweep`): a registered name
-        (``"interpreter"``, ``"codegen"``), an
-        :class:`~repro.clsim.backends.ExecutionBackend` instance, or
+        Execution backend of every compiled launch (:meth:`run_compiled`,
+        :meth:`run_compiled_batch`, :meth:`compiled_sweep`, a server on
+        this engine): a registered name (``"interpreter"``, ``"codegen"``),
+        an :class:`~repro.clsim.backends.ExecutionBackend` instance, or
         ``None`` for the default interpreter backend.  Outputs and stats
         are bit-identical across both (see
         ``docs/backends.md`` and ``docs/ir.md``).
@@ -339,29 +339,22 @@ class PerforationEngine:
     # ------------------------------------------------------------------
     # Compiler path (simulated execution of the transformed kernels)
     # ------------------------------------------------------------------
-    def executor(self, backend: ExecutionBackend | str | None = None) -> Executor:
-        """A :class:`~repro.clsim.executor.Executor` on this engine's device.
-
-        ``backend`` overrides the engine's execution backend for this
-        executor only.
-        """
-        return Executor(
-            self.device, resolve_backend(backend) if backend is not None else self.backend
-        )
+    def executor(self) -> Executor:
+        """A :class:`~repro.clsim.executor.Executor` on this engine's device and backend."""
+        return Executor(self.device, self.backend)
 
     def run_compiled(
         self,
         app,
         inputs,
         config: ApproximationConfig | None = None,
-        backend: ExecutionBackend | str | None = None,
         with_stats: bool = False,
     ):
         """Run the *compiled* (perforated) kernel on the simulated device.
 
         This is the paper's compiler path — kernellang passes plus
         functional execution — as opposed to the NumPy fast path used by
-        :meth:`evaluate`.  The selected execution backend decides how fast
+        :meth:`evaluate`.  The engine's execution backend decides how fast
         the simulation itself runs; outputs and access counters are
         backend-independent (see the cross-backend conformance suite).  The
         kernel is built once per process (:func:`~repro.core.perforator.build_kernel`).
@@ -377,7 +370,7 @@ class PerforationEngine:
         width, height = app.global_size(inputs)
         output = app.output_buffer(inputs)
         args = app.kernel_args(inputs, output)
-        stats: ExecutionStats = self.executor(backend).run(
+        stats: ExecutionStats = self.executor().run(
             kernel, NDRange((width, height), config.work_group), args
         )
         if with_stats:
@@ -389,7 +382,6 @@ class PerforationEngine:
         app,
         inputs_batch: Sequence,
         config: ApproximationConfig | None = None,
-        backend: ExecutionBackend | str | None = None,
         with_stats: bool = False,
     ):
         """Run the compiled kernel for several inputs as one micro-batched launch.
@@ -428,7 +420,7 @@ class PerforationEngine:
             app.kernel_args(inputs, output)
             for inputs, output in zip(inputs_batch, outputs)
         ]
-        stats: ExecutionStats = self.executor(backend).run_batch(
+        stats: ExecutionStats = self.executor().run_batch(
             kernel, NDRange((width, height), config.work_group), args_batch
         )
         arrays = [output.array for output in outputs]
@@ -441,7 +433,6 @@ class PerforationEngine:
         app,
         inputs,
         configs: Iterable[ApproximationConfig] | None = None,
-        backend: ExecutionBackend | str | None = None,
     ) -> dict[str, np.ndarray]:
         """Run the compiled kernel for each configuration (default: the
         paper's four), returning outputs keyed by configuration label.
@@ -459,10 +450,7 @@ class PerforationEngine:
                 f"(got {labels}); differentiate the configs or run them "
                 "individually via run_compiled()"
             )
-        outputs = self._map(
-            lambda config: self.run_compiled(app, inputs, config, backend=backend),
-            configs,
-        )
+        outputs = self._map(lambda config: self.run_compiled(app, inputs, config), configs)
         return {config.label: output for config, output in zip(configs, outputs)}
 
     # ------------------------------------------------------------------

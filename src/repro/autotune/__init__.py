@@ -12,7 +12,7 @@ schemes x reconstruction x work-group sizes and keeping the Pareto front
   screening on downscaled inputs), all driving evaluations through the
   :class:`~repro.api.engine.PerforationEngine` worker pool and caches;
 * :mod:`repro.autotune.db` — a persistent cross-session tuning database
-  keyed by (app, device, backend, input fingerprint, space version);
+  keyed by (app, device, input fingerprint, space version, strategy, seed);
 * :mod:`repro.autotune.tuner` — the :class:`Tuner` facade producing
   incremental Pareto fronts and budget-indexed ladders.
 
@@ -22,8 +22,8 @@ schemes x reconstruction x work-group sizes and keeping the Pareto front
     from repro.autotune import Tuner
 
     engine = PerforationEngine(workers="auto")
-    tuner = Tuner(engine, strategy="successive-halving", db="~/.cache/repro-tuning")
-    result = tuner.tune("gaussian", image)
+    tuner = Tuner(engine, seed=0, db="~/.cache/repro-tuning")
+    result = tuner.tune("gaussian", image, strategy="successive-halving")
     front = result.front()                       # Pareto-optimal configs
     config = result.best_for_budget(0.01)        # fastest within 1% error
 

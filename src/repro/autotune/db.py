@@ -6,12 +6,13 @@ the same tuning question gets the recorded answer back bit-identically,
 with **zero** kernel evaluations.
 
 Records are keyed by a content hash over the full tuning question —
-application, device, execution backend, the inputs' content fingerprint
+application, device, the inputs' content fingerprint
 (:func:`repro.api.cache.input_token`), space signature (which embeds
-:data:`~repro.autotune.space.SPACE_VERSION`), strategy identity and seed —
-so any change to any ingredient simply misses; stale records can never
-alias.  A question about inputs that have no fingerprint has no key and
-bypasses the database.
+:data:`~repro.autotune.space.SPACE_VERSION`), strategy identity, seed and
+budget (not the backend: tuning launches no kernel) — so any change to
+any ingredient simply misses; stale records can never alias.  A question
+about inputs that have no fingerprint has no key and bypasses the
+database.
 
 The on-disk machinery is the shared generic store
 (:class:`repro.api.store.DiskStore`): atomic writes, LRU bound,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..clsim.device import Device
 from ..core.config import WORK_GROUP_CANDIDATES, ApproximationConfig
@@ -287,30 +286,6 @@ class SearchSpace:
     def size(self, halo: int = 0) -> int:
         """Number of candidates before input/device filtering."""
         return len(self.configurations(halo))
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_configs(cls, configs: Iterable[ApproximationConfig]) -> "SearchSpace":
-        """A space spanning exactly the axes of an explicit candidate list.
-
-        Used for calibration seeding: the session's default configurations
-        become a (small) space whose signature keys the tuning database.
-        """
-        configs = list(configs)
-        if not configs:
-            raise ConfigurationError("from_configs needs at least one configuration")
-        schemes: dict[str, PerforationScheme] = {}
-        reconstructions: dict[str, None] = {}
-        work_groups: dict[tuple[int, int], None] = {}
-        for config in configs:
-            schemes.setdefault(config.scheme.name, config.scheme)
-            reconstructions.setdefault(config.reconstruction)
-            work_groups.setdefault(tuple(config.work_group))
-        return cls(
-            schemes=tuple(schemes.values()),
-            reconstructions=tuple(reconstructions),
-            work_groups=tuple(work_groups),
-        )
 
 
 def default_space() -> SearchSpace:

@@ -178,27 +178,20 @@ class Tuner:
     space:
         The :class:`SearchSpace` to explore (default:
         :func:`default_space`).
-    strategy:
-        Default strategy — an instance or registered name (``"grid"``,
-        ``"random"``, ``"hill-climb"``, ``"successive-halving"``).
     seed:
-        Default seed for the strategy's random decisions.
+        Seed for the strategies' random decisions.
     db:
         Tuning database: ``None`` uses the environment default
         (``REPRO_TUNING_DB``), ``False``/``"off"`` disables persistence, a
         path opens a database there, a :class:`TuningDB` is used as-is.
-    max_evals:
-        Default evaluation budget (all fidelities), ``None`` = unlimited.
     """
 
     def __init__(
         self,
         engine=None,
         space: SearchSpace | None = None,
-        strategy: Strategy | str | None = None,
         seed: int = 0,
         db: TuningDB | str | bool | None = None,
-        max_evals: int | None = None,
     ) -> None:
         if engine is None:
             from ..api.engine import PerforationEngine
@@ -206,10 +199,8 @@ class Tuner:
             engine = PerforationEngine()
         self.engine = engine
         self.space = space if space is not None else default_space()
-        self.strategy = resolve_strategy(strategy)
         self.seed = seed
         self.db = resolve_db(db)
-        self.max_evals = max_evals
 
     # ------------------------------------------------------------------
     def _device_signature(self) -> str:
@@ -232,7 +223,6 @@ class Tuner:
         return tuning_key(
             app=app.name,
             device=self._device_signature(),
-            backend=self.engine.backend.name,
             inputs=repr(token),
             **question,
         )
@@ -243,11 +233,11 @@ class Tuner:
         app,
         inputs=None,
         strategy: Strategy | str | None = None,
-        seed: int | None = None,
         max_evals: int | None = None,
-        space: SearchSpace | None = None,
     ) -> TuningResult:
-        """Search the space for ``app`` on ``inputs`` (database-backed).
+        """Search the space for ``app`` on ``inputs`` with ``strategy`` (a
+        registered name or instance, ``None`` for successive halving) and at
+        most ``max_evals`` evaluations at all fidelities (``None``: no limit).
 
         A database hit replays the recorded result without a single
         evaluation; a miss runs the strategy and persists the outcome.
@@ -255,18 +245,14 @@ class Tuner:
         app = self.engine.resolve_app(app)
         if inputs is None:
             inputs = default_inputs(app)
-        strategy = resolve_strategy(strategy) if strategy is not None else self.strategy
-        seed = self.seed if seed is None else seed
-        max_evals = self.max_evals if max_evals is None else max_evals
-        space = space if space is not None else self.space
-
+        strategy = resolve_strategy(strategy)
         key = self._record_key(
             app,
             inputs,
             kind="tune",
-            space=space.signature(),
+            space=self.space.signature(),
             strategy=strategy.describe(),
-            seed=seed,
+            seed=self.seed,
             max_evals=max_evals,
         )
         if key is not None:
@@ -274,13 +260,13 @@ class Tuner:
             if record is not None:
                 return TuningResult.from_record(record)
 
-        task = TuningTask(self.engine, app, inputs, space, max_evals=max_evals)
-        strategy.tune(task, random.Random(seed))
+        task = TuningTask(self.engine, app, inputs, self.space, max_evals=max_evals)
+        strategy.tune(task, random.Random(self.seed))
         result = TuningResult(
             app_name=app.name,
             strategy=strategy.describe(),
-            seed=seed,
-            space_signature=space.signature(),
+            seed=self.seed,
+            space_signature=self.space.signature(),
             observations=task.observations,
         )
         if key is not None:
@@ -289,6 +275,6 @@ class Tuner:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<Tuner strategy={self.strategy.describe()} seed={self.seed} "
-            f"db={'on' if self.db is not None else 'off'} on {self.engine!r}>"
+            f"<Tuner seed={self.seed} db={'on' if self.db is not None else 'off'} "
+            f"on {self.engine!r}>"
         )

@@ -182,7 +182,6 @@ def _serve(
 ):
     server = PerforationServer(
         engine=PerforationEngine(device=device, workers=workers, backend=backend),
-        backend=backend,
         max_batch=max_batch,
         calibration_inputs=_calibration_inputs(spec),
         cache_capacity=cache_capacity,
@@ -431,7 +430,6 @@ def _fleet_once(trace, spec, calibration, max_batch, device, workers, chaos) -> 
     # serving only.
     single = PerforationServer(
         engine=PerforationEngine(device=device, backend="codegen"),
-        backend="codegen",
         max_batch=max_batch,
         calibration_inputs=calibration,
         cache_capacity=256,

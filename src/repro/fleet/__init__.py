@@ -25,7 +25,7 @@ from .protocol import (
     write_frame,
     write_frame_async,
 )
-from .sharding import ShardKey, ShardMap, assign_shard, shard_key, stable_shard_hash
+from .sharding import ShardKey, ShardMap, shard_key
 from .worker import WorkerSpec, build_server, worker_main
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ShardKey",
     "ShardMap",
     "WorkerSpec",
-    "assign_shard",
     "build_server",
     "encode_frame",
     "error_frame",
@@ -50,7 +49,6 @@ __all__ = [
     "response_from_wire",
     "response_to_wire",
     "shard_key",
-    "stable_shard_hash",
     "to_wire",
     "worker_main",
     "write_frame",

@@ -10,7 +10,7 @@ into one fleet-level :class:`~repro.serve.metrics.ServeMetrics` view.
 The design preserves the serve subsystem's determinism guarantees:
 
 **Routing is planned per trace.**  Each :meth:`PerforationFleet.serve_trace`
-call places the trace's (application, backend, size) streams on workers
+call places the trace's (application, size) streams on workers
 with a fresh :meth:`ShardMap.for_trace <repro.fleet.sharding.ShardMap.for_trace>`
 plan, so within one trace every request of a stream lands on the same
 worker.  That worker's scheduler and online controller see exactly the
@@ -224,14 +224,20 @@ class _WorkerLink:
         """Start ``spec``'s worker process and connect to it: ``(reader, writer)``."""
         ctx = multiprocessing.get_context("spawn")
         receiver, sender = ctx.Pipe(duplex=False)
-        self.proc = ctx.Process(
+        proc = ctx.Process(
             target=worker_main,
             args=(spec, sender),
             name=f"repro-fleet-worker-{spec.index}",
             daemon=True,
         )
-        self.proc.start()
-        sender.close()
+        try:
+            proc.start()
+        except BaseException:
+            receiver.close()
+            raise
+        finally:
+            sender.close()
+        self.proc = proc  # only once started: retire() joins it
         who = f"worker {spec.index} (generation {spec.generation})"
         deadline = time.monotonic() + SPAWN_TIMEOUT_S
         try:
@@ -470,8 +476,8 @@ class PerforationFleet:
         Number of worker processes (each a full
         :class:`~repro.serve.server.PerforationServer`).
     backend / device / max_batch / max_delay_ms / cache_capacity:
-        Forwarded to every worker's server (same meaning as the
-        single-process constructor).
+        Forwarded to every worker's engine and server (same meaning as the
+        single-process constructors).
     calibration_inputs:
         Application name → representative calibration inputs.
         :meth:`start` calibrates these applications once, in process, and
@@ -552,7 +558,6 @@ class PerforationFleet:
         if max_respawns < 0:
             raise FleetError(f"max_respawns must be >= 0, got {max_respawns}")
         self.workers = int(workers)
-        self.backend_arg = backend
         self.backend_name = resolve_backend(backend).name
         self.device = device
         self.max_batch = int(max_batch)
@@ -597,10 +602,11 @@ class PerforationFleet:
     def start(self) -> "PerforationFleet":
         """Calibrate the ladders, spawn the workers, connect to them.
 
-        Partial startup failures (a worker dying before reporting its
-        address, a worker whose server fails to build) tear the fleet
-        down completely: already-spawned workers are terminated and the
-        runtime directory is removed before the error propagates.
+        Partial startup failures (a worker that fails to start or dies
+        before reporting its address, a worker whose server fails to build)
+        tear the fleet down completely: already-spawned workers are
+        terminated and the runtime directory is removed before the error
+        propagates.
         """
         if self._closed:
             raise FleetError("fleet is closed")
@@ -609,8 +615,7 @@ class PerforationFleet:
         try:
             if self.calibration_inputs:
                 controller = OnlineController(
-                    PerforationEngine(device=self.device, backend=self.backend_arg),
-                    self.calibration_inputs,
+                    PerforationEngine(device=self.device), self.calibration_inputs
                 )
                 self.ladders = {
                     app: tuple(controller.ladder(app)) for app in sorted(self.calibration_inputs)
@@ -654,7 +659,7 @@ class PerforationFleet:
             index=index,
             address=address,
             transport=self.transport,
-            backend=self.backend_arg,
+            backend=self.backend_name,
             device=self.device,
             max_batch=self.max_batch,
             max_delay_ms=self.max_delay_ms,
@@ -694,7 +699,7 @@ class PerforationFleet:
         return self._loop.run_until_complete(coro)
 
     async def _serve_async(self, ordered: list[ServeRequest]) -> list[ServeResponse]:
-        shards = ShardMap.for_trace(ordered, self.workers, self.backend_name)
+        shards = ShardMap.for_trace(ordered, self.workers)
         wall_start = time.perf_counter()
         trace = _Trace(self._front_metrics)
         tracer = trace.tracer
@@ -703,7 +708,7 @@ class PerforationFleet:
         shed: list[ServeRequest] = []
 
         for request in ordered:
-            link = links[shards.assign(shard_key(request, self.backend_name))]
+            link = links[shards.assign(shard_key(request))]
             # One event-loop pass so the readers can retire responses the
             # workers already produced — pending reflects delivered state.
             await asyncio.sleep(0)

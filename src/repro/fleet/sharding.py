@@ -1,43 +1,35 @@
 """Deterministic request routing: compat-key sharding over N workers.
 
 Micro-batching only pays off when compatible requests land on the *same*
-worker: the scheduler batches by ``(app, config, work-group, backend,
-global size)``, so splitting one of those streams across workers would
-halve every batch.  The fleet therefore routes by the request-determined
-prefix of that key — application, backend and global size — which we call
-the :data:`ShardKey`.  The configuration component is chosen *inside* the
-worker by its online controller; because every request of an (app, size)
-stream lands on one worker, that controller sees exactly the observation
-subsequence the single-process server would see, reproduces its decisions
+worker: the scheduler batches by ``(app, config, global size)``, so
+splitting one of those streams across workers would halve every batch.
+The fleet therefore routes by the request-determined part of that key —
+application and global size — which we call the :data:`ShardKey`.  The
+configuration component is chosen *inside* the worker by its online
+controller; because every request of an (app, size) stream lands on one
+worker, that controller sees exactly the observation subsequence the
+single-process server would see, reproduces its decisions
 bit-identically, and the full compat key stays colocated.
 
-Two assignment modes, both deterministic:
-
-* :func:`assign_shard` — a pure function of the shard key (stable SHA-256
-  hash modulo worker count): the same key maps to the same worker in every
-  process, forever.  This is the fallback for keys the planner has not
-  seen.
-* :meth:`ShardMap.planned` — longest-processing-time greedy placement over
-  per-key request counts, used when the whole trace is known up front
-  (:meth:`PerforationFleet.serve_trace <repro.fleet.frontend.
-  PerforationFleet.serve_trace>`): keys are placed heaviest-first onto the
-  least-loaded worker, which keeps the fleet balanced even when a handful
-  of applications dominate the traffic.  Within one plan the mapping is
-  still a pure function of the key.
+Placement is planned per trace (:meth:`ShardMap.for_trace`, used by
+:meth:`PerforationFleet.serve_trace <repro.fleet.frontend.
+PerforationFleet.serve_trace>`): longest-processing-time greedy placement
+over per-key request counts puts keys heaviest-first onto the
+least-loaded worker, which keeps the fleet balanced even when a handful
+of applications dominate the traffic.  The plan is a pure function of the
+trace's key counts, and it covers every key of the trace it routes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Iterable, Mapping
 
 from ..core.errors import ConfigurationError
 from ..serve.requests import ServeRequest
 
-#: (application name, backend name, global size) — the request-determined
-#: prefix of the scheduler's batch-compat key.
-ShardKey = tuple[str, str, tuple[int, ...]]
+#: (application name, global size) — the request-determined part of the
+#: scheduler's batch-compat key.
+ShardKey = tuple[str, tuple[int, ...]]
 
 #: Application instances used only to compute global sizes for routing.
 _app_cache: dict[str, object] = {}
@@ -52,33 +44,16 @@ def _resolve_app(name: str):
     return app
 
 
-def shard_key(request: ServeRequest, backend_name: str) -> ShardKey:
+def shard_key(request: ServeRequest) -> ShardKey:
     """The routing key of one request (pure function of the request)."""
     app = _resolve_app(request.app)
-    return (request.app, backend_name, tuple(app.global_size(request.inputs)))
-
-
-def stable_shard_hash(key: ShardKey) -> int:
-    """Process-independent integer hash of a shard key (SHA-256 based)."""
-    canonical = json.dumps([key[0], key[1], list(key[2])], separators=(",", ":"))
-    return int.from_bytes(
-        hashlib.sha256(canonical.encode("utf-8")).digest()[:8], "big"
-    )
-
-
-def assign_shard(key: ShardKey, workers: int) -> int:
-    """Pure hash assignment: same key and worker count ⇒ same worker."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return stable_shard_hash(key) % workers
+    return (request.app, tuple(app.global_size(request.inputs)))
 
 
 class ShardMap:
-    """Shard-key → worker-index mapping with a pure-hash fallback.
+    """Shard-key → worker-index mapping: a planned placement of known keys.
 
-    ``assignment`` pins specific keys (a balanced plan); unknown keys fall
-    back to :func:`assign_shard`.  Either way the mapping is deterministic
-    and every occurrence of a key routes to the same worker.
+    Every occurrence of a key routes to the same worker.
     """
 
     def __init__(
@@ -96,11 +71,8 @@ class ShardMap:
                 )
 
     def assign(self, key: ShardKey) -> int:
-        """The worker serving ``key`` (planned entry, else stable hash)."""
-        planned = self.assignment.get(key)
-        if planned is not None:
-            return planned
-        return assign_shard(key, self.workers)
+        """The worker serving ``key`` (a ``KeyError`` for an unplanned key)."""
+        return self.assignment[key]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -123,13 +95,11 @@ class ShardMap:
         return cls(workers, assignment)
 
     @classmethod
-    def for_trace(
-        cls, trace: Iterable[ServeRequest], workers: int, backend_name: str
-    ) -> "ShardMap":
+    def for_trace(cls, trace: Iterable[ServeRequest], workers: int) -> "ShardMap":
         """Balanced plan for a known trace (counts each key's requests)."""
         counts: dict[ShardKey, int] = {}
         for request in trace:
-            key = shard_key(request, backend_name)
+            key = shard_key(request)
             counts[key] = counts.get(key, 0) + 1
         return cls.planned(counts, workers)
 

@@ -142,7 +142,6 @@ def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
 
     server = PerforationServer(
         engine=PerforationEngine(device=spec.device, backend=spec.backend),
-        backend=spec.backend,
         max_batch=spec.max_batch,
         max_delay_ms=spec.max_delay_ms,
         cache_capacity=spec.cache_capacity,

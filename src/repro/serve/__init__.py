@@ -21,7 +21,7 @@ counts.
 
     from repro.serve import PerforationServer, ServeRequest
 
-    server = PerforationServer(backend="codegen", max_batch=8)
+    server = PerforationServer(max_batch=8)  # launches on a codegen engine
     responses = server.run_trace([
         ServeRequest(0, "gaussian", image_a, error_budget=0.025),
         ServeRequest(1, "gaussian", image_b, error_budget=0.025, arrival_ms=3.0),

@@ -1,8 +1,8 @@
 """Deterministic micro-batching scheduler.
 
-Requests are grouped by *batch key* — application, configuration key,
-backend and global size — because only such requests can share one batched
-kernel launch (:meth:`repro.api.engine.PerforationEngine.run_compiled_batch`
+Requests are grouped by *batch key* — application, configuration key and
+global size — because only such requests can share one batched kernel
+launch (:meth:`repro.api.engine.PerforationEngine.run_compiled_batch`
 requires one kernel, one configuration and identically sized inputs).
 
 A per-key queue flushes when it reaches ``max_batch`` requests, or when its
@@ -22,10 +22,11 @@ from ..core.errors import ConfigurationError
 from .requests import ServeRequest
 
 #: (app name, :attr:`ApproximationConfig.key
-#: <repro.core.config.ApproximationConfig.key>`, backend name, global size).
-#: The config key, unlike the figure label, carries the work group and every
-#: scheme parameter, so one batch key means one configuration.
-BatchKey = tuple[str, str, str, tuple[int, ...]]
+#: <repro.core.config.ApproximationConfig.key>`, global size).  The config
+#: key, unlike the figure label, carries the work group and every scheme
+#: parameter, so one batch key means one configuration.  The backend is not
+#: part of it: a server launches on its engine's one backend.
+BatchKey = tuple[str, str, tuple[int, ...]]
 
 
 @dataclass
@@ -97,11 +98,10 @@ class MicroBatchScheduler:
         self,
         request: ServeRequest,
         config: ApproximationConfig,
-        backend_name: str,
         global_size: tuple[int, ...],
     ) -> BatchKey:
         """Enqueue ``request`` under its batch key and return the key."""
-        key: BatchKey = (request.app, config.key, backend_name, tuple(global_size))
+        key: BatchKey = (request.app, config.key, tuple(global_size))
         queue = self._queues.get(key)
         if queue is None:
             queue = self._queues[key] = _PendingQueue(config=config)

@@ -37,7 +37,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..api.engine import PerforationEngine
-from ..clsim.backends import ExecutionBackend, resolve_backend
 from ..core.perforator import build_kernel
 from ..core.quality import compute_error
 from ..obs import metrics as obs_metrics
@@ -55,10 +54,9 @@ class PerforationServer:
     Parameters
     ----------
     engine:
-        Engine to serve with (``None`` builds one for ``backend``).
-    backend:
-        Execution backend for the compiled launches; the default codegen
-        backend executes each micro-batch as one stacked launch.
+        Engine to serve with; its backend runs every launch.  ``None``
+        builds one on the codegen backend, which executes each micro-batch
+        as one stacked launch.
     max_batch / max_delay_ms:
         Micro-batching knobs (see :class:`MicroBatchScheduler`).
     calibration_inputs:
@@ -71,15 +69,15 @@ class PerforationServer:
     def __init__(
         self,
         engine: PerforationEngine | None = None,
-        backend: ExecutionBackend | str | None = "codegen",
         *,
         max_batch: int = 8,
         max_delay_ms: float = 50.0,
         calibration_inputs: Mapping[str, Sequence] | None = None,
         cache_capacity: int = 256,
     ) -> None:
-        self.backend = resolve_backend(backend)
-        self.engine = engine if engine is not None else PerforationEngine(backend=self.backend)
+        self.engine = engine if engine is not None else PerforationEngine(backend="codegen")
+        #: The engine's backend: the server launches on nothing else.
+        self.backend = self.engine.backend
         self.scheduler = MicroBatchScheduler(max_batch=max_batch, max_delay_ms=max_delay_ms)
         self.controller = OnlineController(self.engine, calibration_inputs)
         self.cache = ServeResultCache(cache_capacity) if cache_capacity else None
@@ -104,9 +102,7 @@ class PerforationServer:
         completed = self.poll(now)
         config = self.controller.choose(request.app, request.error_budget)
         app = self.engine.resolve_app(request.app)
-        self.scheduler.submit(
-            request, config, self.backend.name, app.global_size(request.inputs)
-        )
+        self.scheduler.submit(request, config, app.global_size(request.inputs))
         completed.extend(self.poll(now))
         return completed
 
@@ -187,9 +183,7 @@ class PerforationServer:
             if misses:
                 # The batched fast path: one perforated kernel, one stacked
                 # launch for every distinct cache miss of the micro-batch.
-                arrays = self.engine.run_compiled_batch(
-                    app, [r.inputs for r in misses], config, backend=self.backend
-                )
+                arrays = self.engine.run_compiled_batch(app, [r.inputs for r in misses], config)
                 for request, array in zip(misses, arrays):
                     outputs[request.request_id] = array
             for duplicate, original in duplicate_of.items():

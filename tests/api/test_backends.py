@@ -1,6 +1,7 @@
 """Tests for the execution-backend registry and the ``backend=`` plumbing
-through executor, engine and session (mirrors ``tests/api/test_registry.py``
-for the application/device/scheme registries)."""
+through executor and engine (mirrors ``tests/api/test_registry.py`` for the
+application/device/scheme registries).  The engine is the one place above
+the executor where a backend is chosen."""
 
 import pytest
 
@@ -107,10 +108,10 @@ class TestEngineBackendPlumbing:
         with pytest.raises(InvalidBackendError):
             PerforationEngine(backend="warp-drive")
 
-    def test_engine_executor_override(self):
+    def test_engine_executor_runs_on_the_engine_backend(self):
         engine = PerforationEngine(backend="codegen")
-        assert isinstance(engine.executor("interpreter").backend, InterpreterBackend)
-        assert isinstance(engine.executor().backend, CodegenBackend)
+        assert engine.executor().backend is engine.backend
+        assert engine.executor().device is engine.device
 
     def test_run_compiled_uses_engine_backend(self):
         recording = RecordingBackend()
@@ -120,14 +121,13 @@ class TestEngineBackendPlumbing:
         assert recording.launches == 1  # one launch hook call ...
         assert recording.groups == 4  # ... runs the 16x16 image's 8x8 groups
 
-    def test_run_compiled_per_call_override(self):
+    def test_compiled_sweep_uses_engine_backend(self):
         recording = RecordingBackend()
-        engine = PerforationEngine(backend="codegen")
+        engine = PerforationEngine(backend=recording)
         image = generate_image("natural", size=16, seed=3)
-        engine.run_compiled(
-            "inversion", image, ROWS1_NN.with_work_group((8, 8)), backend=recording
-        )
-        assert recording.groups == 4
+        outputs = engine.compiled_sweep("gaussian", image)
+        assert len(outputs) == 4
+        assert recording.launches == 4  # one launch per configuration
 
     def test_run_compiled_batch_uses_engine_backend(self):
         recording = RecordingBackend()

@@ -247,7 +247,8 @@ class TestKernelBuildCache:
     def test_repeated_batches_build_once(self, builds):
         engine = PerforationEngine(backend="codegen")
         inputs = [generate_image("natural", size=16, seed=s) for s in range(3)]
-        expected = [engine.run_compiled("gaussian", i, backend="interpreter") for i in inputs]
+        interpreter = PerforationEngine(backend="interpreter")
+        expected = [interpreter.run_compiled("gaussian", i) for i in inputs]
         for _ in range(6):
             outputs = engine.run_compiled_batch("gaussian", inputs)
             for output, reference in zip(outputs, expected):

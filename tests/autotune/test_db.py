@@ -121,9 +121,9 @@ class TestKeys:
             dataclasses.replace(base, temperature=temperature),
         ]
         strategy = self._counting_strategy()
-        tuner = Tuner(db=db, strategy=strategy)
+        tuner = Tuner(db=db)
         for inputs_ in inputs + inputs:  # the second round replays records
-            tuner.tune("hotspot", inputs_)
+            tuner.tune("hotspot", inputs_, strategy=strategy)
         assert len(strategy.tuned) == 3
         assert all(seen is given for seen, given in zip(strategy.tuned, inputs))
         assert db.stats.hits == 3 and db.stats.puts == 3
@@ -137,9 +137,9 @@ class TestKeys:
 
         opaque = Opaque()
         strategy = self._counting_strategy()
-        tuner = Tuner(db=db, strategy=strategy)
-        tuner.tune("gaussian", opaque)
-        tuner.tune("gaussian", opaque)
+        tuner = Tuner(db=db)
+        tuner.tune("gaussian", opaque, strategy=strategy)
+        tuner.tune("gaussian", opaque, strategy=strategy)
         assert strategy.tuned == [opaque, opaque]
         assert db.stats.lookups == 0 and len(db) == 0
 

@@ -155,7 +155,7 @@ class TestDatabase:
         # Different input content, seed, strategy or space -> fresh tune.
         other_image = generate_image("natural", size=SIZE, seed=8)
         assert not tuner.tune("gaussian", other_image).from_db
-        assert not tuner.tune("gaussian", image, seed=1).from_db
+        assert not Tuner(engine, seed=1, db=db).tune("gaussian", image).from_db
         assert not tuner.tune("gaussian", image, strategy="grid").from_db
         smaller = default_space()
         smaller = type(smaller)(
@@ -163,4 +163,25 @@ class TestDatabase:
             reconstructions=smaller.reconstructions,
             work_groups=smaller.work_groups,
         )
-        assert not tuner.tune("gaussian", image, space=smaller).from_db
+        assert not Tuner(engine, space=smaller, db=db).tune("gaussian", image).from_db
+
+    def test_tuning_is_independent_of_the_execution_backend(self, image):
+        # Tuning runs the NumPy approximation, the error metric and the
+        # timing model; no kernel launches, so the backend cannot matter.
+        results = [
+            Tuner(PerforationEngine(backend=backend), db=False).tune("gaussian", image)
+            for backend in ("interpreter", "codegen")
+        ]
+        assert _observation_tuples(results[0]) == _observation_tuples(results[1])
+
+    def test_a_record_replays_through_an_engine_on_another_backend(
+        self, tmp_path, image, monkeypatch
+    ):
+        db_path = tmp_path / "db"
+        codegen = PerforationEngine(backend="codegen")
+        cold = Tuner(codegen, db=TuningDB(db_path)).tune("gaussian", image)
+        interpreter = PerforationEngine(backend="interpreter")
+        _forbid_evaluation(monkeypatch, interpreter)
+        warm = Tuner(interpreter, db=TuningDB(db_path)).tune("gaussian", image)
+        assert not cold.from_db and warm.from_db
+        assert _observation_tuples(warm) == _observation_tuples(cold)

@@ -81,8 +81,10 @@ def _stats_tuple(stats):
 
 
 @pytest.fixture(scope="module")
-def engine():
-    return PerforationEngine()
+def engines():
+    """One engine per backend: the engine is where a backend is chosen."""
+    names = ("interpreter", *COMPILED_BACKENDS)
+    return {name: PerforationEngine(backend=name) for name in names}
 
 
 #: Interpreter reference runs memoized per (app, config), so the matrix
@@ -90,12 +92,12 @@ def engine():
 _REFERENCE_MEMO: dict = {}
 
 
-def _reference(engine, app, inputs, config, app_name):
+def _reference(engines, app, inputs, config, app_name):
     key = (app_name, config.label)
     cached = _REFERENCE_MEMO.get(key)
     if cached is None:
-        cached = _REFERENCE_MEMO[key] = engine.run_compiled(
-            app, inputs, config, backend="interpreter", with_stats=True
+        cached = _REFERENCE_MEMO[key] = engines["interpreter"].run_compiled(
+            app, inputs, config, with_stats=True
         )
     return cached
 
@@ -105,13 +107,13 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
     @pytest.mark.parametrize("app_name", APP_NAMES)
-    def test_outputs_and_stats_identical(self, engine, app_name, backend):
+    def test_outputs_and_stats_identical(self, engines, app_name, backend):
         app = get_application(app_name)
         inputs = _inputs_for(app_name)
         for config in _configs_for(app):
-            reference, ref_stats = _reference(engine, app, inputs, config, app_name)
-            produced, got_stats = engine.run_compiled(
-                app, inputs, config, backend=backend, with_stats=True
+            reference, ref_stats = _reference(engines, app, inputs, config, app_name)
+            produced, got_stats = engines[backend].run_compiled(
+                app, inputs, config, with_stats=True
             )
             label = f"{app_name}/{config.label}/{backend}"
             np.testing.assert_array_equal(
@@ -124,7 +126,7 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
     @pytest.mark.parametrize("app_name", ["gaussian", "inversion"])
-    def test_matches_numpy_fast_path(self, engine, app_name, backend):
+    def test_matches_numpy_fast_path(self, engines, app_name, backend):
         """All backends implement the same approximation as the NumPy
         sampler fast path (the row schemes are reconciled exactly)."""
         app = get_application(app_name)
@@ -135,7 +137,7 @@ class TestBackendParity:
             work_group=WORK_GROUP,
         )
         fast_path = app.approximate(image, config)
-        produced = engine.run_compiled(app, image, config, backend=backend)
+        produced = engines[backend].run_compiled(app, image, config)
         np.testing.assert_array_equal(produced, fast_path)
 
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
@@ -171,7 +173,7 @@ class TestBackendParity:
         np.testing.assert_array_equal(outputs[backend], image * 2.0)
 
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    def test_larger_image_and_uneven_tiling(self, engine, backend):
+    def test_larger_image_and_uneven_tiling(self, engines, backend):
         """Parity holds when the halo spans several group boundaries."""
         app = get_application("sobel5")
         image = generate_image("pattern", size=32, seed=9)
@@ -180,12 +182,8 @@ class TestBackendParity:
             reconstruction=LINEAR_INTERPOLATION,
             work_group=(16, 4),
         )
-        a, sa = engine.run_compiled(
-            app, image, config, backend="interpreter", with_stats=True
-        )
-        b, sb = engine.run_compiled(
-            app, image, config, backend=backend, with_stats=True
-        )
+        a, sa = engines["interpreter"].run_compiled(app, image, config, with_stats=True)
+        b, sb = engines[backend].run_compiled(app, image, config, with_stats=True)
         np.testing.assert_array_equal(a, b)
         assert _stats_tuple(sa) == _stats_tuple(sb)
 

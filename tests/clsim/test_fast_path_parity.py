@@ -45,7 +45,7 @@ COMPILED = _candidates((KIND_ROWS, KIND_STENCIL))
 
 @pytest.fixture(scope="module")
 def engine():
-    return PerforationEngine()
+    return PerforationEngine(backend="codegen")
 
 
 def test_every_compiled_candidate_is_covered():
@@ -58,7 +58,7 @@ def test_every_compiled_candidate_is_covered():
 def test_compiled_kernel_matches_fast_path(engine, app_name, config):
     app = get_application(app_name)
     inputs = _inputs_for(app_name)
-    compiled = engine.run_compiled(app, inputs, config, backend="codegen")
+    compiled = engine.run_compiled(app, inputs, config)
     np.testing.assert_array_equal(compiled, app.approximate(inputs, config))
 
 

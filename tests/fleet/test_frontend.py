@@ -47,6 +47,44 @@ class TestValidation:
             fleet.close()
 
 
+class TestStartupFailure:
+    def test_a_worker_that_fails_to_start_tears_the_fleet_down(self, monkeypatch):
+        """``Process.start()`` itself raises: the caller gets that error,
+        every pipe end is closed and the runtime directory is gone."""
+        import multiprocessing.context as mp_context
+
+        pipes = []
+        real_pipe = mp_context.BaseContext.Pipe
+
+        def recording_pipe(self, duplex=True):
+            ends = real_pipe(self, duplex)
+            pipes.extend(ends)
+            return ends
+
+        def refuse(self):
+            raise OSError("cannot start a worker")
+
+        monkeypatch.setattr(mp_context.BaseContext, "Pipe", recording_pipe)
+        monkeypatch.setattr(mp_context.SpawnProcess, "start", refuse)
+        fleet = PerforationFleet(workers=2)
+        runtime_dir = fleet.runtime_dir
+        with pytest.raises(OSError, match="cannot start a worker"):
+            fleet.start()
+        assert not runtime_dir.exists()
+        assert pipes and all(end.closed for end in pipes)
+
+    def test_fleet_backend_names_the_workers_engine_backend(self, tmp_path):
+        fleet = PerforationFleet(workers=1, backend="interpreter", runtime_dir=tmp_path)
+        try:
+            spec = fleet._worker_spec(0)
+        finally:
+            fleet.close()
+        assert fleet.backend_name == spec.backend == "interpreter"
+        server, report = build_server(spec)
+        assert server.backend is server.engine.backend
+        assert report["backend"] == "interpreter"
+
+
 class TestRejectedResponse:
     def test_rejected_response_mirrors_the_request(self):
         request = ServeRequest(

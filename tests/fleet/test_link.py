@@ -244,3 +244,36 @@ def test_log_is_kept_only_while_a_respawn_may_replay_it(
     with _fleet(max_respawns=max_respawns) as fleet:
         fleet.serve_trace(_requests(20))
         assert len(fleet._links[0].log) == entries
+
+
+def test_a_respawn_that_fails_to_start_degrades_the_shard(monkeypatch):
+    """Respawns reach the real ``spawn``, whose ``Process.start()`` raises:
+    each is one failed attempt, and the exhausted shard degrades instead of
+    breaking the trace with a ``FleetError``."""
+    import multiprocessing.context as mp_context
+
+    real_spawn = _WorkerLink.spawn
+    _spawn_in_threads(monkeypatch, {(0, 0): ("crash", 1)})
+    thread_spawn = _WorkerLink.spawn
+
+    async def spawn(link, spec):
+        if spec.generation == 0:
+            return await thread_spawn(link, spec)
+        return await real_spawn(link, spec)
+
+    def refuse(self):
+        raise OSError("cannot start a worker")
+
+    monkeypatch.setattr(_WorkerLink, "spawn", spawn)
+    monkeypatch.setattr(mp_context.SpawnProcess, "start", refuse)
+    requests = _requests(4)
+    with _fleet(max_batch=1, max_respawns=2) as fleet:
+        responses = fleet.serve_trace(requests)
+        link = fleet._links[0]
+        assert link.dead and link.proc is None
+        metrics = fleet.metrics()
+
+    assert metrics.worker_failures == 3
+    assert metrics.completed + metrics.shed + metrics.failed == len(requests)
+    assert metrics.failed >= 1
+    assert {r.metadata["reason"] for r in responses if r.rejected} == {"worker-failure"}

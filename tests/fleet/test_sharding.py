@@ -1,10 +1,14 @@
-"""Routing: shard keys, stable hashing, planned placement."""
+"""Routing: shard keys and planned placement."""
+
+import dataclasses
 
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.fleet import ShardMap, assign_shard, shard_key, stable_shard_hash
+from repro.fleet import ShardMap, shard_key
 from repro.serve import ServeRequest, TraceSpec, generate_trace
+
+SIX_APPS = ("gaussian", "sobel3", "sobel5", "median", "inversion", "hotspot")
 
 
 def _request(app="gaussian", size=32, request_id=0, seed=1):
@@ -18,78 +22,107 @@ def _request(app="gaussian", size=32, request_id=0, seed=1):
     )
 
 
+def _six_app_trace():
+    """40 requests at 32x32 and 20 at 48x48 over all six apps: 12 keys."""
+    small = generate_trace(TraceSpec(apps=SIX_APPS, requests=40, size=32, inputs_per_app=1, seed=7))
+    large = generate_trace(TraceSpec(apps=SIX_APPS, requests=20, size=48, inputs_per_app=1, seed=8))
+    return small + [dataclasses.replace(r, request_id=r.request_id + 100) for r in large]
+
+
 class TestShardKey:
     def test_key_is_a_pure_function_of_the_request(self):
-        # Same (app, backend, size): same key, regardless of input content
-        # or request identity — the config half of the scheduler's compat
-        # key is controller state, reproduced inside the worker.
-        a = shard_key(_request(request_id=0, seed=1), "vectorized")
-        b = shard_key(_request(request_id=9, seed=2), "vectorized")
-        assert a == b == ("gaussian", "vectorized", (32, 32))
+        # Same (app, size): same key, regardless of input content or request
+        # identity — the config half of the scheduler's compat key is
+        # controller state, reproduced inside the worker.
+        a = shard_key(_request(request_id=0, seed=1))
+        b = shard_key(_request(request_id=9, seed=2))
+        assert a == b == ("gaussian", (32, 32))
 
-    def test_key_separates_app_backend_and_size(self):
-        base = shard_key(_request(), "vectorized")
-        assert shard_key(_request(app="sobel3"), "vectorized") != base
-        assert shard_key(_request(), "compiled") != base
-        assert shard_key(_request(size=64), "vectorized") != base
-
-
-class TestStableHash:
-    def test_hash_is_pinned_across_processes_and_versions(self):
-        # SHA-256-derived, no per-process salt: this exact value must never
-        # drift, or restarts would re-route live streams.
-        assert stable_shard_hash(("gaussian", "vectorized", (64, 64))) == 8583040166835179682
-
-    def test_assignment_is_deterministic_and_in_range(self):
-        keys = [
-            (app, "vectorized", (size, size))
-            for app in ("gaussian", "sobel3", "sobel5", "median", "inversion", "hotspot")
-            for size in (32, 64, 128)
-        ]
-        for workers in (1, 2, 3, 4, 7):
-            first = [assign_shard(key, workers) for key in keys]
-            second = [assign_shard(key, workers) for key in keys]
-            assert first == second
-            assert all(0 <= index < workers for index in first)
-        # With one worker everything lands on it.
-        assert {assign_shard(key, 1) for key in keys} == {0}
-
-    def test_enough_keys_reach_every_worker(self):
-        keys = [("app", "vectorized", (16 * n, 16 * n)) for n in range(1, 65)]
-        assert {assign_shard(key, 4) for key in keys} == {0, 1, 2, 3}
-
-    def test_workers_validated(self):
-        with pytest.raises(ConfigurationError):
-            assign_shard(("a", "b", (1,)), 0)
+    def test_key_separates_app_and_size(self):
+        base = shard_key(_request())
+        assert shard_key(_request(app="sobel3")) != base
+        assert shard_key(_request(size=64)) != base
 
 
 class TestShardMap:
     def test_planned_keeps_each_key_on_one_worker(self):
         counts = {
-            ("gaussian", "vectorized", (32, 32)): 10,
-            ("sobel3", "vectorized", (32, 32)): 5,
-            ("median", "vectorized", (32, 32)): 5,
+            ("gaussian", (32, 32)): 10,
+            ("sobel3", (32, 32)): 5,
+            ("median", (32, 32)): 5,
         }
         shard_map = ShardMap.planned(counts, workers=2)
         # LPT: the heavy key alone on one worker, the two light ones together.
-        heavy = shard_map.assign(("gaussian", "vectorized", (32, 32)))
+        heavy = shard_map.assign(("gaussian", (32, 32)))
         light = {
-            shard_map.assign(("sobel3", "vectorized", (32, 32))),
-            shard_map.assign(("median", "vectorized", (32, 32))),
+            shard_map.assign(("sobel3", (32, 32))),
+            shard_map.assign(("median", (32, 32))),
         }
         assert light == {1 - heavy}
 
     def test_planned_is_deterministic(self):
-        counts = {("a%d" % n, "vectorized", (32, 32)): n % 5 + 1 for n in range(20)}
+        counts = {("a%d" % n, (32, 32)): n % 5 + 1 for n in range(20)}
         first = ShardMap.planned(counts, workers=3).assignment
         second = ShardMap.planned(dict(reversed(list(counts.items()))), workers=3).assignment
         assert first == second  # pure function of counts, not dict order
 
-    def test_unplanned_keys_fall_back_to_stable_hash(self):
-        shard_map = ShardMap(4, {("a", "vectorized", (1, 1)): 2})
-        assert shard_map.assign(("a", "vectorized", (1, 1))) == 2
-        other = ("b", "vectorized", (2, 2))
-        assert shard_map.assign(other) == assign_shard(other, 4)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    def test_planned_assignment_is_in_range(self, workers):
+        counts = {(app, (size, size)): 1 for app in SIX_APPS for size in (32, 64, 128)}
+        assignment = ShardMap.planned(counts, workers).assignment
+        assert set(assignment) == set(counts)
+        assert all(0 <= index < workers for index in assignment.values())
+        if workers == 1:
+            assert set(assignment.values()) == {0}
+        else:
+            # 18 unit-weight keys: LPT gives every worker some.
+            assert set(assignment.values()) == set(range(workers))
+
+    def test_unplanned_key_is_refused(self):
+        shard_map = ShardMap(4, {("a", (1, 1)): 2})
+        assert shard_map.assign(("a", (1, 1))) == 2
+        with pytest.raises(KeyError):
+            shard_map.assign(("b", (2, 2)))
+
+    def test_for_trace_plans_every_key_of_the_trace(self):
+        trace = _six_app_trace()
+        shard_map = ShardMap.for_trace(trace, workers=3)
+        assert set(shard_map.assignment) == {shard_key(request) for request in trace}
+
+    def test_for_trace_placement_is_pinned(self):
+        # Literal placements: a change to the shard key or to the LPT order
+        # moves fleet streams, and shows here.
+        trace = _six_app_trace()
+        three = {
+            ("gaussian", (32, 32)): 2,
+            ("gaussian", (48, 48)): 0,
+            ("hotspot", (32, 32)): 1,
+            ("hotspot", (48, 48)): 1,
+            ("inversion", (32, 32)): 2,
+            ("inversion", (48, 48)): 1,
+            ("median", (32, 32)): 1,
+            ("median", (48, 48)): 0,
+            ("sobel3", (32, 32)): 1,
+            ("sobel3", (48, 48)): 0,
+            ("sobel5", (32, 32)): 0,
+            ("sobel5", (48, 48)): 2,
+        }
+        two = {
+            ("gaussian", (32, 32)): 1,
+            ("gaussian", (48, 48)): 1,
+            ("hotspot", (32, 32)): 1,
+            ("hotspot", (48, 48)): 1,
+            ("inversion", (32, 32)): 0,
+            ("inversion", (48, 48)): 1,
+            ("median", (32, 32)): 1,
+            ("median", (48, 48)): 0,
+            ("sobel3", (32, 32)): 1,
+            ("sobel3", (48, 48)): 0,
+            ("sobel5", (32, 32)): 0,
+            ("sobel5", (48, 48)): 0,
+        }
+        assert ShardMap.for_trace(trace, workers=3).assignment == three
+        assert ShardMap.for_trace(trace, workers=2).assignment == two
 
     def test_for_trace_balances_request_counts(self):
         spec = TraceSpec(
@@ -100,11 +133,11 @@ class TestShardMap:
             seed=11,
         )
         trace = generate_trace(spec)
-        shard_map = ShardMap.for_trace(trace, workers=2, backend_name="vectorized")
+        shard_map = ShardMap.for_trace(trace, workers=2)
         loads = [0, 0]
         key_counts: dict = {}
         for request in trace:
-            key = shard_key(request, "vectorized")
+            key = shard_key(request)
             key_counts[key] = key_counts.get(key, 0) + 1
             loads[shard_map.assign(key)] += 1
         assert sum(loads) == len(trace)
@@ -117,6 +150,6 @@ class TestShardMap:
         with pytest.raises(ConfigurationError):
             ShardMap(0)
         with pytest.raises(ConfigurationError):
-            ShardMap(2, {("a", "b", (1,)): 5})
+            ShardMap(2, {("a", (1,)): 5})
         with pytest.raises(ConfigurationError):
             ShardMap.planned({}, workers=0)

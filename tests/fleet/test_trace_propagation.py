@@ -61,6 +61,6 @@ class TestWireRoundTrip:
 
 class TestShardingUnaffected:
     def test_shard_key_ignores_trace_id(self):
-        plain = shard_key(_request(), "vectorized")
-        traced = shard_key(_request(trace_id="r99"), "vectorized")
+        plain = shard_key(_request())
+        traced = shard_key(_request(trace_id="r99"))
         assert plain == traced

@@ -25,7 +25,6 @@ def _calibration_inputs(size=32):
 def _server():
     return PerforationServer(
         engine=PerforationEngine(backend="codegen"),
-        backend="codegen",
         max_batch=4,
         calibration_inputs=_calibration_inputs(),
     )
@@ -140,3 +139,40 @@ class TestDisabledByDefault:
         for a, b in zip(plain, traced):
             assert a.error == b.error
             assert a.config_label == b.config_label
+
+
+class TestLaunchBackend:
+    """A server launches on its engine's backend, and on no other."""
+
+    TRACE = TraceSpec(
+        apps=("gaussian", "inversion", "hotspot"), requests=9, size=16, inputs_per_app=2, seed=26
+    )
+
+    def _serve(self, backend):
+        tracer = obs_trace.install(process=f"test-{backend}")
+        try:
+            server = PerforationServer(
+                PerforationEngine(backend=backend),
+                max_batch=4,
+                calibration_inputs=_calibration_inputs(size=16),
+            )
+            responses = server.run_trace(generate_trace(self.TRACE))
+            spans = tracer.spans()
+        finally:
+            obs_trace.disable()
+        launched = {s.attrs["backend"] for s in spans if s.name.startswith("clsim.launch")}
+        served = [
+            (r.request_id, r.config_label, r.error, r.fallback, r.cache_hit, r.output.tobytes())
+            for r in responses
+        ]
+        return server, launched, served
+
+    def test_an_interpreter_engine_serves_on_the_interpreter_bit_identically(self):
+        server, launched, served = self._serve("interpreter")
+        assert server.backend is server.engine.backend
+        assert launched == {"interpreter"}
+        codegen, codegen_launched, reference = self._serve("codegen")
+        assert codegen.backend is codegen.engine.backend
+        assert codegen_launched == {"codegen"}
+        assert len(served) == self.TRACE.requests
+        assert served == reference

@@ -25,7 +25,6 @@ def _calibration_inputs(size=32):
 def _server(**kw):
     defaults = dict(
         engine=PerforationEngine(backend="codegen"),
-        backend="codegen",
         max_batch=4,
         calibration_inputs=_calibration_inputs(),
     )
@@ -38,6 +37,21 @@ def served():
     server = _server()
     responses = server.run_trace(generate_trace(SPEC))
     return server, responses
+
+
+class TestEngineBackend:
+    """The engine is the one place a server's backend is chosen."""
+
+    def test_default_server_launches_on_a_codegen_engine(self):
+        server = PerforationServer()
+        assert server.backend.name == "codegen"
+        assert server.backend is server.engine.backend
+
+    @pytest.mark.parametrize("backend", ["interpreter", "codegen"])
+    def test_server_backend_is_its_engine_backend(self, backend):
+        server = PerforationServer(PerforationEngine(backend=backend))
+        assert server.backend is server.engine.backend
+        assert server.backend.name == backend
 
 
 class TestServing:
