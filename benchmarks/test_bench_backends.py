@@ -5,10 +5,11 @@ the *compiled* path (kernellang passes + simulated execution) on the
 reference ``interpreter`` backend and on the compiled ``codegen`` backend,
 and records the wall-clock ratio (acceptance bar: >= 10x).
 
-The codegen sweep is timed warm (one untimed priming sweep first): its
-lowering is amortized across runs by design — per-kernel memo,
-process-wide content-key memo and the on-disk artifact cache — so warm
-times are what sweeps, serve sessions and CI actually see.  Results are
+The codegen sweep is timed warm (one untimed priming sweep first): each
+(kernel source, configuration) pair is built and lowered once per process
+by design — the kernel-build cache, ``repro.core.perforator.build_kernel``,
+keeps each kernel with its compiled pass functions — so warm times are
+what sweeps, serve sessions and CI actually see.  Results are
 archived both human-readable (``results/*.txt``) and machine-readable
 (``results/*.json``) — the JSON record feeds ``check_regression.py``.
 """
@@ -70,7 +71,7 @@ def test_gaussian_compiled_sweep_backend_speedup(benchmark, archive, archive_jso
     lines = [
         "Execution-backend speedup, gaussian compiled sweep "
         f"({IMAGE_SIZE}x{IMAGE_SIZE}, {len(interp_outputs)} configurations, warm "
-        "artifact cache)",
+        "kernel-build cache)",
         f"interpreter backend : {interp_seconds * 1e3:9.1f} ms",
         f"codegen backend     : {cg_seconds * 1e3:9.1f} ms",
         f"speedup             : {speedup:9.1f}x (required: >= {REQUIRED_SPEEDUP:.0f}x)",

@@ -26,10 +26,12 @@ Supporting pieces:
   :func:`repro.core.schemes.register_scheme`);
 * :mod:`repro.api.cache` — :class:`~repro.api.cache.LRUCache`, the one
   in-memory LRU: the engine's reference and timing stores and the
-  server's result cache;
-* :mod:`repro.api.store` — :class:`~repro.api.store.DiskStore`, the
-  on-disk store under the codegen artifact cache and the tuning database,
-  and :class:`~repro.api.store.StoreStats`, the counters of every cache.
+  server's result cache; and :class:`~repro.api.cache.StoreStats`, the
+  counters of every cache.
+
+Kernels are built once per process by
+:func:`repro.core.perforator.build_kernel`, the one kernel-build cache;
+the tuning database (:mod:`repro.autotune.db`) is the only store on disk.
 
 Heavy submodules are imported lazily so that the registry module — which
 the application/device/scheme packages import at definition time — does not
@@ -41,25 +43,19 @@ from __future__ import annotations
 from .registry import Registry, RegistryError
 
 __all__ = [
-    "ArtifactCache",
     "CalibrationEntry",
     "LRUCache",
     "PerforationEngine",
     "Registry",
     "RegistryError",
-    "DiskStore",
     "StoreStats",
-    "default_artifact_cache",
 ]
 
 _LAZY = {
     "PerforationEngine": ("repro.api.engine", "PerforationEngine"),
     "CalibrationEntry": ("repro.api.calibration", "CalibrationEntry"),
     "LRUCache": ("repro.api.cache", "LRUCache"),
-    "ArtifactCache": ("repro.api.artifacts", "ArtifactCache"),
-    "DiskStore": ("repro.api.store", "DiskStore"),
-    "StoreStats": ("repro.api.store", "StoreStats"),
-    "default_artifact_cache": ("repro.api.artifacts", "default_cache"),
+    "StoreStats": ("repro.api.cache", "StoreStats"),
 }
 
 

@@ -11,8 +11,8 @@ Every in-memory result store of the library is an :class:`LRUCache`:
 * the server's result cache (:class:`repro.serve.cache.ServeResultCache`).
 
 Each counts its hits, misses, puts and evictions in one
-:class:`~repro.api.store.StoreStats`, the stats type of the on-disk stores
-too.  The in-memory counterpart of the kernel-build cache is
+:class:`StoreStats`, the stats type of the tuning database
+(:class:`repro.autotune.db.TuningDB`) too.  The kernel-build cache is
 :func:`repro.core.perforator.build_kernel`'s ``functools.lru_cache``.
 
 Inputs are identified by content (:func:`input_token`): NumPy arrays hash
@@ -31,7 +31,24 @@ from typing import Any, Callable, Hashable
 
 import numpy as np
 
-from .store import StoreStats
+
+@dataclasses.dataclass
+class StoreStats:
+    """Hit/miss/put/eviction/error counters of one cache, in memory or on disk."""
+
+    hits: int = 0
+    misses: int = 0
+    puts: int = 0
+    evictions: int = 0
+    errors: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.lookups if self.lookups else 0.0
 
 
 def input_token(inputs: Any) -> Hashable:

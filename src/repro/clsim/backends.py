@@ -14,10 +14,9 @@ Two backends are built in:
   compiled one: it lowers each (kernel source, work-group shape) pair
   once to flat specialized Python/NumPy source through the pass pipeline
   (:mod:`repro.kernellang.passes` — see ``docs/ir.md``), compiled via
-  ``compile()``/``exec()`` and cached on the kernel and on disk
-  (:mod:`repro.api.artifacts`), and overrides the launch hook to run
-  every work group of a launch — of every request of a batch — in a few
-  stacked vector passes.  Its outputs and
+  ``compile()``/``exec()`` and kept on the kernel, and overrides the
+  launch hook to run every work group of a launch — of every request of
+  a batch — in a few stacked vector passes.  Its outputs and
   :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
   to the interpreter's, which the cross-backend conformance suite
   (``tests/clsim/test_backend_parity.py``) pins down.  Kernels the
@@ -195,10 +194,9 @@ class CodegenBackend(ExecutionBackend):
 
     Each (kernel source, work-group shape) pair is lowered *once* to flat
     Python source (:mod:`repro.kernellang.codegen`), compiled with
-    ``compile()``/``exec()``, kept on the kernel — which
-    :func:`repro.core.perforator.build_kernel` shares process-wide — and
-    persisted in the on-disk artifact cache (:mod:`repro.api.artifacts`),
-    so repeated sweeps and serve sessions skip lowering entirely.  A launch
+    ``compile()``/``exec()`` and kept on the kernel, which
+    :func:`repro.core.perforator.build_kernel` shares process-wide, so
+    repeated sweeps and serve sessions skip lowering entirely.  A launch
     runs every work group of every request at once, in stacked passes of
     at most :data:`~repro.kernellang.codegen.MAX_PASS_LANES` lanes.
     Outputs and :class:`~repro.clsim.executor.ExecutionStats` counters are

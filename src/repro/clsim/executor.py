@@ -9,10 +9,10 @@ The executor hands each launch to a pluggable
   barriers (kernel bodies yield :data:`~repro.clsim.kernel.BARRIER` at
   synchronisation points) — the reference execution model;
 * the ``"codegen"`` backend lowers each (kernel, work-group shape) pair
-  once to specialized Python/NumPy source, compiled and cached on disk,
-  and runs every work group of the launch in a few stacked vector passes
-  — bit-identical outputs and access counters, orders of magnitude
-  faster.
+  once per process to specialized Python/NumPy source, compiled and kept
+  on the kernel, and runs every work group of the launch in a few stacked
+  vector passes — bit-identical outputs and access counters, orders of
+  magnitude faster.
 
 Either way the executor owns the launch bookkeeping: device validation,
 argument binding, stacking a batch of compatible launches into segmented

@@ -195,9 +195,9 @@ BUILD_CACHE_SIZE = 128
 def build_kernel(source: str, config: ApproximationConfig) -> Kernel:
     """Executable kernel of ``source`` under ``config``, built once per process.
 
-    Equal arguments share one kernel, and with it the compiled group
-    functions the codegen backend attaches to it; only the on-disk artifact
-    store (:mod:`repro.api.artifacts`) outlives the process.
+    Equal arguments share one kernel, and with it the compiled pass
+    functions the codegen backend attaches to it, one per work-group shape.
+    This is the one kernel cache: nothing of a build outlives the process.
     """
     perforator = KernelPerforator(source)
     perforated = perforator.accurate() if config.is_accurate else perforator.perforate(config)

@@ -200,13 +200,9 @@ def _run_autotune(args, parser: argparse.ArgumentParser) -> int:
             "autotune evaluates configurations on the NumPy fast path; "
             "--backend does not apply"
         )
-    db: object = args.db
-    if isinstance(db, str):
-        lowered = db.strip().lower()
-        if lowered in {"", "off", "0", "none", "disabled"}:
-            db = False
-        elif lowered == "default":
-            db = None  # resolve from REPRO_TUNING_DB / the default directory
+    db = args.db
+    if db.strip().lower() == "default":
+        db = None  # resolve from REPRO_TUNING_DB / the default directory
     result = run(
         quick=args.quick,
         app=args.app,

@@ -27,9 +27,10 @@ sweeps.  The scaling bar is machine-aware (:func:`fleet_required_speedup`):
 2.5x when at least four CPUs back four workers, proportionally less on
 smaller machines (a 1-CPU container cannot scale by adding processes, so
 it only has to stay close to parity).  One trace takes well under a
-second of wall, so the full-size run times :data:`FLEET_REPETITIONS`
-independent repetitions, each with a fresh fleet and a fresh single
-server, and gates the *median* ratio.  It records
+second of wall (a quick one about 0.1 s), so full-size and quick runs
+alike time :data:`FLEET_REPETITIONS` independent repetitions, each with a
+fresh fleet and a fresh single server, and gate the *median* ratio.  A
+full-size run records
 ``benchmarks/results/fleet_scaling.json`` with every per-run ratio, which
 ``benchmarks/check_regression.py`` gates — the record carries its own
 machine-appropriate ``required_speedup`` floor.
@@ -57,8 +58,8 @@ DEFAULT_RESULTS_PATH = Path("benchmarks") / "results" / "serve_bench.txt"
 FLEET_RESULTS_PATH = Path("benchmarks") / "results" / "fleet_scaling.txt"
 FLEET_RECORD_PATH = Path("benchmarks") / "results" / "fleet_scaling.json"
 
-#: Independent fleet-vs-single repetitions of a full-size (recorded) fleet
-#: run; quick and chaos runs serve the trace once.
+#: Independent fleet-vs-single repetitions of a fleet run, full-size or
+#: quick; a chaos run serves the trace once.
 FLEET_REPETITIONS = 5
 
 #: Fleet mode serves all six registered applications so the planned
@@ -346,9 +347,9 @@ def run_fleet(
     in process), so the measured walls compare *serving*, not calibration.
     The fleet must reproduce the single server's outputs bit-identically,
     shed nothing, and leave every worker with zero self-calibrated ladders
-    — in every repetition (:data:`FLEET_REPETITIONS` of them in a full-size
-    run, each with a fresh fleet and a fresh single server; the gated
-    speedup is their median ratio).
+    — in every repetition (:data:`FLEET_REPETITIONS` of them, each with a
+    fresh fleet and a fresh single server; the gated speedup is their
+    median ratio).
 
     ``chaos=True`` kills worker 0 (hard exit) after its first served
     request: the run then exercises detection, respawn-and-replay, and the
@@ -363,7 +364,7 @@ def run_fleet(
     )
     trace = generate_trace(spec)
     calibration = _calibration_inputs(spec)
-    repetitions = 1 if quick or chaos else FLEET_REPETITIONS
+    repetitions = 1 if chaos else FLEET_REPETITIONS
     runs = [
         _fleet_once(trace, spec, calibration, max_batch, device, workers, chaos)
         for _ in range(repetitions)

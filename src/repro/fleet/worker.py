@@ -48,8 +48,8 @@ serves with zero kernel evaluations spent on calibration, and its ladders
 hold the very floats the front-end computed.  Respawned workers
 warm-start from the same spec, which is half of why recovery preserves
 bit-identity (the other half is the front-end replaying the worker's
-exact observation subsequence).  Workers share the codegen artifact cache
-by inheriting ``REPRO_CODEGEN_CACHE`` from the front-end's environment.
+exact observation subsequence).  Workers share no kernel cache and no
+directory: each builds the kernels it serves once, in its own process.
 
 Deterministic fault injection lives in the spec: ``fail_after=N`` makes
 the worker hard-exit (``os._exit``, no cleanup — a simulated crash) right

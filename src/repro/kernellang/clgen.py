@@ -6,10 +6,8 @@ artefact a user could compile with a real OpenCL runtime: the perforated +
 reconstructed kernels emitted by :mod:`repro.kernellang.transforms` are
 valid OpenCL C for the subset we support.
 
-The emitted source is also the *canonical form* of a program: the codegen
-execution backend (:mod:`repro.kernellang.codegen`) hashes it to key its
-on-disk artifact cache, so two ASTs that print identically share one
-compiled artifact.
+The emitted source is also the *canonical form* of a program: two ASTs
+that print identically are the same kernel.
 """
 
 from __future__ import annotations
@@ -95,9 +93,8 @@ class CodeGenerator:
     def _maybe_paren(self, node: ast.Expr) -> str:
         text = self.expr(node)
         # UnaryOp must be parenthesized too: ``-(-v)`` would otherwise print
-        # as ``--v`` (predecrement) — wrong C, and a silent collision for
-        # everything keyed on this canonical source (the codegen artifact
-        # cache hashes it).
+        # as ``--v`` (predecrement) — wrong C, and two different kernels
+        # with one canonical form.
         if isinstance(
             node,
             (ast.BinaryOp, ast.Assignment, ast.Ternary, ast.UnaryOp),

@@ -65,8 +65,9 @@ not guaranteed to round identically to libm.
 Compiled pass functions live on the :class:`CodegenKernel` of each
 :class:`~repro.clsim.kernel.Kernel`, which
 :func:`repro.core.perforator.build_kernel` builds once per (kernel source,
-configuration) and shares process-wide; lowered sources persist on disk
-through :mod:`repro.api.artifacts`, so a new process skips lowering too.
+configuration) and shares process-wide.  Nothing is kept on disk: a new
+process lowers and compiles each kernel again, which costs a fraction of
+parsing and perforating it.
 
 Kernels the lowering cannot specialize (for example a non-literal dimension
 argument to ``get_global_id``) raise :class:`LoweringError`; the ``codegen``
@@ -76,8 +77,6 @@ changes observable behaviour.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -90,7 +89,6 @@ from .builtins import (
     SYNC_BUILTINS,
     is_builtin,
 )
-from .clgen import generate as clgen_generate
 from .errors import InterpreterError
 from .interpreter import KernelInterpreter, _ConstantArray
 from .ir import (
@@ -128,10 +126,6 @@ from .types import PointerType, ScalarType
 _INT = np.int64
 _FLOAT = np.float64
 
-#: Bump when the lowering or the runtime contract changes: invalidates every
-#: on-disk artifact (stale entries simply miss).
-CODEGEN_FORMAT_VERSION = 3
-
 #: Lanes per stacked pass: a launch runs in passes of whole work groups, at
 #: most this many lanes each (always at least one group).  Bounds the
 #: memory of one pass: on the serving benchmark 2**13 kept peak RSS within
@@ -140,11 +134,9 @@ CODEGEN_FORMAT_VERSION = 3
 MAX_PASS_LANES = 2**13
 
 __all__ = [
-    "CODEGEN_FORMAT_VERSION",
     "MAX_PASS_LANES",
     "CodegenKernel",
     "LoweringError",
-    "artifact_key",
     "codegen_kernel",
     "lower_kernel",
 ]
@@ -154,12 +146,11 @@ __all__ = [
 # Runtime namespace of the generated source
 # ---------------------------------------------------------------------------
 def _exec_namespace() -> dict:
-    """Globals dict the compiled artifact sources are executed in.
+    """Globals dict the lowered source of a kernel is executed in.
 
-    The artifact source contains no imports: every runtime name resolves
+    The lowered source contains no imports: every runtime name resolves
     through this namespace.  (Real builtins are required — NumPy's truth
-    tests reach for them — so artifact *integrity* rests on the content
-    key and the header check, not on namespace isolation.)
+    tests reach for them.)
     """
     import builtins
 
@@ -284,7 +275,7 @@ class _Emitter(UniformityAnalysis):
         self.depth -= 1
 
     def _bind(self, name: str, code: str) -> str:
-        """Module-level binding in the artifact (built-in lookups etc.)."""
+        """Module-level binding in the lowered source (built-in lookups etc.)."""
         if name not in self.binds:
             self.binds[name] = code
         return name
@@ -333,7 +324,6 @@ class _Emitter(UniformityAnalysis):
         body = self.lines
 
         out: list[str] = [
-            f"# repro-codegen artifact (format v{CODEGEN_FORMAT_VERSION})",
             f"# kernel: {self.kernel_def.name}  local_size={self.local_size}",
         ]
         for name in sorted(self.binds):
@@ -1181,38 +1171,6 @@ def lower_kernel(
     return _Emitter(program, kernel_name, tuple(int(v) for v in local_size)).lower()
 
 
-def artifact_key(cl_source: str, kernel_name: str, local_size: tuple[int, ...]) -> str:
-    """Content hash identifying one lowered artifact.
-
-    Keyed on the canonical (OpenCL C) form of the program — which embeds
-    the perforation configuration, since the transforms rewrote the AST —
-    plus the kernel name, the baked work-group shape and the lowering
-    format version.
-    """
-    blob = (
-        f"repro-codegen|v{CODEGEN_FORMAT_VERSION}|{kernel_name}|"
-        f"{tuple(local_size)}|{cl_source}"
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _compile_artifact(source: str, key: str):
-    """Compile + exec an artifact source; ``None`` if it is corrupt.
-
-    Any failure counts — not just ``SyntaxError``: a damaged artifact can
-    parse fine yet raise at module-exec time, and must still be treated as
-    a miss so the caller drops it and lowers fresh.
-    """
-    try:
-        code = compile(source, f"<repro-codegen:{key[:12]}>", "exec")
-        namespace = _exec_namespace()
-        exec(code, namespace)
-        fn = namespace.get("kernel_pass")
-        return fn if callable(fn) else None
-    except Exception:
-        return None
-
-
 class CodegenKernel:
     """Executes one kernellang kernel through generated specialized source.
 
@@ -1225,7 +1183,6 @@ class CodegenKernel:
         self.program = program
         self.kernel_def = program.kernel(kernel_name)
         self.constants = KernelInterpreter(program, self.kernel_def.name).constants
-        self.cl_source = clgen_generate(program)
         self.const_containers = {
             name: ConstantView(name, value.values)
             for name, value in self.constants.items()
@@ -1249,35 +1206,23 @@ class CodegenKernel:
         return fn
 
     def _build(self, local_size: tuple[int, ...]):
-        from ..api.artifacts import default_cache
         from ..obs.trace import get_tracer
 
-        key = artifact_key(self.cl_source, self.kernel_def.name, local_size)
+        name = self.kernel_def.name
         with get_tracer().span(
-            "codegen.artifact",
-            category="lowering",
-            kernel=self.kernel_def.name,
-            local_size=list(local_size),
-        ) as span:
-            cache = default_cache()
-            source = cache.get(key) if cache is not None else None
-            fn = None if source is None else _compile_artifact(source, key)
-            from_cache = fn is not None
-            if source is not None and fn is None:
-                # Corrupt/stale on-disk artifact: drop it and lower fresh.
-                cache.invalidate(key)
-            if fn is None:
-                source = lower_kernel(self.program, self.kernel_def.name, local_size)
-                fn = _compile_artifact(source, key)
-                if fn is None:
-                    raise LoweringError(
-                        f"generated source for kernel {self.kernel_def.name!r} "
-                        f"failed to compile"
-                    )
-                if cache is not None:
-                    cache.put(key, source)
-            span.set(source="disk-cache" if from_cache else "lowered")
-        return fn
+            "codegen.lower", category="lowering", kernel=name, local_size=list(local_size)
+        ):
+            source = lower_kernel(self.program, name, local_size)
+            namespace = _exec_namespace()
+            try:
+                exec(compile(source, f"<repro-codegen:{name}>", "exec"), namespace)
+            except Exception as exc:
+                # Not chained: the error is remembered per shape, and a
+                # cause would keep this frame's namespace alive with it.
+                raise LoweringError(
+                    f"generated source for kernel {name!r} failed to compile: {exc!r}"
+                ) from None
+        return namespace["kernel_pass"]
 
     # ------------------------------------------------------------------
     def run(self, args: dict, ndrange, batch: int, stats, local_mem_per_cu: int) -> None:

@@ -16,7 +16,7 @@ fold into the front-end's view with :meth:`MetricsRegistry.merge`:
 range of values observed, not with their number.
 
 :func:`cache_snapshot` is the one canonical shape for cache statistics: it
-reads :class:`repro.api.store.StoreStats`, the counters of every cache in
+reads :class:`repro.api.cache.StoreStats`, the counters of every cache in
 memory or on disk, and ``functools.lru_cache``'s ``CacheInfo``, and guards
 the ``hit_rate`` ratio against empty caches.
 """
@@ -28,6 +28,8 @@ import os
 import threading
 import weakref
 from typing import Any, Callable, Iterator
+
+from ..env import switched_off
 
 __all__ = [
     "ENV_METRICS",
@@ -43,8 +45,6 @@ __all__ = [
 ]
 
 ENV_METRICS = "REPRO_METRICS"
-
-_DISABLED_VALUES = {"", "0", "off", "none", "disable", "disabled"}
 
 
 class Counter:
@@ -388,7 +388,7 @@ def _maybe_register_env_export() -> None:
     if _env_export_registered:
         return
     raw = os.environ.get(ENV_METRICS)
-    if raw is None or raw.strip().lower() in _DISABLED_VALUES:
+    if raw is None or switched_off(raw):
         return
     _env_export_registered = True
     import atexit

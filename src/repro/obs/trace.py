@@ -24,8 +24,9 @@ Design constraints (see docs/observability.md):
 * **Bounded.**  The ring buffer drops the oldest spans once ``capacity``
   is reached; ``dropped`` counts the casualties so exports can report
   truncation instead of silently lying.
-* **Out-of-band.**  Nothing here feeds back into execution: bit-identity
-  suites and ``CODEGEN_FORMAT_VERSION`` are untouched by tracing.
+* **Out-of-band.**  Nothing here feeds back into execution: the
+  bit-identity suites and the lowered kernel source are untouched by
+  tracing.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
+
+from ..env import switched_off
 
 __all__ = [
     "ENV_TRACE",
@@ -50,9 +53,6 @@ __all__ = [
 ]
 
 ENV_TRACE = "REPRO_TRACE"
-
-#: Env values meaning "explicitly off" (mirrors repro.api.store.DISABLED_VALUES).
-_DISABLED_VALUES = {"", "0", "off", "none", "disable", "disabled"}
 
 DEFAULT_CAPACITY = 65536
 
@@ -375,7 +375,7 @@ _lock = threading.Lock()
 def env_trace_path() -> str | None:
     """Return the export path requested via ``REPRO_TRACE``, if any."""
     raw = os.environ.get(ENV_TRACE)
-    if raw is None or raw.strip().lower() in _DISABLED_VALUES:
+    if raw is None or switched_off(raw):
         return None
     return raw
 

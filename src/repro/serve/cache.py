@@ -9,7 +9,7 @@ configurations that share a label produce different outputs.  The store is the
 library's one in-memory LRU (:class:`repro.api.cache.LRUCache`) with a
 configurable capacity — a serving process must not grow without bound —
 and counts hits, misses, puts and evictions in a
-:class:`~repro.api.store.StoreStats`.
+:class:`~repro.api.cache.StoreStats`.
 
 Inputs are fingerprinted by content via
 :func:`repro.api.cache.input_token`; inputs that cannot be fingerprinted

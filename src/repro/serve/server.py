@@ -278,10 +278,10 @@ class PerforationServer:
         """One mergeable registry over every layer this server touches.
 
         Starts from the serving metrics' own registry and absorbs every
-        cache's :class:`~repro.api.store.StoreStats` (the serve result
-        cache, the engine's reference and timing stores and the codegen
-        artifact cache), the kernel-build cache's ``cache_info()``, and the
-        controller's tighten/loosen decisions.
+        cache's :class:`~repro.api.cache.StoreStats` (the serve result
+        cache and the engine's reference and timing stores), the
+        kernel-build cache's ``cache_info()``, and the controller's
+        tighten/loosen decisions.
         """
         # A copy, so absorbing the cache statistics below never accumulates
         # into the server's own metrics from one call to the next.
@@ -291,11 +291,6 @@ class PerforationServer:
         registry.absorb_cache("engine.reference_cache", self.engine.references.stats)
         registry.absorb_cache("engine.timing_cache", self.engine.timings.stats)
         registry.absorb_cache("kernel.build_cache", build_kernel.cache_info())
-        from ..api.artifacts import default_cache
-
-        artifact_cache = default_cache()
-        if artifact_cache is not None:
-            registry.absorb_cache("codegen.artifact_cache", artifact_cache.stats)
         for stream in self.controller.snapshot().values():
             registry.counter("controller.switches").inc(stream["switches"])
             registry.counter("controller.tightened").inc(stream["tightened"])

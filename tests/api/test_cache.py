@@ -11,8 +11,7 @@ import pytest
 
 from repro.api import PerforationEngine
 from repro.api import engine as engine_module
-from repro.api.cache import LRUCache
-from repro.api.store import StoreStats
+from repro.api.cache import LRUCache, StoreStats
 from repro.apps import GaussianApp
 from repro.core import ROWS1_NN, ROWS2_NN
 

@@ -1,7 +1,14 @@
-"""TuningDB semantics: keys, round-trips, corruption recovery, env default."""
+"""TuningDB semantics: keys, round-trips, atomic writes, corruption
+recovery, LRU eviction, shared directories and the environment default.
+
+The database is the library's only disk store, so it carries the whole
+contract of one: key validation, atomic writes, torn-entry recovery, an
+mtime LRU, best-effort I/O and exact counters.
+"""
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -40,31 +47,109 @@ class TestRecords:
         db.put(_key(2), {"values": values})
         assert db.get(_key(2))["values"] == values
 
+    def test_record_bytes_are_a_header_line_and_canonical_json(self, db):
+        db.put(_key(6), {"b": [0.5, 2], "a": "x"})
+        assert db._path(_key(6)).read_bytes() == (
+            b'# repro-tuning-db record v1\n{"a": "x", "b": [0.5, 2]}\n'
+        )
+
     def test_corrupt_body_is_dropped(self, db):
         db.put(_key(3), {"ok": True})
-        path = db.store._path(_key(3))
+        path = db._path(_key(3))
         path.write_text(DB_HEADER + "\n{torn json", encoding="utf-8")
         assert db.get(_key(3)) is None
         assert len(db) == 0  # entry removed
+        assert db.stats.hits == 0 and db.stats.misses == 1
 
     def test_wrong_header_is_dropped(self, db):
         db.put(_key(4), {"ok": True})
-        db.store._path(_key(4)).write_text("not a record", encoding="utf-8")
+        db._path(_key(4)).write_text("not a record", encoding="utf-8")
         assert db.get(_key(4)) is None
+        assert len(db) == 0
 
     def test_non_dict_body_is_dropped(self, db):
-        db.store.put(_key(5), DB_HEADER + "\n[1, 2, 3]\n")
+        db.root.mkdir(parents=True)
+        db._path(_key(5)).write_text(DB_HEADER + "\n[1, 2, 3]\n", encoding="utf-8")
         assert db.get(_key(5)) is None
+        assert len(db) == 0
 
-    def test_lru_bound(self, db):
-        import os
-
-        for n in range(6):
+    def test_invalidate_and_clear(self, db):
+        for n in range(3):
             db.put(_key(n), {"n": n})
-            os.utime(db.store._path(_key(n)), (n, n))
-        db.store._evict()
+        db.invalidate(_key(0))
+        assert db.get(_key(0)) is None
+        assert len(db) == 2
+        assert db.clear() == 2
+        assert len(db) == 0
+
+    def test_invalid_keys_never_touch_disk(self, db):
+        assert db.get("../../etc/passwd") is None
+        assert not db.put("not-a-hash!", {"n": 1})
+        assert not db.put("abc", {"n": 1})  # too short to be a content hash
+        assert db.stats.errors == 2
+        db.invalidate("..")  # no-op, no exception
+        assert not db.root.exists()
+
+
+class TestBestEffortWrites:
+    def test_a_failed_write_leaves_the_old_record_and_no_temp_file(self, db, monkeypatch):
+        assert db.put(_key(1), {"n": 1})
+
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        assert not db.put(_key(1), {"n": 2})
+        monkeypatch.undo()
+        assert db.stats.errors == 1 and db.stats.puts == 1
+        assert db.get(_key(1)) == {"n": 1}
+        assert sorted(p.name for p in db.root.iterdir()) == [f"{_key(1)}.json"]
+
+    def test_unwritable_root_degrades_to_no_database(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the database directory should be")
+        db = TuningDB(blocker / "sub")
+        assert not db.put(_key(1), {"n": 1})
+        assert db.get(_key(1)) is None
+        assert db.stats.errors >= 1
+        assert len(db) == 0
+
+    def test_max_entries_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError):
+            TuningDB(tmp_path, max_entries=0)
+
+
+class TestEviction:
+    def test_oldest_records_go_first_beyond_the_bound(self, db):
+        for n in range(6):
+            assert db.put(_key(n), {"n": n})
+            os.utime(db._path(_key(n)), (n, n))  # deterministic LRU order
+        db._evict()
         assert len(db) == 4
-        assert db.stats.evictions >= 2
+        assert db.get(_key(0)) is None and db.get(_key(1)) is None
+        assert db.get(_key(5)) == {"n": 5}
+
+    def test_get_refreshes_lru_position(self, db):
+        for n in range(4):
+            db.put(_key(n), {"n": n})
+            os.utime(db._path(_key(n)), (n, n))
+        assert db.get(_key(0)) == {"n": 0}  # refreshes mtime
+        db.put(_key(9), {"n": 9})  # evicts beyond max_entries=4
+        assert db.get(_key(0)) == {"n": 0}
+        assert db.get(_key(1)) is None
+
+    def test_stats_count_hits_misses_puts_and_evictions(self, db):
+        assert db.get(_key(1)) is None
+        db.put(_key(1), {"n": 1})
+        db.get(_key(1))
+        for n in range(2, 8):
+            db.put(_key(n), {"n": n})
+            os.utime(db._path(_key(n)), (n, n))
+        stats = db.stats
+        assert (stats.hits, stats.misses, stats.puts) == (1, 1, 7)
+        assert stats.evictions == 3  # bound is 4
+        assert stats.errors == 0
+        assert stats.hit_rate == 0.5
 
 
 class TestKeys:
@@ -163,7 +248,27 @@ class TestSharedDirectory:
             results = list(pool.map(sweep, readers))
         assert all(result == records for result in results)
         assert all(reader.stats.hits == 4 for reader in readers)
+        assert all(reader.stats.errors == 0 for reader in readers)
         assert len(db) == 4
+
+    def test_a_torn_entry_is_dropped_by_whichever_handle_reads_it(self, db):
+        reader = TuningDB(db.root, max_entries=4)
+        db.put(_key(1), {"n": 1})
+        db._path(_key(1)).write_text(DB_HEADER + " v1\n{torn", encoding="utf-8")
+        assert reader.get(_key(1)) is None
+        assert not db._path(_key(1)).exists()
+        assert db.get(_key(1)) is None  # a plain miss for the writer too
+        assert db.put(_key(1), {"n": 1})
+        assert reader.get(_key(1)) == {"n": 1}
+        assert reader.stats.errors == 0 and db.stats.errors == 0
+
+    def test_other_files_in_the_directory_are_not_records(self, db):
+        db.put(_key(1), {"n": 1})
+        (db.root / f"{_key(2)}.py").write_text("x = 1\n")
+        (db.root / "notes.txt").write_text("not a record")
+        assert len(db) == 1
+        assert db.clear() == 1
+        assert sorted(p.name for p in db.root.iterdir()) == [f"{_key(2)}.py", "notes.txt"]
 
 
 class TestDefaults:
@@ -176,22 +281,35 @@ class TestDefaults:
         assert default_db() is db
 
     def test_disabled_values(self, monkeypatch):
-        for value in ("0", "off", "NONE", " disabled "):
+        for value in ("", "0", "off", "NONE", " disabled "):
             monkeypatch.setenv(ENV_DB_DIR, value)
             assert default_db() is None
+
+    @pytest.mark.parametrize("value", ["disable", "DISABLE", " Disable "])
+    def test_disable_in_any_case_turns_the_database_off(self, value, tmp_path, monkeypatch):
+        # The spelling that turns REPRO_TRACE and REPRO_METRICS off must not
+        # open a database in a directory named after it.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(ENV_DB_DIR, value)
+        assert default_db() is None
+        assert resolve_db(None) is None
+        assert resolve_db(value) is None
+        assert Tuner(db=None).db is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_max_entries_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_DB_DIR, str(tmp_path / "db"))
         monkeypatch.setenv(ENV_DB_MAX, "9")
-        assert default_db().store.max_entries == 9
+        assert default_db().max_entries == 9
         monkeypatch.setenv(ENV_DB_MAX, "bogus")
-        assert default_db().store.max_entries == DEFAULT_DB_MAX
+        assert default_db().max_entries == DEFAULT_DB_MAX
 
     def test_resolve_db(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_DB_DIR, "off")
         assert resolve_db(None) is None  # environment disables the default
         assert resolve_db(False) is None
         assert resolve_db("off") is None
+        assert resolve_db("") is None
         db = TuningDB(tmp_path / "x")
         assert resolve_db(db) is db
         opened = resolve_db(tmp_path / "y")

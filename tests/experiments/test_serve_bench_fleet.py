@@ -4,10 +4,13 @@ regression gate consumes (the end-to-end fleet run itself is covered by
 ``tests/fleet/test_fleet.py``)."""
 
 import numpy as np
+import pytest
 
 from repro.apps import get_application
 from repro.data import generate_image
+from repro.experiments import serve_bench
 from repro.experiments.serve_bench import (
+    FLEET_REPETITIONS,
     FLEET_SERVE_APPS,
     FleetBenchResult,
     ServeBenchResult,
@@ -140,3 +143,51 @@ class TestFleetRecord:
         result.fleet.shed = 0
         result.cold_evaluations = 1
         assert not result.passed
+
+
+class TestRepetitions:
+    """A quick trace lasts about 0.1 s, so one run of it is too noisy to
+    gate: quick runs take the median of the same repetitions as full-size
+    runs, and only a chaos run serves the trace once."""
+
+    RATIOS = [1.15, 2.06, 1.2, 1.8, 1.5]
+
+    def _stub(self, monkeypatch):
+        calls = []
+
+        def fleet_once(trace, spec, calibration, max_batch, device, workers, chaos):
+            ratio = self.RATIOS[len(calls)]
+            calls.append(chaos)
+            fleet, single = ServeMetrics(), ServeMetrics()
+            fleet.completed = single.completed = len(trace)
+            fleet.finish(1.0 / ratio)
+            single.finish(1.0)
+            return {
+                "fleet": fleet,
+                "single": single,
+                "bit_identical": True,
+                "fleet_within_budget": True,
+                "single_within_budget": True,
+                "calibrated": 0,
+                "respawns": 0,
+            }
+
+        monkeypatch.setattr(serve_bench, "_fleet_once", fleet_once)
+        return calls
+
+    def test_a_quick_run_gates_the_median_of_every_repetition(self, monkeypatch):
+        calls = self._stub(monkeypatch)
+        result = serve_bench.run_fleet(quick=True, workers=2)
+        assert len(calls) == FLEET_REPETITIONS
+        assert result.ratios == pytest.approx(self.RATIOS)
+        assert result.speedup == pytest.approx(1.5)
+        # The reported metrics are the median run's.
+        assert result.fleet.throughput_rps / result.single.throughput_rps == pytest.approx(1.5)
+        assert result.required_speedup == fleet_required_speedup(2)
+
+    def test_a_chaos_run_serves_the_trace_once(self, monkeypatch):
+        calls = self._stub(monkeypatch)
+        result = serve_bench.run_fleet(quick=True, workers=2, chaos=True)
+        assert calls == [True]
+        assert result.ratios == pytest.approx(self.RATIOS[:1])
+        assert result.required_speedup == 0.0

@@ -239,9 +239,9 @@ class TestDivergentControlFlow:
         """)
 
     def test_nested_unary_kernels_do_not_share_artifacts(self):
-        """-(-v) and --v must produce distinct canonical sources (and so
-        distinct artifact keys): regression for the clgen parenthesization
-        collision that made one kernel execute the other's artifact."""
+        """-(-v) and --v must produce distinct canonical sources and run
+        as themselves: regression for the clgen parenthesization collision
+        that made one kernel execute the other's lowering."""
         from repro.kernellang.clgen import generate
 
         double_neg = parse_program("""
@@ -410,6 +410,27 @@ class TestFallbackAndLimits:
         summed = tuple(sum(values) for values in zip(*(s for _, s in expected)))
         assert _stats_tuple(stats) == summed
         assert lowered == [(8, 8)]  # the rejection is remembered
+
+    def test_generated_source_that_fails_to_compile_runs_on_the_interpreter(self, monkeypatch):
+        """Lowered source is compiled in process only; if an emitter bug
+        made it invalid Python, that is a LoweringError, and the launch
+        returns the interpreter's result instead of crashing."""
+        source = """
+        __kernel void k(__global const float* input, __global float* output,
+                        int width, int height) {
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            output[y * width + x] = 2.0f * input[y * width + x];
+        }
+        """
+        reference, ref_stats = _run(source, "interpreter")
+        monkeypatch.setattr(codegen, "lower_kernel", lambda *args: "def kernel_pass(rt:\n")
+        kernel = compile_kernel(source)
+        with pytest.raises(LoweringError, match="failed to compile"):
+            codegen.codegen_kernel(kernel).function((4, 4))
+        produced, got_stats = _run(source, "codegen")
+        np.testing.assert_array_equal(produced, reference)
+        assert got_stats == ref_stats
 
     def test_python_body_kernels_are_rejected(self):
         def body(ctx, wi):

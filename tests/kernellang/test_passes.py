@@ -374,8 +374,8 @@ class TestGoldenLoweredSource:
     """The lowered source of three representative kernels, pinned byte-for-byte.
 
     These snapshots are the emission contract of the pass pipeline: an
-    edit that changes them changes what every cached on-disk artifact
-    contains and must bump ``CODEGEN_FORMAT_VERSION``.  Regenerate with
+    edit that changes them changes what every compiled kernel runs, so
+    review the diff.  Regenerate with
     ``REPRO_REGEN_GOLDEN=1 pytest tests/kernellang/test_passes.py``.
     """
 

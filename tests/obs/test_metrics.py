@@ -220,22 +220,19 @@ class TestCacheSnapshot:
         assert snap["hit_rate"] == 0.0
         assert snap["lookups"] == 0
 
-    def test_every_cache_a_server_absorbs_reports_the_canonical_keys(self, tmp_path, monkeypatch):
+    def test_every_cache_a_server_absorbs_reports_the_canonical_keys(self):
         import numpy as np
 
         from repro.api import PerforationEngine
-        from repro.api.artifacts import default_cache
-        from repro.api.store import StoreStats
+        from repro.api.cache import StoreStats
         from repro.serve import PerforationServer
 
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "codegen"))
         engine = PerforationEngine()
         server = PerforationServer(engine=engine)
         stores = {
             "serve.result_cache": server.cache,
             "engine.reference_cache": engine.references,
             "engine.timing_cache": engine.timings,
-            "codegen.artifact_cache": default_cache(),
         }
         for store in stores.values():
             assert type(store.stats) is StoreStats
@@ -246,11 +243,13 @@ class TestCacheSnapshot:
         fields = ("hits", "misses", "evictions", "puts", "errors", "hit_rate")
         for prefix in [*stores, "kernel.build_cache"]:
             assert {f"{prefix}.{field}" for field in fields} <= set(snap), prefix
+        # Built kernels are cached only in process, as kernel.build_cache.
+        assert not [name for name in snap if name.startswith("codegen.")]
         assert snap["serve.result_cache.puts"] == 1
         assert snap["engine.reference_cache.misses"] == 1
 
     def test_absorb_cache_prefixes_metrics(self):
-        from repro.api.store import StoreStats
+        from repro.api.cache import StoreStats
 
         reg = MetricsRegistry()
         reg.absorb_cache("serve.result_cache", StoreStats(hits=4, misses=1))

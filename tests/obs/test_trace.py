@@ -159,7 +159,7 @@ class TestEnvInstall:
         finally:
             obs_trace.disable()
 
-    @pytest.mark.parametrize("value", ["", "0", "off", "none", "disabled"])
+    @pytest.mark.parametrize("value", ["", "0", "off", "none", "disabled", "DISABLE", " Off "])
     def test_disabled_values_stay_null(self, value, monkeypatch):
         monkeypatch.setenv(obs_trace.ENV_TRACE, value)
         monkeypatch.setattr(obs_trace, "_env_checked", False)

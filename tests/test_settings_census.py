@@ -1,16 +1,23 @@
-"""One home per setting: the census of the engine, server and tuner options.
+"""One home per setting: the census of the engine, server and tuner
+options, and of the environment variables the library reads.
 
 The execution backend is chosen only where an engine (or an executor) is
 built; every compiled-path method, the scheduler's batch key and the
 fleet's shard key follow the engine.  The tuner takes its engine, space,
 seed and database once, at construction, and its strategy and evaluation
-budget per ``tune`` call.  A new option has to be added here on purpose.
+budget per ``tune`` call.  Four ``REPRO_*`` variables reach the library,
+and the three that switch something off share one spelling of "off".  A
+new option or variable has to be added here on purpose.
 """
 
+import ast
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import PerforationEngine
 from repro.autotune import Tuner
 from repro.fleet import ShardMap, shard_key
@@ -76,3 +83,44 @@ def test_tune_defaults_to_successive_halving_without_a_budget():
     assert parameters["strategy"].default is None
     assert parameters["max_evals"].default is None
     assert resolve_strategy(None).name == "successive-halving"
+
+
+# ---------------------------------------------------------------------------
+# Environment variables
+# ---------------------------------------------------------------------------
+#: Every ``REPRO_*`` variable the library reads.
+ENVIRONMENT = {"REPRO_TRACE", "REPRO_METRICS", "REPRO_TUNING_DB", "REPRO_TUNING_DB_MAX"}
+
+
+def _environment_variables_named() -> set[str]:
+    """Every string constant in ``src/repro`` that is a ``REPRO_*`` name."""
+    names = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)
+            ):
+                names.add(node.value)
+    return names
+
+
+def test_four_environment_variables():
+    assert _environment_variables_named() == ENVIRONMENT
+
+
+@pytest.mark.parametrize("value", ["", "0", "OFF", "none", " Disable ", "disabled"])
+def test_one_spelling_of_off(value, tmp_path, monkeypatch):
+    from repro.autotune import default_db
+    from repro.obs import metrics, trace
+
+    monkeypatch.chdir(tmp_path)
+    for variable in ("REPRO_TRACE", "REPRO_METRICS", "REPRO_TUNING_DB"):
+        monkeypatch.setenv(variable, value)
+    monkeypatch.setattr(metrics, "_env_export_registered", False)
+    assert trace.env_trace_path() is None
+    metrics._maybe_register_env_export()
+    assert metrics._env_export_registered is False
+    assert default_db() is None
+    assert list(tmp_path.iterdir()) == []
