@@ -25,7 +25,12 @@ The lowering is a pretty-printer over the pass pipeline
   machinery at all;
 * varying values are ``(lanes,)`` ``int64``/``float64`` arrays (matching
   the interpreter's Python ``int``/``float`` semantics, including C
-  truncation for integer division and assignments to integer variables);
+  truncation for integer division and assignments to integer variables),
+  bound to variables without copies (no statement writes a lane array in
+  place); a comparison, ``!``, ``&&`` or ``||`` is a *predicate*, a bool
+  lane mask that tests use directly and that becomes C's int 0/1 only
+  where its value is used, and ``&&``/``||`` short-circuit under a mask
+  only for a right operand that loads, divides, assigns or calls;
   divergent ``if``/``for``/``while``/``do-while`` (including
   ``break``/``continue``/``return``) are emitted as the **mask-insertion
   pass** (:mod:`repro.kernellang.passes.masking`) — per-lane masks until
@@ -94,6 +99,7 @@ from .interpreter import KernelInterpreter, _ConstantArray
 from .ir import (
     BUILTIN_RESULT_DT,
     CONTEXT_FIELDS,
+    PREDICATE_OPS,
     LoweringError,
     Scope,
     ScopeView,
@@ -236,6 +242,18 @@ def _pass_runtime(
 # ---------------------------------------------------------------------------
 # Lowering: AST -> specialized Python source
 # ---------------------------------------------------------------------------
+def _mask_sensitive(expr) -> bool:
+    """Whether evaluating ``expr`` on a lane C skips could be observed: it
+    loads, divides, assigns or calls (an id query excepted)."""
+    return any(
+        isinstance(node, (ast.Index, ast.Assignment))
+        or (isinstance(node, ast.Call) and node.name not in CONTEXT_BUILTINS)
+        or (isinstance(node, ast.BinaryOp) and node.op in ("/", "%"))
+        or (isinstance(node, ast.UnaryOp) and node.op in ("++", "--"))
+        for node in expr.walk()
+    )
+
+
 class _Emitter(UniformityAnalysis):
     """Emission half of the lowering (classification lives in the base)."""
 
@@ -300,18 +318,12 @@ class _Emitter(UniformityAnalysis):
         """Code for ``v`` as a (lanes,) array."""
         return f"_np.full(L, {v.code})" if v.kind == "u" else v.code
 
-    def _idx_code(self, v: Value) -> str:
-        """Index operand: int scalar (uniform) or int64 array (varying)."""
-        if v.kind == "u":
-            return v.code if v.dt == "i" else f"int({v.code})"
+    def _int_code(self, v: Value) -> str:
+        """Code for ``v`` as an int scalar (uniform) or int64 lanes (varying);
+        a value the analysis knows is int is used as is, never copied."""
         if v.dt == "i":
             return v.code
-        return f"_np.asarray({v.code}).astype(_I)"
-
-    def _int_code(self, v: Value) -> str:
-        if v.kind == "u":
-            return v.code if v.dt == "i" else f"int({v.code})"
-        return v.code if v.dt == "i" else f"({v.code}).astype(_I)"
+        return f"int({v.code})" if v.kind == "u" else f"_np.asarray({v.code}).astype(_I)"
 
     # -- entry point ------------------------------------------------------
     def lower(self) -> str:
@@ -400,7 +412,7 @@ class _Emitter(UniformityAnalysis):
                 if stmt.expr.name == "barrier":
                     self._emit_barrier()
                 return
-            value = self._emit_expr(stmt.expr, scope)
+            value = self._emit(stmt.expr, scope)
             if not value.code.isidentifier():
                 self._line(value.code)
             return
@@ -501,9 +513,7 @@ class _Emitter(UniformityAnalysis):
             code = f"int({value.code})" if is_int else value.code
             code = f"_np.full(L, {code})"
         else:
-            code = value.code
-            if is_int:
-                code = f"_np.asarray({code}).astype(_I)"
+            code = self._int_code(value) if is_int else value.code
         if self.div:
             self._line(f"{py} = _decl_scalar({py}, {code}, {self.mask})")
         else:
@@ -514,7 +524,7 @@ class _Emitter(UniformityAnalysis):
         return self.counter
 
     def _emit_if(self, stmt: ast.IfStmt, scope: Scope) -> None:
-        cond = self._emit_expr(stmt.condition, scope)
+        cond = self._emit_test(stmt.condition, scope)
         if cond.kind == "u":
             # Masked kills inside a uniform branch (a varying sub-if with a
             # return, say) reassign the current mask to a temp defined only
@@ -550,7 +560,7 @@ class _Emitter(UniformityAnalysis):
                 self.mask, self.div = entry_mask, entry_div
             return
         test = self._tmp("_c")
-        self._line(f"{test} = ({cond.code}) != 0")
+        self._line(f"{test} = {cond.code}")
         then_mask = self._tmp("_m")
         self._line(f"{then_mask} = {self.mask} & {test}")
         kills = self._contains_kills(stmt.then_body) or (
@@ -597,7 +607,7 @@ class _Emitter(UniformityAnalysis):
         self._line("while True:")
         self._push()
         if check_first and stmt.condition is not None:
-            cond = self._emit_expr(stmt.condition, scope)
+            cond = self._emit_test(stmt.condition, scope)
             self._line(f"if not ({cond.code}):")
             self._push()
             self._line("break")
@@ -623,11 +633,11 @@ class _Emitter(UniformityAnalysis):
             self._line("break")
             self._pop()
         if step is not None:
-            value = self._emit_expr(step, scope)
+            value = self._emit(step, scope)
             if not value.code.isidentifier():
                 self._line(value.code)
         if not check_first and stmt.condition is not None:
-            cond = self._emit_expr(stmt.condition, scope)
+            cond = self._emit_test(stmt.condition, scope)
             self._line(f"if not ({cond.code}):")
             self._push()
             self._line("break")
@@ -670,8 +680,8 @@ class _Emitter(UniformityAnalysis):
                 self._line(f"if not {first}:")
                 self._push()
             self.mask, self.div = active, True
-            cond = self._emit_expr(stmt.condition, scope)
-            self._line(f"{active} = {active} & (({cond.code}) != 0)")
+            cond = self._emit_test(stmt.condition, scope)
+            self._line(f"{active} = {active} & {cond.code}")
             self._line(f"if not {active}.any():")
             self._push()
             self._line("break")
@@ -694,7 +704,7 @@ class _Emitter(UniformityAnalysis):
             self._line(f"if {active}.any():")
             self._push()
             self.mask, self.div = active, True
-            value = self._emit_expr(step, scope)
+            value = self._emit(step, scope)
             if not value.code.isidentifier():
                 self._line(value.code)
             self._pop()
@@ -709,7 +719,8 @@ class _Emitter(UniformityAnalysis):
     def _emit_return(self, stmt: ast.ReturnStmt, scope: Scope) -> None:
         value = None
         if stmt.value is not None:
-            value = self._emit_expr(stmt.value, scope)
+            emit = self._emit_expr if self.in_function else self._emit
+            value = emit(stmt.value, scope)
         if self.in_function:
             arr = "None" if value is None else self._promote(value)
             self._line(f"{self.fnflow}.record({self.mask}, {arr})")
@@ -751,6 +762,23 @@ class _Emitter(UniformityAnalysis):
 
     # -- expressions ------------------------------------------------------
     def _emit_expr(self, expr, scope: Scope) -> Value:
+        """``expr`` as a C value: a predicate becomes an int 0/1 here."""
+        value = self._emit(expr, scope)
+        if value.dt != "b":
+            return value
+        if value.kind == "u":
+            return Value(f"int({value.code})", "u", "i")
+        return Value(f"({value.code}).astype(_I)", "v", "i")
+
+    def _emit_test(self, expr, scope: Scope) -> Value:
+        """``expr`` as a predicate: a Python bool or a bool lane mask."""
+        value = self._emit(expr, scope)
+        if value.dt == "b":
+            return value
+        return Value(f"(({value.code}) != 0)", value.kind, "b")
+
+    def _emit(self, expr, scope: Scope) -> Value:
+        """``expr`` as a C value or a predicate (``dt == "b"``)."""
         if isinstance(expr, ast.IntLiteral):
             return Value(repr(expr.value), "u", "i")
         if isinstance(expr, ast.FloatLiteral):
@@ -787,7 +815,7 @@ class _Emitter(UniformityAnalysis):
             if isinstance(expr.target_type, ScalarType) and expr.target_type.is_integer:
                 if value.kind == "u":
                     return Value(f"int({value.code})", "u", "i")
-                return Value(f"_np.asarray({value.code}).astype(_I)", "v", "i")
+                return Value(self._int_code(value), "v", "i")
             if isinstance(expr.target_type, ScalarType) and expr.target_type.is_float:
                 if value.kind == "u":
                     return Value(f"float({value.code})", "u", "f")
@@ -807,15 +835,17 @@ class _Emitter(UniformityAnalysis):
             self._store_to(expr.operand, Value(new_t, old.kind, dt), scope)
             result = old_t if expr.postfix else new_t
             return Value(result, old.kind, old.dt if expr.postfix else dt)
+        if expr.op == "!":
+            operand = self._emit(expr.operand, scope)
+            if operand.dt != "b":
+                return Value(f"(({operand.code}) == 0)", operand.kind, "b")
+            negated = f"(not {operand.code})" if operand.kind == "u" else f"(~{operand.code})"
+            return Value(negated, operand.kind, "b")
         operand = self._emit_expr(expr.operand, scope)
         if expr.op == "-":
             return Value(f"(-({operand.code}))", operand.kind, operand.dt)
         if expr.op == "+":
             return operand
-        if expr.op == "!":
-            if operand.kind == "u":
-                return Value(f"(0 if {operand.code} else 1)", "u", "i")
-            return Value(f"(~(({operand.code}) != 0)).astype(_I)", "v", "i")
         if expr.op == "~":
             return Value(f"(~{self._int_code(operand)})", operand.kind, "i")
         raise self._unsupported(f"unary operator {expr.op!r}")
@@ -845,10 +875,8 @@ class _Emitter(UniformityAnalysis):
         if op in ("+", "-", "*"):
             return Value(f"(({left.code}) {op} ({right.code}))", kind,
                       promote_dt(left.dt, right.dt))
-        if op in ("<", ">", "<=", ">=", "==", "!="):
-            if kind == "u":
-                return Value(f"int(({left.code}) {op} ({right.code}))", "u", "i")
-            return Value(f"((({left.code}) {op} ({right.code})).astype(_I))", "v", "i")
+        if op in PREDICATE_OPS:
+            return Value(f"(({left.code}) {op} ({right.code}))", kind, "b")
         if op in ("&", "|", "^", "<<", ">>"):
             lc, rc = self._int_code(left), self._int_code(right)
             return Value(f"(({lc}) {op} ({rc}))", kind, "i")
@@ -856,64 +884,46 @@ class _Emitter(UniformityAnalysis):
 
     def _emit_logical(self, expr: ast.BinaryOp, scope: Scope) -> Value:
         is_and = expr.op == "&&"
-        left = self._emit_expr(expr.left, scope)
+        left = self._emit_test(expr.left, scope)
         kind, _ = self._c_expr(expr, ScopeView(scope), self.div)
         if kind == "u":
             captured, right = self._capture_expr(
-                lambda: self._emit_expr(expr.right, scope)
+                lambda: self._emit_test(expr.right, scope)
             )
             if not captured:
-                if is_and:
-                    code = f"((1 if ({right.code}) else 0) if ({left.code}) else 0)"
-                else:
-                    code = f"(1 if ({left.code}) else (1 if ({right.code}) else 0))"
-                return Value(code, "u", "i")
+                op = "and" if is_and else "or"
+                return Value(f"(({left.code}) {op} ({right.code}))", "u", "b")
             out = self._tmp()
-            if is_and:
-                self._line(f"{out} = 0")
-                self._line(f"if ({left.code}):")
-                self._push()
-                self._splice(captured)
-                self._line(f"{out} = 1 if ({right.code}) else 0")
-                self._pop()
-            else:
-                self._line(f"{out} = 1")
-                self._line(f"if not ({left.code}):")
-                self._push()
-                self._splice(captured)
-                self._line(f"{out} = 1 if ({right.code}) else 0")
-                self._pop()
-            return Value(out, "u", "i")
-        # Varying result: masked short-circuit of the right operand.
-        out = self._tmp()
-        self._line(f"{out} = _np.zeros(L, _I)")
+            self._line(f"{out} = {left.code}")
+            self._line(f"if {'' if is_and else 'not '}{out}:")
+            self._push()
+            self._splice(captured)
+            self._line(f"{out} = {right.code}")
+            self._pop()
+            return Value(out, "u", "b")
+        op = "&" if is_and else "|"
+        if not _mask_sensitive(expr.right):
+            # Evaluating the right operand on every lane is unobservable.
+            right = self._emit_test(expr.right, scope)
+            return Value(f"(({left.code}) {op} ({right.code}))", "v", "b")
+        # Masked short-circuit: only the lanes the left operand leaves
+        # undecided evaluate the right one.
+        undecided = left.code
+        if not is_and:
+            undecided = f"(not {undecided})" if left.kind == "u" else f"~{undecided}"
         right_mask = self._tmp("_m")
-        test = self._tmp("_c")
-        self._line(f"{test} = (({left.code}) != 0)")
-        if left.kind == "u":
-            if is_and:
-                self._line(f"{right_mask} = {self.mask} if {test} else _Z")
-            else:
-                self._line(f"if {test}:")
-                self._push()
-                self._line(f"{out}[{self.mask}] = 1")
-                self._pop()
-                self._line(f"{right_mask} = _Z if {test} else {self.mask}")
-        else:
-            if is_and:
-                self._line(f"{right_mask} = {self.mask} & {test}")
-            else:
-                self._line(f"{out}[{self.mask} & {test}] = 1")
-                self._line(f"{right_mask} = {self.mask} & ~{test}")
+        self._line(f"{right_mask} = {self.mask} & {undecided}")
+        out = self._tmp()
+        self._line(f"{out} = {'' if is_and else '~'}{right_mask}")
         self._line(f"if {right_mask}.any():")
         self._push()
         saved_mask, saved_div = self.mask, self.div
         self.mask, self.div = right_mask, True
-        right = self._emit_expr(expr.right, scope)
-        self._line(f"{out}[{right_mask} & (({right.code}) != 0)] = 1")
+        right = self._emit_test(expr.right, scope)
+        self._line(f"{out} = {out} {op} {right.code}")
         self.mask, self.div = saved_mask, saved_div
         self._pop()
-        return Value(out, "v", "i")
+        return Value(out, "v", "b")
 
     def _emit_assignment(self, expr: ast.Assignment, scope: Scope) -> Value:
         value = self._emit_expr(expr.value, scope)
@@ -956,10 +966,10 @@ class _Emitter(UniformityAnalysis):
             else:
                 self._line(f"{py} = {value.code}")
             return
-        code = self._promote(value)
         if self.div:
-            self._line(f"{py} = _amask({py}, {code}, {self.mask})")
+            self._line(f"{py} = _amask({py}, {value.code}, {self.mask})")
             return
+        code = self._promote(value)
         if target_dt == "i":
             if value.dt == "f" or (value.kind == "u" and value.dt != "i"):
                 code = (f"int({value.code})" if value.kind == "u"
@@ -983,7 +993,7 @@ class _Emitter(UniformityAnalysis):
 
     def _store_index(self, target: ast.Index, value: Value, scope: Scope) -> None:
         container = self._container(target.base, scope)
-        idx = self._idx_code(self._emit_expr(target.index, scope))
+        idx = self._int_code(self._emit_expr(target.index, scope))
         if self.div:
             self._line(f"{container.code}.storem({idx}, {value.code}, {self.mask})")
         else:
@@ -993,7 +1003,7 @@ class _Emitter(UniformityAnalysis):
         container = self._container(expr.base, scope)
         index = self._emit_expr(expr.index, scope)
         py = container.code
-        idx = self._idx_code(index)
+        idx = self._int_code(index)
         # The container Value carries the address space in .dt; only a
         # constant array read at a uniform index yields a uniform value.
         if container.dt == "constant" and index.kind == "u":
@@ -1005,7 +1015,7 @@ class _Emitter(UniformityAnalysis):
         return Value(f"{py}.loadf({idx})", "v", "f")
 
     def _emit_ternary(self, expr: ast.Ternary, scope: Scope) -> Value:
-        cond = self._emit_expr(expr.condition, scope)
+        cond = self._emit_test(expr.condition, scope)
         if cond.kind == "u":
             cap_a, a = self._capture_expr(lambda: self._emit_expr(expr.if_true, scope))
             cap_b, b = self._capture_expr(lambda: self._emit_expr(expr.if_false, scope))
@@ -1030,7 +1040,7 @@ class _Emitter(UniformityAnalysis):
             self._pop()
             return Value(out, kind, promote_dt(a.dt, b.dt))
         test = self._tmp("_c")
-        self._line(f"{test} = (({cond.code}) != 0)")
+        self._line(f"{test} = {cond.code}")
         mask_t = self._tmp("_m")
         mask_f = self._tmp("_m")
         self._line(f"{mask_t} = {self.mask} & {test}")

@@ -14,6 +14,10 @@ codegen printer (:mod:`repro.kernellang.codegen`) talk to each other in:
 * the **dtype** lattice ``"i"`` (int64 / Python int) and ``"f"`` (float64 /
   Python float), with ``"x"`` for statically unknown (resolved dynamically,
   with the scalar interpreter's truncation rules);
+* the **predicate** dtype ``"b"`` of a comparison, ``!``, ``&&`` or
+  ``||``: a Python bool or a bool lane mask that tests use directly.  The
+  printer makes it the int 0/1 of C only where a value is needed, so the
+  analysis (:func:`binop_dtype`) and every variable see an int;
 * :class:`Value` — one lowered value: a payload (the Python code fragment
   the codegen printer emits) tagged with its static kind and dtype;
 * :class:`Scope` — the per-function-body symbol table the uniformity pass
@@ -45,6 +49,10 @@ CONTAINER = "c"
 DT_INT = "i"
 DT_FLOAT = "f"
 DT_ANY = "x"
+#: A lowered truth value (never a variable's dtype; its C value is int).
+DT_BOOL = "b"
+#: Operators whose result is a predicate.
+PREDICATE_OPS = frozenset(("<", ">", "<=", ">=", "==", "!=", "&&", "||"))
 
 #: Container address spaces (the ``dt`` slot of a container-kinded Value).
 SPACE_GLOBAL = "global"
@@ -141,7 +149,7 @@ def binop_dtype(op: str, ldt: str, rdt: str) -> str:
     ``%`` yield int only for int/int operands (C semantics); the arithmetic
     operators promote.
     """
-    if op in ("<", ">", "<=", ">=", "==", "!=", "&&", "||", "&", "|", "^", "<<", ">>"):
+    if op in PREDICATE_OPS or op in ("&", "|", "^", "<<", ">>"):
         return DT_INT
     if op == "/":
         if ldt == DT_INT and rdt == DT_INT:

@@ -9,7 +9,8 @@ bit on the active lanes — inactive lanes are never observable:
   :func:`uniform_assign`, :func:`decl_scalar`, :func:`merge_parts`,
   :func:`int_truncate`) implement C's dynamic int-truncation — a slot that
   currently holds an integer stays integer when assigned a float — and
-  merge divergent arms into one lane array;
+  merge divergent arms into one lane array; every merge returns a new
+  array, since lowered variables share lane arrays;
 * the arithmetic kernels (:func:`varying_div`, :func:`varying_mod`,
   :func:`uniform_div`, :func:`uniform_mod`) implement C semantics
   (truncation toward zero for integer ``/`` and ``%``) and raise
@@ -25,7 +26,8 @@ bit on the active lanes — inactive lanes are never observable:
 
 The codegen backend (:mod:`repro.kernellang.codegen`) threads the mask
 through ``if``/``for``/``while``/``do-while`` (including
-``break``/``continue``/``return``) in the source it prints, and the
+``break``/``continue``/``return``) in the source it prints, narrowing it
+by each test's predicate (a bool lane mask), and the
 printed source calls back into these functions by name at run time —
 which is what keeps its outputs bit-identical to the interpreter.
 """
@@ -247,17 +249,12 @@ def masked_assign(existing, value, mask):
     """Masked varying assignment: active lanes take ``value``, dtype sticks.
 
     Follows C (and the scalar interpreter): assigning a float to an
-    integer slot truncates toward zero, and the slot stays integer.
+    integer slot truncates toward zero, and the slot stays integer.  The
+    result is a new array (``value`` may be a uniform scalar).
     """
-    value = np.asarray(value)
-    if _is_int(existing) and not _is_int(value):
-        value = value.astype(_INT)
-    dtype = np.result_type(existing.dtype, value.dtype)
     if _is_int(existing):
-        dtype = existing.dtype
-    merged = existing.astype(dtype)
-    merged[mask] = value.astype(dtype)[mask]
-    return merged
+        value = int_truncate(value)
+    return np.where(mask, value, existing)
 
 
 def decl_scalar(existing, value, mask):
@@ -298,12 +295,9 @@ class FnFlow:
         self.returned = self.returned | mask
         if value is None:
             return
-        value = np.asarray(value)
         if self.value is None:
             self.value = np.zeros(self.lanes, dtype=_INT)
-        merged = self.value.astype(np.result_type(self.value.dtype, value.dtype))
-        merged[mask] = value.astype(merged.dtype)[mask]
-        self.value = merged
+        self.value = np.where(mask, value, self.value)
 
     def result(self):
         if self.value is None:

@@ -7,7 +7,9 @@ contract:
 
 * bounds are checked on *active* lanes only, raising
   :class:`~repro.kernellang.errors.InterpreterError` with the
-  interpreter's message for the first offending lane;
+  interpreter's message for the first offending lane; each check is one
+  unsigned comparison (a negative index read as ``uint64`` lies above
+  every length);
 * every load/store records exactly one access *per active lane* on the
   owning buffer/local memory, so
   :class:`~repro.clsim.executor.ExecutionStats` counters are bit-identical
@@ -22,8 +24,12 @@ group's tile through the same view (the batching transform,
 :mod:`repro.kernellang.passes.batching`, builds them).  Method surface:
 ``loadf``/``storef`` (full mask, statically known) and ``loadm``/``storem``
 (masked); the codegen printer selects the entry point statically.
-Constant arrays are shared by every lane, so :class:`ConstantView` adds
-``loadu``/``loadum`` for a uniform index.
+A :class:`PrivateView` is one flat lane-major array, so a per-lane index
+is one flat offset and each access one 1-D gather or scatter.  Constant
+arrays are shared by every lane, so :class:`ConstantView` adds
+``loadu``/``loadum`` for a uniform index.  Loads return fresh arrays and
+nothing here writes into an array it was handed: the lowered source binds
+lane arrays to variables without copying them.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 from ..errors import InterpreterError
 
 _INT = np.int64
+_UINT = np.uint64
 _FLOAT = np.float64
 
 
@@ -40,16 +47,16 @@ def _oob(what: str, index: int, length: int) -> None:
     raise InterpreterError(f"{what}: index {index} out of bounds [0, {length})")
 
 
-def _check_full(what: str, idx: np.ndarray, length: int) -> None:
-    if int(idx.min()) < 0 or int(idx.max()) >= length:
-        bad = idx[(idx < 0) | (idx >= length)]
-        _oob(what, int(bad[0]), length)
-
-
-def _check_masked(what: str, idx: np.ndarray, mask: np.ndarray, length: int) -> None:
-    bad = mask & ((idx < 0) | (idx >= length))
-    if np.any(bad):
-        _oob(what, int(idx[bad][0]), length)
+def _check(what: str, idx: np.ndarray, length: int, mask=None) -> None:
+    """Bounds-check every lane (only the active ones, given ``mask``)."""
+    wide = idx.view(_UINT) if idx.dtype == _INT else idx.astype(_UINT)
+    if mask is None:
+        if wide.max() < length:
+            return
+        mask = True
+    bad = mask & (wide >= length)
+    if bad.any():
+        _oob(what, int(idx[bad.argmax()]), length)
 
 
 def _bval(value, mask):
@@ -87,72 +94,74 @@ class LaneView:
 
     def loadf(self, idx) -> np.ndarray:
         idx = self._index(idx)
-        _check_full(self.what, idx, self.n)
+        _check(self.what, idx, self.n)
         self.owner.record_reads(self.lanes)
         return self.data[self._at(idx)].astype(_FLOAT, copy=False)
 
     def loadm(self, idx, mask: np.ndarray) -> np.ndarray:
         idx = self._index(idx)
-        _check_masked(self.what, idx, mask, self.n)
+        _check(self.what, idx, self.n, mask)
         self.owner.record_reads(int(mask.sum()))
-        return self.data[np.where(mask, self._at(idx), 0)].astype(_FLOAT, copy=False)
+        return self.data[self._at(idx) * mask].astype(_FLOAT, copy=False)
 
     def storef(self, idx, value) -> None:
         idx = self._index(idx)
-        _check_full(self.what, idx, self.n)
+        _check(self.what, idx, self.n)
         self.owner.record_writes(self.lanes)
         self.data[self._at(idx)] = np.asarray(value, dtype=_FLOAT)
 
     def storem(self, idx, value, mask: np.ndarray) -> None:
         idx = self._index(idx)
-        _check_masked(self.what, idx, mask, self.n)
+        _check(self.what, idx, self.n, mask)
         self.owner.record_writes(int(mask.sum()))
         self.data[self._at(idx)[mask]] = _bval(value, mask)
 
 
 class PrivateView:
-    """A fixed-size per-lane private array (``lanes x length``)."""
+    """A fixed-size per-lane private array, flat and lane-major: lane ``k``'s
+    element ``i`` is ``values[k * n + i]``, and the last slot is a spare that
+    masked accesses send their inactive lanes to."""
 
-    __slots__ = ("values", "n", "lane_idx", "what")
+    __slots__ = ("values", "n", "base", "what")
 
     def __init__(self, name: str, length: int, lanes: int) -> None:
-        self.values = np.zeros((lanes, length), dtype=_FLOAT)
+        self.values = np.zeros(lanes * length + 1, dtype=_FLOAT)
         self.n = length
-        self.lane_idx = np.arange(lanes)
+        self.base = np.arange(0, lanes * length, length, dtype=_INT)
         self.what = f"private array {name!r}"
 
+    def _column(self, idx) -> slice:
+        """Every lane's element ``idx`` (a uniform index) as a strided slice."""
+        if not 0 <= int(idx) < self.n:
+            _oob(self.what, int(idx), self.n)
+        return slice(int(idx), -1, self.n)
+
+    def _offsets(self, idx, mask: np.ndarray) -> np.ndarray:
+        """Flat offsets of the active lanes' elements, -1 (the spare) for the
+        rest: arithmetic, since ``np.where`` branches on every lane."""
+        if np.ndim(idx) == 0:
+            idx = np.full(self.base.size, int(idx), dtype=_INT)
+        _check(self.what, idx, self.n, mask)
+        return (self.base + idx + 1) * mask - 1
+
     def loadf(self, idx) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            if not 0 <= int(idx) < self.n:
-                _oob(self.what, int(idx), self.n)
-            return self.values[:, int(idx)].copy()
-        _check_full(self.what, idx, self.n)
-        return self.values[self.lane_idx, idx]
+        if np.ndim(idx) == 0:
+            return self.values[self._column(idx)].copy()
+        _check(self.what, idx, self.n)
+        return self.values[self.base + idx]
 
     def loadm(self, idx, mask: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.values.shape[0], int(idx), dtype=_INT)
-        _check_masked(self.what, idx, mask, self.n)
-        return self.values[self.lane_idx, np.where(mask, idx, 0)]
+        return self.values[self._offsets(idx, mask)]
 
     def storef(self, idx, value) -> None:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            if not 0 <= int(idx) < self.n:
-                _oob(self.what, int(idx), self.n)
-            self.values[:, int(idx)] = np.asarray(value, dtype=_FLOAT)
+        if np.ndim(idx) == 0:
+            self.values[self._column(idx)] = value
             return
-        _check_full(self.what, idx, self.n)
-        self.values[self.lane_idx, idx] = np.asarray(value, dtype=_FLOAT)
+        _check(self.what, idx, self.n)
+        self.values[self.base + idx] = value
 
     def storem(self, idx, value, mask: np.ndarray) -> None:
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            idx = np.full(self.values.shape[0], int(idx), dtype=_INT)
-        _check_masked(self.what, idx, mask, self.n)
-        self.values[self.lane_idx[mask], idx[mask]] = _bval(value, mask)
+        self.values[self._offsets(idx, mask)] = value
 
 
 class ConstantView:
@@ -166,12 +175,12 @@ class ConstantView:
         self.what = f"constant array {name!r}"
 
     def loadf(self, idx: np.ndarray) -> np.ndarray:
-        _check_full(self.what, idx, self.n)
+        _check(self.what, idx, self.n)
         return self.values[idx].astype(_FLOAT)
 
     def loadm(self, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        _check_masked(self.what, idx, mask, self.n)
-        return self.values[np.where(mask, idx, 0)].astype(_FLOAT)
+        _check(self.what, idx, self.n, mask)
+        return self.values[idx * mask].astype(_FLOAT)
 
     def loadu(self, idx: int, lanes: int) -> float:
         if not 0 <= idx < self.n:

@@ -1,0 +1,343 @@
+"""Differential fuzzing of the lowering's predicates: interpreter ≡ codegen.
+
+The codegen backend lowers a comparison, ``!``, ``&&`` or ``||`` to a bool
+lane mask, composes ``&&``/``||`` as ``&``/``|`` when evaluating the right
+operand on every lane is unobservable, and keeps a masked short-circuit
+when it is not.  A hypothesis strategy builds well-formed two-buffer
+kernels that mix int/float comparisons, ``!``, ``&&``, ``||`` and
+ternaries, used as values (stored, added) and as the conditions of
+divergent ``if`` and of bounded ``while`` loops.  Some right operands
+would read a private array at a negative index, or divide by zero, on
+exactly the lanes where the left operand already decides, and some
+kernels divide by zero for real.  Every kernel must lower (no fallback to
+the interpreter) without an in-place write to a lane array, and:
+
+* one codegen launch ≡ the interpreter: output bytes and
+  :class:`~repro.clsim.executor.ExecutionStats`, or the same
+  :class:`~repro.kernellang.errors.InterpreterError` message;
+* one ``Executor.run_batch`` of three requests ≡ three interpreter
+  launches (outputs, summed stats, or the same error).
+
+The generator keeps every value in range (``n`` stays in [-2, 2], and the
+mutable accumulators never feed a product) and assigns a float variable
+only floats: the interpreter would keep an int there per work-item, which
+a float64 lane array cannot (a documented limit of the codegen backend).
+So a mismatch is a lowering fault.  Runs are derandomized, and each
+example runs under the SIGALRM deadline of ``test_fuzz.py``.
+``TestRegressionKernels`` keeps the shrunk counterexample and one fixed
+kernel per predicate rule.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from test_fuzz import deadline
+from test_passes import in_place_writes
+
+from repro.clsim import Buffer, Executor, KernelExecutionError, NDRange
+from repro.data import generate_image
+from repro.kernellang.codegen import lower_kernel
+from repro.kernellang.errors import InterpreterError
+from repro.kernellang.interpreter import compile_kernel
+from repro.kernellang.parser import parse_program
+
+SIZE = 8
+WORK_GROUP = (4, 4)
+SEEDS = (3, 5, 8)
+
+TEMPLATE = """
+__kernel void k(__global const float* input, __global float* output,
+                int width, int height) {{
+    int x = get_global_id(0);
+    int y = get_global_id(1);
+    int u = width / 4;
+    float v = input[y * width + x];
+    int n = (x + 2 * y) % 5 - 2;
+    float w[5];
+    w[0] = v;
+    w[1] = v * 0.5f;
+    w[2] = 1.0f - v;
+    w[3] = (float)(n);
+    w[4] = 0.25f;
+    int acc = 0;
+    float facc = 0.0f;
+{body}
+    output[y * width + x] = facc + (float)(acc) + w[0] + w[1] + w[2] + w[3] + w[4];
+}}
+"""
+
+INT_ATOMS = ("x", "y", "n", "u", "0", "1", "-1", "2", "3", "get_local_id(0)", "get_group_id(1)")
+FLOAT_ATOMS = ("v", "0.5f", "-1.5f", "0.0f", "w[2]", "(float)(y)")
+COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+#: Indices into ``w`` (5 elements) that are negative on some lanes, never >= 5.
+GUARDED_INDICES = ("n", "(n - 1)", "(x % 5 - 1)")
+#: Divisors that are zero on some lanes.
+DIVISORS = ("n", "(x - y)", "(n - 1)")
+
+
+def _pick(draw, options):
+    return options[draw(st.integers(0, len(options) - 1))]
+
+
+@st.composite
+def int_exprs(draw, depth=2):
+    kind = draw(st.integers(0, 4)) if depth > 0 else 0
+    if kind == 0:
+        return _pick(draw, INT_ATOMS)
+    if kind == 1:
+        op = _pick(draw, ("+", "-", "*"))
+        return f"({draw(int_exprs(depth - 1))} {op} {draw(int_exprs(depth - 1))})"
+    if kind == 2:
+        return f"({draw(predicates(depth - 1))})"  # a predicate as a value
+    if kind == 3:
+        return f"(int)({draw(float_exprs(depth - 1))} * 4.0f)"
+    cond = draw(predicates(depth - 1))
+    return f"({cond} ? {draw(int_exprs(depth - 1))} : {draw(int_exprs(depth - 1))})"
+
+
+@st.composite
+def float_exprs(draw, depth=2):
+    kind = draw(st.integers(0, 4)) if depth > 0 else 0
+    if kind == 0:
+        return _pick(draw, FLOAT_ATOMS)
+    if kind == 1:
+        op = _pick(draw, ("+", "-", "*"))
+        return f"({draw(float_exprs(depth - 1))} {op} {draw(float_exprs(depth - 1))})"
+    if kind == 2:
+        return f"({draw(float_exprs(depth - 1))} + {draw(predicates(depth - 1))})"
+    if kind == 3:
+        return f"w[{draw(int_exprs(0))} % 3 + 2]"
+    cond = draw(predicates(depth - 1))
+    return f"({cond} ? {draw(float_exprs(depth - 1))} : {draw(float_exprs(depth - 1))})"
+
+
+@st.composite
+def guarded(draw):
+    """A right operand the left one must keep from running on some lanes."""
+    kind = draw(st.integers(0, 5))
+    cmp = _pick(draw, COMPARISONS)
+    if kind in (0, 1, 5):
+        k = _pick(draw, GUARDED_INDICES)
+        load = f"w[{k}] {cmp} {draw(float_exprs(1))}"
+        if kind == 5:
+            load = f"({load} || !(w[{k}] {cmp} {draw(float_exprs(0))}))"
+        return f"({k} < 0 || {load})" if kind == 1 else f"({k} >= 0 && {load})"
+    d = _pick(draw, DIVISORS)
+    if kind == 2:
+        return f"({d} != 0 && ({draw(int_exprs(1))} / {d}) {cmp} {draw(int_exprs(1))})"
+    if kind == 3:
+        return f"({d} == 0 || ({draw(int_exprs(1))} % {d}) {cmp} {draw(int_exprs(1))})"
+    return f"((float)({d}) != 0.0f && ({draw(float_exprs(1))} / (float)({d})) {cmp} 0.5f)"
+
+
+@st.composite
+def uniform_predicates(draw):
+    """The same on every lane: a uniform ``if`` or a uniform left operand."""
+    return f"u {_pick(draw, COMPARISONS)} {_pick(draw, ('1', '2', '3'))}"
+
+
+@st.composite
+def predicates(draw, depth=2):
+    kind = draw(st.integers(0, 9)) if depth > 0 else draw(st.integers(0, 1))
+    cmp = _pick(draw, COMPARISONS)
+    if kind == 0:
+        return f"{draw(int_exprs(depth - 1))} {cmp} {draw(int_exprs(depth - 1))}"
+    if kind == 8:
+        return draw(uniform_predicates())
+    if kind == 1:
+        right = draw(st.one_of(float_exprs(depth - 1), int_exprs(depth - 1)))
+        return f"{draw(float_exprs(depth - 1))} {cmp} {right}"
+    if kind == 2:
+        operand = st.one_of(
+            predicates(depth - 1), uniform_predicates(), int_exprs(0), float_exprs(0)
+        )
+        return f"!({draw(operand)})"
+    if kind in (3, 4):
+        op = "&&" if kind == 3 else "||"
+        left = draw(st.one_of(predicates(depth - 1), uniform_predicates()))
+        return f"({left} {op} {draw(predicates(depth - 1))})"
+    if kind in (5, 9):
+        return draw(guarded())
+    if kind == 6:
+        return f"acc {cmp} {draw(int_exprs(depth - 1))}"
+    return _pick(draw, ("n", "(x - y)", "facc", "(v - 0.5f)"))  # C truthiness
+
+
+class _Names:
+    """Fresh variable names for one kernel."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+
+@st.composite
+def statements(draw, names, depth=2, in_loop=False):
+    kinds = 7 if depth > 0 else 4
+    kind = draw(st.integers(0, kinds + (1 if in_loop else 0)))
+    if kind == 0:
+        # A float added to the int slot truncates, as in C.
+        value = draw(st.one_of(int_exprs(), float_exprs()))
+        return f"acc = acc + {value};"
+    if kind == 1:
+        target = _pick(draw, ("facc", f"w[{draw(int_exprs(0))} % 3 + 2]"))
+        return f"{target} = {target} + {draw(float_exprs())};"
+    if kind == 2:
+        name, scale = names.fresh("b"), _pick(draw, ("1", "3"))
+        return f"int {name} = {draw(predicates())}; acc = acc + {name} * {scale};"
+    if kind == 3:
+        return f"output[y * width + x] = {draw(predicates())};"
+    if kind == 4:
+        # Divides by zero for real (an error to match) on one draw in four.
+        d = _pick(draw, DIVISORS)
+        offset = _pick(draw, ("1", "2", "5", "0"))
+        return f"if ({draw(predicates(1))}) {{ acc = acc + (x + 1) / ({d} * {d} + {offset}); }}"
+    if kind in (5, 6):
+        then = draw(blocks(names, depth - 1, in_loop))
+        if kind == 5:
+            return f"if ({draw(predicates())}) {{ {then} }}"
+        other = draw(blocks(names, depth - 1, in_loop))
+        return f"if ({draw(predicates())}) {{ {then} }} else {{ {other} }}"
+    if kind == 7:
+        counter = names.fresh("t")
+        limit = draw(st.integers(1, 8))
+        cond = draw(predicates())
+        test = f"{counter} < {limit} && ({cond})"
+        if draw(st.booleans()):
+            test = f"({cond}) && {counter} < {limit}"
+        body = draw(blocks(names, depth - 1, True))
+        return f"int {counter} = 0; while ({test}) {{ {counter} = {counter} + 1; {body} }}"
+    return f"if ({draw(predicates(1))}) {{ {_pick(draw, ('break;', 'continue;'))} }}"
+
+
+@st.composite
+def blocks(draw, names, depth=2, in_loop=False):
+    count = draw(st.integers(1, 3))
+    return " ".join(draw(statements(names, depth, in_loop)) for _ in range(count))
+
+
+@st.composite
+def kernels(draw):
+    body = draw(blocks(_Names()))
+    return TEMPLATE.format(body="    " + body)
+
+
+def _bind(seed: int) -> dict:
+    image = generate_image("natural", size=SIZE, seed=seed)
+    return {
+        "input": Buffer(image, "input"),
+        "output": Buffer(np.zeros_like(image), "output"),
+        "width": SIZE,
+        "height": SIZE,
+    }
+
+
+def _stats(stats) -> tuple:
+    return (
+        stats.work_items,
+        stats.work_groups,
+        stats.barriers,
+        stats.global_counters.reads,
+        stats.global_counters.writes,
+        stats.local_counters.reads,
+        stats.local_counters.writes,
+        stats.private_counters.reads,
+        stats.private_counters.writes,
+    )
+
+
+def _outcome(launch, bound: list[dict]):
+    """Output bytes and stats of one launch, or the message of the
+    :class:`InterpreterError` it failed with (each backend wraps it in its
+    own :class:`KernelExecutionError`)."""
+    try:
+        stats = launch()
+    except KernelExecutionError as exc:
+        assert isinstance(exc.__cause__, InterpreterError), exc
+        return ("error", str(exc.__cause__))
+    return (tuple(b["output"].array.tobytes() for b in bound), _stats(stats))
+
+
+def _single(backend: str, kernel, ndrange, seed: int):
+    bound = [_bind(seed)]
+    return _outcome(lambda: Executor(backend=backend).run(kernel, ndrange, bound[0]), bound)
+
+
+def check_kernel(source: str) -> None:
+    """The lowering of ``source`` agrees with the interpreter, alone and batched."""
+    with deadline():
+        lowered = lower_kernel(parse_program(source), "k", WORK_GROUP)  # no fallback
+        assert in_place_writes(lowered) == [], source
+        kernel = compile_kernel(source)
+        ndrange = NDRange((SIZE, SIZE), WORK_GROUP)
+        expected = [_single("interpreter", kernel, ndrange, seed) for seed in SEEDS]
+        assert _single("codegen", kernel, ndrange, SEEDS[0]) == expected[0], source
+
+        bound = [_bind(seed) for seed in SEEDS]
+        executor = Executor(backend="codegen")
+        batched = _outcome(lambda: executor.run_batch(kernel, ndrange, bound), bound)
+        errors = [outcome for outcome in expected if outcome[0] == "error"]
+        if errors:
+            assert batched == errors[0], source
+        else:
+            outputs = tuple(out for outcome in expected for out in outcome[0])
+            summed = tuple(sum(column) for column in zip(*(o[1] for o in expected)))
+            assert batched == (outputs, summed), source
+
+
+FUZZ_SETTINGS = dict(
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class TestPredicateFuzz:
+    @given(source=kernels())
+    @settings(max_examples=150, **FUZZ_SETTINGS)
+    def test_codegen_matches_interpreter(self, source):
+        check_kernel(source)
+
+    @pytest.mark.slow
+    @given(source=kernels())
+    @settings(max_examples=1500, **FUZZ_SETTINGS)
+    def test_codegen_matches_interpreter_nightly(self, source):
+        check_kernel(source)
+
+
+class TestRegressionKernels:
+    """Fixed kernels: the fuzzer's shrunk counterexample, and one kernel per
+    predicate rule that the random budget may not reach (each fails if the
+    rule it names is broken)."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # The median guard: the load must not run where n < 0.
+            "while (n >= 0 && w[n] > v) { n = n - 1; acc = acc + 1; }",
+            "if (n < 0 || w[n] > 0.5f) { acc = acc + 1; }",
+            # Uniform left operand, guarded varying right operand.
+            "if (u > 1 && (n - 1) >= 0 && w[n - 1] < v) { facc = facc + 1.0f; }",
+            "if (u < 1 || (x - y) == 0 || (7 / (x - y)) > 1) { acc = acc + 2; }",
+            "if (u > 2 || (n >= 0 && w[n] > v)) { acc = acc + 1; }",
+            "if (u > 2 || (x != y && (7 / (x - y)) > 1)) { acc = acc + 1; }",
+            "acc = acc + (!(u > 2) && (x % 5 - 1) >= 0 && w[x % 5 - 1] < 0.5f);",
+            # Predicates as values: stored, added, negated, in a ternary.
+            "int b1 = !(v < 0.5f) || n > 0; acc = acc + b1 * 3 + (x > y);",
+            "acc = acc + ((x > y) + (n < 0)) * 2 - (v > 0.5f) + !(u < 3);",
+            "acc = acc + (u > 2 || (n >= 0 && w[n] > v)) * 5 - (u < 3 || n > 0);",
+            "output[y * width + x] = (n > 0) ? (v < 0.25f) : !n;",
+            # A real division by zero raises the interpreter's message.
+            "if (x > 2) { acc = acc + (x + 1) / n; }",
+            # Shrunk: the same error, wrapped differently by each backend.
+            "if (x < y) { acc = acc + (x + 1) / (n * n + 0); }",
+        ],
+    )
+    def test_fixed_kernel(self, body):
+        check_kernel(TEMPLATE.format(body="    " + body))

@@ -9,18 +9,24 @@ bundled applications; this module pins each pass's contract in isolation:
 * the memory views' bounds checking and access accounting;
 * the batching transform's lane routing, segment offsets and validation;
 * golden snapshots of the lowered source for a uniform, a divergent and
-  a tiled kernel (regenerate with ``REPRO_REGEN_GOLDEN=1``).
+  a tiled kernel (regenerate with ``REPRO_REGEN_GOLDEN=1``);
+* the emission contract over every bundled kernel and configuration:
+  predicates stay masks, and no statement writes a lane array in place.
 """
 
+import ast as pyast
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.apps import all_applications
 from repro.clsim import Executor, NDRange
 from repro.clsim.memory import Buffer, LocalMemory, SegmentedBuffer
-from repro.kernellang.codegen import lower_kernel
+from repro.core.config import ACCURATE_CONFIG, default_configurations
+from repro.core.perforator import build_kernel
+from repro.kernellang.codegen import codegen_kernel, lower_kernel
 from repro.kernellang.errors import InterpreterError
 from repro.kernellang.interpreter import compile_kernel
 from repro.kernellang.ir import (
@@ -183,6 +189,13 @@ class TestMaskingMergeRules:
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, [2, 2, 3, 4])  # truncation
 
+    def test_masked_assign_returns_a_new_array_and_broadcasts_uniforms(self):
+        existing = np.array([1, 2, 3], dtype=np.int64)
+        out = masked_assign(existing, 7.5, np.array([False, True, False]))
+        np.testing.assert_array_equal(out, [1, 7, 3])
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(existing, [1, 2, 3])  # never written in place
+
     def test_full_assign_truncates_into_int_slot(self):
         out = full_assign(np.array([1, 2], dtype=np.int64), np.array([1.9, -1.9]))
         assert out.dtype == np.int64
@@ -306,6 +319,24 @@ class TestMemoryViews:
         # Inactive out-of-bounds lanes are not an error.
         view.loadm(np.array([0, 9]), np.array([True, False]))
 
+    def test_bounds_check_names_the_first_offending_active_lane(self):
+        view = PrivateView("p", 4, lanes=4)
+        idx = np.array([-3, 7, -1, 9])
+        with pytest.raises(InterpreterError, match=r"'p': index 7 out of bounds \[0, 4\)"):
+            view.loadm(idx, np.array([False, True, True, True]))
+        with pytest.raises(InterpreterError, match=r"'p': index -1 out of bounds"):
+            view.storem(idx, 1.0, np.array([False, False, True, True]))
+        with pytest.raises(InterpreterError, match=r"'p': index -3 out of bounds"):
+            view.loadf(idx)
+        view.loadm(idx, np.zeros(4, dtype=bool))  # no active lane, no error
+
+    def test_private_view_masked_store_leaves_inactive_lanes(self):
+        view = PrivateView("p", 3, lanes=3)
+        view.storef(1, np.array([1.0, 2.0, 3.0]))
+        view.storem(np.array([1, -5, 1]), np.array([7.0, 8.0, 9.0]), np.array([True, False, True]))
+        np.testing.assert_array_equal(view.loadf(1), [7.0, 2.0, 9.0])
+        np.testing.assert_array_equal(view.loadf(np.array([1, 0, 2])), [7.0, 0.0, 0.0])
+
     def test_private_view_is_per_lane(self):
         view = PrivateView("p", 2, lanes=3)
         mask = np.ones(3, dtype=bool)
@@ -397,3 +428,49 @@ class TestGoldenLoweredSource:
             f"golden file missing; run REPRO_REGEN_GOLDEN=1 pytest {__file__}"
         )
         assert lowered == golden_path.read_text()
+
+
+def in_place_writes(source: str) -> list[str]:
+    """Statements of a lowered source that write into an existing array:
+    subscript or attribute stores, augmented assignments (the barrier
+    counter ``_b`` aside) and NumPy calls with ``out=``."""
+    found = []
+    for node in pyast.walk(pyast.parse(source)):
+        if isinstance(node, pyast.Assign):
+            if any(not isinstance(t, pyast.Name) for t in node.targets):
+                found.append(pyast.unparse(node))
+        elif isinstance(node, pyast.AugAssign):
+            if not (isinstance(node.target, pyast.Name) and node.target.id == "_b"):
+                found.append(pyast.unparse(node))
+        elif isinstance(node, pyast.Call) and any(k.arg == "out" for k in node.keywords):
+            found.append(pyast.unparse(node))
+    return found
+
+
+class TestEmissionContract:
+    """Every bundled kernel under every default configuration and the
+    accurate one, lowered at its work group: comparisons stay bool masks
+    (no int round trip), and no statement writes into a variable's lane
+    array in place, which is what lets the lowering bind an int vector to
+    a variable without copying it."""
+
+    PAIRS = [
+        (app, config)
+        for app in all_applications()
+        for config in (ACCURATE_CONFIG, *default_configurations(app.halo))
+    ]
+
+    def test_every_bundled_pair_is_covered(self):
+        assert len(self.PAIRS) == 29
+
+    @pytest.mark.parametrize("app,config", PAIRS, ids=[f"{a.name}-{c.label}" for a, c in PAIRS])
+    def test_lowered_source_keeps_the_contract(self, app, config):
+        compiled = codegen_kernel(build_kernel(app.kernel_source(), config))
+        source = lower_kernel(compiled.program, compiled.kernel_def.name, config.work_group)
+        assert ".astype(_I))) != 0" not in source
+        assert in_place_writes(source) == []
+
+    def test_the_checks_see_the_old_emission(self):
+        old = "_t1 = ((((a) < (b)).astype(_I))) != 0\n_t2[m] = 1\n_t3 += x\n_b += 1\n"
+        assert ".astype(_I))) != 0" in old
+        assert in_place_writes(old) == ["_t2[m] = 1", "_t3 += x"]

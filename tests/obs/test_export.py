@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,36 @@ class TestTraceSummaryCLI:
         assert "serve" in out
         assert "worker-0" in out
         assert "r0" in out  # slow-request table shows trace ids
+
+    def test_slow_requests_sharing_an_id_are_told_apart(self, tmp_path, trace_summary, capsys):
+        """A serve-bench trace reuses request ids: the single server and a
+        fleet worker each serve ``r3``, once per run.  Every row carries its
+        start offset from the trace's first span, and its process."""
+        runs = [
+            (1_000_000_000, 9_000_000, 100, "main"),
+            (1_250_000_000, 8_000_000, 100, "main"),
+            (2_000_000_000, 7_000_000, 200, "worker-0"),
+            (2_500_000_000, 6_000_000, 200, "worker-0"),
+        ]
+        spans = [
+            Span(
+                name="serve.request",
+                category="serve",
+                start_ns=start,
+                duration_ns=dur,
+                trace_id="r3",
+                pid=pid,
+                process=process,
+            )
+            for start, dur, pid, process in runs
+        ]
+        path = write_chrome_trace(tmp_path / "t.json", spans)
+        assert trace_summary.main([path]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if " r3 " in line]
+        offsets = [re.search(r" at +([\d.]+) ms ", row).group(1) for row in rows]
+        assert offsets == ["0.0", "250.0", "1000.0", "1500.0"]
+        processes = [row.split("[")[1].split("]")[0] for row in rows]
+        assert processes == ["main", "main", "worker-0", "worker-0"]
 
     def test_expect_workers_counts_traced_worker_pids(self, tmp_path, trace_summary):
         path = write_chrome_trace(tmp_path / "t.json", make_spans())

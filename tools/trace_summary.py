@@ -8,7 +8,10 @@ flag of ``python -m repro.experiments``, or ``REPRO_TRACE``) and prints
    (``lowering`` vs ``launch`` vs ``calibrate`` vs ``serve`` vs ``fleet``)
    and per process (front-end vs each fleet worker);
 2. the top-N slowest requests (``serve.request``/``fleet.request`` spans),
-   with their trace ids, configs and batch ids.
+   with their start offsets (ms from the trace's first span), trace ids,
+   configs and batch ids.  One trace may reuse a request id (a server and
+   a fleet serve the same trace, runs repeat it), so the offset and the
+   process tell such rows apart.
 
 Validation flags for CI smoke steps:
 
@@ -91,6 +94,7 @@ def summarize(events: list[dict], top: int) -> str:
         lines.append("")
         lines.append(f"top {top} slowest requests:")
         requests.sort(key=lambda s: -float(s.get("dur", 0.0)))
+        origin = min(float(s.get("ts", 0.0)) for s in spans)
         for span in requests[:top]:
             args = span.get("args", {})
             process = names.get(span.get("pid", 0), "?")
@@ -99,8 +103,9 @@ def summarize(events: list[dict], top: int) -> str:
                 for key in ("app", "config", "batch_id", "worker", "cache_hit")
                 if key in args
             )
+            offset = (float(span.get("ts", 0.0)) - origin) / 1000.0
             lines.append(
-                f"  {float(span.get('dur', 0.0)) / 1000.0:10.3f} ms  "
+                f"  {float(span.get('dur', 0.0)) / 1000.0:10.3f} ms  at {offset:10.1f} ms  "
                 f"{args.get('trace_id', '?'):<8} {span.get('name'):<14} "
                 f"[{process}] {detail}"
             )
