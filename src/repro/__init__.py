@@ -19,7 +19,7 @@ Juurlink; CGO 2018).  The library contains:
   USC-SIPI image database and the Rodinia Hotspot inputs;
 * :mod:`repro.experiments` — one harness per table/figure of the paper;
 * :mod:`repro.api` — the engine API: the
-  :class:`~repro.api.engine.PerforationEngine` facade with registries,
+  :class:`~repro.api.engine.PerforationEngine` facade with name resolution,
   result caching and parallel sweeps, and calibration (calibrate, then
   select a configuration for an error budget);
 * :mod:`repro.serve` — quality-aware batch serving: micro-batched

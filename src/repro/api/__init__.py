@@ -19,57 +19,28 @@ selects one for an error budget; quality-monitored serving is
 
 Supporting pieces:
 
-* :mod:`repro.api.registry` — the string-keyed registries behind
-  ``app=``/``device=`` name resolution (see
-  :func:`repro.apps.register_application`,
-  :func:`repro.clsim.device.register_device`,
-  :func:`repro.core.schemes.register_scheme`);
 * :mod:`repro.api.cache` — :class:`~repro.api.cache.LRUCache`, the one
   in-memory LRU: the engine's reference and timing stores and the
   server's result cache; and :class:`~repro.api.cache.StoreStats`, the
   counters of every cache.
 
-Kernels are built once per process by
-:func:`repro.core.perforator.build_kernel`, the one kernel-build cache;
+Applications, device profiles and execution backends resolve by name
+through plain dicts of their built-in instances
+(:data:`repro.apps.APPLICATIONS`, :data:`repro.clsim.device.DEVICE_PROFILES`,
+:data:`repro.clsim.backends.BACKENDS`).  Kernels are built once per process
+by :func:`repro.core.perforator.build_kernel`, the one kernel-build cache;
 the tuning database (:mod:`repro.autotune.db`) is the only store on disk.
-
-Heavy submodules are imported lazily so that the registry module — which
-the application/device/scheme packages import at definition time — does not
-drag the whole evaluation stack in circularly.
 """
 
 from __future__ import annotations
 
-from .registry import Registry, RegistryError
+from .cache import LRUCache, StoreStats
+from .calibration import CalibrationEntry
+from .engine import PerforationEngine
 
 __all__ = [
     "CalibrationEntry",
     "LRUCache",
     "PerforationEngine",
-    "Registry",
-    "RegistryError",
     "StoreStats",
 ]
-
-_LAZY = {
-    "PerforationEngine": ("repro.api.engine", "PerforationEngine"),
-    "CalibrationEntry": ("repro.api.calibration", "CalibrationEntry"),
-    "LRUCache": ("repro.api.cache", "LRUCache"),
-    "StoreStats": ("repro.api.cache", "StoreStats"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attribute = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))

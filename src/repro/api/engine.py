@@ -5,8 +5,9 @@ the simulated :class:`~repro.clsim.device.Device`, the analytical
 :class:`~repro.clsim.timing.TimingModel`, two in-memory LRU stores for
 reference outputs and timing estimates (:mod:`repro.api.cache`) and an optional
 ``concurrent.futures`` worker pool for parallel sweeps and dataset
-evaluation.  Applications, device profiles and perforation schemes are
-resolved by name through the package registries, so
+evaluation.  Applications and device profiles are resolved by name through
+the plain dicts of their built-in instances (:data:`repro.apps.APPLICATIONS`,
+:data:`repro.clsim.device.DEVICE_PROFILES`), so
 
 .. code-block:: python
 
@@ -27,6 +28,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from ..apps import get_application
 from ..clsim.backends import ExecutionBackend, resolve_backend
 from ..clsim.device import Device, get_device
 from ..clsim.executor import ExecutionStats, Executor
@@ -76,7 +78,7 @@ class PerforationEngine:
     Parameters
     ----------
     device:
-        A :class:`Device`, a registered profile name (see
+        A :class:`Device`, a built-in profile name (see
         :func:`repro.clsim.device.available_devices`), or ``None`` for the
         paper's FirePro W5100 profile.
     workers:
@@ -87,7 +89,7 @@ class PerforationEngine:
     backend:
         Execution backend of every compiled launch (:meth:`run_compiled`,
         :meth:`run_compiled_batch`, :meth:`compiled_sweep`, a server on
-        this engine): a registered name (``"interpreter"``, ``"codegen"``),
+        this engine): a built-in name (``"interpreter"``, ``"codegen"``),
         an :class:`~repro.clsim.backends.ExecutionBackend` instance, or
         ``None`` for the default interpreter backend.  Outputs and stats
         are bit-identical across both (see
@@ -119,26 +121,13 @@ class PerforationEngine:
         self.workers = workers
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
-        self._apps: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Resolution and bookkeeping
     # ------------------------------------------------------------------
     def resolve_app(self, app):
-        """Resolve an application by registry name (instances pass through)."""
-        if isinstance(app, str):
-            cached = self._apps.get(app)
-            if cached is None:
-                from ..apps import get_application
-
-                cached = self._apps[app] = get_application(app)
-            return cached
-        return app
-
-    def clear_cache(self) -> None:
-        """Drop every cached reference and timing (and their counters)."""
-        self.references.clear()
-        self.timings.clear()
+        """Resolve an application by name (instances pass through)."""
+        return get_application(app) if isinstance(app, str) else app
 
     # ------------------------------------------------------------------
     # Worker pool
@@ -487,28 +476,6 @@ class PerforationEngine:
             for evaluation in evaluations
         )
         return result
-
-    def full_sweep(
-        self,
-        app,
-        inputs,
-        configs: Iterable[ApproximationConfig] | None = None,
-        work_groups: Sequence[tuple[int, int]] = WORK_GROUP_CANDIDATES,
-    ) -> SweepResult:
-        """Sweep configurations *and* work-group shapes jointly."""
-        app = self.resolve_app(app)
-        if configs is None:
-            configs = default_configurations(app.halo)
-        width, height = app.global_size(inputs)
-        expanded = [
-            config.with_work_group(work_group)
-            for config in configs
-            for work_group in work_groups
-            if width % work_group[0] == 0
-            and height % work_group[1] == 0
-            and work_group[0] * work_group[1] <= self.device.max_work_group_size
-        ]
-        return self.sweep(app, inputs, expanded)
 
     def sweep_work_groups(
         self,

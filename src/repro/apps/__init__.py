@@ -12,13 +12,13 @@ Inversion   Image processing      Mean relative error
 Sobel3      Image processing      Mean error
 Sobel5      Image processing      Mean error
 ==========  ====================  ====================
+
+:data:`APPLICATIONS` is a plain dict of the built-in instances, which
+:func:`get_application` resolves names through.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ..api.registry import Registry
 from .base import Application, InputBufferSpec
 from .gaussian import GAUSSIAN_WEIGHTS, GaussianApp
 from .hotspot import HotspotApp, HotspotCoefficients
@@ -26,13 +26,12 @@ from .inversion import INVERSION_MAX, InversionApp
 from .median import MedianApp
 from .sobel import SOBEL3_GX, SOBEL3_GY, SOBEL5_GX, SOBEL5_GY, Sobel3App, Sobel5App
 
-#: Registry of application factories, keyed by name.  Third-party apps can
-#: add themselves via :func:`register_application` and are then resolvable
-#: by every engine: ``PerforationEngine().sweep("my-filter", image)``.
-APPLICATIONS: Registry[Callable[[], Application]] = Registry("application", error=KeyError)
-
-for _factory in (GaussianApp, InversionApp, MedianApp, HotspotApp, Sobel3App, Sobel5App):
-    APPLICATIONS.register(_factory.name, _factory)
+#: The built-in applications, keyed by name.  Applications hold no state,
+#: so every engine shares these instances: ``engine.sweep("gaussian", image)``.
+APPLICATIONS: dict[str, Application] = {
+    app.name: app
+    for app in (GaussianApp(), InversionApp(), MedianApp(), HotspotApp(), Sobel3App(), Sobel5App())
+}
 
 #: Applications whose input is a single grayscale image.
 IMAGE_APPS = ("gaussian", "inversion", "median", "sobel3", "sobel5")
@@ -41,29 +40,23 @@ IMAGE_APPS = ("gaussian", "inversion", "median", "sobel3", "sobel5")
 TABLE1_ORDER = ("gaussian", "median", "hotspot", "inversion", "sobel3", "sobel5")
 
 
-def register_application(
-    name: str, factory: Callable[[], Application] | None = None, *, overwrite: bool = False
-):
-    """Register an application factory under ``name``.
-
-    Usable directly (``register_application("x", XApp)``) or as a class
-    decorator (``@register_application("x")``).
-    """
-    return APPLICATIONS.register(name, factory, overwrite=overwrite)
-
-
 def available_applications() -> list[str]:
-    """Names of all registered applications."""
-    return APPLICATIONS.names()
+    """Names of the built-in applications."""
+    return sorted(APPLICATIONS)
 
 
 def get_application(name: str) -> Application:
-    """Instantiate a registered application by name."""
-    return APPLICATIONS.get(name)()
+    """The built-in application called ``name`` (a ``KeyError`` if none is)."""
+    try:
+        return APPLICATIONS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown application {name!r}; available: {available_applications()}"
+        ) from None
 
 
 def all_applications() -> list[Application]:
-    """Instantiate every benchmark application (Table 1 order)."""
+    """Every benchmark application (Table 1 order)."""
     return [get_application(name) for name in TABLE1_ORDER]
 
 
@@ -89,5 +82,4 @@ __all__ = [
     "all_applications",
     "available_applications",
     "get_application",
-    "register_application",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ..api.cache import input_token
 from ..api.calibration import CalibrationEntry, default_inputs, select
@@ -27,7 +27,6 @@ from .db import TuningDB, resolve_db, tuning_key
 from .space import (
     SearchSpace,
     config_from_dict,
-    config_key,
     config_to_dict,
     default_space,
 )
@@ -74,15 +73,6 @@ class TuningResult:
                 continue
             prefix.append(observation)
             yield len(prefix), pareto_front(prefix)
-
-    def evaluations_to_front(self, reference: Sequence[Observation]) -> int | None:
-        """Full-fidelity evaluations spent until the front first matched
-        ``reference`` (same configurations), or ``None`` if it never did."""
-        target = {config_key(o.config) for o in reference}
-        for spent, front in self.incremental_fronts():
-            if {config_key(o.config) for o in front} == target:
-                return spent
-        return None
 
     # ------------------------------------------------------------------
     def ladder(self):

@@ -17,13 +17,11 @@ paper's evaluation.
 """
 
 from .backends import (
+    BACKENDS,
     DEFAULT_BACKEND,
-    EXECUTION_BACKENDS,
     ExecutionBackend,
     InterpreterBackend,
     available_backends,
-    get_backend,
-    register_backend,
     resolve_backend,
 )
 from .device import (
@@ -71,12 +69,10 @@ from .timing import (
 __all__ = [
     "InvalidBackendError",
     "resolve_backend",
-    "register_backend",
-    "get_backend",
     "available_backends",
     "InterpreterBackend",
     "ExecutionBackend",
-    "EXECUTION_BACKENDS",
+    "BACKENDS",
     "DEFAULT_BACKEND",
     "AccessCounters",
     "AccessPattern",

@@ -23,8 +23,9 @@ Two backends are built in:
   lowering rejects run on the interpreter instead, decided once per
   launch (:meth:`ExecutionBackend.for_launch`).
 
-Backends are resolvable by name through a string-keyed registry, mirroring
-the application/device/scheme registries of the engine API:
+:data:`BACKENDS` is a plain dict of the built-in instances (backends hold
+no state), which :func:`resolve_backend` resolves names through; any other
+backend is passed as an :class:`ExecutionBackend` instance:
 
 .. code-block:: python
 
@@ -32,14 +33,13 @@ the application/device/scheme registries of the engine API:
     from repro.api import PerforationEngine
 
     Executor(backend="codegen")
-    PerforationEngine(backend="codegen")
+    PerforationEngine(backend=MyBackend())
 """
 
 from __future__ import annotations
 
 import inspect
 
-from ..api.registry import Registry
 from .errors import (
     BarrierDivergenceError,
     InvalidBackendError,
@@ -57,7 +57,7 @@ DEFAULT_BACKEND = "interpreter"
 class ExecutionBackend:
     """Strategy that executes the work groups of a kernel launch."""
 
-    #: Registry name of the backend (informational).
+    #: Name of the backend (informational).
     name: str = "backend"
 
     #: Whether :meth:`run_launch` executes several compatible launches as
@@ -247,55 +247,30 @@ class CodegenBackend(ExecutionBackend):
             raise KernelExecutionError(f"kernel {kernel.name!r} failed: {exc}") from exc
 
 
-#: Registry of execution-backend factories; new backends can be added with
-#: :func:`register_backend` and are then resolvable by every executor and
-#: engine: ``Executor(backend="my-backend")``.
-EXECUTION_BACKENDS: Registry = Registry("execution backend", error=InvalidBackendError)
-
-EXECUTION_BACKENDS.register("interpreter", InterpreterBackend)
-EXECUTION_BACKENDS.register("codegen", CodegenBackend)
-
-
-def register_backend(name: str, factory=None, *, overwrite: bool = False):
-    """Register an execution-backend class/factory under ``name``.
-
-    Usable directly (``register_backend("mine", MyBackend)``) or as a
-    decorator (``@register_backend("mine")``).
-    """
-    return EXECUTION_BACKENDS.register(name, factory, overwrite=overwrite)
+#: The built-in execution backends, keyed by name: ``Executor(backend="codegen")``.
+BACKENDS: dict[str, ExecutionBackend] = {
+    "interpreter": InterpreterBackend(),
+    "codegen": CodegenBackend(),
+}
 
 
 def available_backends() -> list[str]:
-    """Names of the registered execution backends."""
-    return EXECUTION_BACKENDS.names()
-
-
-def get_backend(name: str = DEFAULT_BACKEND) -> ExecutionBackend:
-    """Look up a registered backend by name and instantiate it.
-
-    Raises
-    ------
-    InvalidBackendError
-        If ``name`` is not a known backend.
-    """
-    entry = EXECUTION_BACKENDS.get(name)
-    backend = entry() if isinstance(entry, type) or callable(entry) else entry
-    if not isinstance(backend, ExecutionBackend):
-        raise InvalidBackendError(
-            f"execution backend {name!r} resolved to {backend!r}, "
-            f"which is not an ExecutionBackend"
-        )
-    return backend
+    """Names of the built-in execution backends."""
+    return sorted(BACKENDS)
 
 
 def resolve_backend(backend=None) -> ExecutionBackend:
-    """Normalise a backend selection (name, instance or ``None``)."""
-    if backend is None:
-        return get_backend(DEFAULT_BACKEND)
+    """Normalise a backend selection (built-in name, instance or ``None``)."""
     if isinstance(backend, ExecutionBackend):
         return backend
-    if isinstance(backend, str):
-        return get_backend(backend)
+    if backend is None or isinstance(backend, str):
+        name = DEFAULT_BACKEND if backend is None else backend
+        try:
+            return BACKENDS[name]
+        except KeyError:
+            raise InvalidBackendError(
+                f"unknown execution backend {name!r}; available: {available_backends()}"
+            ) from None
     raise InvalidBackendError(
-        f"backend must be a registered name or an ExecutionBackend, got {backend!r}"
+        f"backend must be a built-in name or an ExecutionBackend, got {backend!r}"
     )

@@ -12,14 +12,14 @@ W5100 used in the paper's evaluation (GCN 1.0 "Bonaire", 12 compute units,
 reproduction — the relative cost of global vs. local memory traffic and the
 coalescing granularity are what shape the results — but keeping the profile
 close to the real part makes the modelled speedups land in the same range
-as the paper's.
+as the paper's.  :data:`DEVICE_PROFILES` is a plain dict of the built-in
+profiles, which :func:`get_device` resolves names through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..api.registry import Registry
 from .errors import InvalidDeviceError
 
 #: Bytes fetched by one global-memory transaction (DRAM burst / cache line).
@@ -134,11 +134,6 @@ class Device:
             * self.clock_hz
         )
 
-    @property
-    def global_latency_s(self) -> float:
-        """Unloaded global-memory latency in seconds."""
-        return self.global_latency_cycles * self.cycle_time_s
-
     def describe(self) -> str:
         """Return a short multi-line description of the device."""
         lines = [
@@ -221,36 +216,31 @@ def low_bandwidth_igpu() -> Device:
     )
 
 
-#: Registry of device-profile factories.  New profiles can be added with
-#: :func:`register_device` and are then resolvable by every engine:
-#: ``PerforationEngine(device="my-gpu")``.
-DEVICE_PROFILES: Registry = Registry("device profile", error=InvalidDeviceError)
-
-DEVICE_PROFILES.register("firepro-w5100", firepro_w5100)
-DEVICE_PROFILES.register("generic-hbm", generic_hbm_gpu)
-DEVICE_PROFILES.register("low-bandwidth-igpu", low_bandwidth_igpu)
-
-
-def register_device(name: str, factory=None, *, overwrite: bool = False):
-    """Register a device-profile factory under ``name``.
-
-    Usable directly (``register_device("my-gpu", make_gpu)``) or as a
-    decorator (``@register_device("my-gpu")``).
-    """
-    return DEVICE_PROFILES.register(name, factory, overwrite=overwrite)
+#: The built-in device profiles, keyed by name (``Device`` is frozen, so
+#: every engine shares these instances): ``PerforationEngine(device="generic-hbm")``.
+DEVICE_PROFILES: dict[str, Device] = {
+    "firepro-w5100": firepro_w5100(),
+    "generic-hbm": generic_hbm_gpu(),
+    "low-bandwidth-igpu": low_bandwidth_igpu(),
+}
 
 
 def available_devices() -> list[str]:
-    """Names of the registered device profiles."""
-    return DEVICE_PROFILES.names()
+    """Names of the built-in device profiles."""
+    return sorted(DEVICE_PROFILES)
 
 
 def get_device(name: str = "firepro-w5100") -> Device:
-    """Look up a registered device profile by name.
+    """Look up a built-in device profile by name.
 
     Raises
     ------
     InvalidDeviceError
         If ``name`` is not a known profile.
     """
-    return DEVICE_PROFILES.get(name)()
+    try:
+        return DEVICE_PROFILES[name]
+    except KeyError:
+        raise InvalidDeviceError(
+            f"unknown device profile {name!r}; available: {available_devices()}"
+        ) from None

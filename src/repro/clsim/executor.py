@@ -77,7 +77,7 @@ class Executor:
         Device profile to validate launches against (default: the paper's
         FirePro W5100).
     backend:
-        Execution backend: a registered name (``"interpreter"``,
+        Execution backend: a built-in name (``"interpreter"``,
         ``"codegen"``), an :class:`ExecutionBackend`
         instance, or ``None`` for the default interpreter backend.
     """

@@ -138,16 +138,6 @@ class Buffer:
         self.counters.writes += 1
         self._array[idx] = value
 
-    def read_clamped(self, index) -> float:
-        """Read with indices clamped to the valid range (CLK_ADDRESS_CLAMP_TO_EDGE)."""
-        if isinstance(index, (int, np.integer)):
-            index = (int(index),)
-        idx = tuple(
-            min(max(int(i), 0), n - 1) for i, n in zip(index, self._array.shape)
-        )
-        self.counters.reads += 1
-        return self._array[idx]
-
     # ------------------------------------------------------------------
     def record_reads(self, count: int) -> None:
         """Record ``count`` element reads performed through :attr:`array`."""
@@ -156,13 +146,6 @@ class Buffer:
     def record_writes(self, count: int) -> None:
         """Record ``count`` element writes performed through :attr:`array`."""
         self.counters.writes += int(count)
-
-    def reset_counters(self) -> None:
-        self.counters.reset()
-
-    def copy_array(self) -> np.ndarray:
-        """Return a copy of the backing array."""
-        return np.array(self._array, copy=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -245,9 +228,6 @@ class LocalMemory:
     def tile(self, name: str) -> np.ndarray:
         """Return a previously allocated tile."""
         return self._tiles[name]
-
-    def has_tile(self, name: str) -> bool:
-        return name in self._tiles
 
     # ------------------------------------------------------------------
     def read(self, name: str, index) -> float:

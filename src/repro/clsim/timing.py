@@ -211,12 +211,6 @@ class TimingBreakdown:
         }
         return max(components, key=components.get)
 
-    def speedup_over(self, other: "TimingBreakdown") -> float:
-        """Speedup of *this* launch relative to ``other`` (>1 means faster)."""
-        if self.total_time_s <= 0:
-            raise ValueError("total_time_s must be positive to compute a speedup")
-        return other.total_time_s / self.total_time_s
-
     def describe(self) -> str:
         """Multi-line human-readable description."""
         return "\n".join(

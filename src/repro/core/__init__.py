@@ -38,7 +38,7 @@ from .errors import (
     SchemeError,
     TuningError,
 )
-from .pareto import dominates, hypervolume_2d, is_pareto_optimal, pareto_front
+from .pareto import dominates, pareto_front
 from .perforator import KernelPerforator, PerforatedKernel
 from .pipeline import ConfigurationResult, DatasetResult
 from .quality import (
@@ -82,8 +82,6 @@ from .schemes import (
     RowPerforation,
     STENCIL1,
     StencilPerforation,
-    available_schemes,
-    get_scheme,
 )
 from .tuning import SweepPoint, SweepResult, WorkGroupTiming
 
@@ -132,13 +130,9 @@ __all__ = [
     "WORK_GROUP_CANDIDATES",
     "WorkGroupTiming",
     "approximate_input",
-    "available_schemes",
     "compute_error",
     "default_configurations",
     "dominates",
-    "get_scheme",
-    "hypervolume_2d",
-    "is_pareto_optimal",
     "loaded_row_indices",
     "make_sampler",
     "max_error",

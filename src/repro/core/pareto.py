@@ -82,46 +82,3 @@ def pareto_front(
         front.append((key, candidate))
     front.sort(key=lambda entry: entry[0])
     return [candidate for _, candidate in front]
-
-
-def is_pareto_optimal(
-    point: T,
-    points: Sequence[T],
-    error_of: Callable[[T], float] = _default_error,
-    speedup_of: Callable[[T], float] = _default_speedup,
-) -> bool:
-    """Whether ``point`` is on the Pareto front of ``points``."""
-    return not any(
-        dominates(other, point, error_of, speedup_of)
-        for other in points
-        if other is not point
-    )
-
-
-def hypervolume_2d(
-    points: Sequence[T],
-    error_of: Callable[[T], float] = _default_error,
-    speedup_of: Callable[[T], float] = _default_speedup,
-    reference_speedup: float = 1.0,
-    reference_error: float = 0.10,
-) -> float:
-    """Area dominated by the Pareto front, relative to a reference point.
-
-    A simple scalar summary used by the ablation benchmarks to compare
-    whole fronts (ours vs. Paraprox): larger is better.  The reference
-    point defaults to the accurate configuration (speedup 1x) at the 10%
-    error budget used by prior work.
-    """
-    front = pareto_front(points, error_of, speedup_of)
-    if not front:
-        return 0.0
-    area = 0.0
-    previous_error = reference_error
-    for point in sorted(front, key=speedup_of, reverse=True):
-        speedup = speedup_of(point)
-        error = error_of(point)
-        if speedup <= reference_speedup or error >= previous_error:
-            continue
-        area += (speedup - reference_speedup) * (previous_error - error)
-        previous_error = error
-    return area

@@ -59,14 +59,6 @@ class PerforatedKernel:
         """Executable form for the :mod:`repro.clsim` functional executor."""
         return KernelInterpreter(self.program, self.name).as_clsim_kernel()
 
-    def local_tile_names(self) -> list[str]:
-        """Names of the ``__local`` tiles the transformation introduced."""
-        names = []
-        for node in self.kernel_def.body.walk():
-            if isinstance(node, ast.VarDecl) and node.address_space == "local":
-                names.append(node.name)
-        return names
-
 
 class KernelPerforator:
     """Applies the paper's transformation to OpenCL C kernel source."""

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api.registry import Registry
 from .errors import SchemeError
 
 #: Scheme kinds (mirrors :mod:`repro.kernellang.transforms.perforation`).
@@ -225,32 +224,3 @@ ROWS1 = RowPerforation(step=2)
 ROWS2 = RowPerforation(step=4)
 COLS1 = ColumnPerforation(step=2)
 STENCIL1 = StencilPerforation()
-
-#: Registry of canonical scheme instances.  Custom schemes can be added
-#: with :func:`register_scheme` and are then resolvable by name wherever a
-#: scheme is accepted (e.g. when building configurations for a sweep).
-SCHEMES: Registry[PerforationScheme] = Registry("scheme", error=SchemeError)
-
-for _scheme in (ACCURATE, ROWS1, ROWS2, COLS1, STENCIL1):
-    SCHEMES.register(_scheme.name, _scheme)
-
-
-def register_scheme(
-    scheme: PerforationScheme | None = None, *, name: str | None = None, overwrite: bool = False
-):
-    """Register a scheme instance under its ``name`` (or an explicit one)."""
-    if scheme is None:
-        if name is None:
-            raise ValueError("register_scheme needs a scheme or a name")
-        return SCHEMES.register(name, overwrite=overwrite)
-    return SCHEMES.register(name or scheme.name, scheme, overwrite=overwrite)
-
-
-def available_schemes() -> list[str]:
-    """Names of the registered schemes."""
-    return SCHEMES.names()
-
-
-def get_scheme(name: str) -> PerforationScheme:
-    """Look up a registered scheme by name."""
-    return SCHEMES.get(name)

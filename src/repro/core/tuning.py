@@ -5,9 +5,8 @@ scheme / reconstruction technique (Figure 8) and the local work-group size
 (Figure 9) — and Section 6.4 collects the Pareto-optimal configurations
 (Figure 10).  :class:`repro.api.PerforationEngine` runs those sweeps
 (:meth:`~repro.api.PerforationEngine.sweep`,
-:meth:`~repro.api.PerforationEngine.sweep_work_groups`,
-:meth:`~repro.api.PerforationEngine.full_sweep`); the dataclasses defined
-here are their return types.
+:meth:`~repro.api.PerforationEngine.sweep_work_groups`); the dataclasses
+defined here are their return types.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ Substitutes for data the paper used but which cannot be redistributed:
 from .datasets import (
     DatasetDescription,
     available_datasets,
-    describe_dataset,
     figure7_examples,
     hotspot_single,
     hotspot_suite,
@@ -55,7 +54,6 @@ __all__ = [
     "RODINIA_SIZES",
     "available_datasets",
     "class_examples",
-    "describe_dataset",
     "figure7_examples",
     "flat_image",
     "generate_dataset",

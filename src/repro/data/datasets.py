@@ -66,15 +66,6 @@ def available_datasets() -> list[str]:
     return sorted(_DESCRIPTIONS)
 
 
-def describe_dataset(name: str) -> DatasetDescription:
-    """Metadata of a registered dataset."""
-    try:
-        return _DESCRIPTIONS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown dataset {name!r}; available: {available_datasets()}"
-        ) from exc
-
 
 # ---------------------------------------------------------------------------
 # Image datasets

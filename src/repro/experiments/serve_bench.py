@@ -62,7 +62,7 @@ FLEET_RECORD_PATH = Path("benchmarks") / "results" / "fleet_scaling.json"
 #: quick; a chaos run serves the trace once.
 FLEET_REPETITIONS = 5
 
-#: Fleet mode serves all six registered applications so the planned
+#: Fleet mode serves all six built-in applications so the planned
 #: placement has enough distinct shard keys to balance four workers.
 FLEET_SERVE_APPS: tuple[str, ...] = (
     "gaussian",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ..apps import get_application
 from ..core.errors import ConfigurationError
 from ..serve.requests import ServeRequest
 
@@ -31,22 +32,10 @@ from ..serve.requests import ServeRequest
 #: scheduler's batch-compat key.
 ShardKey = tuple[str, tuple[int, ...]]
 
-#: Application instances used only to compute global sizes for routing.
-_app_cache: dict[str, object] = {}
-
-
-def _resolve_app(name: str):
-    app = _app_cache.get(name)
-    if app is None:
-        from ..apps import get_application
-
-        app = _app_cache[name] = get_application(name)
-    return app
-
 
 def shard_key(request: ServeRequest) -> ShardKey:
     """The routing key of one request (pure function of the request)."""
-    app = _resolve_app(request.app)
+    app = get_application(request.app)
     return (request.app, tuple(app.global_size(request.inputs)))
 
 

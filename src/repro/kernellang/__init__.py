@@ -16,7 +16,7 @@ contracts.
 """
 
 from . import ast, ir, passes
-from .builtins import builtin_names, get_builtin, is_builtin
+from .builtins import get_builtin, is_builtin
 from .clgen import CodeGenerator, generate
 from .codegen import CodegenKernel, LoweringError, codegen_kernel, lower_kernel
 from .errors import (
@@ -72,7 +72,6 @@ __all__ = [
     "TypeError_",
     "VOID",
     "ast",
-    "builtin_names",
     "ir",
     "passes",
     "check_program",

@@ -155,11 +155,6 @@ class AccessPatternInfo:
     uses_private_arrays: bool = False
 
     @property
-    def is_stencil(self) -> bool:
-        """Whether any input buffer is read with more than one offset."""
-        return any(len(s.offsets) > 1 for s in self.input_buffers.values())
-
-    @property
     def max_halo(self) -> int:
         return max((s.halo for s in self.input_buffers.values()), default=0)
 

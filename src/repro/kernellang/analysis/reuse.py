@@ -48,9 +48,6 @@ class ReuseInfo:
             return 0.0
         return self.total_accesses(tile_x, tile_y) / unique
 
-    def benefits_from_local_memory(self, tile_x: int, tile_y: int, threshold: float = 1.5) -> bool:
-        """Whether staging this buffer in local memory is worthwhile."""
-        return self.reuse_factor(tile_x, tile_y) >= threshold
 
 
 def reuse_info(kernel: ast.FunctionDef, info: AccessPatternInfo | None = None) -> dict[str, ReuseInfo]:

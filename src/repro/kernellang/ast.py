@@ -306,8 +306,3 @@ class NodeTransformer:
                         new_items.append(item)
                 setattr(node, f.name, new_items)
         return node
-
-
-def find_all(node: Node, node_type: type) -> list[Node]:
-    """Collect all nodes of ``node_type`` in the subtree rooted at ``node``."""
-    return [n for n in node.walk() if isinstance(n, node_type)]

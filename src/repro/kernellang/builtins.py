@@ -148,8 +148,3 @@ def is_builtin(name: str) -> bool:
 def get_builtin(name: str) -> BuiltinFunction:
     """Return the built-in description for ``name`` (KeyError if unknown)."""
     return _BUILTINS[name]
-
-
-def builtin_names() -> list[str]:
-    """Sorted list of all built-in function names."""
-    return sorted(_BUILTINS)

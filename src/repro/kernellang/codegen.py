@@ -95,17 +95,18 @@ from .builtins import (
     is_builtin,
 )
 from .errors import InterpreterError
-from .interpreter import KernelInterpreter, _ConstantArray
+from .interpreter import KernelInterpreter, _ConstantArray, assign_scalar, scalar_argument
 from .ir import (
-    BUILTIN_RESULT_DT,
     CONTEXT_FIELDS,
     PREDICATE_OPS,
     LoweringError,
     Scope,
     ScopeView,
     Value,
+    builtin_dt,
     join_kind,
     promote_dt,
+    select_dt,
 )
 from .passes.batching import global_view, local_view, route_lanes
 from .passes.masking import (
@@ -115,10 +116,8 @@ from .passes.masking import (
     builtin_impl,
     decl_scalar,
     full_assign,
-    int_truncate,
     masked_assign,
     merge_parts,
-    uniform_assign,
     uniform_call,
     uniform_div,
     uniform_mod,
@@ -175,8 +174,7 @@ def _exec_namespace() -> dict:
         "_umod": uniform_mod,
         "_vdiv": varying_div,
         "_vmod": varying_mod,
-        "_vtrunc": int_truncate,
-        "_uassign": uniform_assign,
+        "_uassign": assign_scalar,
         "_afull": full_assign,
         "_amask": masked_assign,
         "_decl_scalar": decl_scalar,
@@ -234,7 +232,7 @@ def _pass_runtime(
                 )
             rt.c[param.name] = global_view(value, batch, request)
         else:
-            rt.s[param.name] = value
+            rt.s[param.name] = scalar_argument(param.param_type, value)
     rt.local = lambda name, length: local_view(local, name, length, count, group)
     return rt
 
@@ -318,12 +316,18 @@ class _Emitter(UniformityAnalysis):
         """Code for ``v`` as a (lanes,) array."""
         return f"_np.full(L, {v.code})" if v.kind == "u" else v.code
 
-    def _int_code(self, v: Value) -> str:
-        """Code for ``v`` as an int scalar (uniform) or int64 lanes (varying);
-        a value the analysis knows is int is used as is, never copied."""
-        if v.dt == "i":
+    def _typed_code(self, v: Value, dt: str) -> str:
+        """Code for ``v`` held in a slot of C type ``dt`` (``"i"`` or ``"f"``;
+        ``"x"`` is unknown), a scalar if ``v`` is uniform and lanes if it
+        varies: an int slot truncates a float toward zero and a float slot
+        converts an int, as the interpreter's ``assign_scalar`` does.  A
+        value the analysis knows has the slot's type is used as is, never
+        copied."""
+        if v.dt == dt or dt not in ("i", "f"):
             return v.code
-        return f"int({v.code})" if v.kind == "u" else f"_np.asarray({v.code}).astype(_I)"
+        if v.kind == "u":
+            return f"int({v.code})" if dt == "i" else f"float({v.code})"
+        return f"_np.asarray({v.code}).astype({'_I' if dt == 'i' else '_F'})"
 
     # -- entry point ------------------------------------------------------
     def lower(self) -> str:
@@ -497,23 +501,23 @@ class _Emitter(UniformityAnalysis):
             value = self._emit_expr(decl.init, scope)
         else:
             value = Value("0", "u", "i")
-        is_int = isinstance(decl.var_type, ScalarType) and decl.var_type.is_integer
         py = scope.py.get(name)
         if not py:
             py = f"v{self._next_id()}_{name}"
             scope.py[name] = py
+        scalar = decl.var_type if isinstance(decl.var_type, ScalarType) else None
+        dt = "i" if scalar and scalar.is_integer else "f" if scalar and scalar.is_float else "x"
+        if dt == "i" and value.kind == "u":
+            # The interpreter's declaration calls ``int`` on every initializer.
+            code = f"int({value.code})"
+        else:
+            code = self._typed_code(value, dt)
         if scope.kind.get(name, "u") == "u":
-            code = value.code
-            if is_int:
-                code = f"int({code})"
             self._line(f"{py} = {code}")
             return
-        # Varying slot: promote uniforms, apply the declared-int cast.
+        # Varying slot: promote uniforms.
         if value.kind == "u":
-            code = f"int({value.code})" if is_int else value.code
             code = f"_np.full(L, {code})"
-        else:
-            code = self._int_code(value) if is_int else value.code
         if self.div:
             self._line(f"{py} = _decl_scalar({py}, {code}, {self.mask})")
         else:
@@ -815,7 +819,7 @@ class _Emitter(UniformityAnalysis):
             if isinstance(expr.target_type, ScalarType) and expr.target_type.is_integer:
                 if value.kind == "u":
                     return Value(f"int({value.code})", "u", "i")
-                return Value(self._int_code(value), "v", "i")
+                return Value(self._typed_code(value, "i"), "v", "i")
             if isinstance(expr.target_type, ScalarType) and expr.target_type.is_float:
                 if value.kind == "u":
                     return Value(f"float({value.code})", "u", "f")
@@ -847,7 +851,7 @@ class _Emitter(UniformityAnalysis):
         if expr.op == "+":
             return operand
         if expr.op == "~":
-            return Value(f"(~{self._int_code(operand)})", operand.kind, "i")
+            return Value(f"(~{self._typed_code(operand, 'i')})", operand.kind, "i")
         raise self._unsupported(f"unary operator {expr.op!r}")
 
     def _emit_binary(self, expr: ast.BinaryOp, scope: Scope) -> Value:
@@ -878,7 +882,7 @@ class _Emitter(UniformityAnalysis):
         if op in PREDICATE_OPS:
             return Value(f"(({left.code}) {op} ({right.code}))", kind, "b")
         if op in ("&", "|", "^", "<<", ">>"):
-            lc, rc = self._int_code(left), self._int_code(right)
+            lc, rc = self._typed_code(left, "i"), self._typed_code(right, "i")
             return Value(f"(({lc}) {op} ({rc}))", kind, "i")
         raise self._unsupported(f"binary operator {op!r}")
 
@@ -958,32 +962,20 @@ class _Emitter(UniformityAnalysis):
         if not py:
             raise self._unsupported(f"assignment to {name!r} before its declaration")
         target_dt = scope.dt.get(name, "x")
-        if scope.kind[name] == "u":
-            if target_dt == "i" and value.dt == "f":
-                self._line(f"{py} = int({value.code})")
-            elif target_dt == "x" or value.dt == "x":
-                self._line(f"{py} = _uassign({py}, {value.code})")
-            else:
-                self._line(f"{py} = {value.code}")
-            return
-        if self.div:
+        if scope.kind[name] == "v" and self.div:
             self._line(f"{py} = _amask({py}, {value.code}, {self.mask})")
             return
-        code = self._promote(value)
-        if target_dt == "i":
-            if value.dt == "f" or (value.kind == "u" and value.dt != "i"):
-                code = (f"int({value.code})" if value.kind == "u"
-                        else f"({value.code}).astype(_I)")
-                code = f"_np.full(L, {code})" if value.kind == "u" else code
-                self._line(f"{py} = {code}")
-            elif value.dt == "x":
-                self._line(f"{py} = _vtrunc({code})")
+        if target_dt == "x":
+            # A slot of unknown type keeps whatever type it holds at run time.
+            if scope.kind[name] == "u":
+                self._line(f"{py} = _uassign({py}, {value.code})")
             else:
-                self._line(f"{py} = {code}")
-        elif target_dt == "x":
-            self._line(f"{py} = _afull({py}, {code})")
-        else:
-            self._line(f"{py} = {code}")
+                self._line(f"{py} = _afull({py}, {self._promote(value)})")
+            return
+        code = self._typed_code(value, target_dt)
+        if scope.kind[name] == "v" and value.kind == "u":
+            code = f"_np.full(L, {code})"
+        self._line(f"{py} = {code}")
 
     def _container(self, base, scope: Scope):
         value = self._emit_expr(base, scope)
@@ -993,7 +985,7 @@ class _Emitter(UniformityAnalysis):
 
     def _store_index(self, target: ast.Index, value: Value, scope: Scope) -> None:
         container = self._container(target.base, scope)
-        idx = self._int_code(self._emit_expr(target.index, scope))
+        idx = self._typed_code(self._emit_expr(target.index, scope), "i")
         if self.div:
             self._line(f"{container.code}.storem({idx}, {value.code}, {self.mask})")
         else:
@@ -1003,7 +995,7 @@ class _Emitter(UniformityAnalysis):
         container = self._container(expr.base, scope)
         index = self._emit_expr(expr.index, scope)
         py = container.code
-        idx = self._int_code(index)
+        idx = self._typed_code(index, "i")
         # The container Value carries the address space in .dt; only a
         # constant array read at a uniform index yields a uniform value.
         if container.dt == "constant" and index.kind == "u":
@@ -1023,7 +1015,7 @@ class _Emitter(UniformityAnalysis):
             if not cap_a and not cap_b and kind == "u":
                 return Value(
                     f"(({a.code}) if ({cond.code}) else ({b.code}))",
-                    "u", promote_dt(a.dt, b.dt),
+                    "u", select_dt(a.dt, b.dt),
                 )
             out = self._tmp()
             self._line(f"if ({cond.code}):")
@@ -1038,7 +1030,7 @@ class _Emitter(UniformityAnalysis):
             code_b = self._promote(b) if kind == "v" else b.code
             self._line(f"{out} = {code_b}")
             self._pop()
-            return Value(out, kind, promote_dt(a.dt, b.dt))
+            return Value(out, kind, select_dt(a.dt, b.dt))
         test = self._tmp("_c")
         self._line(f"{test} = {cond.code}")
         mask_t = self._tmp("_m")
@@ -1058,7 +1050,7 @@ class _Emitter(UniformityAnalysis):
             self._pop()
         out = self._tmp()
         self._line(f"{out} = _merge_parts(L, {parts})")
-        return Value(out, "v", promote_dt(
+        return Value(out, "v", select_dt(
             self._c_expr(expr.if_true, ScopeView(scope), True)[1],
             self._c_expr(expr.if_false, ScopeView(scope), True)[1],
         ))
@@ -1085,9 +1077,7 @@ class _Emitter(UniformityAnalysis):
                 raise self._unsupported(f"array argument to built-in {name!r}")
             kinds = [arg.kind for arg in args]
             dts = [arg.dt for arg in args]
-            cls = BUILTIN_RESULT_DT.get(name, "x")
-            dt = {"p": promote_dt(*dts) if dts else "i", "f": "f",
-                  "i": "i", "x": "x"}[cls]
+            dt = builtin_dt(name, dts)
             uniform = not kinds or join_kind(*kinds) == "u"
             if uniform:
                 impl = self._bind(f"_bi_{name}", f"_BI_IMPL({name!r})")
@@ -1112,17 +1102,20 @@ class _Emitter(UniformityAnalysis):
         )
         kind, dt, simple = self._fn_summary(func, arg_sigs, self.div)
         callee = self._callee_scope(func, arg_sigs)
-        for param, v in zip(func.params, arg_values):
-            if v.kind == "c":
-                callee.py[param.name] = v.code
-            else:
-                bound = self._tmp("_a")
-                self._line(f"{bound} = {v.code}")
-                callee.py[param.name] = bound
         self._inline_stack.append(func.name)
         try:
+            self._classify(func.body, callee, self.div or not simple, in_function=True)
+            for param, v in zip(func.params, arg_values):
+                if v.kind == "c":
+                    callee.py[param.name] = v.code
+                    continue
+                # A uniform argument the body assigns under divergence
+                # needs its own lane array.
+                code = self._promote(v) if callee.kind[param.name] == "v" else v.code
+                bound = self._tmp("_a")
+                self._line(f"{bound} = {code}")
+                callee.py[param.name] = bound
             if simple:
-                self._classify(func.body, callee, self.div, in_function=True)
                 simple_prebound = {p.name for p in func.params} | set(self.constants)
                 for name in sorted(callee.divdecl - simple_prebound):
                     py = callee.py.get(name)
@@ -1134,7 +1127,6 @@ class _Emitter(UniformityAnalysis):
                     self._emit_stmt_in_function(stmt, callee)
                 result = self._emit_expr(func.body.statements[-1].value, callee)
                 return self._materialize(Value(result.code, kind, dt))
-            self._classify(func.body, callee, True, in_function=True)
             flow = self._tmp("_ff")
             self._line(f"{flow} = _FnFlow(L)")
             fn_mask = self._tmp("_m")

@@ -171,6 +171,30 @@ _BINARY_OPS = {
 }
 
 
+def assign_scalar(existing, value):
+    """The value a scalar variable holds after ``value`` is stored into it.
+
+    The variable keeps its C type, which its declaration fixed: an int
+    variable truncates a float toward zero, a float one converts an int.
+    """
+    if isinstance(existing, int) and isinstance(value, float):
+        return int(value)
+    if isinstance(existing, float) and not isinstance(value, float):
+        return float(value)
+    return value
+
+
+def scalar_argument(param_type, value):
+    """A scalar kernel argument as its declared C type, on both backends: an
+    int or a NumPy scalar passed for a ``float`` parameter becomes a Python
+    float, and a float passed for an ``int`` one truncates."""
+    if isinstance(param_type, ScalarType) and param_type.is_integer:
+        return int(value)
+    if isinstance(param_type, ScalarType) and param_type.is_float:
+        return float(value)
+    return value
+
+
 class KernelInterpreter:
     """Interprets one kernel of a parsed program."""
 
@@ -258,7 +282,7 @@ class KernelInterpreter:
                         f"pointer argument {param.name!r} must be bound to a Buffer"
                     )
             else:
-                env[param.name] = value
+                env[param.name] = scalar_argument(param.param_type, value)
         return env
 
     # ------------------------------------------------------------------
@@ -364,6 +388,8 @@ class KernelInterpreter:
             value = self._eval(decl.init, env, ctx, wi)
         if isinstance(decl.var_type, ScalarType) and decl.var_type.is_integer:
             value = int(value)
+        elif isinstance(decl.var_type, ScalarType) and decl.var_type.is_float:
+            value = float(value)
         env[decl.name] = value
 
     # ------------------------------------------------------------------
@@ -478,12 +504,7 @@ class KernelInterpreter:
         if isinstance(target, ast.Identifier):
             if target.name not in env:
                 raise InterpreterError(f"assignment to undefined variable {target.name!r}")
-            existing = env[target.name]
-            if isinstance(existing, int) and not isinstance(value, (bool,)) and isinstance(value, float):
-                # follow C: assigning a float to an int variable truncates
-                env[target.name] = int(value)
-            else:
-                env[target.name] = value
+            env[target.name] = assign_scalar(env[target.name], value)
             return
         if isinstance(target, ast.Index):
             container = self._eval(target.base, env, ctx, wi)

@@ -23,9 +23,9 @@ codegen printer (:mod:`repro.kernellang.codegen`) talk to each other in:
 * :class:`Scope` — the per-function-body symbol table the uniformity pass
   fills in and every consumer reads;
 * the dtype transfer functions (:func:`join_kind`, :func:`promote_dt`,
-  :func:`binop_dtype`) and the built-in result-dtype table
-  (:data:`BUILTIN_RESULT_DT`), which encode the scalar interpreter's
-  arithmetic semantics once.
+  :func:`select_dt`, :func:`binop_dtype`, :func:`builtin_dt`) and the
+  built-in result-dtype table (:data:`BUILTIN_RESULT_DT`), which encode
+  the scalar interpreter's arithmetic semantics once.
 
 Invariant: kinds and dtypes only ever go *up* the lattice (uniform may
 become varying, ``i``/``f`` may become ``x`` — never the reverse), which is
@@ -142,6 +142,25 @@ def promote_dt(*dts: str) -> str:
     return DT_FLOAT if DT_FLOAT in dts else DT_INT
 
 
+def select_dt(*dts: str) -> str:
+    """Dtype of a value that is one of several operands, unchanged: a ``?:``
+    arm or the operand ``min``/``max``/``clamp``/``select`` picks.  The
+    interpreter keeps the picked operand's Python type, so an int and a
+    float operand give ``x``, not ``f``."""
+    return dts[0] if len(set(dts)) == 1 else DT_ANY
+
+
+def builtin_dt(name: str, dts) -> str:
+    """Static result dtype of the built-in ``name`` given its argument dtypes."""
+    cls = BUILTIN_RESULT_DT.get(name, DT_ANY)
+    if cls == "p":
+        return promote_dt(*dts) if dts else DT_INT
+    if cls == "s":
+        # select's third argument is its test, not an operand
+        return select_dt(*(dts[:2] if name == "select" else dts))
+    return cls
+
+
 def binop_dtype(op: str, ldt: str, rdt: str) -> str:
     """Static result dtype of a binary operator under interpreter semantics.
 
@@ -163,20 +182,20 @@ def binop_dtype(op: str, ldt: str, rdt: str) -> str:
 
 
 #: Result dtype class of each built-in under the interpreter's scalar
-#: semantics: 'p' promotes from the argument dtypes (min/max return an
-#: operand), 'f' always yields float, 'i' always yields int.
+#: semantics: 'p' promotes from the argument dtypes, 's' yields one operand
+#: unchanged (:func:`select_dt`), 'f' always yields float, 'i' always int.
 BUILTIN_RESULT_DT = {
-    "min": "p",
-    "max": "p",
-    "fmin": "p",
-    "fmax": "p",
-    "clamp": "p",
+    "min": "s",
+    "max": "s",
+    "fmin": "s",
+    "fmax": "s",
+    "clamp": "s",
     "abs": "p",
     "fabs": "p",
     "mad": "p",
     "fma": "p",
     "mix": "p",
-    "select": "p",
+    "select": "s",
     "sign": "f",
     "sqrt": "f",
     "rsqrt": "f",

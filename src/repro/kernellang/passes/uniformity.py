@@ -49,13 +49,14 @@ from ..builtins import (
 )
 from ..interpreter import KernelInterpreter, _ConstantArray
 from ..ir import (
-    BUILTIN_RESULT_DT,
     LoweringError,
     Scope,
     ScopeView,
     binop_dtype,
+    builtin_dt,
     join_kind,
     promote_dt,
+    select_dt,
 )
 from ..types import PointerType, ScalarType
 
@@ -131,8 +132,8 @@ class UniformityAnalysis:
         old = scope.dt.get(name)
         if old is None:
             new = dt
-        elif not decl and old == "i":
-            new = "i"  # dynamic int-truncation keeps the slot integer
+        elif not decl and old in ("i", "f"):
+            new = old  # a store keeps the slot's C type (int truncates)
         elif old == dt:
             new = old
         else:
@@ -193,7 +194,7 @@ class UniformityAnalysis:
             sub_div = div or ck == "v"
             ak, adt = self._c_expr(expr.if_true, scope, sub_div)
             bk, bdt = self._c_expr(expr.if_false, scope, sub_div)
-            return (join_kind(ck, ak, bk), promote_dt(adt, bdt))
+            return (join_kind(ck, ak, bk), select_dt(adt, bdt))
         if isinstance(expr, ast.Call):
             return self._c_call(expr, scope, div)
         if isinstance(expr, ast.Index):
@@ -234,10 +235,7 @@ class UniformityAnalysis:
                     raise self._unsupported(f"array argument to built-in {name!r}")
                 kinds.append(k)
                 dts.append(dt)
-            cls = BUILTIN_RESULT_DT.get(name, "x")
-            dt = {"p": promote_dt(*dts) if dts else "i", "f": "f", "i": "i",
-                  "x": "x"}[cls]
-            return (join_kind(*kinds) if kinds else "u", dt)
+            return (join_kind(*kinds) if kinds else "u", builtin_dt(name, dts))
         if name in self.functions:
             func = self.functions[name]
             arg_sigs = tuple(self._c_expr(arg, scope, div) for arg in call.args)
@@ -440,6 +438,8 @@ class UniformityAnalysis:
             vk, vdt = "u", "i"
         if isinstance(decl.var_type, ScalarType) and decl.var_type.is_integer:
             vdt = "i"
+        elif isinstance(decl.var_type, ScalarType) and decl.var_type.is_float:
+            vdt = "f"
         self._c_assign(scope, decl.name, vk, vdt, div, decl=True)
         if div:
             scope.divdecl.add(decl.name)

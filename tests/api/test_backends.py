@@ -1,20 +1,18 @@
-"""Tests for the execution-backend registry and the ``backend=`` plumbing
-through executor and engine (mirrors ``tests/api/test_registry.py`` for the
-application/device/scheme registries).  The engine is the one place above
-the executor where a backend is chosen."""
+"""Tests for the execution-backend table and the ``backend=`` plumbing
+through executor and engine (``tests/api/test_tables.py`` covers the
+application and device tables).  The engine is the one place above the
+executor where a backend is chosen."""
 
 import pytest
 
 from repro.api import PerforationEngine
 from repro.clsim import Executor
 from repro.clsim.backends import (
+    BACKENDS,
     DEFAULT_BACKEND,
-    EXECUTION_BACKENDS,
     CodegenBackend,
     InterpreterBackend,
     available_backends,
-    get_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.clsim.errors import InvalidBackendError
@@ -40,14 +38,16 @@ class RecordingBackend(InterpreterBackend):
         return super().run_group(kernel, ctx, ndrange, group_id)
 
 
-class TestBackendRegistry:
-    def test_builtin_backends_are_registered(self):
+class TestBackendTable:
+    def test_builtin_backends(self):
         assert available_backends() == ["codegen", "interpreter"]
         assert DEFAULT_BACKEND == "interpreter"
 
-    def test_get_backend_instantiates(self):
-        assert isinstance(get_backend("interpreter"), InterpreterBackend)
-        assert isinstance(get_backend("codegen"), CodegenBackend)
+    def test_names_resolve_to_the_table_instances(self):
+        assert isinstance(BACKENDS["interpreter"], InterpreterBackend)
+        assert isinstance(BACKENDS["codegen"], CodegenBackend)
+        assert resolve_backend("codegen") is BACKENDS["codegen"]
+        assert resolve_backend(None) is BACKENDS[DEFAULT_BACKEND]
 
     def test_vectorized_backend_is_gone(self):
         """The former second compiled backend no longer resolves; the error
@@ -57,21 +57,9 @@ class TestBackendRegistry:
 
     def test_unknown_name_raises_with_available_names(self):
         with pytest.raises(InvalidBackendError, match="unknown execution backend"):
-            get_backend("warp-drive")
+            resolve_backend("warp-drive")
         with pytest.raises(InvalidBackendError, match="interpreter"):
-            get_backend("warp-drive")
-
-    def test_register_and_unregister(self):
-        register_backend("recording-test", RecordingBackend)
-        try:
-            assert "recording-test" in available_backends()
-            assert isinstance(get_backend("recording-test"), RecordingBackend)
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("recording-test", RecordingBackend)
-            register_backend("recording-test", RecordingBackend, overwrite=True)
-        finally:
-            EXECUTION_BACKENDS.unregister("recording-test")
-        assert "recording-test" not in available_backends()
+            resolve_backend("warp-drive")
 
     def test_resolve_backend(self):
         assert isinstance(resolve_backend(None), InterpreterBackend)

@@ -289,10 +289,3 @@ class TestEngineStores:
         assert engine.references.capacity == engine_module.MAX_REFERENCES == 32
         assert engine.timings.capacity == engine_module.MAX_TIMINGS == 4096
 
-    def test_clear_cache_empties_both_stores(self):
-        engine = PerforationEngine()
-        engine.reference(StubGaussian(), np.ones((2, 2)))
-        engine.timing("gaussian", ROWS1_NN, (64, 64))
-        engine.clear_cache()
-        assert len(engine.references) == 0 and len(engine.timings) == 0
-        assert engine.references.stats == engine.timings.stats == StoreStats()

@@ -95,14 +95,6 @@ class TestReferenceCache:
         engine.evaluate(app, image.copy(), ROWS1_NN)
         assert app.reference_calls == 1
 
-    def test_clear_cache(self, image):
-        app = CountingGaussian()
-        engine = PerforationEngine()
-        engine.evaluate(app, image, ROWS1_NN)
-        engine.clear_cache()
-        engine.evaluate(app, image, ROWS1_NN)
-        assert app.reference_calls == 2
-
     def test_timing_cache_hits_across_configs(self, image):
         engine = PerforationEngine()
         engine.sweep("gaussian", image)
@@ -175,12 +167,6 @@ class TestParallelParity:
         assert serial.errors == parallel.errors
         assert serial.speedup == parallel.speedup
 
-    def test_parallel_full_sweep_identical_to_serial(self, image):
-        serial = PerforationEngine(workers=1).full_sweep("median", image)
-        parallel = PerforationEngine(workers=3).full_sweep("median", image)
-        assert [(p.config, p.error, p.speedup) for p in serial.points] == [
-            (p.config, p.error, p.speedup) for p in parallel.points
-        ]
 
 
 class TestEvaluation:

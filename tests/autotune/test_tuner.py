@@ -67,7 +67,6 @@ class TestTune:
         assert trajectory[-1][0] == result.full_evaluations
         final_front = {(o.key) for o in trajectory[-1][1]}
         assert final_front == {o.key for o in result.front()}
-        assert result.evaluations_to_front(result.front()) <= result.full_evaluations
 
     def test_best_for_budget_validates(self, image):
         tuner = Tuner(PerforationEngine(), db=False)

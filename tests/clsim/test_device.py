@@ -27,7 +27,6 @@ class TestDeviceConstruction:
         assert device.cycle_time_s == pytest.approx(1.0 / 930e6)
         assert device.global_bandwidth_bytes_per_s == pytest.approx(96e9)
         assert device.peak_flops > 1e12
-        assert device.global_latency_s > 0
 
     def test_describe_mentions_name_and_cus(self):
         text = firepro_w5100().describe()
@@ -53,18 +52,16 @@ class TestDeviceConstruction:
             )
 
 
-class TestDeviceRegistry:
+class TestDeviceProfiles:
     def test_available_devices_lists_builtin_profiles(self):
         names = available_devices()
         assert "firepro-w5100" in names
         assert "generic-hbm" in names
         assert "low-bandwidth-igpu" in names
 
-    def test_get_device_returns_fresh_instances(self):
-        a = get_device("firepro-w5100")
-        b = get_device("firepro-w5100")
-        assert a == b
-        assert a is not None
+    def test_get_device_returns_the_builtin_profile(self):
+        assert get_device("firepro-w5100") is get_device("firepro-w5100")
+        assert get_device("firepro-w5100") == firepro_w5100()
 
     def test_get_device_unknown_name(self):
         with pytest.raises(InvalidDeviceError):

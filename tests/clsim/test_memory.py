@@ -50,29 +50,19 @@ class TestBuffer:
         with pytest.raises(BufferOutOfBoundsError):
             buf.read((1,))
 
-    def test_read_clamped(self):
-        buf = Buffer(np.arange(16, dtype=np.float64).reshape(4, 4))
-        assert buf.read_clamped((-3, 10)) == buf.array[0, 3]
-
     def test_record_bulk_accesses(self):
         buf = Buffer(np.zeros((8, 8)))
         buf.record_reads(100)
         buf.record_writes(10)
         assert buf.counters.reads == 100
         assert buf.counters.writes == 10
-        buf.reset_counters()
+        buf.counters.reset()
         assert buf.counters.total == 0
 
     def test_zeros(self):
         z = Buffer.zeros((2, 5), name="z")
         assert z.shape == (2, 5)
         assert float(z.array.sum()) == 0.0
-
-    def test_copy_array_is_independent(self):
-        buf = Buffer(np.ones((2, 2)))
-        copy = buf.copy_array()
-        copy[0, 0] = 7.0
-        assert buf.array[0, 0] == 1.0
 
 
 class TestLocalMemory:
@@ -102,7 +92,8 @@ class TestLocalMemory:
         local.allocate("tile", (4,))
         local.record_reads(5)
         local.reset()
-        assert not local.has_tile("tile")
+        with pytest.raises(KeyError):
+            local.tile("tile")
         assert local.counters.total == 0
 
 

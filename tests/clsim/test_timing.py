@@ -101,13 +101,6 @@ class TestTimingModel:
         heavy = model.estimate(simple_profile(reads_per_item=25), nd)
         assert heavy.total_time_s > light.total_time_s
 
-    def test_speedup_over(self, model):
-        nd = NDRange((1024, 1024), (16, 16))
-        light = model.estimate(simple_profile(reads_per_item=1), nd)
-        heavy = model.estimate(simple_profile(reads_per_item=25), nd)
-        assert light.speedup_over(heavy) > 1.0
-        assert heavy.speedup_over(light) < 1.0
-
     def test_compare_helper(self, model):
         nd = NDRange((1024, 1024), (16, 16))
         ratio = model.compare(

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import dominates, hypervolume_2d, is_pareto_optimal, pareto_front
+from repro.core import dominates, pareto_front
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,6 @@ class TestParetoFront:
     def test_empty_input(self):
         assert pareto_front([]) == []
 
-    def test_is_pareto_optimal(self):
-        points = [Point("a", 1.0, 0.0), Point("b", 2.0, 0.05), Point("c", 1.5, 0.2)]
-        assert is_pareto_optimal(points[0], points)
-        assert is_pareto_optimal(points[1], points)
-        assert not is_pareto_optimal(points[2], points)
-
     @given(
         data=st.lists(
             st.tuples(
@@ -146,16 +140,3 @@ class TestParetoFront:
             dominated = any(dominates(f, point) for f in front)
             assert on_front or dominated
 
-
-class TestHypervolume:
-    def test_better_front_has_larger_hypervolume(self):
-        ours = [Point("stencil", 2.1, 0.0045), Point("rows", 2.2, 0.029)]
-        paraprox = [Point("rows", 2.08, 0.075), Point("center", 1.9, 0.09)]
-        assert hypervolume_2d(ours) > hypervolume_2d(paraprox)
-
-    def test_points_below_reference_contribute_nothing(self):
-        points = [Point("slow", 0.8, 0.01)]
-        assert hypervolume_2d(points) == 0.0
-
-    def test_empty(self):
-        assert hypervolume_2d([]) == 0.0

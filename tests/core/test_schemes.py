@@ -14,9 +14,6 @@ from repro.core import (
     RowPerforation,
     STENCIL1,
     SchemeError,
-    StencilPerforation,
-    available_schemes,
-    get_scheme,
 )
 
 
@@ -122,20 +119,6 @@ class TestRandomPerforation:
             RandomPerforation(fraction=1.5)
 
 
-class TestRegistry:
-    def test_available_schemes(self):
-        names = available_schemes()
-        assert {"accurate", "rows1", "rows2", "cols1", "stencil1"} <= set(names)
-
-    def test_get_scheme(self):
-        assert get_scheme("rows1") == ROWS1
-        assert isinstance(get_scheme("stencil1"), StencilPerforation)
-
-    def test_get_unknown_scheme(self):
-        with pytest.raises(SchemeError):
-            get_scheme("hexagonal")
-
-
 class TestMaskInvariants:
     @given(
         tile=st.sampled_from([8, 16, 18, 20]),
@@ -144,7 +127,7 @@ class TestMaskInvariants:
     )
     @settings(max_examples=60, deadline=None)
     def test_fraction_matches_mask_mean(self, tile, halo, which):
-        scheme = get_scheme(which)
+        scheme = {"rows1": ROWS1, "rows2": ROWS2, "cols1": COLS1, "accurate": ACCURATE}[which]
         if 2 * halo >= tile:
             return
         mask = scheme.loaded_mask(tile, tile, halo)

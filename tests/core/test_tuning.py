@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import PerforationEngine
-from repro.apps import GaussianApp, InversionApp, MedianApp
+from repro.apps import GaussianApp, InversionApp
 from repro.core import ROWS1_NN, STENCIL1_NN, TuningError
 from repro.core.config import WORK_GROUP_CANDIDATES
 
@@ -82,14 +82,3 @@ class TestWorkGroupSweep:
         with pytest.raises(TuningError):
             engine.best_work_group(GaussianApp(), image, ROWS1_NN)
 
-
-class TestFullSweep:
-    def test_joint_sweep_contains_shaped_configs(self, natural_image_64, engine):
-        sweep = engine.full_sweep(
-            MedianApp(),
-            natural_image_64,
-            work_groups=((16, 16), (32, 8)),
-        )
-        assert len(sweep.points) == 8  # 4 configs x 2 shapes
-        work_groups = {p.config.work_group for p in sweep.points}
-        assert work_groups == {(16, 16), (32, 8)}

@@ -1,12 +1,10 @@
-"""Tests for the dataset registry."""
+"""Tests for the datasets."""
 
 import numpy as np
-import pytest
 
 from repro.data import (
     ImageClass,
     available_datasets,
-    describe_dataset,
     figure7_examples,
     hotspot_single,
     hotspot_suite,
@@ -23,14 +21,6 @@ class TestRegistry:
         assert "hotspot-rodinia" in names
         assert "class-examples" in names
 
-    def test_describe_dataset(self):
-        description = describe_dataset("sipi-substitute")
-        assert description.count == 100
-        assert "USC-SIPI" in description.notes
-
-    def test_describe_unknown(self):
-        with pytest.raises(KeyError):
-            describe_dataset("imagenet")
 
 
 class TestImageDatasets:

@@ -76,7 +76,6 @@ class TestAccessPatternAnalysis:
         assert len(summary.offsets) == 9
         assert summary.halo == 1
         assert summary.footprint == (3, 3)
-        assert info.is_stencil
         assert info.output_buffers == {"output"}
         assert info.x_var == "x" and info.y_var == "y"
         assert info.width_param == "width" and info.height_param == "height"
@@ -86,7 +85,6 @@ class TestAccessPatternAnalysis:
         summary = info.summary("input")
         assert summary.offsets == {(0, 0)}
         assert summary.halo == 0
-        assert not info.is_stencil
 
     def test_two_input_buffers(self):
         info = analyze_kernel(parse_kernel(TWO_BUFFERS))
@@ -145,13 +143,11 @@ class TestReuse:
         reuse = reuse_info(kernel)["input"]
         assert reuse.accesses_per_item == 9
         assert reuse.reuse_factor(16, 16) > 5.0
-        assert reuse.benefits_from_local_memory(16, 16)
 
     def test_inversion_has_no_reuse(self):
         kernel = parse_kernel(INVERSION)
         reuse = reuse_info(kernel)["input"]
         assert reuse.reuse_factor(16, 16) == pytest.approx(1.0)
-        assert not reuse.benefits_from_local_memory(16, 16)
 
     def test_unique_elements_scale_with_halo(self):
         kernel = parse_kernel(GAUSSIAN)

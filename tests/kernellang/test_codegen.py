@@ -21,15 +21,16 @@ from repro.kernellang.interpreter import compile_kernel
 from repro.kernellang.parser import parse_program
 
 
-def _run(source: str, backend: str, size: int = 8, work_group=(4, 4)):
+def _run(source: str, backend: str, size: int = 8, work_group=(4, 4), image=None, **scalars):
     """Run a 2-arg image kernel and return (output, stats-tuple)."""
-    image = generate_image("natural", size=size, seed=11)
-    inb = Buffer(image, "input")
+    if image is None:
+        image = generate_image("natural", size=size, seed=11)
+    inb = Buffer(image.copy(), "input")
     outb = Buffer(np.zeros_like(image), "output")
     stats = Executor(backend=backend).run(
         compile_kernel(source),
         NDRange((size, size), work_group),
-        {"input": inb, "output": outb, "width": size, "height": size},
+        {"input": inb, "output": outb, "width": size, "height": size, **scalars},
     )
     return outb.array, (
         stats.barriers,
@@ -336,6 +337,122 @@ class TestDivergentControlFlow:
         """)
 
 
+#: Lanes cycle through NaN, both zeros and values either side of them.
+SPECIAL_IMAGE = np.resize(
+    np.array([np.nan, -0.0, 0.0, 0.5, -0.5, 1.5, -0.0, np.nan]), (8, 8)
+).copy()
+
+
+def _assert_bitwise_parity(source: str, image=None, **scalars):
+    """Equal output bytes (sign bits and NaNs included) and stats."""
+    reference, ref_stats = _run(source, "interpreter", image=image, **scalars)
+    produced, got_stats = _run(source, "codegen", image=image, **scalars)
+    assert produced.tobytes() == reference.tobytes()
+    assert got_stats == ref_stats
+    return reference
+
+
+class TestInterpreterSemantics:
+    """Kernels the backends once disagreed on, compared byte for byte."""
+
+    def test_uniform_argument_assigned_under_divergence(self):
+        output = _assert_bitwise_parity("""
+        float f(float a, float b) { if (b > 0.5f) { a = 0.0f; } return a; }
+
+        __kernel void k(__global const float* input, __global float* output,
+                        int width, int height) {
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            output[y * width + x] = f(3.0f, input[y * width + x]);
+        }
+        """, image=np.resize(np.repeat([0.25, 0.75], 4), (8, 8)).copy())
+        np.testing.assert_array_equal(output[0], [3, 3, 3, 3, 0, 0, 0, 0])
+
+    def test_simple_helper_assigning_a_uniform_argument_in_a_branch(self):
+        _assert_bitwise_parity("""
+        int bump(int a) { a = a + 1; return a * 2; }
+
+        __kernel void k(__global const float* input, __global float* output,
+                        int width, int height) {
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            int r = 0;
+            if (input[y * width + x] > 0.5f) { r = bump(3); }
+            output[y * width + x] = r;
+        }
+        """)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "max(v, 0.0f)", "max(0.0f, v)", "min(v, 0.0f)", "min(0.0f, v)",
+            "fmax(v, -0.0f)", "fmax(-0.0f, v)", "fmin(v, -0.0f)", "fmin(-0.0f, v)",
+            "max(v, -v)", "min(-v, v)", "max(-0.0f * v, 0.0f)",
+            "clamp(v, 0.0f, 1.0f)", "clamp(-0.0f * v, 0.0f, 1.0f)",
+            "clamp(v, -0.0f, 0.0f)", "clamp(0.0f, v, 1.0f)",
+        ],
+    )
+    def test_float_min_max_clamp_select_like_python(self, expr):
+        _assert_bitwise_parity(f"""
+        __kernel void k(__global const float* input, __global float* output,
+                        int width, int height) {{
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            float v = input[y * width + x];
+            output[y * width + x] = {expr};
+        }}
+        """, image=SPECIAL_IMAGE)
+
+    def test_stores_keep_the_declared_scalar_type(self):
+        # A float variable converts an int; an int one truncates a float.
+        output = _assert_bitwise_parity("""
+        __kernel void k(__global const float* input, __global float* output,
+                        int width, int height) {
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            float v = input[y * width + x];
+            float f = v;
+            if (x > 2) { f = 3; }
+            float g = 1.0f;
+            g = x;
+            float h = y;
+            int i = 2.75f;
+            int j = 0;
+            j = -(float)(x) / 4;
+            output[y * width + x] = f / 2 + g / 4 + h / 8 + i / 2 + j;
+        }
+        """)
+        x, y = np.meshgrid(np.arange(8), np.arange(8))
+        rest = output - x / 4 - y / 8 - 1 - np.trunc(-x / 4)
+        np.testing.assert_array_equal(rest[x > 2], 1.5)
+
+    @pytest.mark.parametrize(
+        "body, scale, expected",
+        [
+            # A float parameter holds a float whatever the caller passed.
+            ("float s = scale; r = s / 2 + s * 3.3f;", 1, 0.5 + 3.3),
+            ("float s = scale; r = s * 3.3f;", np.float32(0.1), float(np.float32(0.1)) * 3.3),
+            # An int picked from int and float operands converts in a float.
+            ("float m = min(width, 9.5f); r = m / 16;", 1.0, 0.5),
+            ("r = 0.0f; r = max(2.5f, width); r = r / 16;", 1.0, 0.5),
+            ("r = width > 1 ? 1 : 2.5f; r = r / 2;", 1.0, 0.5),
+            ("r = select(2.5f, 1, width > 1); r = r / 2;", 1.0, 0.5),
+        ],
+    )
+    def test_uniform_values_stored_into_floats_are_floats(self, body, scale, expected):
+        output = _assert_bitwise_parity(f"""
+        __kernel void k(__global const float* input, __global float* output,
+                        int width, int height, float scale) {{
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            float r = 0.0f;
+            {body}
+            output[y * width + x] = r;
+        }}
+        """, scale=scale)
+        np.testing.assert_array_equal(output, expected)
+
+
 def _stats_tuple(stats):
     return (
         stats.work_items,
@@ -512,9 +629,9 @@ class TestFallbackAndLimits:
                     compile_kernel(source), NDRange((4, 4), (4, 4)), args
                 )
 
-    def test_backend_is_registered(self):
-        from repro.clsim.backends import available_backends, get_backend
+    def test_backend_is_built_in(self):
+        from repro.clsim.backends import available_backends, resolve_backend
 
         assert "codegen" in available_backends()
-        assert isinstance(get_backend("codegen"), CodegenBackend)
-        assert get_backend("codegen").supports_batching
+        assert isinstance(resolve_backend("codegen"), CodegenBackend)
+        assert resolve_backend("codegen").supports_batching

@@ -1,4 +1,4 @@
-"""Differential fuzzing of the lowering's predicates: interpreter ≡ codegen.
+"""Differential fuzzing of the lowering: interpreter ≡ codegen.
 
 The codegen backend lowers a comparison, ``!``, ``&&`` or ``||`` to a bool
 lane mask, composes ``&&``/``||`` as ``&``/``|`` when evaluating the right
@@ -9,8 +9,16 @@ ternaries, used as values (stored, added) and as the conditions of
 divergent ``if`` and of bounded ``while`` loops.  Some right operands
 would read a private array at a negative index, or divide by zero, on
 exactly the lanes where the left operand already decides, and some
-kernels divide by zero for real.  Every kernel must lower (no fallback to
-the interpreter) without an in-place write to a lane array, and:
+kernels divide by zero for real.  Every kernel also defines two helper
+functions, one straight-line and one whose divergent ``if`` assigns a
+parameter, which the kernel may call with uniform and varying arguments;
+float ``min``/``max``/``fmin``/``fmax``/``clamp`` run on operands that
+can be ``+0.0`` or ``-0.0`` (and their result's sign reaches the output
+through ``z``); and float variables are assigned ints, and uniform
+operands picked from an int and a float (by ``?:``, ``min``, ``max``,
+``clamp`` or ``select``), which the final ``facc / 2`` observes.  The
+``float`` parameter ``s``, one of the float operands, is passed the int 3.  Every kernel must lower (no fallback to the
+interpreter) without an in-place write to a lane array, and:
 
 * one codegen launch ≡ the interpreter: output bytes and
   :class:`~repro.clsim.executor.ExecutionStats`, or the same
@@ -19,13 +27,14 @@ the interpreter) without an in-place write to a lane array, and:
   launches (outputs, summed stats, or the same error).
 
 The generator keeps every value in range (``n`` stays in [-2, 2], and the
-mutable accumulators never feed a product) and assigns a float variable
-only floats: the interpreter would keep an int there per work-item, which
-a float64 lane array cannot (a documented limit of the codegen backend).
-So a mismatch is a lowering fault.  Runs are derandomized, and each
-example runs under the SIGALRM deadline of ``test_fuzz.py``.
-``TestRegressionKernels`` keeps the shrunk counterexample and one fixed
-kernel per predicate rule.
+mutable accumulators never feed a product), and passes helpers and the
+float built-ins float operands only, uniform picks aside: a lane array has
+one dtype, so a varying mixed int/float ``max`` is a documented limit of
+the codegen backend.  So
+a mismatch is a lowering fault.  Runs are derandomized, and each example
+runs under the SIGALRM deadline of ``test_fuzz.py``.
+``TestRegressionKernels`` keeps the shrunk counterexamples and one fixed
+kernel per lowering rule.
 """
 
 from __future__ import annotations
@@ -48,8 +57,9 @@ WORK_GROUP = (4, 4)
 SEEDS = (3, 5, 8)
 
 TEMPLATE = """
+{helpers}
 __kernel void k(__global const float* input, __global float* output,
-                int width, int height) {{
+                int width, int height, float s) {{
     int x = get_global_id(0);
     int y = get_global_id(1);
     int u = width / 4;
@@ -63,13 +73,23 @@ __kernel void k(__global const float* input, __global float* output,
     w[4] = 0.25f;
     int acc = 0;
     float facc = 0.0f;
+    float z = 1.0f;
 {body}
-    output[y * width + x] = facc + (float)(acc) + w[0] + w[1] + w[2] + w[3] + w[4];
+    output[y * width + x] = z * (facc / 2 + (float)(acc) + w[0] + w[1] + w[2] + w[3] + w[4]);
 }}
 """
 
 INT_ATOMS = ("x", "y", "n", "u", "0", "1", "-1", "2", "3", "get_local_id(0)", "get_group_id(1)")
-FLOAT_ATOMS = ("v", "0.5f", "-1.5f", "0.0f", "w[2]", "(float)(y)")
+FLOAT_ATOMS = ("v", "0.5f", "-1.5f", "0.0f", "w[2]", "(float)(y)", "-0.0f", "(-0.0f * v)", "s")
+#: Float arguments that are the same on every lane.
+UNIFORM_FLOATS = ("0.5f", "-0.0f", "(float)(u)", "3.0f", "s")
+#: Float operands of the helper bodies (their parameters are ``a`` and ``b``).
+HELPER_ATOMS = ("a", "b", "0.5f", "-0.0f", "0.0f", "1.5f")
+MIN_MAX = ("max", "min", "fmax", "fmin")
+#: Zeros of both signs (``v`` is positive and ``w[2] = 1 - v`` negative).
+ZEROS = ("0.0f", "-0.0f", "(-0.0f * v)", "(0.0f * w[2])")
+#: Zeros inside a helper, whose only variables are ``a`` and ``b``.
+HELPER_ZEROS = ("0.0f", "-0.0f", "(-0.0f * b)")
 COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 #: Indices into ``w`` (5 elements) that are negative on some lanes, never >= 5.
 GUARDED_INDICES = ("n", "(n - 1)", "(x % 5 - 1)")
@@ -99,18 +119,87 @@ def int_exprs(draw, depth=2):
 
 @st.composite
 def float_exprs(draw, depth=2):
-    kind = draw(st.integers(0, 4)) if depth > 0 else 0
+    kind = draw(st.integers(0, 6)) if depth > 0 else 0
     if kind == 0:
         return _pick(draw, FLOAT_ATOMS)
     if kind == 1:
         op = _pick(draw, ("+", "-", "*"))
         return f"({draw(float_exprs(depth - 1))} {op} {draw(float_exprs(depth - 1))})"
     if kind == 2:
-        return f"({draw(float_exprs(depth - 1))} + {draw(predicates(depth - 1))})"
+        return f"({draw(float_exprs(depth - 1))} + ({draw(predicates(depth - 1))}))"
     if kind == 3:
         return f"w[{draw(int_exprs(0))} % 3 + 2]"
+    if kind == 5:
+        return draw(min_max(float_exprs(depth - 1)))
+    if kind == 6:
+        return draw(helper_calls(depth - 1))
     cond = draw(predicates(depth - 1))
     return f"({cond} ? {draw(float_exprs(depth - 1))} : {draw(float_exprs(depth - 1))})"
+
+
+@st.composite
+def min_max(draw, operands, zeros=ZEROS):
+    """A float ``min``/``max``/``fmin``/``fmax``/``clamp`` (either operand
+    may be a signed zero, so its result's sign depends on the order)."""
+    operand = st.one_of(st.sampled_from(zeros), operands)
+    args = [draw(operand) for _ in range(3)]
+    if draw(st.integers(0, 4)) == 0:
+        return f"clamp({args[0]}, {args[1]}, {args[2]})"
+    return f"{_pick(draw, MIN_MAX)}({args[0]}, {args[1]})"
+
+
+@st.composite
+def uniform_picks(draw):
+    """An operand picked from a uniform int and a float one: the value is
+    the same on every lane, and its Python type depends on which wins."""
+    pair = [_pick(draw, ("u", "1", "-1")), _pick(draw, ("2.5f", "-0.5f", "s"))]
+    if draw(st.booleans()):
+        pair.reverse()
+    a, b = pair
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return f"{_pick(draw, MIN_MAX)}({a}, {b})"
+    if kind == 1:
+        return f"clamp({a}, {b}, {_pick(draw, ('u', '3', '0.75f'))})"
+    if kind == 2:
+        return f"({draw(uniform_predicates())} ? {a} : {b})"
+    return f"select({a}, {b}, {draw(uniform_predicates())})"
+
+
+@st.composite
+def helper_calls(draw, depth=1):
+    """A call of ``h1`` or ``h2`` with uniform or varying float arguments."""
+    argument = st.one_of(st.sampled_from(UNIFORM_FLOATS), float_exprs(max(depth, 0)))
+    return f"{_pick(draw, ('h1', 'h2'))}({draw(argument)}, {draw(argument)})"
+
+
+@st.composite
+def helper_exprs(draw, depth=1):
+    kind = draw(st.integers(0, 2)) if depth > 0 else 0
+    if kind == 0:
+        return _pick(draw, HELPER_ATOMS)
+    if kind == 1:
+        op = _pick(draw, ("+", "-", "*"))
+        return f"({draw(helper_exprs(depth - 1))} {op} {draw(helper_exprs(depth - 1))})"
+    return draw(min_max(helper_exprs(depth - 1), HELPER_ZEROS))
+
+
+@st.composite
+def helpers(draw):
+    """``h1``, straight-line, and ``h2``, whose divergent ``if`` assigns a
+    parameter (sometimes an int, which the float parameter converts)."""
+    first = f"a = {draw(helper_exprs())}; " if draw(st.booleans()) else ""
+    h1 = (
+        f"float h1(float a, float b) {{ float c = {draw(helper_exprs())}; "
+        f"{first}return c + a / 2; }}"
+    )
+    value = _pick(draw, ("1", "3", draw(helper_exprs())))
+    cmp = _pick(draw, COMPARISONS)
+    h2 = (
+        f"float h2(float a, float b) {{ if (b {cmp} {_pick(draw, HELPER_ATOMS)}) "
+        f"{{ a = {value}; }} return a / 2 + b; }}"
+    )
+    return f"{h1}\n{h2}\n"
 
 
 @st.composite
@@ -178,8 +267,18 @@ class _Names:
 
 @st.composite
 def statements(draw, names, depth=2, in_loop=False):
-    kinds = 7 if depth > 0 else 4
+    kinds = 10 if depth > 0 else 4
     kind = draw(st.integers(0, kinds + (1 if in_loop else 0)))
+    if kind in (8, 9):
+        # An int stored into a float variable converts, as in C.
+        value = draw(st.one_of(int_exprs(), uniform_picks(), st.sampled_from(UNIFORM_FLOATS)))
+        if kind == 8:
+            return f"facc = {value};"
+        name = names.fresh("f")
+        value = draw(st.one_of(st.just(value), float_exprs()))
+        return f"float {name} = {value}; facc = facc + {name} / 2;"
+    if kind == 10:
+        return f"z = {draw(min_max(float_exprs(1)))};"
     if kind == 0:
         # A float added to the int slot truncates, as in C.
         value = draw(st.one_of(int_exprs(), float_exprs()))
@@ -224,7 +323,7 @@ def blocks(draw, names, depth=2, in_loop=False):
 @st.composite
 def kernels(draw):
     body = draw(blocks(_Names()))
-    return TEMPLATE.format(body="    " + body)
+    return TEMPLATE.format(helpers=draw(helpers()), body="    " + body)
 
 
 def _bind(seed: int) -> dict:
@@ -234,6 +333,7 @@ def _bind(seed: int) -> dict:
         "output": Buffer(np.zeros_like(image), "output"),
         "width": SIZE,
         "height": SIZE,
+        "s": 3,
     }
 
 
@@ -311,9 +411,16 @@ class TestPredicateFuzz:
         check_kernel(source)
 
 
+#: The helpers the fuzzer shrinks to; the fixed kernels define them too.
+SHRUNK_HELPERS = """
+float h1(float a, float b) { float c = a; a = a; return c + a / 2; }
+float h2(float a, float b) { if (b <= a) { a = 1; } return a / 2 + b; }
+"""
+
+
 class TestRegressionKernels:
-    """Fixed kernels: the fuzzer's shrunk counterexample, and one kernel per
-    predicate rule that the random budget may not reach (each fails if the
+    """Fixed kernels: the fuzzer's shrunk counterexamples, and one kernel per
+    lowering rule that the random budget may not reach (each fails if the
     rule it names is broken)."""
 
     @pytest.mark.parametrize(
@@ -337,7 +444,25 @@ class TestRegressionKernels:
             "if (x > 2) { acc = acc + (x + 1) / n; }",
             # Shrunk: the same error, wrapped differently by each backend.
             "if (x < y) { acc = acc + (x + 1) / (n * n + 0); }",
+            # Shrunk: a uniform argument that a helper assigns under a
+            # divergent mask needs a lane array.
+            "facc = (int)(h2(0.5f, 0.5f) * 4.0f);",
+            "acc = acc + ((n >= 0 && w[n] < h1(0.5f, 0.5f)));",
+            "if (x < y) { facc = h1(3.0f, v) + h2(3.0f, (float)(x)); }",
+            # Shrunk: float min/max/clamp keep the first of two equal zeros.
+            "z = clamp(0.0f, 0.0f, (-0.0f * v));",
+            "z = max(-0.0f * v, 0.0f);",
+            "if (x > y) { z = fmin(0.0f, -0.0f * v); }",
+            # Shrunk: a float variable or parameter converts an int.
+            "facc = x;",
+            "if (x < y) { facc = x; }",
+            "float f1 = n; facc = facc + f1 / 2;",
+            "acc = acc + h2(0.5f, 0.5f);",
+            # Shrunk: an int picked from an int and a float operand, and a
+            # float parameter passed an int, convert in a float variable.
+            "facc = select(1, 2.5f, u < 1);",
+            "facc = s;",
         ],
     )
     def test_fixed_kernel(self, body):
-        check_kernel(TEMPLATE.format(body="    " + body))
+        check_kernel(TEMPLATE.format(helpers=SHRUNK_HELPERS, body="    " + body))

@@ -78,7 +78,7 @@ class TestTopLevel:
 class TestStatements:
     def test_for_loop_structure(self):
         kernel = parse_kernel(GAUSSIAN_LIKE)
-        loops = ast.find_all(kernel, ast.ForStmt)
+        loops = [n for n in kernel.walk() if isinstance(n, ast.ForStmt)]
         assert len(loops) == 1
         loop = loops[0]
         assert isinstance(loop.init, ast.DeclStmt)
@@ -93,7 +93,7 @@ class TestStatements:
         }
         """
         kernel = parse_kernel(source)
-        branches = ast.find_all(kernel, ast.IfStmt)
+        branches = [n for n in kernel.walk() if isinstance(n, ast.IfStmt)]
         assert len(branches) == 1
         assert branches[0].else_body is not None
 
@@ -107,8 +107,8 @@ class TestStatements:
         }
         """
         kernel = parse_kernel(source)
-        assert len(ast.find_all(kernel, ast.WhileStmt)) == 1
-        assert len(ast.find_all(kernel, ast.DoWhileStmt)) == 1
+        assert len([n for n in kernel.walk() if isinstance(n, ast.WhileStmt)]) == 1
+        assert len([n for n in kernel.walk() if isinstance(n, ast.DoWhileStmt)]) == 1
 
     def test_break_continue_return(self):
         source = """
@@ -121,9 +121,9 @@ class TestStatements:
         }
         """
         kernel = parse_kernel(source)
-        assert len(ast.find_all(kernel, ast.BreakStmt)) == 1
-        assert len(ast.find_all(kernel, ast.ContinueStmt)) == 1
-        assert len(ast.find_all(kernel, ast.ReturnStmt)) == 1
+        assert len([n for n in kernel.walk() if isinstance(n, ast.BreakStmt)]) == 1
+        assert len([n for n in kernel.walk() if isinstance(n, ast.ContinueStmt)]) == 1
+        assert len([n for n in kernel.walk() if isinstance(n, ast.ReturnStmt)]) == 1
 
     def test_local_array_declaration(self):
         source = """
@@ -135,7 +135,7 @@ class TestStatements:
         }
         """
         kernel = parse_kernel(source)
-        decls = [d for d in ast.find_all(kernel, ast.VarDecl) if d.name == "tile"]
+        decls = [n for n in kernel.walk() if isinstance(n, ast.VarDecl) and n.name == "tile"]
         assert decls[0].address_space == "local"
         assert decls[0].array_size is not None
 

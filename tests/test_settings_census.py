@@ -6,8 +6,10 @@ built; every compiled-path method, the scheduler's batch key and the
 fleet's shard key follow the engine.  The tuner takes its engine, space,
 seed and database once, at construction, and its strategy and evaluation
 budget per ``tune`` call.  Four ``REPRO_*`` variables reach the library,
-and the three that switch something off share one spelling of "off".  A
-new option or variable has to be added here on purpose.
+and the three that switch something off share one spelling of "off".
+Applications, device profiles and backends resolve through plain dicts of
+their built-in instances, with no ``register_*`` hook.  A new option,
+variable or hook has to be added here on purpose.
 """
 
 import ast
@@ -18,8 +20,13 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.apps
+import repro.clsim
+import repro.core.schemes
 from repro.api import PerforationEngine
+from repro.apps import available_applications, get_application
 from repro.autotune import Tuner
+from repro.clsim import available_backends, available_devices
 from repro.fleet import ShardMap, shard_key
 from repro.serve import MicroBatchScheduler, PerforationServer
 
@@ -83,6 +90,29 @@ def test_tune_defaults_to_successive_halving_without_a_budget():
     assert parameters["strategy"].default is None
     assert parameters["max_evals"].default is None
     assert resolve_strategy(None).name == "successive-halving"
+
+
+# ---------------------------------------------------------------------------
+# Name tables
+# ---------------------------------------------------------------------------
+#: The built-in applications, sorted.
+APPLICATIONS = ["gaussian", "hotspot", "inversion", "median", "sobel3", "sobel5"]
+
+
+def test_tables_hold_the_builtins():
+    assert available_applications() == APPLICATIONS
+    assert available_devices() == ["firepro-w5100", "generic-hbm", "low-bandwidth-igpu"]
+    assert available_backends() == ["codegen", "interpreter"]
+
+
+@pytest.mark.parametrize("name", APPLICATIONS)
+def test_applications_are_shared_instances(name):
+    assert get_application(name) is get_application(name)
+
+
+@pytest.mark.parametrize("module", [repro.apps, repro.clsim, repro.core.schemes])
+def test_no_register_hooks(module):
+    assert not [name for name in vars(module) if name.startswith("register")]
 
 
 # ---------------------------------------------------------------------------
