@@ -55,6 +55,9 @@ from .cache import LRUCache, input_token
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: "Fingerprint not computed yet"; ``None`` already means "not fingerprintable".
+_UNFINGERPRINTED = object()
+
 #: Cap applied to ``workers="auto"`` so small machines are not oversubscribed.
 AUTO_WORKER_CAP = 8
 
@@ -170,16 +173,18 @@ class PerforationEngine:
     # ------------------------------------------------------------------
     # Cached primitives
     # ------------------------------------------------------------------
-    def reference(self, app, inputs) -> np.ndarray:
+    def reference(self, app, inputs, *, _token=_UNFINGERPRINTED) -> np.ndarray:
         """Accurate output of ``app`` for ``inputs`` (memoized by content).
 
         The returned array is shared with the cache and marked read-only;
         ``.copy()`` it before mutating.  An input that cannot be
         fingerprinted is keyed by identity, and its entry holds the input,
         so the identity cannot be recycled while the entry is cached.
+        ``_token`` is ``input_token(inputs)`` from a caller that already
+        computed it (the server digests each served input once).
         """
         app = self.resolve_app(app)
-        token = input_token(inputs)
+        token = input_token(inputs) if _token is _UNFINGERPRINTED else _token
         pin = inputs if token is None else None
         key = (self._app_cache_key(app), token or ("identity", id(inputs)))
 

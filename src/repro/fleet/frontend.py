@@ -65,10 +65,16 @@ connection, the replay log, the outstanding set, the account of delivered
 metrics and recovery.  Per trace a link runs one sender task (fed by the
 shard's :class:`asyncio.Queue`) and one reader task (draining responses as
 the worker produces them), so a slow shard never head-of-line blocks the
-others.  The link's send lock serialises the sender against recovery: a
+others.  Each time the sender wakes up it takes every entry already
+queued and writes the requests among them as ``serve`` frames of up to
+:data:`FRAME_PAYLOAD_CAP` bytes of array payload each, so a request pays
+its share of one frame's header, write and drain rather than a frame of
+its own; the worker answers each frame with one ``completed`` frame.
+The link's send lock serialises the sender against recovery: a
 request is appended to the replay log *before* its frame is written, so
 every request is delivered exactly once per worker generation — by the
-original write or by the replay, never both.  Recovery aborts the failed
+original write or by the replay, never both.  Replay cuts the log into
+frames at the same cap.  Recovery aborts the failed
 worker's connection *before* it takes that lock: a sender blocked writing
 to a wedged worker (whose socket buffer is full) holds the lock, and only
 the abort wakes it.  Transports: unix-domain sockets (default) or
@@ -84,9 +90,8 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..api.engine import PerforationEngine
 from ..clsim.backends import resolve_backend
@@ -97,6 +102,8 @@ from ..serve.controller import OnlineController
 from ..serve.metrics import ServeMetrics
 from ..serve.requests import ServeRequest, ServeResponse
 from .protocol import (
+    ProtocolError,
+    array_bytes,
     read_frame_async,
     request_to_wire,
     response_from_wire,
@@ -117,6 +124,11 @@ SHUTDOWN_TIMEOUT_S = 10.0
 #: Respawn backoff: base * 2**(attempt-1), bounded by the cap.
 RESPAWN_BACKOFF_S = 0.05
 RESPAWN_BACKOFF_MAX_S = 2.0
+
+#: Array payload (bytes) at which the sender cuts a ``serve`` frame: a
+#: frame holds requests up to this many bytes of inputs, and a request
+#: larger than the cap travels alone.
+FRAME_PAYLOAD_CAP = 1 << 20
 
 #: Kinds of replay-log entries: one request, or the end-of-trace drain.
 _SERVE = "serve"
@@ -161,13 +173,37 @@ def failed_response(request: ServeRequest, reason: str = "worker-failure") -> Se
     return _unserved_response(request, reason)
 
 
-def _frame(entry: tuple) -> dict:
-    """The wire frame of one replay-log entry."""
-    kind, payload = entry
-    if kind == _SERVE:
-        return {"type": "serve", "request": request_to_wire(payload)}
-    now_ms, seq = payload
-    return {"type": "drain", "now_ms": now_ms, "seq": seq}
+def _frames(entries: Iterable[tuple]) -> Iterator[dict]:
+    """The wire frames of replay-log entries, in order.
+
+    Runs of requests share ``serve`` frames cut at :data:`FRAME_PAYLOAD_CAP`
+    bytes of array payload; a drain is a frame of its own.  A request whose
+    input cannot be encoded is left out, so it cannot take its frame (or
+    the drain behind it) down with it; it stays pending, and the end of
+    the trace fails it.
+    """
+    requests: list[dict] = []
+    payload = 0
+    for kind, item in entries:
+        if kind == _SERVE:
+            try:
+                wire = request_to_wire(item)
+            except ProtocolError:
+                continue
+            size = array_bytes(item.inputs)
+            if requests and payload + size > FRAME_PAYLOAD_CAP:
+                yield {"type": "serve", "requests": requests}
+                requests, payload = [], 0
+            requests.append(wire)
+            payload += size
+            continue
+        if requests:
+            yield {"type": "serve", "requests": requests}
+            requests, payload = [], 0
+        now_ms, seq = item
+        yield {"type": "drain", "now_ms": now_ms, "seq": seq}
+    if requests:
+        yield {"type": "serve", "requests": requests}
 
 
 class _Trace:
@@ -313,22 +349,32 @@ class _WorkerLink:
 
     async def _send(self) -> None:
         keep_log = self.fleet.max_respawns > 0
+        queue = self.queue
         while True:
-            entry = await self.queue.get()
-            if entry is None:
-                return
+            # One wake-up sends every entry queued by now.  The trace's end
+            # marker (None) is always the last entry ever queued.
+            entries = [await queue.get()]
+            while not queue.empty():
+                entries.append(queue.get_nowait())
+            ended = entries[-1] is None
+            if ended:
+                entries.pop()
             async with self.lock:
-                if self.dead:
-                    continue  # recovery already failed this shard's work
-                if keep_log:
-                    self.log.append(entry)
-                try:
-                    await write_frame_async(self.writer, _frame(entry))
-                except Exception:
-                    # The connection died mid-write.  The entry is in the
-                    # log, so the reader's recovery replays it — retrying
-                    # here would deliver it twice.
-                    pass
+                # A dead shard's work was already failed by recovery.
+                if entries and not self.dead:
+                    if keep_log:
+                        self.log.extend(entries)
+                    for frame in _frames(entries):
+                        try:
+                            await write_frame_async(self.writer, frame)
+                        except Exception:
+                            # The connection died mid-write, or the frame is
+                            # over MAX_FRAME_BYTES.  The entries are in the
+                            # log, so the reader's recovery replays them —
+                            # retrying here would deliver them twice.
+                            pass
+            if ended:
+                return
 
     async def _read(self, trace: _Trace) -> None:
         timeout = self.fleet.request_timeout_s
@@ -387,14 +433,17 @@ class _WorkerLink:
         # batch_size responses: count a batch where its run starts.
         left_in_batch = 0
         for wire in wires:
+            wire_id = wire["request_id"]
+            original = requests.get(wire_id)
+            if original is not None:
+                # Decode the response with the caller's id: built once, final.
+                wire["request_id"] = original.request_id
             response = response_from_wire(wire)
             batch_start = left_in_batch == 0
             if batch_start:
                 left_in_batch = response.batch_size
             left_in_batch -= 1
-            wire_id = response.request_id
             pending.discard(wire_id)
-            original = requests.get(wire_id)
             if tracer.enabled and original is not None:
                 start_ns = trace.enqueued_ns.pop(wire_id, None)
                 if start_ns is not None:
@@ -412,7 +461,6 @@ class _WorkerLink:
                 # A replayed worker re-delivering an earlier trace's
                 # response (bit-identical to what was already returned).
                 continue
-            response = replace(response, request_id=original.request_id)
             existing = responses.get(original.request_id)
             if existing is None:
                 responses[original.request_id] = response
@@ -451,8 +499,8 @@ class _WorkerLink:
                 try:
                     fleet.respawn_reports.append(await self.connect(self.failures))
                     recovered = len(self.pending)
-                    for entry in self.log:
-                        await write_frame_async(self.writer, _frame(entry))
+                    for frame in _frames(self.log):
+                        await write_frame_async(self.writer, frame)
                 except Exception:
                     # The replacement failed to start or died during
                     # replay; that is the slot's next failure.
@@ -498,11 +546,14 @@ class PerforationFleet:
     request_timeout_s:
         Failure detector: if no frame arrives from a worker within this
         many seconds while it has outstanding work, the worker is treated
-        as hung and recovered.  Must comfortably exceed the worst-case
-        micro-batch service time — a worker that is merely slow would be
-        killed and replayed (correct, but wasted work).  ``None``
-        (default) disables the timeout; EOF and fatal error frames are
-        always detected.
+        as hung and recovered.  A worker answers a ``serve`` frame only
+        once it has submitted every request the frame carries (up to
+        :data:`FRAME_PAYLOAD_CAP` bytes of inputs, and each submission may
+        run micro-batches that became due), so the timeout must
+        comfortably exceed the time it takes to serve one frame's
+        requests — a worker that is merely slow would be killed and
+        replayed (correct, but wasted work).  ``None`` (default) disables
+        the timeout; EOF and fatal error frames are always detected.
     max_respawns:
         Recovery budget per worker slot.  Failure ``k`` of a slot
         triggers respawn-and-replay while ``k <= max_respawns``; beyond
@@ -723,13 +774,21 @@ class PerforationFleet:
             self._wire_seq += 1
             trace.requests[wire_id] = request
             link.pending.add(wire_id)
-            wire_request = replace(request, request_id=wire_id)
             if tracer.enabled:
-                # Stamp the correlation id *before* the wire-id rewrite so
+                trace.enqueued_ns[wire_id] = time.monotonic_ns()
+            wire_request = ServeRequest(
+                request_id=wire_id,
+                app=request.app,
+                inputs=request.inputs,
+                error_budget=request.error_budget,
+                arrival_ms=request.arrival_ms,
+                latency_budget_ms=request.latency_budget_ms,
+                priority=request.priority,
+                # Traced, the correlation id is the caller's request label, so
                 # front-end and worker spans agree on it; untraced frames
                 # stay byte-identical to the pre-tracing protocol.
-                wire_request = replace(wire_request, trace_id=request.trace_label)
-                trace.enqueued_ns[wire_id] = time.monotonic_ns()
+                trace_id=request.trace_label if tracer.enabled else request.trace_id,
+            )
             await link.queue.put((_SERVE, wire_request))
 
         # Drain at the last *global* arrival — exactly the virtual time

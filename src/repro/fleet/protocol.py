@@ -33,19 +33,23 @@ buffers that do not tile the bytes after the header exactly raise
 :class:`ProtocolError`.
 
 Frame vocabulary (the ``type`` key): ``hello`` (worker warm-start report,
-including the worker's respawn ``generation``), ``serve``/``completed``,
-``drain``/``drained`` (drains carry a front-end ``seq`` tag the worker
-echoes, so replayed historical drains are distinguishable from the
-current trace's), ``metrics``, ``shutdown``/``bye``, and ``error``.
-Error frames come in two scopes — see :func:`error_frame`: with a
-``request_id`` they fail exactly one request and the trace continues;
-without one they are fatal for the worker and trigger the front-end's
-failure recovery (respawn and replay).
+including the worker's respawn ``generation``), ``serve``/``completed``
+(a ``serve`` frame carries a list of ``requests``, every one the
+front-end had queued when it woke up, and its ``completed`` answer the
+list of ``responses`` that serving them made due), ``drain``/``drained``
+(drains carry a front-end ``seq`` tag the worker echoes, so replayed
+historical drains are distinguishable from the current trace's),
+``metrics``, ``shutdown``/``bye``, and ``error``.  Error frames come in
+two scopes — see :func:`error_frame`: with a ``request_id`` they fail
+exactly one request and the trace continues; without one they are fatal
+for the worker and trigger the front-end's failure recovery (respawn and
+replay).
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import struct
@@ -89,6 +93,19 @@ def _shippable(array: np.ndarray) -> np.ndarray:
     if not _raw_dtype(array.dtype):
         raise ProtocolError(f"cannot encode {array.dtype} array for the wire")
     return array
+
+
+def array_bytes(value: Any) -> int:
+    """Bytes of array payload ``value`` puts on the wire (its frame's buffers)."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, HotspotInput):
+        return value.temperature.nbytes + value.power.nbytes
+    if isinstance(value, (tuple, list)):
+        return sum(array_bytes(item) for item in value)
+    if isinstance(value, dict):
+        return sum(array_bytes(item) for item in value.values())
+    return 0
 
 
 def to_wire(value: Any) -> Any:
@@ -246,6 +263,12 @@ def error_frame(message: str, request_id: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # Frame codec
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=256)
+def _dtype_name(dtype: np.dtype) -> str:
+    """The array tag's dtype string, formatted once per dtype."""
+    return str(dtype)
+
+
 def encode_frame(message: dict) -> bytes:
     """One wire frame: body length, JSON header length, JSON header, buffers."""
     buffers: list[np.ndarray] = []
@@ -260,7 +283,7 @@ def encode_frame(message: dict) -> bytes:
         array = _shippable(value)
         tag = {
             "__kind__": "ndarray",
-            "dtype": str(array.dtype),
+            "dtype": _dtype_name(array.dtype),
             "shape": list(array.shape),
             "buf": [payload, array.nbytes],
         }
@@ -277,12 +300,19 @@ def encode_frame(message: dict) -> bytes:
     return b"".join([FRAME_HEADER.pack(length), HEADER_LENGTH.pack(len(header)), header, *buffers])
 
 
-def _tag_dtype(text: Any) -> np.dtype:
+@functools.lru_cache(maxsize=256)
+def _parse_dtype(text: str) -> np.dtype | None:
+    """The dtype an array tag names, parsed once per string; ``None`` if unusable."""
     try:
-        dtype = np.dtype(text) if isinstance(text, str) else None
+        dtype = np.dtype(text)
     except (TypeError, ValueError, SyntaxError):  # NumPy parses some strings as Python
-        dtype = None
-    if dtype is None or not _raw_dtype(dtype):
+        return None
+    return dtype if _raw_dtype(dtype) else None
+
+
+def _tag_dtype(text: Any) -> np.dtype:
+    dtype = _parse_dtype(text) if isinstance(text, str) else None
+    if dtype is None:
         raise ProtocolError(f"array tag has unusable dtype {text!r}")
     return dtype
 

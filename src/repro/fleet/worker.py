@@ -12,8 +12,9 @@ buffers, :mod:`repro.fleet.protocol`):
     how many ladders the worker's controller calibrated itself (zero for a
     warm start).
 ``serve`` → ``completed``
-    One request in (virtual arrival time drives the scheduler), the
-    responses of every micro-batch that became due back out.
+    A list of requests in, submitted in order (virtual arrival times drive
+    the scheduler), and one frame back out with the list of responses of
+    every micro-batch that became due while serving them.
 ``drain`` → ``drained``
     Flush everything still queued (end of trace) and finalise the metrics
     wall clock.  The front-end tags each drain with a ``seq`` number and
@@ -29,10 +30,13 @@ buffers, :mod:`repro.fleet.protocol`):
 ``error``
     Failures are **request-scoped** where possible: an exception while
     serving one request produces an ``error`` frame carrying that
-    request's id, and the worker keeps serving.  Frame-level failures
-    (undecodable input, a failed drain) produce an ``error`` frame
-    without a request id — the front-end treats those as fatal for this
-    worker and starts recovery.
+    request's id, and the worker serves the rest of the frame and keeps
+    going.  Frame-level failures (a failed drain, responses that cannot
+    be encoded) produce an ``error`` frame without a request id — the
+    front-end treats those as fatal for this worker and starts recovery.
+    A frame that does not decode, or a ``serve`` frame with a malformed
+    request entry, raises :class:`ProtocolError` before any of its
+    requests is served, and the worker exits.
 
 If :func:`build_server` itself raises (say, for an unknown device), the
 worker still accepts the front-end's connection and reports the
@@ -53,10 +57,10 @@ directory: each builds the kernels it serves once, in its own process.
 
 Deterministic fault injection lives in the spec: ``fail_after=N`` makes
 the worker hard-exit (``os._exit``, no cleanup — a simulated crash) right
-after handling its N-th ``serve`` frame, and ``error_on`` makes it answer
-the listed request ids with request-scoped ``error`` frames instead of
-serving them.  Both drive the chaos suite in
-``tests/fleet/test_recovery.py``.
+after it served its N-th request, wherever that request sits in its
+frame, once it has written the responses it holds; ``error_on`` and
+``hang_on`` answer or wedge on the listed request ids, one request at a
+time.  They drive the chaos suite in ``tests/fleet/test_recovery.py``.
 
 :func:`build_server` is separate from :func:`worker_main` so tests can
 construct the exact worker-side server in process (e.g. to prove the
@@ -75,6 +79,7 @@ from typing import Any, Mapping, Sequence
 from ..api.engine import PerforationEngine
 from ..api.calibration import CalibrationEntry
 from ..obs import trace as obs_trace
+from ..serve.requests import ServeRequest, ServeResponse
 from ..serve.server import PerforationServer
 from .protocol import (
     ProtocolError,
@@ -113,8 +118,8 @@ class WorkerSpec:
     trace: bool = False
     #: 0 for the initial spawn; each front-end respawn increments it.
     generation: int = 0
-    #: Chaos hook: hard-exit (simulated crash) after handling this many
-    #: ``serve`` frames; ``None`` disables.
+    #: Chaos hook: hard-exit (simulated crash) after serving this many
+    #: requests; ``None`` disables.
     fail_after: int | None = None
     #: Chaos hook: answer these request ids with request-scoped ``error``
     #: frames instead of serving them.
@@ -177,6 +182,29 @@ def _bind(spec: WorkerSpec) -> socket.socket:
     return listener
 
 
+def _frame_requests(frame: dict) -> list[ServeRequest]:
+    """Decode every request of a ``serve`` frame before any is served.
+
+    A malformed entry raises :class:`ProtocolError`, so it fails the
+    whole frame rather than the requests behind it.
+    """
+    entries = frame.get("requests")
+    if not isinstance(entries, list):
+        raise ProtocolError(f"serve frame carries no request list (got {entries!r})")
+    try:
+        return [request_from_wire(entry) for entry in entries]
+    except ProtocolError:
+        raise
+    except Exception as exc:
+        raise ProtocolError(f"malformed request entry: {type(exc).__name__}: {exc}") from None
+
+
+def _write_completed(stream, responses: list[ServeResponse]) -> None:
+    write_frame(
+        stream, {"type": "completed", "responses": [response_to_wire(r) for r in responses]}
+    )
+
+
 def serve_connection(
     stream, server: PerforationServer, report: dict, spec: WorkerSpec | None = None
 ) -> None:
@@ -192,40 +220,38 @@ def serve_connection(
         if frame is None:
             break  # front-end went away: drain nothing, just exit
         kind = frame.get("type")
-        request_id: int | None = None
         try:
             if kind == "serve":
                 if wall_start is None:
                     wall_start = time.perf_counter()
-                request = request_from_wire(frame["request"])
-                request_id = request.request_id
-                if request.request_id in hang_on:
-                    # Simulated stuck worker: neither a response nor an EOF
-                    # ever arrives — only the front-end's response timeout
-                    # can detect this.
-                    time.sleep(ACCEPT_TIMEOUT_S * 10)
-                if request.request_id in error_on:
-                    write_frame(
-                        stream,
-                        error_frame(
-                            "chaos: injected request failure",
-                            request_id=request.request_id,
-                        ),
-                    )
-                    continue
-                responses = server.submit(request)
-                write_frame(
-                    stream,
-                    {
-                        "type": "completed",
-                        "responses": [response_to_wire(r) for r in responses],
-                    },
-                )
-                served += 1
-                if fail_after is not None and served >= fail_after:
-                    # Simulated crash: no cleanup, no goodbye — exactly what
-                    # a SIGKILL mid-trace looks like to the front-end.
-                    os._exit(17)
+                responses: list[ServeResponse] = []
+                for request in _frame_requests(frame):
+                    request_id = request.request_id
+                    if request_id in hang_on:
+                        # Simulated stuck worker: neither a response nor an
+                        # EOF ever arrives — only the front-end's response
+                        # timeout can detect this.
+                        time.sleep(ACCEPT_TIMEOUT_S * 10)
+                    if request_id in error_on:
+                        failure = error_frame("chaos: injected request failure", request_id)
+                        write_frame(stream, failure)
+                        continue
+                    try:
+                        responses.extend(server.submit(request))
+                    except Exception as exc:
+                        # Scoped to this request: the rest of the frame is
+                        # still served.
+                        failure = error_frame(f"{type(exc).__name__}: {exc}", request_id)
+                        write_frame(stream, failure)
+                        continue
+                    served += 1
+                    if fail_after is not None and served >= fail_after:
+                        # Simulated crash: no cleanup, no goodbye — exactly
+                        # what a SIGKILL mid-trace looks like to the
+                        # front-end, once the responses held so far are out.
+                        _write_completed(stream, responses)
+                        os._exit(17)
+                _write_completed(stream, responses)
             elif kind == "drain":
                 now_ms = frame.get("now_ms")
                 responses = server.drain(math.inf if now_ms is None else float(now_ms))
@@ -260,13 +286,8 @@ def serve_connection(
                 write_frame(stream, error_frame(f"unknown frame {kind!r}"))
         except ProtocolError:
             raise
-        except Exception as exc:  # surface worker-side failures to the front-end
-            # Scoped to the triggering request where one is known, so a
-            # single bad request no longer takes the whole trace down.
-            write_frame(
-                stream,
-                error_frame(f"{type(exc).__name__}: {exc}", request_id=request_id),
-            )
+        except Exception as exc:  # surface frame-level failures to the front-end
+            write_frame(stream, error_frame(f"{type(exc).__name__}: {exc}"))
 
 
 def worker_main(spec: WorkerSpec, ready=None) -> None:

@@ -43,7 +43,11 @@ class ServeResultCache(LRUCache):
 
     @staticmethod
     def key(app_name: str, config_key: str, inputs: Any) -> Hashable | None:
-        """Cache key of one request, or ``None`` when not fingerprintable."""
+        """Cache key of one request, or ``None`` when not fingerprintable.
+
+        The key is ``(app_name, config_key, input_token(inputs))``: its last
+        element is the input's fingerprint, which the server reuses.
+        """
         token = input_token(inputs)
         if token is None:
             return None

@@ -84,41 +84,48 @@ class ServeMetrics:
     replayed = _count("replayed", "Outstanding requests recovered by respawn-and-replay.")
     batches = _count("batches", "Micro-batches executed.")
 
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        self.registry = MetricsRegistry() if registry is None else registry
+        #: Metrics the record methods update, looked up in the registry once
+        #: each (and, as there, created on first use).
+        self._resolved: dict[str, object] = {}
 
     @classmethod
     def view(cls, registry: MetricsRegistry) -> "ServeMetrics":
         """The serving metrics held in ``registry`` (shared, not copied)."""
-        metrics = cls()
-        metrics.registry = registry
-        return metrics
+        return cls(registry)
 
     # ------------------------------------------------------------------
+    def _metric(self, name: str, kind: str = "counter", help: str = ""):
+        metric = self._resolved.get(name)
+        if metric is None:
+            metric = self._resolved[name] = getattr(self.registry, kind)(name, help)
+        return metric
+
     def _inc(self, name: str) -> None:
-        self.registry.counter(f"serve.{name}").inc()
+        self._metric(f"serve.{name}").inc()
 
     def record_batch(self, size: int) -> None:
         self._inc("batches")
         self._inc(f"batch_size.{size}")
 
     def record_response(self, response: ServeResponse, budget: float) -> None:
-        self._inc("completed")
-        self._inc(f"app.{response.app}")
-        self._inc(f"config.{response.config_label}")
+        metric = self._metric
+        metric("serve.completed").inc()
+        metric("serve.app." + response.app).inc()
+        metric("serve.config." + response.config_label).inc()
         if response.fallback:
-            self._inc("fallbacks")
+            metric("serve.fallbacks").inc()
         if response.cache_hit:
-            self._inc("cache_hits")
-        registry = self.registry
-        queue = registry.histogram("serve.queue_delay_ms", "virtual trace-ms, arrival to flush")
+            metric("serve.cache_hits").inc()
+        queue = metric("serve.queue_delay_ms", "histogram", "virtual trace-ms, arrival to flush")
         queue.observe(response.queue_delay_ms)
-        service = registry.histogram("serve.service_time_ms", "wall ms running the micro-batch")
+        service = metric("serve.service_time_ms", "histogram", "wall ms running the micro-batch")
         service.observe(response.service_time_ms)
         if response.error is not None:
-            errors = registry.histogram("serve.error", "measured error of the served output")
+            errors = metric("serve.error", "histogram", "measured error of the served output")
             errors.observe(response.error)
-            worst = registry.gauge("serve.worst_budget_fraction")
+            worst = metric("serve.worst_budget_fraction", "gauge")
             worst.set(max(worst.value, response.error / budget))
 
     def record_violation(self) -> None:

@@ -36,6 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..api.cache import input_token
 from ..api.engine import PerforationEngine
 from ..core.perforator import build_kernel
 from ..core.quality import compute_error
@@ -157,16 +158,20 @@ class PerforationServer:
             wall_start = time.perf_counter()
             cached: dict[int, tuple[np.ndarray, float | None]] = {}
             keys: dict[int, object] = {}
+            #: Each input's fingerprint, digested once for the cache key and
+            #: every reference lookup.
+            tokens: dict[int, object] = {}
             misses: list[ServeRequest] = []
             first_miss: dict[object, int] = {}
             duplicate_of: dict[int, int] = {}
             for request in batch.requests:
-                key = (
-                    self.cache.key(app.name, config.key, request.inputs)
-                    if self.cache is not None
-                    else None
-                )
+                if self.cache is not None:
+                    key = self.cache.key(app.name, config.key, request.inputs)
+                    token = None if key is None else key[-1]
+                else:
+                    key, token = None, input_token(request.inputs)
                 keys[request.request_id] = key
+                tokens[request.request_id] = token
                 hit = self.cache.get(key) if self.cache is not None else None
                 if hit is not None:
                     cached[request.request_id] = hit
@@ -196,7 +201,7 @@ class PerforationServer:
             for request in batch.requests:
                 responses.append(
                     self._complete(
-                        batch, app, request, cached, outputs, keys, service_ms, batch_id
+                        batch, app, request, cached, outputs, keys, tokens, service_ms, batch_id
                     )
                 )
         return responses
@@ -209,6 +214,7 @@ class PerforationServer:
         cached: dict,
         outputs: dict,
         keys: dict,
+        tokens: dict,
         service_ms: float,
         batch_id: int = 0,
     ) -> ServeResponse:
@@ -220,8 +226,9 @@ class PerforationServer:
             output = outputs[request.request_id]
             error = None
 
+        token = tokens[request.request_id]
         if error is None:
-            reference = self.engine.reference(app, request.inputs)
+            reference = self.engine.reference(app, request.inputs, _token=token)
             error = compute_error(reference, output, app.error_metric)
         # The controller sees the *measured* quality of the approximate
         # output, so a violation tightens the stream even though the
@@ -232,7 +239,7 @@ class PerforationServer:
         fallback = error > request.error_budget
         if fallback:
             self.metrics.record_violation()
-            reference = self.engine.reference(app, request.inputs)
+            reference = self.engine.reference(app, request.inputs, _token=token)
             output = np.array(reference)  # caller owns the response output
             error = 0.0
 

@@ -235,6 +235,74 @@ class TestFrames:
             asyncio.run(scenario())
 
 
+def _mixed_requests():
+    """Requests whose inputs cover the wire's array shapes and tags."""
+    rng = np.random.default_rng(11)
+    inputs = [
+        rng.random((16, 16)),
+        rng.random((8, 12)).astype(np.float32),
+        hotspot_single(size=8, seed=3),
+        (np.arange(6, dtype=">i4").reshape(2, 3), 0.5),
+        np.asfortranarray(rng.random((5, 7))),
+    ]
+    return [
+        ServeRequest(
+            request_id=10 + index,
+            app="gaussian",
+            inputs=value,
+            error_budget=0.05,
+            arrival_ms=0.1 * index,
+            trace_id=None if index % 2 else f"r{index}",
+        )
+        for index, value in enumerate(inputs)
+    ]
+
+
+def _same_inputs(back, original):
+    if isinstance(original, HotspotInput):
+        assert isinstance(back, HotspotInput) and back.name == original.name
+        _same_inputs(back.temperature, original.temperature)
+        _same_inputs(back.power, original.power)
+    elif isinstance(original, tuple):
+        assert isinstance(back, tuple) and len(back) == len(original)
+        for item, expected in zip(back, original):
+            _same_inputs(item, expected)
+    elif isinstance(original, np.ndarray):
+        assert back.dtype == original.dtype and back.shape == original.shape
+        assert back.tobytes() == original.tobytes()
+    else:
+        assert back == original
+
+
+class TestMultiRequestFrames:
+    def test_serve_frame_round_trips_bit_exactly_through_both_readers(self):
+        requests = _mixed_requests()
+        frame = encode_frame({"type": "serve", "requests": [request_to_wire(r) for r in requests]})
+        for decoded in _read_both_ways(frame):
+            back = [request_from_wire(wire) for wire in decoded["requests"]]
+            assert len(back) == len(requests)
+            for request, original in zip(back, requests):
+                assert request.request_id == original.request_id
+                assert request.arrival_ms == original.arrival_ms
+                assert request.trace_id == original.trace_id
+                _same_inputs(request.inputs, original.inputs)
+
+    def test_frame_bound_covers_every_request_of_a_frame(self, monkeypatch):
+        monkeypatch.setattr("repro.fleet.protocol.MAX_FRAME_BYTES", 2048)
+        one = {"inputs": np.zeros(100)}
+        encode_frame({"type": "serve", "requests": [one]})
+        with pytest.raises(ProtocolError):
+            encode_frame({"type": "serve", "requests": [one, one, one]})
+
+    def test_buffer_checks_hold_for_a_later_request(self):
+        header = {"type": "serve", "requests": [{"inputs": _tag()}, {"inputs": _tag(buf=(24, 16))}]}
+        with pytest.raises(ProtocolError, match="does not start"):
+            decode_body(_raw_body(header, bytes(40)))
+        header["requests"][1]["inputs"] = _tag(dtype="O", buf=(16, 16))
+        with pytest.raises(ProtocolError, match="unusable dtype"):
+            decode_body(_raw_body(header, bytes(32)))
+
+
 ONE_BYTE = ["bool", "int8", "uint8"]
 MULTI_BYTE = ["i2", "i4", "i8", "f2", "f4", "f8", "c16"]
 #: Both byte orders of every multi-byte dtype (one-byte dtypes have none).

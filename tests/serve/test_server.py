@@ -293,6 +293,51 @@ class TestCachingAndFallback:
         for response in responses[1:]:
             np.testing.assert_array_equal(response.output, responses[0].output)
 
+    @pytest.mark.parametrize(
+        "budget, cache_capacity",
+        [(1.0, 256), (1e-9, 256), (1.0, 0)],
+        ids=["served", "fallbacks", "no-cache"],
+    )
+    def test_each_served_input_is_digested_once(self, monkeypatch, budget, cache_capacity):
+        """The result-cache key and every reference lookup, a fallback's
+        included, share one fingerprint: N distinct requests cost N array
+        digests."""
+        import hashlib
+        from types import SimpleNamespace
+
+        import repro.api.cache as api_cache
+        from repro.api import CalibrationEntry
+        from repro.core.config import ROWS2_NN
+
+        server = _server(cache_capacity=cache_capacity)
+        # One rung the controller trusts with any budget: its outputs are
+        # within 1.0, and a 1e-9 budget makes every one a violation that
+        # the reference replaces.
+        server.controller.ladders["gaussian"] = [
+            CalibrationEntry(config=ROWS2_NN, mean_error=0.0, max_error=0.0, speedup=3.0),
+        ]
+        digests = []
+
+        def sha1(*args):
+            digests.append(args)
+            return hashlib.sha1(*args)
+
+        monkeypatch.setattr(api_cache, "hashlib", SimpleNamespace(sha1=sha1))
+        requests = [
+            ServeRequest(
+                index,
+                "gaussian",
+                generate_image("natural", size=32, seed=index),
+                error_budget=budget,
+                arrival_ms=float(index),
+            )
+            for index in range(50)
+        ]
+        responses = server.run_trace(requests)
+        assert len(responses) == len(requests)
+        assert server.metrics.fallbacks == (len(requests) if budget < 1.0 else 0)
+        assert len(digests) == len(requests)
+
     def test_cache_disabled(self):
         server = _server(max_batch=1, cache_capacity=0)
         assert server.cache is None
