@@ -47,7 +47,7 @@ from ..core.pipeline import (
     DatasetResult,
     baseline_config_for,
 )
-from ..core.quality import ErrorSummary, compute_error
+from ..core.quality import ErrorReference, ErrorSummary, compute_error
 from ..core.tuning import SweepPoint, SweepResult, WorkGroupTiming
 from ..obs.trace import get_tracer
 from .cache import LRUCache, input_token
@@ -258,13 +258,16 @@ class PerforationEngine:
         :meth:`~repro.apps.base.Application.approximation_key` give the same
         approximate output, so ``approximate`` and the error measurement
         run once per distinct key, in first-occurrence order, on the worker
-        pool; each config gets its key's float.  Nothing outlives the call.
+        pool; each config gets its key's float.  The reference's own error
+        terms are computed once, in the first error measured
+        (:class:`~repro.core.quality.ErrorReference`).  Nothing outlives the
+        call.
         """
         app = self.resolve_app(app)
         configs = list(configs)
         for config in configs:
             config.validate_for_halo(app.halo)
-        reference = self.reference(app, inputs)
+        reference = ErrorReference(self.reference(app, inputs))
         keys = [app.approximation_key(config) for config in configs]
         firsts: dict[object, ApproximationConfig] = {}
         for key, config in zip(keys, configs):

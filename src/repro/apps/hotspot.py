@@ -92,20 +92,30 @@ def _simulation_step(
     power_sampler: InputSampler,
     coefficients: HotspotCoefficients,
 ) -> np.ndarray:
-    """One explicit update step using (possibly approximate) input views."""
+    """One explicit update step using (possibly approximate) input views.
+
+    Evaluates, in place and in this order of operations and operands::
+
+        center + step_div_cap * (power
+            + (south + north - 2.0 * center) * ry_1
+            + (east + west - 2.0 * center) * rx_1
+            + (ambient - center) * rz_1)
+    """
     center = temp_sampler.read_offset(0, 0)
-    north = temp_sampler.read_offset(0, -1)
-    south = temp_sampler.read_offset(0, 1)
-    west = temp_sampler.read_offset(-1, 0)
-    east = temp_sampler.read_offset(1, 0)
-    power = power_sampler.read_offset(0, 0)
-    delta = coefficients.step_div_cap * (
-        power
-        + (south + north - 2.0 * center) * coefficients.ry_1
-        + (east + west - 2.0 * center) * coefficients.rx_1
-        + (coefficients.ambient - center) * coefficients.rz_1
-    )
-    return center + delta
+    twice_center = np.multiply(2.0, center)
+    total = np.add(temp_sampler.read_offset(0, 1), temp_sampler.read_offset(0, -1))
+    total -= twice_center
+    total *= coefficients.ry_1
+    np.add(power_sampler.read_offset(0, 0), total, out=total)
+    term = np.add(temp_sampler.read_offset(1, 0), temp_sampler.read_offset(-1, 0))
+    term -= twice_center
+    term *= coefficients.rx_1
+    total += term
+    np.subtract(coefficients.ambient, center, out=term)
+    term *= coefficients.rz_1
+    total += term
+    np.multiply(coefficients.step_div_cap, total, out=total)
+    return np.add(center, total, out=total)
 
 
 class HotspotApp(Application):

@@ -17,7 +17,7 @@ from ..core.config import ApproximationConfig
 from ..core.quality import ErrorMetric
 from ..core.reconstruction import AccurateSampler, InputSampler
 from .base import Application
-from .stencils import convolve, count_nonzero_weights
+from .stencils import convolve_masks, count_nonzero_weights
 
 #: 3x3 Sobel masks.
 SOBEL3_GX = np.array(
@@ -93,9 +93,12 @@ __kernel void sobel5(__global const float* input,
 
 
 def _gradient_magnitude(sampler: InputSampler, gx_mask: np.ndarray, gy_mask: np.ndarray) -> np.ndarray:
-    gx = convolve(sampler, gx_mask)
-    gy = convolve(sampler, gy_mask)
-    return np.sqrt(gx * gx + gy * gy)
+    """``sqrt(gx * gx + gy * gy)``, both gradients summed in one pass over the taps."""
+    gx, gy = convolve_masks(sampler, (gx_mask, gy_mask))
+    np.multiply(gx, gx, out=gx)
+    np.multiply(gy, gy, out=gy)
+    gx += gy
+    return np.sqrt(gx, out=gx)
 
 
 class Sobel3App(Application):

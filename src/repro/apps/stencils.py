@@ -9,7 +9,7 @@ sum (Gaussian, Sobel), a rank filter (Median) or a finite-difference update
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,18 +31,38 @@ def convolve(sampler: InputSampler, weights: np.ndarray) -> np.ndarray:
     ``weights`` is a (2r+1) x (2r+1) array; zero weights are skipped, which
     matters for the Sobel masks whose centre column/row is zero.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[0] != weights.shape[1] or weights.shape[0] % 2 == 0:
-        raise ValueError(f"weights must be a square odd-sized array, got {weights.shape}")
-    radius = weights.shape[0] // 2
-    result = np.zeros((sampler.height, sampler.width), dtype=np.float64)
+    (result,) = convolve_masks(sampler, [weights])
+    return result
+
+
+def convolve_masks(sampler: InputSampler, masks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """:func:`convolve` with each of ``masks`` (all one size), in one pass over the taps.
+
+    A tap is read once if any mask weighs it.  Every sum starts from zeros
+    and adds ``weight * value`` for its non-zero weights in ``(dy, dx)``
+    order, in place through one scratch plane, so each result is bit for bit
+    what the plain ``result += weight * value`` loop gives.
+    """
+    masks = [np.asarray(mask, dtype=np.float64) for mask in masks]
+    shape = masks[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 == 0:
+        raise ValueError(f"weights must be a square odd-sized array, got {shape}")
+    if any(mask.shape != shape for mask in masks):
+        raise ValueError("all masks must have one shape")
+    radius = shape[0] // 2
+    sums = [np.zeros((sampler.height, sampler.width)) for _ in masks]
+    term = np.empty_like(sums[0])
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
-            weight = weights[dy + radius, dx + radius]
-            if weight == 0.0:
+            weights = [mask[dy + radius, dx + radius] for mask in masks]
+            if all(weight == 0.0 for weight in weights):
                 continue
-            result += weight * sampler.read_offset(dx, dy)
-    return result
+            values = sampler.read_offset(dx, dy)
+            for total, weight in zip(sums, weights):
+                if weight != 0.0:
+                    np.multiply(weight, values, out=term)
+                    total += term
+    return sums
 
 
 def gather_neighborhood(sampler: InputSampler, radius: int) -> np.ndarray:

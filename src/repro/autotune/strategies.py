@@ -58,6 +58,7 @@ import numpy as np
 from ..core.config import ApproximationConfig
 from ..core.errors import TuningError
 from ..core.pareto import pareto_front
+from ..data.hotspot import HotspotInput
 from .space import SearchSpace, config_key
 
 #: Screening fidelities tried by the multi-fidelity strategies, coarsest
@@ -102,6 +103,14 @@ def _downscale(inputs, step: int):
         if any(part is None for part in scaled):
             return None
         return type(inputs)(scaled)
+    if isinstance(inputs, HotspotInput):
+        # Both grids shrink together; the screened grid's update coefficients
+        # follow from its own size, as for any Hotspot input.
+        temperature = _downscale(inputs.temperature, step)
+        if temperature is None:
+            return None
+        power = _downscale(inputs.power, step)
+        return HotspotInput(size=temperature.shape[0], temperature=temperature, power=power)
     return None
 
 

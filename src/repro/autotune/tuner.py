@@ -3,8 +3,8 @@
 Ties the subsystem together: resolve the search space, run a seeded
 strategy over a :class:`~repro.autotune.strategies.TuningTask`, persist
 the outcome in the :class:`~repro.autotune.db.TuningDB`, and answer the
-questions callers actually ask — the Pareto front, how it grew while the
-search ran, and budget-indexed configuration ladders.
+questions callers actually ask — the Pareto front and budget-indexed
+configuration ladders.
 
 The entry point is :meth:`Tuner.tune`: a full search over the space,
 returning a :class:`TuningResult`; a warm database replays it with
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..api.cache import input_token
 from ..api.calibration import CalibrationEntry, default_inputs, select
@@ -60,19 +60,6 @@ class TuningResult:
     def front(self) -> list[Observation]:
         """Pareto front of the full-fidelity observations."""
         return pareto_front(self.full_observations())
-
-    def incremental_fronts(self) -> Iterator[tuple[int, list[Observation]]]:
-        """The front after each full-fidelity evaluation, in search order.
-
-        Yields ``(full_evaluations_spent, front)`` pairs — the trajectory a
-        caller would have seen had it polled the tuner while it ran.
-        """
-        prefix: list[Observation] = []
-        for observation in self.observations:
-            if not observation.is_full_fidelity:
-                continue
-            prefix.append(observation)
-            yield len(prefix), pareto_front(prefix)
 
     # ------------------------------------------------------------------
     def ladder(self):

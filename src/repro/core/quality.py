@@ -6,11 +6,17 @@ Sobel applications (whose outputs are frequently zero, which makes the MRE
 ill-defined).  Both are provided here, together with a few additional
 metrics (RMSE, PSNR, maximum error) that are useful for the extended
 analyses and for tests.
+
+Measuring many approximations against one reference (a sweep, a tuning
+batch) goes through :class:`ErrorReference`: :func:`compute_error` then
+computes the reference-only terms once, in its first call, and every later
+call reuses them.  The floats are the plain array path's bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,13 +76,40 @@ def mean_relative_error(
     normalised mean error, mirroring the paper's choice for Sobel.
     """
     ref, approx = _validate(reference, approximate)
+    terms = _relative_terms(ref, epsilon, relative_floor)
+    if terms is None:
+        return _normalized_error(_range(ref), ref, approx)
+    return _relative_error(terms, approx)
+
+
+def _relative_terms(
+    ref: np.ndarray, epsilon: float, relative_floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """The reference-only terms of the MRE, or ``None`` if no element is valid.
+
+    They are ``ref`` and the floored denominators at the valid elements, as
+    1-D arrays in C order, and the valid mask (``None`` when every element
+    is valid: ``ravel()`` then gives the sequence the mask would gather).
+    """
     magnitude = np.abs(ref)
     valid = magnitude > epsilon
     if not valid.any():
-        return normalized_mean_error(ref, approx)
+        return None
     floor = relative_floor * float(magnitude.max())
-    denominator = np.maximum(magnitude[valid], floor)
-    return float(np.mean(np.abs(ref[valid] - approx[valid]) / denominator))
+    if valid.all():
+        return ref.ravel(), np.maximum(magnitude, floor).ravel(), None
+    return ref[valid], np.maximum(magnitude[valid], floor), valid
+
+
+def _relative_error(
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray | None], approx: np.ndarray
+) -> float:
+    values, denominator, valid = terms
+    # mean(|values - approx| / denominator), one temporary updated in place.
+    ratio = np.subtract(values, approx.ravel() if valid is None else approx[valid])
+    np.abs(ratio, out=ratio)
+    ratio /= denominator
+    return float(np.mean(ratio))
 
 
 def mean_error(reference: np.ndarray, approximate: np.ndarray) -> float:
@@ -93,10 +126,21 @@ def normalized_mean_error(reference: np.ndarray, approximate: np.ndarray) -> flo
     0-0.35 axis as the relative errors of the other applications).
     """
     ref, approx = _validate(reference, approximate)
+    return _normalized_error(_range(ref), ref, approx)
+
+
+def _range(ref: np.ndarray) -> float:
+    """The normalised mean error's scale: the reference's range, else its peak or 1."""
     scale = float(ref.max() - ref.min())
     if scale <= 0:
         scale = max(float(np.abs(ref).max()), 1.0)
-    return float(np.mean(np.abs(ref - approx)) / scale)
+    return scale
+
+
+def _normalized_error(scale: float, ref: np.ndarray, approx: np.ndarray) -> float:
+    difference = ref - approx
+    np.abs(difference, out=difference)
+    return float(np.mean(difference) / scale)
 
 
 def rmse(reference: np.ndarray, approximate: np.ndarray) -> float:
@@ -125,9 +169,16 @@ def psnr(reference: np.ndarray, approximate: np.ndarray, peak: float | None = No
 
 
 def compute_error(
-    reference: np.ndarray, approximate: np.ndarray, metric: ErrorMetric
+    reference: np.ndarray | ErrorReference, approximate: np.ndarray, metric: ErrorMetric
 ) -> float:
-    """Dispatch on :class:`ErrorMetric`."""
+    """Dispatch on :class:`ErrorMetric`.
+
+    ``reference`` may be an :class:`ErrorReference`, which computes its
+    reference-only terms in the first call that needs them and reuses them
+    in every later one; the error is the same float either way.
+    """
+    if isinstance(reference, ErrorReference):
+        return reference.error(approximate, metric)
     if metric is ErrorMetric.MEAN_RELATIVE_ERROR:
         return mean_relative_error(reference, approximate)
     if metric is ErrorMetric.MEAN_ERROR:
@@ -139,6 +190,40 @@ def compute_error(
     if metric is ErrorMetric.PSNR:
         return psnr(reference, approximate)
     raise QualityError(f"unknown error metric {metric!r}")
+
+
+class ErrorReference:
+    """A reference output whose error terms are computed once for many errors.
+
+    :meth:`PerforationEngine.errors <repro.api.engine.PerforationEngine.errors>`
+    wraps each reference once per call and measures every approximation
+    against it with :func:`compute_error`.  The terms that depend on the
+    reference alone (the mean relative error's |ref|, valid mask, floor,
+    denominators and ``ref`` at the valid elements; the normalised mean
+    error's range) are computed by the first error that needs them, inside
+    that :func:`compute_error` call, and live as long as the wrapper.  Every
+    error equals the plain array path's bit for bit.
+    """
+
+    def __init__(self, reference: np.ndarray) -> None:
+        self.array = np.asarray(reference, dtype=np.float64)
+
+    @functools.cached_property
+    def _relative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+        return _relative_terms(self.array, MRE_EPSILON, MRE_RELATIVE_FLOOR)
+
+    @functools.cached_property
+    def _scale(self) -> float:
+        return _range(self.array)
+
+    def error(self, approximate: np.ndarray, metric: ErrorMetric) -> float:
+        """``compute_error(self.array, approximate, metric)``, from the kept terms."""
+        ref, approx = _validate(self.array, approximate)
+        if metric is ErrorMetric.MEAN_RELATIVE_ERROR and self._relative is not None:
+            return _relative_error(self._relative, approx)
+        if metric in (ErrorMetric.MEAN_RELATIVE_ERROR, ErrorMetric.MEAN_ERROR):
+            return _normalized_error(self._scale, ref, approx)
+        return compute_error(ref, approx, metric)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,14 @@ shifts the original image; perforated samplers serve the values a work
 group's reconstructed local tile would contain.  Each sampler builds its
 planes once, from a snapshot of the image taken at construction, and serves
 them read-only: copy a served array before writing to it.
+
+A row or column sampler builds one C-contiguous plane per offset along its
+perforated axis with one gather of the fetched line each output line reads;
+linear interpolation then blends only the lines between two fetched ones,
+so fetched lines stay plain copies.  The stencil sampler gathers one
+tile-clamped column plane per horizontal offset and serves each read as a
+row gather of it.  The planes equal the per-offset formulas byte for byte
+(``tests/core/test_sampler_planes.py``).
 """
 
 from __future__ import annotations
@@ -172,6 +180,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _clamp(index: np.ndarray, low, high) -> np.ndarray:
+    """``np.clip`` of an index array, without np.clip's per-call wrapper cost."""
+    return np.minimum(np.maximum(index, low), high)
+
+
 class InputSampler:
     """An (exact or approximate) view of a kernel's 2D input buffer.
 
@@ -193,9 +206,19 @@ class InputSampler:
     def _snapshot(self, image: np.ndarray, pad: int) -> None:
         """Keep a read-only copy of ``image`` edge-padded by ``pad``; drop old planes."""
         array = _check_image(image)
-        self.height, self.width = array.shape
+        height, width = self.height, self.width = array.shape
         self._pad = pad
-        self._padded = _frozen(np.pad(array, pad, mode="edge"))
+        # ``np.pad(array, pad, mode="edge")`` by slice assignment, which costs
+        # less than np.pad's wrapper at the autotuner's screening sizes.
+        padded = np.empty((height + 2 * pad, width + 2 * pad))
+        rows = padded[pad : pad + height]
+        rows[:, pad : pad + width] = array
+        if pad:
+            rows[:, :pad] = array[:, :1]
+            rows[:, pad + width :] = array[:, -1:]
+            padded[:pad] = rows[0]
+            padded[pad + height :] = rows[-1]
+        self._padded = _frozen(padded)
         self._planes: dict[int, np.ndarray] = {}
 
     @property
@@ -265,24 +288,120 @@ class ReconstructedImageSampler(InputSampler):
         return self.reconstructed
 
 
-class RowTileSampler(InputSampler):
-    """Sampler reproducing the *per-tile* row perforation scheme exactly.
+class _LineTileSampler(InputSampler):
+    """Per-tile perforation of whole lines (rows or columns) of the input.
 
-    Each work group stages its tile (``tile_y + 2 * halo`` rows, vertically
-    clamped to the image at fetch time) in local memory, fetching only every
-    ``step``-th tile row; the reconstruction then fills the skipped tile
-    rows from fetched rows *of the same tile*.  Two boundary effects follow
-    that a global row reconstruction cannot express:
+    Each work group stages its tile (``tile + 2 * halo`` lines along the
+    perforated :attr:`axis`, clamped to the image at fetch time) in local
+    memory, fetching only every ``step``-th tile line; the reconstruction
+    then fills the skipped tile lines from fetched lines *of the same tile*.
+    Two boundary effects follow that a global reconstruction cannot express:
 
-    * at the image border, the clamped fetch duplicates the border row into
+    * at the image border, the clamped fetch duplicates the border line into
       the halo slot, so halo reads there are exact rather than
       reconstructed;
-    * at the bottom of a tile, reconstruction clamps to the last row fetched
-      *by that tile* instead of borrowing the nearer row of the next tile.
+    * at the end of a tile, reconstruction clamps to the last line fetched
+      *by that tile* instead of borrowing the nearer line of the next tile.
 
-    This sampler matches the compiled kernel bit for bit, which is what the
-    integration tests (and the cross-backend conformance suite) pin down.
+    One plane per offset along the perforated axis holds a reconstructed
+    line per output line, edge-padded along the other axis, C-contiguous
+    for either axis.  The samplers match the compiled kernel bit for bit,
+    which is what the integration tests (and the cross-backend conformance
+    suite) pin down.
     """
+
+    #: The perforated axis: 0 for rows, 1 for columns.
+    axis: int
+
+    def __init__(
+        self,
+        image: np.ndarray,
+        step: int,
+        tile: int,
+        halo: int = 0,
+        technique: str = NEAREST_NEIGHBOR,
+    ) -> None:
+        # Padding by the halo covers every offset the kernel reads across lines.
+        self._snapshot(image, halo)
+        _check_technique(technique)
+        if step < 2:
+            raise ReconstructionError("row perforation requires step >= 2")
+        if tile <= 0:
+            raise SchemeError("tile dimensions must be positive")
+        self.step = step
+        self.tile = tile
+        self.halo = halo
+        self.technique = technique
+        #: Last tile line the perforated prefetch loop fetches.
+        self.last_loaded = ((tile + 2 * halo - 1) // step) * step
+
+    def _plane(self, offset: int) -> np.ndarray:
+        """Lines served for stencil offset ``offset`` along the perforated axis."""
+        axis, pad, step = self.axis, self._pad, self.step
+        size = (self.height, self.width)[axis]
+        # The snapshot without its padding along the perforated axis.
+        image = self._padded[pad : pad + size] if axis == 0 else self._padded[:, pad : pad + size]
+        lines = np.arange(size)
+        group_start = (lines // self.tile) * self.tile
+
+        def fetched(slot: np.ndarray) -> np.ndarray:
+            """Image lines held by tile slots ``slot`` (clamped at fetch time)."""
+            return _clamp(group_start + slot - self.halo, 0, size - 1)
+
+        # Tile line each read lands on; always within the staged tile because
+        # |offset| <= halo (the kernel's clamp-to-tile is a no-op then).
+        slot = lines % self.tile + self.halo + offset
+        if self.technique == NEAREST_NEIGHBOR:
+            nearest = np.minimum(((slot + step // 2) // step) * step, self.last_loaded)
+            return self._lines(image, fetched(np.where(slot % step == 0, slot, nearest)))
+        # One gather of the lower fetched line serves fetched lines and lines
+        # past the last fetched one (where the blend degenerates to
+        # nearest-neighbour) as plain copies, which keeps signed zeros.
+        lo = (slot // step) * step
+        plane = self._lines(image, fetched(lo))
+        between = np.flatnonzero((slot != lo) & (lo + step <= self.last_loaded))
+        if between.size:
+            # mix(lo, hi, t) exactly as the generated kernel computes it.
+            frac = (slot[between] - lo[between]).astype(np.float64) / float(step)
+            lo_lines = self._lines(plane, between)
+            blend = self._lines(image, fetched(lo + step)[between])
+            blend -= lo_lines
+            blend *= frac[:, None] if axis == 0 else frac
+            np.add(lo_lines, blend, out=blend)
+            if axis == 0:
+                plane[between] = blend
+            else:
+                plane[:, between] = blend
+        return plane
+
+    def _lines(self, array: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """A C-contiguous copy of ``array``'s lines ``index`` along the perforated axis."""
+        # Indexing, not np.take, which is many times slower along axis 1 of a view.
+        return array[index] if self.axis == 0 else array[:, index]
+
+    def read_offset(self, dx: int, dy: int) -> np.ndarray:
+        along, across = (dy, dx) if self.axis == 0 else (dx, dy)
+        if abs(across) > self._pad:
+            self._snapshot(self.image, abs(across))
+        plane = self._planes.get(along)
+        if plane is None:
+            plane = self._planes[along] = _frozen(self._plane(along))
+        start = self._pad + across
+        if self.axis == 0:
+            return plane[:, start : start + self.width]
+        return plane[start : start + self.height]
+
+    def view(self) -> np.ndarray:
+        return self.read_offset(0, 0)
+
+
+class RowTileSampler(_LineTileSampler):
+    """Sampler reproducing the *per-tile* row perforation scheme exactly.
+
+    ``tile_y`` is the work group's height; see :class:`_LineTileSampler`.
+    """
+
+    axis = 0
 
     def __init__(
         self,
@@ -292,71 +411,13 @@ class RowTileSampler(InputSampler):
         halo: int = 0,
         technique: str = NEAREST_NEIGHBOR,
     ) -> None:
-        # Padding by the halo covers every |dx| the kernel reads.
-        self._snapshot(image, halo)
-        _check_technique(technique)
-        if step < 2:
-            raise ReconstructionError("row perforation requires step >= 2")
-        if tile_y <= 0:
-            raise SchemeError("tile dimensions must be positive")
-        self.step = step
-        self.tile_y = tile_y
-        self.halo = halo
-        self.technique = technique
-        self.tile_h = tile_y + 2 * halo
-        #: Last tile row the perforated prefetch loop fetches.
-        self.last_loaded = ((self.tile_h - 1) // step) * step
-
-    def _fetched_global_rows(self, ty: np.ndarray, group_row0: np.ndarray) -> np.ndarray:
-        """Global rows held by tile slots ``ty`` (clamped at fetch time)."""
-        return np.clip(group_row0 + ty - self.halo, 0, self.height - 1)
-
-    def _row_view(self, dy: int) -> np.ndarray:
-        """Rows (column-padded) served for vertical stencil offset ``dy``, one per output row."""
-        image = self._padded[self._pad : self._pad + self.height]
-        rows = np.arange(self.height)
-        group_row0 = (rows // self.tile_y) * self.tile_y
-        # Tile row each read lands on; always within the staged tile because
-        # |dy| <= halo (the kernel's clamp-to-tile is a no-op then).
-        ty = rows % self.tile_y + self.halo + dy
-        loaded = (ty % self.step) == 0
-        step = self.step
-        if self.technique == NEAREST_NEIGHBOR:
-            src = np.minimum(((ty + step // 2) // step) * step, self.last_loaded)
-            src_rows = np.where(loaded, ty, src)
-            return image[self._fetched_global_rows(src_rows, group_row0), :]
-        lo = (ty // step) * step
-        hi = lo + step
-        lo_rows = image[self._fetched_global_rows(lo, group_row0), :]
-        hi_rows = image[
-            self._fetched_global_rows(np.minimum(hi, self.last_loaded), group_row0), :
-        ]
-        # mix(lo, hi, t) exactly as the generated kernel computes it; past the
-        # last fetched tile row the blend degenerates to nearest-neighbour.
-        frac = (ty - lo).astype(np.float64) / float(step)
-        blended = lo_rows + (hi_rows - lo_rows) * frac[:, None]
-        result = np.where((hi <= self.last_loaded)[:, None], blended, lo_rows)
-        return np.where(
-            loaded[:, None],
-            image[self._fetched_global_rows(ty, group_row0), :],
-            result,
-        )
-
-    def read_offset(self, dx: int, dy: int) -> np.ndarray:
-        if abs(dx) > self._pad:
-            self._snapshot(self.image, abs(dx))
-        plane = self._planes.get(dy)
-        if plane is None:
-            plane = self._planes[dy] = _frozen(self._row_view(dy))
-        x0 = self._pad + dx
-        return plane[:, x0 : x0 + self.width]
-
-    def view(self) -> np.ndarray:
-        return self.read_offset(0, 0)
+        super().__init__(image, step, tile_y, halo, technique)
 
 
-class ColumnTileSampler(InputSampler):
-    """Column analogue of :class:`RowTileSampler` (transposed delegation)."""
+class ColumnTileSampler(_LineTileSampler):
+    """Column analogue of :class:`RowTileSampler`; ``tile_x`` is the work group's width."""
+
+    axis = 1
 
     def __init__(
         self,
@@ -366,27 +427,14 @@ class ColumnTileSampler(InputSampler):
         halo: int = 0,
         technique: str = NEAREST_NEIGHBOR,
     ) -> None:
-        self._rows = RowTileSampler(
-            np.asarray(image).T, step, tile_x, halo=halo, technique=technique
-        )
-        self.height, self.width = self._rows.width, self._rows.height
-
-    @property
-    def image(self) -> np.ndarray:
-        return self._rows.image.T
-
-    def read_offset(self, dx: int, dy: int) -> np.ndarray:
-        return self._rows.read_offset(dy, dx).T
-
-    def view(self) -> np.ndarray:
-        return self.read_offset(0, 0)
+        super().__init__(image, step, tile_x, halo, technique)
 
 
 def _tile_clamped(size: int, tile: int, offset: int) -> np.ndarray:
     """Index each of ``size`` pixels reads at ``offset``, clamped into its tile."""
     index = np.arange(size)
     start = (index // tile) * tile
-    return np.clip(index + offset, start, np.minimum(start + tile - 1, size - 1))
+    return _clamp(index + offset, start, np.minimum(start + tile - 1, size - 1))
 
 
 class StencilTileSampler(InputSampler):
@@ -404,12 +452,16 @@ class StencilTileSampler(InputSampler):
             raise SchemeError("tile dimensions must be positive")
         self.tile_x = tile_x
         self.tile_y = tile_y
+        self._rows: dict[int, np.ndarray] = {}
 
     def read_offset(self, dx: int, dy: int) -> np.ndarray:
         columns = self._planes.get(dx)
         if columns is None:
             columns = self._planes[dx] = self.image[:, _tile_clamped(self.width, self.tile_x, dx)]
-        return _frozen(columns[_tile_clamped(self.height, self.tile_y, dy)])
+        rows = self._rows.get(dy)
+        if rows is None:
+            rows = self._rows[dy] = _tile_clamped(self.height, self.tile_y, dy)
+        return _frozen(columns[rows])
 
 
 def sampler_key(

@@ -10,12 +10,16 @@ import pytest
 from repro.api import PerforationEngine
 from repro.api import engine as engine_module
 from repro.api.cache import input_token
-from repro.apps import GaussianApp
+from repro.apps import GaussianApp, available_applications
+from repro.apps.hotspot import HotspotCoefficients
+from repro.apps.inversion import INVERSION_MAX
+from repro.autotune import default_space
 from repro.core import ConfigurationError, ROWS1_NN, STENCIL1_NN
 from repro.core import perforator
 from repro.core.config import default_configurations
 from repro.core.perforator import KernelPerforator, build_kernel
-from repro.data import generate_image, hotspot_single
+from repro.core.quality import MRE_EPSILON, compute_error
+from repro.data import HotspotInput, generate_image, hotspot_single
 from repro.serve import PerforationServer, TraceSpec, generate_trace
 
 
@@ -299,3 +303,58 @@ class TestKernelBuildCache:
                         np.testing.assert_array_equal(output, reference)
         finally:
             sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# The batch error path (reference terms computed once) against the plain one
+# ---------------------------------------------------------------------------
+def _zeroed_hotspot(grid, mask):
+    """``grid`` with the power solved, where ``mask`` is set, so the accurate
+    step's output there is zero up to rounding (|output| far below the MRE's
+    epsilon)."""
+    c = HotspotCoefficients.for_grid(grid.size, grid.size)
+    t = grid.temperature
+    padded = np.pad(t, 1, mode="edge")
+    north, south = padded[:-2, 1:-1], padded[2:, 1:-1]
+    west, east = padded[1:-1, :-2], padded[1:-1, 2:]
+    power = (
+        -t / c.step_div_cap
+        - (south + north - 2.0 * t) * c.ry_1
+        - (east + west - 2.0 * t) * c.rx_1
+        - (c.ambient - t) * c.rz_1
+    )
+    return HotspotInput(size=grid.size, temperature=t, power=np.where(mask, power, grid.power))
+
+
+def _batch_input(app, valid):
+    """A 32x32 input whose reference is valid for the MRE everywhere
+    (``"all"``), in part (``"some"``) or nowhere (``"none"``)."""
+    block = np.zeros((32, 32), dtype=bool)
+    block[4:16, 8:24] = True
+    mask = {"all": np.zeros_like(block), "some": block, "none": np.ones_like(block)}[valid]
+    if app == "hotspot":
+        return _zeroed_hotspot(hotspot_single(size=32, seed=5), mask)
+    # Inversion outputs 255 - x, the filters output 0 on a flat zero area.
+    flat = INVERSION_MAX if app == "inversion" else 0.0
+    image = generate_image("natural", size=32, seed=5) * 0.5 + 16.0
+    return np.where(mask, flat, image)
+
+
+class TestBatchErrors:
+    @pytest.mark.parametrize("valid", ["all", "some", "none"])
+    @pytest.mark.parametrize("app", available_applications())
+    def test_batch_errors_equal_the_plain_error_of_every_config(self, app, valid):
+        engine = PerforationEngine()
+        app = engine.resolve_app(app)
+        inputs = _batch_input(app.name, valid)
+        reference = engine.reference(app, inputs)
+        count = int(np.count_nonzero(np.abs(reference) > MRE_EPSILON))
+        expected = {"all": count == reference.size, "some": 0 < count < reference.size}
+        assert expected.get(valid, count == 0)
+        if valid == "none" and app.name != "hotspot":
+            assert not reference.any()  # the range fallback of the normalised error
+        configs = default_space().configurations(app.halo)
+        batch = engine.errors(app, inputs, configs)
+        for config, error in zip(configs, batch):
+            plain = compute_error(reference, app.approximate(inputs, config), app.error_metric)
+            assert error.hex() == plain.hex(), config.label

@@ -157,16 +157,40 @@ class TestSuccessiveHalving:
         coarsest = [o.config for o in result.observations if o.fidelity == 0.25]
         assert coarsest == candidates
 
-    def test_unscreenable_input_evaluates_every_candidate_at_full_size(self):
-        """A Hotspot grid cannot be downscaled, so there is no screening rung:
-        every candidate is evaluated once, at full fidelity, in candidate order."""
+    def test_unscreenable_input_evaluates_every_candidate_at_full_size(self, image):
+        """An input the tuner cannot downscale (array-like, but no array) has
+        no screening rung: every candidate is evaluated once, at full
+        fidelity, in candidate order."""
+
+        class Opaque:
+            def __array__(self, dtype=None, copy=None):
+                return image
+
+        engine = PerforationEngine()
+        opaque = Opaque()
+        task = TuningTask(engine, "gaussian", opaque, default_space())
+        assert task.screening_fidelities() == ()
+        result = Tuner(engine, db=False).tune("gaussian", opaque, strategy="successive-halving")
+        assert all(o.is_full_fidelity for o in result.observations)
+        assert [o.config for o in result.observations] == task.candidates()
+
+    def test_hotspot_grid_screens_and_reaches_the_grid_front(self):
+        """Temperature and power shrink together, so a Hotspot grid screens
+        like an image and reaches the exhaustive front with fewer full
+        evaluations."""
         engine = PerforationEngine()
         grid = hotspot_single(size=64, seed=1)
         task = TuningTask(engine, "hotspot", grid, default_space())
-        assert task.screening_fidelities() == ()
-        result = Tuner(engine, db=False).tune("hotspot", grid, strategy="successive-halving")
-        assert all(o.is_full_fidelity for o in result.observations)
-        assert [o.config for o in result.observations] == task.candidates()
+        assert task.screening_fidelities() == (0.25, 0.5)
+        screened = task.scaled_inputs(0.25)
+        assert screened.size == 16 and screened.power.shape == (16, 16)
+        assert (screened.temperature == grid.temperature[::4, ::4]).all()
+        tuner = Tuner(engine, db=False)
+        exhaustive = tuner.tune("hotspot", grid, strategy="grid")
+        halving = tuner.tune("hotspot", grid, strategy="successive-halving")
+        assert {o.fidelity for o in halving.observations} == {0.25, 0.5, 1.0}
+        assert {o.key for o in halving.front()} == {o.key for o in exhaustive.front()}
+        assert halving.full_evaluations < exhaustive.full_evaluations
 
 
 def _layers_by_repeated_fronts(observations):

@@ -59,15 +59,6 @@ class TestTune:
             assert speedup >= last
             last = speedup
 
-    def test_incremental_fronts_grow_monotonically_in_evals(self, image):
-        tuner = Tuner(PerforationEngine(), db=False)
-        result = tuner.tune("gaussian", image, strategy="grid")
-        trajectory = list(result.incremental_fronts())
-        assert trajectory[0][0] == 1
-        assert trajectory[-1][0] == result.full_evaluations
-        final_front = {(o.key) for o in trajectory[-1][1]}
-        assert final_front == {o.key for o in result.front()}
-
     def test_best_for_budget_validates(self, image):
         tuner = Tuner(PerforationEngine(), db=False)
         result = tuner.tune("gaussian", image, strategy="grid", max_evals=5)

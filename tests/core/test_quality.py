@@ -19,6 +19,7 @@ from repro.core import (
     psnr,
     rmse,
 )
+from repro.core.quality import MRE_EPSILON, ErrorReference
 
 
 def arrays(shape=(8, 8)):
@@ -111,6 +112,38 @@ class TestOtherMetrics:
     def test_empty_arrays_rejected(self):
         with pytest.raises(QualityError):
             mean_error(np.zeros((0,)), np.zeros((0,)))
+
+
+#: Reference values around the MRE's epsilon, both signed zeros included.
+_REFERENCE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, MRE_EPSILON, -MRE_EPSILON, 2 * MRE_EPSILON]),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+)
+
+
+class TestErrorReference:
+    @given(
+        reference=hnp.arrays(np.float64, (6, 7), elements=_REFERENCE_VALUES),
+        approximations=st.lists(arrays((6, 7)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kept_terms_give_the_plain_error_bit_for_bit(self, reference, approximations):
+        kept = ErrorReference(reference)
+
+        def outcome(reference, approx, metric):
+            try:
+                return compute_error(reference, approx, metric).hex()
+            except ValueError as exc:  # e.g. PSNR of a peak whose square underflows
+                return repr(exc)
+
+        for approx in approximations:
+            for metric in ErrorMetric:
+                got = outcome(kept, approx, metric)
+                assert got == outcome(reference, approx, metric), metric
+
+    def test_shape_mismatch_is_still_rejected(self):
+        with pytest.raises(QualityError):
+            compute_error(ErrorReference(np.ones((3, 3))), np.ones((3, 4)), ErrorMetric.MEAN_ERROR)
 
 
 class TestErrorSummary:

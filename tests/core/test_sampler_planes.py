@@ -1,10 +1,14 @@
-"""The samplers' planes against the per-offset formulas they replace.
+"""The samplers' planes, and the arithmetic on them, against plain formulas.
 
 Every sampler builds each plane once and serves stencil offsets as slices of
 it.  The oracle below keeps the per-offset formulas (a row view rebuilt for
 every read, tile-clamped coordinates, ``np.ix_`` gathers) as the reference:
 the planes must reproduce them byte for byte, in any read order, including
 offsets past the halo and images the tile does not divide.
+
+The stencil arithmetic (``convolve``, the Sobel magnitude, the Hotspot step)
+accumulates in place; plain expressions, one temporary per operation, are its
+reference, compared byte for byte on images holding both signed zeros.
 """
 
 import numpy as np
@@ -12,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.apps.stencils import convolve
+from repro.apps.hotspot import HotspotCoefficients, _simulation_step
+from repro.apps.sobel import SOBEL3_GX, SOBEL3_GY, SOBEL5_GX, SOBEL5_GY, _gradient_magnitude
+from repro.apps.stencils import convolve, convolve_masks
 from repro.core import (
     ACCURATE,
     AccurateSampler,
@@ -147,19 +153,132 @@ def test_planes_match_per_offset_formulas(kind, case):
 
 
 # ---------------------------------------------------------------------------
+# Arithmetic on the planes: the plain expressions are the oracle
+# ---------------------------------------------------------------------------
+def _plain_convolve(sampler, weights):
+    radius = weights.shape[0] // 2
+    result = np.zeros((sampler.height, sampler.width), dtype=np.float64)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            weight = weights[dy + radius, dx + radius]
+            if weight == 0.0:
+                continue
+            result += weight * sampler.read_offset(dx, dy)
+    return result
+
+
+def _plain_gradient_magnitude(sampler, gx_mask, gy_mask):
+    gx = _plain_convolve(sampler, gx_mask)
+    gy = _plain_convolve(sampler, gy_mask)
+    return np.sqrt(gx * gx + gy * gy)
+
+
+def _plain_simulation_step(temp_sampler, power_sampler, coefficients):
+    center = temp_sampler.read_offset(0, 0)
+    north = temp_sampler.read_offset(0, -1)
+    south = temp_sampler.read_offset(0, 1)
+    west = temp_sampler.read_offset(-1, 0)
+    east = temp_sampler.read_offset(1, 0)
+    power = power_sampler.read_offset(0, 0)
+    delta = coefficients.step_div_cap * (
+        power
+        + (south + north - 2.0 * center) * coefficients.ry_1
+        + (east + west - 2.0 * center) * coefficients.rx_1
+        + (coefficients.ambient - center) * coefficients.rz_1
+    )
+    return center + delta
+
+
+#: Pixel and weight values: both signed zeros, small integers (so sums
+#: cancel to zero) and arbitrary finite floats.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def arithmetic_cases(draw):
+    height = draw(st.integers(1, 24))
+    width = draw(st.integers(1, 24))
+    image = draw(hnp.arrays(np.float64, (height, width), elements=_VALUES))
+    other = draw(hnp.arrays(np.float64, (height, width), elements=_VALUES))
+    params = dict(
+        step=draw(st.sampled_from([2, 3, 4])),
+        tile_x=draw(st.integers(2, 16)),
+        tile_y=draw(st.integers(2, 16)),
+        halo=draw(st.integers(1, 2)),
+        technique=draw(st.sampled_from([NEAREST_NEIGHBOR, LINEAR_INTERPOLATION])),
+    )
+    size = 2 * draw(st.integers(1, 2)) + 1
+    masks = [draw(hnp.arrays(np.float64, (size, size), elements=_VALUES)) for _ in range(2)]
+    return image, other, params, masks
+
+
+def _same_bytes(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(case=arithmetic_cases())
+@settings(max_examples=40, deadline=None)
+def test_convolve_sums_every_tap_in_the_plain_order(kind, case):
+    image, other, params, (mask, second) = case
+    sampler = _sampler(kind, image, other, **params)
+    _same_bytes(convolve(sampler, mask), _plain_convolve(sampler, mask))
+    for got, weights in zip(convolve_masks(sampler, [mask, second]), [mask, second]):
+        _same_bytes(got, _plain_convolve(sampler, weights))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(case=arithmetic_cases())
+@settings(max_examples=40, deadline=None)
+def test_sobel_magnitude_matches_the_plain_expression(kind, case):
+    image, other, params, (gx_mask, gy_mask) = case
+    sampler = _sampler(kind, image, other, **params)
+    pairs = [(gx_mask, gy_mask), (SOBEL3_GX, SOBEL3_GY), (SOBEL5_GX, SOBEL5_GY)]
+    for gx, gy in pairs:
+        got = _gradient_magnitude(sampler, gx, gy)
+        _same_bytes(got, _plain_gradient_magnitude(sampler, gx, gy))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(
+    case=arithmetic_cases(),
+    constants=st.lists(_VALUES, min_size=5, max_size=5),
+    accurate_power=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_hotspot_step_matches_the_plain_expression(kind, case, constants, accurate_power):
+    temperature, power, params, _ = case
+    height, width = temperature.shape
+    grid_coefficients = HotspotCoefficients.for_grid(height, width)
+    for coefficients in (HotspotCoefficients(*constants), grid_coefficients):
+        temp_sampler = _sampler(kind, temperature, power, **params)
+        power_sampler = (
+            AccurateSampler(power)
+            if accurate_power
+            else _sampler(kind, power, temperature, **{**params, "halo": 0})
+        )
+        got = _simulation_step(temp_sampler, power_sampler, coefficients)
+        _same_bytes(got, _plain_simulation_step(temp_sampler, power_sampler, coefficients))
+
+
+# ---------------------------------------------------------------------------
 # Reuse: one plane per offset along the perforated axis
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("sampler_class", [RowTileSampler, ColumnTileSampler])
 @pytest.mark.parametrize("technique", [NEAREST_NEIGHBOR, LINEAR_INTERPOLATION])
 def test_five_by_five_convolve_builds_five_planes(monkeypatch, sampler_class, technique):
     built = []
-    row_view = RowTileSampler._row_view
+    build_plane = sampler_class._plane
 
-    def spy(self, dy):
-        built.append(dy)
-        return row_view(self, dy)
+    def spy(self, offset):
+        built.append(offset)
+        return build_plane(self, offset)
 
-    monkeypatch.setattr(RowTileSampler, "_row_view", spy)
+    monkeypatch.setattr(sampler_class, "_plane", spy)
     image = generate_image("natural", size=32, seed=3)
     convolve(sampler_class(image, 2, 8, halo=2, technique=technique), np.ones((5, 5)))
     assert sorted(built) == [-2, -1, 0, 1, 2]
