@@ -37,7 +37,6 @@ from ..core.quality import ErrorMetric
 from ..core.reconstruction import make_sampler, sampler_key
 from ..core.schemes import (
     KIND_COLUMNS,
-    KIND_RANDOM,
     KIND_ROWS,
     KIND_STENCIL,
     PerforationScheme,
@@ -260,10 +259,10 @@ class Application(abc.ABC):
             perforated += 1
 
         # Staging ends in one barrier; each perforated buffer adds two, after
-        # its prefetch and after its reconstruction.  Column and random
-        # schemes have no compiled kernel; their profile assumes one that
-        # prefetches and reconstructs every buffer together.
-        if config.scheme.kind in (KIND_COLUMNS, KIND_RANDOM):
+        # its prefetch and after its reconstruction.  Column schemes have no
+        # compiled kernel; their profile assumes one that prefetches and
+        # reconstructs every buffer together.
+        if config.scheme.kind == KIND_COLUMNS:
             perforated = min(perforated, 1)
         barriers = float(2 * perforated + 1) if local_bytes else 0.0
 
@@ -336,15 +335,6 @@ class Application(abc.ABC):
                 segment_elements=1.0,
                 element_bytes=self.element_bytes,
                 pattern=AccessPattern.STRIDED,
-            )
-        if kind == KIND_RANDOM:
-            loaded = scheme.loaded_fraction(tile_h, tile_w, spec.halo) * tile_w * tile_h
-            return GlobalTraffic(
-                buffer=spec.name,
-                segments_per_group=loaded,
-                segment_elements=1.0,
-                element_bytes=self.element_bytes,
-                pattern=AccessPattern.SCATTER,
             )
         raise ConfigurationError(f"unsupported scheme kind {kind!r}")
 

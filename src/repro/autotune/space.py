@@ -38,12 +38,10 @@ from ..core.reconstruction import LINEAR_INTERPOLATION, NEAREST_NEIGHBOR
 from ..core.schemes import (
     KIND_COLUMNS,
     KIND_NONE,
-    KIND_RANDOM,
     KIND_ROWS,
     KIND_STENCIL,
     ColumnPerforation,
     PerforationScheme,
-    RandomPerforation,
     RowPerforation,
     StencilPerforation,
 )
@@ -65,12 +63,6 @@ def scheme_to_dict(scheme: PerforationScheme) -> dict:
         return {"kind": kind, "step": scheme.step}  # type: ignore[attr-defined]
     if kind == KIND_STENCIL:
         return {"kind": kind}
-    if kind == KIND_RANDOM:
-        return {
-            "kind": kind,
-            "fraction": scheme.fraction,  # type: ignore[attr-defined]
-            "seed": scheme.seed,  # type: ignore[attr-defined]
-        }
     raise ConfigurationError(f"cannot serialize scheme kind {kind!r}")
 
 
@@ -85,10 +77,6 @@ def scheme_from_dict(data: dict) -> PerforationScheme:
         return ColumnPerforation(step=int(data["step"]))
     if kind == KIND_STENCIL:
         return StencilPerforation()
-    if kind == KIND_RANDOM:
-        return RandomPerforation(
-            fraction=float(data["fraction"]), seed=int(data["seed"])
-        )
     raise ConfigurationError(f"cannot deserialize scheme kind {kind!r}")
 
 
@@ -116,7 +104,7 @@ def config_key(config: ApproximationConfig) -> str:
 
     Thin alias of :attr:`ApproximationConfig.key` — unlike the figure
     label it distinguishes work-group shapes, reconstruction variants and
-    scheme parameters (including a random scheme's fraction *and* seed).
+    scheme parameters (a row or column scheme's step).
     """
     return config.key
 

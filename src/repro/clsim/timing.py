@@ -68,8 +68,6 @@ class AccessPattern(str, enum.Enum):
     STRIDED = "strided"
     #: All work-items of a group read the same element(s).
     BROADCAST = "broadcast"
-    #: Effectively random accesses.
-    SCATTER = "scatter"
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class GlobalTraffic:
             return 0.0
         if self.pattern is AccessPattern.BROADCAST:
             return 1.0
-        if self.pattern in (AccessPattern.STRIDED, AccessPattern.SCATTER):
+        if self.pattern is AccessPattern.STRIDED:
             # Every element lands in its own transaction.
             return self.segments_per_group * math.ceil(self.segment_elements)
         per_segment = transactions_for_row_segment(

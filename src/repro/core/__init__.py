@@ -3,7 +3,7 @@
 The package implements the paper's contribution:
 
 * perforation schemes (:mod:`repro.core.schemes`): Rows1/Rows2/Stencil1
-  plus column and random variants;
+  plus column variants;
 * reconstruction techniques (:mod:`repro.core.reconstruction`):
   nearest-neighbour and linear interpolation, exposed both as NumPy
   operators and as approximate *input samplers*;
@@ -59,7 +59,6 @@ from .reconstruction import (
     LINEAR_INTERPOLATION,
     NEAREST_NEIGHBOR,
     ColumnTileSampler,
-    ReconstructedImageSampler,
     RowTileSampler,
     StencilTileSampler,
     approximate_input,
@@ -67,7 +66,6 @@ from .reconstruction import (
     make_sampler,
     perforate,
     reconstruct_columns,
-    reconstruct_mask,
     reconstruct_rows,
     sampler_key,
 )
@@ -78,7 +76,6 @@ from .schemes import (
     PerforationScheme,
     ROWS1,
     ROWS2,
-    RandomPerforation,
     RowPerforation,
     STENCIL1,
     StencilPerforation,
@@ -109,7 +106,6 @@ __all__ = [
     "PerforationScheme",
     "QualityError",
     "ColumnTileSampler",
-    "ReconstructedImageSampler",
     "RowTileSampler",
     "ReconstructionError",
     "ROWS1",
@@ -117,7 +113,6 @@ __all__ = [
     "ROWS1_NN",
     "ROWS2",
     "ROWS2_NN",
-    "RandomPerforation",
     "RowPerforation",
     "STENCIL1",
     "STENCIL1_NN",
@@ -143,7 +138,6 @@ __all__ = [
     "perforate",
     "psnr",
     "reconstruct_columns",
-    "reconstruct_mask",
     "reconstruct_rows",
     "rmse",
     "sampler_key",

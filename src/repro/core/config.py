@@ -88,7 +88,7 @@ class ApproximationConfig:
         Unlike :attr:`label` (a figure caption that collapses work-group
         shapes, reconstruction-invariant schemes and scheme parameters)
         this distinguishes every distinct configuration: the scheme repr
-        carries all scheme parameters (step, fraction, seed, ...).  Used
+        carries all scheme parameters (a row or column step).  Used
         wherever configurations key dictionaries — calibration buckets,
         tuner memoization, search-space dedup."""
         wx, wy = self.work_group

@@ -120,7 +120,7 @@ class KernelPerforator:
         if scheme_kind not in (KIND_ROWS, KIND_STENCIL):
             raise ConfigurationError(
                 f"the compiler path supports row and stencil schemes, not {scheme_kind!r} "
-                "(use the NumPy fast path for column/random schemes)"
+                "(use the NumPy fast path for column schemes)"
             )
         technique = _TECHNIQUE_MAP[config.reconstruction]
 

@@ -156,7 +156,11 @@ def max_error(reference: np.ndarray, approximate: np.ndarray) -> float:
 
 
 def psnr(reference: np.ndarray, approximate: np.ndarray, peak: float | None = None) -> float:
-    """Peak signal-to-noise ratio in dB (``inf`` for identical arrays)."""
+    """Peak signal-to-noise ratio in dB (``inf`` for identical arrays).
+
+    Where ``peak**2 / mse`` underflows to zero or overflows, the ratio is
+    taken in the log domain instead.
+    """
     ref, approx = _validate(reference, approximate)
     mse = float(np.mean((ref - approx) ** 2))
     if mse == 0:
@@ -165,7 +169,10 @@ def psnr(reference: np.ndarray, approximate: np.ndarray, peak: float | None = No
         peak = float(np.abs(ref).max())
         if peak <= 0:
             peak = 1.0
-    return float(10.0 * math.log10(peak * peak / mse))
+    ratio = peak * peak / mse
+    if 0.0 < ratio < math.inf:
+        return float(10.0 * math.log10(ratio))
+    return 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
 
 
 def compute_error(

@@ -39,7 +39,6 @@ from .errors import ReconstructionError, SchemeError
 from .schemes import (
     KIND_COLUMNS,
     KIND_NONE,
-    KIND_RANDOM,
     KIND_ROWS,
     KIND_STENCIL,
     PerforationScheme,
@@ -125,34 +124,6 @@ def reconstruct_columns(
 ) -> np.ndarray:
     """Column analogue of :func:`reconstruct_rows`."""
     return reconstruct_rows(np.asarray(image).T, step, technique, phase).T
-
-
-def reconstruct_mask(
-    image: np.ndarray, mask: np.ndarray, technique: str = NEAREST_NEIGHBOR
-) -> np.ndarray:
-    """Reconstruct an image from an arbitrary boolean mask of fetched pixels.
-
-    Used by the random perforation scheme.  Linear interpolation is not
-    defined on scattered samples, so it degrades to nearest-neighbour (the
-    same fallback the paper applies whenever both neighbours are missing).
-    """
-    _check_technique(technique)
-    array = _check_image(image)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != array.shape:
-        raise ReconstructionError(
-            f"mask shape {mask.shape} does not match image shape {array.shape}"
-        )
-    if not mask.any():
-        raise ReconstructionError("mask fetches no pixels; cannot reconstruct")
-    if mask.all():
-        return array.copy()
-    try:
-        from scipy import ndimage
-    except ImportError as exc:  # pragma: no cover - scipy is an install requirement
-        raise ReconstructionError("scipy is required for mask reconstruction") from exc
-    _, (iy, ix) = ndimage.distance_transform_edt(~mask, return_indices=True)
-    return array[iy, ix]
 
 
 def perforate(image: np.ndarray, mask: np.ndarray, fill_value: float = 0.0) -> np.ndarray:
@@ -256,36 +227,6 @@ class AccurateSampler(InputSampler):
 
     def reads_per_pixel_are_exact(self) -> bool:
         return True
-
-
-class ReconstructedImageSampler(InputSampler):
-    """Sampler backed by a globally reconstructed image (random scheme).
-
-    For schemes whose loaded set repeats identically in every work group and
-    whose reconstruction never reaches past a tile, a single global
-    reconstruction of the image is an exact model.  The random scheme
-    qualifies; row/column schemes do *not* (their reconstruction clamps to
-    the tile at work-group boundaries) and use the tile samplers below.
-    """
-
-    def __init__(self, image: np.ndarray, reconstructed: np.ndarray) -> None:
-        super().__init__(image)
-        self._exact = AccurateSampler(reconstructed)
-        if self.reconstructed.shape != self.image.shape:
-            raise ReconstructionError(
-                "reconstructed image shape does not match the input shape"
-            )
-
-    @property
-    def reconstructed(self) -> np.ndarray:
-        """The (read-only) snapshot of the reconstructed image."""
-        return self._exact.image
-
-    def read_offset(self, dx: int, dy: int) -> np.ndarray:
-        return self._exact.read_offset(dx, dy)
-
-    def view(self) -> np.ndarray:
-        return self.reconstructed
 
 
 class _LineTileSampler(InputSampler):
@@ -489,8 +430,6 @@ def sampler_key(
         return (kind, scheme.step, tile_x, technique)  # type: ignore[attr-defined]
     if kind == KIND_STENCIL:
         return (kind, tile_x, tile_y)
-    if kind == KIND_RANDOM:
-        return (kind, scheme, tile_x, tile_y, technique)
     raise SchemeError(f"unknown scheme kind {kind!r}")
 
 
@@ -519,29 +458,18 @@ def make_sampler(
     if kind == KIND_COLUMNS:
         _, step, tile, technique = key
         return ColumnTileSampler(image, step, tile, halo, technique)
-    if kind == KIND_STENCIL:
-        if halo == 0:
-            raise SchemeError(
-                "the stencil scheme requires a kernel with a halo (filter size > 1x1)"
-            )
-        _, tile_x, tile_y = key
-        return StencilTileSampler(image, tile_x, tile_y)
-    _, scheme, tile_x, tile_y, technique = key
-    array = _check_image(image)
-    tile_mask = scheme.loaded_mask(tile_y + 2 * halo, tile_x + 2 * halo, halo)
-    reps_y = int(np.ceil(array.shape[0] / tile_mask.shape[0]))
-    reps_x = int(np.ceil(array.shape[1] / tile_mask.shape[1]))
-    full_mask = np.tile(tile_mask, (reps_y, reps_x))[: array.shape[0], : array.shape[1]]
-    reconstructed = reconstruct_mask(array, full_mask, technique)
-    return ReconstructedImageSampler(array, reconstructed)
+    if halo == 0:
+        raise SchemeError("the stencil scheme requires a kernel with a halo (filter size > 1x1)")
+    _, tile_x, tile_y = key
+    return StencilTileSampler(image, tile_x, tile_y)
 
 
 @dataclass(frozen=True)
 class ApproximateInput:
     """Bundle of a sampler plus the global reconstructed view (when available).
 
-    ``view`` is the image the perforated kernel effectively sees: for row,
-    column and random schemes it is the reconstructed image, for the
+    ``view`` is the image the perforated kernel effectively sees: for row
+    and column schemes it is the reconstructed image, for the
     stencil scheme it equals the original (only halo reads are
     approximated), and for the accurate scheme it is the original image.
     """

@@ -8,10 +8,9 @@ fetched from global memory.  The paper proposes two families (Section 4.4):
 * the **stencil scheme** (``Stencil1``) loads only the core of the tile
   and skips the halo needed by the stencil.
 
-For completeness the module also provides column and random schemes (the
-paper discusses both: columns as the Paraprox analogue that aligns badly
-with the memory layout, random as the statistically ideal but
-memory-unfriendly choice).
+For completeness the module also provides column schemes, which the
+paper discusses as the Paraprox analogue that aligns badly with the
+memory layout.
 
 Each scheme can describe itself in two equivalent ways:
 
@@ -35,7 +34,6 @@ KIND_NONE = "none"
 KIND_ROWS = "rows"
 KIND_COLUMNS = "columns"
 KIND_STENCIL = "stencil"
-KIND_RANDOM = "random"
 
 
 @dataclass(frozen=True)
@@ -177,43 +175,6 @@ class StencilPerforation(PerforationScheme):
 
     def describe(self) -> str:
         return f"{self.name}: fetch the tile core only, skip the halo"
-
-
-@dataclass(frozen=True)
-class RandomPerforation(PerforationScheme):
-    """Fetch a random ``fraction`` of the tile elements.
-
-    Statistically this distributes the error most evenly (Section 4.4), but
-    every fetched element needs its own memory transaction, which the
-    timing model charges accordingly — reproducing the paper's argument for
-    why random schemes are not used on GPUs.
-    """
-
-    fraction: float = 0.5
-    seed: int = 0
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise SchemeError("random perforation fraction must be in (0, 1]")
-        if not self.name:
-            object.__setattr__(self, "name", f"random{int(self.fraction * 100)}")
-
-    @property
-    def kind(self) -> str:
-        return KIND_RANDOM
-
-    def loaded_mask(self, tile_h: int, tile_w: int, halo: int = 0) -> np.ndarray:
-        self._validate_tile(tile_h, tile_w, halo)
-        rng = np.random.default_rng(self.seed + tile_h * 1000 + tile_w)
-        mask = rng.random((tile_h, tile_w)) < self.fraction
-        # Guarantee at least one loaded element so reconstruction is defined.
-        if not mask.any():
-            mask[tile_h // 2, tile_w // 2] = True
-        return mask
-
-    def describe(self) -> str:
-        return f"{self.name}: fetch a random {self.fraction:.0%} of the tile"
 
 
 # ---------------------------------------------------------------------------

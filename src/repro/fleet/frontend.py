@@ -77,9 +77,11 @@ original write or by the replay, never both.  Replay cuts the log into
 frames at the same cap.  Recovery aborts the failed
 worker's connection *before* it takes that lock: a sender blocked writing
 to a wedged worker (whose socket buffer is full) holds the lock, and only
-the abort wakes it.  Transports: unix-domain sockets (default) or
-localhost TCP — the same length-prefixed frames (a JSON header plus raw
-array buffers, :mod:`repro.fleet.protocol`) either way.
+the abort wakes it.  A link reaches its worker over one
+:func:`socket.socketpair`, made when the worker is spawned: the worker
+holds one end and the link the other, so either side's exit is the other
+side's end of file.  Frames are length-prefixed, a JSON header plus raw
+array buffers (:mod:`repro.fleet.protocol`).
 """
 
 from __future__ import annotations
@@ -87,10 +89,8 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-import shutil
-import tempfile
+import socket
 import time
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..api.engine import PerforationEngine
@@ -112,10 +112,7 @@ from .protocol import (
 from .sharding import ShardMap, shard_key
 from .worker import WorkerSpec, worker_main
 
-#: Supported transports of the fleet.
-TRANSPORTS = ("unix", "tcp")
-
-#: How long to wait for a worker to bind, connect and say hello.
+#: How long to wait for a worker to say hello.
 SPAWN_TIMEOUT_S = 120.0
 
 #: How long shutdown waits per worker before escalating to terminate().
@@ -257,47 +254,29 @@ class _WorkerLink:
 
     # -- lifecycle -------------------------------------------------------
     async def spawn(self, spec: WorkerSpec):
-        """Start ``spec``'s worker process and connect to it: ``(reader, writer)``."""
+        """Start ``spec``'s worker process on a socket pair: ``(reader, writer)``.
+
+        The worker gets one end as its argument; multiprocessing hands the
+        descriptor to the child.  The front-end's copy of that end is closed
+        once the child holds it, so the worker's exit is this end's EOF.
+        """
+        front, back = socket.socketpair()
         ctx = multiprocessing.get_context("spawn")
-        receiver, sender = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=worker_main,
-            args=(spec, sender),
+            args=(spec, back),
             name=f"repro-fleet-worker-{spec.index}",
             daemon=True,
         )
         try:
             proc.start()
         except BaseException:
-            receiver.close()
+            front.close()
             raise
         finally:
-            sender.close()
+            back.close()
         self.proc = proc  # only once started: retire() joins it
-        who = f"worker {spec.index} (generation {spec.generation})"
-        deadline = time.monotonic() + SPAWN_TIMEOUT_S
-        try:
-            while not receiver.poll(0):
-                if time.monotonic() > deadline:
-                    raise FleetError(
-                        f"{who} did not report its address within {SPAWN_TIMEOUT_S:.0f}s"
-                    )
-                await asyncio.sleep(0.02)
-            address = receiver.recv()
-        except (EOFError, OSError):
-            raise FleetError(f"{who} died before reporting its address") from None
-        finally:
-            receiver.close()
-        while True:
-            try:
-                if spec.transport == "unix":
-                    return await asyncio.open_unix_connection(str(address))
-                host, port = address
-                return await asyncio.open_connection(str(host), int(port))
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise FleetError(f"cannot connect to {who} at {address!r}") from None
-                await asyncio.sleep(0.05)
+        return await asyncio.open_unix_connection(sock=front)
 
     async def connect(self, generation: int = 0) -> dict:
         """Spawn this slot's worker of ``generation`` and return its hello."""
@@ -305,9 +284,8 @@ class _WorkerLink:
         self.reader, self.writer = await self.spawn(spec)
         hello = await asyncio.wait_for(read_frame_async(self.reader), timeout=SPAWN_TIMEOUT_S)
         if hello is not None and hello.get("type") == "error":
-            # The worker bound its socket but could not build its server;
-            # it reported why instead of saying hello.  Fail fast with the
-            # real cause rather than spinning out the spawn timeout.
+            # The worker could not build its server and reported why
+            # instead of saying hello: fail fast with the real cause.
             raise FleetError(f"worker {self.index}: {hello.get('error', 'startup failed')}")
         if hello is None or hello.get("type") != "hello":
             raise FleetError(f"worker {self.index} did not say hello (got {hello!r})")
@@ -535,14 +513,10 @@ class PerforationFleet:
     max_pending:
         Admission-control bound: maximum outstanding (sent but unserved)
         requests per shard before the front-end sheds.
-    transport:
-        ``"unix"`` (default) or ``"tcp"`` (localhost).
     runtime_dir:
-        Scratch directory for the workers' sockets; a private
-        ``repro-fleet-*`` temp dir (removed on close) when not given.
-        Unix-socket paths must stay short (the kernel limit is ~108
-        bytes), which is why the default is :func:`tempfile.mkdtemp`
-        rather than anything test-framework-provided.
+        Ignored.  Workers are reached over socket pairs, so the fleet
+        makes no socket path and no directory; the keyword is kept because
+        existing callers (perfbench's fleet workload) still pass it.
     request_timeout_s:
         Failure detector: if no frame arrives from a worker within this
         many seconds while it has outstanding work, the worker is treated
@@ -586,7 +560,6 @@ class PerforationFleet:
         max_delay_ms: float = 50.0,
         calibration_inputs: Mapping[str, Sequence] | None = None,
         max_pending: int = 256,
-        transport: str = "unix",
         cache_capacity: int = 256,
         runtime_dir: str | os.PathLike | None = None,
         request_timeout_s: float | None = None,
@@ -598,8 +571,6 @@ class PerforationFleet:
     ) -> None:
         if workers < 1:
             raise FleetError(f"workers must be >= 1, got {workers}")
-        if transport not in TRANSPORTS:
-            raise FleetError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
         if max_pending < 1:
             raise FleetError(f"max_pending must be >= 1, got {max_pending}")
         if request_timeout_s is not None and request_timeout_s <= 0:
@@ -617,7 +588,6 @@ class PerforationFleet:
         #: Application name → the ladder :meth:`start` calibrated for it.
         self.ladders: dict[str, tuple] = {}
         self.max_pending = int(max_pending)
-        self.transport = transport
         self.cache_capacity = cache_capacity
         self.request_timeout_s = request_timeout_s
         self.max_respawns = int(max_respawns)
@@ -625,13 +595,6 @@ class PerforationFleet:
         self.error_on = tuple(error_on or ())
         self.hang_on = tuple(hang_on or ())
         self.chaos_persistent = bool(chaos_persistent)
-        self._owns_runtime_dir = runtime_dir is None
-        self.runtime_dir = (
-            Path(tempfile.mkdtemp(prefix="repro-fleet-"))
-            if runtime_dir is None
-            else Path(runtime_dir)
-        )
-        self.runtime_dir.mkdir(parents=True, exist_ok=True)
         #: Per-worker hello frames (pid, generation, shipped ladders, and
         #: how many ladders the worker calibrated itself).
         self.warm_reports: list[dict] = []
@@ -651,13 +614,12 @@ class PerforationFleet:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "PerforationFleet":
-        """Calibrate the ladders, spawn the workers, connect to them.
+        """Calibrate the ladders, spawn the workers, read their hellos.
 
         Partial startup failures (a worker that fails to start or dies
-        before reporting its address, a worker whose server fails to build)
-        tear the fleet down completely: already-spawned workers are
-        terminated and the runtime directory is removed before the error
-        propagates.
+        before saying hello, a worker whose server fails to build) tear the
+        fleet down completely: already-spawned workers are terminated
+        before the error propagates.
         """
         if self._closed:
             raise FleetError("fleet is closed")
@@ -689,18 +651,6 @@ class PerforationFleet:
                 task.cancel()  # after a failure, stop the spawns still running
 
     def _worker_spec(self, index: int, generation: int = 0) -> WorkerSpec:
-        if self.transport == "unix":
-            # A fresh socket path per generation: a crashed worker cannot
-            # unlink its socket (no cleanup runs), so respawns must not
-            # re-bind the stale path.
-            name = (
-                f"worker-{index}.sock"
-                if generation == 0
-                else f"worker-{index}.g{generation}.sock"
-            )
-            address: object = str(self.runtime_dir / name)
-        else:
-            address = ("127.0.0.1", 0)
         chaos_fail = self.fail_after.get(index)
         chaos_hang = self.hang_on
         if generation > 0 and not self.chaos_persistent:
@@ -708,8 +658,6 @@ class PerforationFleet:
             chaos_hang = ()
         return WorkerSpec(
             index=index,
-            address=address,
-            transport=self.transport,
             backend=self.backend_name,
             device=self.device,
             max_batch=self.max_batch,
@@ -725,7 +673,6 @@ class PerforationFleet:
             error_on=self.error_on,
             hang_on=chaos_hang,
         )
-
 
     # ------------------------------------------------------------------
     # Serving
@@ -891,7 +838,7 @@ class PerforationFleet:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the workers down, close the loop, remove the runtime dir."""
+        """Shut the workers down and close the loop."""
         if self._closed:
             return
         self._closed = True
@@ -910,8 +857,6 @@ class PerforationFleet:
                 link.proc.join(timeout=SHUTDOWN_TIMEOUT_S)
             link.retire()
         self._links = []
-        if self._owns_runtime_dir:
-            shutil.rmtree(self.runtime_dir, ignore_errors=True)
 
     async def _shutdown(self) -> None:
         for link in self._links:
@@ -937,7 +882,4 @@ class PerforationFleet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else ("started" if self._started else "new")
-        return (
-            f"<PerforationFleet workers={self.workers} "
-            f"transport={self.transport!r} {state}>"
-        )
+        return f"<PerforationFleet workers={self.workers} {state}>"

@@ -5,10 +5,10 @@ the body.  A body is a 4-byte big-endian header length, a compact,
 key-sorted UTF-8 JSON header, and then the raw bytes of every NumPy array
 in the message, back to back in the order their tags appear in the
 header (the out-of-band buffers of pickle protocol 5, PEP 574).  Frames
-are self-delimiting, so the same codec serves both transports
-(unix-domain sockets and localhost TCP) and both endpoint styles (the
-synchronous worker loop reads from a buffered socket file; the asyncio
-front-end reads from a :class:`asyncio.StreamReader`).
+are self-delimiting, so the same codec serves both ends of a worker's
+socket pair: the synchronous worker loop reads from a buffered socket
+file, and the asyncio front-end reads from a
+:class:`asyncio.StreamReader`.
 
 Values that JSON cannot carry natively are *tagged*:
 

@@ -1,16 +1,16 @@
 """Fleet worker: one process, one warm-started :class:`PerforationServer`.
 
-A worker is spawned by the front-end with a :class:`WorkerSpec`, binds its
-listening socket, accepts exactly one connection (the front-end), and then
-speaks the length-prefixed frame protocol (a JSON header plus raw array
-buffers, :mod:`repro.fleet.protocol`):
+A worker is spawned by the front-end with a :class:`WorkerSpec` and one
+end of a socket pair, whose other end the front-end keeps.  On that end
+it speaks the length-prefixed frame protocol (a JSON header plus raw
+array buffers, :mod:`repro.fleet.protocol`):
 
 ``hello``
-    Sent once after accept: worker index, pid, **generation** (0 for the
-    initial spawn, incremented by every front-end respawn), and the
-    warm-start report — which applications' ladders the spec shipped, and
-    how many ladders the worker's controller calibrated itself (zero for a
-    warm start).
+    Sent once, as soon as the server is built: worker index, pid,
+    **generation** (0 for the initial spawn, incremented by every
+    front-end respawn), and the warm-start report — which applications'
+    ladders the spec shipped, and how many ladders the worker's controller
+    calibrated itself (zero for a warm start).
 ``serve`` → ``completed``
     A list of requests in, submitted in order (virtual arrival times drive
     the scheduler), and one frame back out with the list of responses of
@@ -39,10 +39,10 @@ buffers, :mod:`repro.fleet.protocol`):
     requests is served, and the worker exits.
 
 If :func:`build_server` itself raises (say, for an unknown device), the
-worker still accepts the front-end's connection and reports the
-failure as an ``error`` frame in place of ``hello`` — the front-end fails
-fast with the real cause instead of spinning its connect loop until the
-spawn timeout.
+worker reports the failure as an ``error`` frame in place of ``hello`` and
+exits, so the front-end fails fast with the real cause.  The worker needs
+no timeout of its own: the front-end's exit, or its close of its end, is
+the worker's end of file, and the worker then exits too.
 
 Warm start is what makes fleet scaling honest: the front-end calibrates
 each application once, and the spec ships the resulting *ladders* — the
@@ -74,7 +74,7 @@ import os
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..api.engine import PerforationEngine
 from ..api.calibration import CalibrationEntry
@@ -90,21 +90,12 @@ from .protocol import (
     write_frame,
 )
 
-#: How long a worker waits for the front-end to connect before giving up.
-ACCEPT_TIMEOUT_S = 120.0
-
-#: Per-frame socket timeout once connected (a stuck front-end kills the worker).
-FRAME_TIMEOUT_S = 600.0
-
 
 @dataclass(frozen=True)
 class WorkerSpec:
     """Everything one worker needs, shipped picklable at spawn time."""
 
     index: int
-    #: Unix-socket path (``transport="unix"``) or ``(host, port)`` tuple.
-    address: Any
-    transport: str = "unix"
     backend: str = "codegen"
     device: str | None = None
     max_batch: int = 8
@@ -167,21 +158,6 @@ def build_server(spec: WorkerSpec) -> tuple[PerforationServer, dict]:
     return server, report
 
 
-def _bind(spec: WorkerSpec) -> socket.socket:
-    if spec.transport == "unix":
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(str(spec.address))
-    elif spec.transport == "tcp":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        host, port = spec.address
-        listener.bind((str(host), int(port)))
-    else:
-        raise ProtocolError(f"unknown transport {spec.transport!r}")
-    listener.listen(1)
-    return listener
-
-
 def _frame_requests(frame: dict) -> list[ServeRequest]:
     """Decode every request of a ``serve`` frame before any is served.
 
@@ -230,8 +206,9 @@ def serve_connection(
                     if request_id in hang_on:
                         # Simulated stuck worker: neither a response nor an
                         # EOF ever arrives — only the front-end's response
-                        # timeout can detect this.
-                        time.sleep(ACCEPT_TIMEOUT_S * 10)
+                        # timeout can detect this.  Finite, and far longer
+                        # than any response timeout.
+                        time.sleep(1200.0)
                     if request_id in error_on:
                         failure = error_frame("chaos: injected request failure", request_id)
                         write_frame(stream, failure)
@@ -290,49 +267,19 @@ def serve_connection(
             write_frame(stream, error_frame(f"{type(exc).__name__}: {exc}"))
 
 
-def worker_main(spec: WorkerSpec, ready=None) -> None:
-    """Process entry point: bind, accept the front-end, serve frames.
+def worker_main(spec: WorkerSpec, sock: socket.socket) -> None:
+    """Process entry point: build the server, then serve frames on ``sock``.
 
-    ``ready`` is an optional :mod:`multiprocessing` pipe connection; the
-    bound address is sent through it right after the listener exists (for
-    TCP the kernel-assigned port is only known then), so the front-end can
-    start connecting while the worker builds its server.  If building the
-    server fails, the worker still accepts the connection and reports the
-    failure as an ``error`` frame in place of ``hello``, so the front-end
-    fails fast with the real cause.
+    ``sock`` is the worker's end of the front-end's socket pair.  If
+    building the server fails, the worker writes the failure as an
+    ``error`` frame in place of ``hello``, so the front-end fails fast with
+    the real cause.  The front-end closing its end is this end's EOF, which
+    ends the frame loop; there is no timeout.
     """
-    listener = _bind(spec)
-    try:
-        listener.settimeout(ACCEPT_TIMEOUT_S)
-        if ready is not None:
-            address = listener.getsockname() if spec.transport == "tcp" else str(spec.address)
-            try:
-                ready.send(address)
-            finally:
-                ready.close()
-        server = None
-        startup_error: str | None = None
+    with sock, sock.makefile("rwb") as stream:
         try:
             server, report = build_server(spec)
         except Exception as exc:
-            startup_error = f"startup failed: {type(exc).__name__}: {exc}"
-        conn, _ = listener.accept()
-        try:
-            conn.settimeout(FRAME_TIMEOUT_S)
-            stream = conn.makefile("rwb")
-            try:
-                if startup_error is not None or server is None:
-                    write_frame(stream, error_frame(startup_error or "startup failed"))
-                else:
-                    serve_connection(stream, server, report, spec)
-            finally:
-                stream.close()
-        finally:
-            conn.close()
-    finally:
-        listener.close()
-        if spec.transport == "unix":
-            try:
-                os.unlink(str(spec.address))
-            except OSError:
-                pass
+            write_frame(stream, error_frame(f"startup failed: {type(exc).__name__}: {exc}"))
+            return
+        serve_connection(stream, server, report, spec)

@@ -8,6 +8,8 @@ can approximate each distinct key once per batch without changing a single
 error, and the tuner's evaluation path is built on it.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,11 @@ from repro.apps import available_applications, get_application
 from repro.apps.gaussian import GaussianApp
 from repro.autotune import TuningTask, default_space
 from repro.core.config import ApproximationConfig, default_configurations
-from repro.core.errors import ConfigurationError
+from repro.autotune.space import scheme_from_dict, scheme_to_dict
+from repro.core.errors import ConfigurationError, SchemeError
 from repro.core.quality import compute_error
-from repro.core.reconstruction import NEAREST_NEIGHBOR, sampler_key
-from repro.core.schemes import COLS1, ROWS1, STENCIL1, RandomPerforation
+from repro.core.reconstruction import NEAREST_NEIGHBOR, make_sampler, sampler_key
+from repro.core.schemes import COLS1, ROWS1, STENCIL1, PerforationScheme
 
 
 class CountingGaussian(GaussianApp):
@@ -57,9 +60,35 @@ class TestSamplerKey:
             STENCIL1, "linear-interpolation", 16, 8
         )
 
-    def test_random_key_holds_the_scheme(self):
-        a, b = RandomPerforation(seed=1), RandomPerforation(seed=2)
-        assert sampler_key(a, NEAREST_NEIGHBOR, 16, 16) != sampler_key(b, NEAREST_NEIGHBOR, 16, 16)
+
+@dataclass(frozen=True)
+class _UnknownScheme(PerforationScheme):
+    """A scheme of a kind no dispatch point knows (such as "random")."""
+
+    name: str = "unknown"
+
+    @property
+    def kind(self) -> str:
+        return "random"
+
+
+#: Every place that dispatches on a scheme's kind, given an unknown one.
+_DISPATCH = {
+    "sampler_key": lambda: sampler_key(_UnknownScheme()),
+    "make_sampler": lambda: make_sampler(np.zeros((8, 8)), _UnknownScheme()),
+    "profile": lambda: get_application("gaussian").profile(
+        ApproximationConfig(scheme=_UnknownScheme()), (64, 64)
+    ),
+    "scheme_to_dict": lambda: scheme_to_dict(_UnknownScheme()),
+    "scheme_from_dict": lambda: scheme_from_dict({"kind": "random", "fraction": 0.5, "seed": 0}),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_DISPATCH))
+def test_an_unknown_scheme_kind_is_refused(where):
+    """No branch takes a scheme kind it does not know for one it does."""
+    with pytest.raises((ConfigurationError, SchemeError), match="scheme kind 'random'"):
+        _DISPATCH[where]()
 
 
 class TestKeyCompleteness:

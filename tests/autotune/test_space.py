@@ -20,7 +20,7 @@ from repro.core.schemes import (
     ROWS1,
     ROWS2,
     STENCIL1,
-    RandomPerforation,
+    ColumnPerforation,
     RowPerforation,
 )
 
@@ -88,8 +88,7 @@ class TestSignature:
 
 class TestSerialization:
     @pytest.mark.parametrize(
-        "scheme", [ACCURATE, ROWS1, ROWS2, COLS1, STENCIL1, RowPerforation(step=8),
-                   RandomPerforation(fraction=0.25, seed=7)]
+        "scheme", [ACCURATE, ROWS1, ROWS2, COLS1, STENCIL1, RowPerforation(step=8)]
     )
     def test_scheme_round_trip(self, scheme):
         assert scheme_from_dict(scheme_to_dict(scheme)) == scheme
@@ -104,28 +103,18 @@ class TestSerialization:
         assert a.label == b.label
         assert config_key(a) != config_key(b)
 
-    def test_config_key_distinguishes_random_scheme_parameters(self):
-        """Random schemes share a *name* (and label) across seeds and
-        nearby fractions; the identity key must not collide."""
-        by_seed = [
-            ApproximationConfig(scheme=RandomPerforation(fraction=0.5, seed=s))
-            for s in (0, 1)
-        ]
-        assert by_seed[0].scheme.name == by_seed[1].scheme.name
-        assert config_key(by_seed[0]) != config_key(by_seed[1])
-        near = [
-            ApproximationConfig(scheme=RandomPerforation(fraction=f))
-            for f in (0.501, 0.504)  # both name themselves 'random50'
-        ]
-        assert near[0].scheme.name == near[1].scheme.name
-        assert config_key(near[0]) != config_key(near[1])
+    @pytest.mark.parametrize("scheme_class", [RowPerforation, ColumnPerforation])
+    def test_config_key_distinguishes_scheme_parameters(self, scheme_class):
+        """Steps 2 and 3 share a scheme *name* (rows1, cols1) and so a
+        label; the identity key must not collide."""
+        configs = [ApproximationConfig(scheme=scheme_class(step=step)) for step in (2, 3)]
+        assert configs[0].scheme.name == configs[1].scheme.name
+        assert configs[0].label == configs[1].label
+        assert config_key(configs[0]) != config_key(configs[1])
 
-    def test_spaces_with_seed_varied_random_schemes_keep_all_candidates(self):
+    def test_spaces_with_step_varied_schemes_keep_all_candidates(self):
         space = SearchSpace(
-            schemes=(
-                RandomPerforation(fraction=0.5, seed=0),
-                RandomPerforation(fraction=0.5, seed=1),
-            ),
+            schemes=(RowPerforation(step=2), RowPerforation(step=3)),
             reconstructions=(NEAREST_NEIGHBOR,),
             work_groups=((16, 16),),
         )

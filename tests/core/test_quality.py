@@ -100,6 +100,27 @@ class TestOtherMetrics:
         large = psnr(ref, ref + 10.0)
         assert small > large
 
+    @pytest.mark.parametrize("wrap", [np.asarray, ErrorReference], ids=["plain", "kept-terms"])
+    def test_psnr_of_a_peak_whose_square_underflows(self, wrap):
+        """``peak * peak / mse`` is 0.0 here; the log-domain form gives the
+        finite value, where ``log10(0.0)`` raised."""
+        ref = np.full((6, 7), 3.4e-189)
+        got = compute_error(wrap(ref), np.ones((6, 7)), ErrorMetric.PSNR)
+        assert got == 20.0 * math.log10(3.4e-189) - 10.0 * math.log10((1.0 - 3.4e-189) ** 2)
+        assert math.isfinite(got) and got < -3000.0
+
+    def test_psnr_of_a_peak_whose_square_overflows(self):
+        ref = np.array([[1e200, 0.0], [0.0, 0.0]])
+        approx = np.array([[1e200, 0.0], [0.0, 1e100]])
+        mse = 1e200 / 4  # finite: only the peak's square overflows
+        assert math.isinf(1e200 * 1e200 / mse)
+        assert psnr(ref, approx) == 20.0 * math.log10(1e200) - 10.0 * math.log10(mse)
+
+    def test_psnr_keeps_the_ratio_form_where_the_ratio_is_finite(self):
+        ref = np.array([[3.0, 0.0], [0.0, 4.0]])
+        approx = np.zeros((2, 2))
+        assert psnr(ref, approx) == 10.0 * math.log10(16.0 / 6.25)
+
     def test_compute_error_dispatch(self):
         ref = np.full((4, 4), 10.0)
         approx = np.full((4, 4), 12.0)
@@ -130,16 +151,10 @@ class TestErrorReference:
     def test_kept_terms_give_the_plain_error_bit_for_bit(self, reference, approximations):
         kept = ErrorReference(reference)
 
-        def outcome(reference, approx, metric):
-            try:
-                return compute_error(reference, approx, metric).hex()
-            except ValueError as exc:  # e.g. PSNR of a peak whose square underflows
-                return repr(exc)
-
         for approx in approximations:
             for metric in ErrorMetric:
-                got = outcome(kept, approx, metric)
-                assert got == outcome(reference, approx, metric), metric
+                got = compute_error(kept, approx, metric).hex()
+                assert got == compute_error(reference, approx, metric).hex(), metric
 
     def test_shape_mismatch_is_still_rejected(self):
         with pytest.raises(QualityError):

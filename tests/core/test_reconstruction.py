@@ -12,7 +12,6 @@ from repro.core import (
     NEAREST_NEIGHBOR,
     ROWS1,
     ROWS2,
-    ReconstructedImageSampler,
     ReconstructionError,
     RowTileSampler,
     STENCIL1,
@@ -23,10 +22,8 @@ from repro.core import (
     make_sampler,
     perforate,
     reconstruct_columns,
-    reconstruct_mask,
     reconstruct_rows,
 )
-from repro.core.schemes import RandomPerforation
 
 
 def images(min_side=4, max_side=24):
@@ -115,27 +112,6 @@ class TestReconstructRows:
         via_columns = reconstruct_columns(image, step, NEAREST_NEIGHBOR)
         via_rows = reconstruct_rows(image.T, step, NEAREST_NEIGHBOR).T
         np.testing.assert_allclose(via_columns, via_rows)
-
-
-class TestReconstructMask:
-    def test_loaded_pixels_pass_through(self, natural_image_64):
-        mask = RandomPerforation(fraction=0.5, seed=5).loaded_mask(64, 64)
-        result = reconstruct_mask(natural_image_64, mask)
-        np.testing.assert_array_equal(result[mask], natural_image_64[mask])
-
-    def test_full_mask_is_identity(self, natural_image_64):
-        mask = np.ones_like(natural_image_64, dtype=bool)
-        np.testing.assert_array_equal(
-            reconstruct_mask(natural_image_64, mask), natural_image_64
-        )
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ReconstructionError):
-            reconstruct_mask(np.zeros((4, 4)), np.zeros((4, 4), dtype=bool))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ReconstructionError):
-            reconstruct_mask(np.zeros((4, 4)), np.ones((5, 5), dtype=bool))
 
 
 class TestPerforate:
@@ -229,11 +205,6 @@ class TestSamplers:
     def test_accurate_scheme_gives_accurate_sampler(self, natural_image_64):
         sampler = make_sampler(natural_image_64, ACCURATE)
         assert isinstance(sampler, AccurateSampler)
-
-    def test_random_scheme_sampler(self, natural_image_64):
-        scheme = RandomPerforation(fraction=0.5, seed=2)
-        sampler = make_sampler(natural_image_64, scheme, tile_x=16, tile_y=16, halo=1)
-        assert isinstance(sampler, ReconstructedImageSampler)
 
     def test_approximate_input_bundle(self, natural_image_64):
         bundle = approximate_input(natural_image_64, ROWS1, NEAREST_NEIGHBOR, halo=0)

@@ -25,21 +25,15 @@ from repro.core import (
     ColumnTileSampler,
     LINEAR_INTERPOLATION,
     NEAREST_NEIGHBOR,
-    ReconstructedImageSampler,
     RowTileSampler,
     StencilTileSampler,
     approximate_input,
     make_sampler,
 )
-from repro.core.schemes import (
-    ColumnPerforation,
-    RandomPerforation,
-    RowPerforation,
-    StencilPerforation,
-)
+from repro.core.schemes import ColumnPerforation, RowPerforation, StencilPerforation
 from repro.data import generate_image
 
-KINDS = ("accurate", "random", "rows", "columns", "stencil")
+KINDS = ("accurate", "rows", "columns", "stencil")
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +87,9 @@ def _stencil_read(image, tile_x, tile_y, dx, dy):
     return image[np.ix_(yy, xx)]
 
 
-def _oracle(kind, image, reconstructed, step, tile_x, tile_y, halo, technique):
+def _oracle(kind, image, step, tile_x, tile_y, halo, technique):
     if kind == "accurate":
         return lambda dx, dy: _shifted(image, dx, dy)
-    if kind == "random":
-        return lambda dx, dy: _shifted(reconstructed, dx, dy)
     if kind == "rows":
         return lambda dx, dy: _row_read(image, step, tile_y, halo, technique, dx, dy)
     if kind == "columns":
@@ -105,11 +97,9 @@ def _oracle(kind, image, reconstructed, step, tile_x, tile_y, halo, technique):
     return lambda dx, dy: _stencil_read(image, tile_x, tile_y, dx, dy)
 
 
-def _sampler(kind, image, reconstructed, step, tile_x, tile_y, halo, technique):
+def _sampler(kind, image, step, tile_x, tile_y, halo, technique):
     if kind == "accurate":
         return AccurateSampler(image)
-    if kind == "random":
-        return ReconstructedImageSampler(image, reconstructed)
     if kind == "rows":
         return RowTileSampler(image, step, tile_y, halo, technique)
     if kind == "columns":
@@ -123,7 +113,6 @@ def sampler_cases(draw):
     width = draw(st.integers(1, 40))
     values = st.floats(-1e3, 1e3, allow_nan=False)
     image = draw(hnp.arrays(np.float64, (height, width), elements=values))
-    reconstructed = draw(hnp.arrays(np.float64, (height, width), elements=values))
     halo = draw(st.integers(0, 2))
     params = dict(
         step=draw(st.sampled_from([2, 3, 4, 8])),
@@ -135,16 +124,16 @@ def sampler_cases(draw):
     reach = range(-halo - 1, halo + 2)
     grid = [(dx, dy) for dy in reach for dx in reach]
     offsets = draw(st.permutations(grid)) + draw(st.lists(st.sampled_from(grid), max_size=8))
-    return image, reconstructed, params, offsets
+    return image, params, offsets
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @given(case=sampler_cases())
 @settings(max_examples=60, deadline=None)
 def test_planes_match_per_offset_formulas(kind, case):
-    image, reconstructed, params, offsets = case
-    sampler = _sampler(kind, image, reconstructed, **params)
-    oracle = _oracle(kind, image, reconstructed, **params)
+    image, params, offsets = case
+    sampler = _sampler(kind, image, **params)
+    oracle = _oracle(kind, image, **params)
     for dx, dy in offsets:
         got, expected = sampler.read_offset(dx, dy), oracle(dx, dy)
         assert got.shape == expected.shape and got.dtype == expected.dtype
@@ -225,7 +214,7 @@ def _same_bytes(got, expected):
 @settings(max_examples=40, deadline=None)
 def test_convolve_sums_every_tap_in_the_plain_order(kind, case):
     image, other, params, (mask, second) = case
-    sampler = _sampler(kind, image, other, **params)
+    sampler = _sampler(kind, image, **params)
     _same_bytes(convolve(sampler, mask), _plain_convolve(sampler, mask))
     for got, weights in zip(convolve_masks(sampler, [mask, second]), [mask, second]):
         _same_bytes(got, _plain_convolve(sampler, weights))
@@ -236,7 +225,7 @@ def test_convolve_sums_every_tap_in_the_plain_order(kind, case):
 @settings(max_examples=40, deadline=None)
 def test_sobel_magnitude_matches_the_plain_expression(kind, case):
     image, other, params, (gx_mask, gy_mask) = case
-    sampler = _sampler(kind, image, other, **params)
+    sampler = _sampler(kind, image, **params)
     pairs = [(gx_mask, gy_mask), (SOBEL3_GX, SOBEL3_GY), (SOBEL5_GX, SOBEL5_GY)]
     for gx, gy in pairs:
         got = _gradient_magnitude(sampler, gx, gy)
@@ -255,11 +244,11 @@ def test_hotspot_step_matches_the_plain_expression(kind, case, constants, accura
     height, width = temperature.shape
     grid_coefficients = HotspotCoefficients.for_grid(height, width)
     for coefficients in (HotspotCoefficients(*constants), grid_coefficients):
-        temp_sampler = _sampler(kind, temperature, power, **params)
+        temp_sampler = _sampler(kind, temperature, **params)
         power_sampler = (
             AccurateSampler(power)
             if accurate_power
-            else _sampler(kind, power, temperature, **{**params, "halo": 0})
+            else _sampler(kind, power, **{**params, "halo": 0})
         )
         got = _simulation_step(temp_sampler, power_sampler, coefficients)
         _same_bytes(got, _plain_simulation_step(temp_sampler, power_sampler, coefficients))
@@ -289,7 +278,6 @@ def test_five_by_five_convolve_builds_five_planes(monkeypatch, sampler_class, te
 # ---------------------------------------------------------------------------
 SCHEMES = {
     "accurate": ACCURATE,
-    "random": RandomPerforation(fraction=0.5, seed=4),
     "rows": RowPerforation(step=2),
     "columns": ColumnPerforation(step=2),
     "stencil": StencilPerforation(),

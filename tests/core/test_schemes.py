@@ -10,7 +10,6 @@ from repro.core import (
     ColumnPerforation,
     ROWS1,
     ROWS2,
-    RandomPerforation,
     RowPerforation,
     STENCIL1,
     SchemeError,
@@ -95,28 +94,6 @@ class TestStencilPerforation:
     def test_loaded_fraction_with_larger_halo(self):
         fraction = STENCIL1.loaded_fraction(20, 20, halo=2)
         assert fraction == pytest.approx(16 * 16 / (20 * 20))
-
-
-class TestRandomPerforation:
-    def test_fraction_respected_approximately(self):
-        scheme = RandomPerforation(fraction=0.3, seed=1)
-        mask = scheme.loaded_mask(64, 64)
-        assert 0.2 < mask.mean() < 0.4
-
-    def test_always_loads_at_least_one(self):
-        scheme = RandomPerforation(fraction=0.0001, seed=3)
-        assert scheme.loaded_mask(8, 8).sum() >= 1
-
-    def test_deterministic_for_seed(self):
-        a = RandomPerforation(fraction=0.5, seed=9).loaded_mask(16, 16)
-        b = RandomPerforation(fraction=0.5, seed=9).loaded_mask(16, 16)
-        np.testing.assert_array_equal(a, b)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(SchemeError):
-            RandomPerforation(fraction=0.0)
-        with pytest.raises(SchemeError):
-            RandomPerforation(fraction=1.5)
 
 
 class TestMaskInvariants:

@@ -38,17 +38,13 @@ def single_process_responses():
     return server, responses
 
 
-@pytest.mark.parametrize("transport", ["unix", "tcp"])
-def test_fleet_outputs_bit_identical_to_single_process(
-    transport, single_process_responses
-):
+def test_fleet_outputs_bit_identical_to_single_process(single_process_responses):
     _, reference = single_process_responses
     trace = generate_trace(SPEC)
     with PerforationFleet(
         workers=2,
         max_batch=4,
         calibration_inputs=_calibration_inputs(),
-        transport=transport,
     ) as fleet:
         responses = fleet.serve_trace(trace)
         metrics = fleet.metrics()

@@ -4,6 +4,7 @@ worker's metrics frame."""
 
 import io
 import random
+import socket
 
 import pytest
 
@@ -20,9 +21,19 @@ class TestValidation:
         with pytest.raises(FleetError):
             PerforationFleet(workers=0)
         with pytest.raises(FleetError):
-            PerforationFleet(transport="carrier-pigeon")
-        with pytest.raises(FleetError):
             PerforationFleet(max_pending=0)
+
+    def test_there_is_no_transport_option(self):
+        """Workers are reached over socket pairs only."""
+        with pytest.raises(TypeError):
+            PerforationFleet(transport="unix")
+
+    def test_runtime_dir_is_accepted_and_ignored(self, tmp_path):
+        """The fleet makes no directory, named or private."""
+        fleet = PerforationFleet(workers=1, runtime_dir=tmp_path / "fleet")
+        fleet.close()
+        assert not (tmp_path / "fleet").exists()
+        assert not hasattr(fleet, "runtime_dir")
 
     def test_closed_fleet_refuses_work(self):
         fleet = PerforationFleet(workers=1)
@@ -30,13 +41,11 @@ class TestValidation:
         with pytest.raises(FleetError):
             fleet.start()
 
-    def test_close_is_idempotent_and_removes_runtime_dir(self):
+    def test_close_is_idempotent(self):
         fleet = PerforationFleet(workers=1)
-        runtime_dir = fleet.runtime_dir
-        assert runtime_dir.exists()
         fleet.close()
         fleet.close()
-        assert not runtime_dir.exists()
+        assert fleet._links == []
 
     def test_empty_trace_never_spawns_workers(self):
         fleet = PerforationFleet(workers=1)
@@ -50,31 +59,53 @@ class TestValidation:
 class TestStartupFailure:
     def test_a_worker_that_fails_to_start_tears_the_fleet_down(self, monkeypatch):
         """``Process.start()`` itself raises: the caller gets that error,
-        every pipe end is closed and the runtime directory is gone."""
+        and every socket-pair end is closed."""
         import multiprocessing.context as mp_context
 
-        pipes = []
-        real_pipe = mp_context.BaseContext.Pipe
+        ends = []
+        real_socketpair = socket.socketpair
 
-        def recording_pipe(self, duplex=True):
-            ends = real_pipe(self, duplex)
-            pipes.extend(ends)
-            return ends
+        def recording_socketpair(*args):
+            pair = real_socketpair(*args)
+            ends.extend(pair)
+            return pair
 
         def refuse(self):
             raise OSError("cannot start a worker")
 
-        monkeypatch.setattr(mp_context.BaseContext, "Pipe", recording_pipe)
+        monkeypatch.setattr(socket, "socketpair", recording_socketpair)
         monkeypatch.setattr(mp_context.SpawnProcess, "start", refuse)
         fleet = PerforationFleet(workers=2)
-        runtime_dir = fleet.runtime_dir
         with pytest.raises(OSError, match="cannot start a worker"):
             fleet.start()
-        assert not runtime_dir.exists()
-        assert pipes and all(end.closed for end in pipes)
+        assert ends and all(end.fileno() == -1 for end in ends)
 
-    def test_fleet_backend_names_the_workers_engine_backend(self, tmp_path):
-        fleet = PerforationFleet(workers=1, backend="interpreter", runtime_dir=tmp_path)
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_a_respawned_spec_keeps_one_shot_faults_only_when_persistent(self, persistent):
+        fleet = PerforationFleet(
+            workers=2,
+            fail_after={0: 3},
+            error_on=(2,),
+            hang_on=(5,),
+            chaos_persistent=persistent,
+        )
+        try:
+            first, respawn, other = (
+                fleet._worker_spec(0),
+                fleet._worker_spec(0, generation=1),
+                fleet._worker_spec(1),
+            )
+        finally:
+            fleet.close()
+        assert (first.generation, respawn.generation) == (0, 1)
+        assert (first.fail_after, first.hang_on) == (3, (5,))
+        assert other.fail_after is None
+        kept = (3, (5,)) if persistent else (None, ())
+        assert (respawn.fail_after, respawn.hang_on) == kept
+        assert first.error_on == respawn.error_on == (2,)
+
+    def test_fleet_backend_names_the_workers_engine_backend(self):
+        fleet = PerforationFleet(workers=1, backend="interpreter")
         try:
             spec = fleet._worker_spec(0)
         finally:
@@ -123,7 +154,7 @@ class TestWarmStartInProcess:
     """The exact worker-side construction, run in process: shipped ladders
     warm-start the controller with zero kernel evaluations."""
 
-    def test_build_server_warm_start_runs_no_kernels(self, tmp_path, monkeypatch):
+    def test_build_server_warm_start_runs_no_kernels(self, monkeypatch):
         from repro.api.engine import PerforationEngine
         from repro.serve.controller import OnlineController
 
@@ -145,18 +176,15 @@ class TestWarmStartInProcess:
         monkeypatch.setattr(app_type, "approximate", boom)
         monkeypatch.setattr(app_type, "reference", boom)
 
-        spec = WorkerSpec(
-            index=0, address=str(tmp_path / "unused.sock"), ladders={"gaussian": shipped}
-        )
-        server, report = build_server(spec)
+        server, report = build_server(WorkerSpec(index=0, ladders={"gaussian": shipped}))
         assert report["ladders"] == ["gaussian"]
         assert report["calibrated"] == 0
         assert server.controller.ladder("gaussian") == list(shipped)
         assert server.controller.choose("gaussian", 0.05) is not None
         assert server.controller.calibrated == 0
 
-    def test_an_application_without_a_ladder_is_calibrated_and_counted(self, tmp_path):
-        server, report = build_server(WorkerSpec(index=0, address=str(tmp_path / "unused.sock")))
+    def test_an_application_without_a_ladder_is_calibrated_and_counted(self):
+        server, report = build_server(WorkerSpec(index=0))
         assert report["ladders"] == [] and report["calibrated"] == 0
         ladder = server.controller.ladder("inversion")  # on its default input
         assert ladder[-1].config.label == "Accurate"

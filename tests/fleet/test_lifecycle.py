@@ -7,12 +7,15 @@ tests spawn real workers (slow tier).
 """
 
 import asyncio
+import dataclasses
 import os
+import time
 
 import pytest
 
 from repro.data import generate_image
 from repro.fleet import FleetError, PerforationFleet
+import repro.fleet.frontend as frontend
 from repro.fleet.frontend import _WorkerLink
 from repro.fleet.protocol import encode_frame
 from repro.serve import TraceSpec, generate_trace
@@ -44,15 +47,15 @@ class TestEnvironmentRestored:
 
 @pytest.mark.slow
 class TestPartialStartupTeardown:
-    def test_spawn_failure_terminates_already_spawned_workers(
-        self, monkeypatch, tmp_path
-    ):
-        """Worker 1's socket path is squatted by a regular file, so its
-        bind fails after worker 0 already spawned; start() must tear the
+    def test_spawn_failure_terminates_already_spawned_workers(self, monkeypatch):
+        """Worker 1's spec names an unknown device, so its server fails to
+        build after worker 0 already spawned; start() must tear the
         survivor down rather than leak it."""
-        runtime = tmp_path / "rt"
-        runtime.mkdir()
-        (runtime / "worker-1.sock").write_text("squatter")
+        worker_spec = PerforationFleet._worker_spec
+
+        def unknown_device_for_worker_1(fleet, index, generation=0):
+            spec = worker_spec(fleet, index, generation)
+            return dataclasses.replace(spec, device="no-such-device") if index == 1 else spec
 
         procs = []
         original = _WorkerLink.spawn
@@ -63,9 +66,10 @@ class TestPartialStartupTeardown:
             finally:
                 procs.append(self.proc)
 
+        monkeypatch.setattr(PerforationFleet, "_worker_spec", unknown_device_for_worker_1)
         monkeypatch.setattr(_WorkerLink, "spawn", spy)
-        fleet = PerforationFleet(workers=2, runtime_dir=runtime)
-        with pytest.raises(FleetError):
+        fleet = PerforationFleet(workers=2)
+        with pytest.raises(FleetError, match="worker 1: startup failed"):
             fleet.start()
 
         assert len(procs) == 2  # worker 0 really was spawned
@@ -73,20 +77,18 @@ class TestPartialStartupTeardown:
             assert not proc.is_alive()
         assert fleet._links == []
 
-    def test_owned_runtime_dir_removed_on_startup_failure(self, monkeypatch):
-        """The private repro-fleet-* temp dir must not leak when start()
-        fails before any worker exists."""
-
-        async def boom(self, spec):
-            raise FleetError("injected spawn failure")
-
-        monkeypatch.setattr(_WorkerLink, "spawn", boom)
+    def test_a_worker_that_exits_without_hello_fails_start_at_once(self, monkeypatch):
+        """The front-end closes its copy of the worker's end right after
+        ``start()``, so a worker that exits before saying hello is an EOF
+        at once, not a wait for the spawn timeout.  ``slice`` stands in for
+        ``worker_main``: it takes the spec and the socket and returns."""
+        monkeypatch.setattr(frontend, "worker_main", slice)
         fleet = PerforationFleet(workers=1)
-        runtime_dir = fleet.runtime_dir
-        assert runtime_dir.exists()
-        with pytest.raises(FleetError, match="injected spawn failure"):
+        started = time.monotonic()
+        with pytest.raises(FleetError, match="did not say hello"):
             fleet.start()
-        assert not runtime_dir.exists()
+        assert time.monotonic() - started < 30.0  # far below SPAWN_TIMEOUT_S
+        assert fleet._links == []
 
 
 @pytest.mark.slow

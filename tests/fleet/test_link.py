@@ -1,12 +1,12 @@
 """Worker links without worker processes: recovery, replay and the log.
 
 The fleet starts a worker only through ``_WorkerLink.spawn``.  These tests
-replace it with a thread that runs the real worker-side server and frame
-loop (:func:`build_server`, :func:`serve_connection`) over a socket pair,
-so the crash, wedge and error paths of the front-end run in the fast tier,
-deterministically.  A crash is the worker's own ``fail_after`` hook, which
-counts requests; in a thread its ``os._exit`` ends the worker's connection
-instead of the test run.  Outputs are compared bit for bit with a single
+replace it with a thread that runs the real worker entry point
+(:func:`worker_main`) on one end of a socket pair, as the process would,
+so the start-up, crash, wedge and error paths of the front-end run in the
+fast tier, deterministically.  A crash is the worker's own ``fail_after``
+hook, which counts requests; in a thread its ``os._exit`` ends the
+worker's connection instead of the test run.  Outputs are compared bit for bit with a single
 in-process server, as in ``test_recovery.py``.
 
 How the sender groups requests into frames depends on how many it finds
@@ -16,7 +16,6 @@ alone.
 """
 
 import asyncio
-import contextlib
 import io
 import socket
 import threading
@@ -27,7 +26,7 @@ import pytest
 
 import repro.fleet.frontend as frontend
 from repro.data import generate_image
-from repro.fleet import PerforationFleet
+from repro.fleet import FleetError, PerforationFleet
 from repro.fleet.frontend import _WorkerLink
 from repro.fleet.protocol import (
     ProtocolError,
@@ -38,7 +37,7 @@ from repro.fleet.protocol import (
     response_from_wire,
     write_frame,
 )
-from repro.fleet.worker import WorkerSpec, build_server, serve_connection
+from repro.fleet.worker import WorkerSpec, build_server, serve_connection, worker_main
 from repro.serve import PerforationServer, ServeRequest
 
 CALIBRATION = {"gaussian": [generate_image("natural", size=32, seed=77)]}
@@ -58,7 +57,8 @@ def _exit_thread(code):
 class _ThreadWorker(threading.Thread):
     """A worker in a thread, standing in for the process ``spawn`` starts.
 
-    ``fault`` is ``None`` or ``"wedge"``: say hello, then read nothing until
+    It runs :func:`worker_main` on its end of the socket pair, unless
+    ``fault`` is ``"wedge"``: then it says hello and reads nothing until
     ``release`` is set, so the socket buffers fill up.  The front-end holds
     no process handle for a thread, so retiring one only aborts its
     connection.
@@ -72,20 +72,21 @@ class _ThreadWorker(threading.Thread):
         self.release = threading.Event()
 
     def run(self):
-        stream = self.sock.makefile("rwb")
         try:
-            server, report = build_server(self.spec)
             if self.fault == "wedge":
-                write_frame(stream, {"type": "hello", **report})
-                self.release.wait()
+                self._wedge()
             else:
-                serve_connection(stream, server, report, self.spec)
+                worker_main(self.spec, self.sock)
         except (OSError, ProtocolError, _Crashed):
             pass  # the front-end dropped the connection, or fail_after fired
         finally:
-            with contextlib.suppress(OSError):
-                stream.close()
             self.sock.close()
+
+    def _wedge(self):
+        with self.sock.makefile("rwb") as stream:
+            server, report = build_server(self.spec)
+            write_frame(stream, {"type": "hello", **report})
+            self.release.wait()
 
 
 def _spawn_in_threads(monkeypatch, faults=None):
@@ -369,7 +370,7 @@ def test_fail_after_counts_requests_inside_one_frame(monkeypatch, crash_after):
     single = PerforationServer(max_batch=1, calibration_inputs=CALIBRATION)
     ladders = {"gaussian": tuple(single.controller.ladder("gaussian"))}
     reference = {r.request_id: r for r in single.run_trace(requests)}
-    spec = WorkerSpec(index=0, address=None, max_batch=1, ladders=ladders, fail_after=crash_after)
+    spec = WorkerSpec(index=0, max_batch=1, ladders=ladders, fail_after=crash_after)
     server, report = build_server(spec)
     pipe = _Pipe(
         encode_frame({"type": "serve", "requests": [request_to_wire(r) for r in requests]})
@@ -397,7 +398,7 @@ def test_a_malformed_request_entry_fails_its_whole_frame(flaw):
     else:
         del entries[1]["app"]
     pipe = _Pipe(encode_frame({"type": "serve", "requests": entries}))
-    server, report = build_server(WorkerSpec(index=0, address=None, max_batch=1))
+    server, report = build_server(WorkerSpec(index=0, max_batch=1))
     with pytest.raises(ProtocolError):
         serve_connection(pipe, server, report)
 
@@ -487,3 +488,71 @@ def test_a_respawn_that_fails_to_start_degrades_the_shard(monkeypatch):
     assert metrics.completed + metrics.shed + metrics.failed == len(requests)
     assert metrics.failed >= 1
     assert {r.metadata["reason"] for r in responses if r.rejected} == {"worker-failure"}
+
+
+def test_a_worker_that_cannot_build_its_server_fails_the_start_with_its_cause(monkeypatch):
+    """``worker_main`` answers a failed ``build_server`` with an ``error``
+    frame in place of hello: ``start()`` raises that cause at once and
+    tears the fleet down."""
+    spawned = _spawn_in_threads(monkeypatch)
+    fleet = PerforationFleet(workers=2, device="no-such-device")
+    with pytest.raises(FleetError, match="startup failed"):
+        fleet.start()
+
+    assert fleet._links == []
+    assert len(spawned) == 2
+    for worker in spawned:
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+
+
+def test_worker_main_waits_without_a_timeout_and_ends_at_eof():
+    """The worker's end of the pair has no timeout, so a front-end that
+    stays idle between traces keeps its worker; closing the front-end's
+    end is what ends ``worker_main``."""
+    single = PerforationServer(max_batch=1, calibration_inputs=CALIBRATION)
+    ladders = {"gaussian": tuple(single.controller.ladder("gaussian"))}
+    front, back = socket.socketpair()
+    worker = _ThreadWorker(back, WorkerSpec(index=0, max_batch=1, ladders=ladders), None)
+    worker.start()
+    try:
+        with front.makefile("rwb") as stream:
+            assert read_frame(stream)["type"] == "hello"
+            assert back.gettimeout() is None
+            write_frame(stream, {"type": "serve", "requests": [request_to_wire(_requests(1)[0])]})
+            assert read_frame(stream)["type"] == "completed"
+            assert back.gettimeout() is None
+    finally:
+        front.close()
+        worker.join(timeout=1.0)
+    assert not worker.is_alive()
+
+
+def test_a_frame_that_does_not_decode_ends_the_worker():
+    """A torn frame ends the worker with ``ProtocolError``, and the
+    front-end reads EOF."""
+    front, back = socket.socketpair()
+    worker = _ThreadWorker(back, WorkerSpec(index=0, max_batch=1), None)
+    worker.start()
+    try:
+        with front.makefile("rwb") as stream:
+            assert read_frame(stream)["type"] == "hello"
+            stream.write(b"\x00\x00\x00\x08garbage!")
+            stream.flush()
+            assert read_frame(stream) is None
+    finally:
+        front.close()
+        worker.join(timeout=5.0)
+    assert not worker.is_alive()
+
+
+def test_close_ends_every_worker_over_its_pair(monkeypatch):
+    """``close()`` says shutdown on each pair; each worker answers bye and
+    returns from ``worker_main``."""
+    spawned = _spawn_in_threads(monkeypatch)
+    with _fleet() as fleet:
+        fleet.serve_trace(_requests(3))
+    assert len(spawned) == 1
+    for worker in spawned:
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()

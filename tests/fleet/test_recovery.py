@@ -69,8 +69,7 @@ def reference_responses():
     return {r.request_id: r for r in server.run_trace(generate_trace(SPEC))}
 
 
-@pytest.mark.parametrize("transport", ["unix", "tcp"])
-def test_worker_crash_mid_trace_recovers_bit_identical(transport, reference_responses):
+def test_worker_crash_mid_trace_recovers_bit_identical(reference_responses):
     """The tentpole: kill worker 0 after its first request; the trace must
     still complete with outputs bit-identical to the undisturbed run."""
     trace = generate_trace(SPEC)
@@ -78,7 +77,6 @@ def test_worker_crash_mid_trace_recovers_bit_identical(transport, reference_resp
         workers=2,
         max_batch=4,
         calibration_inputs=_calibration_inputs(),
-        transport=transport,
         fail_after={0: 1},
         max_respawns=2,
     ) as fleet:
@@ -250,9 +248,8 @@ def test_request_scoped_errors_fail_only_those_requests():
 def test_worker_startup_failure_fails_fast_with_cause():
     """A worker whose server cannot be built reports the failure through
     an error hello frame — the front-end raises immediately with the real
-    cause instead of spinning its connect loop to the spawn timeout."""
+    cause instead of waiting out the spawn timeout."""
     fleet = PerforationFleet(workers=1, device="no-such-device")
-    runtime_dir = fleet.runtime_dir
     started = time.monotonic()
     with pytest.raises(FleetError) as excinfo:
         fleet.start()
@@ -260,6 +257,5 @@ def test_worker_startup_failure_fails_fast_with_cause():
 
     assert elapsed < 30.0  # far below the 120 s spawn timeout
     assert "startup failed" in str(excinfo.value)
-    # Partial startup was torn down: no leaked processes, no leaked dir.
+    # Partial startup was torn down: no leaked processes.
     assert fleet._links == []
-    assert not runtime_dir.exists()

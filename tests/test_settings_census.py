@@ -1,5 +1,6 @@
 """One home per setting: the census of the engine, server and tuner
-options, and of the environment variables the library reads.
+options, of the fleet's options and worker spec, and of the environment
+variables the library reads.
 
 The execution backend is chosen only where an engine (or an executor) is
 built; every compiled-path method, the scheduler's batch key and the
@@ -8,11 +9,13 @@ seed and database once, at construction, and its strategy and evaluation
 budget per ``tune`` call.  Four ``REPRO_*`` variables reach the library,
 and the three that switch something off share one spelling of "off".
 Applications, device profiles and backends resolve through plain dicts of
-their built-in instances, with no ``register_*`` hook.  A new option,
-variable or hook has to be added here on purpose.
+their built-in instances, with no ``register_*`` hook.  The fleet's
+options are counted apart from the engine's, server's and tuner's.  A new
+option, variable or hook has to be added here on purpose.
 """
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -27,7 +30,7 @@ from repro.api import PerforationEngine
 from repro.apps import available_applications, get_application
 from repro.autotune import Tuner
 from repro.clsim import available_backends, available_devices
-from repro.fleet import ShardMap, shard_key
+from repro.fleet import PerforationFleet, ShardMap, WorkerSpec, shard_key
 from repro.serve import MicroBatchScheduler, PerforationServer
 
 #: Every parameter after ``self``, in order.
@@ -63,6 +66,57 @@ def test_fourteen_settable_values():
         if parameter not in DATA
     ]
     assert len(settable) == 14
+
+
+# ---------------------------------------------------------------------------
+# The fleet
+# ---------------------------------------------------------------------------
+#: Every ``PerforationFleet`` parameter after ``self``, in order.
+#: ``runtime_dir`` is accepted and ignored: workers are reached over socket
+#: pairs, and perfbench's fleet workload still passes the keyword.
+FLEET_PARAMETERS = (
+    "workers",
+    "backend",
+    "device",
+    "max_batch",
+    "max_delay_ms",
+    "calibration_inputs",
+    "max_pending",
+    "cache_capacity",
+    "runtime_dir",
+    "request_timeout_s",
+    "max_respawns",
+    "fail_after",
+    "error_on",
+    "hang_on",
+    "chaos_persistent",
+)
+
+#: Every field a worker process is started with, in order.
+WORKER_SPEC_FIELDS = (
+    "index",
+    "backend",
+    "device",
+    "max_batch",
+    "max_delay_ms",
+    "ladders",
+    "cache_capacity",
+    "trace",
+    "generation",
+    "fail_after",
+    "error_on",
+    "hang_on",
+)
+
+
+def test_fifteen_fleet_parameters():
+    assert _parameters(PerforationFleet.__init__) == FLEET_PARAMETERS
+    assert len(FLEET_PARAMETERS) == 15
+
+
+def test_twelve_worker_spec_fields():
+    assert tuple(f.name for f in dataclasses.fields(WorkerSpec)) == WORKER_SPEC_FIELDS
+    assert len(WORKER_SPEC_FIELDS) == 12
 
 
 @pytest.mark.parametrize(
