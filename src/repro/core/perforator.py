@@ -56,7 +56,11 @@ class PerforatedKernel:
         return generate(self.program)
 
     def executable(self) -> Kernel:
-        """Executable form for the :mod:`repro.clsim` functional executor."""
+        """Executable form for the :mod:`repro.clsim` functional executor.
+
+        Building it type-checks the program, once: both backends run on the
+        C types the checker records.
+        """
         return KernelInterpreter(self.program, self.name).as_clsim_kernel()
 
 

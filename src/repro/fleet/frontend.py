@@ -160,8 +160,9 @@ def failed_response(request: ServeRequest, reason: str = "worker-failure") -> Se
 
     Produced when a worker reports a request-scoped error
     (``reason="worker-error"``), when a shard exhausts its respawn budget
-    with the request outstanding (``"worker-failure"``), or when a request
-    routes to a shard already degraded (``"shard-degraded"``).  Like a
+    with the request outstanding (``"worker-failure"``), when a request
+    routes to a shard already degraded (``"shard-degraded"``), or when its
+    inputs cannot be encoded for the wire (``"invalid-input"``).  Like a
     shed request it carries ``rejected=True`` — it never completed — but
     is counted separately (:attr:`ServeMetrics.failed`) so the exact
     accounting invariant ``completed + shed + failed == len(trace)``
@@ -170,14 +171,14 @@ def failed_response(request: ServeRequest, reason: str = "worker-failure") -> Se
     return _unserved_response(request, reason)
 
 
-def _frames(entries: Iterable[tuple]) -> Iterator[dict]:
+def _frames(entries: Iterable[tuple], invalid: list[ServeRequest]) -> Iterator[dict]:
     """The wire frames of replay-log entries, in order.
 
     Runs of requests share ``serve`` frames cut at :data:`FRAME_PAYLOAD_CAP`
     bytes of array payload; a drain is a frame of its own.  A request whose
     input cannot be encoded is left out, so it cannot take its frame (or
-    the drain behind it) down with it; it stays pending, and the end of
-    the trace fails it.
+    the drain behind it) down with it; it goes to ``invalid`` instead, for
+    the caller to fail.
     """
     requests: list[dict] = []
     payload = 0
@@ -186,6 +187,7 @@ def _frames(entries: Iterable[tuple]) -> Iterator[dict]:
             try:
                 wire = request_to_wire(item)
             except ProtocolError:
+                invalid.append(item)
                 continue
             size = array_bytes(item.inputs)
             if requests and payload + size > FRAME_PAYLOAD_CAP:
@@ -321,11 +323,11 @@ class _WorkerLink:
             return []
         name = f"worker {self.index}"
         return [
-            asyncio.create_task(self._send(), name=f"{name} sender"),
+            asyncio.create_task(self._send(trace), name=f"{name} sender"),
             asyncio.create_task(self._read(trace), name=f"{name} reader"),
         ]
 
-    async def _send(self) -> None:
+    async def _send(self, trace: _Trace) -> None:
         keep_log = self.fleet.max_respawns > 0
         queue = self.queue
         while True:
@@ -342,7 +344,8 @@ class _WorkerLink:
                 if entries and not self.dead:
                     if keep_log:
                         self.log.extend(entries)
-                    for frame in _frames(entries):
+                    invalid: list[ServeRequest] = []
+                    for frame in _frames(entries, invalid):
                         try:
                             await write_frame_async(self.writer, frame)
                         except Exception:
@@ -351,6 +354,7 @@ class _WorkerLink:
                             # log, so the reader's recovery replays them —
                             # retrying here would deliver them twice.
                             pass
+                    self.fail_invalid(trace, invalid)
             if ended:
                 return
 
@@ -477,8 +481,11 @@ class _WorkerLink:
                 try:
                     fleet.respawn_reports.append(await self.connect(self.failures))
                     recovered = len(self.pending)
-                    for frame in _frames(self.log):
+                    invalid: list[ServeRequest] = []
+                    for frame in _frames(self.log, invalid):
                         await write_frame_async(self.writer, frame)
+                    # Failed when first sent: failing them again is a no-op.
+                    self.fail_invalid(trace, invalid)
                 except Exception:
                     # The replacement failed to start or died during
                     # replay; that is the slot's next failure.
@@ -491,6 +498,15 @@ class _WorkerLink:
         for wire_id in sorted(self.pending):
             trace.fail(trace.requests[wire_id], reason)
         self.pending.clear()
+
+    def fail_invalid(self, trace: _Trace, invalid: list[ServeRequest]) -> None:
+        """Fail requests whose inputs could not go on the wire, at once: a
+        caller's bad input is not a worker loss."""
+        for wire_request in invalid:
+            self.pending.discard(wire_request.request_id)
+            original = trace.requests.get(wire_request.request_id)
+            if original is not None:
+                trace.fail(original, "invalid-input")
 
 
 class PerforationFleet:

@@ -50,7 +50,14 @@ class Node:
 # ---------------------------------------------------------------------------
 @dataclass
 class Expr(Node):
-    """Base class of expressions."""
+    """Base class of expressions.
+
+    ``ctype`` is the expression's C type, which the type checker records
+    (:mod:`repro.kernellang.typecheck`); ``None`` until it has run.  It is
+    not a field: equality and traversals ignore it.
+    """
+
+    ctype = None
 
 
 @dataclass
@@ -237,6 +244,9 @@ class Program(Node):
 
     globals: list[DeclStmt] = field(default_factory=list)
     functions: list[FunctionDef] = field(default_factory=list)
+
+    #: Whether the type checker annotated this program (not a field).
+    checked = False
 
     def kernel(self, name: str | None = None) -> FunctionDef:
         """Return the kernel named ``name`` (or the only kernel)."""

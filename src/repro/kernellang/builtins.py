@@ -1,7 +1,13 @@
 """OpenCL built-in functions available to kernels in the subset.
 
-The type checker uses the table to validate calls, and the interpreter
-uses the Python implementations to evaluate them.
+This is the one table of built-in result types.  The type checker reads it
+to validate calls and to type them, and both backends follow the types it
+records: a *generic* built-in (``min``, ``max``, ``clamp``, ``abs``,
+``mad``, ``mix``, and ``select`` for its first two arguments) gives its
+operands' common type, as the C macros would, and every other one has a
+fixed result type (``float`` for the ``<math.h>`` functions, whose
+arguments convert to ``float``).  The interpreter evaluates calls with the
+Python implementations; ``round`` rounds half away from zero, as C does.
 """
 
 from __future__ import annotations
@@ -9,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .types import FLOAT, INT, Type
 
@@ -22,6 +30,9 @@ class BuiltinFunction:
     max_args: int
     result_type: Type
     impl: Callable
+    #: How many leading arguments are operands whose common type is the
+    #: result type (0: the result type is ``result_type``).
+    generic: int = 0
 
 
 def _clamp(value, low, high):
@@ -48,6 +59,16 @@ def _sign(x):
     return 0.0
 
 
+def c_round(x):
+    """C's ``round``: half away from zero, on a float or a float array.
+
+    ``trunc`` keeps ``-0.4`` at ``-0.0`` and ``0.49999999999999994`` at 0,
+    which ``floor(x + 0.5)`` rounds up to 1.
+    """
+    whole = np.trunc(x)
+    return np.where(np.abs(x - whole) >= 0.5, whole + np.copysign(1.0, x), whole)
+
+
 _BUILTINS: dict[str, BuiltinFunction] = {}
 
 
@@ -57,6 +78,7 @@ def _register(
     min_args: int,
     max_args: int | None = None,
     result_type: Type = FLOAT,
+    generic: int = 0,
 ) -> None:
     _BUILTINS[name] = BuiltinFunction(
         name=name,
@@ -64,6 +86,7 @@ def _register(
         max_args=max_args if max_args is not None else min_args,
         result_type=result_type,
         impl=impl,
+        generic=generic,
     )
 
 
@@ -83,34 +106,38 @@ for _name in (
 _register("barrier", impl=lambda flags=0: None, min_args=1, result_type=INT)
 _register("mem_fence", impl=lambda flags=0: None, min_args=1, result_type=INT)
 
-# Arithmetic / common built-ins.
-_register("min", min, 2, result_type=FLOAT)
-_register("max", max, 2, result_type=FLOAT)
-_register("fmin", min, 2, result_type=FLOAT)
-_register("fmax", max, 2, result_type=FLOAT)
-_register("clamp", _clamp, 3, result_type=FLOAT)
-_register("abs", abs, 1, result_type=INT)
-_register("fabs", abs, 1, result_type=FLOAT)
-_register("floor", math.floor, 1, result_type=FLOAT)
-_register("ceil", math.ceil, 1, result_type=FLOAT)
-_register("round", round, 1, result_type=FLOAT)
-_register("sign", _sign, 1, result_type=FLOAT)
-_register("mad", _mad, 3, result_type=FLOAT)
-_register("fma", _mad, 3, result_type=FLOAT)
-_register("mix", _mix, 3, result_type=FLOAT)
-_register("select", _select, 3, result_type=FLOAT)
+# Generic built-ins: the result has the operands' common type.  Float
+# min/max/clamp pick the second operand only where it is strictly smaller
+# (larger), as Python's min/max do.
+_register("min", min, 2, generic=2)
+_register("max", max, 2, generic=2)
+_register("clamp", _clamp, 3, generic=3)
+_register("abs", abs, 1, generic=1)
+_register("mad", _mad, 3, generic=3)
+_register("mix", _mix, 3, generic=3)
+_register("select", _select, 3, generic=2)
+
+# <math.h> functions: float arguments, float result.
+_register("fmin", min, 2)
+_register("fmax", max, 2)
+_register("fabs", abs, 1)
+_register("floor", lambda x: float(np.floor(x)), 1)
+_register("ceil", lambda x: float(np.ceil(x)), 1)
+_register("round", lambda x: float(c_round(x)), 1)
+_register("sign", _sign, 1)
+_register("fma", _mad, 3)
 
 # Transcendentals.
-_register("sqrt", math.sqrt, 1, result_type=FLOAT)
-_register("rsqrt", lambda x: 1.0 / math.sqrt(x), 1, result_type=FLOAT)
-_register("exp", math.exp, 1, result_type=FLOAT)
-_register("log", math.log, 1, result_type=FLOAT)
-_register("pow", math.pow, 2, result_type=FLOAT)
-_register("sin", math.sin, 1, result_type=FLOAT)
-_register("cos", math.cos, 1, result_type=FLOAT)
-_register("tan", math.tan, 1, result_type=FLOAT)
-_register("native_divide", lambda a, b: a / b, 2, result_type=FLOAT)
-_register("hypot", math.hypot, 2, result_type=FLOAT)
+_register("sqrt", math.sqrt, 1)
+_register("rsqrt", lambda x: 1.0 / math.sqrt(x), 1)
+_register("exp", math.exp, 1)
+_register("log", math.log, 1)
+_register("pow", math.pow, 2)
+_register("sin", math.sin, 1)
+_register("cos", math.cos, 1)
+_register("tan", math.tan, 1)
+_register("native_divide", lambda a, b: a / b, 2)
+_register("hypot", math.hypot, 2)
 
 #: Names that are resolved from the work-item / work-group context.
 CONTEXT_BUILTINS = frozenset(

@@ -23,9 +23,12 @@ The lowering is a pretty-printer over the pass pipeline
   their arithmetic follows the scalar interpreter exactly — and
   uniform-trip-count loops become plain Python loops with no mask
   machinery at all;
-* varying values are ``(lanes,)`` ``int64``/``float64`` arrays (matching
-  the interpreter's Python ``int``/``float`` semantics, including C
-  truncation for integer division and assignments to integer variables),
+* varying values are ``(lanes,)`` ``int64``/``float64`` arrays, as the
+  type checker's C type of each expression says (the interpreter's Python
+  ``int``/``float``): every conversion — a store, a helper's arguments and
+  return, a ``?:`` merge, a generic built-in's operands — is printed, and
+  every int/float choice of a helper (``/``, ``%``, ``min``/``max``/
+  ``clamp``) is bound, at lowering time.  They are
   bound to variables without copies (no statement writes a lane array in
   place); a comparison, ``!``, ``&&`` or ``||`` is a *predicate*, a bool
   lane mask that tests use directly and that becomes C's int 0/1 only
@@ -92,10 +95,19 @@ from .builtins import (
     BUILTIN_CONSTANTS,
     CONTEXT_BUILTINS,
     SYNC_BUILTINS,
+    get_builtin,
     is_builtin,
 )
 from .errors import InterpreterError
-from .interpreter import KernelInterpreter, _ConstantArray, assign_scalar, scalar_argument
+from .interpreter import (
+    KernelInterpreter,
+    _ConstantArray,
+    convert,
+    float_div,
+    float_mod,
+    int_div,
+    int_mod,
+)
 from .ir import (
     CONTEXT_FIELDS,
     PREDICATE_OPS,
@@ -103,30 +115,27 @@ from .ir import (
     Scope,
     ScopeView,
     Value,
-    builtin_dt,
+    ctype_dt,
     join_kind,
-    promote_dt,
-    select_dt,
 )
 from .passes.batching import global_view, local_view, route_lanes
 from .passes.masking import (
+    INT_BUILTINS,
     VECTOR_BUILTINS,
     FnFlow,
     VectorFallback,
     builtin_impl,
     decl_scalar,
-    full_assign,
     masked_assign,
     merge_parts,
     uniform_call,
-    uniform_div,
-    uniform_mod,
-    varying_div,
+    varying_float_div,
+    varying_int_div,
     varying_mod,
 )
 from .passes.memory import ConstantView, PrivateView
 from .passes.uniformity import UniformityAnalysis
-from .types import PointerType, ScalarType
+from .types import PointerType, ScalarType, common_type
 
 _INT = np.int64
 _FLOAT = np.float64
@@ -137,6 +146,23 @@ _FLOAT = np.float64
 #: 4% of one-group-at-a-time launches, while larger caps added up to 8%
 #: for no clear throughput gain.
 MAX_PASS_LANES = 2**13
+
+#: The NumPy dtype name the lowered source uses for each dtype.
+_NP_DTYPE = {"i": "_I", "f": "_F"}
+
+#: The helper each ``/`` and ``%`` binds, by operator, dtype and kind: the
+#: interpreter's own functions for uniform operands, lane kernels otherwise
+#: (``np.fmod`` serves int and float ``%`` alike).
+_DIVISION = {
+    ("/", "i", "u"): "_idiv",
+    ("/", "f", "u"): "_fdiv",
+    ("%", "i", "u"): "_imod",
+    ("%", "f", "u"): "_fmod",
+    ("/", "i", "v"): "_vidiv",
+    ("/", "f", "v"): "_vfdiv",
+    ("%", "i", "v"): "_vmod",
+    ("%", "f", "v"): "_vmod",
+}
 
 __all__ = [
     "MAX_PASS_LANES",
@@ -167,15 +193,17 @@ def _exec_namespace() -> dict:
         "_CPrivate": PrivateView,
         "_ONCE": (0,),
         "_VB": VECTOR_BUILTINS,
+        "_VI": INT_BUILTINS,
         "_VF": VectorFallback,
         "_BI_IMPL": builtin_impl,
         "_ucall": uniform_call,
-        "_udiv": uniform_div,
-        "_umod": uniform_mod,
-        "_vdiv": varying_div,
+        "_idiv": int_div,
+        "_fdiv": float_div,
+        "_imod": int_mod,
+        "_fmod": float_mod,
+        "_vidiv": varying_int_div,
+        "_vfdiv": varying_float_div,
         "_vmod": varying_mod,
-        "_uassign": assign_scalar,
-        "_afull": full_assign,
         "_amask": masked_assign,
         "_decl_scalar": decl_scalar,
         "_merge_parts": merge_parts,
@@ -183,11 +211,6 @@ def _exec_namespace() -> dict:
         "_IErr": InterpreterError,
         "int": int,
         "float": float,
-        "isinstance": isinstance,
-        "min": min,
-        "max": max,
-        "abs": abs,
-        "round": round,
     }
 
 
@@ -232,7 +255,7 @@ def _pass_runtime(
                 )
             rt.c[param.name] = global_view(value, batch, request)
         else:
-            rt.s[param.name] = scalar_argument(param.param_type, value)
+            rt.s[param.name] = convert(param.param_type, value)
     rt.local = lambda name, length: local_view(local, name, length, count, group)
     return rt
 
@@ -273,6 +296,7 @@ class _Emitter(UniformityAnalysis):
         self.div = False
         self.in_function = False
         self.fnflow: str | None = None
+        self.retdt = "i"  # the inlined helper's return dtype
         self.retref: str | None = None
         self.loops: list[dict] = []
 
@@ -317,17 +341,19 @@ class _Emitter(UniformityAnalysis):
         return f"_np.full(L, {v.code})" if v.kind == "u" else v.code
 
     def _typed_code(self, v: Value, dt: str) -> str:
-        """Code for ``v`` held in a slot of C type ``dt`` (``"i"`` or ``"f"``;
-        ``"x"`` is unknown), a scalar if ``v`` is uniform and lanes if it
-        varies: an int slot truncates a float toward zero and a float slot
-        converts an int, as the interpreter's ``assign_scalar`` does.  A
-        value the analysis knows has the slot's type is used as is, never
-        copied."""
-        if v.dt == dt or dt not in ("i", "f"):
+        """Code for ``v`` converted to dtype ``dt`` (``"i"`` or ``"f"``), a
+        scalar if ``v`` is uniform and lanes if it varies: to int truncates
+        a float toward zero, as C does.  A value of type ``dt`` already is
+        used as is, never copied."""
+        if v.dt == dt:
             return v.code
         if v.kind == "u":
             return f"int({v.code})" if dt == "i" else f"float({v.code})"
-        return f"_np.asarray({v.code}).astype({'_I' if dt == 'i' else '_F'})"
+        return f"_np.asarray({v.code}).astype({_NP_DTYPE[dt]})"
+
+    def _typed(self, v: Value, dt: str) -> Value:
+        """``v`` converted to dtype ``dt`` (see :meth:`_typed_code`)."""
+        return v if v.dt == dt else Value(self._typed_code(v, dt), v.kind, dt)
 
     # -- entry point ------------------------------------------------------
     def lower(self) -> str:
@@ -487,8 +513,9 @@ class _Emitter(UniformityAnalysis):
                 scope.space[name] = "private"
                 self._line(f"{py} = _CPrivate({name!r}, {length}, L)")
                 if isinstance(decl.init, ast.InitList):
+                    element_dt = ctype_dt(decl.var_type)
                     for position, value_expr in enumerate(decl.init.values):
-                        value = self._emit_expr(value_expr, scope)
+                        value = self._typed(self._emit_expr(value_expr, scope), element_dt)
                         if self.div:
                             self._line(
                                 f"{py}.storem({position}, {value.code}, {self.mask})"
@@ -505,10 +532,9 @@ class _Emitter(UniformityAnalysis):
         if not py:
             py = f"v{self._next_id()}_{name}"
             scope.py[name] = py
-        scalar = decl.var_type if isinstance(decl.var_type, ScalarType) else None
-        dt = "i" if scalar and scalar.is_integer else "f" if scalar and scalar.is_float else "x"
+        dt = ctype_dt(decl.var_type)
         if dt == "i" and value.kind == "u":
-            # The interpreter's declaration calls ``int`` on every initializer.
+            # A uniform int declaration always prints its conversion.
             code = f"int({value.code})"
         else:
             code = self._typed_code(value, dt)
@@ -726,7 +752,8 @@ class _Emitter(UniformityAnalysis):
             emit = self._emit_expr if self.in_function else self._emit
             value = emit(stmt.value, scope)
         if self.in_function:
-            arr = "None" if value is None else self._promote(value)
+            # A returned value converts to the helper's return type.
+            arr = "None" if value is None else self._promote(self._typed(value, self.retdt))
             self._line(f"{self.fnflow}.record({self.mask}, {arr})")
             self._line(f"{self.mask} = _Z")
             return
@@ -797,10 +824,9 @@ class _Emitter(UniformityAnalysis):
                 py = scope.py.get(name)
                 if not py:
                     raise self._unsupported(f"use of {name!r} before its declaration")
-                return Value(py, scope.kind[name], scope.dt.get(name, "x"))
+                return Value(py, scope.kind[name], ctype_dt(expr.ctype))
             if name in BUILTIN_CONSTANTS:
-                value = BUILTIN_CONSTANTS[name]
-                return Value(repr(value), "u", "i" if isinstance(value, int) else "f")
+                return Value(repr(BUILTIN_CONSTANTS[name]), "u", ctype_dt(expr.ctype))
             raise self._unsupported(f"undefined identifier {name!r}")
         if isinstance(expr, ast.UnaryOp):
             return self._emit_unary(expr, scope)
@@ -833,12 +859,10 @@ class _Emitter(UniformityAnalysis):
             old = self._emit_expr(expr.operand, scope)
             old_t = self._tmp()
             self._line(f"{old_t} = {old.code}")
-            dt = promote_dt(old.dt, "i") if old.dt != "x" else "x"
             new_t = self._tmp()
             self._line(f"{new_t} = {old_t} + ({delta})")
-            self._store_to(expr.operand, Value(new_t, old.kind, dt), scope)
-            result = old_t if expr.postfix else new_t
-            return Value(result, old.kind, old.dt if expr.postfix else dt)
+            self._store_to(expr.operand, Value(new_t, old.kind, old.dt), scope)
+            return Value(old_t if expr.postfix else new_t, old.kind, old.dt)
         if expr.op == "!":
             operand = self._emit(expr.operand, scope)
             if operand.dt != "b":
@@ -860,25 +884,17 @@ class _Emitter(UniformityAnalysis):
             return self._emit_logical(expr, scope)
         left = self._emit_expr(expr.left, scope)
         right = self._emit_expr(expr.right, scope)
-        return self._apply_binary(op, left, right)
+        return self._apply_binary(op, left, right, ctype_dt(expr.ctype))
 
-    def _apply_binary(self, op: str, left: Value, right: Value) -> Value:
+    def _apply_binary(self, op: str, left: Value, right: Value, dt: str) -> Value:
+        """``left op right``; ``dt`` is the operation's static type, which
+        picks the integer or the float ``/`` and ``%``."""
         kind = join_kind(left.kind, right.kind)
-        if op == "/":
-            if kind == "u":
-                return Value(f"_udiv({left.code}, {right.code})", "u",
-                          self._c_binop_dt("/", left.dt, right.dt))
-            return Value(f"_vdiv({left.code}, {right.code}, {self.mask})", "v",
-                      self._c_binop_dt("/", left.dt, right.dt))
-        if op == "%":
-            if kind == "u":
-                return Value(f"_umod({left.code}, {right.code})", "u",
-                          self._c_binop_dt("%", left.dt, right.dt))
-            return Value(f"_vmod({left.code}, {right.code}, {self.mask})", "v",
-                      self._c_binop_dt("%", left.dt, right.dt))
+        if op in ("/", "%"):
+            mask = "" if kind == "u" else f", {self.mask}"
+            return Value(f"{_DIVISION[op, dt, kind]}({left.code}, {right.code}{mask})", kind, dt)
         if op in ("+", "-", "*"):
-            return Value(f"(({left.code}) {op} ({right.code}))", kind,
-                      promote_dt(left.dt, right.dt))
+            return Value(f"(({left.code}) {op} ({right.code}))", kind, dt)
         if op in PREDICATE_OPS:
             return Value(f"(({left.code}) {op} ({right.code}))", kind, "b")
         if op in ("&", "|", "^", "<<", ">>"):
@@ -889,7 +905,7 @@ class _Emitter(UniformityAnalysis):
     def _emit_logical(self, expr: ast.BinaryOp, scope: Scope) -> Value:
         is_and = expr.op == "&&"
         left = self._emit_test(expr.left, scope)
-        kind, _ = self._c_expr(expr, ScopeView(scope), self.div)
+        kind = self._c_expr(expr, ScopeView(scope), self.div)
         if kind == "u":
             captured, right = self._capture_expr(
                 lambda: self._emit_test(expr.right, scope)
@@ -933,8 +949,10 @@ class _Emitter(UniformityAnalysis):
         value = self._emit_expr(expr.value, scope)
         if expr.op != "=":
             current = self._emit_expr(expr.target, scope)
-            value = self._apply_binary(expr.op[:-1], current, value)
-        value = self._materialize(value)
+            optype = common_type(expr.target.ctype, expr.value.ctype)
+            value = self._apply_binary(expr.op[:-1], current, value, ctype_dt(optype))
+        # The stored value, and the assignment's, has the target's type.
+        value = self._materialize(self._typed(value, ctype_dt(expr.ctype)))
         self._store_to(expr.target, value, scope)
         return value
 
@@ -956,23 +974,16 @@ class _Emitter(UniformityAnalysis):
         raise self._unsupported("assignment target")
 
     def _store_ident(self, name: str, value: Value, scope: Scope) -> None:
+        """Store ``value``, which has the variable's type already."""
         if name not in scope.kind:
             raise self._unsupported(f"assignment to undefined variable {name!r}")
         py = scope.py.get(name)
         if not py:
             raise self._unsupported(f"assignment to {name!r} before its declaration")
-        target_dt = scope.dt.get(name, "x")
         if scope.kind[name] == "v" and self.div:
             self._line(f"{py} = _amask({py}, {value.code}, {self.mask})")
             return
-        if target_dt == "x":
-            # A slot of unknown type keeps whatever type it holds at run time.
-            if scope.kind[name] == "u":
-                self._line(f"{py} = _uassign({py}, {value.code})")
-            else:
-                self._line(f"{py} = _afull({py}, {self._promote(value)})")
-            return
-        code = self._typed_code(value, target_dt)
+        code = value.code
         if scope.kind[name] == "v" and value.kind == "u":
             code = f"_np.full(L, {code})"
         self._line(f"{py} = {code}")
@@ -998,25 +1009,33 @@ class _Emitter(UniformityAnalysis):
         idx = self._typed_code(index, "i")
         # The container Value carries the address space in .dt; only a
         # constant array read at a uniform index yields a uniform value.
+        # Memory holds float64: an int element converts on its load.
         if container.dt == "constant" and index.kind == "u":
             if self.div:
-                return Value(f"{py}.loadum({idx}, {self.mask})", "u", "f")
-            return Value(f"{py}.loadu({idx}, L)", "u", "f")
-        if self.div:
-            return Value(f"{py}.loadm({idx}, {self.mask})", "v", "f")
-        return Value(f"{py}.loadf({idx})", "v", "f")
+                load = Value(f"{py}.loadum({idx}, {self.mask})", "u", "f")
+            else:
+                load = Value(f"{py}.loadu({idx}, L)", "u", "f")
+        elif self.div:
+            load = Value(f"{py}.loadm({idx}, {self.mask})", "v", "f")
+        else:
+            load = Value(f"{py}.loadf({idx})", "v", "f")
+        return self._typed(load, ctype_dt(expr.ctype))
 
     def _emit_ternary(self, expr: ast.Ternary, scope: Scope) -> Value:
+        """A ``?:`` of the arms' common type: a uniform test converts the
+        arm it picks, a varying one merges both arms into lanes of the type."""
+        dt = ctype_dt(expr.ctype)
         cond = self._emit_test(expr.condition, scope)
         if cond.kind == "u":
-            cap_a, a = self._capture_expr(lambda: self._emit_expr(expr.if_true, scope))
-            cap_b, b = self._capture_expr(lambda: self._emit_expr(expr.if_false, scope))
+            cap_a, a = self._capture_expr(
+                lambda: self._typed(self._emit_expr(expr.if_true, scope), dt)
+            )
+            cap_b, b = self._capture_expr(
+                lambda: self._typed(self._emit_expr(expr.if_false, scope), dt)
+            )
             kind = join_kind(a.kind, b.kind)
             if not cap_a and not cap_b and kind == "u":
-                return Value(
-                    f"(({a.code}) if ({cond.code}) else ({b.code}))",
-                    "u", select_dt(a.dt, b.dt),
-                )
+                return Value(f"(({a.code}) if ({cond.code}) else ({b.code}))", "u", dt)
             out = self._tmp()
             self._line(f"if ({cond.code}):")
             self._push()
@@ -1030,7 +1049,7 @@ class _Emitter(UniformityAnalysis):
             code_b = self._promote(b) if kind == "v" else b.code
             self._line(f"{out} = {code_b}")
             self._pop()
-            return Value(out, kind, select_dt(a.dt, b.dt))
+            return Value(out, kind, dt)
         test = self._tmp("_c")
         self._line(f"{test} = {cond.code}")
         mask_t = self._tmp("_m")
@@ -1049,11 +1068,8 @@ class _Emitter(UniformityAnalysis):
             self.mask, self.div = saved_mask, saved_div
             self._pop()
         out = self._tmp()
-        self._line(f"{out} = _merge_parts(L, {parts})")
-        return Value(out, "v", select_dt(
-            self._c_expr(expr.if_true, ScopeView(scope), True)[1],
-            self._c_expr(expr.if_false, ScopeView(scope), True)[1],
-        ))
+        self._line(f"{out} = _merge_parts(L, {parts}, {_NP_DTYPE[dt]})")
+        return Value(out, "v", dt)
 
     # -- calls ------------------------------------------------------------
     def _emit_call(self, call: ast.Call, scope: Scope) -> Value:
@@ -1075,14 +1091,22 @@ class _Emitter(UniformityAnalysis):
             args = [self._emit_expr(arg, scope) for arg in call.args]
             if any(arg.kind == "c" for arg in args):
                 raise self._unsupported(f"array argument to built-in {name!r}")
-            kinds = [arg.kind for arg in args]
-            dts = [arg.dt for arg in args]
-            dt = builtin_dt(name, dts)
-            uniform = not kinds or join_kind(*kinds) == "u"
-            if uniform:
+            # A generic built-in's operands convert to its result type, a
+            # <math.h> function's arguments to float.
+            dt = ctype_dt(call.ctype)
+            generic = get_builtin(name).generic
+            if generic:
+                args[:generic] = [self._typed(arg, dt) for arg in args[:generic]]
+            else:
+                args = [self._typed(arg, "f") for arg in args]
+            if join_kind(*(arg.kind for arg in args)) == "u":
                 impl = self._bind(f"_bi_{name}", f"_BI_IMPL({name!r})")
                 arg_code = ", ".join(arg.code for arg in args)
                 return Value(f"_ucall({name!r}, {impl}, {arg_code})", "u", dt)
+            if dt == "i" and name in INT_BUILTINS:
+                fn = self._bind(f"_vi_{name}", f"_VI[{name!r}]")
+                arg_code = ", ".join(arg.code for arg in args)
+                return Value(f"{fn}({self.mask}, {arg_code})", "v", dt)
             if name in VECTOR_BUILTINS:
                 fn = self._bind(f"_vb_{name}", f"_VB[{name!r}]")
                 arg_code = ", ".join(arg.code for arg in args)
@@ -1097,10 +1121,9 @@ class _Emitter(UniformityAnalysis):
     def _emit_user_call(self, func: ast.FunctionDef, call: ast.Call,
                         scope: Scope) -> Value:
         arg_values = [self._emit_expr(arg, scope) for arg in call.args]
-        arg_sigs = tuple(
-            ("c", v.dt) if v.kind == "c" else (v.kind, v.dt) for v in arg_values
-        )
-        kind, dt, simple = self._fn_summary(func, arg_sigs, self.div)
+        arg_sigs = tuple(v.dt if v.kind == "c" else v.kind for v in arg_values)
+        kind, simple = self._fn_summary(func, arg_sigs, self.div)
+        dt = ctype_dt(func.return_type)
         callee = self._callee_scope(func, arg_sigs)
         self._inline_stack.append(func.name)
         try:
@@ -1109,8 +1132,9 @@ class _Emitter(UniformityAnalysis):
                 if v.kind == "c":
                     callee.py[param.name] = v.code
                     continue
-                # A uniform argument the body assigns under divergence
-                # needs its own lane array.
+                # An argument converts to its parameter's type.  A uniform
+                # one the body assigns under divergence needs its own lanes.
+                v = self._typed(v, ctype_dt(param.param_type))
                 code = self._promote(v) if callee.kind[param.name] == "v" else v.code
                 bound = self._tmp("_a")
                 self._line(f"{bound} = {code}")
@@ -1126,9 +1150,9 @@ class _Emitter(UniformityAnalysis):
                 for stmt in func.body.statements[:-1]:
                     self._emit_stmt_in_function(stmt, callee)
                 result = self._emit_expr(func.body.statements[-1].value, callee)
-                return self._materialize(Value(result.code, kind, dt))
+                return self._materialize(Value(self._typed_code(result, dt), kind, dt))
             flow = self._tmp("_ff")
-            self._line(f"{flow} = _FnFlow(L)")
+            self._line(f"{flow} = _FnFlow(L, {_NP_DTYPE[dt]})")
             fn_mask = self._tmp("_m")
             self._line(f"{fn_mask} = {self.mask}")
             fn_prebound = {p.name for p in func.params} | set(self.constants)
@@ -1139,15 +1163,15 @@ class _Emitter(UniformityAnalysis):
                     callee.py[name] = py
                 self._line(f"{py} = None")
             saved = (self.mask, self.div, self.in_function, self.fnflow,
-                     self.retref, self.loops)
+                     self.retdt, self.retref, self.loops)
             self.mask, self.div = fn_mask, True
-            self.in_function, self.fnflow = True, flow
+            self.in_function, self.fnflow, self.retdt = True, flow, dt
             self.retref, self.loops = f"{flow}.returned", []
             self._emit_block(func.body.statements, callee)
             (self.mask, self.div, self.in_function, self.fnflow,
-             self.retref, self.loops) = saved
+             self.retdt, self.retref, self.loops) = saved
             out = self._tmp()
-            self._line(f"{out} = {flow}.result()")
+            self._line(f"{out} = {flow}.value")
             return Value(out, "v", dt)
         finally:
             self._inline_stack.pop()

@@ -13,6 +13,15 @@ expression statements; the interpreter yields
 :data:`repro.clsim.kernel.BARRIER` at them, which the executor uses to run
 all work-items of a group in lock-step — exactly what the prefetch /
 reconstruct / compute phases of the perforated kernels require.
+
+Values follow the C types the type checker records on every expression
+(the program is checked on construction unless it already was): ``int``
+is a Python int and ``float`` a Python float (float64), and a value
+converts (:func:`convert`) exactly where C converts it — at a store or a
+declaration, to a parameter's or the return type at a helper call, to the
+common type of a ``?:`` or a generic built-in, and to the element type at
+a load.  ``/`` and ``%`` pick integer or float arithmetic from the static
+type of the operation.  Memory is float64 whatever its element type.
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ from .builtins import (
     is_builtin,
 )
 from .errors import InterpreterError
-from .types import PointerType, ScalarType
+from .typecheck import ensure_checked
+from .types import PointerType, ScalarType, common_type
 
 
 class _BreakSignal(Exception):
@@ -171,34 +181,56 @@ _BINARY_OPS = {
 }
 
 
-def assign_scalar(existing, value):
-    """The value a scalar variable holds after ``value`` is stored into it.
-
-    The variable keeps its C type, which its declaration fixed: an int
-    variable truncates a float toward zero, a float one converts an int.
-    """
-    if isinstance(existing, int) and isinstance(value, float):
-        return int(value)
-    if isinstance(existing, float) and not isinstance(value, float):
-        return float(value)
+def convert(ctype, value):
+    """``value`` as C converts it to ``ctype``: an ``int`` truncates a float
+    toward zero, a ``float`` converts an int; other types leave it as is."""
+    if isinstance(ctype, ScalarType):
+        if ctype.is_float:
+            return float(value)
+        if ctype.is_integer:
+            return int(value)
     return value
 
 
-def scalar_argument(param_type, value):
-    """A scalar kernel argument as its declared C type, on both backends: an
-    int or a NumPy scalar passed for a ``float`` parameter becomes a Python
-    float, and a float passed for an ``int`` one truncates."""
-    if isinstance(param_type, ScalarType) and param_type.is_integer:
-        return int(value)
-    if isinstance(param_type, ScalarType) and param_type.is_float:
-        return float(value)
-    return value
+def int_div(left: int, right: int) -> int:
+    """C's integer ``/``: truncation toward zero, computed exactly in integer
+    arithmetic (a float-mediated ``int(left / right)`` loses precision
+    beyond 2**53)."""
+    if right == 0:
+        raise InterpreterError("integer division by zero")
+    quotient = left // right
+    if left % right != 0 and (left < 0) != (right < 0):
+        quotient += 1
+    return quotient
+
+
+def float_div(left, right) -> float:
+    """Float ``/``; a zero divisor raises instead of giving an infinity."""
+    if right == 0:
+        raise InterpreterError("division by zero")
+    return left / right
+
+
+def int_mod(left: int, right: int) -> int:
+    """C's integer ``%``: the remainder takes the dividend's sign."""
+    if right == 0:
+        raise InterpreterError("modulo by zero")
+    remainder = abs(left) % abs(right)
+    return -remainder if left < 0 else remainder
+
+
+def float_mod(left, right) -> float:
+    """``%`` on a float operand: C's ``fmod``."""
+    if right == 0:
+        raise InterpreterError("modulo by zero")
+    return math.fmod(left, right)
 
 
 class KernelInterpreter:
     """Interprets one kernel of a parsed program."""
 
     def __init__(self, program: ast.Program, kernel_name: str | None = None) -> None:
+        ensure_checked(program)
         self.program = program
         self.kernel_def = program.kernel(kernel_name)
         self.functions = {f.name: f for f in program.functions}
@@ -215,12 +247,17 @@ class KernelInterpreter:
                     )
                 if isinstance(decl.init, ast.InitList):
                     values = np.array(
-                        [self._evaluate_constant(v) for v in decl.init.values],
+                        [
+                            convert(decl.var_type, self._evaluate_constant(v))
+                            for v in decl.init.values
+                        ],
                         dtype=np.float64,
                     )
                     constants[decl.name] = _ConstantArray(decl.name, values)
                 else:
-                    constants[decl.name] = self._evaluate_constant(decl.init)
+                    constants[decl.name] = convert(
+                        decl.var_type, self._evaluate_constant(decl.init)
+                    )
         return constants
 
     def _evaluate_constant(self, expr: ast.Expr):
@@ -233,13 +270,7 @@ class KernelInterpreter:
         if isinstance(expr, ast.BinaryOp) and expr.op in ("+", "-", "*", "/"):
             left = self._evaluate_constant(expr.left)
             right = self._evaluate_constant(expr.right)
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            return left / right
+            return self._apply_binary(expr.op, left, right, expr.ctype)
         raise InterpreterError("file-scope initializers must be constant expressions")
 
     # ------------------------------------------------------------------
@@ -282,7 +313,7 @@ class KernelInterpreter:
                         f"pointer argument {param.name!r} must be bound to a Buffer"
                     )
             else:
-                env[param.name] = scalar_argument(param.param_type, value)
+                env[param.name] = convert(param.param_type, value)
         return env
 
     # ------------------------------------------------------------------
@@ -380,17 +411,14 @@ class KernelInterpreter:
                 array = _PrivateArray(decl.name, length)
                 if isinstance(decl.init, ast.InitList):
                     for i, value_expr in enumerate(decl.init.values):
-                        array.store(i, self._eval(value_expr, env, ctx, wi))
+                        value = self._eval(value_expr, env, ctx, wi)
+                        array.store(i, convert(decl.var_type, value))
                 env[decl.name] = array
             return
         value = 0
         if decl.init is not None:
             value = self._eval(decl.init, env, ctx, wi)
-        if isinstance(decl.var_type, ScalarType) and decl.var_type.is_integer:
-            value = int(value)
-        elif isinstance(decl.var_type, ScalarType) and decl.var_type.is_float:
-            value = float(value)
-        env[decl.name] = value
+        env[decl.name] = convert(decl.var_type, value)
 
     # ------------------------------------------------------------------
     # Expressions
@@ -423,26 +451,22 @@ class KernelInterpreter:
                 return 1 if self._truthy(self._eval(expr.right, env, ctx, wi)) else 0
             left = self._eval(expr.left, env, ctx, wi)
             right = self._eval(expr.right, env, ctx, wi)
-            return self._apply_binary(expr.op, left, right)
+            return self._apply_binary(expr.op, left, right, expr.ctype)
         if isinstance(expr, ast.Assignment):
             return self._eval_assignment(expr, env, ctx, wi)
         if isinstance(expr, ast.Ternary):
             if self._truthy(self._eval(expr.condition, env, ctx, wi)):
-                return self._eval(expr.if_true, env, ctx, wi)
-            return self._eval(expr.if_false, env, ctx, wi)
+                return convert(expr.ctype, self._eval(expr.if_true, env, ctx, wi))
+            return convert(expr.ctype, self._eval(expr.if_false, env, ctx, wi))
         if isinstance(expr, ast.Call):
             return self._eval_call(expr, env, ctx, wi)
         if isinstance(expr, ast.Index):
             target = self._eval(expr.base, env, ctx, wi)
             index = int(self._eval(expr.index, env, ctx, wi))
-            return self._load_indexed(target, index)
+            value = self._load_indexed(target, index)
+            return value if expr.ctype.is_float else int(value)
         if isinstance(expr, ast.Cast):
-            value = self._eval(expr.expr, env, ctx, wi)
-            if isinstance(expr.target_type, ScalarType) and expr.target_type.is_integer:
-                return int(value)
-            if isinstance(expr.target_type, ScalarType) and expr.target_type.is_float:
-                return float(value)
-            return value
+            return convert(expr.target_type, self._eval(expr.expr, env, ctx, wi))
         raise InterpreterError(f"unsupported expression {type(expr).__name__}")
 
     def _eval_unary(self, expr: ast.UnaryOp, env, ctx, wi):
@@ -462,27 +486,13 @@ class KernelInterpreter:
             return ~int(operand)
         raise InterpreterError(f"unsupported unary operator {expr.op!r}")
 
-    def _apply_binary(self, op: str, left, right):
+    def _apply_binary(self, op: str, left, right, ctype):
+        """``left op right``; ``ctype`` is the operation's static type,
+        which picks integer or float ``/`` and ``%``."""
         if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                if right == 0:
-                    raise InterpreterError("integer division by zero")
-                # C semantics: truncation toward zero, computed exactly in
-                # integer arithmetic (float-mediated int(left / right) loses
-                # precision beyond 2**53).
-                quotient = left // right
-                if left % right != 0 and (left < 0) != (right < 0):
-                    quotient += 1
-                return quotient
-            if right == 0:
-                raise InterpreterError("division by zero")
-            return left / right
+            return int_div(left, right) if ctype.is_integer else float_div(left, right)
         if op == "%":
-            if right == 0:
-                raise InterpreterError("modulo by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return int(math.fmod(left, right))
-            return math.fmod(left, right)
+            return int_mod(left, right) if ctype.is_integer else float_mod(left, right)
         try:
             handler = _BINARY_OPS[op]
         except KeyError as exc:
@@ -496,21 +506,26 @@ class KernelInterpreter:
         value = self._eval(expr.value, env, ctx, wi)
         if expr.op != "=":
             current = self._eval(expr.target, env, ctx, wi)
-            value = self._apply_binary(expr.op[:-1], current, value)
-        self._store_to(expr.target, value, env, ctx, wi)
-        return value
+            op = expr.op[:-1]
+            optype = (
+                common_type(expr.target.ctype, expr.value.ctype) if op in ("/", "%") else None
+            )
+            value = self._apply_binary(op, current, value, optype)
+        return self._store_to(expr.target, value, env, ctx, wi)
 
-    def _store_to(self, target: ast.Expr, value, env, ctx, wi) -> None:
+    def _store_to(self, target: ast.Expr, value, env, ctx, wi):
+        """Store ``value`` converted to the target's type, and return it."""
+        value = convert(target.ctype, value)
         if isinstance(target, ast.Identifier):
             if target.name not in env:
                 raise InterpreterError(f"assignment to undefined variable {target.name!r}")
-            env[target.name] = assign_scalar(env[target.name], value)
-            return
+            env[target.name] = value
+            return value
         if isinstance(target, ast.Index):
             container = self._eval(target.base, env, ctx, wi)
             index = int(self._eval(target.index, env, ctx, wi))
             self._store_indexed(container, index, value)
-            return
+            return value
         raise InterpreterError("assignment target must be a variable or array element")
 
     @staticmethod
@@ -522,7 +537,7 @@ class KernelInterpreter:
     @staticmethod
     def _store_indexed(container, index: int, value) -> None:
         if isinstance(container, (_GlobalPointer, _LocalArray, _PrivateArray)):
-            container.store(index, float(value))
+            container.store(index, value)
             return
         raise InterpreterError(f"cannot assign into value of type {type(container).__name__}")
 
@@ -540,7 +555,7 @@ class KernelInterpreter:
             builtin = get_builtin(name)
             args = [self._eval(arg, env, ctx, wi) for arg in call.args]
             try:
-                return builtin.impl(*args)
+                return convert(call.ctype, builtin.impl(*args))
             except Exception as exc:
                 raise InterpreterError(f"built-in {name!r} failed: {exc}") from exc
         if name in self.functions:
@@ -571,15 +586,16 @@ class KernelInterpreter:
             )
         callee_env: dict[str, object] = dict(self.constants)
         for param, arg in zip(func.params, call.args):
-            callee_env[param.name] = self._eval(arg, env, ctx, wi)
+            callee_env[param.name] = convert(param.param_type, self._eval(arg, env, ctx, wi))
         try:
             for _ in self._exec_block(func.body, callee_env, ctx, wi):
                 raise InterpreterError(
                     f"helper function {func.name!r} may not contain barriers"
                 )
         except _ReturnSignal as signal:
-            return signal.value
-        return 0
+            return convert(func.return_type, signal.value)
+        # Falling off the end is undefined in C; this returns the type's zero.
+        return convert(func.return_type, 0)
 
     @staticmethod
     def _truthy(value) -> bool:

@@ -1,28 +1,29 @@
 """Mask insertion: the per-lane semantics of divergent control flow.
 
 **Consumes** varying values as ``(lanes,)`` NumPy arrays plus a boolean
-active-lane mask.  **Guarantees downstream** that every merge, arithmetic
-kernel and built-in reproduces the scalar reference interpreter bit for
-bit on the active lanes — inactive lanes are never observable:
+active-lane mask.  Every operand has its static C type already — an
+``int64`` array for ``int``, a ``float64`` one for ``float`` — since the
+lowering prints each conversion the type checker's types call for and
+picks each helper by type.  **Guarantees downstream** that every merge,
+arithmetic kernel and built-in reproduces the scalar reference
+interpreter bit for bit on the active lanes — inactive lanes are never
+observable:
 
-* the assignment merge rules (:func:`masked_assign`, :func:`full_assign`,
-  :func:`decl_scalar`, :func:`merge_parts`, :func:`int_truncate`) keep a
-  slot's C type — a slot that holds an integer truncates an assigned
-  float, one that holds a float converts an assigned integer, as the
-  interpreter's :func:`~repro.kernellang.interpreter.assign_scalar` does
-  for a uniform slot — and merge divergent arms into one lane array;
-  every merge returns a new array, since lowered variables share lane
-  arrays;
-* the arithmetic kernels (:func:`varying_div`, :func:`varying_mod`,
-  :func:`uniform_div`, :func:`uniform_mod`) implement C semantics
+* the assignment merge rules (:func:`masked_assign`, :func:`decl_scalar`,
+  :func:`merge_parts`) merge divergent values into one lane array of the
+  slot's type; every merge returns a new array, since lowered variables
+  share lane arrays;
+* the arithmetic kernels (:func:`varying_int_div`,
+  :func:`varying_float_div`, :func:`varying_mod`) implement C semantics
   (truncation toward zero for integer ``/`` and ``%``) and raise
   :class:`~repro.kernellang.errors.InterpreterError` exactly when an
-  *active* lane divides by zero;
-* the built-in table (:data:`VECTOR_BUILTINS`, :func:`scalar_map`,
-  :class:`VectorFallback`, :func:`uniform_call`) provides mask-aware
-  vector kernels where NumPy rounds identically to libm and a per-active-
-  lane scalar fallback everywhere else, with the interpreter's exact
-  error wrapping;
+  *active* lane divides by zero; uniform ``/`` and ``%`` are the
+  interpreter's own scalar functions;
+* the built-in tables (:data:`VECTOR_BUILTINS`, :data:`INT_BUILTINS`,
+  :func:`scalar_map`, :class:`VectorFallback`, :func:`uniform_call`)
+  provide mask-aware vector kernels where NumPy rounds identically to libm
+  and a per-active-lane scalar fallback everywhere else, with the
+  interpreter's exact error wrapping;
 * :class:`FnFlow` carries the returned-lane bookkeeping of masked-inlined
   helpers.
 
@@ -36,19 +37,13 @@ which is what keeps its outputs bit-identical to the interpreter.
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 
-from ..builtins import get_builtin
+from ..builtins import c_round, get_builtin
 from ..errors import InterpreterError
 
-_INT = np.int64
 _FLOAT = np.float64
-
-
-def _is_int(array: np.ndarray) -> bool:
-    return array.dtype.kind in "iu"
 
 
 def truthy(array: np.ndarray) -> np.ndarray:
@@ -72,44 +67,25 @@ def scalar_map(fn):
     return apply
 
 
-def _int_lanes(*args) -> bool:
-    """Whether the operands are all ints, where ``np.maximum``/``np.minimum``
-    equal Python's ``max``/``min``.  They take half the time of the
-    ``np.where`` selects float operands need, which on a 2-CPU machine cost
-    8% of perfbench serve-distinct throughput (its clamps are all on ints)."""
-    return np.result_type(*args).kind in "iu"
-
-
 def _vector_max(mask, a, b):
-    """Python's ``max``: ``b`` only where ``b > a``, so a NaN or a -0.0 in
-    ``a`` survives (``np.maximum`` would pick the NaN or the +0.0)."""
-    return np.maximum(a, b) if _int_lanes(a, b) else np.where(b > a, b, a)
+    """Python's ``max`` on floats: ``b`` only where ``b > a``, so a NaN or a
+    -0.0 in ``a`` survives (``np.maximum`` would pick the NaN or the +0.0)."""
+    return np.where(b > a, b, a)
 
 
 def _vector_min(mask, a, b):
-    """Python's ``min``: ``b`` only where ``b < a`` (see :func:`_vector_max`)."""
-    return np.minimum(a, b) if _int_lanes(a, b) else np.where(b < a, b, a)
+    """Python's ``min`` on floats: ``b`` only where ``b < a``."""
+    return np.where(b < a, b, a)
 
 
 def _vector_clamp(mask, value, low, high):
-    """``min(max(value, low), high)``, with one dtype check per call."""
-    if _int_lanes(value, low, high):
-        return np.minimum(np.maximum(value, low), high)
+    """``min(max(value, low), high)`` on floats."""
     value = np.where(low > value, low, value)
     return np.where(high < value, high, value)
 
 
 def _vector_select(mask, a, b, c):
     return np.where(truthy(np.asarray(c)), b, a)
-
-
-def _int_result(fn):
-    """Wrap a float-returning ufunc whose interpreter twin returns ``int``."""
-
-    def apply(mask, x):
-        return fn(x).astype(_INT)
-
-    return apply
 
 
 def _vector_sqrt(mask, x):
@@ -147,10 +123,10 @@ VECTOR_BUILTINS = {
     "clamp": _vector_clamp,
     "abs": lambda mask, x: np.abs(x),
     "fabs": lambda mask, x: np.abs(x),
-    "floor": _int_result(np.floor),
-    "ceil": _int_result(np.ceil),
-    "round": _int_result(np.round),
-    "sign": lambda mask, x: np.sign(x).astype(_FLOAT),
+    "floor": lambda mask, x: np.floor(x),
+    "ceil": lambda mask, x: np.ceil(x),
+    "round": lambda mask, x: c_round(x),
+    "sign": lambda mask, x: np.sign(x),
     "mad": lambda mask, a, b, c: a * b + c,
     "fma": lambda mask, a, b, c: a * b + c,
     "mix": lambda mask, a, b, t: a + (b - a) * t,
@@ -158,6 +134,16 @@ VECTOR_BUILTINS = {
     "sqrt": _vector_sqrt,
     "rsqrt": _vector_rsqrt,
     "native_divide": _vector_native_divide,
+}
+
+#: Int versions of the selecting built-ins, where ``np.maximum`` and
+#: ``np.minimum`` equal Python's ``max`` and ``min``.  They take half the
+#: time of the ``np.where`` selects floats need (perfbench serve-distinct
+#: clamps only ints).
+INT_BUILTINS = {
+    "min": lambda mask, a, b: np.minimum(a, b),
+    "max": lambda mask, a, b: np.maximum(a, b),
+    "clamp": lambda mask, value, low, high: np.minimum(np.maximum(value, low), high),
 }
 
 
@@ -193,47 +179,21 @@ class VectorFallback:
 # ---------------------------------------------------------------------------
 # C-semantics arithmetic kernels
 # ---------------------------------------------------------------------------
-def uniform_div(left, right):
-    """Uniform ``/`` with the scalar interpreter's exact semantics."""
-    if isinstance(left, int) and isinstance(right, int):
-        if right == 0:
-            raise InterpreterError("integer division by zero")
-        quotient = left // right
-        if left % right != 0 and (left < 0) != (right < 0):
-            quotient += 1
-        return quotient
-    if right == 0:
-        raise InterpreterError("division by zero")
-    return left / right
-
-
-def uniform_mod(left, right):
-    """Uniform ``%`` with the scalar interpreter's exact semantics."""
-    if right == 0:
-        raise InterpreterError("modulo by zero")
-    if isinstance(left, int) and isinstance(right, int):
-        return int(math.fmod(left, right))
-    return math.fmod(left, right)
-
-
-def varying_div(left, right, mask):
-    """Varying ``/``: C truncation toward zero, errors on *active* lanes."""
-    left = np.asarray(left)
-    right = np.asarray(right)
-    int_int = _is_int(left) and _is_int(right)
+def varying_int_div(left, right, mask):
+    """Varying int ``/``: C truncation toward zero, errors on *active* lanes."""
     if np.any(mask & (right == 0)):
-        if int_int:
-            raise InterpreterError("integer division by zero")
+        raise InterpreterError("integer division by zero")
+    safe = np.where(right == 0, 1, right)
+    quotient = np.floor_divide(left, safe)
+    remainder = left - quotient * safe
+    return quotient + ((remainder != 0) & ((left < 0) ^ (safe < 0)))
+
+
+def varying_float_div(left, right, mask):
+    """Varying float ``/``, an error where an *active* lane divides by zero."""
+    if np.any(mask & (right == 0)):
         raise InterpreterError("division by zero")
-    if _is_int(right):
-        safe = np.where(right == 0, 1, right)
-    else:
-        safe = np.where(right == 0, 1.0, right)
-    if int_int:
-        quotient = np.floor_divide(left, safe)
-        remainder = left - quotient * safe
-        return quotient + ((remainder != 0) & ((left < 0) ^ (safe < 0)))
-    return left / safe
+    return left / np.where(right == 0, 1.0, right)
 
 
 def varying_mod(left, right, mask):
@@ -249,29 +209,10 @@ def varying_mod(left, right, mask):
 # ---------------------------------------------------------------------------
 # Assignment merge rules
 # ---------------------------------------------------------------------------
-def int_truncate(value):
-    """Varying store into an int-typed slot: truncate unless already int."""
-    value = np.asarray(value)
-    return value if _is_int(value) else value.astype(_INT)
-
-
-def full_assign(existing, value):
-    """Full-mask varying assignment that keeps the slot's C type."""
-    value = np.asarray(value)
-    if _is_int(existing) != _is_int(value):
-        return value.astype(existing.dtype)
-    return value
-
-
 def masked_assign(existing, value, mask):
-    """Masked varying assignment: active lanes take ``value``, dtype sticks.
-
-    Follows C (and the scalar interpreter): assigning a float to an
-    integer slot truncates toward zero, and the slot stays integer.  The
-    result is a new array (``value`` may be a uniform scalar).
-    """
-    if _is_int(existing):
-        value = int_truncate(value)
+    """Masked varying assignment: active lanes take ``value``, which has the
+    slot's type already.  The result is a new array (``value`` may be a
+    uniform scalar)."""
     return np.where(mask, value, existing)
 
 
@@ -287,12 +228,12 @@ def decl_scalar(existing, value, mask):
     return value
 
 
-def merge_parts(lanes: int, parts):
-    """Merge the evaluated arms of a varying ternary into one lane array."""
-    dtype = np.result_type(*(np.asarray(v).dtype for _, v in parts))
+def merge_parts(lanes: int, parts, dtype):
+    """Merge the evaluated arms of a varying ternary into one lane array of
+    the ternary's type, ``dtype``: an int arm converts to float here."""
     result = np.zeros(lanes, dtype=dtype)
     for mask, value in parts:
-        result[mask] = np.asarray(value, dtype=dtype)[mask]
+        result[mask] = value[mask]
     return result
 
 
@@ -300,24 +241,20 @@ def merge_parts(lanes: int, parts):
 # Control-flow bookkeeping
 # ---------------------------------------------------------------------------
 class FnFlow:
-    """Return-lane bookkeeping of one masked-inlined helper call."""
+    """Return-lane bookkeeping of one masked-inlined helper call.
 
-    __slots__ = ("lanes", "returned", "value")
+    ``value`` starts as the return type's zero (``dtype``), which is what
+    a lane that falls off the helper's end returns; every recorded value
+    has the return type already.
+    """
 
-    def __init__(self, lanes: int) -> None:
-        self.lanes = lanes
+    __slots__ = ("returned", "value")
+
+    def __init__(self, lanes: int, dtype) -> None:
         self.returned = np.zeros(lanes, dtype=bool)
-        self.value = None
+        self.value = np.zeros(lanes, dtype=dtype)
 
     def record(self, mask: np.ndarray, value) -> None:
         self.returned = self.returned | mask
-        if value is None:
-            return
-        if self.value is None:
-            self.value = np.zeros(self.lanes, dtype=_INT)
-        self.value = np.where(mask, value, self.value)
-
-    def result(self):
-        if self.value is None:
-            return np.zeros(self.lanes, dtype=_INT)
-        return self.value
+        if value is not None:
+            self.value = np.where(mask, value, self.value)

@@ -9,10 +9,11 @@ arguments, size queries and anything computed only from those.
 is every global or local memory load (each lane may address its own
 request's segment or its own group's tile).  **Guarantees downstream** a
 fully populated :class:`~repro.kernellang.ir.Scope` per function body —
-every scalar variable carries a kind (``"u"`` uniform / ``"v"`` varying)
-and a static dtype (``"i"``/``"f"``/``"x"``), every container name
-carries its address space — plus the two shape decisions the
-mask-insertion pass needs:
+every scalar variable carries a kind (``"u"`` uniform / ``"v"`` varying),
+every container name carries its address space — plus the two shape
+decisions the mask-insertion pass needs.  Dtypes are not analysed: the
+type checker recorded every expression's C type on the program, and the
+lowering reads them from there.  The decisions:
 
 * :meth:`UniformityAnalysis._loop_masked` — whether a loop needs per-lane
   mask machinery (varying trip count, varying init of the induction
@@ -22,9 +23,9 @@ mask-insertion pass needs:
   under a divergent mask, which forces the return-lane bookkeeping
   (``_ret``) into the lowered prologue.
 
-The analysis is a fixpoint over the statement walk: kinds and dtypes only
-ever move *up* the lattices of :mod:`repro.kernellang.ir` (uniform may
-become varying, never the reverse), so the walk converges; a bound of 50
+The analysis is a fixpoint over the statement walk: kinds only ever move
+*up* the lattice of :mod:`repro.kernellang.ir` (uniform may become
+varying, never the reverse), so the walk converges; a bound of 50
 iterations guards pathological programs.  Divergence is tracked exactly
 the way the emitters replay it — a statement whose subtree kills lanes
 (``return``/``break``/``continue`` escaping through a mask merge) leaves
@@ -48,17 +49,8 @@ from ..builtins import (
     is_builtin,
 )
 from ..interpreter import KernelInterpreter, _ConstantArray
-from ..ir import (
-    LoweringError,
-    Scope,
-    ScopeView,
-    binop_dtype,
-    builtin_dt,
-    join_kind,
-    promote_dt,
-    select_dt,
-)
-from ..types import PointerType, ScalarType
+from ..ir import LoweringError, Scope, ScopeView, join_kind
+from ..types import PointerType
 
 
 class UniformityAnalysis:
@@ -103,12 +95,6 @@ class UniformityAnalysis:
                 scope.py[param.name] = f"c_{param.name}"
             else:
                 scope.kind[param.name] = "u"
-                scope.dt[param.name] = (
-                    "i"
-                    if isinstance(param.param_type, ScalarType)
-                    and param.param_type.is_integer
-                    else "f"
-                )
                 scope.py[param.name] = f"v_{param.name}"
         return scope
 
@@ -119,128 +105,100 @@ class UniformityAnalysis:
                 scope.py[name] = f"kc_{name}"
             else:
                 scope.kind[name] = "u"
-                scope.dt[name] = "i" if isinstance(value, int) else "f"
                 scope.py[name] = f"k_{name}"
 
     # -- classification: expression kinds -------------------------------
-    def _c_assign(self, scope: Scope, name: str, kind: str, dt: str, div: bool,
-                  decl: bool = False) -> None:
+    def _c_assign(self, scope: Scope, name: str, kind: str, div: bool) -> None:
         if kind == "v" or div or scope.kind.get(name) == "v":
             scope.kind[name] = "v"
         else:
             scope.kind.setdefault(name, "u")
-        old = scope.dt.get(name)
-        if old is None:
-            new = dt
-        elif not decl and old in ("i", "f"):
-            new = old  # a store keeps the slot's C type (int truncates)
-        elif old == dt:
-            new = old
-        else:
-            new = "x"
-        scope.dt[name] = new
 
-    def _c_expr(self, expr, scope: Scope, div: bool) -> tuple[str, str]:
-        """Kind/dtype of ``expr``; records assignment side effects."""
-        if isinstance(expr, ast.IntLiteral) or isinstance(expr, ast.BoolLiteral):
-            return ("u", "i")
-        if isinstance(expr, ast.FloatLiteral):
-            return ("u", "f")
+    def _c_expr(self, expr, scope: Scope, div: bool) -> str:
+        """Kind of ``expr`` (``"c"`` for a container); records assignment
+        side effects."""
+        if isinstance(expr, (ast.IntLiteral, ast.FloatLiteral, ast.BoolLiteral)):
+            return "u"
         if isinstance(expr, ast.Identifier):
             name = expr.name
             if name in scope.space:
-                return ("c", scope.space[name])
+                return "c"
             if name in scope.kind:
-                return (scope.kind[name], scope.dt.get(name, "x"))
+                return scope.kind[name]
             if name in BUILTIN_CONSTANTS:
-                return ("u", "i" if isinstance(BUILTIN_CONSTANTS[name], int) else "f")
+                return "u"
             if getattr(scope, "optimistic", False):
                 # Loop-shape queries may run before a nested declaration has
                 # been classified; assume uniform — the fixpoint re-checks
                 # once the variable's real kind is known (kinds only go up).
-                return ("u", "x")
+                return "u"
             raise self._unsupported(f"undefined identifier {name!r}")
         if isinstance(expr, ast.UnaryOp):
+            k = self._c_expr(expr.operand, scope, div)
             if expr.op in ("++", "--"):
-                k, dt = self._c_expr(expr.operand, scope, div)
                 if isinstance(expr.operand, ast.Identifier):
-                    self._c_assign(scope, expr.operand.name, k, dt, div)
-                return (("v" if div else k), dt)
-            k, dt = self._c_expr(expr.operand, scope, div)
-            if expr.op == "!":
-                return (k, "i")
-            if expr.op == "~":
-                return (k, "i")
-            return (k, dt)
+                    self._c_assign(scope, expr.operand.name, k, div)
+                return "v" if div else k
+            return k
         if isinstance(expr, ast.BinaryOp):
-            lk, ldt = self._c_expr(expr.left, scope, div)
+            lk = self._c_expr(expr.left, scope, div)
             sub_div = div or lk == "v"
-            rk, rdt = self._c_expr(expr.right, scope, sub_div if expr.op in ("&&", "||") else div)
-            k = join_kind(lk, rk)
-            return (k, binop_dtype(expr.op, ldt, rdt))
+            rk = self._c_expr(expr.right, scope, sub_div if expr.op in ("&&", "||") else div)
+            return join_kind(lk, rk)
         if isinstance(expr, ast.Assignment):
-            vk, vdt = self._c_expr(expr.value, scope, div)
+            vk = self._c_expr(expr.value, scope, div)
             if expr.op != "=":
-                tk, tdt = self._c_expr(expr.target, scope, div)
-                vk, vdt = join_kind(tk, vk), self._c_binop_dt(expr.op[:-1], tdt, vdt)
+                vk = join_kind(self._c_expr(expr.target, scope, div), vk)
             if isinstance(expr.target, ast.Identifier):
-                self._c_assign(scope, expr.target.name, vk, vdt, div)
+                self._c_assign(scope, expr.target.name, vk, div)
             elif isinstance(expr.target, ast.Index):
                 self._c_expr(expr.target.base, scope, div)
                 self._c_expr(expr.target.index, scope, div)
-            return (vk, vdt)
+            return vk
         if isinstance(expr, ast.Ternary):
-            ck, _ = self._c_expr(expr.condition, scope, div)
+            ck = self._c_expr(expr.condition, scope, div)
             sub_div = div or ck == "v"
-            ak, adt = self._c_expr(expr.if_true, scope, sub_div)
-            bk, bdt = self._c_expr(expr.if_false, scope, sub_div)
-            return (join_kind(ck, ak, bk), select_dt(adt, bdt))
+            ak = self._c_expr(expr.if_true, scope, sub_div)
+            bk = self._c_expr(expr.if_false, scope, sub_div)
+            return join_kind(ck, ak, bk)
         if isinstance(expr, ast.Call):
             return self._c_call(expr, scope, div)
         if isinstance(expr, ast.Index):
             bk = self._c_expr(expr.base, scope, div)
-            ik, _ = self._c_expr(expr.index, scope, div)
-            if bk[0] != "c":
+            ik = self._c_expr(expr.index, scope, div)
+            if bk != "c":
                 raise self._unsupported("indexing a non-array value")
-            space = bk[1]
-            if space == "constant":
-                return (ik, "f")
-            return ("v", "f")
+            # Only a constant array read at a uniform index is uniform.
+            return ik if scope.space[expr.base.name] == "constant" else "v"
         if isinstance(expr, ast.Cast):
-            k, _ = self._c_expr(expr.expr, scope, div)
-            if isinstance(expr.target_type, ScalarType):
-                return (k, "i" if expr.target_type.is_integer else "f")
-            return (k, "x")
+            return self._c_expr(expr.expr, scope, div)
         if isinstance(expr, ast.InitList):
             raise self._unsupported("an initializer list outside a declaration")
         raise self._unsupported(f"expression {type(expr).__name__}")
 
-    def _c_binop_dt(self, op: str, ldt: str, rdt: str) -> str:
-        return binop_dtype(op, ldt, rdt)
+    def _c_sig(self, arg, scope: Scope, div: bool) -> str:
+        """A helper argument's signature: its kind, or a container's space."""
+        kind = self._c_expr(arg, scope, div)
+        return scope.space[arg.name] if kind == "c" else kind
 
-    def _c_call(self, call: ast.Call, scope: Scope, div: bool) -> tuple[str, str]:
+    def _c_call(self, call: ast.Call, scope: Scope, div: bool) -> str:
         name = call.name
         if name in CONTEXT_BUILTINS:
             self._context_dim(call)  # validates the dim argument
             if name in ("get_global_id", "get_local_id", "get_group_id"):
-                return ("v", "i")
-            return ("u", "i")
+                return "v"
+            return "u"
         if name in SYNC_BUILTINS:
             raise self._unsupported("barrier()/mem_fence() inside an expression")
         if is_builtin(name):
-            kinds, dts = [], []
-            for arg in call.args:
-                k, dt = self._c_expr(arg, scope, div)
-                if k == "c":
-                    raise self._unsupported(f"array argument to built-in {name!r}")
-                kinds.append(k)
-                dts.append(dt)
-            return (join_kind(*kinds) if kinds else "u", builtin_dt(name, dts))
+            kinds = [self._c_expr(arg, scope, div) for arg in call.args]
+            if "c" in kinds:
+                raise self._unsupported(f"array argument to built-in {name!r}")
+            return join_kind(*kinds)
         if name in self.functions:
-            func = self.functions[name]
-            arg_sigs = tuple(self._c_expr(arg, scope, div) for arg in call.args)
-            kind, dt, _simple = self._fn_summary(func, arg_sigs, div)
-            return (kind, dt)
+            sigs = tuple(self._c_sig(arg, scope, div) for arg in call.args)
+            kind, _simple = self._fn_summary(self.functions[name], sigs, div)
+            return kind
         raise self._unsupported(f"call to unknown function {name!r}")
 
     def _context_dim(self, call: ast.Call) -> int:
@@ -297,18 +255,16 @@ class UniformityAnalysis:
                 f"call to {func.name!r} with {len(arg_sigs)} arguments "
                 f"(expects {len(func.params)})"
             )
-        for index, (param, sig) in enumerate(zip(func.params, arg_sigs)):
-            if sig[0] == "c":
-                scope.space[param.name] = sig[1]
-                scope.py[param.name] = ""  # bound at emission time
+        for param, sig in zip(func.params, arg_sigs):
+            if sig in ("u", "v"):
+                scope.kind[param.name] = sig
             else:
-                scope.kind[param.name] = sig[0]
-                scope.dt[param.name] = sig[1]
-                scope.py[param.name] = ""
+                scope.space[param.name] = sig
+            scope.py[param.name] = ""  # bound at emission time
         return scope
 
     def _fn_summary(self, func: ast.FunctionDef, arg_sigs, div: bool):
-        """(kind, dt, simple) of a helper call with the given argument kinds."""
+        """(kind, simple) of a helper call with the given argument kinds."""
         key = (func.name, arg_sigs, div)
         cached = self._fn_memo.get(key)
         if cached is not None:
@@ -324,40 +280,21 @@ class UniformityAnalysis:
             body_div = div or not simple
             self._classify(func.body, scope, body_div, in_function=True)
             if simple:
-                kind, dt = self._c_expr(
-                    func.body.statements[-1].value, scope, body_div
-                )
-                result = (kind, dt, True)
+                kind = self._c_expr(func.body.statements[-1].value, scope, body_div)
+                result = (kind, True)
             else:
-                dts = self._return_dts(func.body, scope, body_div)
-                dt = promote_dt("i", *dts) if dts else "i"
-                result = ("v", dt, False)
+                result = ("v", False)
         finally:
             self._inline_stack.pop()
         self._fn_memo[key] = result
         return result
 
-    def _return_dts(self, block, scope, div) -> list[str]:
-        dts: list[str] = []
-        for stmt in block.statements:
-            if isinstance(stmt, ast.ReturnStmt) and stmt.value is not None:
-                dts.append(self._c_expr(stmt.value, scope, div)[1])
-            elif isinstance(stmt, ast.Block):
-                dts.extend(self._return_dts(stmt, scope, div))
-            elif isinstance(stmt, ast.IfStmt):
-                dts.extend(self._return_dts(stmt.then_body, scope, div))
-                if stmt.else_body is not None:
-                    dts.extend(self._return_dts(stmt.else_body, scope, div))
-            elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt, ast.DoWhileStmt)):
-                dts.extend(self._return_dts(stmt.body, scope, div))
-        return dts
-
     def _classify(self, block, scope: Scope, div: bool, in_function: bool) -> None:
         """Run the statement walk to a fixpoint (kinds only ever go up)."""
         for _ in range(50):
-            before = (dict(scope.kind), dict(scope.dt))
+            before = dict(scope.kind)
             self._c_block(block, scope, div, in_function)
-            if (scope.kind, scope.dt) == before:
+            if scope.kind == before:
                 return
         raise self._unsupported("a program whose classification does not converge")
 
@@ -386,7 +323,7 @@ class UniformityAnalysis:
         if isinstance(stmt, ast.Block):
             return self._c_block(stmt, scope, div, in_function)
         if isinstance(stmt, ast.IfStmt):
-            ck, _ = self._c_expr(stmt.condition, scope, div)
+            ck = self._c_expr(stmt.condition, scope, div)
             branch_div = div or ck == "v"
             self._c_block(stmt.then_body, scope, branch_div, in_function)
             if stmt.else_body is not None:
@@ -419,7 +356,7 @@ class UniformityAnalysis:
 
     def _c_decl(self, decl: ast.VarDecl, scope: Scope, div: bool) -> None:
         if decl.array_size is not None:
-            sk, _ = self._c_expr(decl.array_size, scope, div)
+            sk = self._c_expr(decl.array_size, scope, div)
             if sk == "v":
                 raise self._unsupported(
                     f"array {decl.name!r} with a varying size"
@@ -432,15 +369,8 @@ class UniformityAnalysis:
                 for value in decl.init.values:
                     self._c_expr(value, scope, div)
             return
-        if decl.init is not None:
-            vk, vdt = self._c_expr(decl.init, scope, div)
-        else:
-            vk, vdt = "u", "i"
-        if isinstance(decl.var_type, ScalarType) and decl.var_type.is_integer:
-            vdt = "i"
-        elif isinstance(decl.var_type, ScalarType) and decl.var_type.is_float:
-            vdt = "f"
-        self._c_assign(scope, decl.name, vk, vdt, div, decl=True)
+        vk = self._c_expr(decl.init, scope, div) if decl.init is not None else "u"
+        self._c_assign(scope, decl.name, vk, div)
         if div:
             scope.divdecl.add(decl.name)
 
@@ -449,7 +379,7 @@ class UniformityAnalysis:
         if outer_div:
             return True
         if node.condition is not None:
-            ck, _ = self._c_expr(node.condition, ScopeView(scope), False)
+            ck = self._c_expr(node.condition, ScopeView(scope), False)
             if ck == "v":
                 return True
         if isinstance(node, ast.ForStmt) and node.init is not None:
@@ -476,7 +406,7 @@ class UniformityAnalysis:
                 if self._body_has_masked_kills(stmt, scope, rel_div, in_inner):
                     return True
             elif isinstance(stmt, ast.IfStmt):
-                ck, _ = self._c_expr(stmt.condition, ScopeView(scope), False)
+                ck = self._c_expr(stmt.condition, ScopeView(scope), False)
                 branch = rel_div or ck == "v"
                 if self._body_has_masked_kills(stmt.then_body, scope, branch, in_inner):
                     return True

@@ -1,4 +1,4 @@
-"""Semantic analysis for the OpenCL C subset.
+"""Semantic analysis for the OpenCL C subset: the one place that types kernels.
 
 The checker validates name resolution, call arities, assignment targets and
 basic type compatibility.  It is deliberately permissive about implicit
@@ -6,6 +6,15 @@ numeric conversions (as OpenCL C is) but rejects the errors that actually
 bite when writing or generating kernels: undefined identifiers, indexing
 non-pointer values, assigning to r-values, calling unknown functions with
 the wrong number of arguments, and re-declaring names in the same scope.
+
+It also records the C type of every expression on the node
+(:attr:`~repro.kernellang.ast.Expr.ctype`): operators and ``?:`` arms take
+their operands' usual arithmetic conversions
+(:func:`~repro.kernellang.types.common_type`), a helper call its declared
+return type, and a built-in the type :mod:`repro.kernellang.builtins`
+gives it.  Both backends follow these types: the interpreter converts
+values where C converts them, and the lowering reads its dtypes from them.
+Every program a backend runs is checked once (:func:`ensure_checked`).
 """
 
 from __future__ import annotations
@@ -170,6 +179,10 @@ class TypeChecker:
 
     # ------------------------------------------------------------------
     def _check_expr(self, expr: ast.Expr) -> Type:
+        expr.ctype = ctype = self._expr_type(expr)
+        return ctype
+
+    def _expr_type(self, expr: ast.Expr) -> Type:
         if isinstance(expr, ast.IntLiteral):
             return INT
         if isinstance(expr, ast.FloatLiteral):
@@ -178,7 +191,7 @@ class TypeChecker:
             return BOOL
         if isinstance(expr, ast.Identifier):
             if expr.name in BUILTIN_CONSTANTS:
-                return INT
+                return FLOAT if isinstance(BUILTIN_CONSTANTS[expr.name], float) else INT
             symbol = self.symbols.lookup(expr.name)
             return symbol.sym_type
         if isinstance(expr, ast.UnaryOp):
@@ -193,6 +206,8 @@ class TypeChecker:
             right = self._check_expr(expr.right)
             if expr.op in ("&&", "||", "==", "!=", "<", ">", "<=", ">="):
                 return BOOL
+            if expr.op in ("&", "|", "^", "<<", ">>"):
+                return INT  # float operands truncate, as the backends do
             if isinstance(left, PointerType) or isinstance(right, PointerType):
                 # pointer arithmetic: pointer +/- integer keeps the pointer type
                 pointer = left if isinstance(left, PointerType) else right
@@ -244,9 +259,13 @@ class TypeChecker:
                     f"built-in {call.name!r} expects between {builtin.min_args} and "
                     f"{builtin.max_args} arguments, got {len(call.args)}"
                 )
-            for arg in call.args:
-                self._check_expr(arg)
-            return builtin.result_type
+            arg_types = [self._check_expr(arg) for arg in call.args]
+            if not builtin.generic:
+                return builtin.result_type
+            result = arg_types[0]
+            for operand in arg_types[1 : builtin.generic]:
+                result = common_type(result, operand)
+            return result
         if call.name in self._functions:
             func = self._functions[call.name]
             if len(call.args) != len(func.params):
@@ -265,5 +284,13 @@ class TypeChecker:
 
 
 def check_program(program: ast.Program) -> CheckResult:
-    """Type-check ``program`` and return the result."""
-    return TypeChecker(program).check()
+    """Type-check ``program``, recording every expression's C type on it."""
+    result = TypeChecker(program).check()
+    program.checked = True
+    return result
+
+
+def ensure_checked(program: ast.Program) -> None:
+    """Type-check ``program`` unless it already carries its C types."""
+    if not program.checked:
+        check_program(program)

@@ -115,10 +115,10 @@ def _whole_trace_per_wakeup(monkeypatch):
     its first wake-up finds the whole trace and cuts it at the cap."""
     send = _WorkerLink._send
 
-    async def held(link):
+    async def held(link, trace):
         while link.drain_seq is None:
             await asyncio.sleep(0)
-        await send(link)
+        await send(link, trace)
 
     monkeypatch.setattr(_WorkerLink, "_send", held)
 
@@ -278,8 +278,8 @@ def test_a_request_whose_submit_raises_fails_alone_in_its_frame(monkeypatch):
 
 def test_an_unencodable_request_fails_alone_in_its_frame(monkeypatch):
     """Request 3's input cannot go on the wire.  The sender leaves it out
-    of the frame it shares with five others, which are served, and still
-    sends the drain, so the trace ends and fails request 3 alone."""
+    of the frame it shares with five others, which are served, fails it
+    as invalid input, and still sends the drain, so the trace ends."""
     requests = _requests(6)
     requests[3] = ServeRequest(3, "gaussian", np.empty((32, 32), dtype=object), 0.05, 3.0)
     (reference,) = _reference([r for r in requests if r.request_id != 3])
@@ -295,7 +295,7 @@ def test_an_unencodable_request_fails_alone_in_its_frame(monkeypatch):
     assert _serve_frames(written) == [[0, 1, 2, 4, 5]]
     assert metrics.worker_failures == 0 and metrics.failed == 1
     [failed] = [r for r in responses if r.rejected]
-    assert failed.request_id == 3 and failed.metadata["reason"] == "worker-failure"
+    assert failed.request_id == 3 and failed.metadata["reason"] == "invalid-input"
     _assert_bit_identical([r for r in responses if not r.rejected], reference)
 
 

@@ -9,35 +9,45 @@ ternaries, used as values (stored, added) and as the conditions of
 divergent ``if`` and of bounded ``while`` loops.  Some right operands
 would read a private array at a negative index, or divide by zero, on
 exactly the lanes where the left operand already decides, and some
-kernels divide by zero for real.  Every kernel also defines two helper
-functions, one straight-line and one whose divergent ``if`` assigns a
-parameter, which the kernel may call with uniform and varying arguments;
-float ``min``/``max``/``fmin``/``fmax``/``clamp`` run on operands that
-can be ``+0.0`` or ``-0.0`` (and their result's sign reaches the output
-through ``z``); and float variables are assigned ints, and uniform
-operands picked from an int and a float (by ``?:``, ``min``, ``max``,
-``clamp`` or ``select``), which the final ``facc / 2`` observes.  The
-``float`` parameter ``s``, one of the float operands, is passed the int 3.  Every kernel must lower (no fallback to the
-interpreter) without an in-place write to a lane array, and:
+kernels divide by zero for real.
+
+Both backends follow the type checker's C types, so the generator mixes
+``int`` and ``float`` freely: ``?:`` arms, ``min``/``max``/``clamp``/
+``select`` operands (varying and uniform), stores into variables of the
+other type, and ``floor``/``ceil``/``round`` of either.  Every kernel
+defines two helpers with random ``int``/``float`` parameter and return
+types, one straight-line and one whose divergent ``if`` assigns a
+parameter or returns early, which the kernel calls with uniform and
+varying arguments of either type.  Float ``min``/``max``/``fmin``/
+``fmax``/``clamp`` run on operands that can be ``+0.0`` or ``-0.0``
+(their result's sign reaches the output through ``z``), and the ``float``
+parameter ``s`` is passed the int 3.  Every kernel must lower (no fallback
+to the interpreter) without an in-place write to a lane array, and:
 
 * one codegen launch ≡ the interpreter: output bytes and
   :class:`~repro.clsim.executor.ExecutionStats`, or the same
   :class:`~repro.kernellang.errors.InterpreterError` message;
-* one ``Executor.run_batch`` of three requests ≡ three interpreter
-  launches (outputs, summed stats, or the same error).
+* one ``Executor.run_batch`` of B ∈ {1, 3, 8} requests ≡ B interpreter
+  launches (outputs, summed stats, or the same error); B = 8 cycles the
+  three seeded inputs;
+* one example in four runs its codegen launches with
+  ``codegen.MAX_PASS_LANES`` at 16, one work group per pass, so a launch
+  takes several passes.
 
 The generator keeps every value in range (``n`` stays in [-2, 2], and the
-mutable accumulators never feed a product), and passes helpers and the
-float built-ins float operands only, uniform picks aside: a lane array has
-one dtype, so a varying mixed int/float ``max`` is a documented limit of
-the codegen backend.  So
-a mismatch is a lowering fault.  Runs are derandomized, and each example
-runs under the SIGALRM deadline of ``test_fuzz.py``.
-``TestRegressionKernels`` keeps the shrunk counterexamples and one fixed
-kernel per lowering rule.
+mutable accumulators never feed a product), so a mismatch is a lowering
+fault.  ``tests/kernellang/test_c_oracle.py`` compiles the same kernels
+as C and holds the interpreter to it.  Runs are derandomized, and each
+example runs under the SIGALRM deadline of ``test_fuzz.py``.
+``TestRegressionKernels`` keeps the shrunk counterexamples, one fixed
+kernel per lowering rule, and the probe kernels on which the backends
+once disagreed with C.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +57,7 @@ from test_passes import in_place_writes
 
 from repro.clsim import Buffer, Executor, KernelExecutionError, NDRange
 from repro.data import generate_image
+from repro.kernellang import codegen
 from repro.kernellang.codegen import lower_kernel
 from repro.kernellang.errors import InterpreterError
 from repro.kernellang.interpreter import compile_kernel
@@ -83,8 +94,12 @@ INT_ATOMS = ("x", "y", "n", "u", "0", "1", "-1", "2", "3", "get_local_id(0)", "g
 FLOAT_ATOMS = ("v", "0.5f", "-1.5f", "0.0f", "w[2]", "(float)(y)", "-0.0f", "(-0.0f * v)", "s")
 #: Float arguments that are the same on every lane.
 UNIFORM_FLOATS = ("0.5f", "-0.0f", "(float)(u)", "3.0f", "s")
-#: Float operands of the helper bodies (their parameters are ``a`` and ``b``).
-HELPER_ATOMS = ("a", "b", "0.5f", "-0.0f", "0.0f", "1.5f")
+#: Operands of the helper bodies (their parameters are ``a`` and ``b``).
+HELPER_ATOMS = ("a", "b", "0.5f", "-0.0f", "0.0f", "1.5f", "2", "-1")
+TYPES = ("int", "float")
+ROUNDINGS = ("floor", "ceil", "round")
+#: Operands of ``floor``/``ceil``/``round``: halves of both signs among them.
+ROUNDED = ("v", "(v * 4.0f)", "((float)(n) + 0.5f)", "(v - 0.5f)", "n", "w[2]", "-1.5f")
 MIN_MAX = ("max", "min", "fmax", "fmin")
 #: Zeros of both signs (``v`` is positive and ``w[2] = 1 - v`` negative).
 ZEROS = ("0.0f", "-0.0f", "(-0.0f * v)", "(0.0f * w[2])")
@@ -113,13 +128,28 @@ def int_exprs(draw, depth=2):
         return f"({draw(predicates(depth - 1))})"  # a predicate as a value
     if kind == 3:
         return f"(int)({draw(float_exprs(depth - 1))} * 4.0f)"
+    if draw(st.integers(0, 3)) == 0:
+        op = _pick(draw, ("min", "max", "abs"))
+        if op == "abs":
+            return f"abs({draw(int_exprs(depth - 1))})"
+        return f"{op}({draw(int_exprs(depth - 1))}, {draw(int_exprs(depth - 1))})"
     cond = draw(predicates(depth - 1))
     return f"({cond} ? {draw(int_exprs(depth - 1))} : {draw(int_exprs(depth - 1))})"
 
 
 @st.composite
 def float_exprs(draw, depth=2):
-    kind = draw(st.integers(0, 6)) if depth > 0 else 0
+    kind = draw(st.integers(0, 9)) if depth > 0 else 0
+    if kind == 7:
+        # Mixed arms: the ?: has type float, and an int arm converts.
+        arms = [draw(int_exprs(depth - 1)), draw(float_exprs(depth - 1))]
+        if draw(st.booleans()):
+            arms.reverse()
+        return f"({draw(predicates(depth - 1))} ? {arms[0]} : {arms[1]})"
+    if kind == 8:
+        return f"{_pick(draw, ROUNDINGS)}({_pick(draw, ROUNDED)})"
+    if kind == 9:
+        return draw(mixed_picks(depth - 1))
     if kind == 0:
         return _pick(draw, FLOAT_ATOMS)
     if kind == 1:
@@ -149,6 +179,20 @@ def min_max(draw, operands, zeros=ZEROS):
 
 
 @st.composite
+def mixed_picks(draw, depth=1):
+    """``min``/``max``/``clamp``/``select`` of varying int and float
+    operands: the result has their common type."""
+    operand = st.one_of(int_exprs(max(depth, 0)), float_exprs(max(depth, 0)))
+    a, b, c = (draw(operand) for _ in range(3))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return f"{_pick(draw, ('min', 'max'))}({a}, {b})"
+    if kind == 1:
+        return f"clamp({a}, {b}, {c})"
+    return f"select({a}, {b}, {draw(predicates(max(depth, 0)))})"
+
+
+@st.composite
 def uniform_picks(draw):
     """An operand picked from a uniform int and a float one: the value is
     the same on every lane, and its Python type depends on which wins."""
@@ -168,8 +212,13 @@ def uniform_picks(draw):
 
 @st.composite
 def helper_calls(draw, depth=1):
-    """A call of ``h1`` or ``h2`` with uniform or varying float arguments."""
-    argument = st.one_of(st.sampled_from(UNIFORM_FLOATS), float_exprs(max(depth, 0)))
+    """A call of ``h1`` or ``h2`` with uniform or varying arguments of either
+    type, which convert to the parameter types."""
+    argument = st.one_of(
+        st.sampled_from(UNIFORM_FLOATS + ("u", "2", "2.5f", "-1.5f", "(v * 4.0f)")),
+        float_exprs(max(depth, 0)),
+        int_exprs(max(depth - 1, 0)),
+    )
     return f"{_pick(draw, ('h1', 'h2'))}({draw(argument)}, {draw(argument)})"
 
 
@@ -187,17 +236,20 @@ def helper_exprs(draw, depth=1):
 @st.composite
 def helpers(draw):
     """``h1``, straight-line, and ``h2``, whose divergent ``if`` assigns a
-    parameter (sometimes an int, which the float parameter converts)."""
+    parameter or returns early; every parameter, local and return type is
+    ``int`` or ``float``, so stores, arguments and returns convert."""
+    t = [_pick(draw, TYPES) for _ in range(7)]
     first = f"a = {draw(helper_exprs())}; " if draw(st.booleans()) else ""
     h1 = (
-        f"float h1(float a, float b) {{ float c = {draw(helper_exprs())}; "
-        f"{first}return c + a / 2; }}"
+        f"{t[0]} h1({t[1]} a, {t[2]} b) {{ {t[3]} c = {draw(helper_exprs())}; "
+        f"{first}return c + a / 2 + b; }}"
     )
-    value = _pick(draw, ("1", "3", draw(helper_exprs())))
+    value = _pick(draw, ("1", "3", "2.5f", draw(helper_exprs())))
+    then = f"a = {value};" if draw(st.booleans()) else f"return {value};"
     cmp = _pick(draw, COMPARISONS)
     h2 = (
-        f"float h2(float a, float b) {{ if (b {cmp} {_pick(draw, HELPER_ATOMS)}) "
-        f"{{ a = {value}; }} return a / 2 + b; }}"
+        f"{t[4]} h2({t[5]} a, {t[6]} b) {{ if (b {cmp} {_pick(draw, HELPER_ATOMS)}) "
+        f"{{ {then} }} return a / 2 + b; }}"
     )
     return f"{h1}\n{h2}\n"
 
@@ -267,7 +319,7 @@ class _Names:
 
 @st.composite
 def statements(draw, names, depth=2, in_loop=False):
-    kinds = 10 if depth > 0 else 4
+    kinds = 11 if depth > 0 else 4
     kind = draw(st.integers(0, kinds + (1 if in_loop else 0)))
     if kind in (8, 9):
         # An int stored into a float variable converts, as in C.
@@ -278,7 +330,9 @@ def statements(draw, names, depth=2, in_loop=False):
         value = draw(st.one_of(st.just(value), float_exprs()))
         return f"float {name} = {value}; facc = facc + {name} / 2;"
     if kind == 10:
-        return f"z = {draw(min_max(float_exprs(1)))};"
+        return f"z = {draw(min_max(st.one_of(float_exprs(1), int_exprs(0))))};"
+    if kind == 11:
+        return f"{_pick(draw, ('facc', 'acc'))} = {draw(helper_calls())} * 3;"
     if kind == 0:
         # A float added to the int slot truncates, as in C.
         value = draw(st.one_of(int_exprs(), float_exprs()))
@@ -368,25 +422,30 @@ def _single(backend: str, kernel, ndrange, seed: int):
     return _outcome(lambda: Executor(backend=backend).run(kernel, ndrange, bound[0]), bound)
 
 
-def check_kernel(source: str) -> None:
-    """The lowering of ``source`` agrees with the interpreter, alone and batched."""
-    with deadline():
+def check_kernel(source: str, batch: int = 3, small_passes: bool = False) -> None:
+    """The lowering of ``source`` agrees with the interpreter, alone and in a
+    batch of ``batch`` requests (cycling :data:`SEEDS`); ``small_passes``
+    runs every codegen launch one work group per pass."""
+    passes = mock.patch.object(codegen, "MAX_PASS_LANES", 16) if small_passes else nullcontext()
+    with deadline(), passes:
         lowered = lower_kernel(parse_program(source), "k", WORK_GROUP)  # no fallback
         assert in_place_writes(lowered) == [], source
         kernel = compile_kernel(source)
         ndrange = NDRange((SIZE, SIZE), WORK_GROUP)
-        expected = [_single("interpreter", kernel, ndrange, seed) for seed in SEEDS]
+        seeds = SEEDS[:batch]
+        expected = [_single("interpreter", kernel, ndrange, seed) for seed in seeds]
         assert _single("codegen", kernel, ndrange, SEEDS[0]) == expected[0], source
 
-        bound = [_bind(seed) for seed in SEEDS]
+        requests = [expected[i % len(seeds)] for i in range(batch)]
+        bound = [_bind(seeds[i % len(seeds)]) for i in range(batch)]
         executor = Executor(backend="codegen")
         batched = _outcome(lambda: executor.run_batch(kernel, ndrange, bound), bound)
-        errors = [outcome for outcome in expected if outcome[0] == "error"]
+        errors = [outcome for outcome in requests if outcome[0] == "error"]
         if errors:
             assert batched == errors[0], source
         else:
-            outputs = tuple(out for outcome in expected for out in outcome[0])
-            summed = tuple(sum(column) for column in zip(*(o[1] for o in expected)))
+            outputs = tuple(out for outcome in requests for out in outcome[0])
+            summed = tuple(sum(column) for column in zip(*(o[1] for o in requests)))
             assert batched == (outputs, summed), source
 
 
@@ -398,17 +457,65 @@ FUZZ_SETTINGS = dict(
 )
 
 
+#: Batch sizes and the one-in-four multi-pass launch of each example.
+BATCHES = st.sampled_from((1, 3, 8))
+SMALL_PASSES = st.integers(0, 3).map(lambda draw: draw == 0)
+
+
 class TestPredicateFuzz:
-    @given(source=kernels())
+    @given(source=kernels(), batch=BATCHES, small_passes=SMALL_PASSES)
     @settings(max_examples=150, **FUZZ_SETTINGS)
-    def test_codegen_matches_interpreter(self, source):
-        check_kernel(source)
+    def test_codegen_matches_interpreter(self, source, batch, small_passes):
+        check_kernel(source, batch, small_passes)
 
     @pytest.mark.slow
-    @given(source=kernels())
+    @given(source=kernels(), batch=BATCHES, small_passes=SMALL_PASSES)
     @settings(max_examples=1500, **FUZZ_SETTINGS)
-    def test_codegen_matches_interpreter_nightly(self, source):
-        check_kernel(source)
+    def test_codegen_matches_interpreter_nightly(self, source, batch, small_passes):
+        check_kernel(source, batch, small_passes)
+
+
+#: Helpers of the probe kernels: a declared return type converts the value
+#: returned, and an early ``return 1`` in a ``float`` helper returns 1.0.
+PROBE_HELPERS = """
+float g(float a) { return 3; }
+float h(float a, int c) { if (c > 3) { return 1; } return a; }
+"""
+PROBE_TEMPLATE = """{helpers}
+__kernel void k(__global const float* input, __global float* output) {{
+    int x = get_global_id(0);
+    float v = input[x];
+    output[x] = {statement};
+}}
+"""
+#: The probe's eight lanes (one per value) in work groups of four.
+PROBE_INPUT = np.array([0.5, 1.5, 2.5, -2.5, -7.0, 3.0, -0.5, 4.0])
+PROBE_GLOBAL, PROBE_LOCAL = (8,), (4,)
+#: Each statement and its values under C: ``floor`` is a float function,
+#: ``round`` rounds half away from zero, and ``?:``, ``min`` and helper
+#: returns convert to float.
+PROBE_ROWS = [
+    ("floor(v) / 2", [0.0, 0.5, 1.0, -1.5, -3.5, 1.5, -0.5, 2.0]),
+    ("round(v)", [1.0, 2.0, 3.0, -3.0, -7.0, 3.0, -1.0, 4.0]),
+    ("(x > 3 ? 1 : 2.5f) / 2", [1.25] * 4 + [0.5] * 4),
+    ("min(x, 9.5f) / 16", [x / 16 for x in range(8)]),
+    ("h(0.5f, x) / 2", [0.25] * 4 + [0.5] * 4),
+    ("g(v) / 2", [1.5] * 8),
+]
+
+
+def probe_source(statement: str) -> str:
+    return PROBE_TEMPLATE.format(helpers=PROBE_HELPERS, statement=statement)
+
+
+def run_probe(statement: str, backend: str) -> np.ndarray:
+    output = Buffer(np.zeros_like(PROBE_INPUT), "output")
+    Executor(backend=backend).run(
+        compile_kernel(probe_source(statement)),
+        NDRange(PROBE_GLOBAL, PROBE_LOCAL),
+        {"input": Buffer(PROBE_INPUT.copy(), "input"), "output": output},
+    )
+    return output.array
 
 
 #: The helpers the fuzzer shrinks to; the fixed kernels define them too.
@@ -462,7 +569,24 @@ class TestRegressionKernels:
             # float parameter passed an int, convert in a float variable.
             "facc = select(1, 2.5f, u < 1);",
             "facc = s;",
+            # Mixed int/float operands of varying ?:, min, clamp and select
+            # take their common type, as do helper arguments and returns.
+            "facc = (x > y ? 1 : 2.5f) + min(x, v) + clamp(n, v, 2) + select(x, v, n > 0);",
+            "if (x < y) { facc = max(n, w[2]) / 2; }",
+            "facc = round((float)(n) + 0.5f) + floor(v * 4.0f) + ceil(n);",
         ],
     )
     def test_fixed_kernel(self, body):
         check_kernel(TEMPLATE.format(helpers=SHRUNK_HELPERS, body="    " + body))
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_fixed_kernel_with_multi_pass_launches(self, batch):
+        body = "if (x < y) { facc = h1(3.0f, v) + h2(3.0f, (float)(x)); }"
+        check_kernel(TEMPLATE.format(helpers=SHRUNK_HELPERS, body="    " + body), batch, True)
+
+    @pytest.mark.parametrize("statement,expected", PROBE_ROWS, ids=[r[0] for r in PROBE_ROWS])
+    def test_probe_rows_give_cs_values(self, statement, expected):
+        """Six statements on which the interpreter and codegen once gave
+        values C does not (the C oracle checks the same kernels)."""
+        for backend in ("interpreter", "codegen"):
+            np.testing.assert_array_equal(run_probe(statement, backend), expected)

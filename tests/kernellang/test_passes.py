@@ -3,7 +3,7 @@
 The cross-backend conformance suites pin whole-backend parity over the
 bundled applications; this module pins each pass's contract in isolation:
 
-* the IR lattices (``join_kind`` / ``promote_dt`` / ``binop_dtype``);
+* the IR's kind lattice (``join_kind``) and dtype mapping (``ctype_dt``);
 * the uniformity analysis' classification of a kernel body;
 * the mask-insertion merge rules and C-semantics arithmetic kernels;
 * the memory views' bounds checking and access accounting;
@@ -11,11 +11,15 @@ bundled applications; this module pins each pass's contract in isolation:
 * golden snapshots of the lowered source for a uniform, a divergent and
   a tiled kernel (regenerate with ``REPRO_REGEN_GOLDEN=1``);
 * the emission contract over every bundled kernel and configuration:
-  predicates stay masks, and no statement writes a lane array in place.
+  predicates stay masks, and no statement writes a lane array in place;
+* lowered-source determinism: two processes with different hash seeds
+  lower every bundled pair to the same text.
 """
 
 import ast as pyast
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,29 +32,20 @@ from repro.core.config import ACCURATE_CONFIG, default_configurations
 from repro.core.perforator import build_kernel
 from repro.kernellang.codegen import codegen_kernel, lower_kernel
 from repro.kernellang.errors import InterpreterError
-from repro.kernellang.interpreter import compile_kernel
-from repro.kernellang.ir import (
-    LoweringError,
-    Scope,
-    ScopeView,
-    binop_dtype,
-    join_kind,
-    promote_dt,
-)
+from repro.kernellang.interpreter import compile_kernel, float_div, int_div, int_mod
+from repro.kernellang.ir import LoweringError, Scope, ScopeView, ctype_dt, join_kind
 from repro.kernellang.parser import parse_program
 from repro.kernellang.passes.batching import global_view, local_view, route_lanes
 from repro.kernellang.passes.masking import (
     FnFlow,
     decl_scalar,
-    full_assign,
     masked_assign,
     merge_parts,
-    uniform_div,
-    uniform_mod,
-    varying_div,
+    varying_int_div,
 )
 from repro.kernellang.passes.memory import ConstantView, PrivateView
 from repro.kernellang.passes.uniformity import classify_kernel
+from repro.kernellang.types import BOOL, DOUBLE, FLOAT, INT
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -108,18 +103,8 @@ class TestIRLattices:
         assert join_kind("v") == "v"
         assert join_kind() == "u"
 
-    def test_promote_dt(self):
-        assert promote_dt("i", "i") == "i"
-        assert promote_dt("i", "f") == "f"
-        assert promote_dt("f", "x") == "x"
-
-    def test_binop_dtype_follows_c_semantics(self):
-        assert binop_dtype("<", "f", "f") == "i"  # comparisons are int
-        assert binop_dtype("&", "f", "f") == "i"
-        assert binop_dtype("/", "i", "i") == "i"  # int/int truncates
-        assert binop_dtype("/", "i", "f") == "f"
-        assert binop_dtype("%", "i", "x") == "x"  # unknown stays unknown
-        assert binop_dtype("+", "i", "f") == "f"
+    def test_ctype_dt_maps_the_checkers_types(self):
+        assert [ctype_dt(t) for t in (INT, BOOL, FLOAT, DOUBLE)] == ["i", "i", "f", "f"]
 
     def test_scope_view_is_a_snapshot(self):
         scope = Scope()
@@ -139,8 +124,6 @@ class TestUniformityAnalysis:
         assert scope.kind["y"] == "v"
         assert scope.kind["width"] == "u"
         assert scope.kind["acc"] == "v"
-        assert scope.dt["acc"] == "f"
-        assert scope.dt["cx"] == "i"
         assert not analysis.has_masked_return
 
     def test_group_ids_and_memory_loads_are_varying(self):
@@ -182,24 +165,12 @@ class TestMaskingMergeRules:
         out = masked_assign(existing, np.full(4, 9.0), mask)
         np.testing.assert_array_equal(out, [9.0, 2.0, 9.0, 4.0])
 
-    def test_masked_assign_keeps_int_slots_int(self):
-        existing = np.array([1, 2, 3, 4], dtype=np.int64)
-        mask = np.array([True, True, False, False])
-        out = masked_assign(existing, np.full(4, 2.9), mask)
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, [2, 2, 3, 4])  # truncation
-
     def test_masked_assign_returns_a_new_array_and_broadcasts_uniforms(self):
         existing = np.array([1, 2, 3], dtype=np.int64)
-        out = masked_assign(existing, 7.5, np.array([False, True, False]))
+        out = masked_assign(existing, 7, np.array([False, True, False]))
         np.testing.assert_array_equal(out, [1, 7, 3])
         assert out.dtype == np.int64
         np.testing.assert_array_equal(existing, [1, 2, 3])  # never written in place
-
-    def test_full_assign_truncates_into_int_slot(self):
-        out = full_assign(np.array([1, 2], dtype=np.int64), np.array([1.9, -1.9]))
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, [1, -1])
 
     def test_decl_scalar_divergent_redeclaration(self):
         existing = np.array([5.0, 6.0])
@@ -212,12 +183,12 @@ class TestMaskingMergeRules:
             decl_scalar(None, np.full(2, 0.0), mask), [0.0, 0.0]
         )
 
-    def test_merge_parts_promotes_dtype(self):
+    def test_merge_parts_converts_to_the_static_dtype(self):
         parts = [
             (np.array([True, False]), np.array([1, 1], dtype=np.int64)),
             (np.array([False, True]), np.array([0.5, 0.5])),
         ]
-        out = merge_parts(2, parts)
+        out = merge_parts(2, parts, np.float64)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, [1.0, 0.5])
 
@@ -226,29 +197,29 @@ class TestMaskingArithmetic:
     def test_int_division_truncates_toward_zero(self):
         left = np.array([7, -7, 7, -7], dtype=np.int64)
         right = np.array([2, 2, -2, -2], dtype=np.int64)
-        out = varying_div(left, right, np.ones(4, dtype=bool))
+        out = varying_int_div(left, right, np.ones(4, dtype=bool))
         np.testing.assert_array_equal(out, [3, -3, -3, 3])
 
     def test_division_by_zero_only_raises_on_active_lanes(self):
         left = np.array([4, 4], dtype=np.int64)
         right = np.array([2, 0], dtype=np.int64)
         inactive = np.array([True, False])
-        out = varying_div(left, right, inactive)
+        out = varying_int_div(left, right, inactive)
         assert out[0] == 2
         with pytest.raises(InterpreterError, match="integer division by zero"):
-            varying_div(left, right, np.array([True, True]))
+            varying_int_div(left, right, np.array([True, True]))
 
     def test_uniform_div_matches_c(self):
-        assert uniform_div(7, 2) == 3
-        assert uniform_div(-7, 2) == -3
-        assert uniform_div(7.0, 2) == 3.5
+        assert int_div(7, 2) == 3
+        assert int_div(-7, 2) == -3
+        assert float_div(7.0, 2) == 3.5
         with pytest.raises(InterpreterError):
-            uniform_div(1, 0)
+            int_div(1, 0)
 
     def test_uniform_mod_fmod_semantics(self):
-        assert uniform_mod(-7, 3) == -1  # C fmod, not Python %
+        assert int_mod(-7, 3) == -1  # C fmod, not Python %
         with pytest.raises(InterpreterError):
-            uniform_mod(1, 0)
+            int_mod(1, 0)
 
     def test_comparisons_yield_int_lanes(self):
         """A varying float comparison is an int lane: ``/ 2`` truncates it
@@ -277,17 +248,18 @@ class TestMaskingArithmetic:
 
 class TestFlowBookkeeping:
     def test_flow_merges_return_values_per_lane(self):
-        flow = FnFlow(4)
+        flow = FnFlow(4, np.float64)
         flow.record(np.array([True, False, False, False]), np.full(4, 1.5))
         flow.record(np.array([False, True, False, False]), np.full(4, 2.5))
         np.testing.assert_array_equal(flow.returned, [True, True, False, False])
-        np.testing.assert_array_equal(flow.result(), [1.5, 2.5, 0.0, 0.0])
+        np.testing.assert_array_equal(flow.value, [1.5, 2.5, 0.0, 0.0])
 
-    def test_fnflow_lanes_falling_off_return_int_zero(self):
-        fn = FnFlow(2)
-        assert fn.result().dtype == np.int64
-        fn.record(np.array([True, False]), np.full(2, 7.0))
-        np.testing.assert_array_equal(fn.result(), [7.0, 0.0])
+    def test_fnflow_lanes_falling_off_return_the_return_types_zero(self):
+        fn = FnFlow(2, np.int64)
+        assert fn.value.dtype == np.int64
+        fn.record(np.array([True, False]), np.full(2, 7))
+        np.testing.assert_array_equal(fn.value, [7, 0])
+        assert FnFlow(2, np.float64).value.dtype == np.float64
 
 
 def _single_view(buffer: Buffer, lanes: int):
@@ -474,3 +446,35 @@ class TestEmissionContract:
         old = "_t1 = ((((a) < (b)).astype(_I))) != 0\n_t2[m] = 1\n_t3 += x\n_b += 1\n"
         assert ".astype(_I))) != 0" in old
         assert in_place_writes(old) == ["_t2[m] = 1", "_t3 += x"]
+
+
+#: Prints the lowered source of every bundled pair, in order.
+LOWER_BUNDLED_PAIRS = """
+from repro.apps import all_applications
+from repro.core.config import ACCURATE_CONFIG, default_configurations
+from repro.core.perforator import build_kernel
+from repro.kernellang.codegen import codegen_kernel, lower_kernel
+
+for app in all_applications():
+    for config in (ACCURATE_CONFIG, *default_configurations(app.halo)):
+        compiled = codegen_kernel(build_kernel(app.kernel_source(), config))
+        print(lower_kernel(compiled.program, compiled.kernel_def.name, config.work_group))
+"""
+
+
+class TestLoweringDeterminism:
+    def test_bundled_pairs_lower_alike_under_different_hash_seeds(self):
+        """Set and dict orders that follow string hashes must not reach the
+        lowered text: two fresh processes print it byte for byte alike."""
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", LOWER_BUNDLED_PAIRS],
+                stdout=subprocess.PIPE,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("1", "2")
+        ]
+        first, second = (run.communicate(timeout=120)[0] for run in runs)
+        assert all(run.returncode == 0 for run in runs)
+        assert first.count(b"def kernel_pass(rt):") == len(TestEmissionContract.PAIRS)
+        assert first == second

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.kernellang import SymbolError, TypeError_, check_program, parse_program
+from repro.apps import all_applications
+from repro.core.config import ACCURATE_CONFIG, default_configurations
+from repro.core.perforator import KernelPerforator
+from repro.kernellang import SymbolError, TypeError_, ast, check_program, parse_program
 from repro.kernellang.symbols import Scope, Symbol, SymbolTable
-from repro.kernellang.types import FLOAT, INT
+from repro.kernellang.types import BOOL, FLOAT, INT
 
 
 pytestmark = pytest.mark.slow
@@ -56,6 +59,95 @@ class TestValidPrograms:
         }
         """
         check(source)
+
+
+def expr_type(expr: str, helpers: str = ""):
+    """The C type the checker records for ``expr`` (``i`` is an int and
+    ``f`` a float, ``p`` a predicate)."""
+    program = parse_program(f"""
+    {helpers}
+    __kernel void k(__global float* o, int i, float f) {{
+        int p = i < 2;
+        o[0] = {expr};
+    }}
+    """)
+    check_program(program)
+    store = program.kernel().body.statements[-1].expr
+    return store.value.ctype
+
+
+class TestExpressionTypes:
+    """The checker records C's type on every expression; both backends
+    follow it."""
+
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            ("min(i, 2)", INT),
+            ("max(i, f)", FLOAT),
+            ("clamp(i, 0, 3)", INT),
+            ("clamp(i, 0.5f, 3)", FLOAT),
+            ("abs(i)", INT),
+            ("abs(f)", FLOAT),
+            ("mad(i, i, 1)", INT),
+            ("mix(f, f, 0.5f)", FLOAT),
+            ("select(i, 2, p)", INT),
+            ("select(i, f, p)", FLOAT),
+            ("select(1.5f, 2.5f, i)", FLOAT),
+        ],
+    )
+    def test_generic_builtins_give_their_operands_common_type(self, expr, expected):
+        assert expr_type(expr) == expected
+
+    @pytest.mark.parametrize(
+        "expr", ["floor(i)", "ceil(i)", "round(i)", "fmin(i, 2)", "fmax(i, 2)", "fabs(i)"]
+    )
+    def test_math_functions_are_float(self, expr):
+        assert expr_type(expr) == FLOAT
+
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            ("p ? 1 : 2", INT),
+            ("p ? 1 : 2.5f", FLOAT),
+            ("p ? f : i", FLOAT),
+            ("i / 2", INT),
+            ("i / f", FLOAT),
+            ("i + f", FLOAT),
+            ("f < i", BOOL),
+            ("f & 3", INT),
+        ],
+    )
+    def test_ternary_and_operators_take_the_common_type(self, expr, expected):
+        assert expr_type(expr) == expected
+
+    def test_a_helper_call_has_its_declared_return_type(self):
+        helpers = "float g(int a) { return a; } int h(float a) { return a; }"
+        assert expr_type("g(1)", helpers) == FLOAT
+        assert expr_type("h(1.5f)", helpers) == INT
+        assert expr_type("h(1.5f) / 2", helpers) == INT
+
+    def test_every_expression_is_annotated(self):
+        program = parse_program(VALID)
+        check_program(program)
+        exprs = [node for node in program.walk() if isinstance(node, ast.Expr)]
+        assert exprs and all(node.ctype is not None for node in exprs)
+        assert program.checked
+
+    @pytest.mark.parametrize(
+        "app, config",
+        [
+            (app, config)
+            for app in all_applications()
+            for config in (ACCURATE_CONFIG, *default_configurations(app.halo))
+        ],
+        ids=lambda value: getattr(value, "name", None) or getattr(value, "label", None),
+    )
+    def test_every_bundled_perforated_program_type_checks(self, app, config):
+        """The perforated tiles are indexed by int ``clamp`` results."""
+        perforator = KernelPerforator(app.kernel_source())
+        built = perforator.accurate() if config.is_accurate else perforator.perforate(config)
+        check_program(built.program)
 
 
 class TestErrors:
