@@ -173,22 +173,44 @@ _BINARY_OPS = {
     "!=": lambda a, b: a != b,
     "&&": lambda a, b: bool(a) and bool(b),
     "||": lambda a, b: bool(a) or bool(b),
-    "&": lambda a, b: int(a) & int(b),
-    "|": lambda a, b: int(a) | int(b),
-    "^": lambda a, b: int(a) ^ int(b),
-    "<<": lambda a, b: int(a) << int(b),
-    ">>": lambda a, b: int(a) >> int(b),
+    "&": lambda a, b: _to_int(a) & _to_int(b),
+    "|": lambda a, b: _to_int(a) | _to_int(b),
+    "^": lambda a, b: _to_int(a) ^ _to_int(b),
+    "<<": lambda a, b: _to_int(a) << _to_int(b),
+    ">>": lambda a, b: _to_int(a) >> _to_int(b),
 }
+
+#: Floats in ``[_INT64_LO, _INT64_HI)`` truncate to an int64.
+_INT64_LO = -(2.0**63)
+_INT64_HI = 2.0**63
+
+
+def float_to_int(value: float) -> int:
+    """A float truncated toward zero, as C converts it to an integer type.
+
+    C leaves the conversion undefined where no int64 holds the value (NaN,
+    an infinity or a value beyond the range); it raises here, with the
+    message the codegen backend gives for the first such active lane."""
+    if not _INT64_LO <= value < _INT64_HI:
+        raise InterpreterError(f"cannot convert {float(value)!r} to int: no int64 holds it")
+    return int(value)
+
+
+def _to_int(value) -> int:
+    return float_to_int(value) if isinstance(value, float) else int(value)
 
 
 def convert(ctype, value):
     """``value`` as C converts it to ``ctype``: an ``int`` truncates a float
-    toward zero, a ``float`` converts an int; other types leave it as is."""
+    toward zero (:func:`float_to_int`), a ``bool`` holds 0 or 1 (C's
+    ``_Bool``), a ``float`` converts an int; other types leave it as is."""
     if isinstance(ctype, ScalarType):
         if ctype.is_float:
             return float(value)
+        if ctype.name == "bool":
+            return 1 if value else 0
         if ctype.is_integer:
-            return int(value)
+            return _to_int(value)
     return value
 
 
@@ -463,8 +485,7 @@ class KernelInterpreter:
         if isinstance(expr, ast.Index):
             target = self._eval(expr.base, env, ctx, wi)
             index = int(self._eval(expr.index, env, ctx, wi))
-            value = self._load_indexed(target, index)
-            return value if expr.ctype.is_float else int(value)
+            return convert(expr.ctype, self._load_indexed(target, index))
         if isinstance(expr, ast.Cast):
             return convert(expr.target_type, self._eval(expr.expr, env, ctx, wi))
         raise InterpreterError(f"unsupported expression {type(expr).__name__}")
@@ -483,7 +504,7 @@ class KernelInterpreter:
         if expr.op == "!":
             return 0 if self._truthy(operand) else 1
         if expr.op == "~":
-            return ~int(operand)
+            return ~_to_int(operand)
         raise InterpreterError(f"unsupported unary operator {expr.op!r}")
 
     def _apply_binary(self, op: str, left, right, ctype):

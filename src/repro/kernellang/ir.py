@@ -66,19 +66,23 @@ class LoweringError(KernelLangError):
 
 
 class Value:
-    """One lowered value: payload + static kind + dtype.
+    """One lowered value: payload + static kind + dtype (+ range fact).
 
     ``code`` is the Python expression string the codegen printer emits for
     the value.  ``kind`` is ``"u"``/``"v"``/``"c"``;
     for containers, ``dt`` carries the address space instead of a dtype.
+    ``rng`` is the range fact of an int value or predicate -- the pair of
+    intervals ``(active, every)`` of :mod:`repro.kernellang.passes.ranges`
+    -- or ``None`` when nothing is known.
     """
 
-    __slots__ = ("code", "kind", "dt")
+    __slots__ = ("code", "kind", "dt", "rng")
 
-    def __init__(self, code, kind: str, dt: str) -> None:
+    def __init__(self, code, kind: str, dt: str, rng=None) -> None:
         self.code = code
         self.kind = kind
         self.dt = dt
+        self.rng = rng
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Value({self.code!r}, kind={self.kind!r}, dt={self.dt!r})"
@@ -92,16 +96,21 @@ class Scope:
     container names to their address space; ``py`` maps names to the
     emitted Python identifier; ``divdecl`` collects variables first declared under a
     divergent mask, which consumers must pre-bind before entering the
-    divergent region.
+    divergent region.  ``shadowed`` names the variables some declaration
+    re-declares while an outer one is in scope (both backends keep one slot
+    per name, so the merge rules keep their masks for them), and ``unread``
+    the variables nothing reads, whose values are never computed.
     """
 
-    __slots__ = ("kind", "space", "py", "divdecl")
+    __slots__ = ("kind", "space", "py", "divdecl", "shadowed", "unread")
 
     def __init__(self) -> None:
         self.kind: dict[str, str] = {}
         self.space: dict[str, str] = {}
         self.py: dict[str, str] = {}
         self.divdecl: set[str] = set()
+        self.shadowed: set[str] = set()
+        self.unread: set[str] = set()
 
 
 class ScopeView:

@@ -8,6 +8,10 @@ batching from scratch (see ``docs/ir.md`` for the backend-author path):
 * :mod:`~repro.kernellang.passes.uniformity` — classifies every variable
   as uniform or varying and decides which loops need mask machinery (the
   specialization analysis of the codegen backend);
+* :mod:`~repro.kernellang.passes.ranges` — the range fact: static integer
+  intervals of int values (on the active lanes and in every lane's slot)
+  from which the lowering drops the checks, masks and merges that cannot
+  matter;
 * :mod:`~repro.kernellang.passes.masking` — the mask-insertion semantics
   for divergent control flow: the per-lane mask algebra, merge rules,
   C-semantics arithmetic kernels and mask-aware built-ins the lowered

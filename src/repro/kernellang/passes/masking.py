@@ -12,13 +12,19 @@ observable:
 * the assignment merge rules (:func:`masked_assign`, :func:`decl_scalar`,
   :func:`merge_parts`) merge divergent values into one lane array of the
   slot's type; every merge returns a new array, since lowered variables
-  share lane arrays;
+  share lane arrays.  The printer emits a merge only where a later read
+  can see the lanes it keeps (``decl_scalar`` only for a declaration
+  that shadows an outer one);
 * the arithmetic kernels (:func:`varying_int_div`,
   :func:`varying_float_div`, :func:`varying_mod`) implement C semantics
   (truncation toward zero for integer ``/`` and ``%``) and raise
   :class:`~repro.kernellang.errors.InterpreterError` exactly when an
-  *active* lane divides by zero; uniform ``/`` and ``%`` are the
-  interpreter's own scalar functions;
+  *active* lane divides by zero; :func:`trunc_div` truncates without that
+  scan, for a divisor the range fact proves nonzero; uniform ``/`` and
+  ``%`` are the interpreter's own scalar functions;
+* :func:`varying_float_to_int` converts float lanes to int as C does and
+  raises the interpreter's error for the first active lane no int64
+  holds;
 * the built-in tables (:data:`VECTOR_BUILTINS`, :data:`INT_BUILTINS`,
   :func:`scalar_map`, :class:`VectorFallback`, :func:`uniform_call`)
   provide mask-aware vector kernels where NumPy rounds identically to libm
@@ -42,6 +48,7 @@ import numpy as np
 
 from ..builtins import c_round, get_builtin
 from ..errors import InterpreterError
+from ..interpreter import float_to_int
 
 _FLOAT = np.float64
 
@@ -82,6 +89,12 @@ def _vector_clamp(mask, value, low, high):
     """``min(max(value, low), high)`` on floats."""
     value = np.where(low > value, low, value)
     return np.where(high < value, high, value)
+
+
+def _vector_sign(mask, x):
+    """The interpreter's ``sign``: 0.0 for a NaN and for either zero."""
+    s = np.sign(x)
+    return np.where(s == s, s, 0.0)
 
 
 def _vector_select(mask, a, b, c):
@@ -126,7 +139,7 @@ VECTOR_BUILTINS = {
     "floor": lambda mask, x: np.floor(x),
     "ceil": lambda mask, x: np.ceil(x),
     "round": lambda mask, x: c_round(x),
-    "sign": lambda mask, x: np.sign(x),
+    "sign": _vector_sign,
     "mad": lambda mask, a, b, c: a * b + c,
     "fma": lambda mask, a, b, c: a * b + c,
     "mix": lambda mask, a, b, t: a + (b - a) * t,
@@ -179,14 +192,20 @@ class VectorFallback:
 # ---------------------------------------------------------------------------
 # C-semantics arithmetic kernels
 # ---------------------------------------------------------------------------
+def trunc_div(left, right):
+    """Int ``/`` with C truncation toward zero, on a divisor the caller
+    knows is nonzero on every active lane (a zero on an inactive lane
+    yields a value nothing reads)."""
+    quotient = np.floor_divide(left, right)
+    remainder = left - quotient * right
+    return quotient + ((remainder != 0) & ((left < 0) ^ (right < 0)))
+
+
 def varying_int_div(left, right, mask):
     """Varying int ``/``: C truncation toward zero, errors on *active* lanes."""
     if np.any(mask & (right == 0)):
         raise InterpreterError("integer division by zero")
-    safe = np.where(right == 0, 1, right)
-    quotient = np.floor_divide(left, safe)
-    remainder = left - quotient * safe
-    return quotient + ((remainder != 0) & ((left < 0) ^ (safe < 0)))
+    return trunc_div(left, np.where(right == 0, 1, right))
 
 
 def varying_float_div(left, right, mask):
@@ -204,6 +223,23 @@ def varying_mod(left, right, mask):
         raise InterpreterError("modulo by zero")
     safe = np.where(right == 0, 1, right)
     return np.fmod(left, safe)
+
+
+#: Floats in ``[_INT64_LO, _INT64_HI)`` truncate to an int64; NaN is in no range.
+_INT64_LO = -(2.0**63)
+_INT64_HI = 2.0**63
+
+
+def varying_float_to_int(values, mask):
+    """Float lanes converted to int as C truncates them, and an
+    :class:`InterpreterError` for the first active lane that no int64 holds
+    (NaN, an infinity or a value beyond the range) -- C leaves that
+    conversion undefined, and both backends refuse it alike."""
+    values = np.asarray(values)
+    bad = mask & ~((values >= _INT64_LO) & (values < _INT64_HI))
+    if bad.any():
+        float_to_int(float(values[bad.argmax()]))
+    return values.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,19 @@ stacked pass addresses every request's buffer segment and every work
 group's tile through the same view (the batching transform,
 :mod:`repro.kernellang.passes.batching`, builds them).  Method surface:
 ``loadf``/``storef`` (full mask, statically known) and ``loadm``/``storem``
-(masked); the codegen printer selects the entry point statically.
-A :class:`PrivateView` is one flat lane-major array, so a per-lane index
-is one flat offset and each access one 1-D gather or scatter.  Constant
-arrays are shared by every lane, so :class:`ConstantView` adds
-``loadu``/``loadum`` for a uniform index.  Loads return fresh arrays and
-nothing here writes into an array it was handed: the lowered source binds
-lane arrays to variables without copying them.
+(masked); the codegen printer selects the entry point statically.  Each
+has an ``_in`` twin (``loadf_in``, ``loadm_in``, ``storef_in``,
+``storem_in``) for an index the lowering's range fact proves in bounds on
+every active lane: it skips the bounds check and records the same
+accesses.  A :class:`PrivateView` is one flat lane-major array with a
+spare slot at each end, so a per-lane index is one flat offset and each
+access one 1-D gather or scatter; a masked load whose index stays in
+``[-1, n]`` on *every* lane (and in bounds on the active ones) may use
+:meth:`PrivateView.loadf_in`, with no mask arithmetic.  Constant arrays are shared by every lane,
+so :class:`ConstantView` adds ``loadu``/``loadum`` for a uniform index.
+Loads return fresh arrays and nothing here writes into an array it was
+handed: the lowered source binds lane arrays to variables without copying
+them.
 """
 
 from __future__ import annotations
@@ -95,72 +101,115 @@ class LaneView:
     def loadf(self, idx) -> np.ndarray:
         idx = self._index(idx)
         _check(self.what, idx, self.n)
-        self.owner.record_reads(self.lanes)
-        return self.data[self._at(idx)].astype(_FLOAT, copy=False)
+        return self.loadf_in(idx)
 
     def loadm(self, idx, mask: np.ndarray) -> np.ndarray:
         idx = self._index(idx)
         _check(self.what, idx, self.n, mask)
-        self.owner.record_reads(int(mask.sum()))
-        return self.data[self._at(idx) * mask].astype(_FLOAT, copy=False)
+        return self.loadm_in(idx, mask)
 
     def storef(self, idx, value) -> None:
         idx = self._index(idx)
         _check(self.what, idx, self.n)
-        self.owner.record_writes(self.lanes)
-        self.data[self._at(idx)] = np.asarray(value, dtype=_FLOAT)
+        self.storef_in(idx, value)
 
     def storem(self, idx, value, mask: np.ndarray) -> None:
         idx = self._index(idx)
         _check(self.what, idx, self.n, mask)
+        self.storem_in(idx, value, mask)
+
+    # In-bounds entry points: the index is in range on every active lane.
+    def loadf_in(self, idx) -> np.ndarray:
+        self.owner.record_reads(self.lanes)
+        return self.data[self._at(self._index(idx))].astype(_FLOAT, copy=False)
+
+    def loadm_in(self, idx, mask: np.ndarray) -> np.ndarray:
+        self.owner.record_reads(int(mask.sum()))
+        return self.data[self._at(self._index(idx)) * mask].astype(_FLOAT, copy=False)
+
+    def storef_in(self, idx, value) -> None:
+        self.owner.record_writes(self.lanes)
+        self.data[self._at(self._index(idx))] = np.asarray(value, dtype=_FLOAT)
+
+    def storem_in(self, idx, value, mask: np.ndarray) -> None:
         self.owner.record_writes(int(mask.sum()))
-        self.data[self._at(idx)[mask]] = _bval(value, mask)
+        self.data[self._at(self._index(idx))[mask]] = _bval(value, mask)
 
 
 class PrivateView:
     """A fixed-size per-lane private array, flat and lane-major: lane ``k``'s
-    element ``i`` is ``values[k * n + i]``, and the last slot is a spare that
-    masked accesses send their inactive lanes to."""
+    element ``i`` is ``values[1 + k * n + i]``, and the first and last slots
+    are spares.  Masked accesses send their inactive lanes to the first; a
+    lane array that stays within ``[-1, n]`` on *every* lane may be read
+    with no mask arithmetic at all (:meth:`loadf_in`), since ``-1`` and
+    ``n`` land on a spare or a neighbour's element, never outside the
+    array."""
 
     __slots__ = ("values", "n", "base", "what")
 
     def __init__(self, name: str, length: int, lanes: int) -> None:
-        self.values = np.zeros(lanes * length + 1, dtype=_FLOAT)
+        self.values = np.zeros(lanes * length + 2, dtype=_FLOAT)
         self.n = length
-        self.base = np.arange(0, lanes * length, length, dtype=_INT)
+        self.base = np.arange(1, lanes * length + 1, length, dtype=_INT)
         self.what = f"private array {name!r}"
 
     def _column(self, idx) -> slice:
         """Every lane's element ``idx`` (a uniform index) as a strided slice."""
-        if not 0 <= int(idx) < self.n:
-            _oob(self.what, int(idx), self.n)
-        return slice(int(idx), -1, self.n)
+        return slice(1 + int(idx), -1, self.n)
 
     def _offsets(self, idx, mask: np.ndarray) -> np.ndarray:
-        """Flat offsets of the active lanes' elements, -1 (the spare) for the
+        """Flat offsets of the active lanes' elements, 0 (a spare) for the
         rest: arithmetic, since ``np.where`` branches on every lane."""
-        if np.ndim(idx) == 0:
-            idx = np.full(self.base.size, int(idx), dtype=_INT)
-        _check(self.what, idx, self.n, mask)
-        return (self.base + idx + 1) * mask - 1
+        return (self.base + idx) * mask
+
+    def _check_uniform(self, idx) -> None:
+        if not 0 <= int(idx) < self.n:
+            _oob(self.what, int(idx), self.n)
 
     def loadf(self, idx) -> np.ndarray:
         if np.ndim(idx) == 0:
-            return self.values[self._column(idx)].copy()
-        _check(self.what, idx, self.n)
-        return self.values[self.base + idx]
+            self._check_uniform(idx)
+        else:
+            _check(self.what, idx, self.n)
+        return self.loadf_in(idx)
 
     def loadm(self, idx, mask: np.ndarray) -> np.ndarray:
-        return self.values[self._offsets(idx, mask)]
+        _check(self.what, self._lanes(idx), self.n, mask)
+        return self.loadm_in(idx, mask)
 
     def storef(self, idx, value) -> None:
         if np.ndim(idx) == 0:
-            self.values[self._column(idx)] = value
-            return
-        _check(self.what, idx, self.n)
-        self.values[self.base + idx] = value
+            self._check_uniform(idx)
+        else:
+            _check(self.what, idx, self.n)
+        self.storef_in(idx, value)
 
     def storem(self, idx, value, mask: np.ndarray) -> None:
+        _check(self.what, self._lanes(idx), self.n, mask)
+        self.storem_in(idx, value, mask)
+
+    def _lanes(self, idx) -> np.ndarray:
+        return np.full(self.base.size, int(idx), dtype=_INT) if np.ndim(idx) == 0 else idx
+
+    # In-bounds entry points: the index is in range on every active lane.
+    def loadf_in(self, idx) -> np.ndarray:
+        """Every lane's element ``idx``; also serves a masked load whose
+        ``idx`` lies in ``[-1, n]`` on every lane and in bounds on the
+        active ones."""
+        if np.ndim(idx) == 0:
+            return self.values[self._column(idx)].copy()
+        return self.values[self.base + idx]
+
+    def loadm_in(self, idx, mask: np.ndarray) -> np.ndarray:
+        return self.values[self._offsets(idx, mask)]
+
+    def storef_in(self, idx, value) -> None:
+        if np.ndim(idx) == 0:
+            self.values[self._column(idx)] = value
+            return
+        self.values[self.base + idx] = value
+
+    def storem_in(self, idx, value, mask: np.ndarray) -> None:
         self.values[self._offsets(idx, mask)] = value
 
 
@@ -176,10 +225,16 @@ class ConstantView:
 
     def loadf(self, idx: np.ndarray) -> np.ndarray:
         _check(self.what, idx, self.n)
-        return self.values[idx].astype(_FLOAT)
+        return self.loadf_in(idx)
 
     def loadm(self, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
         _check(self.what, idx, self.n, mask)
+        return self.loadm_in(idx, mask)
+
+    def loadf_in(self, idx: np.ndarray) -> np.ndarray:
+        return self.values[idx].astype(_FLOAT)
+
+    def loadm_in(self, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return self.values[idx * mask].astype(_FLOAT)
 
     def loadu(self, idx: int, lanes: int) -> float:
@@ -197,4 +252,4 @@ class ConstantView:
     def _readonly(self, *args) -> None:
         raise InterpreterError(f"{self.what} is read-only")
 
-    storef = storem = _readonly
+    storef = storem = storef_in = storem_in = _readonly

@@ -23,6 +23,17 @@ lowering reads them from there.  The decisions:
   under a divergent mask, which forces the return-lane bookkeeping
   (``_ret``) into the lowered prologue.
 
+It also supplies the syntactic facts the range rules of
+:mod:`repro.kernellang.passes.ranges` rest on: per function body,
+``Scope.shadowed`` (names a declaration re-declares while an outer one is
+in scope -- both backends keep one slot per name, so those keep their
+merges) and ``Scope.unread`` (variables nothing reads, set only by quiet
+statements of their own, which the emitter never computes); per node, a
+memoized :class:`Summary` (what a subtree assigns, declares and reads,
+and whether it holds a barrier, can change a variable, is mask-sensitive
+or can raise); and :func:`counted_loop`, the ``for`` loops that count an
+int variable up by a literal to a literal bound.
+
 The analysis is a fixpoint over the statement walk: kinds only ever move
 *up* the lattice of :mod:`repro.kernellang.ir` (uniform may become
 varying, never the reverse), so the walk converges; a bound of 50
@@ -41,6 +52,8 @@ instead.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .. import ast
 from ..builtins import (
     BUILTIN_CONSTANTS,
@@ -50,7 +63,7 @@ from ..builtins import (
 )
 from ..interpreter import KernelInterpreter, _ConstantArray
 from ..ir import LoweringError, Scope, ScopeView, join_kind
-from ..types import PointerType
+from ..types import PointerType, ScalarType
 
 
 class UniformityAnalysis:
@@ -80,6 +93,8 @@ class UniformityAnalysis:
         self.has_masked_return = False
         self._inline_stack: list[str] = []
         self._fn_memo: dict = {}
+        self._body_facts: dict = {}
+        self.summaries: dict = {}  # syntactic summaries, by node identity
 
     def _unsupported(self, what: str) -> LoweringError:
         return LoweringError(f"codegen cannot specialize {what}")
@@ -96,7 +111,17 @@ class UniformityAnalysis:
             else:
                 scope.kind[param.name] = "u"
                 scope.py[param.name] = f"v_{param.name}"
+        self._seed_body_facts(scope, self.kernel_def)
         return scope
+
+    def _seed_body_facts(self, scope: Scope, func: ast.FunctionDef) -> None:
+        facts = self._body_facts.get(func.name)
+        if facts is None:
+            visible = {p.name for p in func.params} | set(self.constants)
+            shadowed = shadowed_names(func.body, visible)
+            unread = unread_names(func.body, self.summaries) - shadowed
+            facts = self._body_facts[func.name] = (shadowed, unread)
+        scope.shadowed, scope.unread = facts
 
     def _seed_constants(self, scope: Scope) -> None:
         for name, value in self.constants.items():
@@ -261,6 +286,7 @@ class UniformityAnalysis:
             else:
                 scope.space[param.name] = sig
             scope.py[param.name] = ""  # bound at emission time
+        self._seed_body_facts(scope, func)
         return scope
 
     def _fn_summary(self, func: ast.FunctionDef, arg_sigs, div: bool):
@@ -457,6 +483,315 @@ class UniformityAnalysis:
         if isinstance(stmt, (ast.ForStmt, ast.WhileStmt, ast.DoWhileStmt)):
             return self._contains_kills(stmt.body, True)
         return False
+
+
+# -- syntactic facts of the range rules --------------------------------------
+#: Built-ins that raise on no operand (the context queries among them).
+QUIET_BUILTINS = CONTEXT_BUILTINS | frozenset(
+    ("min", "max", "clamp", "abs", "fabs", "fmin", "fmax", "floor", "ceil",
+     "round", "sign", "mad", "fma", "mix", "select")
+)
+
+
+def _is_float(expr) -> bool:
+    return isinstance(expr.ctype, ScalarType) and expr.ctype.is_float
+
+
+def _converts_to_int(ctype, expr) -> bool:
+    """Whether storing ``expr`` into a ``ctype`` slot converts a float to an
+    integer type (which raises where no int64 holds the value)."""
+    return (
+        isinstance(ctype, ScalarType)
+        and ctype.is_integer
+        and ctype.name != "bool"
+        and _is_float(expr)
+    )
+
+
+_NONE: frozenset = frozenset()
+
+#: :class:`Summary` flags.
+BARRIER, CHANGES, SENSITIVE, LOUD = 1, 2, 4, 8
+
+#: Fields of a node class that may hold a child node, by class.
+_CHILD_FIELDS: dict = {}
+_LEAF_FIELDS = frozenset(
+    ("ctype", "op", "name", "postfix", "var_type", "address_space", "is_const", "target_type")
+)
+
+
+def _child_fields(cls) -> tuple:
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = tuple(f.name for f in fields(cls) if f.name not in _LEAF_FIELDS)
+        _CHILD_FIELDS[cls] = names
+    return names
+
+
+class Summary:
+    """What one subtree does, for the range rules: the variables it
+    assigns, declares and reads, and its flags -- :data:`BARRIER` (it holds
+    a barrier), :data:`CHANGES` (it can change a variable: an assignment,
+    ``++``/``--`` or a helper call), :data:`SENSITIVE` (evaluating it on a
+    lane C skips could be observed: a load, a division, an assignment or a
+    call other than an id query) and :data:`LOUD` (it can raise or change
+    state: a load, assignment, ``++``/``--``, ``/`` or ``%``, helper call,
+    built-in that can raise, or float-to-int conversion)."""
+
+    __slots__ = ("assigned", "declared", "reads", "flags")
+
+    def __init__(self, assigned, declared, reads, flags: int) -> None:
+        self.assigned, self.declared, self.reads, self.flags = assigned, declared, reads, flags
+
+    @property
+    def barrier(self) -> bool:
+        return bool(self.flags & BARRIER)
+
+    @property
+    def changes(self) -> bool:
+        return bool(self.flags & CHANGES)
+
+    @property
+    def sensitive(self) -> bool:
+        return bool(self.flags & SENSITIVE)
+
+    @property
+    def loud(self) -> bool:
+        return bool(self.flags & LOUD)
+
+
+#: The summary every literal shares.
+_LITERAL = Summary(_NONE, _NONE, _NONE, 0)
+
+
+def summarize(node, memo: dict) -> Summary:
+    """The :class:`Summary` of ``node``'s subtree, memoized in ``memo`` (by
+    node identity, and by name for an identifier) so a lowering visits each
+    node once and allocates little."""
+    cls = type(node)
+    if cls in (ast.IntLiteral, ast.FloatLiteral, ast.BoolLiteral):
+        return _LITERAL
+    key = node.name if cls is ast.Identifier else id(node)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if cls is ast.Identifier:
+        out = memo[key] = Summary(_NONE, _NONE, frozenset((node.name,)), 0)
+        return out
+    assigned = declared = reads = _NONE
+    flags = 0
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, ast.Node):
+            children = (value,)
+        elif isinstance(value, list):
+            children = value
+        else:
+            continue
+        for child in children:
+            if not isinstance(child, ast.Node):
+                continue
+            sub = summarize(child, memo)
+            if sub.assigned:
+                assigned = assigned | sub.assigned
+            if sub.declared:
+                declared = declared | sub.declared
+            if sub.reads:
+                reads = reads | sub.reads
+            flags |= sub.flags
+    if cls is ast.Assignment:
+        if isinstance(node.target, ast.Identifier):
+            assigned = assigned | {node.target.name}
+        flags |= CHANGES | SENSITIVE | LOUD
+    elif cls is ast.UnaryOp:
+        if node.op in ("++", "--"):
+            if isinstance(node.operand, ast.Identifier):
+                assigned = assigned | {node.operand.name}
+            flags |= CHANGES | SENSITIVE | LOUD
+        elif node.op == "~" and _is_float(node.operand):
+            flags |= LOUD
+    elif cls is ast.BinaryOp:
+        if node.op in ("/", "%"):
+            flags |= SENSITIVE | LOUD
+        elif node.op in ("&", "|", "^", "<<", ">>") and (
+            _is_float(node.left) or _is_float(node.right)
+        ):
+            flags |= LOUD
+    elif cls is ast.Call:
+        if node.name == "barrier":
+            flags |= BARRIER
+        if not is_builtin(node.name):
+            flags |= CHANGES
+        if node.name not in CONTEXT_BUILTINS:
+            flags |= SENSITIVE
+        if node.name not in QUIET_BUILTINS:
+            flags |= LOUD
+    elif cls is ast.VarDecl:
+        declared = declared | {node.name}
+    elif cls is ast.Index:
+        flags |= SENSITIVE | LOUD
+    elif cls is ast.InitList:
+        flags |= LOUD
+    elif cls is ast.Cast and _converts_to_int(node.target_type, node.expr):
+        flags |= LOUD
+    out = memo[key] = Summary(assigned, declared, reads, flags)
+    return out
+
+
+def _int_identifier(expr, name=None) -> bool:
+    return (
+        isinstance(expr, ast.Identifier)
+        and (name is None or expr.name == name)
+        and isinstance(expr.ctype, ScalarType)
+        and expr.ctype.is_integer
+        and expr.ctype.name != "bool"
+    )
+
+
+def counted_loop(stmt, memo: dict):
+    """``(name, limit, step)`` of a ``for`` loop that counts an int variable
+    up by a positive literal to a literal bound its body never assigns --
+    ``for (int v = e; v < B; v += S)``, with ``v <= B``, ``v++``, ``++v``
+    and ``v = v + S`` too -- where ``limit`` is the exclusive bound (``B``
+    or ``B + 1``); ``None`` for any other loop."""
+    if not isinstance(stmt, ast.ForStmt) or None in (stmt.init, stmt.condition, stmt.step):
+        return None
+    cond = stmt.condition
+    if not (isinstance(cond, ast.BinaryOp) and cond.op in ("<", "<=")
+            and _int_identifier(cond.left) and isinstance(cond.right, ast.IntLiteral)):
+        return None
+    name = cond.left.name
+    init = stmt.init
+    if isinstance(init, ast.DeclStmt):
+        if len(init.declarations) != 1:
+            return None
+        decl = init.declarations[0]
+        if decl.name != name or decl.array_size is not None or decl.init is None:
+            return None
+    elif not (isinstance(init, ast.ExprStmt) and isinstance(init.expr, ast.Assignment)
+              and init.expr.op == "=" and _int_identifier(init.expr.target, name)):
+        return None
+    step = stmt.step
+    size = None
+    if isinstance(step, ast.UnaryOp) and step.op == "++" and _int_identifier(step.operand, name):
+        size = 1
+    elif isinstance(step, ast.Assignment) and _int_identifier(step.target, name):
+        value = step.value
+        if step.op == "+=" and isinstance(value, ast.IntLiteral):
+            size = value.value
+        elif step.op == "=" and isinstance(value, ast.BinaryOp) and value.op == "+":
+            pair = (value.left, value.right)
+            for a, b in (pair, pair[::-1]):
+                if _int_identifier(a, name) and isinstance(b, ast.IntLiteral):
+                    size = b.value
+    body = summarize(stmt.body, memo)
+    if size is None or size <= 0 or name in body.assigned or name in body.declared:
+        return None
+    limit = cond.right.value + (1 if cond.op == "<=" else 0)
+    return name, limit, size
+
+
+def shadowed_names(body, visible) -> set[str]:
+    """Names some declaration in ``body`` makes while a declaration of the
+    same name is still in scope.  Both backends keep one slot per name, so
+    such a declaration overwrites the outer variable's value."""
+    found: set[str] = set()
+
+    def block(stmts, outer):
+        local: set[str] = set()
+        for stmt in stmts:
+            statement(stmt, outer, local)
+
+    def declare(decls, outer, local):
+        for decl in decls:
+            if decl.name in outer or decl.name in local:
+                found.add(decl.name)
+            local.add(decl.name)
+
+    def statement(stmt, outer, local):
+        if isinstance(stmt, ast.DeclStmt):
+            declare(stmt.declarations, outer, local)
+        elif isinstance(stmt, ast.Block):
+            block(stmt.statements, outer | local)
+        elif isinstance(stmt, ast.IfStmt):
+            block(stmt.then_body.statements, outer | local)
+            if stmt.else_body is not None:
+                block(stmt.else_body.statements, outer | local)
+        elif isinstance(stmt, ast.ForStmt):
+            head: set[str] = set()
+            if isinstance(stmt.init, ast.DeclStmt):
+                declare(stmt.init.declarations, outer | local, head)
+            block(stmt.body.statements, outer | local | head)
+        elif isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt)):
+            block(stmt.body.statements, outer | local)
+
+    block(body.statements, set(visible))
+    return found
+
+
+def unread_names(body, memo: dict) -> set[str]:
+    """Scalar variables of ``body`` that no expression reads and that every
+    declaration and assignment sets quietly (not loud, see :class:`Summary`;
+    no float-to-int conversion) as a statement of its own: computing them
+    is unobservable."""
+    declared: set[str] = set()
+    reads: set[str] = set()
+    loud: set[str] = set()
+
+    def read(expr) -> None:
+        reads.update(summarize(expr, memo).reads)
+
+    def quiet(expr) -> bool:
+        return not summarize(expr, memo).loud
+
+    def statement(stmt) -> None:
+        if isinstance(stmt, ast.DeclStmt):
+            for decl in stmt.declarations:
+                if decl.array_size is not None:
+                    read(decl.array_size)
+                    if decl.init is not None:
+                        read(decl.init)
+                    continue
+                declared.add(decl.name)
+                if decl.init is not None:
+                    if not quiet(decl.init) or _converts_to_int(decl.var_type, decl.init):
+                        loud.add(decl.name)
+                    read(decl.init)
+        elif isinstance(stmt, ast.ExprStmt):
+            expr = stmt.expr
+            if (
+                isinstance(expr, ast.Assignment)
+                and expr.op == "="
+                and isinstance(expr.target, ast.Identifier)
+            ):
+                if not quiet(expr.value) or _converts_to_int(expr.target.ctype, expr.value):
+                    loud.add(expr.target.name)
+                read(expr.value)
+            else:
+                read(expr)
+        elif isinstance(stmt, ast.Block):
+            for inner in stmt.statements:
+                statement(inner)
+        elif isinstance(stmt, ast.IfStmt):
+            read(stmt.condition)
+            statement(stmt.then_body)
+            if stmt.else_body is not None:
+                statement(stmt.else_body)
+        elif isinstance(stmt, ast.ForStmt):
+            if stmt.init is not None:
+                statement(stmt.init)
+            for expr in (stmt.condition, stmt.step):
+                if expr is not None:
+                    read(expr)
+            statement(stmt.body)
+        elif isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt)):
+            read(stmt.condition)
+            statement(stmt.body)
+        elif isinstance(stmt, ast.ReturnStmt) and stmt.value is not None:
+            read(stmt.value)
+
+    statement(body)
+    return declared - reads - loud
 
 
 def classify_kernel(

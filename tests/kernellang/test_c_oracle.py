@@ -13,9 +13,12 @@ wins only where it is strictly smaller or larger), and ``mix``, ``mad``,
 literals lose their ``f`` suffix, which would make them float32 constants.
 
 The kernels are the probe rows of ``test_lowering_fuzz.py`` and kernels
-from its generator, which has no barrier and no local memory, puts only
-int operands under ``%`` and keeps values far inside 32 bits; a generated
-kernel takes part when the interpreter runs it without raising.  All
+from its generator, which puts only int operands under ``%`` and keeps
+values far inside 32 bits; a generated kernel takes part when the
+interpreter runs it without raising.  The C program runs the work-items
+one after another, so it cannot honour a barrier: a kernel with one is
+skipped (the fuzzer's local-memory kernels all have one; the generator
+used here has none).  All
 kernels of one test go into one translation unit, each renamed by macros,
 so a test pays for one compile.  This is the differential method of Csmith
 (Yang et al., PLDI 2011) and CLsmith (Lidbury et al., PLDI 2015).
@@ -56,6 +59,7 @@ pytestmark = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH")
 
 PRELUDE = r"""
 #include <math.h>
+#include <stdbool.h>
 #include <stdio.h>
 #define __kernel
 #define __global
@@ -212,6 +216,8 @@ def generated_cases(count: int) -> tuple[list[Case], list[dict]]:
     }
     cases, expected = [], []
     for source in dict.fromkeys(sources):
+        if "barrier(" in source:
+            continue  # sequential work-items cannot honour a barrier
         case = Case(source, args, (SIZE, SIZE), WORK_GROUP)
         outputs = interpreter_outputs(case)
         if outputs is not None:

@@ -475,11 +475,187 @@ class TestPredicateFuzz:
         check_kernel(source, batch, small_passes)
 
 
+#: Kernels that stage a ``__local`` tile the way the perforation passes do:
+#: loops strided by a literal from a local id to a literal bound (trip
+#: counts of 0, 1 and more, starts past the bound), a barrier at top level,
+#: then reads of the tile at local-id-based indices, ``clamp``s of local
+#: ids that bind on some lanes or on none, and private indices a loop
+#: counter drives to -1 on some active lanes.  A wrong range proof shows up
+#: as a missing :class:`InterpreterError` or a wrong value.
+#:
+#: The interpreter runs each work-item to its end (or its barrier) before
+#: the next, codegen each statement over every lane, so two statements that
+#: fail on different lanes would name different first errors.  One
+#: statement per kernel may therefore fail (its ``risky`` form): out of
+#: bounds on any lane if it runs once per lane, at a single index
+#: (``-1``, or the tile's length) if it runs in a loop.
+LOCAL_TEMPLATE = """
+__kernel void k(__global const float* input, __global float* output,
+                int width, int height, float s) {{
+    __local float tile[{tile}];
+    int x = get_global_id(0);
+    int y = get_global_id(1);
+    int lx = get_local_id(0);
+    int ly = get_local_id(1);
+    float v = input[y * width + x];
+    float p[4];
+    p[0] = v;
+    p[1] = 0.5f;
+    p[2] = 1.0f - v;
+    p[3] = -v;
+    int acc = 0;
+    float facc = 0.0f;
+{staging}
+    barrier(CLK_LOCAL_MEM_FENCE);
+{body}
+    output[y * width + x] = facc + (float)(acc) + {reads};
+}}
+"""
+#: The tile's length.
+TILE = 24
+#: Values staged into the tile: the same for every lane that stores an
+#: index (lanes of one group race on it), different across groups.
+STAGED = "(float)({i}) * 0.5f + (float)(get_group_id(0)) - (float)(get_group_id(1)) * 0.25f"
+
+
+@st.composite
+def lid_exprs(draw, risky=False):
+    """``get_local_id(d) * a + c``: in the tile unless ``risky``."""
+    d = draw(st.integers(0, 1))
+    if risky:
+        a, c = _pick(draw, (1, 2, -1, 3)), draw(st.integers(-3, 15))
+    else:
+        a, c = _pick(draw, (1, 2, 3)), draw(st.integers(0, 14))
+    return f"(get_local_id({d}) * {a} + {c})"
+
+
+@st.composite
+def counted_loops(draw, names, body_of, risky=False, start=None):
+    """``for (int i = get_local_id(d) + c; i < B; i += S)``, its bound
+    sometimes inclusive and its step sometimes ``i++``; a risky loop may
+    start at -1 or reach index :data:`TILE`.  Given ``start``, a variable,
+    the loop starts from it instead."""
+    i = names.fresh("i")
+    d, c = draw(st.integers(0, 1)), draw(st.integers(-1 if risky else 0, 8))
+    inclusive = draw(st.booleans())
+    # The largest index a safe loop stores is TILE - 1, a risky one's TILE.
+    bound = draw(st.integers(0, TILE - inclusive + risky))
+    step = draw(st.integers(1, 5))
+    test = f"{i} {'<=' if inclusive else '<'} {bound}"
+    increment = f"{i}++" if step == 1 and draw(st.booleans()) else f"{i} += {step}"
+    first = start or f"get_local_id({d}) + {c}"
+    return f"for (int {i} = {first}; {test}; {increment}) {{ {body_of(i)} }}"
+
+
+@st.composite
+def staging(draw, names, risky):
+    """One or two staging loops, the second sometimes nested in the first."""
+    store = lambda i: f"tile[{i}] = {STAGED.format(i=i)};"  # noqa: E731
+    first = draw(counted_loops(names, store, risky))
+    if draw(st.booleans()):
+        return first
+    if draw(st.booleans()):
+        return first + " " + draw(counted_loops(names, store))
+    outer = names.fresh("r")
+    inner = draw(counted_loops(names, lambda i: store(f"({outer} * 6 + {i}) % {TILE}")))
+    return f"for (int {outer} = get_local_id(1); {outer} < 4; {outer} += 3) {{ {inner} }}"
+
+
+@st.composite
+def local_statements(draw, names, risky):
+    kind = draw(st.integers(0, 9))
+    low = draw(st.integers(-1 if risky else 0, 3))
+    high = min(low + draw(st.integers(0, 9)), TILE if risky else TILE - 1)
+    if kind == 0:
+        return f"acc = acc + clamp({draw(lid_exprs(True))}, {low - 2}, {high});"
+    if kind == 1:
+        return f"facc = facc + tile[clamp({draw(lid_exprs(True))}, {low}, {high})];"
+    if kind == 2:
+        return f"facc = facc + tile[{draw(lid_exprs(risky))}];"
+    if kind == 3:
+        offset = draw(st.integers(-1, 2)) if risky else 0
+        return f"facc = facc + p[lx + {offset}];"
+    if kind == 4:
+        # Median's insertion step: the guard keeps j >= g on the lanes that
+        # load, and g = -1 lets lanes load p[-1].
+        j = names.fresh("j")
+        start, guard = (draw(st.integers(-1, 3)), _pick(draw, (0, 0, -1))) if risky else (-1, 0)
+        return (
+            f"int {j} = lx + {start}; while ({j} >= {guard} && p[{j}] > v) "
+            f"{{ p[{j} + 1] = p[{j}]; {j} = {j} - 1; }} acc = acc + {j};"
+        )
+    if kind == 5:
+        t, j, count = names.fresh("t"), names.fresh("j"), draw(st.integers(1, 5))
+        offset = draw(st.integers(-1, 0))
+        read = f"facc = facc + p[{j}];"
+        if not risky or draw(st.booleans()):
+            read = f"if ({j} >= 0 && {j} < 4) {{ {read} }}"
+        loop = f"for (int {t} = 0; {t} < {count}; {t}++)"
+        return f"{loop} {{ int {j} = lx - {t} + {offset}; {read} }}"
+    if kind == 6:
+        offset = draw(st.integers(-1, 2)) if risky else draw(st.integers(1, 2))
+        divisor = f"(get_local_id({draw(st.integers(0, 1))}) + {offset})"
+        return f"acc = acc + (x + 5) / {divisor} + (y + 7) % {divisor};"
+    if kind == 7:
+        # A pick, comparison or truth test the ranges decide, whose dropped
+        # operand loads or divides (by zero on one lane, if risky).
+        offset = draw(st.integers(-1, 2)) if risky else draw(st.integers(1, 2))
+        loud = _pick(draw, (
+            f"(int)(tile[{draw(lid_exprs())}] * 4.0f)",
+            f"(int)(p[lx + {offset if risky else 0}] * 4.0f)",
+            f"(x + 3) / (get_local_id({draw(st.integers(0, 1))}) + {offset})",
+        ))
+        return _pick(draw, (
+            f"acc = acc + min(lx, clamp({loud}, 20, 30));",
+            f"if (clamp({loud}, 0, 3) < 5) {{ acc = acc + 1; }}",
+            f"acc = acc + !clamp({loud}, 1, 3);",
+        ))
+    body = lambda q: f"acc = acc + {q}; facc = facc + tile[{q} % {TILE}];"  # noqa: E731
+    if kind == 8:
+        # The loop starts from a variable its body assigns.
+        s, c = names.fresh("s"), draw(st.integers(-1 if risky else 0, 8))
+        bump = lambda q: f"{s} = {s} + 2; " + body(q)  # noqa: E731
+        loop = draw(counted_loops(names, bump, risky, start=s))
+        return f"int {s} = get_local_id({draw(st.integers(0, 1))}) + {c}; {loop} acc = acc + {s};"
+    loop = draw(counted_loops(names, body, risky))
+    return f"if (v > 0.5f) {{ {loop} }}" if draw(st.booleans()) else loop
+
+
+@st.composite
+def local_kernels(draw):
+    names = _Names()
+    count = draw(st.integers(1, 4))
+    risky = draw(st.integers(0, count + 1))  # the one statement that may fail
+    body = " ".join(draw(local_statements(names, risky == k)) for k in range(count))
+    reads = " + ".join(
+        f"tile[{draw(lid_exprs(risky == count + 1 and k == 0))}]"
+        for k in range(draw(st.integers(1, 2)))
+    )
+    return LOCAL_TEMPLATE.format(
+        tile=TILE, staging="    " + draw(staging(names, risky == count)),
+        body="    " + body, reads=reads,
+    )
+
+
+class TestLocalMemoryFuzz:
+    @given(source=local_kernels(), batch=BATCHES, small_passes=SMALL_PASSES)
+    @settings(max_examples=60, **FUZZ_SETTINGS)
+    def test_codegen_matches_interpreter(self, source, batch, small_passes):
+        check_kernel(source, batch, small_passes)
+
+    @pytest.mark.slow
+    @given(source=local_kernels(), batch=BATCHES, small_passes=SMALL_PASSES)
+    @settings(max_examples=600, **FUZZ_SETTINGS)
+    def test_codegen_matches_interpreter_nightly(self, source, batch, small_passes):
+        check_kernel(source, batch, small_passes)
+
+
 #: Helpers of the probe kernels: a declared return type converts the value
 #: returned, and an early ``return 1`` in a ``float`` helper returns 1.0.
 PROBE_HELPERS = """
 float g(float a) { return 3; }
 float h(float a, int c) { if (c > 3) { return 1; } return a; }
+bool nz(int a) { return a; }
 """
 PROBE_TEMPLATE = """{helpers}
 __kernel void k(__global const float* input, __global float* output) {{
@@ -501,6 +677,7 @@ PROBE_ROWS = [
     ("min(x, 9.5f) / 16", [x / 16 for x in range(8)]),
     ("h(0.5f, x) / 2", [0.25] * 4 + [0.5] * 4),
     ("g(v) / 2", [1.5] * 8),
+    ("nz(x - 3) + (bool)(x + 4)", [2.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 2.0]),
 ]
 
 
@@ -579,6 +756,105 @@ class TestRegressionKernels:
     def test_fixed_kernel(self, body):
         check_kernel(TEMPLATE.format(helpers=SHRUNK_HELPERS, body="    " + body))
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # Trip loops, and the twins that keep the masked loop: a body
+            # with `continue`, a body assigning the loop variable, a
+            # runtime bound.
+            "for (int t = get_local_id(0) + 1; t < 6; t += 4) "
+            "{ acc = acc + t; w[t % 5] = v; }",
+            "for (int t = get_local_id(1); t <= 4; t++) { facc = facc + w[t]; }",
+            "for (int t = get_local_id(0) + 9; t < 6; t += 4) { acc = acc + t; }",
+            "for (int t = get_local_id(0); t < 6; t += 4) "
+            "{ if (x > y) { continue; } acc = acc + t; }",
+            "for (int t = get_local_id(0); t < 9; t += 2) "
+            "{ if (v > 0.5f) { t = t + 1; } acc = acc + t; }",
+            "for (int t = get_local_id(0); t < width; t += 3) { acc = acc + t; }",
+            "if (v > 0.5f) "
+            "{ for (int t = get_local_id(0); t < 5; t += 2) { facc = facc + w[t]; } }",
+            # A trip loop's start is its value on entry: the body may assign
+            # the variable it was read from (the twin does not).
+            "int j = get_local_id(0); for (int t = j; t < 8; t++) { j = j + 1; acc = acc + t; }",
+            "int j = get_local_id(0); for (int t = j; t < 5; t++) "
+            "{ j = j + 2; facc = facc + w[t]; } acc = acc + j;",
+            "int j = get_local_id(0); for (int t = j; t < 8; t++) { acc = acc + t + j; }",
+            # A clamp that never binds is its operand; one that binds on a
+            # single lane (local id 3) is kept.
+            "acc = acc + clamp(get_local_id(0) + 1, 0, 4) + min(get_local_id(1), 3);",
+            "acc = acc + clamp(get_local_id(0) + 1, 0, 3) + max(get_local_id(1), 1);",
+            # A decided comparison, pick or truth test drops the code of its
+            # other operands only where that code can neither raise nor
+            # read memory: a division by zero, a load and a float-to-int
+            # conversion stay (each has a quiet twin).
+            "acc = acc + min(get_local_id(0), clamp(8 / get_local_id(0), 20, 30));",
+            "acc = acc + min(get_local_id(0), clamp(x + 8, 20, 30));",
+            "if (clamp((int)input[y * width + x], 0, 3) < 5) { acc = acc + 1; }",
+            "if (clamp((int)(v * FLT_MAX * 10.0f), 0, 3) < 5) { acc = acc + 1; }",
+            "if (clamp(x, 0, 3) < 5) { acc = acc + 1; }",
+            "if (clamp((int)(v * FLT_MAX * 10.0f), 1, 3)) { acc = acc + 1; }",
+            "if (clamp(x, 1, 3)) { acc = acc + 1; }",
+            "if ((int)(v * FLT_MAX * 10.0f) && get_local_id(0) < 0) { acc = acc + 1; }",
+            "if (x > 2 && get_local_id(0) < 0) { acc = acc + 1; }",
+            "bool b = clamp((int)(v * FLT_MAX * 10.0f), 1, 3); acc = acc + b;",
+            "bool b = clamp(x, 1, 3); acc = acc + b;",
+            "acc = acc + !clamp((int)input[y * width + x], 1, 3);",
+            "acc = acc + !clamp(x, 1, 3);",
+            # An in-bounds private index skips its check; one past the end on
+            # one active lane keeps the interpreter's error.
+            "facc = facc + w[get_local_id(0) + 1];",
+            "facc = facc + w[get_local_id(0) + 2];",
+            # Median's insertion step: every lane's j stays in [-1, 4], so the
+            # loads gather; a guard of -1 loads w[-1] on an active lane.
+            "int j = get_local_id(0) + 1; while (j >= 0 && w[j] > v) "
+            "{ w[j] = w[j] + 1.0f; j = j - 1; } acc = acc + j;",
+            "int j = get_local_id(0) + 1; while (j >= -1 && w[j] > -5.0f) { j = j - 1; }",
+            # A divisor that excludes zero skips the zero scan; one that is
+            # zero on a lane raises.
+            "acc = acc + (x + 7) / (get_local_id(0) + 1) + (y + 3) % (get_local_id(1) + 2);",
+            "acc = acc + (x + 7) / get_local_id(0);",
+            "acc = acc + (x + 7) % (get_local_id(1) - 1);",
+            # A declaration under a divergent mask binds every lane; a
+            # declaration that shadows an outer variable keeps its merge
+            # (both backends keep one slot per name).
+            "if (x > y) { int t = x; t = t + 1; acc = acc + t; }",
+            "int t = 1; if (x > y) { int t = 5; acc = acc + t; } acc = acc + t;",
+            # A branch's facts stay in the branch: the else branch still
+            # sees k past the end of w.
+            "int k = get_local_id(0) + 5; "
+            "if ((float)(x) > 3.5f) { k = 1; } else { facc = facc + w[k]; }",
+            "int k = get_local_id(0); if ((float)(x) > 3.5f) { k = k + 5; } facc = facc + w[k];",
+            # Unread values are not computed, unless they can raise.
+            "int dead = clamp(x + 1, 0, width - 1); acc = acc + 1;",
+            "int dead = (int)(w[n] * 2.0f); acc = acc + 1;",
+        ],
+    )
+    def test_range_rule(self, body):
+        check_kernel(TEMPLATE.format(helpers=SHRUNK_HELPERS, body="    " + body))
+
+    @pytest.mark.parametrize(
+        "staging,body,reads",
+        [
+            # The paper's staging idiom: every store and read is in bounds.
+            ("for (int i = get_local_id(0); i < 24; i += 4) { tile[i] = (float)(i); }",
+             "facc = facc + tile[clamp(get_local_id(1) * 3 + 1, 0, 23)];", "tile[lx + 20]"),
+            # A staging loop that stores one past the tile on one lane, and a
+            # read one past the end on one active lane: the errors stay.
+            ("for (int i = get_local_id(0) + 1; i < 25; i += 4) { tile[i] = (float)(i); }",
+             "", "tile[lx]"),
+            ("for (int i = get_local_id(0); i < 24; i += 4) { tile[i] = (float)(i); }",
+             "", "tile[lx + 21]"),
+            # A trip loop under a divergent mask.
+            ("for (int i = get_local_id(1) * 6; i <= 23; i++) { tile[i] = (float)(i); }",
+             "if (v > 0.5f) { for (int q = lx; q < 7; q += 3) { facc = facc + tile[q]; } }",
+             "tile[ly]"),
+        ],
+    )
+    def test_range_rule_on_a_local_tile(self, staging, body, reads):
+        check_kernel(LOCAL_TEMPLATE.format(
+            tile=TILE, staging="    " + staging, body="    " + body, reads=reads
+        ))
+
     @pytest.mark.parametrize("batch", [1, 8])
     def test_fixed_kernel_with_multi_pass_launches(self, batch):
         body = "if (x < y) { facc = h1(3.0f, v) + h2(3.0f, (float)(x)); }"
@@ -586,7 +862,62 @@ class TestRegressionKernels:
 
     @pytest.mark.parametrize("statement,expected", PROBE_ROWS, ids=[r[0] for r in PROBE_ROWS])
     def test_probe_rows_give_cs_values(self, statement, expected):
-        """Six statements on which the interpreter and codegen once gave
+        """Seven statements on which the interpreter and codegen once gave
         values C does not (the C oracle checks the same kernels)."""
         for backend in ("interpreter", "codegen"):
             np.testing.assert_array_equal(run_probe(statement, backend), expected)
+
+    @staticmethod
+    def _run_values(statement: str, values, backend: str):
+        source = PROBE_TEMPLATE.format(helpers="", statement=statement)
+        inputs = np.array(values, dtype=np.float64)
+        output = Buffer(np.zeros_like(inputs), "output")
+        Executor(backend=backend).run(
+            compile_kernel(source),
+            NDRange((inputs.size,), (inputs.size,)),
+            {"input": Buffer(inputs, "input"), "output": output},
+        )
+        return output.array
+
+    def test_sign_of_nan_and_zeros_is_positive_zero(self):
+        """OpenCL's sign: 0.0 for a NaN, and the interpreter's +0.0 for -0.0."""
+        values = [np.nan, -0.0, 0.0, 2.5, -3.0, -np.nan, np.inf, -np.inf]
+        for backend in ("interpreter", "codegen"):
+            out = self._run_values("sign(v)", values, backend)
+            np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 1.0, -1.0])
+            assert not np.signbit(out[out == 0]).any()
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([0.0, np.nan, -0.0, 4.0], "cannot convert nan to int"),
+            ([0.0, -0.0, np.inf, np.nan], "cannot convert inf to int"),
+            ([0.0, 0.5, -0.0, 4.0], "cannot convert 1.7014117"),
+        ],
+    )
+    def test_float_to_int_beyond_int64_raises_alike(self, values, message):
+        """C leaves the conversion undefined; both backends raise the same
+        error for the first lane no int64 holds."""
+        source = PROBE_TEMPLATE.format(
+            helpers="", statement="0; int i = input[x] * FLT_MAX * 10.0f; output[x] = i"
+        )
+        messages = []
+        for backend in ("interpreter", "codegen"):
+            inputs = np.array(values, dtype=np.float64)
+            with pytest.raises(KernelExecutionError) as info:
+                Executor(backend=backend).run(
+                    compile_kernel(source),
+                    NDRange((4,), (4,)),
+                    {"input": Buffer(inputs, "input"), "output": Buffer(np.zeros(4), "output")},
+                )
+            assert isinstance(info.value.__cause__, InterpreterError)
+            messages.append(str(info.value.__cause__))
+        assert messages[0] == messages[1]
+        assert message in messages[0]
+
+    def test_bool_variables_hold_zero_or_one(self):
+        body = "bool b = x + 4; bool c = v; facc = b + c + (bool)(x - 3);"
+        check_kernel(TEMPLATE.format(helpers=SHRUNK_HELPERS, body="    " + body))
+        for backend in ("interpreter", "codegen"):
+            out = self._run_values("0; bool b = x + 4; output[x] = b", [0.5] * 4, backend)
+            np.testing.assert_array_equal(out, [1.0] * 4)

@@ -9,7 +9,8 @@ bundled applications; this module pins each pass's contract in isolation:
 * the memory views' bounds checking and access accounting;
 * the batching transform's lane routing, segment offsets and validation;
 * golden snapshots of the lowered source for a uniform, a divergent and
-  a tiled kernel (regenerate with ``REPRO_REGEN_GOLDEN=1``);
+  a tiled kernel, and for the paper's staging idiom (gaussian
+  ``Stencil1:NN`` at 16x16; regenerate with ``REPRO_REGEN_GOLDEN=1``);
 * the emission contract over every bundled kernel and configuration:
   predicates stay masks, and no statement writes a lane array in place;
 * lowered-source determinism: two processes with different hash seeds
@@ -43,6 +44,7 @@ from repro.kernellang.passes.masking import (
     merge_parts,
     varying_int_div,
 )
+from repro.kernellang.passes import ranges
 from repro.kernellang.passes.memory import ConstantView, PrivateView
 from repro.kernellang.passes.uniformity import classify_kernel
 from repro.kernellang.types import BOOL, DOUBLE, FLOAT, INT
@@ -156,6 +158,45 @@ class TestUniformityAnalysis:
         """)
         with pytest.raises(LoweringError, match="cannot specialize"):
             classify_kernel(program, "k", (4, 4))
+
+
+class TestRangeFact:
+    """The interval arithmetic the lowering's range rules rest on."""
+
+    def test_c_division_and_remainder_truncate_toward_zero(self):
+        assert ranges.div((-7, 7), ranges.point(2)) == (-3, 3)
+        assert ranges.mod((-7, 7), ranges.point(3)) == (-2, 2)
+        assert ranges.mod((0, 17), ranges.point(2)) == (0, 1)
+        assert ranges.mod((3, 5), ranges.point(8)) == (3, 5)
+        # A divisor that may be zero proves nothing.
+        assert ranges.div((0, 9), (0, 3)) == ranges.TOP
+        assert ranges.mod((0, 9), (-1, 1)) == ranges.TOP
+
+    def test_bounds_beyond_int64_are_unbounded(self):
+        assert ranges.mul((0, 2**40), (0, 2**40)) == (0, None)
+        assert ranges.add((None, 5), (1, 1)) == (None, 6)
+
+    def test_comparisons_decide_only_for_every_pair(self):
+        assert ranges.compare("<", (0, 15), ranges.point(17)) is True
+        assert ranges.compare(">=", (0, 15), ranges.point(17)) is False
+        assert ranges.compare("<", (0, 17), ranges.point(17)) is None
+        assert ranges.compare("==", (0, 3), (5, 9)) is False
+
+    def test_narrowing_keeps_the_values_a_test_admits(self):
+        assert ranges.narrow((-1, 7), ">=", ranges.point(0)) == (0, 7)
+        assert ranges.narrow((0, 7), "!=", ranges.point(0)) == (1, 7)
+        assert ranges.narrow((0, 3), ">", ranges.point(5)) is None
+
+    def test_trip_counts(self):
+        # for (t = ly; t < 18; t += 16): lane 0 runs 2 trips, lane 15 one.
+        assert [ranges.trips(start, 18, 16) for start in (0, 1, 2, 15, 18)] == [2, 2, 1, 1, 0]
+
+    def test_environments_join_by_hull_and_drop_one_sided_names(self):
+        a = {"x": ((0, 3), (0, 3)), "y": ((1, 1), (1, 1))}
+        b = {"x": ((5, 6), (-1, 6))}
+        assert ranges.env_join(a, b) == {"x": ((0, 6), (-1, 6))}
+        assert ranges.env_join(None, b) == b
+        assert ranges.env_widen(a, ranges.env_join(a, b)) == {"x": ((0, None), (None, None))}
 
 
 class TestMaskingMergeRules:
@@ -374,25 +415,39 @@ class TestBatchingTransform:
 
 
 class TestGoldenLoweredSource:
-    """The lowered source of three representative kernels, pinned byte-for-byte.
+    """The lowered source of four representative kernels, pinned byte-for-byte.
 
     These snapshots are the emission contract of the pass pipeline: an
     edit that changes them changes what every compiled kernel runs, so
-    review the diff.  Regenerate with
+    review the diff.  The fourth is the paper's staging idiom, gaussian's
+    ``Stencil1:NN`` kernel at its 16x16 work group: strided staging loops
+    lowered to trips, in-bounds tile accesses and the reconstruction's
+    clamps.  Regenerate with
     ``REPRO_REGEN_GOLDEN=1 pytest tests/kernellang/test_passes.py``.
     """
 
     CASES = [
-        ("uniform", UNIFORM_KERNEL),
-        ("divergent", DIVERGENT_KERNEL),
-        ("tiled", TILED_KERNEL),
+        ("uniform", UNIFORM_KERNEL, (4, 4)),
+        ("divergent", DIVERGENT_KERNEL, (4, 4)),
+        ("tiled", TILED_KERNEL, (4, 4)),
+        ("gaussian_stencil1_nn", "gaussian:Stencil1:NN", (16, 16)),
     ]
 
-    @pytest.mark.parametrize("name,source", CASES)
-    def test_lowered_source_matches_golden(self, name, source):
-        program = parse_program(source)
-        lowered = lower_kernel(program, "k", (4, 4))
-        golden_path = GOLDEN_DIR / f"{name}_4x4.lowered.txt"
+    @staticmethod
+    def _lower(source: str, shape) -> str:
+        if not source.startswith("gaussian:"):
+            return lower_kernel(parse_program(source), "k", shape)
+        app = next(a for a in all_applications() if a.name == "gaussian")
+        label = source.split(":", 1)[1]
+        config = next(c for c in default_configurations(app.halo) if c.label == label)
+        assert config.work_group == shape
+        compiled = codegen_kernel(build_kernel(app.kernel_source(), config))
+        return lower_kernel(compiled.program, compiled.kernel_def.name, shape)
+
+    @pytest.mark.parametrize("name,source,shape", CASES, ids=[c[0] for c in CASES])
+    def test_lowered_source_matches_golden(self, name, source, shape):
+        lowered = self._lower(source, shape)
+        golden_path = GOLDEN_DIR / f"{name}_{shape[0]}x{shape[1]}.lowered.txt"
         if os.environ.get("REPRO_REGEN_GOLDEN"):
             GOLDEN_DIR.mkdir(exist_ok=True)
             golden_path.write_text(lowered)
