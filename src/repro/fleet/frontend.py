@@ -82,6 +82,23 @@ the abort wakes it.  A link reaches its worker over one
 holds one end and the link the other, so either side's exit is the other
 side's end of file.  Frames are length-prefixed, a JSON header plus raw
 array buffers (:mod:`repro.fleet.protocol`).
+
+**Arrays cross once per trace.**  A link keeps the front-end's end of its
+connection's two array tables (:class:`~repro.fleet.protocol.ArrayTable`):
+``sent`` for the requests' inputs and ``received`` for the responses'
+outputs.  An input object the link already sent in this trace travels as
+a slot number, and so does an output the worker already returned (a
+result-cache hit); each response still gets an output array of its own.
+The tables are keyed by identity, which is sound because no caller code
+runs while :meth:`PerforationFleet.serve_trace` runs; content-equal but
+distinct inputs travel by value, and the ``fleet.arrays_*`` counters of
+:meth:`PerforationFleet.observability` show how many arrays went each
+way.  The trace's ``drain`` empties ``sent`` and the worker's ``drained``
+empties ``received``, at both ends; :meth:`_WorkerLink.connect` starts
+both empty, so a respawned worker and its link agree, and replay re-ships
+whatever the log's traces need.  Frames are still cut at
+:data:`FRAME_PAYLOAD_CAP` of the requests' input bytes, as if every array
+travelled by value.
 """
 
 from __future__ import annotations
@@ -102,8 +119,10 @@ from ..serve.controller import OnlineController
 from ..serve.metrics import ServeMetrics
 from ..serve.requests import ServeRequest, ServeResponse
 from .protocol import (
+    ArrayTable,
     ProtocolError,
     array_bytes,
+    frame_fits,
     read_frame_async,
     request_to_wire,
     response_from_wire,
@@ -171,14 +190,20 @@ def failed_response(request: ServeRequest, reason: str = "worker-failure") -> Se
     return _unserved_response(request, reason)
 
 
-def _frames(entries: Iterable[tuple], invalid: list[ServeRequest]) -> Iterator[dict]:
-    """The wire frames of replay-log entries, in order.
+def _frames(
+    entries: Iterable[tuple], invalid: list[ServeRequest], table: ArrayTable
+) -> Iterator[dict]:
+    """The wire frames of replay-log entries, in order, for ``table``.
 
     Runs of requests share ``serve`` frames cut at :data:`FRAME_PAYLOAD_CAP`
     bytes of array payload; a drain is a frame of its own.  A request whose
-    input cannot be encoded is left out, so it cannot take its frame (or
-    the drain behind it) down with it; it goes to ``invalid`` instead, for
-    the caller to fail.
+    input cannot be encoded, or whose frame would be over
+    :data:`~repro.fleet.protocol.MAX_FRAME_BYTES`, is left out, so it cannot
+    take its frame (or the drain behind it) down with it; it goes to
+    ``invalid`` instead, for the caller to fail.  Only a request over the
+    cap travels alone and can be that large.  Each frame must be encoded
+    with ``table`` before the next is taken: the size check reads the
+    table as the previous frames left it.
     """
     requests: list[dict] = []
     payload = 0
@@ -193,6 +218,11 @@ def _frames(entries: Iterable[tuple], invalid: list[ServeRequest]) -> Iterator[d
             if requests and payload + size > FRAME_PAYLOAD_CAP:
                 yield {"type": "serve", "requests": requests}
                 requests, payload = [], 0
+            if size > FRAME_PAYLOAD_CAP and not frame_fits(
+                {"type": "serve", "requests": [wire]}, table
+            ):
+                invalid.append(item)
+                continue
             requests.append(wire)
             payload += size
             continue
@@ -253,6 +283,10 @@ class _WorkerLink:
         self.queue: asyncio.Queue | None = None
         #: The current trace's drain tag, once its drain is queued.
         self.drain_seq: int | None = None
+        #: This end's array tables, front-end → worker and worker →
+        #: front-end; each empties at the end of a trace in its direction.
+        self.sent = ArrayTable()
+        self.received = ArrayTable()
 
     # -- lifecycle -------------------------------------------------------
     async def spawn(self, spec: WorkerSpec):
@@ -283,8 +317,13 @@ class _WorkerLink:
     async def connect(self, generation: int = 0) -> dict:
         """Spawn this slot's worker of ``generation`` and return its hello."""
         spec = self.fleet._worker_spec(self.index, generation)
+        # A new worker holds no slots, so neither may this end.
+        self.sent.clear()
+        self.received.clear()
         self.reader, self.writer = await self.spawn(spec)
-        hello = await asyncio.wait_for(read_frame_async(self.reader), timeout=SPAWN_TIMEOUT_S)
+        hello = await asyncio.wait_for(
+            read_frame_async(self.reader, self.received), timeout=SPAWN_TIMEOUT_S
+        )
         if hello is not None and hello.get("type") == "error":
             # The worker could not build its server and reported why
             # instead of saying hello: fail fast with the real cause.
@@ -295,8 +334,8 @@ class _WorkerLink:
 
     async def ask(self, frame: dict, timeout: float) -> dict | None:
         """Send one frame and return the worker's reply (``None`` at EOF)."""
-        await write_frame_async(self.writer, frame)
-        return await asyncio.wait_for(read_frame_async(self.reader), timeout=timeout)
+        await write_frame_async(self.writer, frame, self.sent)
+        return await asyncio.wait_for(read_frame_async(self.reader, self.received), timeout=timeout)
 
     def retire(self) -> None:
         """Abort the connection and reap the process, escalating to kill."""
@@ -345,14 +384,13 @@ class _WorkerLink:
                     if keep_log:
                         self.log.extend(entries)
                     invalid: list[ServeRequest] = []
-                    for frame in _frames(entries, invalid):
+                    for frame in _frames(entries, invalid, self.sent):
                         try:
-                            await write_frame_async(self.writer, frame)
+                            await write_frame_async(self.writer, frame, self.sent)
                         except Exception:
-                            # The connection died mid-write, or the frame is
-                            # over MAX_FRAME_BYTES.  The entries are in the
-                            # log, so the reader's recovery replays them —
-                            # retrying here would deliver them twice.
+                            # The connection died mid-write.  The entries are
+                            # in the log, so the reader's recovery replays
+                            # them — retrying here would deliver them twice.
                             pass
                     self.fail_invalid(trace, invalid)
             if ended:
@@ -363,10 +401,10 @@ class _WorkerLink:
         while True:
             expecting = bool(self.pending) or self.drain_seq is not None
             try:
+                read = read_frame_async(self.reader, self.received)
                 if timeout is not None:
-                    frame = await asyncio.wait_for(read_frame_async(self.reader), timeout=timeout)
-                else:
-                    frame = await read_frame_async(self.reader)
+                    read = asyncio.wait_for(read, timeout=timeout)
+                frame = await read
             except asyncio.TimeoutError:
                 if not expecting:
                     continue  # idle silence is fine; re-arm
@@ -473,6 +511,8 @@ class _WorkerLink:
                 if self.failures > fleet.max_respawns:
                     self.dead = True
                     self.log.clear()  # nothing can replay it now
+                    self.sent.clear()
+                    self.received.clear()
                     self.fail_pending(trace, "worker-failure")
                     return False
                 await asyncio.sleep(
@@ -482,8 +522,8 @@ class _WorkerLink:
                     fleet.respawn_reports.append(await self.connect(self.failures))
                     recovered = len(self.pending)
                     invalid: list[ServeRequest] = []
-                    for frame in _frames(self.log, invalid):
-                        await write_frame_async(self.writer, frame)
+                    for frame in _frames(self.log, invalid, self.sent):
+                        await write_frame_async(self.writer, frame, self.sent)
                     # Failed when first sent: failing them again is a no-op.
                     self.fail_invalid(trace, invalid)
                 except Exception:
@@ -848,6 +888,10 @@ class PerforationFleet:
         if wall is not None:
             ServeMetrics.view(registry).finish(wall)
         registry.gauge("fleet.workers").set(self.workers)
+        for link in self._links:
+            for direction, table in (("sent", link.sent), ("received", link.received)):
+                registry.counter(f"fleet.arrays_{direction}_by_value").inc(table.by_value)
+                registry.counter(f"fleet.arrays_{direction}_by_ref").inc(table.by_ref)
         return registry
 
     # ------------------------------------------------------------------

@@ -14,13 +14,36 @@ Values that JSON cannot carry natively are *tagged*:
 
 * :class:`numpy.ndarray` — ``{"__kind__": "ndarray", "dtype", "shape",
   "buf": [offset, nbytes]}`` in the header, where ``offset`` counts from
-  the first buffer byte.  The array's bytes ride raw, so the round trip
-  is exact, which is what makes fleet outputs **bit-identical** to
-  single-process serving.  :func:`to_wire` leaves arrays in place and
+  the first buffer byte, plus ``"slot": k`` when the receiver is to keep
+  it (below).  The array's bytes ride raw, so the round trip is exact,
+  which is what makes fleet outputs **bit-identical** to single-process
+  serving.  :func:`to_wire` leaves arrays in place and
   :func:`encode_frame` ships them; :func:`decode_body` copies each one out
   of the body, so decoded arrays are writable and own their memory;
+* an array the receiver already keeps — ``{"__kind__": "ref", "slot": k}``,
+  with no bytes; it decodes to a copy of the kept array;
 * :class:`~repro.data.hotspot.HotspotInput` — its two grids plus size/name;
 * tuples — distinguished from lists so request inputs survive untouched.
+
+**Array tables.**  Each direction of a worker connection has one
+:class:`ArrayTable` at each end, passed to :func:`encode_frame` and
+:func:`decode_body` (and the frame readers and writers).  The first time
+an array crosses in a trace it travels by value with the next slot number,
+and the receiver keeps the array it decoded under that slot; each later
+occurrence travels as a ``ref``.  The sender keys arrays by identity
+(``id``), not content, and holds every array it maps, so no id is reused
+while mapped.  That is sound because nothing writes a mapped array within
+a trace: a caller runs no code while the fleet serves its trace, a worker
+never writes an output it has sent, and neither end writes an array it
+decoded.  Content-equal but distinct arrays travel by value.
+New slots are committed only once their frame is built, so a frame
+:func:`encode_frame` rejects leaves the table as it was.  Each table gives
+slots to at most :data:`TABLE_BYTES` of arrays per trace; past that,
+arrays travel by value without a slot.  A table lives for one trace: the
+frame that ends a trace in its direction (:data:`TRACE_END`: ``drain``
+from the front-end, ``drained`` from the worker) empties the table it
+travels with, at both ends.  Without a table, arrays always travel by
+value and a ``ref`` is an error.
 
 Floats ride as JSON numbers: Python's ``json`` emits ``repr`` shortest
 round-trip literals, so measured errors and virtual timestamps are exact
@@ -28,9 +51,10 @@ too.  The protocol is for co-operating local processes spawned by the
 front-end — it is not hardened against adversarial peers, but decoding
 is strict: a frame over :data:`MAX_FRAME_BYTES`, a header that runs past
 the body or is not a JSON object, an array tag with an unusable dtype
-(object or structured) or a size that disagrees with its shape, and
-buffers that do not tile the bytes after the header exactly raise
-:class:`ProtocolError`.
+(object or structured) or a size that disagrees with its shape, buffers
+that do not tile the bytes after the header exactly, a ``ref`` to a slot
+the receiver does not hold, and a new slot out of order or past the
+table's bound raise :class:`ProtocolError`.
 
 Frame vocabulary (the ``type`` key): ``hello`` (worker warm-start report,
 including the worker's respawn ``generation``), ``serve``/``completed``
@@ -72,9 +96,42 @@ HEADER_LENGTH = struct.Struct(">I")
 #: absurd buffer.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Array bytes one table gives slots to per trace (8 MiB).  Past it, arrays
+#: travel by value without a slot until the trace's end empties the table.
+TABLE_BYTES = 8 * 1024 * 1024
+
+#: Frame types that end a trace in their direction: sending or receiving
+#: one empties the table it travels with.
+TRACE_END = frozenset({"drain", "drained"})
+
 
 class ProtocolError(ConfigurationError):
     """A malformed, truncated or oversized frame."""
+
+
+class ArrayTable:
+    """One direction's array table at one end of a worker connection.
+
+    ``arrays`` holds the kept arrays, slot ``k`` at index ``k``.  A sender
+    also maps ``id(array)`` to its slot in ``ids``; holding the array in
+    ``arrays`` keeps that id from being reused while it is mapped.
+    ``nbytes`` counts the kept arrays' bytes against :data:`TABLE_BYTES`.
+    ``by_value`` and ``by_ref`` count the arrays that travelled with this
+    table each way; :meth:`clear` keeps those counts.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: list[np.ndarray] = []
+        self.ids: dict[int, int] = {}
+        self.nbytes = 0
+        self.by_value = 0
+        self.by_ref = 0
+
+    def clear(self) -> None:
+        """Forget every slot: the end of a trace, or a new connection."""
+        self.arrays.clear()
+        self.ids.clear()
+        self.nbytes = 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +326,31 @@ def _dtype_name(dtype: np.dtype) -> str:
     return str(dtype)
 
 
-def encode_frame(message: dict) -> bytes:
-    """One wire frame: body length, JSON header length, JSON header, buffers."""
+def _encode(message: dict, table: ArrayTable | None) -> tuple:
+    """``message``'s frame parts: ``(body length, header, buffers, new, refs)``.
+
+    ``new`` lists the arrays the frame gives new slots, in slot order, and
+    ``refs`` counts its ``ref`` tags.  ``table`` itself does not change.
+    """
     buffers: list[np.ndarray] = []
     payload = 0
+    mapped = {} if table is None else table.ids
+    first = 0 if table is None else len(table.arrays)
+    room = -1 if table is None else TABLE_BYTES - table.nbytes
+    new: list[np.ndarray] = []
+    new_ids: dict[int, int] = {}
+    refs = 0
 
     def out_of_band(value: Any) -> dict:
         # json calls this for every value it cannot encode, in emission
         # order, which is the order the decoder resolves the tags in.
-        nonlocal payload
+        nonlocal payload, room, refs
+        slot = mapped.get(id(value))
+        if slot is None:
+            slot = new_ids.get(id(value))
+        if slot is not None:
+            refs += 1
+            return {"__kind__": "ref", "slot": slot}
         if not isinstance(value, np.ndarray):
             raise ProtocolError(f"cannot encode {type(value).__name__} value for the wire")
         array = _shippable(value)
@@ -287,6 +360,10 @@ def encode_frame(message: dict) -> bytes:
             "shape": list(array.shape),
             "buf": [payload, array.nbytes],
         }
+        if array.nbytes <= room:
+            tag["slot"] = new_ids[id(array)] = first + len(new)
+            new.append(array)
+            room -= array.nbytes
         buffers.append(np.ascontiguousarray(array))
         payload += array.nbytes
         return tag
@@ -294,10 +371,41 @@ def encode_frame(message: dict) -> bytes:
     header = json.dumps(
         message, sort_keys=True, separators=(",", ":"), default=out_of_band
     ).encode("utf-8")
-    length = HEADER_LENGTH.size + len(header) + payload
+    return HEADER_LENGTH.size + len(header) + payload, header, buffers, new, refs
+
+
+def encode_frame(message: dict, table: ArrayTable | None = None) -> bytes:
+    """One wire frame: body length, JSON header length, JSON header, buffers.
+
+    With a ``table``, an array it maps travels as a ``ref`` and a new one
+    takes the next slot while the table has room.  Only a frame that is
+    built changes the table: its new slots are committed, or, for a
+    :data:`TRACE_END` frame, the table is emptied.  A frame over
+    :data:`MAX_FRAME_BYTES` raises and leaves the table as it was.
+    """
+    length, header, buffers, new, refs = _encode(message, table)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    if table is not None:
+        table.by_value += len(buffers)
+        table.by_ref += refs
+        if message.get("type") in TRACE_END:
+            table.clear()
+        else:
+            for array in new:
+                table.ids[id(array)] = len(table.arrays)
+                table.arrays.append(array)
+                table.nbytes += array.nbytes
     return b"".join([FRAME_HEADER.pack(length), HEADER_LENGTH.pack(len(header)), header, *buffers])
+
+
+def frame_fits(message: dict, table: ArrayTable | None = None) -> bool:
+    """Whether :func:`encode_frame` would take ``message`` with ``table`` now.
+
+    A dry run: it encodes the header but builds no frame and changes
+    nothing.
+    """
+    return _encode(message, table)[0] <= MAX_FRAME_BYTES
 
 
 @functools.lru_cache(maxsize=256)
@@ -317,8 +425,13 @@ def _tag_dtype(text: Any) -> np.dtype:
     return dtype
 
 
-def decode_body(body: bytes) -> dict:
-    """Decode one frame body; every malformation raises :class:`ProtocolError`."""
+def decode_body(body: bytes, table: ArrayTable | None = None) -> dict:
+    """Decode one frame body; every malformation raises :class:`ProtocolError`.
+
+    With a ``table``, an array that carries a slot is kept under it, a
+    ``ref`` decodes to a copy of the kept array, and a :data:`TRACE_END`
+    frame empties the table once it is decoded.
+    """
     if len(body) < HEADER_LENGTH.size:
         raise ProtocolError(f"frame body of {len(body)} bytes has no header length")
     (header_length,) = HEADER_LENGTH.unpack_from(body)
@@ -332,7 +445,14 @@ def decode_body(body: bytes) -> dict:
         # objects, so they arrive in emission order, and their buffers must
         # tile the payload: each starts where the previous one ended.
         nonlocal cursor
-        if tag.get("__kind__") != "ndarray":
+        kind = tag.get("__kind__")
+        if kind == "ref":
+            slot = tag.get("slot")
+            if table is None or type(slot) is not int or not 0 <= slot < len(table.arrays):
+                raise ProtocolError(f"ref to array slot {slot!r}, which this end does not hold")
+            table.by_ref += 1
+            return table.arrays[slot].copy()
+        if kind != "ndarray":
             return tag
         dtype = _tag_dtype(tag.get("dtype"))
         shape, buf = tag.get("shape"), tag.get("buf")
@@ -355,6 +475,16 @@ def decode_body(body: bytes) -> dict:
         except ValueError as exc:
             raise ProtocolError(f"undecodable array: {exc}") from None
         cursor += nbytes
+        if table is not None:
+            table.by_value += 1
+            slot = tag.get("slot")
+            if slot is not None:
+                if type(slot) is not int or slot != len(table.arrays):
+                    raise ProtocolError(f"array slot {slot!r} is not the next free slot")
+                if table.nbytes + nbytes > TABLE_BYTES:
+                    raise ProtocolError(f"array slot {slot} overflows the table's bound")
+                table.arrays.append(array)
+                table.nbytes += nbytes
         return array
 
     try:
@@ -366,6 +496,8 @@ def decode_body(body: bytes) -> dict:
         raise ProtocolError(f"array buffers cover {cursor - start} of {len(body) - start} bytes")
     if not isinstance(message, dict):
         raise ProtocolError(f"frame header must be a JSON object, got {type(message).__name__}")
+    if table is not None and message.get("type") in TRACE_END:
+        table.clear()
     return message
 
 
@@ -384,7 +516,7 @@ def _read_exact(stream: BinaryIO, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def read_frame(stream: BinaryIO) -> dict | None:
+def read_frame(stream: BinaryIO, table: ArrayTable | None = None) -> dict | None:
     """Read one frame from a blocking binary stream (``None`` on clean EOF)."""
     header = _read_exact(stream, FRAME_HEADER.size)
     if header is None:
@@ -395,16 +527,18 @@ def read_frame(stream: BinaryIO) -> dict | None:
     body = _read_exact(stream, length)
     if body is None:
         raise ProtocolError("stream truncated between frame header and body")
-    return decode_body(body)
+    return decode_body(body, table)
 
 
-def write_frame(stream: BinaryIO, message: dict) -> None:
+def write_frame(stream: BinaryIO, message: dict, table: ArrayTable | None = None) -> None:
     """Write one frame to a blocking binary stream and flush it."""
-    stream.write(encode_frame(message))
+    stream.write(encode_frame(message, table))
     stream.flush()
 
 
-async def read_frame_async(reader: asyncio.StreamReader) -> dict | None:
+async def read_frame_async(
+    reader: asyncio.StreamReader, table: ArrayTable | None = None
+) -> dict | None:
     """Read one frame from an asyncio stream (``None`` on clean EOF)."""
     try:
         header = await reader.readexactly(FRAME_HEADER.size)
@@ -419,10 +553,12 @@ async def read_frame_async(reader: asyncio.StreamReader) -> dict | None:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ProtocolError("stream truncated between frame header and body") from None
-    return decode_body(body)
+    return decode_body(body, table)
 
 
-async def write_frame_async(writer: asyncio.StreamWriter, message: dict) -> None:
+async def write_frame_async(
+    writer: asyncio.StreamWriter, message: dict, table: ArrayTable | None = None
+) -> None:
     """Write one frame to an asyncio stream and drain the transport."""
-    writer.write(encode_frame(message))
+    writer.write(encode_frame(message, table))
     await writer.drain()

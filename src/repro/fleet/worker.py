@@ -3,7 +3,16 @@
 A worker is spawned by the front-end with a :class:`WorkerSpec` and one
 end of a socket pair, whose other end the front-end keeps.  On that end
 it speaks the length-prefixed frame protocol (a JSON header plus raw
-array buffers, :mod:`repro.fleet.protocol`):
+array buffers, :mod:`repro.fleet.protocol`).  :func:`serve_connection`
+keeps the worker's end of the connection's two array tables: the one it
+decodes the front-end's frames with, which keeps each input array the
+first time it arrives in a trace so later requests name it by slot, and
+the one it encodes its own frames with, which does the same for outputs.
+A result-cache hit returns the cache's read-only array, so an output
+served again crosses as a ``ref``; the worker never writes an output
+after sending it, which is what keying the table by identity needs.
+Each table lives for one trace: decoding ``drain`` empties the first,
+sending ``drained`` the second, as the front-end's do.  The frames:
 
 ``hello``
     Sent once, as soon as the server is built: worker index, pid,
@@ -82,6 +91,7 @@ from ..obs import trace as obs_trace
 from ..serve.requests import ServeRequest, ServeResponse
 from ..serve.server import PerforationServer
 from .protocol import (
+    ArrayTable,
     ProtocolError,
     error_frame,
     read_frame,
@@ -175,24 +185,27 @@ def _frame_requests(frame: dict) -> list[ServeRequest]:
         raise ProtocolError(f"malformed request entry: {type(exc).__name__}: {exc}") from None
 
 
-def _write_completed(stream, responses: list[ServeResponse]) -> None:
-    write_frame(
-        stream, {"type": "completed", "responses": [response_to_wire(r) for r in responses]}
-    )
-
-
 def serve_connection(
     stream, server: PerforationServer, report: dict, spec: WorkerSpec | None = None
 ) -> None:
     """The worker's frame loop over one established connection."""
-    write_frame(stream, {"type": "hello", **report})
+    # This end's array tables: front-end → worker, and worker → front-end.
+    received, sent = ArrayTable(), ArrayTable()
+
+    def send(message: dict) -> None:
+        write_frame(stream, message, sent)
+
+    def send_completed(responses: list[ServeResponse]) -> None:
+        send({"type": "completed", "responses": [response_to_wire(r) for r in responses]})
+
+    send({"type": "hello", **report})
     fail_after = None if spec is None else spec.fail_after
     error_on = () if spec is None else tuple(spec.error_on)
     hang_on = () if spec is None else tuple(spec.hang_on)
     served = 0
     wall_start: float | None = None
     while True:
-        frame = read_frame(stream)
+        frame = read_frame(stream, received)
         if frame is None:
             break  # front-end went away: drain nothing, just exit
         kind = frame.get("type")
@@ -210,25 +223,23 @@ def serve_connection(
                         # than any response timeout.
                         time.sleep(1200.0)
                     if request_id in error_on:
-                        failure = error_frame("chaos: injected request failure", request_id)
-                        write_frame(stream, failure)
+                        send(error_frame("chaos: injected request failure", request_id))
                         continue
                     try:
                         responses.extend(server.submit(request))
                     except Exception as exc:
                         # Scoped to this request: the rest of the frame is
                         # still served.
-                        failure = error_frame(f"{type(exc).__name__}: {exc}", request_id)
-                        write_frame(stream, failure)
+                        send(error_frame(f"{type(exc).__name__}: {exc}", request_id))
                         continue
                     served += 1
                     if fail_after is not None and served >= fail_after:
                         # Simulated crash: no cleanup, no goodbye — exactly
                         # what a SIGKILL mid-trace looks like to the
                         # front-end, once the responses held so far are out.
-                        _write_completed(stream, responses)
+                        send_completed(responses)
                         os._exit(17)
-                _write_completed(stream, responses)
+                send_completed(responses)
             elif kind == "drain":
                 now_ms = frame.get("now_ms")
                 responses = server.drain(math.inf if now_ms is None else float(now_ms))
@@ -242,7 +253,7 @@ def serve_connection(
                 tracer = obs_trace.get_tracer()
                 if tracer.enabled:
                     drained["spans"] = tracer.drain()
-                write_frame(stream, drained)
+                send(drained)
             elif kind == "metrics":
                 answer: dict = {
                     "type": "metrics",
@@ -255,16 +266,16 @@ def serve_connection(
                 tracer = obs_trace.get_tracer()
                 if tracer.enabled:
                     answer["spans"] = tracer.drain()
-                write_frame(stream, answer)
+                send(answer)
             elif kind == "shutdown":
-                write_frame(stream, {"type": "bye"})
+                send({"type": "bye"})
                 break
             else:
-                write_frame(stream, error_frame(f"unknown frame {kind!r}"))
+                send(error_frame(f"unknown frame {kind!r}"))
         except ProtocolError:
             raise
         except Exception as exc:  # surface frame-level failures to the front-end
-            write_frame(stream, error_frame(f"{type(exc).__name__}: {exc}"))
+            send(error_frame(f"{type(exc).__name__}: {exc}"))
 
 
 def worker_main(spec: WorkerSpec, sock: socket.socket) -> None:

@@ -25,10 +25,13 @@ import numpy as np
 import pytest
 
 import repro.fleet.frontend as frontend
-from repro.data import generate_image
+import repro.fleet.protocol as protocol
+from repro.data import generate_image, hotspot_single
 from repro.fleet import FleetError, PerforationFleet
 from repro.fleet.frontend import _WorkerLink
 from repro.fleet.protocol import (
+    FRAME_HEADER,
+    HEADER_LENGTH,
     ProtocolError,
     array_bytes,
     encode_frame,
@@ -129,9 +132,9 @@ def _frames_written(monkeypatch):
     written = []
     write = frontend.write_frame_async
 
-    async def recording(writer, frame):
+    async def recording(writer, frame, *table):
         written.append((asyncio.current_task().get_name(), frame))
-        await write(writer, frame)
+        await write(writer, frame, *table)
 
     monkeypatch.setattr(frontend, "write_frame_async", recording)
     return written
@@ -164,10 +167,51 @@ def _requests(count, first=0, size=32):
     ]
 
 
-def _reference(*traces, max_batch=4):
+def _pooled(count, pool, first=0, app="gaussian"):
+    """Requests whose inputs cycle through the objects of ``pool``."""
+    return [
+        ServeRequest(
+            request_id=index,
+            app=app,
+            inputs=pool[index % len(pool)],
+            error_budget=0.05,
+            arrival_ms=float(index),
+        )
+        for index in range(first, first + count)
+    ]
+
+
+def _reference(*traces, max_batch=4, calibration=CALIBRATION):
     """Per trace, request id → the response of one in-process server."""
-    server = PerforationServer(max_batch=max_batch, calibration_inputs=CALIBRATION)
+    server = PerforationServer(max_batch=max_batch, calibration_inputs=calibration)
     return [{r.request_id: r for r in server.run_trace(trace)} for trace in traces]
+
+
+def _array_bytes_written(monkeypatch):
+    """Record the array bytes of every frame the front-end encodes (thread
+    workers encode theirs in threads of their own)."""
+    written = []
+    encode = protocol.encode_frame
+
+    def recording(message, table=None):
+        frame = encode(message, table)
+        if threading.current_thread() is threading.main_thread():
+            body = frame[FRAME_HEADER.size :]
+            (header,) = HEADER_LENGTH.unpack_from(body)
+            written.append(len(body) - HEADER_LENGTH.size - header)
+        return frame
+
+    monkeypatch.setattr(protocol, "encode_frame", recording)
+    return written
+
+
+def _array_counts(fleet):
+    registry = fleet.observability()
+    return {
+        f"{direction}_{way}": registry.get(f"fleet.arrays_{direction}_{way}").value
+        for direction in ("sent", "received")
+        for way in ("by_value", "by_ref")
+    }
 
 
 def _assert_bit_identical(responses, reference):
@@ -556,3 +600,121 @@ def test_close_ends_every_worker_over_its_pair(monkeypatch):
     for worker in spawned:
         worker.join(timeout=5.0)
         assert not worker.is_alive()
+
+
+def test_a_request_too_big_for_a_frame_fails_alone_and_stays_out_of_replay(monkeypatch):
+    """Request 2's frame would be over the frame bound.  It fails at once
+    as invalid input, without failing the worker, and when a crash in the
+    next trace replays the log, replay leaves it out the same way."""
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 16 * INPUT_BYTES)
+    monkeypatch.setattr(frontend, "FRAME_PAYLOAD_CAP", 3 * INPUT_BYTES)
+    spawned = _spawn_in_threads(monkeypatch)
+    first, second = _requests(5), _requests(4, first=5)
+    first[2] = _requests(1, first=2, size=128)[0]  # 16 inputs' bytes: over the bound
+    served_first = [r for r in first if r.request_id != 2]
+    reference_first, reference_second = _reference(served_first, second)
+    # The worker crashes after its sixth request: the second of the second
+    # trace.
+    with _fleet(fail_after={0: 6}) as fleet:
+        responses = fleet.serve_trace(first)
+        later = fleet.serve_trace(second)
+        metrics = fleet.metrics()
+
+    [failed] = [r for r in responses if r.rejected]
+    assert failed.request_id == 2 and failed.metadata["reason"] == "invalid-input"
+    _assert_bit_identical([r for r in responses if not r.rejected], reference_first)
+    assert [worker.spec.generation for worker in spawned] == [0, 1]
+    assert metrics.worker_failures == 1 and metrics.failed == 1
+    assert metrics.completed + metrics.shed + metrics.failed == len(first) + len(second)
+    _assert_bit_identical(later, reference_second)
+
+
+def test_each_distinct_input_crosses_once_per_link_and_trace(monkeypatch):
+    """Two apps on two workers share three input objects over two traces:
+    each link carries each object's bytes once per trace, and every other
+    use as a slot number."""
+    calibration = {app: CALIBRATION["gaussian"] for app in ("gaussian", "sobel3")}
+    pool = [generate_image("natural", size=32, seed=seed) for seed in range(3)]
+
+    def trace(first):
+        requests = _pooled(12, pool, first=first)
+        requests += _pooled(12, pool, first=first + 12, app="sobel3")
+        return requests
+
+    first, second = trace(0), trace(24)
+    _, reference = _reference(first, second, calibration=calibration)
+    _spawn_in_threads(monkeypatch)
+    written = _array_bytes_written(monkeypatch)
+    with PerforationFleet(workers=2, max_batch=4, calibration_inputs=calibration) as fleet:
+        fleet.serve_trace(first)
+        assert sum(written) == 2 * len(pool) * INPUT_BYTES
+        responses = fleet.serve_trace(second)
+        assert sum(written) == 2 * 2 * len(pool) * INPUT_BYTES
+        counts = _array_counts(fleet)
+
+    _assert_bit_identical(responses, reference)
+    assert counts["sent_by_value"] == 2 * 2 * len(pool)
+    assert counts["sent_by_ref"] == len(first) + len(second) - counts["sent_by_value"]
+    # One output per response; result-cache hits return the cache's own
+    # array, so an output served again crosses as a slot number too.
+    assert counts["received_by_value"] + counts["received_by_ref"] == len(first) + len(second)
+    assert counts["received_by_ref"] > 0
+
+
+def test_an_input_changed_in_place_between_traces_travels_again(monkeypatch):
+    """The caller changes one shared input object in place between two
+    traces.  Each trace ships each object's bytes anew, so the worker
+    serves what the object holds now, not what it kept from the last
+    trace."""
+    _spawn_in_threads(monkeypatch)
+    pool = [generate_image("natural", size=32, seed=seed) for seed in range(3)]
+    first, second = _pooled(9, pool), _pooled(9, pool, first=9)
+    single = PerforationServer(max_batch=4, calibration_inputs=CALIBRATION)
+    with _fleet() as fleet:
+        reference = {r.request_id: r for r in single.run_trace(first)}
+        _assert_bit_identical(fleet.serve_trace(first), reference)
+        pool[0] *= 0.5
+        reference = {r.request_id: r for r in single.run_trace(second)}
+        _assert_bit_identical(fleet.serve_trace(second), reference)
+        metrics = fleet.metrics()
+        counts = _array_counts(fleet)
+
+    assert metrics.worker_failures == 0
+    assert counts["sent_by_value"] == 2 * len(pool)
+
+
+def test_a_respawned_worker_starts_both_tables_empty(monkeypatch):
+    """Generation 0 returns its first three outputs, each with a slot, then
+    crashes (``max_batch=1``: each request is a batch of its own).  The link
+    starts both tables empty for generation 1, so the replay ships the
+    repeated inputs by value again and generation 1's outputs take slots
+    from 0, which the link expects."""
+    spawned = _spawn_in_threads(monkeypatch)
+    pool = [generate_image("natural", size=32, seed=seed) for seed in range(2)]
+    requests = _pooled(10, pool)
+    (reference,) = _reference(requests, max_batch=1)
+    with _fleet(max_batch=1, fail_after={0: 3}) as fleet:
+        responses = fleet.serve_trace(requests)
+        metrics = fleet.metrics()
+
+    assert [worker.spec.generation for worker in spawned] == [0, 1]
+    assert metrics.worker_failures == 1 and metrics.failed == 0
+    assert metrics.completed + metrics.shed + metrics.failed == len(requests)
+    _assert_bit_identical(responses, reference)
+
+
+def test_repeated_hotspot_inputs_send_both_grids_once(monkeypatch):
+    """A ``HotspotInput`` carries two arrays; a repeated one crosses as two
+    slot numbers."""
+    calibration = {"hotspot": [hotspot_single(size=32, seed=77)]}
+    pool = [hotspot_single(size=32, seed=seed) for seed in (1, 2)]
+    requests = _pooled(8, pool, app="hotspot")
+    (reference,) = _reference(requests, calibration=calibration)
+    _spawn_in_threads(monkeypatch)
+    with PerforationFleet(workers=1, max_batch=4, calibration_inputs=calibration) as fleet:
+        responses = fleet.serve_trace(requests)
+        counts = _array_counts(fleet)
+
+    _assert_bit_identical(responses, reference)
+    assert counts["sent_by_value"] == 2 * len(pool)
+    assert counts["sent_by_ref"] == 2 * (len(requests) - len(pool))

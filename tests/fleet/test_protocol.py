@@ -26,7 +26,13 @@ from repro.fleet import (
     to_wire,
     write_frame,
 )
-from repro.fleet.protocol import FRAME_HEADER, HEADER_LENGTH, decode_body
+from repro.fleet.protocol import (
+    FRAME_HEADER,
+    HEADER_LENGTH,
+    ArrayTable,
+    decode_body,
+    frame_fits,
+)
 from repro.serve import ServeRequest, ServeResponse
 
 
@@ -461,3 +467,183 @@ def _fuzz_body():
 
 FUZZ_BODY = _fuzz_body()
 (FUZZ_HEADER_BYTES,) = HEADER_LENGTH.unpack_from(FUZZ_BODY)
+
+
+# ---------------------------------------------------------------------------
+# Array tables
+# ---------------------------------------------------------------------------
+def _header(frame):
+    """The JSON header of an encoded frame, tags unresolved."""
+    body = body_of(frame)
+    (length,) = HEADER_LENGTH.unpack_from(body)
+    return json.loads(body[HEADER_LENGTH.size : HEADER_LENGTH.size + length])
+
+
+def _payload_bytes(frame):
+    """Bytes of array buffers an encoded frame carries."""
+    (length,) = HEADER_LENGTH.unpack_from(body_of(frame))
+    return len(body_of(frame)) - HEADER_LENGTH.size - length
+
+
+def _send(message, sent, received):
+    """Encode with the sender's table, decode with the receiver's."""
+    frame = encode_frame(message, sent)
+    return frame, decode_body(body_of(frame), received)
+
+
+class TestArrayTables:
+    def test_a_repeated_array_travels_once_then_as_a_ref(self):
+        sent, received = ArrayTable(), ArrayTable()
+        image = np.random.default_rng(1).random((8, 8))
+        other = np.arange(4, dtype=np.int32)
+        first, back = _send({"type": "serve", "a": image, "b": [other, image]}, sent, received)
+        assert _header(first)["a"] == {
+            "__kind__": "ndarray",
+            "buf": [0, image.nbytes],
+            "dtype": "float64",
+            "shape": [8, 8],
+            "slot": 0,
+        }
+        # A second use inside the frame already refers to the new slot.
+        assert _header(first)["b"][1] == {"__kind__": "ref", "slot": 0}
+        assert _payload_bytes(first) == image.nbytes + other.nbytes
+        second, again = _send({"type": "serve", "x": [other, image]}, sent, received)
+        assert _header(second)["x"] == [
+            {"__kind__": "ref", "slot": 1},
+            {"__kind__": "ref", "slot": 0},
+        ]
+        assert _payload_bytes(second) == 0
+        for decoded in (back["a"], back["b"][1], again["x"][1]):
+            assert decoded.tobytes() == image.tobytes() and decoded.dtype == image.dtype
+        assert again["x"][0].tobytes() == other.tobytes()
+        assert (sent.by_value, sent.by_ref) == (received.by_value, received.by_ref) == (2, 3)
+
+    def test_content_equal_but_distinct_arrays_travel_by_value(self):
+        sent, received = ArrayTable(), ArrayTable()
+        frame, _ = _send({"type": "serve", "a": np.zeros(4), "b": np.zeros(4)}, sent, received)
+        assert _payload_bytes(frame) == 2 * np.zeros(4).nbytes
+        assert sent.by_ref == received.by_ref == 0
+
+    def test_decoded_arrays_are_writable_and_own_their_memory(self):
+        sent, received = ArrayTable(), ArrayTable()
+        image = np.arange(6.0).reshape(2, 3)
+        _, first = _send({"type": "serve", "x": image}, sent, received)
+        _, second = _send({"type": "serve", "x": image, "y": image}, sent, received)
+        decoded = [first["x"], second["x"], second["y"]]
+        for array in decoded:
+            assert array.flags.writeable and array.flags.owndata
+        assert len({id(array) for array in decoded}) == 3
+        # The first decoded array is the one the receiver keeps; every ref
+        # decodes to a copy of it, so writing one leaves the kept array.
+        assert first["x"] is received.arrays[0]
+        second["x"][0, 1] = -1.0
+        _, third = _send({"type": "serve", "x": image}, sent, received)
+        assert third["x"].tobytes() == image.tobytes()
+
+    @pytest.mark.parametrize("slot", [0, 1, -1, "0", True])
+    def test_a_ref_to_a_slot_the_receiver_does_not_hold_raises(self, slot):
+        received = ArrayTable()
+        received.arrays.append(np.zeros(2))  # slot 0 is held
+        body = _raw_body({"type": "serve", "x": {"__kind__": "ref", "slot": slot}})
+        if slot == 0:
+            assert decode_body(body, received)["x"].tobytes() == np.zeros(2).tobytes()
+            with pytest.raises(ProtocolError, match="does not hold"):
+                decode_body(body)  # without a table, no slot is held
+            return
+        with pytest.raises(ProtocolError, match="does not hold"):
+            decode_body(body, received)
+
+    @pytest.mark.parametrize("slot", [1, -1, "0", None])
+    def test_a_new_slot_must_be_the_next_free_one(self, slot):
+        tag = dict(_tag(), slot=slot)
+        body = _raw_body({"type": "serve", "x": tag}, bytes(16))
+        if slot is None:  # a plain by-value tag: nothing kept
+            table = ArrayTable()
+            decode_body(body, table)
+            assert table.arrays == [] and table.by_value == 1
+            return
+        with pytest.raises(ProtocolError, match="next free slot"):
+            decode_body(body, ArrayTable())
+
+    def test_a_new_slot_past_the_bound_raises(self, monkeypatch):
+        monkeypatch.setattr("repro.fleet.protocol.TABLE_BYTES", 8)
+        body = _raw_body({"type": "serve", "x": dict(_tag(), slot=0)}, bytes(16))
+        with pytest.raises(ProtocolError, match="bound"):
+            decode_body(body, ArrayTable())
+
+    def test_a_frame_encode_frame_rejects_commits_no_slot(self, monkeypatch):
+        monkeypatch.setattr("repro.fleet.protocol.MAX_FRAME_BYTES", 2048)
+        sent, received = ArrayTable(), ArrayTable()
+        small, big = np.zeros(16), np.zeros(512)
+        message = {"type": "serve", "a": small, "b": big}
+        assert not frame_fits(message, sent)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            encode_frame(message, sent)
+        assert sent.arrays == [] and sent.ids == {} and sent.nbytes == 0
+        assert sent.by_value == sent.by_ref == 0
+        # The next frame that fits starts at slot 0, which the receiver
+        # (which never got the rejected frame) expects.
+        assert frame_fits({"type": "serve", "a": small}, sent)
+        frame, back = _send({"type": "serve", "a": small}, sent, received)
+        assert _header(frame)["a"]["slot"] == 0 and len(received.arrays) == 1
+
+    def test_frame_fits_reads_the_table_and_changes_nothing(self, monkeypatch):
+        sent = ArrayTable()
+        image = np.zeros(256)
+        encode_frame({"type": "serve", "x": image}, sent)
+        monkeypatch.setattr("repro.fleet.protocol.MAX_FRAME_BYTES", 1024)
+        # By value the frame is over the bound; as a ref it fits.
+        assert not frame_fits({"type": "serve", "x": image})
+        assert frame_fits({"type": "serve", "x": image}, sent)
+        assert not frame_fits({"type": "serve", "x": image.copy()}, sent)
+        assert len(sent.arrays) == 1 and sent.by_value == 1 and sent.by_ref == 0
+
+    def test_past_the_bound_arrays_travel_by_value_without_a_slot(self, monkeypatch):
+        monkeypatch.setattr("repro.fleet.protocol.TABLE_BYTES", 3 * 64)
+        sent, received = ArrayTable(), ArrayTable()
+        arrays = [np.full(8, float(n)) for n in range(4)]  # 64 bytes each
+        frame, back = _send({"type": "serve", "x": arrays}, sent, received)
+        tags = _header(frame)["x"]
+        assert [tag.get("slot") for tag in tags] == [0, 1, 2, None]
+        assert sent.nbytes == received.nbytes == 3 * 64
+        again, back = _send({"type": "serve", "x": arrays[::-1]}, sent, received)
+        kinds = [(tag["__kind__"], tag.get("slot")) for tag in _header(again)["x"]]
+        assert kinds == [("ndarray", None), ("ref", 2), ("ref", 1), ("ref", 0)]
+        assert [array[0] for array in back["x"]] == [3.0, 2.0, 1.0, 0.0]
+        assert len(received.arrays) == 3
+
+    @pytest.mark.parametrize("end", ["drain", "drained"])
+    def test_the_end_of_a_trace_empties_the_table_at_both_ends(self, end):
+        sent, received = ArrayTable(), ArrayTable()
+        image = np.ones(4)
+        _send({"type": "serve", "x": image}, sent, received)
+        last, back = _send({"type": end, "responses": [image]}, sent, received)
+        assert _header(last)["responses"] == [{"__kind__": "ref", "slot": 0}]
+        assert back["responses"][0].tobytes() == image.tobytes()
+        for table in (sent, received):
+            assert table.arrays == [] and table.ids == {} and table.nbytes == 0
+            assert (table.by_value, table.by_ref) == (1, 1)  # counts survive
+        # The next trace ships the array by value again, under slot 0.
+        frame, _ = _send({"type": "serve", "x": image}, sent, received)
+        assert _header(frame)["x"]["slot"] == 0 and _payload_bytes(frame) == image.nbytes
+
+    def test_tables_ride_both_frame_readers_and_writers(self):
+        image = np.arange(9.0).reshape(3, 3)
+        sent = ArrayTable()
+        stream = io.BytesIO()
+        for _ in range(2):
+            write_frame(stream, {"type": "serve", "x": image}, sent)
+        frames = stream.getvalue()
+
+        async def read_async(table):
+            reader = asyncio.StreamReader()
+            reader.feed_data(frames)
+            reader.feed_eof()
+            return [await read_frame_async(reader, table) for _ in range(2)]
+
+        sync_table = ArrayTable()
+        stream = io.BytesIO(frames)
+        sync = [read_frame(stream, sync_table) for _ in range(2)]
+        for decoded in (sync, asyncio.run(read_async(ArrayTable()))):
+            assert [frame["x"].tobytes() for frame in decoded] == [image.tobytes()] * 2
+        assert (sync_table.by_value, sync_table.by_ref) == (1, 1)
