@@ -75,7 +75,7 @@ def calibrate_configs(
     so ones that differ only in work group calibrate independently.
     :meth:`repro.serve.controller.OnlineController.ladder` calls this too,
     so a controller's ladder is bit-identical to calibrating its
-    configurations directly; each call records one ``session.calibrate``
+    configurations directly; each call records one ``calibration.calibrate``
     span.
     """
     calibration_inputs = list(calibration_inputs)
@@ -103,7 +103,7 @@ def calibrate_configs(
     entries.sort(key=lambda e: e.speedup, reverse=True)
     if tracer.enabled:
         tracer.record(
-            "session.calibrate",
+            "calibration.calibrate",
             category="calibrate",
             start_ns=start_ns,
             duration_ns=time.monotonic_ns() - start_ns,

@@ -32,7 +32,7 @@ from ..clsim.timing import (
 )
 from ..core.config import ApproximationConfig
 from ..core.errors import ConfigurationError
-from ..core.perforator import KernelPerforator
+from ..core.perforator import KernelPerforator, perforator_for
 from ..core.quality import ErrorMetric
 from ..core.reconstruction import make_sampler, sampler_key
 from ..core.schemes import (
@@ -143,8 +143,9 @@ class Application(abc.ABC):
     # Compiler path
     # ------------------------------------------------------------------
     def perforator(self) -> KernelPerforator:
-        """Kernel perforator for this application's kernel source."""
-        return KernelPerforator(self.kernel_source())
+        """Kernel perforator for this application's kernel source, shared
+        with every kernel build of it in the process."""
+        return perforator_for(self.kernel_source())
 
     def output_buffer(self, inputs):
         """Zero-initialised output buffer for a compiled-kernel launch."""

@@ -6,7 +6,8 @@ OpenCL C kernel source, analyses its access pattern, and applies the local
 prefetch + perforation + reconstruction passes to produce an approximate
 kernel — both as executable form (for the :mod:`repro.clsim` simulator) and
 as OpenCL C text (for a real GPU).  :func:`build_kernel` does that once per
-(kernel source, configuration) pair and process.
+(kernel source, configuration) pair and process, and parses each source once
+(:func:`perforator_for`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ..kernellang.transforms import (
     ReconstructionPass,
 )
 from ..kernellang.typecheck import check_program
+from ..obs.trace import get_tracer
 from .config import ApproximationConfig
 from .errors import ConfigurationError
 from .reconstruction import LINEAR_INTERPOLATION, NEAREST_NEIGHBOR
@@ -65,14 +67,20 @@ class PerforatedKernel:
 
 
 class KernelPerforator:
-    """Applies the paper's transformation to OpenCL C kernel source."""
+    """Applies the paper's transformation to OpenCL C kernel source.
+
+    The source is parsed, checked and analysed once, here; each kernel made
+    transforms a clone of the tree as parsed (before checking).  Nothing
+    mutates the trees or the analysis, so threads may share a perforator.
+    """
 
     def __init__(self, source: str, kernel_name: str | None = None) -> None:
         self.source = source
         self.kernel_name = kernel_name
-        program = parse_program(source)
-        check_program(program)
-        self._kernel_def = program.kernel(kernel_name)
+        self._parsed = parse_program(source)
+        checked = self._parsed.clone()
+        check_program(checked)
+        self._kernel_def = checked.kernel(kernel_name)
         self.pattern_info: AccessPatternInfo = analyze_kernel(self._kernel_def)
 
     # ------------------------------------------------------------------
@@ -91,14 +99,19 @@ class KernelPerforator:
         info = reuse_info(self._kernel_def, self.pattern_info)
         return {name: r.reuse_factor(tile_x, tile_y) for name, r in info.items()}
 
+    def _clone(self) -> tuple[ast.Program, ast.FunctionDef]:
+        """A clone of the parsed program, and its kernel, to transform."""
+        program = self._parsed.clone()
+        return program, program.kernel(self.kernel_name)
+
     def accurate(self) -> PerforatedKernel:
         """The untouched kernel, wrapped in the same result type."""
-        program = parse_program(self.source)
+        program, kernel_def = self._clone()
         return PerforatedKernel(
-            name=self._kernel_def.name,
+            name=kernel_def.name,
             config=ApproximationConfig(),
             program=program,
-            kernel_def=program.kernel(self.kernel_name),
+            kernel_def=kernel_def,
             notes=["accurate kernel (no transformation)"],
         )
 
@@ -140,8 +153,7 @@ class KernelPerforator:
                     "the stencil scheme requires at least one input buffer with a halo"
                 )
 
-        program = parse_program(self.source)
-        kernel_def = program.kernel(self.kernel_name)
+        program, kernel_def = self._clone()
         tile_x, tile_y = config.work_group
 
         passes = [LocalPrefetchPass(buffers=stage_buffers)]
@@ -151,7 +163,7 @@ class KernelPerforator:
             passes.append(PerforationPass("stencil", buffers=buffers))
         passes.append(ReconstructionPass(technique, buffers=buffers))
 
-        context = PassManager(passes).run(kernel_def, tile_x, tile_y)
+        context = PassManager(passes).run(kernel_def, tile_x, tile_y, self.pattern_info)
         return PerforatedKernel(
             name=kernel_def.name,
             config=config,
@@ -168,11 +180,10 @@ class KernelPerforator:
         This is the accurate-but-optimised baseline the paper compares
         against for kernels with data reuse.
         """
-        program = parse_program(self.source)
-        kernel_def = program.kernel(self.kernel_name)
+        program, kernel_def = self._clone()
         tile_x, tile_y = work_group
         context = PassManager([LocalPrefetchPass(buffers=buffers)]).run(
-            kernel_def, tile_x, tile_y
+            kernel_def, tile_x, tile_y, self.pattern_info
         )
         return PerforatedKernel(
             name=kernel_def.name,
@@ -183,8 +194,18 @@ class KernelPerforator:
         )
 
 
+#: Entry bound of :func:`perforator_for` (distinct kernel sources).
+FRONT_END_CACHE_SIZE = 16
+
 #: Entry bound of :func:`build_kernel` (distinct kernel/configuration pairs).
 BUILD_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=FRONT_END_CACHE_SIZE)
+def perforator_for(source: str) -> KernelPerforator:
+    """The process's one perforator of ``source``, which parses, checks and
+    analyses it once for every configuration built from it."""
+    return KernelPerforator(source)
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
@@ -194,7 +215,25 @@ def build_kernel(source: str, config: ApproximationConfig) -> Kernel:
     Equal arguments share one kernel, and with it the compiled pass
     functions the codegen backend attaches to it, one per work-group shape.
     This is the one kernel cache: nothing of a build outlives the process.
+    Each build records a ``perforator.build`` span; ``memoized`` tells whether
+    :func:`perforator_for` held the source.  ``build_kernel.cache_clear()``
+    forgets those front ends too, so the next build is cold.
     """
-    perforator = KernelPerforator(source)
-    perforated = perforator.accurate() if config.is_accurate else perforator.perforate(config)
-    return perforated.executable()
+    with get_tracer().span("perforator.build", category="perforator", config=config.key) as span:
+        hits = perforator_for.cache_info().hits
+        perforator = perforator_for(source)
+        span.set(
+            kernel=perforator.pattern_info.kernel_name,
+            memoized=perforator_for.cache_info().hits > hits,
+        )
+        perforated = perforator.accurate() if config.is_accurate else perforator.perforate(config)
+        return perforated.executable()
+
+
+def _clear_build_caches(clear_built_kernels=build_kernel.cache_clear) -> None:
+    """Forget every built kernel and every memoized front end."""
+    clear_built_kernels()
+    perforator_for.cache_clear()
+
+
+build_kernel.cache_clear = _clear_build_caches

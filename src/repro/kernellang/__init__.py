@@ -30,7 +30,7 @@ from .errors import (
     TypeError_,
 )
 from .interpreter import KernelInterpreter, compile_kernel
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse_kernel, parse_program
 from .typecheck import CheckResult, TypeChecker, check_program
 from .types import (
@@ -60,7 +60,6 @@ __all__ = [
     "KernelInterpreter",
     "KernelLangError",
     "LexError",
-    "Lexer",
     "ParseError",
     "Parser",
     "PointerType",

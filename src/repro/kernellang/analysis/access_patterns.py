@@ -106,7 +106,6 @@ class StencilAccess:
     buffer: str
     dx: int
     dy: int
-    node_id: int  # id() of the Index node, for the transforms
 
 
 @dataclass
@@ -508,9 +507,7 @@ def analyze_kernel(kernel: ast.FunctionDef) -> AccessPatternInfo:
             form = evaluator.evaluate(index_node.index)
             offset = _extract_offset(form, buffer)
             summary.offsets.add(offset)
-            info.accesses.append(
-                StencilAccess(buffer=buffer, dx=offset[0], dy=offset[1], node_id=id(index_node))
-            )
+            info.accesses.append(StencilAccess(buffer=buffer, dx=offset[0], dy=offset[1]))
     return info
 
 

@@ -12,7 +12,6 @@ kernels (the artefact a user would take to a real GPU).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
@@ -35,8 +34,20 @@ class Node:
                         yield item
 
     def clone(self) -> "Node":
-        """Deep copy of the subtree."""
-        return copy.deepcopy(self)
+        """Copy of the subtree: nodes and their lists and tuples are copied,
+        the rest (types, strings, numbers, ``ctype``) is immutable and
+        shared.  A node reachable twice would become two; no tree has one."""
+        twin = object.__new__(type(self))
+        state = twin.__dict__
+        for name, value in self.__dict__.items():
+            if isinstance(value, Node):
+                value = value.clone()
+            elif type(value) is list:
+                value = [item.clone() if isinstance(item, Node) else item for item in value]
+            elif type(value) is tuple:
+                value = tuple(item.clone() if isinstance(item, Node) else item for item in value)
+            state[name] = value
+        return twin
 
     def walk(self) -> Iterator["Node"]:
         """Pre-order traversal of the subtree, including ``self``."""

@@ -1,159 +1,100 @@
-"""Hand-written lexer for the OpenCL C subset."""
+"""Lexer for the OpenCL C subset: one compiled regular expression.
+
+Kernel source is ASCII.  Whitespace, ``//`` and ``/* */`` comments and
+``#`` lines (from the first column, ``\\``-continued lines included; the
+applications use no macros) are skipped.  Integer literals follow C:
+decimal, octal (a leading ``0``) or hexadecimal, with any ``u``/``l``
+suffixes; floats have a fraction, an exponent or an ``f`` suffix.  A
+malformed literal (``08``, a bare ``0x``, ``1.5u``), an unterminated block
+comment or any other character (non-ASCII ones included) is an error.
+"""
 
 from __future__ import annotations
+
+import re
 
 from .errors import LexError
 from .tokens import KEYWORDS, PUNCTUATORS, SourceLocation, Token, TokenKind
 
+_EXPONENT = r"[eE][+-]?[0-9]+"
+#: A float without its suffix: a fraction, an exponent, or both.
+_FLOAT_BODY = rf"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:{_EXPONENT})?|[0-9]+{_EXPONENT}"
 
-class Lexer:
-    """Turns kernel source text into a list of tokens.
+#: Every lexeme as a named alternative, tried in this order at each
+#: position: identifiers, the most common, first; a comment before the
+#: ``/`` it starts with, a float before the integer or ``.`` it starts
+#: with, and each punctuator before its prefixes.
+_LEXEMES = (
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("comment", r"//[^\n]*|/\*(?s:.*?)\*/"),
+    ("open_comment", r"/\*"),
+    ("directive", r"(?<![^\n])#(?:\\\n|[^\n])*"),
+    ("bare_hex", r"0[xX](?![0-9a-fA-F])"),
+    ("hex", r"0[xX][0-9a-fA-F]+[uUlL]*"),
+    ("suffixed_float", rf"(?:{_FLOAT_BODY})[uUlL]"),
+    ("float", rf"(?:{_FLOAT_BODY})[fF]?|[0-9]+[fF]"),
+    ("bad_octal", r"0[0-7]*[89][0-9]*[uUlL]*"),
+    ("int", r"[0-9]+[uUlL]*"),
+    ("punct", "|".join(re.escape(p) for p in PUNCTUATORS)),
+)
 
-    Handles ``//`` and ``/* */`` comments, preprocessor-style lines starting
-    with ``#`` (skipped — the applications do not rely on macros), decimal
-    and hexadecimal integer literals, float literals with optional exponent
-    and ``f`` suffix, identifiers/keywords, and the punctuator set of the
-    subset.
-    """
+_WHITESPACE = " \t\r\n"
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+_ALTERNATIVES = "|".join(f"(?P<{name}>{pattern})" for name, pattern in _LEXEMES)
 
-    # ------------------------------------------------------------------
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column)
+#: One lexeme and the whitespace before it.
+_LEXEME = re.compile(f"[{_WHITESPACE}]*(?:{_ALTERNATIVES})")
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
+_KINDS = {
+    "hex": TokenKind.INT_LITERAL,
+    "float": TokenKind.FLOAT_LITERAL,
+    "int": TokenKind.INT_LITERAL,
+    "ident": TokenKind.IDENT,
+    "punct": TokenKind.PUNCT,
+}
 
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
+_ERRORS = {
+    "open_comment": "unterminated block comment starting at {location}",
+    "bare_hex": "hexadecimal literal {text!r} without digits at {location}",
+    "suffixed_float": "integer suffix on float literal {text!r} at {location}",
+    "bad_octal": "invalid digit in octal literal {text!r} at {location}",
+}
 
-    # ------------------------------------------------------------------
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise LexError(f"unterminated block comment starting at {start}")
-                self._advance(2)
-            elif ch == "#" and self.column == 1:
-                # Preprocessor directive: skip the whole (possibly continued) line.
-                while self.pos < len(self.source):
-                    if self._peek() == "\\" and self._peek(1) == "\n":
-                        self._advance(2)
-                        continue
-                    if self._peek() == "\n":
-                        break
-                    self._advance()
-            else:
-                return
 
-    # ------------------------------------------------------------------
-    def _lex_number(self) -> Token:
-        location = self._location()
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            return Token(TokenKind.INT_LITERAL, self.source[start : self.pos], location)
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        elif self._peek() == ".":
-            is_float = True
-            self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        # _peek() returns "" at EOF and ``"" in "fF"`` is True, so the
-        # suffix checks must test for emptiness explicitly.
-        if self._peek() and self._peek() in "fF":
-            is_float = True
-            self._advance()
-        elif self._peek() and self._peek() in "uUlL":
-            while self._peek() and self._peek() in "uUlL":
-                self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.FLOAT_LITERAL if is_float else TokenKind.INT_LITERAL
-        return Token(kind, text, location)
-
-    def _lex_identifier(self) -> Token:
-        location = self._location()
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, location)
-
-    def _lex_punct(self) -> Token:
-        location = self._location()
-        for punct in PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, location)
-        raise LexError(
-            f"unexpected character {self._peek()!r} at {location}"
-        )
-
-    # ------------------------------------------------------------------
-    def tokenize(self) -> list[Token]:
-        """Lex the whole source, returning tokens terminated by an EOF token."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                break
-            ch = self._peek()
-            if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                tokens.append(self._lex_number())
-            elif ch.isalpha() or ch == "_":
-                tokens.append(self._lex_identifier())
-            else:
-                tokens.append(self._lex_punct())
-        tokens.append(Token(TokenKind.EOF, "", self._location()))
-        return tokens
+def _location(source: str, index: int) -> SourceLocation:
+    """The line and column of ``source[index]``."""
+    line_start = source.rfind("\n", 0, index) + 1
+    return SourceLocation(source.count("\n", 0, index) + 1, index - line_start + 1)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source).tokenize()
+    """Lex ``source`` into a token list terminated by an EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    # ``line`` is the line of offset ``counted``; ``line_start`` its first offset.
+    line, line_start, counted, pos = 1, 0, 0, 0
+    for match in _LEXEME.finditer(source):
+        if match.start() != pos:
+            break  # finditer skipped a character no lexeme starts with
+        group = match.lastgroup
+        start, pos = match.span(group)
+        kind = _KINDS.get(group)
+        if kind is None:
+            if group in _ERRORS:
+                text, location = match.group(group), _location(source, start)
+                raise LexError(_ERRORS[group].format(text=text, location=location))
+            continue  # a comment or a directive
+        newlines = source.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", counted, start) + 1
+        counted = start
+        text = match.group(group)
+        if kind is TokenKind.IDENT and text in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        append(Token(kind, text, SourceLocation(line, start - line_start + 1)))
+    end = len(source) - len(source[pos:].lstrip(_WHITESPACE))
+    if end != len(source):
+        raise LexError(f"unexpected character {source[end]!r} at {_location(source, end)}")
+    append(Token(TokenKind.EOF, "", _location(source, end)))
+    return tokens

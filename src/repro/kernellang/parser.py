@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the OpenCL C subset."""
+"""Recursive-descent parser for the OpenCL C subset; binary expressions are
+parsed by precedence climbing (Pratt's top-down operator precedence)."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ _QUALIFIER_KEYWORDS = _ADDRESS_SPACE_KEYWORDS | {"const", "restrict", "volatile"
 
 _ASSIGNMENT_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
 
-# Binary operator precedence levels, lowest first.
+# Binary operator precedence levels, lowest first, each left-associative.
 _BINARY_LEVELS = [
     ("||",),
     ("&&",),
@@ -47,6 +48,10 @@ _BINARY_LEVELS = [
     ("*", "/", "%"),
 ]
 
+#: Each binary operator's level in ``_BINARY_LEVELS``.  Only punctuator
+#: tokens carry operator text, so a token's text alone finds its level.
+_BINARY_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
 
 class Parser:
     """Parses a token stream into a :class:`~repro.kernellang.ast.Program`."""
@@ -59,8 +64,10 @@ class Parser:
     # Token helpers
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # The list ends in EOF, which _advance never passes: clamp look-aheads.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -69,10 +76,12 @@ class Parser:
         return token
 
     def _check_punct(self, text: str) -> bool:
-        return self._peek().is_punct(text)
+        tok = self.tokens[self.pos]
+        return tok.kind is TokenKind.PUNCT and tok.text == text
 
     def _check_keyword(self, text: str) -> bool:
-        return self._peek().is_keyword(text)
+        tok = self.tokens[self.pos]
+        return tok.kind is TokenKind.KEYWORD and tok.text == text
 
     def _accept_punct(self, text: str) -> bool:
         if self._check_punct(text):
@@ -415,19 +424,16 @@ class Parser:
             return ast.Ternary(condition, if_true, if_false)
         return condition
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """A binary expression whose operators all bind at ``min_level`` of
+        ``_BINARY_LEVELS`` or tighter."""
+        left = self._parse_unary()
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.PUNCT and tok.text in ops:
-                op = self._advance().text
-                right = self._parse_binary(level + 1)
-                left = ast.BinaryOp(op, left, right)
-            else:
+            level = _BINARY_PRECEDENCE.get(self.tokens[self.pos].text)
+            if level is None or level < min_level:
                 return left
+            op = self._advance().text
+            left = ast.BinaryOp(op, left, self._parse_binary(level + 1))
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
@@ -526,7 +532,10 @@ def _const_int(expr: ast.Expr) -> int:
 
 def parse_program(source: str) -> ast.Program:
     """Parse kernel source text into a :class:`Program`."""
-    return Parser(tokenize(source)).parse_program()
+    try:
+        return Parser(tokenize(source)).parse_program()
+    except RecursionError:
+        raise ParseError("kernel source nests too deeply") from None
 
 
 def parse_kernel(source: str, name: str | None = None) -> ast.FunctionDef:

@@ -9,7 +9,7 @@ Median, Hotspot, Inversion) and the code the perforation passes generate
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -117,8 +117,7 @@ PUNCTUATORS = (
 )
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """Line/column position of a token in the kernel source."""
 
     line: int
@@ -128,9 +127,8 @@ class SourceLocation:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token."""
+class Token(NamedTuple):
+    """A single lexical token (a named tuple: cheap to build)."""
 
     kind: TokenKind
     text: str
@@ -138,12 +136,12 @@ class Token:
 
     @property
     def int_value(self) -> int:
-        """Integer value of an INT_LITERAL token (supports hex and the
-        ``u``/``U``/``l``/``L`` integer suffixes)."""
+        """Integer value of an INT_LITERAL token in its base (``0x`` hex, a
+        leading ``0`` octal, else decimal), ignoring ``u``/``l`` suffixes."""
         text = self.text.rstrip("uUlL")
-        # A bare "0x" prefix with the digits stripped cannot happen: the
-        # lexer only emits INT_LITERAL for complete literals.
-        return int(text, 0)
+        if text[:2] in ("0x", "0X"):
+            return int(text, 16)
+        return int(text, 8 if text[0] == "0" else 10)
 
     @property
     def float_value(self) -> float:

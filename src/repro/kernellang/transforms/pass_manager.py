@@ -70,13 +70,6 @@ class TransformContext:
     plans: dict[str, BufferPlan] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
-    @classmethod
-    def create(
-        cls, kernel: ast.FunctionDef, tile_x: int, tile_y: int
-    ) -> "TransformContext":
-        info = analyze_kernel(kernel)
-        return cls(kernel=kernel, tile_x=tile_x, tile_y=tile_y, pattern_info=info)
-
     def plan_for(self, buffer: str) -> BufferPlan:
         try:
             return self.plans[buffer]
@@ -108,13 +101,23 @@ class PassManager:
     def __init__(self, passes: Sequence[Pass]) -> None:
         self.passes = list(passes)
 
-    def run(self, kernel: ast.FunctionDef, tile_x: int, tile_y: int) -> TransformContext:
+    def run(
+        self,
+        kernel: ast.FunctionDef,
+        tile_x: int,
+        tile_y: int,
+        pattern_info: AccessPatternInfo | None = None,
+    ) -> TransformContext:
         """Apply the pipeline to ``kernel`` *in place* and return the context.
 
         Callers that need to keep the original kernel should pass a clone
-        (``kernel.clone()``).
+        (``kernel.clone()``), and may pass the original's analysis as
+        ``pattern_info``: an unmodified clone analyses the same, and the
+        passes only read it.
         """
-        context = TransformContext.create(kernel, tile_x, tile_y)
+        if pattern_info is None:
+            pattern_info = analyze_kernel(kernel)
+        context = TransformContext(kernel, tile_x, tile_y, pattern_info)
         for pass_ in self.passes:
             pass_.run(context)
             context.add_note(f"applied {pass_.name}")

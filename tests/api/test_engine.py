@@ -16,10 +16,11 @@ from repro.apps.inversion import INVERSION_MAX
 from repro.autotune import default_space
 from repro.core import ConfigurationError, ROWS1_NN, STENCIL1_NN
 from repro.core import perforator
-from repro.core.config import default_configurations
+from repro.core.config import ACCURATE_CONFIG, default_configurations
 from repro.core.perforator import KernelPerforator, build_kernel
 from repro.core.quality import MRE_EPSILON, compute_error
 from repro.data import HotspotInput, generate_image, hotspot_single
+from repro.kernellang.transforms import pass_manager
 from repro.serve import PerforationServer, TraceSpec, generate_trace
 
 
@@ -208,13 +209,14 @@ class TestEvaluation:
 
 
 class TestKernelBuildCache:
-    """The compiled path parses and perforates each (kernel source, config)
-    once per process; every later launch reuses the built kernel."""
+    """The compiled path parses and analyses each kernel source once per
+    process and perforates each (kernel source, config) once; every later
+    launch reuses the built kernel."""
 
     @pytest.fixture()
     def builds(self, monkeypatch):
-        """Counts of perforator calls (``perforate``/``accurate``) and parses,
-        starting from an empty build cache."""
+        """Counts of perforator calls (``perforate``/``accurate``), parses and
+        access-pattern analyses, starting from an empty build cache."""
         counts = Counter()
 
         def counting(name, fn):
@@ -230,6 +232,10 @@ class TestKernelBuildCache:
         monkeypatch.setattr(
             perforator, "parse_program", counting("parses", perforator.parse_program)
         )
+        for module in (perforator, pass_manager):
+            monkeypatch.setattr(
+                module, "analyze_kernel", counting("analyses", module.analyze_kernel)
+            )
         build_kernel.cache_clear()
         yield counts
         build_kernel.cache_clear()
@@ -243,8 +249,19 @@ class TestKernelBuildCache:
             outputs = engine.run_compiled_batch("gaussian", inputs)
             for output, reference in zip(outputs, expected):
                 np.testing.assert_array_equal(output, reference)
-        # One perforator construction parse plus the one in accurate().
-        assert builds == {"perforations": 1, "parses": 2}
+        # accurate() transforms a clone of the one parsed tree.
+        assert builds == {"perforations": 1, "parses": 1, "analyses": 1}
+
+    def test_one_front_end_per_source(self, builds):
+        app = GaussianApp()
+        configs = (ACCURATE_CONFIG, *default_configurations(app.halo))
+        for config in configs:
+            build_kernel(app.kernel_source(), config)
+        assert app.perforator() is perforator.perforator_for(app.kernel_source())
+        assert builds == {"perforations": len(configs), "parses": 1, "analyses": 1}
+        build_kernel.cache_clear()  # forgets the front end too: the next build is cold
+        build_kernel(app.kernel_source(), ROWS1_NN)
+        assert builds == {"perforations": len(configs) + 1, "parses": 2, "analyses": 2}
 
     def test_server_builds_each_app_config_once(self, builds):
         spec = TraceSpec(
@@ -271,22 +288,26 @@ class TestKernelBuildCache:
         cold, launches = serve()
         pairs = set(launches)
         assert len(launches) > len(pairs), "some (app, config) must launch twice"
-        assert builds == {"perforations": len(pairs), "parses": 2 * len(pairs)}
+        sources = len({app for app, _ in pairs})  # one front end per kernel source
+        front_ends = {"parses": sources, "analyses": sources}
+        assert builds == {"perforations": len(pairs), **front_ends}
         # A second server in the same process launches the same pairs on the
         # kernels already built, with bit-identical outputs.
         warm, relaunches = serve()
         assert set(relaunches) == pairs
-        assert builds == {"perforations": len(pairs), "parses": 2 * len(pairs)}
+        assert builds == {"perforations": len(pairs), **front_ends}
         for a, b in zip(cold, warm):
             assert (a.request_id, a.config_label) == (b.request_id, b.config_label)
             np.testing.assert_array_equal(a.output, b.output)
 
     def test_threads_racing_on_a_cold_cache_agree(self):
-        """Threads share built kernels (and their lazily compiled functions):
+        """Threads share built kernels (and their lazily compiled functions)
+        and each source's one front end, which every configuration clones:
         concurrent first launches must give the serial outputs bit for bit."""
         engine = PerforationEngine(backend="codegen")
         inputs = [generate_image("natural", size=16, seed=s) for s in range(4)]
-        expected = engine.run_compiled_batch("sobel3", inputs, ROWS1_NN)
+        configs = (ROWS1_NN, STENCIL1_NN, ACCURATE_CONFIG)
+        expected = {c: engine.run_compiled_batch("sobel3", inputs, c) for c in configs}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -294,12 +315,12 @@ class TestKernelBuildCache:
                 build_kernel.cache_clear()
                 with ThreadPoolExecutor(max_workers=6) as pool:
                     futures = [
-                        pool.submit(engine.run_compiled_batch, "sobel3", inputs, ROWS1_NN)
-                        for _ in range(12)
+                        (c, pool.submit(engine.run_compiled_batch, "sobel3", inputs, c))
+                        for c in configs * 4
                     ]
-                    results = [future.result(timeout=60) for future in futures]
-                for outputs in results:
-                    for output, reference in zip(outputs, expected):
+                    results = [(c, future.result(timeout=60)) for c, future in futures]
+                for config, outputs in results:
+                    for output, reference in zip(outputs, expected[config]):
                         np.testing.assert_array_equal(output, reference)
         finally:
             sys.setswitchinterval(interval)

@@ -4,17 +4,18 @@ The seed's lexer hung forever on integer-suffix literals at end-of-input
 (``tokenize("7u")``): ``peek()`` returns ``""`` at EOF and ``"" in "uUlL"``
 is ``True``.  These tests catch that whole *class* of regression by
 construction: every lexer/parser invocation runs under a hard wall-clock
-timeout, and random token streams assert the front end either succeeds or
-raises a :class:`KernelLangError` — never hangs, never leaks a foreign
-exception.
+timeout, and random text and token streams assert the front end either
+succeeds or raises a :class:`KernelLangError` — never hangs, never leaks a
+foreign exception (a literal's value or a deep nesting included).
 """
 
 import signal
 from contextlib import contextmanager
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.kernellang.errors import KernelLangError
+from repro.kernellang.errors import KernelLangError, ParseError
 from repro.kernellang.lexer import tokenize
 from repro.kernellang.parser import parse_program
 
@@ -71,13 +72,19 @@ class TestLexerFuzz:
         assert any(token.text == f"{value}{suffix}" for token in tokens)
 
     @given(source=st.text(max_size=120))
+    @example("int x = 2\u00b2;")  # once an int literal with no value
+    @example("int x = 08;")
+    @example("int x = 0x;")
+    @example("float f = 1.5u;")
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_text_terminates_or_raises_lex_error(self, source):
-        """Any input either tokenizes or raises a KernelLangError quickly."""
-        try:
-            lex(source)
-        except KernelLangError:
-            pass
+        """Any input either tokenizes and parses or raises a KernelLangError
+        quickly."""
+        for front_end in (lex, parse):
+            try:
+                front_end(source)
+            except KernelLangError:
+                pass
 
     @given(
         chunks=st.lists(
@@ -97,10 +104,11 @@ class TestLexerFuzz:
     def test_random_token_streams_terminate(self, chunks):
         """Token soup, joined without whitespace: EOF can fall anywhere
         inside a token, which is exactly where the seed bug lived."""
-        try:
-            lex("".join(chunks))
-        except KernelLangError:
-            pass
+        for front_end in (lex, parse):
+            try:
+                front_end("".join(chunks))
+            except KernelLangError:
+                pass
 
     def test_seed_hang_examples(self):
         """The literal reproducer of the seed bug and its close cousins."""
@@ -141,6 +149,13 @@ class TestParserFuzz:
             """
         )
         assert program.kernel("k").name == "k"
+
+    def test_deep_nesting_raises_parse_error(self):
+        """Nesting past the interpreter's recursion limit is a ParseError,
+        not a RecursionError."""
+        for opener in ("(", "-(", "a["):
+            with pytest.raises(ParseError, match="nests too deeply"):
+                parse("int x = " + opener * 5000 + "1;")
 
     def test_truncated_kernel_sources_raise_cleanly(self):
         """Every prefix of a valid kernel either parses or raises ParseError

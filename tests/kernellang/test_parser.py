@@ -6,8 +6,6 @@ from repro.kernellang import ParseError, ast, parse_kernel, parse_program
 from repro.kernellang.types import PointerType, ScalarType
 
 
-pytestmark = pytest.mark.slow
-
 GAUSSIAN_LIKE = """
 __constant float coeff[4] = {1.0f, 2.0f, 3.0f, 4.0f};
 
@@ -229,6 +227,29 @@ class TestAstUtilities:
         clone = kernel.clone()
         clone.body.statements.clear()
         assert len(kernel.body.statements) > 0
+
+    def test_clone_equals_the_original_and_shares_no_node(self):
+        program = parse_program(GAUSSIAN_LIKE)
+        clone = program.clone()
+        assert clone == program
+        assert not {id(n) for n in clone.walk()} & {id(n) for n in program.walk()}
+
+    def test_no_node_is_reachable_twice(self):
+        """``Node.clone`` copies structurally, so a node reachable twice
+        would become two: every parsed and every perforated tree of the
+        bundled kernels must be a tree."""
+        from repro.apps import all_applications
+        from repro.core.config import ACCURATE_CONFIG, default_configurations
+
+        for app in all_applications():
+            perforator = app.perforator()
+            programs = [parse_program(app.kernel_source())] + [
+                perforator.perforate(config).program
+                for config in (ACCURATE_CONFIG, *default_configurations(app.halo))
+            ]
+            for program in programs:
+                nodes = list(program.walk())
+                assert len({id(n) for n in nodes}) == len(nodes), app.name
 
     def test_walk_visits_children(self):
         kernel = parse_kernel(GAUSSIAN_LIKE)

@@ -13,6 +13,9 @@ bundled applications; this module pins each pass's contract in isolation:
   ``Stencil1:NN`` at 16x16; regenerate with ``REPRO_REGEN_GOLDEN=1``);
 * the emission contract over every bundled kernel and configuration:
   predicates stay masks, and no statement writes a lane array in place;
+* a golden snapshot of the OpenCL C the perforator prints for every
+  bundled kernel and configuration, which pins the front end (lexer,
+  parser and transforms) ahead of the lowering;
 * lowered-source determinism: two processes with different hash seeds
   lower every bundled pair to the same text.
 """
@@ -501,6 +504,26 @@ class TestEmissionContract:
         old = "_t1 = ((((a) < (b)).astype(_I))) != 0\n_t2[m] = 1\n_t3 += x\n_b += 1\n"
         assert ".astype(_I))) != 0" in old
         assert in_place_writes(old) == ["_t2[m] = 1", "_t3 += x"]
+
+
+class TestGoldenClgenSource:
+    """The OpenCL C text (``clgen``) of all 29 bundled pairs, pinned
+    byte-for-byte in one file: what the lexer, parser and perforation
+    transforms make of each kernel source before anything is lowered.
+    Regenerate with ``REPRO_REGEN_GOLDEN=1`` and review the diff."""
+
+    def test_clgen_source_matches_golden(self):
+        text = "".join(
+            f"// ===== {app.name} {config.key}\n{app.perforator().perforate(config).source}\n"
+            for app, config in TestEmissionContract.PAIRS
+        )
+        golden_path = GOLDEN_DIR / "bundled_pairs.clgen.txt"
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            golden_path.write_text(text)
+        assert golden_path.exists(), (
+            f"golden file missing; run REPRO_REGEN_GOLDEN=1 pytest {__file__}"
+        )
+        assert text == golden_path.read_text()
 
 
 #: Prints the lowered source of every bundled pair, in order.

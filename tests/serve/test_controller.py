@@ -61,7 +61,7 @@ class TestLadder:
     def test_ladder_is_the_calibration_plus_the_accurate_rung(self):
         """The controller's ladder is ``calibrate_configs`` of the default
         configurations, bit for bit, plus the accurate rung; each
-        calibration records one ``session.calibrate`` span."""
+        calibration records one ``calibration.calibrate`` span."""
         xs = [
             generate_image("natural", size=32, seed=3),
             generate_image("flat", size=32, seed=4),
@@ -69,9 +69,9 @@ class TestLadder:
         tracer = obs_trace.install(process="test-controller")
         try:
             ladder = OnlineController(PerforationEngine(), {"gaussian": xs}).ladder("gaussian")
-            from_controller = [s for s in tracer.spans() if s.name == "session.calibrate"]
+            from_controller = [s for s in tracer.spans() if s.name == "calibration.calibrate"]
             entries = _calibrate(xs)
-            spans = [s for s in tracer.spans() if s.name == "session.calibrate"]
+            spans = [s for s in tracer.spans() if s.name == "calibration.calibrate"]
         finally:
             obs_trace.disable()
 

@@ -74,11 +74,24 @@ class TestServeSpans:
 
     def test_calibration_sweeps_traced(self, traced):
         tracer, _, responses = traced
-        calibrations = [s for s in tracer.spans() if s.name == "session.calibrate"]
+        calibrations = [s for s in tracer.spans() if s.name == "calibration.calibrate"]
         # Calibration is lazy: only apps the trace actually exercised.
         assert {s.attrs["app"] for s in calibrations} == {r.app for r in responses}
         assert all(s.category == "calibrate" for s in calibrations)
         assert all(s.attrs["configs"] > 0 for s in calibrations)
+
+    def test_cold_builds_traced(self, traced):
+        tracer, _, _ = traced
+        builds = sorted(
+            (s for s in tracer.spans() if s.name == "perforator.build"), key=lambda s: s.start_ns
+        )
+        assert builds and all(s.category == "perforator" for s in builds)
+        pairs = [(s.attrs["kernel"], s.attrs["config"]) for s in builds]
+        assert len(pairs) == len(set(pairs)), "each (kernel, config) is built once"
+        # Each kernel's first build parses its source; the later ones reuse it.
+        for kernel in {k for k, _ in pairs}:
+            memoized = [s.attrs["memoized"] for s in builds if s.attrs["kernel"] == kernel]
+            assert memoized == [False] + [True] * (len(memoized) - 1)
 
 
 class TestObservabilityRegistry:
